@@ -8,6 +8,7 @@ and several pairs may share a line separated by commas.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -90,10 +91,14 @@ class RunConfig:
 
 def _parse_float(raw, key, line_no):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"line {line_no}: key '{key}' needs a number, "
                           f"got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"line {line_no}: key '{key}' needs a finite "
+                          f"number, got {raw!r}")
+    return value
 
 
 def _parse_int(raw, key, line_no):

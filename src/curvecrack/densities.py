@@ -76,10 +76,6 @@ class DensityCoefficients:
         return (poly_eval(self.g1, s, self.length)
                 + 1j * poly_eval(self.g2, s, self.length))
 
-    def gprime_parts(self, s):
-        return (poly_eval(self.g1, s, self.length),
-                poly_eval(self.g2, s, self.length))
-
 
 def _p_values(curve: CrackCurve, coeffs: DensityCoefficients, s):
     """P(s) = kappa0 Im g' + Re g'' and its derivative P'(s), pointwise."""

@@ -5,6 +5,11 @@ tensile and tau_n the shear component of the stress vector acting on the
 tangent line, seen from the positive-normal side (the normal is i*t', which
 points toward the "+" face).  Displacement derivatives du1/ds, du2/ds are
 global Cartesian components differentiated along the arc.
+
+The face fields integrate the regular kernels with `regular_rule`, the
+composite Gauss-Legendre rule of the assembly, and take the Cauchy
+principal values in closed form.  The flat node rule survives only in the
+discrete oracle mode, face_fields(..., cauchy="discrete").
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ import numpy as np
 from .densities import DensityCoefficients, q_polynomial, traction_jump
 from .geometry import CrackCurve
 from .kernels import KernelSet
-from .quadrature import Discretization, pv_cauchy_sum, pv_polynomial
+from .quadrature import (Discretization, pv_cauchy_sum, pv_polynomial,
+                         regular_rule)
 
 
 @dataclass(frozen=True)
@@ -33,7 +39,7 @@ class Material:
     nu: float | None = None
 
     def __post_init__(self):
-        if self.mu <= 0:
+        if not np.isfinite(self.mu) or self.mu <= 0:
             raise ValueError(f"shear modulus must be positive, got {self.mu}")
         if not 1.0 < self.kappa < 3.0:
             raise ValueError(
@@ -76,12 +82,16 @@ class FarFieldLoad:
     psi_inf: complex = None  # type: ignore[assignment]
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.sigma1, self.sigma2, self.alpha])):
+            raise ValueError("remote stresses and angle must be finite, got "
+                             f"{self.sigma1}, {self.sigma2}, {self.alpha}")
         phi, psi = far_field_potentials(self.sigma1, self.sigma2, self.alpha)
         if self.phi_inf is None:
             object.__setattr__(self, "phi_inf", phi)
         if self.psi_inf is None:
             object.__setattr__(self, "psi_inf", psi)
-        if abs(self.phi_inf - phi) > 1e-12 or abs(self.psi_inf - psi) > 1e-12:
+        if not (abs(self.phi_inf - phi) <= 1e-12
+                and abs(self.psi_inf - psi) <= 1e-12):
             raise ValueError("potential constants inconsistent with the load")
 
 
@@ -92,8 +102,9 @@ class SurfaceParams:
     gamma1: float
 
     def __post_init__(self):
-        if self.gamma1 < 0:
-            raise ValueError(f"gamma1 must be nonnegative, got {self.gamma1}")
+        if not np.isfinite(self.gamma1) or self.gamma1 < 0:
+            raise ValueError(
+                f"gamma1 must be finite and nonnegative, got {self.gamma1}")
 
 
 def surface_tension_coefficients(curve: CrackCurve, gamma1: float, s):
@@ -192,17 +203,19 @@ class FaceFieldSample:
     du2_ds: float
 
 
-_SIDE_SIGNS = {"plus": 1.0, "minus": -1.0}
+_SIDES = ("plus", "minus")
+_SIGNS = np.array([1.0, -1.0])
 
 
 class _FieldEvaluator:
-    """Shared machinery for evaluating face fields at many points.
+    """Face fields of one solved density at many points.
 
-    The Cauchy principal-value blocks act on the polynomial densities and
-    are either computed exactly in closed form (constant-curvature curves,
-    the default) or through the discrete node sum of the collocation rule.
-    The regular-kernel blocks always use the collocation quadrature at the
-    requested resolution.
+    The Cauchy principal-value blocks act on the polynomial densities.  In
+    the default exact mode (constant-curvature curves) they are computed in
+    closed form and the regular-kernel blocks use `regular_rule`, the
+    Gauss-Legendre rule of the assembly.  The discrete mode is the flat-rule
+    oracle: both blocks are node sums over the n_quad + 1 nodes of the
+    collocation rule, with its flat weight.
     """
 
     def __init__(self, curve, material, load, densities, n_quad=400,
@@ -219,82 +232,74 @@ class _FieldEvaluator:
         self.coeffs = densities
         self.cauchy = cauchy
         self.gamma1 = densities.gamma1
-        self.disc = Discretization(n_quad, curve.length)
         self.kset = KernelSet(curve, material.kappa)
-        nodes = self.disc.nodes
-        self._nodes = nodes
-        self._gp_nodes = densities.gprime(nodes)
-        self._q_nodes = traction_jump(curve, material, self.gamma1,
-                                      densities, nodes)
         if cauchy == "exact":
+            self._nodes, self._weights = regular_rule(curve.length)
             self._gp_poly = densities.g1 + 1j * densities.g2
             self._q_poly = q_polynomial(curve, material, self.gamma1, densities)
+        else:
+            disc = Discretization(n_quad, curve.length)
+            self._nodes, self._weights = disc.nodes, disc.weight
+        gp = densities.gprime(self._nodes)
+        q = traction_jump(curve, material, self.gamma1, densities, self._nodes)
+        self._gp_nodes, self._q_nodes = gp, q
+        # weighted densities: every regular integral is one dot product
+        w = self._weights
+        self._wgp, self._wgpc = w * gp, w * np.conj(gp)
+        self._wq, self._wqc = w * q, w * np.conj(q)
 
     def _pv(self, s0):
         """Principal values (PV[g'], PV[q]) at s0."""
         if self.cauchy == "exact":
             return (pv_polynomial(self._gp_poly, self.curve.length, s0),
                     pv_polynomial(self._q_poly, self.curve.length, s0))
-        w = self.disc.weight
+        w = self._weights
         return (pv_cauchy_sum(self._gp_nodes, self._nodes, w, s0),
                 pv_cauchy_sum(self._q_nodes, self._nodes, w, s0))
 
-    def traction(self, s0, side):
-        """sigma_n + i tau_n on the requested face."""
-        sign = _SIDE_SIGNS[side]
+    def face_values(self, s0):
+        """sigma_n + i tau_n and d(u1 + i u2)/ds at s0 on both faces.
+
+        One kernel block serves both fields and both faces.  Each is a
+        complex array of length 2, "+" face first.
+        """
         kappa = self.material.kappa
-        w = self.disc.weight
         blk = self.kset.block(self._nodes, s0, derivatives=False)
+        k1, k2, k3, k4 = blk["k1"], blk["k2"], blk["k3"], blk["k4"]
+        gp, gpc, q, qc = self._wgp, self._wgpc, self._wq, self._wqc
         pv_g, pv_q = self._pv(s0)
-        gp, q = self._gp_nodes, self._q_nodes
-        reg = w * np.sum(blk["k1"] * gp + blk["k2"] * np.conj(gp)
-                         - 2j * blk["k3"] * q + 2j * blk["k2"] * np.conj(q))
+        scale = 2.0 * np.pi * (kappa + 1.0)
+        phi, psi = self.load.phi_inf, self.load.psi_inf
+        t1 = self.curve.tangent(s0)
+
+        reg = k1 @ gp + k2 @ gpc - 2j * (k3 @ q) + 2j * (k2 @ qc)
         sing = 2.0 * pv_g + 2j * (kappa - 1.0) * pv_q
+        far = 2.0 * np.real(phi) + np.conj(psi) * np.conj(t1) ** 2
         q_here = traction_jump(self.curve, self.material, self.gamma1,
                                self.coeffs, s0)
-        t1 = self.curve.tangent(s0)
-        far = 2.0 * np.real(self.load.phi_inf) \
-            + np.conj(self.load.psi_inf) * np.conj(t1) ** 2
-        return sign * q_here + (sing + reg) / (2.0 * np.pi * (kappa + 1.0)) + far
+        traction = _SIGNS * q_here + (sing + reg) / scale + far
 
-    def omega(self, s0, side):
-        """The face function whose jump is i(kappa+1) g'(s0)."""
-        sign = _SIDE_SIGNS[side]
-        kappa = self.material.kappa
-        w = self.disc.weight
-        blk = self.kset.block(self._nodes, s0, derivatives=False)
-        pv_g, pv_q = self._pv(s0)
-        gp, q = self._gp_nodes, self._q_nodes
-        reg = w * np.sum(blk["k4"] * gp - blk["k2"] * np.conj(gp)
-                         - 2j * kappa * blk["k1"] * q
-                         - 2j * blk["k2"] * np.conj(q))
-        sing = (kappa - 1.0) * pv_g - 4j * kappa * pv_q
-        gp_here = self.coeffs.gprime(s0)
-        # jump coefficient i/2, not i(kappa+1)/2: the face limits of the
+        # omega is the face function whose jump is i g'(s0).  Its jump
+        # coefficient is i/2, not i(kappa+1)/2: the face limits of the
         # potentials fix it so that the displacement-jump derivative equals
         # i g' t'/(2 mu), consistent with the density definition (checked
         # against a direct bulk evaluation of the potentials).
-        return sign * 0.5j * gp_here \
-            + (sing + reg) / (2.0 * np.pi * (kappa + 1.0))
+        reg = k4 @ gp - k2 @ gpc - 2j * kappa * (k1 @ q) - 2j * (k2 @ qc)
+        sing = (kappa - 1.0) * pv_g - 4j * kappa * pv_q
+        omega = _SIGNS * 0.5j * self.coeffs.gprime(s0) + (sing + reg) / scale
+        du = (t1 * omega + (kappa * phi - np.conj(phi)) * t1
+              - np.conj(psi) * np.conj(t1)) / (2.0 * self.material.mu)
+        return traction, du
 
-    def displacement_derivative(self, s0, side):
-        """d(u1 + i u2)/ds on the requested face."""
-        kappa = self.material.kappa
-        phi = self.load.phi_inf
-        t1 = self.curve.tangent(s0)
-        om = self.omega(s0, side)
-        val = t1 * om + (kappa * phi - np.conj(phi)) * t1 \
-            - np.conj(self.load.psi_inf) * np.conj(t1)
-        return val / (2.0 * self.material.mu)
-
-    def sample(self, s0, side) -> FaceFieldSample:
-        tr = self.traction(s0, side)
-        du = self.displacement_derivative(s0, side)
-        return FaceFieldSample(s=float(s0), side=side,
-                               sigma_n=float(np.real(tr)),
-                               tau_n=float(np.imag(tr)),
-                               du1_ds=float(np.real(du)),
-                               du2_ds=float(np.imag(du)))
+    def samples(self, s0):
+        """FaceFieldSample on the "+" and the "-" face at s0."""
+        traction, du = self.face_values(s0)
+        return tuple(FaceFieldSample(s=float(s0), side=side,
+                                     sigma_n=float(np.real(traction[i])),
+                                     tau_n=float(np.imag(traction[i])),
+                                     du1_ds=float(np.real(du[i])),
+                                     du2_ds=float(np.imag(du[i])))
+                     for i, side in enumerate(_SIDES))
 
 
 def face_fields(curve: CrackCurve, material: Material, load: FarFieldLoad,
@@ -302,24 +307,24 @@ def face_fields(curve: CrackCurve, material: Material, load: FarFieldLoad,
                 n_quad: int = 400, cauchy: str = "auto") -> FaceFieldSample:
     """Face stresses and displacement derivatives at one interior point.
 
-    side is "plus" (left of increasing s) or "minus".  With the discrete
-    Cauchy mode, s0 must not coincide with a quadrature node.
+    side is "plus" (left of increasing s) or "minus".  cauchy="discrete"
+    selects the flat-rule oracle on n_quad + 1 nodes; s0 must then not
+    coincide with a node.  The exact mode ignores n_quad.
     """
-    if side not in _SIDE_SIGNS:
+    if side not in _SIDES:
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     if not 0.0 < s0 < curve.length:
         raise ValueError(f"s0 must lie strictly inside (0, {curve.length})")
     ev = _FieldEvaluator(curve, material, load, densities, n_quad, cauchy)
-    return ev.sample(s0, side)
+    return ev.samples(s0)[_SIDES.index(side)]
 
 
 def face_field_profile(curve, material, load, densities, s_values,
-                       sides=("plus", "minus"), n_quad: int = 400,
-                       cauchy: str = "auto"):
-    """Evaluate face fields over a grid; returns a list of FaceFieldSample."""
-    ev = _FieldEvaluator(curve, material, load, densities, n_quad, cauchy)
-    out = []
-    for side in sides:
-        for s0 in np.asarray(s_values, dtype=float):
-            out.append(ev.sample(s0, side))
-    return out
+                       sides=("plus", "minus")):
+    """Face fields over a grid, all points of the first side first.
+
+    Returns a list of FaceFieldSample.
+    """
+    ev = _FieldEvaluator(curve, material, load, densities)
+    pairs = [ev.samples(s0) for s0 in np.asarray(s_values, dtype=float)]
+    return [pair[_SIDES.index(side)] for side in sides for pair in pairs]

@@ -231,43 +231,15 @@ class KernelSet:
     def kernel(self, j: int, s, s0: float):
         """k_j(s, s0); s may be an array, s0 is a scalar in [0, l]."""
         self._check_index(j)
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        if self._is_straight:
-            zero = np.zeros(s_arr.shape, dtype=complex)
-            return zero[0] if np.asarray(s).ndim == 0 else zero
-        out = np.empty(s_arr.shape, dtype=complex)
-        near = np.abs(s_arr - s0) < self.eps_d
-        if (~near).any():
-            block = _direct_block(self.curve, self.kappa, s_arr[~near], s0,
-                                  derivatives=False)
-            out[~near] = block[f"k{j}"]
-        for idx in np.nonzero(near)[0]:
-            out[idx] = _near_values(self.curve, self.kappa, s_arr[idx], s0)[j]
-        return out[0] if np.isscalar(s) or np.asarray(s).ndim == 0 else out
+        out = self.block(np.atleast_1d(s), s0, derivatives=False)[f"k{j}"]
+        return out[0] if np.ndim(s) == 0 else out
 
     def kernel_derivatives(self, j: int, s, s0: float):
         """(dk_j/ds0, d^2 k_j/ds0^2); s may be an array, s0 a scalar."""
         self._check_index(j)
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        if self._is_straight:
-            zero = np.zeros(s_arr.shape, dtype=complex)
-            if np.asarray(s).ndim == 0:
-                return zero[0], zero[0].copy()
-            return zero, zero.copy()
-        d1 = np.empty(s_arr.shape, dtype=complex)
-        d2 = np.empty(s_arr.shape, dtype=complex)
-        near = np.abs(s_arr - s0) < self.eps_d
-        if (~near).any():
-            block = _direct_block(self.curve, self.kappa, s_arr[~near], s0)
-            d1[~near] = block[f"d{j}"]
-            d2[~near] = block[f"dd{j}"]
-        for idx in np.nonzero(near)[0]:
-            first, second = _near_derivatives(self.curve, self.kappa,
-                                              s_arr[idx], s0)
-            d1[idx], d2[idx] = first[j], second[j]
-        if np.isscalar(s) or np.asarray(s).ndim == 0:
-            return d1[0], d2[0]
-        return d1, d2
+        blk = self.block(np.atleast_1d(s), s0)
+        d1, d2 = blk[f"d{j}"], blk[f"dd{j}"]
+        return (d1[0], d2[0]) if np.ndim(s) == 0 else (d1, d2)
 
     def block(self, s, s0: float, derivatives: bool = True):
         """All kernels (and optionally both s0-derivatives) over an array of s.

@@ -4,18 +4,19 @@ The solved density is a polynomial, so the crack opening is obtained by
 integrating g'(s) t'(s) with a Gauss rule that is exact to machine precision,
 and close to the tips the face fields inherit a logarithmic term whose
 coefficient is extracted by a least-squares fit of value ~ A ln s + c over a
-window well inside the first quarter of the arc.
+window well inside the first quarter of the arc.  Tip fits and the maximal
+face traction use one field evaluator per solve, which evaluates both faces
+at a point at once.  Sweeps solve their points one after another.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .densities import DensityCoefficients, traction_jump
-from .fields import _FieldEvaluator
+from .fields import _SIDES, _FieldEvaluator
 from .geometry import CrackCurve, make_circular_arc
 from .quadrature import gauss_legendre
 from .solver import AssemblyError, SolveError, solve_problem
@@ -43,10 +44,12 @@ def opening_profile(coeffs: DensityCoefficients, curve: CrackCurve, material,
     opening delta is the projection of the jump on the unit normal i t'(s).
     """
     s_grid = np.linspace(0.0, curve.length, n_samples)
-    acc = np.zeros(n_samples, dtype=complex)
-    for i in range(1, n_samples):
-        x, w = gauss_legendre(16, s_grid[i - 1], s_grid[i])
-        acc[i] = acc[i - 1] + np.sum(w * coeffs.gprime(x) * curve.tangent(x))
+    unit_x, unit_w = gauss_legendre(16, 0.0, 1.0)
+    width = np.diff(s_grid)[:, None]
+    x = s_grid[:-1, None] + width * unit_x
+    cells = np.sum(width * unit_w * coeffs.gprime(x) * curve.tangent(x),
+                   axis=1)
+    acc = np.concatenate([[0.0], np.cumsum(cells)])
     jump = 0.5j * acc / material.mu
     delta = np.imag(np.conj(curve.tangent(s_grid)) * jump)
     return OpeningProfile(s=s_grid, jump=jump, delta=delta,
@@ -103,10 +106,20 @@ def default_fit_window(length: float) -> tuple:
     return (length / 200.0, length / 20.0)
 
 
+def _tip_samples(curve, material, load, coeffs, tip, side, window, n):
+    """Distances from the tip and FaceFieldSample at each, one evaluator."""
+    if window is None:
+        window = default_fit_window(curve.length)
+    dist = np.geomspace(window[0], window[1], n)
+    s_vals = dist if tip == 0.0 else curve.length - dist
+    ev = _FieldEvaluator(curve, material, load, coeffs)
+    face = _SIDES.index(side)
+    return dist, [ev.samples(s0)[face] for s0 in s_vals]
+
+
 def collect_tip_samples(curve, material, load, coeffs, field: str,
                         tip: float = 0.0, side: str = "plus",
-                        window=None, n: int = 32, n_quad: int = 400,
-                        cauchy: str = "auto"):
+                        window=None, n: int = 32):
     """Geometrically spaced face-field samples near a tip.
 
     Returns (distances, values) where distances are measured from the tip
@@ -114,25 +127,19 @@ def collect_tip_samples(curve, material, load, coeffs, field: str,
     """
     if field not in FIELD_NAMES:
         raise ValueError(f"unknown field {field!r}; choose from {FIELD_NAMES}")
-    if window is None:
-        window = default_fit_window(curve.length)
-    dist = np.geomspace(window[0], window[1], n)
-    s_vals = dist if tip == 0.0 else curve.length - dist
-    ev = _FieldEvaluator(curve, material, load, coeffs, n_quad=n_quad,
-                         cauchy=cauchy)
-    values = np.array([getattr(ev.sample(s0, side), field) for s0 in s_vals])
-    return dist, values
+    dist, samples = _tip_samples(curve, material, load, coeffs, tip, side,
+                                 window, n)
+    return dist, np.array([getattr(f, field) for f in samples])
 
 
 def fit_tip_coefficients(curve, material, load, coeffs, tip: float = 0.0,
-                         side: str = "plus", window=None, n: int = 32,
-                         n_quad: int = 400):
-    """LogFit for each of the four face fields at one tip."""
+                         side: str = "plus", window=None, n: int = 32):
+    """LogFit for each of the four face fields at one tip, sampled once."""
+    dist, samples = _tip_samples(curve, material, load, coeffs, tip, side,
+                                 window, n)
     out = {}
     for name in FIELD_NAMES:
-        dist, vals = collect_tip_samples(curve, material, load, coeffs, name,
-                                         tip=tip, side=side, window=window,
-                                         n=n, n_quad=n_quad)
+        vals = [getattr(f, name) for f in samples]
         out[name] = fit_log_coefficient(np.column_stack([dist, vals]),
                                         window=window, field_id=name, tip=tip)
     return out
@@ -162,17 +169,13 @@ def tip_log_coefficients(curve, material, coeffs):
             "du1_ds": a_du.real, "du2_ds": a_du.imag}
 
 
-def max_face_traction(curve, material, load, coeffs, n_points: int = 101,
-                      n_quad: int = 400) -> float:
+def max_face_traction(curve, material, load, coeffs,
+                      n_points: int = 101) -> float:
     """sup over both faces of |sigma_n + i tau_n| on a midpoint grid."""
     j = np.arange(1, n_points + 1)
     grid = (2 * j - 1) * curve.length / (2 * n_points)
-    ev = _FieldEvaluator(curve, material, load, coeffs, n_quad=n_quad)
-    best = 0.0
-    for side in ("plus", "minus"):
-        for s0 in grid:
-            best = max(best, abs(ev.traction(s0, side)))
-    return best
+    ev = _FieldEvaluator(curve, material, load, coeffs)
+    return float(max(np.max(np.abs(ev.face_values(s0)[0])) for s0 in grid))
 
 
 @dataclass
@@ -197,50 +200,44 @@ class CurvatureSweepRow:
     error: str = ""
 
 
-def _solve_and_report(curve, material, load, gamma1, N, n_quad):
+def _solve_and_report(curve, material, load, gamma1, N):
     coeffs = solve_problem(curve, material, load, gamma1, N=N)
-    fits = fit_tip_coefficients(curve, material, load, coeffs, n_quad=n_quad)
+    fits = fit_tip_coefficients(curve, material, load, coeffs)
     prof = opening_profile(coeffs, curve, material)
-    mt = max_face_traction(curve, material, load, coeffs, n_quad=n_quad)
+    mt = max_face_traction(curve, material, load, coeffs)
     return (fits["du1_ds"].A, fits["tau_n"].A, prof.max_opening,
             prof.min_opening, mt)
 
 
-def sweep_gamma(curve, material, load, gamma_grid, N: int = 20,
-                n_quad: int = 400, workers: int | None = None):
-    """One solve per gamma1 value; failed rows carry the error message."""
+def sweep_gamma(curve, material, load, gamma_grid, N: int = 20):
+    """One solve per gamma1 value, in order; failed rows carry the error."""
     def one(g1):
         row = GammaSweepRow(gamma1=float(g1))
         try:
             (row.A1, row.A2, row.max_opening, row.min_opening,
              row.max_traction) = _solve_and_report(curve, material, load,
-                                                   float(g1), N, n_quad)
+                                                   float(g1), N)
         except (AssemblyError, SolveError, ValueError) as exc:
             row.error = str(exc)
         return row
 
-    grid = list(gamma_grid)
-    with ThreadPoolExecutor(max_workers=workers or min(8, max(1, len(grid)))) as ex:
-        return list(ex.map(one, grid))
+    return [one(g1) for g1 in gamma_grid]
 
 
-def sweep_curvature(material, load, gamma1, kappa0_grid, N: int = 20,
-                    n_quad: int = 400, workers: int | None = None):
-    """One solve per arc curvature in (0, 1]; arcs run through z = +1, -1."""
+def sweep_curvature(material, load, gamma1, kappa0_grid, N: int = 20):
+    """One solve per arc curvature in (0, 1], in order; arcs end at +1, -1."""
     def one(k0):
         row = CurvatureSweepRow(kappa0=float(k0))
         try:
             curve = make_circular_arc(float(k0))
             (row.A1, row.A2, row.max_opening, row.min_opening,
              row.max_traction) = _solve_and_report(curve, material, load,
-                                                   gamma1, N, n_quad)
+                                                   gamma1, N)
         except (AssemblyError, SolveError, ValueError) as exc:
             row.error = str(exc)
         return row
 
-    grid = list(kappa0_grid)
-    with ThreadPoolExecutor(max_workers=workers or min(8, max(1, len(grid)))) as ex:
-        return list(ex.map(one, grid))
+    return [one(k0) for k0 in kappa0_grid]
 
 
 @dataclass

@@ -1,15 +1,21 @@
 """Discretization grid and quadrature rules for the collocation scheme.
 
-The density integrals are discretized on N+1 equispaced nodes including
-both crack tips, tau_k = l*k/N, with the flat weight l/(N+1).  Collocation
-happens at the cell midpoints s_j = (2j-1)*l/(2N), which interlace the
-nodes so the Cauchy kernel is never sampled at its pole.  The weight
-l/(N+1) (rather than l/N) is kept exactly as in the reference scheme;
-the principal-value oracle below quantifies its accuracy.
+Every regular-kernel integral of the package (the assembled operator rows
+and the face fields) uses one composite Gauss-Legendre rule,
+`regular_rule`: 12 equal panels of 16 points on [0, l].  The kernels are
+smooth, so this rule is converged to about 1e-11 relative.  The Cauchy
+principal values of the polynomial densities come in closed form from
+`pv_monomials`.
 
-Discrete Cauchy sums are rational in s0, so their s0-derivatives used by
-the integro-differential system are exact: 1/(tau-s0) differentiates to
-1/(tau-s0)^2 and 2/(tau-s0)^3.
+The flat node rule is kept only for the oracles: `pv_cauchy_sum`,
+`kernels.fredholm_operator` and the discrete face-field mode.  It sums
+over the N+1 equispaced nodes tau_k = l*k/N, tips included, with the flat
+weight l/(N+1), and collocates at the cell midpoints s_j = (2j-1)*l/(2N),
+which interlace the nodes so the Cauchy kernel is never sampled at its
+pole.  The rule is first-order accurate; the principal-value oracle below
+quantifies it.  Discrete Cauchy sums are rational in s0, so their
+s0-derivatives are exact: 1/(tau-s0) differentiates to 1/(tau-s0)^2 and
+2/(tau-s0)^3.
 """
 
 from __future__ import annotations
@@ -85,23 +91,25 @@ def gauss_legendre(n: int, a: float, b: float):
     return a + half * (x + 1.0), half * w
 
 
-def integrate_smooth(f, a: float, b: float, panels: int = 8, order: int = 24):
-    """Composite Gauss-Legendre integration of a smooth (complex) integrand."""
-    if b == a:
-        return 0.0 + 0.0j
-    total = 0.0 + 0.0j
-    edges = np.linspace(a, b, panels + 1)
-    for left, right in zip(edges[:-1], edges[1:]):
-        x, w = gauss_legendre(order, left, right)
-        total += np.sum(w * f(x))
-    return total
+_GL_PANELS = 12
+_GL_ORDER = 16
 
 
-def pv_polynomial(coeffs, length: float, s0: float) -> complex:
-    """Exact principal value of int_0^l p(s)/(s - s0) ds for a polynomial p.
+def regular_rule(length: float):
+    """The regular-kernel rule: 12 panels of 16 Gauss points on [0, l]."""
+    xs, ws = [], []
+    edges = np.linspace(0.0, length, _GL_PANELS + 1)
+    for a, b in zip(edges[:-1], edges[1:]):
+        x, w = gauss_legendre(_GL_ORDER, a, b)
+        xs.append(x)
+        ws.append(w)
+    return np.concatenate(xs), np.concatenate(ws)
 
-    p is given by coefficients in the centered basis (s - l/2)^k.  Writing
-    x = s - l/2 and x0 = s0 - l/2,
+
+def pv_monomials(length: float, s0: float, kmax: int) -> np.ndarray:
+    """PV int_0^l (s - l/2)^k / (s - s0) ds for k = 0..kmax.
+
+    Writing x = s - l/2 and x0 = s0 - l/2,
 
         PV int x^k/(x - x0) dx = sum_{i even, i<k} x0^(k-1-i) * 2 L^(i+1)/(i+1)
                                  + x0^k * log((l - s0)/s0),   L = l/2.
@@ -110,22 +118,21 @@ def pv_polynomial(coeffs, length: float, s0: float) -> complex:
     bounded by L^k; the binomial expansion about s0 cancels catastrophically
     for high degree and is not used.
     """
-    coeffs = np.asarray(coeffs)
     if not 0.0 < s0 < length:
         raise ValueError(f"s0 must lie strictly inside (0, {length}), got {s0}")
     half = 0.5 * length
-    x0 = s0 - half
-    log_term = np.log((length - s0) / s0)
-    kmax = len(coeffs) - 1
+    x0p = (s0 - half) ** np.arange(kmax + 1)
+    out = x0p * np.log((length - s0) / s0)
+    for i in range(0, kmax, 2):
+        out[i + 1:] += x0p[:kmax - i] * 2.0 * half ** (i + 1) / (i + 1)
+    return out
 
-    # powers of x0 up to kmax
-    x0p = x0 ** np.arange(kmax + 1)
-    total = 0.0 + 0.0j
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        val = x0p[k] * log_term
-        for i in range(0, k, 2):
-            val += x0p[k - 1 - i] * 2.0 * half ** (i + 1) / (i + 1)
-        total += c * val
-    return total
+
+def pv_polynomial(coeffs, length: float, s0: float) -> complex:
+    """Exact principal value of int_0^l p(s)/(s - s0) ds for a polynomial p.
+
+    p is given by coefficients in the centered basis (s - l/2)^k; see
+    `pv_monomials`.
+    """
+    coeffs = np.asarray(coeffs)
+    return coeffs @ pv_monomials(length, s0, len(coeffs) - 1)

@@ -19,11 +19,11 @@ that leave the collocation equations numerically unresolved.
 
 Integral evaluation: the Cauchy principal values of the polynomial
 densities (and their first and second s0-derivatives, boundary terms
-included) are computed in closed form, and the regular-kernel blocks by
-composite Gauss-Legendre quadrature.  The flat node rule of `quadrature`
-is kept for the principal-value oracle and the pointwise operator
-evaluators, but feeding its O(1/N) errors into this strongly amplifying
-system destroys convergence, so the assembly does not use it.
+included) are computed in closed form by `quadrature.pv_monomials`, and
+the regular-kernel blocks with `quadrature.regular_rule`, the composite
+Gauss-Legendre rule the face fields use too.  The flat node rule of
+`quadrature` is kept only for the oracles; feeding its O(1/N) errors into
+this strongly amplifying system destroys convergence.
 
 The constrained system is solved by least squares in the constraint null
 space with a light Tikhonov term (relative weight 1e-8) that suppresses
@@ -41,12 +41,11 @@ from .densities import (DensityCoefficients, poly_derivative, poly_eval,
 from .fields import boundary_forcing
 from .geometry import CrackCurve
 from .kernels import KernelSet
-from .quadrature import Discretization, gauss_legendre
+from .quadrature import (Discretization, gauss_legendre, pv_monomials,
+                         regular_rule)
 
 CONDITION_LIMIT = 1e14
 LAMBDA_REL = 1e-8
-_GL_PANELS = 12
-_GL_ORDER = 16
 
 
 class AssemblyError(RuntimeError):
@@ -95,21 +94,6 @@ class LinearSystem:
         lines.append("rhs " + " ".join(repr(float(v)) for v in self.rhs))
         lines.append(f"condition_estimate {self.condition_estimate!r}")
         return "\n".join(lines) + "\n"
-
-
-def _monomial_pv(length: float, s0: float, kmax: int) -> np.ndarray:
-    """PV int_0^l (s - l/2)^k / (s - s0) ds for k = 0..kmax (see quadrature)."""
-    half = 0.5 * length
-    x0 = s0 - half
-    log_term = np.log((length - s0) / s0)
-    x0p = x0 ** np.arange(kmax + 1)
-    out = np.empty(kmax + 1)
-    for k in range(kmax + 1):
-        val = x0p[k] * log_term
-        for i in range(0, k, 2):
-            val += x0p[k - 1 - i] * 2.0 * half ** (i + 1) / (i + 1)
-        out[k] = val
-    return out
 
 
 class _ColumnData:
@@ -188,16 +172,6 @@ class _ColumnData:
         return gp, q
 
 
-def _gl_rule(length: float):
-    xs, ws = [], []
-    edges = np.linspace(0.0, length, _GL_PANELS + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = gauss_legendre(_GL_ORDER, a, b)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
 class _Assembler:
     """Evaluates the operator rows of the system at arbitrary interior s0."""
 
@@ -210,7 +184,7 @@ class _Assembler:
         self.mu = material.mu
         self.cols = _ColumnData(curve, material, gamma1, N)
         self.kset = KernelSet(curve, material.kappa, eps_d=eps_d)
-        self.xg, self.wg = _gl_rule(curve.length)
+        self.xg, self.wg = regular_rule(curve.length)
         gp, q = self.cols.node_values(self.xg)
         self.GP, self.Q = gp, q
         self.GPc, self.Qc = np.conj(gp), np.conj(q)
@@ -221,7 +195,7 @@ class _Assembler:
         gmu = gamma1 / mu
         curve = self.curve
         cols = self.cols
-        J = _monomial_pv(curve.length, s0, self.N)
+        J = pv_monomials(curve.length, s0, self.N)
 
         c0r = cols.pv("RG", J)
         c1r = cols.pv1("RG", J, s0)
@@ -305,8 +279,9 @@ def assemble(curve: CrackCurve, material, load, gamma1: float,
              disc: Discretization, row_scaling: bool = True,
              eps_d: float | None = None) -> LinearSystem:
     """Assemble the constrained collocation system."""
-    if gamma1 < 0:
-        raise AssemblyError(f"gamma1 must be nonnegative, got {gamma1}")
+    if not np.isfinite(gamma1) or gamma1 < 0:
+        raise AssemblyError(
+            f"gamma1 must be finite and nonnegative, got {gamma1}")
     N = disc.N
     kappa = material.kappa
     asm = _Assembler(curve, material, gamma1, N, eps_d=eps_d)

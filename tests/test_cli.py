@@ -73,6 +73,11 @@ class TestParseConfig:
         ("row_scaling = maybe", "row_scaling"),
         ("kernel_diag_eps = -0.1", "kernel_diag_eps"),
         ("alpha = spin", "alpha"),
+        ("gamma1 = nan", "gamma1"),
+        ("mu = nan", "mu"),
+        ("sigma1_inf = inf", "sigma1_inf"),
+        ("alpha = nan", "alpha"),
+        ("run_mode = sweep-gamma, grid = 0.5 inf", "grid"),
     ])
     def test_bad_values(self, line, frag):
         text = BASE.replace("shape = semicircle", "shape = semicircle"

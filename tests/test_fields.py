@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvecrack import (DensityCoefficients, FarFieldLoad, Material,
-                        SurfaceParams, boundary_forcing, face_field_profile,
-                        face_fields, far_field_curvature_change,
-                        far_field_potentials, make_circular_arc,
-                        make_semicircle, make_straight,
+from curvecrack import (DensityCoefficients, FarFieldLoad, KernelSet,
+                        Material, SurfaceParams, boundary_forcing,
+                        face_field_profile, face_fields,
+                        far_field_curvature_change, far_field_potentials,
+                        make_circular_arc, make_semicircle, make_straight,
+                        pv_polynomial, solve_problem,
                         surface_tension_coefficients, traction_jump)
+from curvecrack.densities import q_polynomial
+from curvecrack.quadrature import gauss_legendre
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -230,6 +233,45 @@ class TestFaceFields:
                             float(s0), n_quad=n_quad, cauchy="discrete")
             assert a.sigma_n == pytest.approx(b.sigma_n, abs=5e-3)
             assert a.tau_n == pytest.approx(b.tau_n, abs=5e-3)
+
+    @pytest.mark.parametrize("curvature", [1.0, 0.5])
+    def test_exact_tractions_converged_in_quadrature(self, material, load_h,
+                                                     curvature):
+        # independent route: composite Gauss rule split at s0, 8 panels of
+        # 24 points on each side, closed-form principal values
+        curve = make_circular_arc(curvature)
+        l = curve.length
+        coeffs = solve_problem(curve, material, load_h, 1.0, N=20)
+        kappa = material.kappa
+        kset = KernelSet(curve, kappa)
+        gp_poly = coeffs.g1 + 1j * coeffs.g2
+        q_poly = q_polynomial(curve, material, 1.0, coeffs)
+        got, ref = [], []
+        for s0 in (0.013 * l, 0.31 * l, 0.5 * l, 0.77 * l):
+            rule = [gauss_legendre(24, a, b) for lo, hi in ((0.0, s0), (s0, l))
+                    for a, b in zip(np.linspace(lo, hi, 9)[:-1],
+                                    np.linspace(lo, hi, 9)[1:])]
+            x = np.concatenate([r[0] for r in rule])
+            w = np.concatenate([r[1] for r in rule])
+            blk = kset.block(x, s0, derivatives=False)
+            gp = coeffs.gprime(x)
+            q = traction_jump(curve, material, 1.0, coeffs, x)
+            reg = np.sum(w * (blk["k1"] * gp + blk["k2"] * np.conj(gp)
+                              - 2j * blk["k3"] * q
+                              + 2j * blk["k2"] * np.conj(q)))
+            sing = (2.0 * pv_polynomial(gp_poly, l, s0)
+                    + 2j * (kappa - 1.0) * pv_polynomial(q_poly, l, s0))
+            t1 = complex(curve.tangent(s0))
+            far = (2.0 * np.real(load_h.phi_inf)
+                   + np.conj(load_h.psi_inf) * np.conj(t1) ** 2)
+            q0 = complex(traction_jump(curve, material, 1.0, coeffs, s0))
+            for side, sign in (("plus", 1.0), ("minus", -1.0)):
+                f = face_fields(curve, material, load_h, coeffs, side, s0)
+                got.append(f.sigma_n + 1j * f.tau_n)
+                ref.append(sign * q0 + far
+                           + (sing + reg) / (2.0 * np.pi * (kappa + 1.0)))
+        got, ref = np.array(got), np.array(ref)
+        assert np.max(np.abs(got - ref)) < 1e-9 * np.max(np.abs(ref))
 
     def test_validation_errors(self, material, semicircle, load_h):
         zero = _zero_coeffs(semicircle)

@@ -117,6 +117,12 @@ class TestTipCoefficients:
         for fit in fits.values():
             assert fit.window == (lo, hi)
             assert np.isfinite(fit.A) and np.isfinite(fit.rms)
+        # the bundle samples once; each fit must match the one-field route
+        for name, fit in fits.items():
+            d, v = collect_tip_samples(semicircle, material, load_h,
+                                       solved_semicircle, name)
+            alone = fit_log_coefficient(np.column_stack([d, v]))
+            assert fit.A == pytest.approx(alone.A, rel=1e-12)
 
     def test_sigma_suppressed_relative_to_tau(self, solved_semicircle,
                                               semicircle, material, load_h):

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvecrack import (AssemblyError, DensityCoefficients, Discretization,
-                        FarFieldLoad, KernelSet, LinearSystem, SolveError,
-                        assemble, boundary_forcing, make_semicircle,
-                        make_straight, pv_cauchy_sum, pv_polynomial,
-                        single_valued_integral, single_valued_residual, solve,
-                        solve_problem, tip_condition_residuals, traction_jump,
+                        FarFieldLoad, KernelSet, LinearSystem, Material,
+                        SolveError, SurfaceParams, assemble, boundary_forcing,
+                        make_semicircle, make_straight, pv_cauchy_sum,
+                        pv_polynomial, single_valued_integral,
+                        single_valued_residual, solve, solve_problem,
+                        tip_condition_residuals, traction_jump,
                         traction_jump_parts)
 from curvecrack.densities import poly_derivative, poly_eval
 from curvecrack.quadrature import gauss_legendre
@@ -165,6 +166,23 @@ class TestAssembly:
         disc = Discretization(8, semicircle.length)
         with pytest.raises(AssemblyError):
             assemble(semicircle, material, load_h, -0.5, disc)
+
+    def test_non_finite_inputs_rejected(self, material, semicircle, load_h):
+        nan, inf = float("nan"), float("inf")
+        for bad in ({"mu": nan}, {"mu": inf}):
+            with pytest.raises(ValueError):
+                Material(**{"mu": 60.0, "kappa": 2.5, **bad})
+        for bad in ({"sigma1": inf}, {"sigma2": nan}, {"alpha": nan}):
+            with pytest.raises(ValueError):
+                FarFieldLoad(**{"sigma1": 1.0, "sigma2": 0.0, **bad})
+        with pytest.raises(ValueError):
+            FarFieldLoad(sigma1=1.0, sigma2=0.0, phi_inf=nan)
+        for gamma1 in (nan, inf):
+            with pytest.raises(ValueError):
+                SurfaceParams(gamma1)
+            with pytest.raises(AssemblyError):
+                assemble(semicircle, material, load_h, gamma1,
+                         Discretization(8, semicircle.length))
 
     def test_row_scaling_off(self, material, semicircle, load_h):
         disc = Discretization(16, semicircle.length)
