@@ -10,6 +10,11 @@ The face fields integrate the regular kernels with `regular_rule`, the
 composite Gauss-Legendre rule of the assembly, and take the Cauchy
 principal values in closed form.  The flat node rule survives only in the
 discrete oracle mode, face_fields(..., cauchy="discrete").
+
+The evaluator takes its points s0 as an array and works through them in
+blocks of 16: one kernel block, one closed-form principal value per density
+and one traction-jump evaluation per block of points serve both faces and
+both fields.
 """
 
 from __future__ import annotations
@@ -204,7 +209,11 @@ class FaceFieldSample:
 
 
 _SIDES = ("plus", "minus")
-_SIGNS = np.array([1.0, -1.0])
+_SIGNS = np.array([1.0, -1.0])[:, None]
+# Points per kernel block in _FieldEvaluator.face_values.  Larger blocks
+# save little time and raise peak memory: a block holds four complex
+# (points x quadrature nodes) kernel arrays and their temporaries.
+_BLOCK = 16
 
 
 class _FieldEvaluator:
@@ -249,7 +258,7 @@ class _FieldEvaluator:
         self._wq, self._wqc = w * q, w * np.conj(q)
 
     def _pv(self, s0):
-        """Principal values (PV[g'], PV[q]) at s0."""
+        """Principal values (PV[g'], PV[q]) at the points s0."""
         if self.cauchy == "exact":
             return (pv_polynomial(self._gp_poly, self.curve.length, s0),
                     pv_polynomial(self._q_poly, self.curve.length, s0))
@@ -258,13 +267,24 @@ class _FieldEvaluator:
                 pv_cauchy_sum(self._q_nodes, self._nodes, w, s0))
 
     def face_values(self, s0):
-        """sigma_n + i tau_n and d(u1 + i u2)/ds at s0 on both faces.
+        """sigma_n + i tau_n and d(u1 + i u2)/ds on both faces at points s0.
 
-        One kernel block serves both fields and both faces.  Each is a
-        complex array of length 2, "+" face first.
+        s0 is a 1-D array of interior points.  Returns two complex arrays
+        of shape (2, M), "+" face first.  The points go through the kernels
+        _BLOCK at a time; one kernel block serves both fields and both
+        faces of its points.
         """
+        s0 = np.asarray(s0, dtype=float)
+        traction = np.empty((2, s0.size), dtype=complex)
+        du = np.empty((2, s0.size), dtype=complex)
+        for start in range(0, s0.size, _BLOCK):
+            part = slice(start, start + _BLOCK)
+            traction[:, part], du[:, part] = self._block_values(s0[part])
+        return traction, du
+
+    def _block_values(self, s0):
         kappa = self.material.kappa
-        blk = self.kset.block(self._nodes, s0, derivatives=False)
+        blk = self.kset.block(self._nodes, s0[:, None], derivatives=False)
         k1, k2, k3, k4 = blk["k1"], blk["k2"], blk["k3"], blk["k4"]
         gp, gpc, q, qc = self._wgp, self._wgpc, self._wq, self._wqc
         pv_g, pv_q = self._pv(s0)
@@ -292,13 +312,15 @@ class _FieldEvaluator:
         return traction, du
 
     def samples(self, s0):
-        """FaceFieldSample on the "+" and the "-" face at s0."""
+        """FaceFieldSample lists at the points s0: ("+" face, "-" face)."""
+        s0 = np.asarray(s0, dtype=float)
         traction, du = self.face_values(s0)
-        return tuple(FaceFieldSample(s=float(s0), side=side,
-                                     sigma_n=float(np.real(traction[i])),
-                                     tau_n=float(np.imag(traction[i])),
-                                     du1_ds=float(np.real(du[i])),
-                                     du2_ds=float(np.imag(du[i])))
+        return tuple([FaceFieldSample(s=float(s), side=side,
+                                      sigma_n=float(np.real(traction[i, k])),
+                                      tau_n=float(np.imag(traction[i, k])),
+                                      du1_ds=float(np.real(du[i, k])),
+                                      du2_ds=float(np.imag(du[i, k])))
+                      for k, s in enumerate(s0)]
                      for i, side in enumerate(_SIDES))
 
 
@@ -316,7 +338,7 @@ def face_fields(curve: CrackCurve, material: Material, load: FarFieldLoad,
     if not 0.0 < s0 < curve.length:
         raise ValueError(f"s0 must lie strictly inside (0, {curve.length})")
     ev = _FieldEvaluator(curve, material, load, densities, n_quad, cauchy)
-    return ev.samples(s0)[_SIDES.index(side)]
+    return ev.samples([s0])[_SIDES.index(side)][0]
 
 
 def face_field_profile(curve, material, load, densities, s_values,
@@ -326,5 +348,5 @@ def face_field_profile(curve, material, load, densities, s_values,
     Returns a list of FaceFieldSample.
     """
     ev = _FieldEvaluator(curve, material, load, densities)
-    pairs = [ev.samples(s0) for s0 in np.asarray(s_values, dtype=float)]
-    return [pair[_SIDES.index(side)] for side in sides for pair in pairs]
+    faces = ev.samples(s_values)
+    return [sample for side in sides for sample in faces[_SIDES.index(side)]]

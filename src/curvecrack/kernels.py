@@ -13,6 +13,12 @@ runtime with truncated series arithmetic over jet coefficients (value plus
 s0-derivatives), so the same machinery also supplies the near-diagonal first
 and second s0-derivatives.
 
+`KernelSet.block` takes arrays of s and s0 that broadcast against each
+other, so one call evaluates a whole block of evaluation points against the
+quadrature nodes; the closed forms and the series path both run as array
+arithmetic over all pairs at once, the series over every near pair of the
+block together.
+
 The operator assembled from these kernels (`fredholm_operator`) is the
 regular, compact part of the collocation system; its first and second
 kernel-derivative blocks use the closed-form differentiated expressions,
@@ -29,26 +35,18 @@ _BINOM = ((1.0,), (1.0, 1.0), (1.0, 2.0, 1.0))
 
 
 def _jet_mul(a, b):
-    p = len(a) - 1
-    out = np.zeros(p + 1, dtype=complex)
-    for k in range(p + 1):
-        bk = _BINOM[k]
-        for i in range(k + 1):
-            out[k] += bk[i] * a[i] * b[k - i]
-    return out
+    return np.array([sum(_BINOM[k][i] * a[i] * b[k - i] for i in range(k + 1))
+                     for k in range(len(a))])
 
 
 def _jet_div(a, b):
-    p = len(a) - 1
-    q = np.zeros(p + 1, dtype=complex)
-    q[0] = a[0] / b[0]
-    for k in range(1, p + 1):
+    q = []
+    for k in range(len(a)):
         acc = a[k]
-        bk = _BINOM[k]
         for i in range(k):
-            acc -= bk[i] * q[i] * b[k - i]
-        q[k] = acc / b[0]
-    return q
+            acc = acc - _BINOM[k][i] * q[i] * b[k - i]
+        q.append(acc / b[0])
+    return np.array(q)
 
 
 def _series_mul(A, B, nterms):
@@ -66,7 +64,7 @@ def _series_mul(A, B, nterms):
 def _series_div(A, B, nterms):
     q = []
     for n in range(nterms):
-        acc = A[n].astype(complex).copy() if n < len(A) else np.zeros_like(A[0])
+        acc = A[n].astype(complex) if n < len(A) else np.zeros_like(A[0])
         for i in range(n):
             acc = acc - _jet_mul(q[i], B[n - i])
         q.append(_jet_div(acc, B[0]))
@@ -76,16 +74,20 @@ def _series_div(A, B, nterms):
 def _bracket_series(tder, kappa, p, m):
     """Series coefficients (jets of order p) of delta*k_j about the diagonal.
 
-    tder is (t, t', t'', t''', t'''') at s0.  Returns {j: [c_0..c_{m-1}]} with
-    delta*k_j = sum_n c_n delta^n; the n = 0 coefficient vanishes identically
-    (that is the explicit 0/0 cancellation) and is dropped by callers.
+    tder is (t, t', t'', t''', t'''') at s0, each an array over the near
+    pairs.  A jet is an array of shape (p+1, ...): the value, then the
+    s0-derivatives.  Returns {j: [c_0..c_{m-1}]} with
+    delta*k_j = sum_n c_n delta^n; the n = 0 coefficient vanishes
+    identically (that is the explicit 0/0 cancellation) and is dropped by
+    callers.
     """
-    _, t1, t2, t3, t4 = tder
-    tall = (t1, t2, t3, t4, 0.0j)  # order 5 never multiplies a retained term
+    _, t1, t2, t3, t4 = (np.asarray(v, dtype=complex) for v in tder)
+    # order 5 never multiplies a retained term
+    tall = (t1, t2, t3, t4, np.zeros_like(t1))
 
     def jet(idx):
         # jet of t^{(idx)}(s0): components t^{(idx)}, t^{(idx+1)}, ...
-        return np.array([tall[idx - 1 + q] for q in range(p + 1)], dtype=complex)
+        return np.array([tall[idx - 1 + q] for q in range(p + 1)])
 
     fact = (1.0, 1.0, 2.0, 6.0, 24.0)
     d_ser = [jet(n + 1) / fact[n + 1] for n in range(m)]   # (t(s)-t(s0))/delta
@@ -94,7 +96,7 @@ def _bracket_series(tder, kappa, p, m):
     ubar_ser = [np.conj(c) for c in u_ser]
 
     r = _jet_div(np.conj(jet(1)), jet(1))
-    one = np.zeros(p + 1, dtype=complex)
+    one = np.zeros_like(r)
     one[0] = 1.0
 
     Aq = _series_div(u_ser, d_ser, m)
@@ -124,36 +126,45 @@ def _bracket_series(tder, kappa, p, m):
 
 
 def _near_values(curve, kappa, s, s0):
-    """Kernel values k_j(s, s0) via the diagonal series (|s - s0| small)."""
+    """Kernel values k_j(s, s0) via the diagonal series (|s - s0| small).
+
+    s and s0 are arrays of one shape, an entry per near pair.
+    """
     delta = s - s0
     br = _bracket_series(curve.derivatives(s0), kappa, p=0, m=4)
-    return {
-        j: complex(br[j][1][0] + br[j][2][0] * delta + br[j][3][0] * delta**2)
-        for j in (1, 2, 3, 4)
-    }
+    return {j: br[j][1][0] + br[j][2][0] * delta + br[j][3][0] * delta**2
+            for j in (1, 2, 3, 4)}
 
 
 def _near_derivatives(curve, kappa, s, s0):
     """(d/ds0, d^2/ds0^2) of each kernel via the diagonal series."""
     delta = s - s0
-    br_val = _bracket_series(curve.derivatives(s0), kappa, p=0, m=4)
-    br_j1 = _bracket_series(curve.derivatives(s0), kappa, p=1, m=3)
-    br_j2 = _bracket_series(curve.derivatives(s0), kappa, p=2, m=2)
+    tder = curve.derivatives(s0)
+    br_val = _bracket_series(tder, kappa, p=0, m=4)
+    br_j1 = _bracket_series(tder, kappa, p=1, m=3)
+    br_j2 = _bracket_series(tder, kappa, p=2, m=2)
     first, second = {}, {}
     for j in (1, 2, 3, 4):
         c1, c2 = br_j1[j][1], br_j1[j][2]  # jets: (value, d/ds0)
         c3 = br_val[j][3][0]
-        first[j] = complex((c1[1] - c2[0]) + (c2[1] - 2.0 * c3) * delta)
+        first[j] = (c1[1] - c2[0]) + (c2[1] - 2.0 * c3) * delta
         c1_j2 = br_j2[j][1]  # jet: (value, d, d2)
-        second[j] = complex(c1_j2[2] - 2.0 * c2[1] + 2.0 * c3)
+        second[j] = c1_j2[2] - 2.0 * c2[1] + 2.0 * c3
     return first, second
 
 
 def _direct_block(curve, kappa, s, s0, derivatives=True):
-    """Closed-form kernels (and s0-derivatives) for well-separated s, s0."""
+    """Closed-form kernels (and s0-derivatives) for well-separated s, s0.
+
+    s and s0 are arrays that broadcast against each other.  The values at
+    s0 are held as arrays even for a scalar s0: numpy rounds a product of
+    complex scalars differently from its array loops, and a scalar s0 must
+    give the same entries as the same point in a batched call.
+    """
     s = np.asarray(s, dtype=float)
     t_s, u, _, _, _ = curve.derivatives(s)
-    t0, t01, t02, t03, _ = (np.complex128(v) for v in curve.derivatives(s0))
+    t0, t01, t02, t03, _ = (np.atleast_1d(np.asarray(v, dtype=complex))
+                            for v in curve.derivatives(s0))
     u01, u02, u03 = np.conj(t01), np.conj(t02), np.conj(t03)
 
     ds = s - s0
@@ -241,39 +252,44 @@ class KernelSet:
         d1, d2 = blk[f"d{j}"], blk[f"dd{j}"]
         return (d1[0], d2[0]) if np.ndim(s) == 0 else (d1, d2)
 
-    def block(self, s, s0: float, derivatives: bool = True):
-        """All kernels (and optionally both s0-derivatives) over an array of s.
+    def block(self, s, s0, derivatives: bool = True):
+        """All kernels (and optionally both s0-derivatives) at pairs (s, s0).
 
-        Returns a dict with keys k1..k4 and, when derivatives is set,
-        d1..d4 and dd1..dd4.  Near-diagonal entries are patched through the
-        series path.
+        s and s0 may be arrays; they broadcast against each other, so an
+        s0 of shape (M, 1) against nodes s of shape (n,) gives (M, n)
+        blocks, one row per evaluation point.  Returns a dict with keys
+        k1..k4 and, when derivatives is set, d1..d4 and dd1..dd4.
+        Near-diagonal pairs are patched through the series path, all at
+        once.
         """
         s_arr = np.asarray(s, dtype=float)
+        s0_arr = np.asarray(s0, dtype=float)
         keys = ["k1", "k2", "k3", "k4"]
         if derivatives:
             keys += ["d1", "d2", "d3", "d4", "dd1", "dd2", "dd3", "dd4"]
         if self._is_straight:
-            return {key: np.zeros(s_arr.shape, dtype=complex) for key in keys}
-        near = np.abs(s_arr - s0) < self.eps_d
+            shape = np.broadcast_shapes(s_arr.shape, s0_arr.shape)
+            return {key: np.zeros(shape, dtype=complex) for key in keys}
+        near = np.abs(s_arr - s0_arr) < self.eps_d
         if not near.any():
-            return _direct_block(self.curve, self.kappa, s_arr, s0,
+            return _direct_block(self.curve, self.kappa, s_arr, s0_arr,
                                  derivatives=derivatives)
-        out = {key: np.empty(s_arr.shape, dtype=complex) for key in keys}
-        if (~near).any():
-            far = _direct_block(self.curve, self.kappa, s_arr[~near], s0,
+        # the closed form is evaluated everywhere and overwritten on the
+        # near pairs, where it is inaccurate or 0/0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = _direct_block(self.curve, self.kappa, s_arr, s0_arr,
                                 derivatives=derivatives)
-            for key in out:
-                out[key][~near] = far[key]
-        for idx in np.nonzero(near)[0]:
-            vals = _near_values(self.curve, self.kappa, s_arr[idx], s0)
+        s_near = np.broadcast_to(s_arr, near.shape)[near]
+        s0_near = np.broadcast_to(s0_arr, near.shape)[near]
+        vals = _near_values(self.curve, self.kappa, s_near, s0_near)
+        for j in (1, 2, 3, 4):
+            out[f"k{j}"][near] = vals[j]
+        if derivatives:
+            first, second = _near_derivatives(self.curve, self.kappa,
+                                              s_near, s0_near)
             for j in (1, 2, 3, 4):
-                out[f"k{j}"][idx] = vals[j]
-            if derivatives:
-                first, second = _near_derivatives(self.curve, self.kappa,
-                                                  s_arr[idx], s0)
-                for j in (1, 2, 3, 4):
-                    out[f"d{j}"][idx] = first[j]
-                    out[f"dd{j}"][idx] = second[j]
+                out[f"d{j}"][near] = first[j]
+                out[f"dd{j}"][near] = second[j]
         return out
 
     @staticmethod

@@ -4,9 +4,10 @@ The solved density is a polynomial, so the crack opening is obtained by
 integrating g'(s) t'(s) with a Gauss rule that is exact to machine precision,
 and close to the tips the face fields inherit a logarithmic term whose
 coefficient is extracted by a least-squares fit of value ~ A ln s + c over a
-window well inside the first quarter of the arc.  Tip fits and the maximal
-face traction use one field evaluator per solve, which evaluates both faces
-at a point at once.  Sweeps solve their points one after another.
+window well inside the first quarter of the arc.  Face-field profiles, tip
+fits and the maximal face traction each make one call of a field evaluator
+with all their points s0 as an array; it returns both faces at once.
+Sweeps solve their points one after another.
 """
 
 from __future__ import annotations
@@ -108,13 +109,15 @@ def default_fit_window(length: float) -> tuple:
 
 def _tip_samples(curve, material, load, coeffs, tip, side, window, n):
     """Distances from the tip and FaceFieldSample at each, one evaluator."""
+    if tip not in (0.0, curve.length):
+        raise ValueError(f"tip must be 0.0 or the arc length {curve.length}, "
+                         f"got {tip}")
     if window is None:
         window = default_fit_window(curve.length)
     dist = np.geomspace(window[0], window[1], n)
     s_vals = dist if tip == 0.0 else curve.length - dist
     ev = _FieldEvaluator(curve, material, load, coeffs)
-    face = _SIDES.index(side)
-    return dist, [ev.samples(s0)[face] for s0 in s_vals]
+    return dist, ev.samples(s_vals)[_SIDES.index(side)]
 
 
 def collect_tip_samples(curve, material, load, coeffs, field: str,
@@ -175,7 +178,7 @@ def max_face_traction(curve, material, load, coeffs,
     j = np.arange(1, n_points + 1)
     grid = (2 * j - 1) * curve.length / (2 * n_points)
     ev = _FieldEvaluator(curve, material, load, coeffs)
-    return float(max(np.max(np.abs(ev.face_values(s0)[0])) for s0 in grid))
+    return float(np.max(np.abs(ev.face_values(grid)[0])))
 
 
 @dataclass

@@ -3,9 +3,10 @@
 Every regular-kernel integral of the package (the assembled operator rows
 and the face fields) uses one composite Gauss-Legendre rule,
 `regular_rule`: 12 equal panels of 16 points on [0, l].  The kernels are
-smooth, so this rule is converged to about 1e-11 relative.  The Cauchy
-principal values of the polynomial densities come in closed form from
-`pv_monomials`.
+smooth, so this rule is converged to about 1e-11 relative.  The unit
+Gauss-Legendre rule of each order is computed once per process and shared
+read-only.  The Cauchy principal values of the polynomial densities come in
+closed form from `pv_monomials`, for one point s0 or an array of them.
 
 The flat node rule is kept only for the oracles: `pv_cauchy_sum`,
 `kernels.fredholm_operator` and the discrete face-field mode.  It sums
@@ -21,6 +22,7 @@ s0-derivatives are exact: 1/(tau-s0) differentiates to 1/(tau-s0)^2 and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,31 +64,49 @@ def pv_cauchy_sum(values, nodes, weight, s0, order: int = 0, on_node: str = "rai
     order 1: w * sum values_k / (tau_k - s0)^2
     order 2: w * sum 2 * values_k / (tau_k - s0)^3
 
-    When s0 coincides exactly with a node, on_node selects the behavior:
-    "drop" omits that node (the symmetric-limit principal value, valid for
-    order 0 only), "raise" rejects the evaluation point.
+    s0 may be an array; the result then has its shape.  When s0 coincides
+    exactly with a node, on_node selects the behavior: "drop" omits that
+    node (the symmetric-limit principal value, valid for order 0 only),
+    "raise" rejects the evaluation point.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values)
-    d = nodes - s0
+    s0 = np.asarray(s0, dtype=float)
+    d = nodes - s0[..., None]
     hit = d == 0.0
     if hit.any():
         if on_node == "drop" and order == 0:
-            keep = ~hit
-            return weight * np.sum(values[keep] / d[keep])
+            terms = np.where(hit, 0.0, values / np.where(hit, 1.0, d))
+            return weight * np.sum(terms, axis=-1)
         raise ValueError(f"evaluation point {s0} coincides with a quadrature node")
     if order == 0:
-        return weight * np.sum(values / d)
+        return weight * np.sum(values / d, axis=-1)
     if order == 1:
-        return weight * np.sum(values / d**2)
+        return weight * np.sum(values / d**2, axis=-1)
     if order == 2:
-        return weight * np.sum(2.0 * values / d**3)
+        return weight * np.sum(2.0 * values / d**3, axis=-1)
     raise ValueError(f"unsupported derivative order {order}")
 
 
-def gauss_legendre(n: int, a: float, b: float):
-    """Gauss-Legendre nodes and weights mapped to [a, b]."""
+@lru_cache(maxsize=None)
+def _unit_rule(n: int):
+    """Gauss-Legendre nodes and weights of order n on [-1, 1], read-only.
+
+    Built once per order: leggauss solves an eigenproblem on every call.
+    """
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre(n: int, a, b):
+    """Gauss-Legendre nodes and weights mapped to [a, b].
+
+    a and b may be arrays of shape (P, 1); the result then holds one row per
+    interval.
+    """
+    x, w = _unit_rule(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
 
@@ -97,16 +117,12 @@ _GL_ORDER = 16
 
 def regular_rule(length: float):
     """The regular-kernel rule: 12 panels of 16 Gauss points on [0, l]."""
-    xs, ws = [], []
-    edges = np.linspace(0.0, length, _GL_PANELS + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = gauss_legendre(_GL_ORDER, a, b)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    edges = np.linspace(0.0, length, _GL_PANELS + 1)[:, None]
+    x, w = gauss_legendre(_GL_ORDER, edges[:-1], edges[1:])
+    return x.ravel(), w.ravel()
 
 
-def pv_monomials(length: float, s0: float, kmax: int) -> np.ndarray:
+def pv_monomials(length: float, s0, kmax: int) -> np.ndarray:
     """PV int_0^l (s - l/2)^k / (s - s0) ds for k = 0..kmax.
 
     Writing x = s - l/2 and x0 = s0 - l/2,
@@ -116,23 +132,25 @@ def pv_monomials(length: float, s0: float, kmax: int) -> np.ndarray:
 
     Expanding this way (difference quotient plus log term) keeps every term
     bounded by L^k; the binomial expansion about s0 cancels catastrophically
-    for high degree and is not used.
+    for high degree and is not used.  s0 may be an array of shape (M,); the
+    result then has shape (M, kmax+1), one row per point.
     """
-    if not 0.0 < s0 < length:
+    s0 = np.asarray(s0, dtype=float)
+    if not np.all((0.0 < s0) & (s0 < length)):
         raise ValueError(f"s0 must lie strictly inside (0, {length}), got {s0}")
     half = 0.5 * length
-    x0p = (s0 - half) ** np.arange(kmax + 1)
-    out = x0p * np.log((length - s0) / s0)
+    x0p = (s0 - half)[..., None] ** np.arange(kmax + 1)
+    out = x0p * np.log((length - s0) / s0)[..., None]
     for i in range(0, kmax, 2):
-        out[i + 1:] += x0p[:kmax - i] * 2.0 * half ** (i + 1) / (i + 1)
+        out[..., i + 1:] += x0p[..., :kmax - i] * 2.0 * half ** (i + 1) / (i + 1)
     return out
 
 
-def pv_polynomial(coeffs, length: float, s0: float) -> complex:
+def pv_polynomial(coeffs, length: float, s0):
     """Exact principal value of int_0^l p(s)/(s - s0) ds for a polynomial p.
 
     p is given by coefficients in the centered basis (s - l/2)^k; see
-    `pv_monomials`.
+    `pv_monomials`.  s0 may be an array; the result then has its shape.
     """
     coeffs = np.asarray(coeffs)
-    return coeffs @ pv_monomials(length, s0, len(coeffs) - 1)
+    return pv_monomials(length, s0, len(coeffs) - 1) @ coeffs

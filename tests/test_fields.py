@@ -10,6 +10,7 @@ from curvecrack import (DensityCoefficients, FarFieldLoad, KernelSet,
                         make_circular_arc, make_semicircle, make_straight,
                         pv_polynomial, solve_problem,
                         surface_tension_coefficients, traction_jump)
+from curvecrack import fields
 from curvecrack.densities import q_polynomial
 from curvecrack.quadrature import gauss_legendre
 
@@ -272,6 +273,29 @@ class TestFaceFields:
                            + (sing + reg) / (2.0 * np.pi * (kappa + 1.0)))
         got, ref = np.array(got), np.array(ref)
         assert np.max(np.abs(got - ref)) < 1e-9 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("cauchy", ["exact", "discrete"])
+    def test_batched_face_values_match_pointwise(self, material, semicircle,
+                                                 load_h, cauchy):
+        rng = np.random.default_rng(17)
+        coeffs = DensityCoefficients(rng.normal(size=9), rng.normal(size=9),
+                                     semicircle.length, gamma1=1.0)
+        n_quad = 400
+        ev = fields._FieldEvaluator(semicircle, material, load_h, coeffs,
+                                    n_quad=n_quad, cauchy=cauchy)
+        # cell midpoints of the discrete rule, which never hit its nodes;
+        # more than two blocks and not a multiple of the block size
+        j = np.sort(rng.choice(n_quad, size=37, replace=False))
+        grid = (2 * j + 1) * semicircle.length / (2 * n_quad)
+        assert len(grid) > 2 * fields._BLOCK and len(grid) % fields._BLOCK
+        traction, du = ev.face_values(grid)
+        assert traction.shape == du.shape == (2, len(grid))
+        for k, s0 in enumerate(grid):
+            one_t, one_du = ev.face_values(np.array([s0]))
+            for got, want in ((traction[:, k], one_t[:, 0]),
+                              (du[:, k], one_du[:, 0])):
+                assert np.all(np.abs(got - want)
+                              <= 1e-13 * np.abs(want) + 1e-13)
 
     def test_validation_errors(self, material, semicircle, load_h):
         zero = _zero_coeffs(semicircle)

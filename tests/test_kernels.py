@@ -143,6 +143,31 @@ def test_custom_band_width(semicircle):
     assert abs(v_series - v_direct) < 1e-3
 
 
+@pytest.mark.parametrize("shape", ["semicircle", "arc", "straight"])
+def test_batched_block_matches_pointwise(shape):
+    curve = {"semicircle": make_semicircle(), "arc": make_circular_arc(0.5),
+             "straight": make_straight(2.0)}[shape]
+    kset = KernelSet(curve, KAPPA)
+    l = curve.length
+    s = np.linspace(0.0, l, 97)
+    rng = np.random.default_rng(7)
+    # random points, points inside the series band of a node, and a node
+    s0 = np.concatenate([rng.uniform(0.01 * l, 0.99 * l, 20),
+                         s[[10, 48, 80]] + 0.4 * kset.eps_d, s[[30]]])
+    assert np.count_nonzero(np.abs(s - s0[:, None]) < kset.eps_d) >= 4
+    batched = kset.block(s, s0[:, None])
+    for arr in batched.values():
+        assert arr.shape == (len(s0), len(s))
+        if shape == "straight":
+            assert not np.any(arr)
+    for i, point in enumerate(s0):
+        single = kset.block(s, float(point))
+        assert set(single) == set(batched)
+        for key, arr in single.items():
+            assert np.all(np.abs(batched[key][i] - arr)
+                          <= 1e-13 * np.abs(arr) + 1e-13), key
+
+
 class TestFredholmOperator:
     def test_zero_densities_give_forcing(self, kset_semi, semicircle, material):
         load = FarFieldLoad(sigma1=1.0, sigma2=0.0)

@@ -124,6 +124,20 @@ class TestTipCoefficients:
             alone = fit_log_coefficient(np.column_stack([d, v]))
             assert fit.A == pytest.approx(alone.A, rel=1e-12)
 
+    def test_tip_must_be_an_end_of_the_arc(self, solved_semicircle,
+                                           semicircle, material, load_h):
+        for bad in (1.0, 2.0 * semicircle.length):
+            with pytest.raises(ValueError, match="tip"):
+                collect_tip_samples(semicircle, material, load_h,
+                                    solved_semicircle, "tau_n", tip=bad)
+            with pytest.raises(ValueError, match="tip"):
+                fit_tip_coefficients(semicircle, material, load_h,
+                                     solved_semicircle, tip=bad)
+        fits = fit_tip_coefficients(semicircle, material, load_h,
+                                    solved_semicircle, tip=semicircle.length)
+        assert all(f.tip == semicircle.length and np.isfinite(f.A)
+                   for f in fits.values())
+
     def test_sigma_suppressed_relative_to_tau(self, solved_semicircle,
                                               semicircle, material, load_h):
         fits = fit_tip_coefficients(semicircle, material, load_h,

@@ -11,8 +11,9 @@ from curvecrack import (AssemblyError, DensityCoefficients, Discretization,
                         single_valued_residual, solve, solve_problem,
                         tip_condition_residuals, traction_jump,
                         traction_jump_parts)
+from curvecrack import quadrature
 from curvecrack.densities import poly_derivative, poly_eval
-from curvecrack.quadrature import gauss_legendre
+from curvecrack.quadrature import gauss_legendre, pv_monomials
 
 
 class TestQuadratureRule:
@@ -68,6 +69,31 @@ class TestQuadratureRule:
     def test_pv_polynomial_domain(self):
         with pytest.raises(ValueError):
             pv_polynomial(np.ones(3), 1.0, 1.5)
+
+
+    def test_pv_monomials_batched_matches_pointwise(self):
+        l = np.pi
+        s0 = np.random.default_rng(2).uniform(0.01, l - 0.01, 23)
+        batched = pv_monomials(l, s0, 20)
+        assert batched.shape == (23, 21)
+        for row, point in zip(batched, s0):
+            single = pv_monomials(l, float(point), 20)
+            assert np.all(np.abs(row - single)
+                          <= 1e-13 * np.abs(single) + 1e-13)
+        with pytest.raises(ValueError):
+            pv_monomials(l, np.array([1.0, l]), 4)
+
+    def test_gauss_rule_built_once_and_read_only(self):
+        x, w = gauss_legendre(16, 0.0, 1.0)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(16)
+        assert np.array_equal(x, 0.5 * (ref_x + 1.0))
+        assert np.array_equal(w, 0.5 * ref_w)
+        unit_x, unit_w = quadrature._unit_rule(16)
+        assert quadrature._unit_rule(16)[0] is unit_x
+        with pytest.raises(ValueError):
+            unit_x[0] = 0.0
+        with pytest.raises(ValueError):
+            unit_w[0] = 0.0
 
 
 class TestClosureIdentity:
