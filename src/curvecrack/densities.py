@@ -13,8 +13,8 @@ Writing P(s) = kappa0(s) Im g'(s) + Re g''(s),
     i (q(s) - conj(q(s))) = -(gamma1 / 2 mu) P'(s),
 
 so Re q = (gamma1/4mu) kappa0 P and Im q = (gamma1/4mu) P'.  For the built-in
-constant-curvature shapes P is itself a polynomial, which the face-field
-evaluator exploits for exact principal values.
+constant-curvature shapes P is itself a polynomial, which the assembly and
+the face-field evaluator exploit for exact principal values.
 """
 
 from __future__ import annotations
@@ -27,12 +27,16 @@ from .geometry import CrackCurve
 
 
 def poly_derivative(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficient vector of d/ds of a polynomial in (s - l/2)^k."""
+    """Coefficients of d/ds of a polynomial in (s - l/2)^k.
+
+    The coefficient index is the last axis, so a (C, N+1) array
+    differentiates C polynomials at once.
+    """
     coeffs = np.asarray(coeffs)
-    if len(coeffs) <= 1:
-        return np.zeros(1, dtype=coeffs.dtype)
-    k = np.arange(1, len(coeffs))
-    return coeffs[1:] * k
+    n = coeffs.shape[-1]
+    if n <= 1:
+        return np.zeros(coeffs.shape[:-1] + (1,), dtype=coeffs.dtype)
+    return coeffs[..., 1:] * np.arange(1, n)
 
 
 def poly_eval(coeffs: np.ndarray, s, length: float):
@@ -108,28 +112,27 @@ def traction_jump(curve: CrackCurve, material, gamma1: float,
     return 0.5 * q_plus - 0.5j * iq_minus
 
 
-def p_polynomial(curve: CrackCurve, coeffs: DensityCoefficients) -> np.ndarray:
-    """Coefficients of P(s) in the centered basis; constant curvature only."""
+def q_coefficients(curve: CrackCurve, material, gamma1: float, g1, g2):
+    """Complex coefficients of q for equal-shape real coefficient arrays.
+
+    The closure above, with P = kappa0 Im g' + Re g'' in the centered
+    basis, over the last axis: (C, N+1) arrays g1, g2 give one q polynomial
+    per row.  Constant curvature only, where P is itself a polynomial.
+    """
     if curve.constant_curvature is None:
         raise ValueError("P is polynomial only for constant-curvature curves")
     k0 = curve.constant_curvature
-    d1 = poly_derivative(coeffs.g1)
-    n = max(len(d1), len(coeffs.g2))
-    out = np.zeros(n, dtype=float)
-    out[: len(d1)] += d1
-    out[: len(coeffs.g2)] += k0 * coeffs.g2
-    return out
+    g1, g2 = np.asarray(g1, dtype=float), np.asarray(g2, dtype=float)
+    d1 = poly_derivative(g1)
+    P = k0 * g2
+    P[..., : d1.shape[-1]] += d1
+    Pp = poly_derivative(P)
+    out = k0 * P + 0j
+    out[..., : Pp.shape[-1]] += 1j * Pp
+    return (gamma1 / (4.0 * material.mu)) * out
 
 
 def q_polynomial(curve: CrackCurve, material, gamma1: float,
                  coeffs: DensityCoefficients) -> np.ndarray:
     """Complex coefficient vector of q(s); constant curvature only."""
-    P = p_polynomial(curve, coeffs)
-    Pp = poly_derivative(P)
-    k0 = curve.constant_curvature
-    scale = gamma1 / (4.0 * material.mu)
-    n = max(len(P), len(Pp))
-    out = np.zeros(n, dtype=complex)
-    out[: len(P)] += k0 * P
-    out[: len(Pp)] += 1j * Pp
-    return scale * out
+    return q_coefficients(curve, material, gamma1, coeffs.g1, coeffs.g2)

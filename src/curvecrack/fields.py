@@ -11,10 +11,16 @@ composite Gauss-Legendre rule of the assembly, and take the Cauchy
 principal values in closed form.  The flat node rule survives only in the
 discrete oracle mode, face_fields(..., cauchy="discrete").
 
-The evaluator takes its points s0 as an array and works through them in
-blocks of 16: one kernel block, one closed-form principal value per density
-and one traction-jump evaluation per block of points serve both faces and
-both fields.
+One operator, `_FaceOperator`, evaluates the density parts of the face
+fields for a set of density columns: the face-average traction and the face
+function omega, and on request omega's first two s0-derivatives.  It takes
+its points s0 as an array and works through them 16 at a time: one kernel
+block and one table of closed-form principal values per block of points
+serve every column.  The field evaluator applies it to the solved density
+and adds the +-jump terms and the far field; the assembly
+(`solver.assemble`) applies it to the 2N+2 basis columns at the N
+collocation points, so the collocation rows and the face fields come from
+one code path.
 """
 
 from __future__ import annotations
@@ -23,10 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import DensityCoefficients, q_polynomial, traction_jump
+from .densities import (DensityCoefficients, poly_derivative, q_polynomial,
+                        traction_jump)
 from .geometry import CrackCurve
 from .kernels import KernelSet
-from .quadrature import (Discretization, pv_cauchy_sum, pv_polynomial,
+from .quadrature import (Discretization, pv_cauchy_sum, pv_monomials,
                          regular_rule)
 
 
@@ -210,21 +217,122 @@ class FaceFieldSample:
 
 _SIDES = ("plus", "minus")
 _SIGNS = np.array([1.0, -1.0])[:, None]
-# Points per kernel block in _FieldEvaluator.face_values.  Larger blocks
-# save little time and raise peak memory: a block holds four complex
+# Points per kernel block in _FaceOperator.values.  Larger blocks save
+# little time and raise peak memory: a block holds up to twelve complex
 # (points x quadrature nodes) kernel arrays and their temporaries.
 _BLOCK = 16
+
+
+class _FaceOperator:
+    """Density parts of the face fields for C density columns at many points.
+
+    gp_poly and q_poly are (C, N+1) complex coefficient matrices of g' and
+    q in the centered basis.  values(s0) returns the face-average traction
+    Sigma (the traction without the far field and the +-q jump) and the
+    face-average omega, each (M, C); with derivatives also omega' and
+    omega''.  The regular kernels are integrated with `regular_rule` and
+    the Cauchy principal values are taken in closed form, so the curve must
+    have constant curvature.  Both faces follow from these by the jump
+    terms; the assembly applies the operator to the 2N+2 basis columns.
+    """
+
+    def __init__(self, curve, kappa, gp_poly, q_poly, eps_d=None):
+        self.length = curve.length
+        nodes, weights = regular_rule(curve.length)
+        basis = (nodes - 0.5 * curve.length)[:, None] \
+            ** np.arange(gp_poly.shape[-1])
+        self._set_rule(KernelSet(curve, kappa, eps_d=eps_d), nodes, weights,
+                       basis @ gp_poly.T, basis @ q_poly.T)
+        # the principal-value parts of Sigma and omega act on these
+        self._sigma_poly = 2.0 * gp_poly + 2j * (kappa - 1.0) * q_poly
+        omega = (kappa - 1.0) * gp_poly - 4j * kappa * q_poly
+        omega1 = poly_derivative(omega)
+        self._omega_polys = (omega, omega1, poly_derivative(omega1))
+        # values at s = 0 and s = l, shape (2, C)
+        ends = np.array([-0.5, 0.5])[:, None] * curve.length
+        self._omega_ends = [(ends ** np.arange(p.shape[-1])) @ p.T
+                            for p in (omega, omega1)]
+
+    def _set_rule(self, kset, nodes, weights, gp, q):
+        """Weighted (n, C) node values; every regular integral is a product."""
+        self.kset, self.nodes = kset, nodes
+        w = np.reshape(weights, (-1, 1))
+        self._wgp = w * gp
+        self._wq = -2j * w * q
+        self._wconj = w * np.conj(gp - 2j * q)
+
+    def values(self, s0, derivatives=False):
+        """(Sigma, omega[, omega', omega'']) stacked, shape (2 or 4, M, C).
+
+        The points go through the kernels _BLOCK at a time.
+        """
+        s0 = np.asarray(s0, dtype=float)
+        out = np.empty((4 if derivatives else 2, s0.size, self._wgp.shape[1]),
+                       dtype=complex)
+        for start in range(0, s0.size, _BLOCK):
+            part = slice(start, start + _BLOCK)
+            out[:, part] = self._block(s0[part], derivatives)
+        return out
+
+    def _block(self, s0, derivatives):
+        kappa = self.kset.kappa
+        blk = self.kset.block(self.nodes, s0[:, None], derivatives=derivatives)
+        gp, q, conj = self._wgp, self._wq, self._wconj
+        reg = [blk["k1"] @ gp + blk["k3"] @ q + blk["k2"] @ conj]
+        # omega and its s0-derivatives: kernels k, d = dk/ds0, dd
+        for key in ("k", "d", "dd") if derivatives else ("k",):
+            reg.append(blk[key + "4"] @ gp + kappa * (blk[key + "1"] @ q)
+                       - blk[key + "2"] @ conj)
+        scale = 2.0 * np.pi * (kappa + 1.0)
+        return [(pv + r) / scale
+                for pv, r in zip(self._principal_values(s0, derivatives), reg)]
+
+    def _principal_values(self, s0, derivatives):
+        """Closed-form PV parts, each (M, C).
+
+        d/ds0 PV int p/(s - s0) = PV int p'/(s - s0) - p(l)/(l - s0) - p(0)/s0.
+        """
+        l = self.length
+        J = pv_monomials(l, s0, self._sigma_poly.shape[-1] - 1)
+        out = [J @ self._sigma_poly.T, J @ self._omega_polys[0].T]
+        if derivatives:
+            _, o1, o2 = self._omega_polys
+            (v0, vl), (d0, dl) = self._omega_ends
+            a, b = 1.0 / (l - s0)[:, None], 1.0 / s0[:, None]
+            out.append(J[:, : o1.shape[-1]] @ o1.T - vl * a - v0 * b)
+            out.append(J[:, : o2.shape[-1]] @ o2.T - dl * a - d0 * b
+                       - vl * a * a + v0 * b * b)
+        return out
+
+
+class _FlatRuleOperator(_FaceOperator):
+    """The discrete oracle of _FaceOperator, without s0-derivatives.
+
+    Both the regular and the Cauchy parts are node sums over the nodes of
+    disc with its flat weight; gp and q are (n, C) density values there.
+    """
+
+    def __init__(self, curve, kappa, gp, q, disc):
+        self._set_rule(KernelSet(curve, kappa), disc.nodes, disc.weight,
+                       gp, q)
+        self._weight = disc.weight
+        self._sigma_nodes = (2.0 * gp + 2j * (kappa - 1.0) * q).T
+        self._omega_nodes = ((kappa - 1.0) * gp - 4j * kappa * q).T
+
+    def _principal_values(self, s0, derivatives):
+        return [pv_cauchy_sum(values, self.nodes, self._weight, s0[:, None])
+                for values in (self._sigma_nodes, self._omega_nodes)]
 
 
 class _FieldEvaluator:
     """Face fields of one solved density at many points.
 
-    The Cauchy principal-value blocks act on the polynomial densities.  In
-    the default exact mode (constant-curvature curves) they are computed in
-    closed form and the regular-kernel blocks use `regular_rule`, the
-    Gauss-Legendre rule of the assembly.  The discrete mode is the flat-rule
-    oracle: both blocks are node sums over the n_quad + 1 nodes of the
-    collocation rule, with its flat weight.
+    The density parts come from _FaceOperator with one column (the solved
+    density); this adds the +-jump terms and the far field.  In the default
+    exact mode (constant-curvature curves) the principal values are in
+    closed form and the regular kernels use `regular_rule`.  The discrete
+    mode is the flat-rule oracle (_FlatRuleOperator): node sums over the
+    n_quad + 1 nodes of the collocation rule, with its flat weight.
     """
 
     def __init__(self, curve, material, load, densities, n_quad=400,
@@ -241,72 +349,42 @@ class _FieldEvaluator:
         self.coeffs = densities
         self.cauchy = cauchy
         self.gamma1 = densities.gamma1
-        self.kset = KernelSet(curve, material.kappa)
+        kappa = material.kappa
         if cauchy == "exact":
-            self._nodes, self._weights = regular_rule(curve.length)
-            self._gp_poly = densities.g1 + 1j * densities.g2
-            self._q_poly = q_polynomial(curve, material, self.gamma1, densities)
+            gp = densities.g1 + 1j * densities.g2
+            q = q_polynomial(curve, material, self.gamma1, densities)
+            self._op = _FaceOperator(curve, kappa, gp[None], q[None])
         else:
             disc = Discretization(n_quad, curve.length)
-            self._nodes, self._weights = disc.nodes, disc.weight
-        gp = densities.gprime(self._nodes)
-        q = traction_jump(curve, material, self.gamma1, densities, self._nodes)
-        self._gp_nodes, self._q_nodes = gp, q
-        # weighted densities: every regular integral is one dot product
-        w = self._weights
-        self._wgp, self._wgpc = w * gp, w * np.conj(gp)
-        self._wq, self._wqc = w * q, w * np.conj(q)
-
-    def _pv(self, s0):
-        """Principal values (PV[g'], PV[q]) at the points s0."""
-        if self.cauchy == "exact":
-            return (pv_polynomial(self._gp_poly, self.curve.length, s0),
-                    pv_polynomial(self._q_poly, self.curve.length, s0))
-        w = self._weights
-        return (pv_cauchy_sum(self._gp_nodes, self._nodes, w, s0),
-                pv_cauchy_sum(self._q_nodes, self._nodes, w, s0))
+            gp = densities.gprime(disc.nodes)
+            q = traction_jump(curve, material, self.gamma1, densities,
+                              disc.nodes)
+            self._op = _FlatRuleOperator(curve, kappa, gp[:, None],
+                                         q[:, None], disc)
 
     def face_values(self, s0):
         """sigma_n + i tau_n and d(u1 + i u2)/ds on both faces at points s0.
 
         s0 is a 1-D array of interior points.  Returns two complex arrays
-        of shape (2, M), "+" face first.  The points go through the kernels
-        _BLOCK at a time; one kernel block serves both fields and both
-        faces of its points.
+        of shape (2, M), "+" face first.
         """
         s0 = np.asarray(s0, dtype=float)
-        traction = np.empty((2, s0.size), dtype=complex)
-        du = np.empty((2, s0.size), dtype=complex)
-        for start in range(0, s0.size, _BLOCK):
-            part = slice(start, start + _BLOCK)
-            traction[:, part], du[:, part] = self._block_values(s0[part])
-        return traction, du
-
-    def _block_values(self, s0):
         kappa = self.material.kappa
-        blk = self.kset.block(self._nodes, s0[:, None], derivatives=False)
-        k1, k2, k3, k4 = blk["k1"], blk["k2"], blk["k3"], blk["k4"]
-        gp, gpc, q, qc = self._wgp, self._wgpc, self._wq, self._wqc
-        pv_g, pv_q = self._pv(s0)
-        scale = 2.0 * np.pi * (kappa + 1.0)
+        sigma, omega = self._op.values(s0)[:, :, 0]
         phi, psi = self.load.phi_inf, self.load.psi_inf
         t1 = self.curve.tangent(s0)
 
-        reg = k1 @ gp + k2 @ gpc - 2j * (k3 @ q) + 2j * (k2 @ qc)
-        sing = 2.0 * pv_g + 2j * (kappa - 1.0) * pv_q
         far = 2.0 * np.real(phi) + np.conj(psi) * np.conj(t1) ** 2
         q_here = traction_jump(self.curve, self.material, self.gamma1,
                                self.coeffs, s0)
-        traction = _SIGNS * q_here + (sing + reg) / scale + far
+        traction = _SIGNS * q_here + sigma + far
 
         # omega is the face function whose jump is i g'(s0).  Its jump
         # coefficient is i/2, not i(kappa+1)/2: the face limits of the
         # potentials fix it so that the displacement-jump derivative equals
         # i g' t'/(2 mu), consistent with the density definition (checked
         # against a direct bulk evaluation of the potentials).
-        reg = k4 @ gp - k2 @ gpc - 2j * kappa * (k1 @ q) - 2j * (k2 @ qc)
-        sing = (kappa - 1.0) * pv_g - 4j * kappa * pv_q
-        omega = _SIGNS * 0.5j * self.coeffs.gprime(s0) + (sing + reg) / scale
+        omega = _SIGNS * 0.5j * self.coeffs.gprime(s0) + omega
         du = (t1 * omega + (kappa * phi - np.conj(phi)) * t1
               - np.conj(psi) * np.conj(t1)) / (2.0 * self.material.mu)
         return traction, du

@@ -21,6 +21,7 @@ s0-derivatives are exact: 1/(tau-s0) differentiates to 1/(tau-s0)^2 and
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,8 +36,10 @@ class Discretization:
     length: float
 
     def __post_init__(self):
-        if self.N < 4:
-            raise ValueError(f"polynomial degree N must be at least 4, got {self.N}")
+        if not isinstance(self.N, numbers.Integral) or self.N < 4:
+            raise ValueError(
+                f"polynomial degree N must be an integer of at least 4, "
+                f"got {self.N!r}")
         if not np.isfinite(self.length) or self.length <= 0:
             raise ValueError(f"length must be positive, got {self.length}")
 

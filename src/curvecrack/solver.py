@@ -22,13 +22,21 @@ constrained system has no exact solution: the least-squares density meets
 the boundary equation at the collocation midpoints but not between them,
 least of all near the tips (see the tests/test_acceptance.py docstring).
 
-Integral evaluation: the Cauchy principal values of the polynomial
-densities (and their first and second s0-derivatives, boundary terms
-included) are computed in closed form by `quadrature.pv_monomials`, and
-the regular-kernel blocks with `quadrature.regular_rule`, the composite
-Gauss-Legendre rule the face fields use too.  The flat node rule of
-`quadrature` is kept only for the oracles; feeding its O(1/N) errors into
-this strongly amplifying system destroys convergence.
+Integral evaluation: the collocation rows come from the face-field
+operator (`fields._FaceOperator`) applied to the 2N+2 basis columns at the
+collocation points, 16 collocation points per kernel block.  Per column it
+gives the face-average traction Sigma and the face function omega with its
+first two s0-derivatives; the real row is (kappa+1)(Re Sigma - gamma1
+kappa0 dk) and the imaginary row (kappa+1)(Im Sigma - gamma1 dk'), where
+dk = -(kappa0 Re omega - Im omega')/2mu is the face-curvature change and
+dk' = -(kappa0' Re omega + kappa0 Re omega' - Im omega'')/2mu.  The face
+fields of a solved density are the same operator on one column, so the
+assembly and the field evaluation share one code path.  The principal
+values (and their s0-derivatives, boundary terms included) are in closed
+form (`quadrature.pv_monomials`) and the regular kernels use
+`quadrature.regular_rule`.  The flat node rule of `quadrature` is kept
+only for the oracles; feeding its O(1/N) errors into this strongly
+amplifying system destroys convergence.
 
 The constrained system is solved by least squares in the constraint null
 space with a light Tikhonov term (relative weight 1e-8) that suppresses
@@ -42,12 +50,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import (DensityCoefficients, poly_derivative, poly_eval,
-                        traction_jump)
-from .fields import boundary_forcing
+                        q_coefficients, traction_jump)
+from .fields import _FaceOperator, boundary_forcing
 from .geometry import CrackCurve
-from .kernels import KernelSet
-from .quadrature import (Discretization, gauss_legendre, pv_monomials,
-                         regular_rule)
+from .quadrature import Discretization, gauss_legendre
 
 CONDITION_LIMIT = 1e14
 LAMBDA_REL = 1e-8
@@ -101,183 +107,13 @@ class LinearSystem:
         return "\n".join(lines) + "\n"
 
 
-class _ColumnData:
-    """Per-basis-column polynomial data shared by all evaluation points.
-
-    Coefficient matrices have shape (2N+2, N+1); row c holds the centered
-    coefficients of the quantity generated by unknown c (g1_0..g1_N then
-    g2_0..g2_N).
-    """
-
-    def __init__(self, curve: CrackCurve, material, gamma1: float, N: int):
-        if curve.constant_curvature is None:
-            raise AssemblyError(
-                "assembly requires a constant-curvature curve; built-in "
-                "shapes only")
-        self.N = N
-        self.length = curve.length
-        k0 = curve.constant_curvature
-        eye = np.eye(N + 1)
-        zeros = np.zeros((N + 1, N + 1))
-
-        def deriv(mat):
-            out = np.zeros_like(mat)
-            k = np.arange(1, mat.shape[1])
-            out[:, :-1] = mat[:, 1:] * k
-            return out
-
-        self.RG = np.vstack([eye, zeros])
-        self.IG = np.vstack([zeros, eye])
-        # P = kappa0 Im g' + Re g''; constant curvature keeps it polynomial
-        self.P = np.vstack([deriv(eye), k0 * eye])
-        self.PP = deriv(self.P)
-        self.K0P = k0 * self.P
-        self.gamma1 = gamma1
-        self.mu = material.mu
-
-        self._d = {}
-        self._dd = {}
-        self._end = {}
-        for name in ("RG", "IG", "PP", "K0P"):
-            mat = getattr(self, name)
-            d = deriv(mat)
-            self._d[name] = d
-            self._dd[name] = deriv(d)
-            self._end[name] = self._endpoints(mat)
-            self._end[name + "_d"] = self._endpoints(d)
-
-    def _endpoints(self, mat):
-        half = 0.5 * self.length
-        k = np.arange(mat.shape[1])
-        e0 = (-half) ** k
-        el = half ** k
-        return mat @ e0, mat @ el
-
-    def pv(self, name, J):
-        return getattr(self, name) @ J
-
-    def pv1(self, name, J, s0):
-        v0, vl = self._end[name]
-        return (self._d[name] @ J
-                - vl / (self.length - s0) - v0 / s0)
-
-    def pv2(self, name, J, s0):
-        v0, vl = self._end[name]
-        d0, dl = self._end[name + "_d"]
-        return (self._dd[name] @ J
-                - dl / (self.length - s0) - d0 / s0
-                - vl / (self.length - s0) ** 2 + v0 / s0 ** 2)
-
-    def node_values(self, nodes):
-        """Complex g' and q per column at the given nodes."""
-        x = nodes - 0.5 * self.length
-        basis = x[None, :] ** np.arange(self.N + 1)[:, None]
-        gp = (self.RG + 1j * self.IG) @ basis
-        q = (self.gamma1 / (4.0 * self.mu)) * (self.K0P + 1j * self.PP) @ basis
-        return gp, q
-
-
-class _Assembler:
-    """Evaluates the operator rows of the system at arbitrary interior s0."""
-
-    def __init__(self, curve, material, gamma1, N, eps_d=None):
-        self.curve = curve
-        self.material = material
-        self.gamma1 = gamma1
-        self.N = N
-        self.kappa = material.kappa
-        self.mu = material.mu
-        self.cols = _ColumnData(curve, material, gamma1, N)
-        self.kset = KernelSet(curve, material.kappa, eps_d=eps_d)
-        self.xg, self.wg = regular_rule(curve.length)
-        gp, q = self.cols.node_values(self.xg)
-        self.GP, self.Q = gp, q
-        self.GPc, self.Qc = np.conj(gp), np.conj(q)
-
-    def rows(self, s0: float):
-        """(real row, imaginary row, face-tension row) at s0, per column."""
-        kappa, mu, gamma1 = self.kappa, self.mu, self.gamma1
-        gmu = gamma1 / mu
-        curve = self.curve
-        cols = self.cols
-        J = pv_monomials(curve.length, s0, self.N)
-
-        c0r = cols.pv("RG", J)
-        c1r = cols.pv1("RG", J, s0)
-        c0i = cols.pv("IG", J)
-        c1i = cols.pv1("IG", J, s0)
-        c2i = cols.pv2("IG", J, s0)
-        c0p = cols.pv("PP", J)
-        c1p = cols.pv1("PP", J, s0)
-        c0k = cols.pv("K0P", J)
-        c1k = cols.pv1("K0P", J, s0)
-        c2k = cols.pv2("K0P", J, s0)
-
-        k0 = float(curve.kappa0(np.asarray(s0)))
-        k0p = float(curve.kappa0_prime(np.asarray(s0)))
-        a_v = ((kappa - 1.0) / np.pi) * c0r + (kappa * gmu / np.pi) * c0p
-        a_vp = ((kappa - 1.0) / np.pi) * c1r + (kappa * gmu / np.pi) * c1p
-        bt_p = ((kappa - 1.0) / np.pi) * c1i - (kappa * gmu / np.pi) * c1k
-        bt_pp = ((kappa - 1.0) / np.pi) * c2i - (kappa * gmu / np.pi) * c2k
-
-        l10 = ((1.0 / np.pi) * c0r
-               - ((kappa - 1.0) * gmu / (4.0 * np.pi)) * c0p
-               + (gmu / 4.0) * k0 * (k0 * a_v - bt_p))
-        l11 = ((1.0 / np.pi) * c0i
-               + ((kappa - 1.0) * gmu / (4.0 * np.pi)) * c0k
-               + (gmu / 4.0) * (k0p * a_v + k0 * a_vp - bt_pp))
-
-        blk = self.kset.block(self.xg, s0)
-        w = self.wg
-
-        def ksum(dens, key):
-            return dens @ (w * blk[key])
-
-        i_a = (ksum(self.GP, "k1") + ksum(self.GPc, "k2")
-               - 2j * ksum(self.Q, "k3") + 2j * ksum(self.Qc, "k2"))
-        i_b = ((ksum(self.GP, "k4") - ksum(self.GPc, "k2")) / (2.0 * np.pi)
-               + (kappa * ksum(self.Q, "k1") + ksum(self.Qc, "k2"))
-               / (np.pi * 1j))
-        i_c = (1j * ksum(self.GP, "d4") - 1j * ksum(self.GPc, "d2")
-               + 2.0 * kappa * ksum(self.Q, "d1") + 2.0 * ksum(self.Qc, "d2"))
-        i_d = ((ksum(self.GP, "dd4") - ksum(self.GPc, "dd2")) / (2.0 * np.pi)
-               + (kappa * ksum(self.Q, "dd1") + ksum(self.Qc, "dd2"))
-               / (np.pi * 1j))
-
-        m1d = (-i_a / (2.0 * np.pi)
-               - (gmu / 2.0) * (k0 * k0 + 1j * k0p) * np.real(i_b)
-               - (gmu / (4.0 * np.pi)) * k0 * i_c
-               + 1j * (gmu / 2.0) * np.imag(i_d))
-
-        # (kappa+1) times the average face tension carried by the densities
-        ib1 = i_c / (2.0 * np.pi * 1j)
-        re_om = 0.5 * a_v + np.real(i_b)
-        im_om1 = 0.5 * bt_p + np.imag(ib1)
-        tension = -(gamma1 / (2.0 * mu)) * (k0 * re_om - im_om1)
-
-        return l10 - np.real(m1d), l11 - np.imag(m1d), tension
-
-
 def _single_valued_row_integrals(curve: CrackCurve, N: int):
     """I_k = int_0^l t'(s) (s - l/2)^k ds, k = 0..N, by composite Gauss rule."""
-    panels = max(8, N // 2)
-    vals = np.zeros(N + 1, dtype=complex)
-    edges = np.linspace(0.0, curve.length, panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = gauss_legendre(24, a, b)
-        t1 = curve.tangent(x)
-        basis = (x - 0.5 * curve.length)[None, :] ** np.arange(N + 1)[:, None]
-        vals += basis @ (w * t1)
-    return vals
-
-
-def _poly_deriv_eval(mat, x: float):
-    """Row-wise value at centered coordinate x of d/ds of the polynomials
-    whose centered coefficients are the rows of mat."""
-    k = np.arange(1, mat.shape[1])
-    dmat = mat[:, 1:] * k
-    basis = x ** np.arange(dmat.shape[1])
-    return dmat @ basis
+    edges = np.linspace(0.0, curve.length, max(8, N // 2) + 1)[:, None]
+    x, w = gauss_legendre(24, edges[:-1], edges[1:])
+    x, w = x.ravel(), w.ravel()
+    basis = (x - 0.5 * curve.length)[None, :] ** np.arange(N + 1)[:, None]
+    return basis @ (w * curve.tangent(x))
 
 
 def assemble(curve: CrackCurve, material, load, gamma1: float,
@@ -287,36 +123,37 @@ def assemble(curve: CrackCurve, material, load, gamma1: float,
     if not np.isfinite(gamma1) or gamma1 < 0:
         raise AssemblyError(
             f"gamma1 must be finite and nonnegative, got {gamma1}")
+    if curve.constant_curvature is None:
+        raise AssemblyError(
+            "assembly requires a constant-curvature curve; built-in "
+            "shapes only")
     N = disc.N
-    kappa = material.kappa
-    asm = _Assembler(curve, material, gamma1, N, eps_d=eps_d)
+    kappa, mu = material.kappa, material.mu
+
+    # column c of the system is the unknown g1_c (c <= N) or g2_(c-N-1):
+    # its g' and q as centered coefficient rows, shape (2N+2, N+1)
+    eye, zero = np.eye(N + 1), np.zeros((N + 1, N + 1))
+    g1, g2 = np.vstack([eye, zero]), np.vstack([zero, eye])
+    gp = g1 + 1j * g2
+    q = q_coefficients(curve, material, gamma1, g1, g2)
+
+    # the boundary equation (kappa+1)[Sigma - gamma1 (kappa0 dk + i dk')]
+    # = (kappa+1) f, with the face-curvature change dk built from omega
     colloc = disc.collocation_points
+    op = _FaceOperator(curve, kappa, gp, q, eps_d=eps_d)
+    sigma, omega, omega1, omega2 = op.values(colloc, derivatives=True)
+    k0 = curve.kappa0(colloc)[:, None]
+    k0p = curve.kappa0_prime(colloc)[:, None]
+    dk = -(k0 * omega.real - omega1.imag) / (2.0 * mu)
+    dk1 = -(k0p * omega.real + k0 * omega1.real - omega2.imag) / (2.0 * mu)
     f_c = boundary_forcing(curve, material, load, gamma1, colloc)
+    rows = (kappa + 1.0) * np.vstack([sigma.real - gamma1 * k0 * dk,
+                                      sigma.imag - gamma1 * dk1])
+    rhs = (kappa + 1.0) * np.concatenate([f_c.real, f_c.imag])
 
-    ncols = 2 * N + 2
-    rows = np.zeros((2 * N, ncols))
-    rhs = np.zeros(2 * N)
-    for j, s0 in enumerate(colloc):
-        row_re, row_im, _ = asm.rows(float(s0))
-        rows[j] = row_re
-        rows[N + j] = row_im
-        rhs[j] = (kappa + 1.0) * np.real(f_c[j])
-        rhs[N + j] = (kappa + 1.0) * np.imag(f_c[j])
-
-    con_rows = []
-    con_rhs = []
     ints = _single_valued_row_integrals(curve, N)
-    r = np.zeros(ncols)
-    r[: N + 1] = np.real(ints)
-    r[N + 1:] = -np.imag(ints)
-    con_rows.append(r)
-    con_rhs.append(0.0)
-    r = np.zeros(ncols)
-    r[: N + 1] = np.imag(ints)
-    r[N + 1:] = np.real(ints)
-    con_rows.append(r)
-    con_rhs.append(0.0)
-
+    con_rows = [np.concatenate([ints.real, -ints.imag]),
+                np.concatenate([ints.imag, ints.real])]
     if gamma1 > 0.0:
         # Tip rows: zero the log coefficients of the normal component of
         # du/ds (first row) and of sigma_n (second row) at each tip.  For a
@@ -326,25 +163,16 @@ def assemble(curve: CrackCurve, material, load, gamma1: float,
         # of the homogeneous system unpinned; pinning the tip values of g''
         # there restores a uniquely resolved density without touching the
         # log-singular structure of the curved problem.
-        half = 0.5 * curve.length
         for tip in (0.0, curve.length):
-            x = tip - half
-            basis = x ** np.arange(N + 1)
-            k0t = float(curve.kappa0(np.asarray(tip)))
-            re_gp = asm.cols.RG @ basis
-            im_gp = asm.cols.IG @ basis
-            re_q = (gamma1 / (4.0 * material.mu)) * k0t * (asm.cols.P @ basis)
-            im_q = (gamma1 / (4.0 * material.mu)) * (asm.cols.PP @ basis)
-            con_rows.append(-(kappa - 1.0) * im_gp + 4.0 * kappa * re_q)
-            con_rows.append(re_gp - (kappa - 1.0) * im_q)
-            con_rhs.extend([0.0, 0.0])
+            basis = (tip - 0.5 * curve.length) ** np.arange(N + 1)
+            gp_t, q_t = gp @ basis, q @ basis
+            con_rows += [-(kappa - 1.0) * gp_t.imag + 4.0 * kappa * q_t.real,
+                         gp_t.real - (kappa - 1.0) * q_t.imag]
             if curve.constant_curvature == 0.0:
-                con_rows.append(_poly_deriv_eval(asm.cols.RG, x))
-                con_rows.append(_poly_deriv_eval(asm.cols.IG, x))
-                con_rhs.extend([0.0, 0.0])
-
-    A = np.vstack([rows, np.array(con_rows)])
-    b = np.concatenate([rhs, np.array(con_rhs)])
+                gpp_t = poly_derivative(gp) @ basis[:N]
+                con_rows += [gpp_t.real, gpp_t.imag]
+    A = np.vstack([rows] + con_rows)
+    b = np.concatenate([rhs, np.zeros(len(con_rows))])
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise AssemblyError("non-finite entries in the collocation system")
 
@@ -357,8 +185,7 @@ def assemble(curve: CrackCurve, material, load, gamma1: float,
     A = A / scale[:, None]
     b = b / scale
 
-    n_con = len(con_rows)
-    system = LinearSystem(matrix=A, rhs=b, n_constraints=n_con,
+    system = LinearSystem(matrix=A, rhs=b, n_constraints=len(con_rows),
                           condition_estimate=np.nan, row_scale=scale,
                           disc=disc, gamma1=gamma1)
     system.condition_estimate = _condition_estimate(system)

@@ -11,7 +11,7 @@ from curvecrack import (DensityCoefficients, FarFieldLoad, KernelSet,
                         pv_polynomial, solve_problem,
                         surface_tension_coefficients, traction_jump)
 from curvecrack import fields
-from curvecrack.densities import q_polynomial
+from curvecrack.densities import q_coefficients, q_polynomial
 from curvecrack.quadrature import gauss_legendre
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -296,6 +296,27 @@ class TestFaceFields:
                               (du[:, k], one_du[:, 0])):
                 assert np.all(np.abs(got - want)
                               <= 1e-13 * np.abs(want) + 1e-13)
+
+    @pytest.mark.parametrize("curve", [make_semicircle(),
+                                       make_circular_arc(0.5)],
+                             ids=["semicircle", "arc"])
+    def test_batched_face_operator_derivatives_match_pointwise(
+            self, material, curve):
+        # the assembly path: Sigma, omega, omega' and omega'' of several
+        # density columns at once
+        rng = np.random.default_rng(19)
+        g1, g2 = rng.normal(size=(2, 3, 9))
+        q = q_coefficients(curve, material, 1.0, g1, g2)
+        op = fields._FaceOperator(curve, material.kappa, g1 + 1j * g2, q)
+        # more than two blocks and not a multiple of the block size
+        grid = np.sort(rng.uniform(0.005, 0.995, 37)) * curve.length
+        assert len(grid) > 2 * fields._BLOCK and len(grid) % fields._BLOCK
+        batched = op.values(grid, derivatives=True)
+        assert batched.shape == (4, len(grid), 3)
+        for k, s0 in enumerate(grid):
+            one = op.values(np.array([s0]), derivatives=True)[:, 0]
+            assert np.all(np.abs(batched[:, k] - one)
+                          <= 1e-13 * np.abs(one) + 1e-13)
 
     def test_validation_errors(self, material, semicircle, load_h):
         zero = _zero_coeffs(semicircle)

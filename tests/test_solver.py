@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from curvecrack import (AssemblyError, DensityCoefficients, Discretization,
                         FarFieldLoad, KernelSet, LinearSystem, Material,
                         SolveError, SurfaceParams, assemble, boundary_forcing,
-                        make_semicircle, make_straight, pv_cauchy_sum,
-                        pv_polynomial, single_valued_integral,
+                        make_circular_arc, make_semicircle, make_straight,
+                        pv_cauchy_sum, pv_polynomial, single_valued_integral,
                         single_valued_residual, solve, solve_problem,
                         tip_condition_residuals, traction_jump,
                         traction_jump_parts)
@@ -26,11 +26,16 @@ class TestQuadratureRule:
         # collocation midpoints interlace the nodes
         assert np.all(np.searchsorted(d.nodes, d.collocation_points) >= 1)
 
-    def test_discretization_validation(self):
+    def test_discretization_validation(self, material, semicircle, load_h):
         with pytest.raises(ValueError):
             Discretization(3, 1.0)
         with pytest.raises(ValueError):
             Discretization(10, -1.0)
+        for bad_n in (20.5, float("nan")):
+            with pytest.raises(ValueError):
+                Discretization(bad_n, 1.0)
+        with pytest.raises(ValueError):
+            solve_problem(semicircle, material, load_h, 1.0, N=20.5)
 
     @pytest.mark.parametrize("n", [8, 16, 30])
     def test_pv_constant_is_exact_zero(self, n):
@@ -226,24 +231,28 @@ class TestAssembly:
         assert np.isfinite(a.real) and np.isfinite(a.imag)
         assert abs(a - b) < 0.3 * abs(b)
 
+    @pytest.mark.parametrize("N", [8, 20])
+    @pytest.mark.parametrize("curve", [make_semicircle(),
+                                       make_circular_arc(0.5),
+                                       make_straight(2.0)],
+                             ids=["semicircle", "arc", "straight"])
     def test_collocation_rows_match_independent_evaluator(
-            self, material, semicircle, load_h):
+            self, material, load_h, curve, N):
         # dual route: A x - b at a collocation point equals the directly
         # evaluated equation (kappa+1)[sigma_avg - gamma1(k0 dk + i dk') - f]
         # for an arbitrary coefficient vector
         gamma1 = 1.1
-        N = 8
-        disc = Discretization(N, semicircle.length)
-        system = assemble(semicircle, material, load_h, gamma1, disc)
+        disc = Discretization(N, curve.length)
+        system = assemble(curve, material, load_h, gamma1, disc)
         rng = np.random.default_rng(4)
         x = rng.normal(size=2 * N + 2)
         coeffs = DensityCoefficients(x[: N + 1], x[N + 1:],
-                                     semicircle.length, gamma1)
+                                     curve.length, gamma1)
         rows = system.matrix * system.row_scale[:, None]
         rhs = system.rhs * system.row_scale
         resid = rows[: 2 * N] @ x - rhs[: 2 * N]
 
-        ref = _independent_row_residual(semicircle, material, load_h, gamma1,
+        ref = _independent_row_residual(curve, material, load_h, gamma1,
                                         coeffs, disc.collocation_points)
         got = resid[:N] + 1j * resid[N:]
         assert np.max(np.abs(got - ref)) < 1e-7
