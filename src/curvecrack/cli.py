@@ -29,7 +29,7 @@ _MANDATORY = ("shape", "mu", "sigma1_inf", "sigma2_inf", "gamma1")
 _KNOWN_KEYS = {
     "shape", "curvature", "length", "mu", "nu", "kappa", "mode",
     "sigma1_inf", "sigma2_inf", "alpha", "gamma1", "N", "run_mode",
-    "grid", "out_dir", "row_scaling", "kernel_diag_eps",
+    "grid", "out_dir", "row_scaling",
 }
 
 
@@ -55,7 +55,6 @@ class RunConfig:
     grid: tuple = ()
     out_dir: str = "out"
     row_scaling: bool = True
-    kernel_diag_eps: float | None = None
 
     def build_curve(self) -> CrackCurve:
         if self.shape == "semicircle":
@@ -83,7 +82,6 @@ class RunConfig:
             "grid": ",".join(repr(g) for g in self.grid) if self.grid else None,
             "out_dir": self.out_dir,
             "row_scaling": "on" if self.row_scaling else "off",
-            "kernel_diag_eps": self.kernel_diag_eps,
         }
         lines = [f"{k} = {v}" for k, v in pairs.items() if v is not None]
         return "\n".join(lines) + "\n"
@@ -258,20 +256,20 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"line {ln}: key 'row_scaling' must be on or off, "
                           f"got {raw!r}")
     row_scaling = raw == "on"
-
-    kernel_diag_eps = None
-    if "kernel_diag_eps" in seen:
-        raw, ln = take("kernel_diag_eps")
-        kernel_diag_eps = _parse_float(raw, "kernel_diag_eps", ln)
-        if kernel_diag_eps <= 0:
-            raise ConfigError(f"line {ln}: key 'kernel_diag_eps' must be "
-                              f"positive, got {kernel_diag_eps}")
+    _check_row_scaling(row_scaling, run_mode, f"line {ln}: ")
 
     return RunConfig(shape=shape, curvature=curvature, length=length, mu=mu,
                      kappa=kappa, nu=nu, mode=mode, sigma1_inf=sigma1,
                      sigma2_inf=sigma2, alpha=alpha, gamma1=gamma1,
                      N=n_value, run_mode=run_mode, grid=grid, out_dir=out_dir,
-                     row_scaling=row_scaling, kernel_diag_eps=kernel_diag_eps)
+                     row_scaling=row_scaling)
+
+
+def _check_row_scaling(row_scaling, run_mode, where=""):
+    """Only solve mode passes row_scaling on; the other modes always scale."""
+    if not row_scaling and run_mode != "solve":
+        raise ConfigError(f"{where}key 'row_scaling' = off only applies to "
+                          f"run_mode=solve; {run_mode} always scales its rows")
 
 
 def _coerce_grid(grid, run_mode):
@@ -298,7 +296,7 @@ def _solve_outputs(config, curve, material, load, dump_system):
     """Compute everything solve mode writes, before touching the filesystem."""
     disc = Discretization(config.N, curve.length)
     system = assemble(curve, material, load, config.gamma1, disc,
-                      config.row_scaling, eps_d=config.kernel_diag_eps)
+                      config.row_scaling)
     coeffs = solve(system, curve)
 
     s_grid = np.linspace(0.0, curve.length, 401)
@@ -341,6 +339,11 @@ def run(config: RunConfig, out_dir: str | None = None,
             except ConfigError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
+    try:
+        _check_row_scaling(config.row_scaling, config.run_mode)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if out_dir is not None:
         config = replace(config, out_dir=out_dir)
 

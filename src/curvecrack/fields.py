@@ -9,7 +9,9 @@ global Cartesian components differentiated along the arc.
 The face fields integrate the regular kernels with `regular_rule`, the
 composite Gauss-Legendre rule of the assembly, and take the Cauchy
 principal values in closed form.  The flat node rule survives only in the
-discrete oracle mode, face_fields(..., cauchy="discrete").
+discrete oracle mode, face_fields(..., cauchy="discrete").  Both modes need
+a constant-curvature curve, because the kernels (`KernelSet`) are evaluated
+as functions of s - s0 on a circular arc or a straight line.
 
 One operator, `_FaceOperator`, evaluates the density parts of the face
 fields for a set of density columns: the face-average traction and the face
@@ -236,12 +238,12 @@ class _FaceOperator:
     terms; the assembly applies the operator to the 2N+2 basis columns.
     """
 
-    def __init__(self, curve, kappa, gp_poly, q_poly, eps_d=None):
+    def __init__(self, curve, kappa, gp_poly, q_poly):
         self.length = curve.length
         nodes, weights = regular_rule(curve.length)
         basis = (nodes - 0.5 * curve.length)[:, None] \
             ** np.arange(gp_poly.shape[-1])
-        self._set_rule(KernelSet(curve, kappa, eps_d=eps_d), nodes, weights,
+        self._set_rule(KernelSet(curve, kappa), nodes, weights,
                        basis @ gp_poly.T, basis @ q_poly.T)
         # the principal-value parts of Sigma and omega act on these
         self._sigma_poly = 2.0 * gp_poly + 2j * (kappa - 1.0) * q_poly
@@ -329,10 +331,12 @@ class _FieldEvaluator:
 
     The density parts come from _FaceOperator with one column (the solved
     density); this adds the +-jump terms and the far field.  In the default
-    exact mode (constant-curvature curves) the principal values are in
-    closed form and the regular kernels use `regular_rule`.  The discrete
-    mode is the flat-rule oracle (_FlatRuleOperator): node sums over the
-    n_quad + 1 nodes of the collocation rule, with its flat weight.
+    exact mode the principal values are in closed form and the regular
+    kernels use `regular_rule`.  The discrete mode is the flat-rule oracle
+    (_FlatRuleOperator): node sums over the n_quad + 1 nodes of the
+    collocation rule, with its flat weight.  Both modes need a
+    constant-curvature curve, since KernelSet does; with constant_curvature
+    None, "auto" selects the discrete mode and KernelSet raises ValueError.
     """
 
     def __init__(self, curve, material, load, densities, n_quad=400,

@@ -117,8 +117,7 @@ def _single_valued_row_integrals(curve: CrackCurve, N: int):
 
 
 def assemble(curve: CrackCurve, material, load, gamma1: float,
-             disc: Discretization, row_scaling: bool = True,
-             eps_d: float | None = None) -> LinearSystem:
+             disc: Discretization, row_scaling: bool = True) -> LinearSystem:
     """Assemble the constrained collocation system."""
     if not np.isfinite(gamma1) or gamma1 < 0:
         raise AssemblyError(
@@ -140,7 +139,7 @@ def assemble(curve: CrackCurve, material, load, gamma1: float,
     # the boundary equation (kappa+1)[Sigma - gamma1 (kappa0 dk + i dk')]
     # = (kappa+1) f, with the face-curvature change dk built from omega
     colloc = disc.collocation_points
-    op = _FaceOperator(curve, kappa, gp, q, eps_d=eps_d)
+    op = _FaceOperator(curve, kappa, gp, q)
     sigma, omega, omega1, omega2 = op.values(colloc, derivatives=True)
     k0 = curve.kappa0(colloc)[:, None]
     k0p = curve.kappa0_prime(colloc)[:, None]
@@ -267,11 +266,10 @@ def solve(system: LinearSystem, curve: CrackCurve | None = None) -> DensityCoeff
 
 
 def solve_problem(curve: CrackCurve, material, load, gamma1: float, N: int = 20,
-                  row_scaling: bool = True,
-                  eps_d: float | None = None) -> DensityCoefficients:
+                  row_scaling: bool = True) -> DensityCoefficients:
     """Assemble and solve in one call."""
     disc = Discretization(N, curve.length)
-    system = assemble(curve, material, load, gamma1, disc, row_scaling, eps_d)
+    system = assemble(curve, material, load, gamma1, disc, row_scaling)
     return solve(system, curve)
 
 

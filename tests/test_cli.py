@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(BASE + "run_mode = sweep-curvature\ngrid = 0.5 1.5\n")
 
+    @pytest.mark.parametrize("mode,grid", [
+        ("sweep-gamma", "0.5 1.0"), ("sweep-curvature", "0.5 1.0"),
+        ("convergence", "8 10"),
+    ])
+    def test_row_scaling_off_only_in_solve_mode(self, mode, grid):
+        # only solve mode passes row_scaling to the assembly
+        assert parse_config(BASE + "row_scaling = off\n").row_scaling is False
+        with pytest.raises(ConfigError) as err:
+            parse_config(BASE + f"run_mode = {mode}\ngrid = {grid}\n"
+                         "row_scaling = off\n")
+        assert "row_scaling" in str(err.value) and "line" in str(err.value)
+
     def test_comments_ignored(self):
         cfg = parse_config("# a comment\n" + BASE + "   \n# trailing\n")
         assert cfg.shape == "semicircle"
@@ -188,6 +202,14 @@ class TestRun:
     def test_mode_override_missing_grid(self, tmp_path):
         cfg = self._cfg(tmp_path / "ov2")
         assert run(cfg, mode_override="sweep-gamma", quiet=True) == 2
+
+    def test_mode_override_rejects_row_scaling_off(self, tmp_path, capsys):
+        cfg = self._cfg(tmp_path / "ov3", "grid = 8 10\nrow_scaling = off\n")
+        assert run(cfg, mode_override="convergence") == 2
+        assert "row_scaling" in capsys.readouterr().err
+        assert not (tmp_path / "ov3" / "convergence.csv").exists()
+        # a config built in code gets the same check
+        assert run(replace(cfg, run_mode="sweep-gamma"), quiet=True) == 2
 
     def test_dump_system(self, tmp_path):
         cfg = self._cfg(tmp_path / "dump")

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from curvecrack import (Discretization, FarFieldLoad, KernelSet,
-                        boundary_forcing, fredholm_operator,
+                        boundary_forcing, fredholm_operator, kernels,
                         make_circular_arc, make_semicircle, make_straight)
 
 KAPPA = 2.5
@@ -106,23 +108,14 @@ def test_derivatives_match_finite_differences(which, kset_semi, kset_arc):
             assert np.all(np.abs(d2 - fd2) <= 1e-5 * np.abs(fd2) + 1e-5)
 
 
-def test_series_direct_agree_inside_band(semicircle):
-    # evaluate the same point through the series path (wide band) and the
-    # closed-form path (narrow band)
-    wide = KernelSet(semicircle, KAPPA)
-    narrow = KernelSet(semicircle, KAPPA, eps_d=0.2 * wide.eps_d)
-    s0 = 1.1
-    s = s0 + 0.9 * wide.eps_d
-    for j in (1, 2, 3, 4):
-        v_series = complex(wide.kernel(j, s, s0))
-        v_direct = complex(narrow.kernel(j, s, s0))
-        assert abs(v_series - v_direct) < 1e-6
-        d1_s, d2_s = wide.kernel_derivatives(j, s, s0)
-        d1_d, d2_d = narrow.kernel_derivatives(j, s, s0)
-        assert abs(d1_s - d1_d) < 1e-4 * (1.0 + abs(d1_d))
-        # the series second derivative is first-order accurate in the band
-        # width: only derivatives of t up to fourth order are available
-        assert abs(d2_s - d2_d) < 2e-2 * (1.0 + abs(d2_d))
+def test_series_and_closed_form_agree_at_cut():
+    # c = cot x - 1/x, c' and c'' switch from the series to the closed
+    # form at |x| = 1/2; both sides must give the same values there
+    x = np.array([-kernels._CUT, kernels._CUT])
+    series = kernels._series_parts(x, derivatives=True)
+    closed = kernels._closed_parts(x, derivatives=True)
+    for a, b in zip(series, closed):
+        assert np.max(np.abs(a - b)) <= 1e-14
 
 
 def test_kernel_index_validation(kset_semi):
@@ -132,15 +125,74 @@ def test_kernel_index_validation(kset_semi):
         kset_semi.kernel_derivatives(0, 1.0, 0.5)
 
 
-def test_custom_band_width(semicircle):
-    custom = KernelSet(semicircle, KAPPA, eps_d=0.05)
-    default = KernelSet(semicircle, KAPPA)
-    assert custom.eps_d == 0.05
-    # a point inside the custom band goes through the series path there but
-    # through the closed form by default; both must agree
-    v_series = complex(custom.kernel(1, 1.04, 1.0))
-    v_direct = complex(default.kernel(1, 1.04, 1.0))
-    assert abs(v_series - v_direct) < 1e-3
+def test_variable_curvature_rejected(semicircle):
+    curve = dataclasses.replace(semicircle, constant_curvature=None)
+    with pytest.raises(ValueError, match="constant-curvature"):
+        KernelSet(curve, KAPPA)
+
+
+ARC_CURVATURES = (1.0, 0.9, 0.5, 0.3)
+
+
+@pytest.mark.parametrize("k0", ARC_CURVATURES)
+def test_arc_k2_is_exactly_constant(k0):
+    # on a circular arc k2 = -i kappa0 and its s0-derivatives vanish
+    curve = make_circular_arc(k0)
+    l = curve.length
+    s = np.linspace(0.0, l, 97)
+    s0 = np.concatenate([np.linspace(0.01 * l, 0.99 * l, 15),
+                         s[[5, 50]] + 1e-9 * l])[:, None]
+    blk = KernelSet(curve, KAPPA).block(s, s0)
+    assert np.all(blk["k2"] == -1j * k0)
+    assert not np.any(blk["d2"]) and not np.any(blk["dd2"])
+
+
+@pytest.mark.parametrize("k0", ARC_CURVATURES)
+def test_kernels_against_mpmath_closed_form(k0):
+    # k, dk/ds0 and d2k/ds0^2 from |s - s0| = 1e-5 l to 0.3 l on either
+    # side of s0, and just inside and outside the series cut |s - s0| = R
+    # (the x-form is analytic in s, so s may leave [0, l] there), against
+    # a 40-digit evaluation of the closed form in D = t(s) - t(s0),
+    # F = 1/D, G = 1/conj(D) and r = conj(t'(s0))/t'(s0)
+    import mpmath as mp
+
+    def t(v):  # the arc's centre cancels in D
+        return radius * mp.expj(theta0 + v / radius)
+
+    def t1(v):
+        return 1j * mp.expj(theta0 + v / radius)
+
+    def kernel(j, s, s0):
+        ds = s - s0
+        D = t(s) - t(s0)
+        F, G = 1 / D, 1 / mp.conj(D)
+        u, r = t1(s), mp.conj(t1(s0)) / t1(s0)
+        if j == 1:
+            return -2 / ds + u * F + u * r * G
+        if j == 3:
+            return (KAPPA - 1) / ds + u * F - KAPPA * u * r * G
+        return -(KAPPA - 1) / ds + KAPPA * u * F - u * r * G
+
+    kset = KernelSet(make_circular_arc(k0), KAPPA)
+    l = kset.curve.length
+    s0 = 0.4 * l
+    gaps = np.concatenate([np.geomspace(1e-5, 0.3, 6) * l,
+                           np.array([0.98, 1.02]) * kset.eps_d])
+    s = np.concatenate([s0 - gaps, s0 + gaps])
+    blk = kset.block(s, s0)
+    with mp.workdps(40):
+        radius = 1 / mp.mpf(k0)
+        theta0 = mp.pi / 2 - mp.asin(mp.mpf(k0))
+        for j in (1, 3, 4):
+            # Taylor coefficients in s0: k, dk/ds0 and (d2k/ds0^2)/2
+            ref = np.array([
+                [complex(c) for c in mp.taylor(
+                    lambda v0: kernel(j, mp.mpf(si), v0), mp.mpf(s0), 2)]
+                for si in s]) * [1, 1, 2]
+            for order, key in enumerate((f"k{j}", f"d{j}", f"dd{j}")):
+                scale = np.max(np.abs(ref[:, order]))
+                err = np.max(np.abs(blk[key] - ref[:, order]))
+                assert err <= 1e-13 * scale, key
 
 
 @pytest.mark.parametrize("shape", ["semicircle", "arc", "straight"])
@@ -151,10 +203,9 @@ def test_batched_block_matches_pointwise(shape):
     l = curve.length
     s = np.linspace(0.0, l, 97)
     rng = np.random.default_rng(7)
-    # random points, points inside the series band of a node, and a node
+    # random points, points close to a node, and a node
     s0 = np.concatenate([rng.uniform(0.01 * l, 0.99 * l, 20),
-                         s[[10, 48, 80]] + 0.4 * kset.eps_d, s[[30]]])
-    assert np.count_nonzero(np.abs(s - s0[:, None]) < kset.eps_d) >= 4
+                         s[[10, 48, 80]] + 1e-3 * l, s[[30]]])
     batched = kset.block(s, s0[:, None])
     for arr in batched.values():
         assert arr.shape == (len(s0), len(s))
