@@ -9,20 +9,24 @@ global Cartesian components differentiated along the arc.
 The face fields integrate the regular kernels with `regular_rule`, the
 composite Gauss-Legendre rule of the assembly, and take the Cauchy
 principal values in closed form.  The flat node rule survives only in the
-discrete oracle mode, face_fields(..., cauchy="discrete").  Both modes need
-a constant-curvature curve, because the kernels (`KernelSet`) are evaluated
-as functions of s - s0 on a circular arc or a straight line.
+discrete oracle mode, face_fields(..., cauchy="discrete"); "auto" is the
+exact mode.  Every mode needs a constant-curvature curve, because the
+kernels (`KernelSet`) are evaluated as functions of s - s0 on a circular
+arc or a straight line; any other curve raises ValueError.
 
-One operator, `_FaceOperator`, evaluates the density parts of the face
-fields for a set of density columns: the face-average traction and the face
-function omega, and on request omega's first two s0-derivatives.  It takes
-its points s0 as an array and works through them 16 at a time: one kernel
-block and one table of closed-form principal values per block of points
-serve every column.  The field evaluator applies it to the solved density
-and adds the +-jump terms and the far field; the assembly
-(`solver.assemble`) applies it to the 2N+2 basis columns at the N
-collocation points, so the collocation rows and the face fields come from
-one code path.
+The density parts of the face fields are linear in the density, so they
+are split into a table and its application.  `_FaceOperator` tabulates,
+once per set of points s0, everything that does not depend on the density:
+the kernels integrated against each monomial of the centered basis, the
+closed-form principal values of the monomials and the end factors of their
+s0-derivatives, filled 16 points per kernel block.  Its apply() then gives
+the face-average traction and the face function omega (and omega's first
+two s0-derivatives) of any number of density columns by matrix products
+alone.  The assembly (`solver.assemble`) applies it at the N collocation
+points to the 2N+2 basis columns; the field evaluator applies it to one
+solved density and adds the +-jump terms and the far field.  A sweep builds
+both tables once and applies them to the density of every point, so the
+collocation rows and the face fields come from one code path.
 """
 
 from __future__ import annotations
@@ -31,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import (DensityCoefficients, poly_derivative, q_polynomial,
-                        traction_jump)
+from .densities import DensityCoefficients, poly_derivative, q_polynomial
 from .geometry import CrackCurve
 from .kernels import KernelSet
 from .quadrature import (Discretization, pv_cauchy_sum, pv_monomials,
@@ -219,190 +222,191 @@ class FaceFieldSample:
 
 _SIDES = ("plus", "minus")
 _SIGNS = np.array([1.0, -1.0])[:, None]
-# Points per kernel block in _FaceOperator.values.  Larger blocks save
-# little time and raise peak memory: a block holds up to twelve complex
+# Points per kernel block while an operator is tabulated.  Larger blocks
+# save little time and raise peak memory: a block holds up to twelve complex
 # (points x quadrature nodes) kernel arrays and their temporaries.
 _BLOCK = 16
+# the kernel blocks an operator keeps, without and with s0-derivatives
+_KERNELS = {False: ("k1", "k3", "k4"),
+            True: ("k1", "k3", "k4", "d1", "d3", "d4", "dd1", "dd3", "dd4")}
+
+
+def _basis(s, length, degree):
+    """Centered monomials (s - l/2)^k, k = 0..degree, one row per point."""
+    return (np.asarray(s, dtype=float) - 0.5 * length)[:, None] \
+        ** np.arange(degree + 1)
 
 
 class _FaceOperator:
-    """Density parts of the face fields for C density columns at many points.
+    """Density parts of the face fields, tabulated once at fixed points s0.
 
-    gp_poly and q_poly are (C, N+1) complex coefficient matrices of g' and
-    q in the centered basis.  values(s0) returns the face-average traction
-    Sigma (the traction without the far field and the +-q jump) and the
-    face-average omega, each (M, C); with derivatives also omega' and
-    omega''.  The regular kernels are integrated with `regular_rule` and
-    the Cauchy principal values are taken in closed form, so the curve must
-    have constant curvature.  Both faces follow from these by the jump
-    terms; the assembly applies the operator to the 2N+2 basis columns.
+    Construction does all the work that does not depend on the density, for
+    polynomial densities of degree up to `degree` in the centered basis: it
+    integrates the regular kernels against each basis monomial with
+    `regular_rule` (k1, k3, k4, and with derivatives also their first and
+    second s0-derivatives), tabulates the closed-form principal values of
+    the monomials (`pv_monomials`) and the end factors 1/s0 and 1/(l - s0)
+    of their s0-derivatives.  The points go through `KernelSet.block`
+    _BLOCK at a time.  On every supported curve k2 = -i kappa0 is constant
+    and d2 = dd2 = 0, so k2 enters as -i kappa0 times the weighted sum of
+    the conjugate density and d2, dd2 not at all.
+
+    apply() then evaluates any number of density columns by matrix
+    products alone.  The assembly applies the operator at the collocation
+    points to the 2N+2 basis columns, the field evaluator to one solved
+    density at a time.
     """
 
-    def __init__(self, curve, kappa, gp_poly, q_poly):
-        self.length = curve.length
-        nodes, weights = regular_rule(curve.length)
-        basis = (nodes - 0.5 * curve.length)[:, None] \
-            ** np.arange(gp_poly.shape[-1])
-        self._set_rule(KernelSet(curve, kappa), nodes, weights,
-                       basis @ gp_poly.T, basis @ q_poly.T)
-        # the principal-value parts of Sigma and omega act on these
-        self._sigma_poly = 2.0 * gp_poly + 2j * (kappa - 1.0) * q_poly
-        omega = (kappa - 1.0) * gp_poly - 4j * kappa * q_poly
-        omega1 = poly_derivative(omega)
-        self._omega_polys = (omega, omega1, poly_derivative(omega1))
-        # values at s = 0 and s = l, shape (2, C)
-        ends = np.array([-0.5, 0.5])[:, None] * curve.length
-        self._omega_ends = [(ends ** np.arange(p.shape[-1])) @ p.T
-                            for p in (omega, omega1)]
-
-    def _set_rule(self, kset, nodes, weights, gp, q):
-        """Weighted (n, C) node values; every regular integral is a product."""
-        self.kset, self.nodes = kset, nodes
-        w = np.reshape(weights, (-1, 1))
-        self._wgp = w * gp
-        self._wq = -2j * w * q
-        self._wconj = w * np.conj(gp - 2j * q)
-
-    def values(self, s0, derivatives=False):
-        """(Sigma, omega[, omega', omega'']) stacked, shape (2 or 4, M, C).
-
-        The points go through the kernels _BLOCK at a time.
-        """
+    def __init__(self, curve, kappa, s0, degree, derivatives=False):
         s0 = np.asarray(s0, dtype=float)
-        out = np.empty((4 if derivatives else 2, s0.size, self._wgp.shape[1]),
-                       dtype=complex)
+        l = curve.length
+        self._tabulate(KernelSet(curve, kappa), s0, degree, derivatives,
+                       *regular_rule(l))
+        self._pv = pv_monomials(l, s0, degree)
+        if derivatives:
+            self._inv_ends = (1.0 / (l - s0)[:, None], 1.0 / s0[:, None])
+            self._ends = _basis([0.0, l], l, degree)
+
+    def _tabulate(self, kset, s0, degree, derivatives, nodes, weights):
+        """Kernel blocks summed against the weighted basis, (M, degree+1)."""
+        self.kappa = kset.kappa
+        self.derivatives = derivatives
+        self._k2 = -1j * float(kset.curve.constant_curvature)
+        wbasis = np.reshape(weights, (-1, 1)) \
+            * _basis(nodes, kset.curve.length, degree)
+        self._wsum = wbasis.sum(axis=0)
+        keys = _KERNELS[derivatives]
+        self._reg = {key: np.empty((s0.size, degree + 1), dtype=complex)
+                     for key in keys}
         for start in range(0, s0.size, _BLOCK):
             part = slice(start, start + _BLOCK)
-            out[:, part] = self._block(s0[part], derivatives)
-        return out
+            blk = kset.block(nodes, s0[part, None], derivatives=derivatives)
+            for key in keys:
+                self._reg[key][part] = blk[key] @ wbasis
 
-    def _block(self, s0, derivatives):
-        kappa = self.kset.kappa
-        blk = self.kset.block(self.nodes, s0[:, None], derivatives=derivatives)
-        gp, q, conj = self._wgp, self._wq, self._wconj
-        reg = [blk["k1"] @ gp + blk["k3"] @ q + blk["k2"] @ conj]
-        # omega and its s0-derivatives: kernels k, d = dk/ds0, dd
-        for key in ("k", "d", "dd") if derivatives else ("k",):
-            reg.append(blk[key + "4"] @ gp + kappa * (blk[key + "1"] @ q)
-                       - blk[key + "2"] @ conj)
-        scale = 2.0 * np.pi * (kappa + 1.0)
-        return [(pv + r) / scale
-                for pv, r in zip(self._principal_values(s0, derivatives), reg)]
+    def apply(self, gp_poly, q_poly):
+        """(Sigma, omega[, omega', omega'']) stacked, shape (2 or 4, M, C).
 
-    def _principal_values(self, s0, derivatives):
-        """Closed-form PV parts, each (M, C).
-
-        d/ds0 PV int p/(s - s0) = PV int p'/(s - s0) - p(l)/(l - s0) - p(0)/s0.
+        gp_poly and q_poly are (C, n) complex coefficient matrices of g'
+        and q, n <= degree + 1.  Sigma is the face-average traction without
+        the far field and the +-q jump, omega the face-average face
+        function; omega' and omega'' come when the operator was tabulated
+        with derivatives.
         """
-        l = self.length
-        J = pv_monomials(l, s0, self._sigma_poly.shape[-1] - 1)
-        out = [J @ self._sigma_poly.T, J @ self._omega_polys[0].T]
-        if derivatives:
-            _, o1, o2 = self._omega_polys
-            (v0, vl), (d0, dl) = self._omega_ends
-            a, b = 1.0 / (l - s0)[:, None], 1.0 / s0[:, None]
-            out.append(J[:, : o1.shape[-1]] @ o1.T - vl * a - v0 * b)
-            out.append(J[:, : o2.shape[-1]] @ o2.T - dl * a - d0 * b
-                       - vl * a * a + v0 * b * b)
-        return out
+        n = gp_poly.shape[-1]
+        kappa = self.kappa
+        reg = {key: k[:, :n] for key, k in self._reg.items()}
+        gp, wq = gp_poly.T, -2j * q_poly.T
+        k2 = self._k2 * (self._wsum[:n] @ np.conj(gp + wq))
+        sigma = 2.0 * gp_poly + 2j * (kappa - 1.0) * q_poly
+        omega = (kappa - 1.0) * gp_poly - 4j * kappa * q_poly
+        J = self._pv
+        out = [J[:, :n] @ sigma.T + (reg["k1"] @ gp + reg["k3"] @ wq + k2),
+               J[:, :n] @ omega.T
+               + (reg["k4"] @ gp + kappa * (reg["k1"] @ wq) - k2)]
+        if self.derivatives:
+            # d/ds0 PV int p/(s - s0) = PV int p'/(s - s0)
+            #                           - p(l)/(l - s0) - p(0)/s0
+            omega1 = poly_derivative(omega)
+            omega2 = poly_derivative(omega1)
+            n1, n2 = omega1.shape[-1], omega2.shape[-1]
+            a, b = self._inv_ends
+            v0, vl = self._ends[:, :n] @ omega.T
+            d0, dl = self._ends[:, :n1] @ omega1.T
+            out.append(J[:, :n1] @ omega1.T - vl * a - v0 * b
+                       + (reg["d4"] @ gp + kappa * (reg["d1"] @ wq)))
+            out.append(J[:, :n2] @ omega2.T - dl * a - d0 * b
+                       - vl * a * a + v0 * b * b
+                       + (reg["dd4"] @ gp + kappa * (reg["dd1"] @ wq)))
+        return np.stack(out) / (2.0 * np.pi * (kappa + 1.0))
 
 
 class _FlatRuleOperator(_FaceOperator):
     """The discrete oracle of _FaceOperator, without s0-derivatives.
 
     Both the regular and the Cauchy parts are node sums over the nodes of
-    disc with its flat weight; gp and q are (n, C) density values there.
+    disc with its flat weight; the Cauchy part is `pv_cauchy_sum` of each
+    basis monomial, so no point s0 may coincide with a node.
     """
 
-    def __init__(self, curve, kappa, gp, q, disc):
-        self._set_rule(KernelSet(curve, kappa), disc.nodes, disc.weight,
-                       gp, q)
-        self._weight = disc.weight
-        self._sigma_nodes = (2.0 * gp + 2j * (kappa - 1.0) * q).T
-        self._omega_nodes = ((kappa - 1.0) * gp - 4j * kappa * q).T
-
-    def _principal_values(self, s0, derivatives):
-        return [pv_cauchy_sum(values, self.nodes, self._weight, s0[:, None])
-                for values in (self._sigma_nodes, self._omega_nodes)]
+    def __init__(self, curve, kappa, s0, degree, disc):
+        s0 = np.asarray(s0, dtype=float)
+        nodes = disc.nodes
+        self._pv = pv_cauchy_sum(_basis(nodes, curve.length, degree).T,
+                                 nodes, disc.weight, s0[:, None])
+        self._tabulate(KernelSet(curve, kappa), s0, degree, False, nodes,
+                       np.full(nodes.shape, disc.weight))
 
 
 class _FieldEvaluator:
-    """Face fields of one solved density at many points.
+    """Face fields at fixed points s0, for any density of degree <= degree.
 
-    The density parts come from _FaceOperator with one column (the solved
-    density); this adds the +-jump terms and the far field.  In the default
-    exact mode the principal values are in closed form and the regular
-    kernels use `regular_rule`.  The discrete mode is the flat-rule oracle
-    (_FlatRuleOperator): node sums over the n_quad + 1 nodes of the
-    collocation rule, with its flat weight.  Both modes need a
-    constant-curvature curve, since KernelSet does; with constant_curvature
-    None, "auto" selects the discrete mode and KernelSet raises ValueError.
+    Construction tabulates the operator (_FaceOperator) and the far field
+    at the points; face_values applies the operator to one solved density
+    and adds the +-jump terms and the far field, so one evaluator serves
+    every density of a sweep.  The default exact mode ("auto" is the same)
+    integrates the regular kernels with `regular_rule` and takes the
+    principal values in closed form.  The discrete mode is the flat-rule
+    oracle (_FlatRuleOperator): node sums over the n_quad + 1 nodes of the
+    collocation rule, with its flat weight.  Every mode needs a
+    constant-curvature curve, as the kernels do; any other curve raises
+    ValueError.
     """
 
-    def __init__(self, curve, material, load, densities, n_quad=400,
+    def __init__(self, curve, material, load, s0, degree, n_quad=400,
                  cauchy="auto"):
         if cauchy not in ("auto", "exact", "discrete"):
             raise ValueError(f"unknown cauchy mode {cauchy!r}")
-        if cauchy == "auto":
-            cauchy = "exact" if curve.constant_curvature is not None else "discrete"
-        if cauchy == "exact" and curve.constant_curvature is None:
-            raise ValueError("exact principal values need constant curvature")
+        if curve.constant_curvature is None:
+            raise ValueError("face fields need a constant-curvature curve "
+                             "(a built-in shape); constant_curvature is None")
         self.curve = curve
         self.material = material
-        self.load = load
-        self.coeffs = densities
-        self.cauchy = cauchy
-        self.gamma1 = densities.gamma1
+        self.s0 = np.asarray(s0, dtype=float)
         kappa = material.kappa
-        if cauchy == "exact":
-            gp = densities.g1 + 1j * densities.g2
-            q = q_polynomial(curve, material, self.gamma1, densities)
-            self._op = _FaceOperator(curve, kappa, gp[None], q[None])
-        else:
+        if cauchy == "discrete":
             disc = Discretization(n_quad, curve.length)
-            gp = densities.gprime(disc.nodes)
-            q = traction_jump(curve, material, self.gamma1, densities,
-                              disc.nodes)
-            self._op = _FlatRuleOperator(curve, kappa, gp[:, None],
-                                         q[:, None], disc)
+            self._op = _FlatRuleOperator(curve, kappa, self.s0, degree, disc)
+        else:
+            self._op = _FaceOperator(curve, kappa, self.s0, degree)
+        self._basis = _basis(self.s0, curve.length, degree)
+        phi, psi = load.phi_inf, load.psi_inf
+        t1 = curve.tangent(self.s0)
+        self._t1 = t1
+        self._far = 2.0 * np.real(phi) + np.conj(psi) * np.conj(t1) ** 2
+        self._du_far = (kappa * phi - np.conj(phi)) * t1 \
+            - np.conj(psi) * np.conj(t1)
 
-    def face_values(self, s0):
-        """sigma_n + i tau_n and d(u1 + i u2)/ds on both faces at points s0.
+    def face_values(self, densities):
+        """sigma_n + i tau_n and d(u1 + i u2)/ds on both faces at the points.
 
-        s0 is a 1-D array of interior points.  Returns two complex arrays
-        of shape (2, M), "+" face first.
+        Returns two complex arrays of shape (2, M), "+" face first.
         """
-        s0 = np.asarray(s0, dtype=float)
-        kappa = self.material.kappa
-        sigma, omega = self._op.values(s0)[:, :, 0]
-        phi, psi = self.load.phi_inf, self.load.psi_inf
-        t1 = self.curve.tangent(s0)
-
-        far = 2.0 * np.real(phi) + np.conj(psi) * np.conj(t1) ** 2
-        q_here = traction_jump(self.curve, self.material, self.gamma1,
-                               self.coeffs, s0)
-        traction = _SIGNS * q_here + sigma + far
+        gp = densities.g1 + 1j * densities.g2
+        q = q_polynomial(self.curve, self.material, densities.gamma1,
+                         densities)
+        sigma, omega = self._op.apply(gp[None], q[None])[:, :, 0]
+        basis = self._basis[:, : gp.size]
+        traction = _SIGNS * (basis @ q) + sigma + self._far
 
         # omega is the face function whose jump is i g'(s0).  Its jump
         # coefficient is i/2, not i(kappa+1)/2: the face limits of the
         # potentials fix it so that the displacement-jump derivative equals
         # i g' t'/(2 mu), consistent with the density definition (checked
         # against a direct bulk evaluation of the potentials).
-        omega = _SIGNS * 0.5j * self.coeffs.gprime(s0) + omega
-        du = (t1 * omega + (kappa * phi - np.conj(phi)) * t1
-              - np.conj(psi) * np.conj(t1)) / (2.0 * self.material.mu)
+        omega = _SIGNS * 0.5j * (basis @ gp) + omega
+        du = (self._t1 * omega + self._du_far) / (2.0 * self.material.mu)
         return traction, du
 
-    def samples(self, s0):
-        """FaceFieldSample lists at the points s0: ("+" face, "-" face)."""
-        s0 = np.asarray(s0, dtype=float)
-        traction, du = self.face_values(s0)
+    def samples(self, densities):
+        """FaceFieldSample lists at the points: ("+" face, "-" face)."""
+        traction, du = self.face_values(densities)
         return tuple([FaceFieldSample(s=float(s), side=side,
                                       sigma_n=float(np.real(traction[i, k])),
                                       tau_n=float(np.imag(traction[i, k])),
                                       du1_ds=float(np.real(du[i, k])),
                                       du2_ds=float(np.imag(du[i, k])))
-                      for k, s in enumerate(s0)]
+                      for k, s in enumerate(self.s0)]
                      for i, side in enumerate(_SIDES))
 
 
@@ -411,16 +415,19 @@ def face_fields(curve: CrackCurve, material: Material, load: FarFieldLoad,
                 n_quad: int = 400, cauchy: str = "auto") -> FaceFieldSample:
     """Face stresses and displacement derivatives at one interior point.
 
-    side is "plus" (left of increasing s) or "minus".  cauchy="discrete"
-    selects the flat-rule oracle on n_quad + 1 nodes; s0 must then not
-    coincide with a node.  The exact mode ignores n_quad.
+    side is "plus" (left of increasing s) or "minus".  cauchy is "exact"
+    (closed-form principal values; "auto" is the same) or "discrete", the
+    flat-rule oracle on n_quad + 1 nodes, where s0 must not coincide with a
+    node.  The exact mode ignores n_quad.  Both need a constant-curvature
+    curve and raise ValueError otherwise.
     """
     if side not in _SIDES:
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     if not 0.0 < s0 < curve.length:
         raise ValueError(f"s0 must lie strictly inside (0, {curve.length})")
-    ev = _FieldEvaluator(curve, material, load, densities, n_quad, cauchy)
-    return ev.samples([s0])[_SIDES.index(side)][0]
+    ev = _FieldEvaluator(curve, material, load, [s0], densities.degree,
+                         n_quad, cauchy)
+    return ev.samples(densities)[_SIDES.index(side)][0]
 
 
 def face_field_profile(curve, material, load, densities, s_values,
@@ -429,6 +436,6 @@ def face_field_profile(curve, material, load, densities, s_values,
 
     Returns a list of FaceFieldSample.
     """
-    ev = _FieldEvaluator(curve, material, load, densities)
-    faces = ev.samples(s_values)
+    ev = _FieldEvaluator(curve, material, load, s_values, densities.degree)
+    faces = ev.samples(densities)
     return [sample for side in sides for sample in faces[_SIDES.index(side)]]

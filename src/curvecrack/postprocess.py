@@ -5,9 +5,15 @@ integrating g'(s) t'(s) with a Gauss rule that is exact to machine precision,
 and close to the tips the face fields inherit a logarithmic term whose
 coefficient is extracted by a least-squares fit of value ~ A ln s + c over a
 window well inside the first quarter of the arc.  Face-field profiles, tip
-fits and the maximal face traction each make one call of a field evaluator
-with all their points s0 as an array; it returns both faces at once.
-Sweeps solve their points one after another.
+fits and the maximal face traction each build one field evaluator at all
+their points s0 and apply it to the density; it returns both faces at once.
+
+Sweeps tabulate once and apply per point.  A gamma1 sweep builds the
+collocation tables (`solver._CollocationTables`) and one field evaluator at
+the 101-point max-traction grid plus the 32 default tip-window points, then
+applies both to each gamma1 in turn (`_solve_and_report`), so the kernels
+are tabulated once per sweep however many points it has.  A curvature
+sweep builds them once per curve.
 """
 
 from __future__ import annotations
@@ -19,8 +25,9 @@ import numpy as np
 from .densities import DensityCoefficients, traction_jump
 from .fields import _SIDES, _FieldEvaluator
 from .geometry import CrackCurve, make_circular_arc
-from .quadrature import gauss_legendre
-from .solver import AssemblyError, SolveError, solve_problem
+from .quadrature import Discretization, gauss_legendre
+from .solver import (AssemblyError, SolveError, _CollocationTables, solve,
+                     solve_problem)
 
 FIELD_NAMES = ("sigma_n", "tau_n", "du1_ds", "du2_ds")
 
@@ -107,22 +114,41 @@ def default_fit_window(length: float) -> tuple:
     return (length / 200.0, length / 20.0)
 
 
-def _tip_samples(curve, material, load, coeffs, tip, side, window, n):
-    """Distances from the tip and FaceFieldSample at each, one evaluator."""
+# default point counts of max_face_traction and the tip fits; the sweep
+# columns use them too
+_TRACTION_POINTS = 101
+_TIP_POINTS = 32
+
+
+def _tip_points(curve, tip, window, n):
+    """Distances from the tip (geometric over the window) and their s."""
     if tip not in (0.0, curve.length):
         raise ValueError(f"tip must be 0.0 or the arc length {curve.length}, "
                          f"got {tip}")
     if window is None:
         window = default_fit_window(curve.length)
     dist = np.geomspace(window[0], window[1], n)
-    s_vals = dist if tip == 0.0 else curve.length - dist
-    ev = _FieldEvaluator(curve, material, load, coeffs)
-    return dist, ev.samples(s_vals)[_SIDES.index(side)]
+    return dist, (dist if tip == 0.0 else curve.length - dist)
+
+
+def _field_values(traction, du):
+    """The four face fields of one face, named as in FIELD_NAMES."""
+    return {"sigma_n": traction.real, "tau_n": traction.imag,
+            "du1_ds": du.real, "du2_ds": du.imag}
+
+
+def _tip_fields(curve, material, load, coeffs, tip, side, window, n):
+    """Distances from the tip and the face fields there, one evaluator."""
+    dist, s_vals = _tip_points(curve, tip, window, n)
+    ev = _FieldEvaluator(curve, material, load, s_vals, coeffs.degree)
+    traction, du = ev.face_values(coeffs)
+    k = _SIDES.index(side)
+    return dist, _field_values(traction[k], du[k])
 
 
 def collect_tip_samples(curve, material, load, coeffs, field: str,
                         tip: float = 0.0, side: str = "plus",
-                        window=None, n: int = 32):
+                        window=None, n: int = _TIP_POINTS):
     """Geometrically spaced face-field samples near a tip.
 
     Returns (distances, values) where distances are measured from the tip
@@ -130,22 +156,20 @@ def collect_tip_samples(curve, material, load, coeffs, field: str,
     """
     if field not in FIELD_NAMES:
         raise ValueError(f"unknown field {field!r}; choose from {FIELD_NAMES}")
-    dist, samples = _tip_samples(curve, material, load, coeffs, tip, side,
-                                 window, n)
-    return dist, np.array([getattr(f, field) for f in samples])
+    dist, values = _tip_fields(curve, material, load, coeffs, tip, side,
+                               window, n)
+    return dist, values[field]
 
 
 def fit_tip_coefficients(curve, material, load, coeffs, tip: float = 0.0,
-                         side: str = "plus", window=None, n: int = 32):
+                         side: str = "plus", window=None,
+                         n: int = _TIP_POINTS):
     """LogFit for each of the four face fields at one tip, sampled once."""
-    dist, samples = _tip_samples(curve, material, load, coeffs, tip, side,
-                                 window, n)
-    out = {}
-    for name in FIELD_NAMES:
-        vals = [getattr(f, name) for f in samples]
-        out[name] = fit_log_coefficient(np.column_stack([dist, vals]),
-                                        window=window, field_id=name, tip=tip)
-    return out
+    dist, values = _tip_fields(curve, material, load, coeffs, tip, side,
+                               window, n)
+    return {name: fit_log_coefficient(np.column_stack([dist, values[name]]),
+                                      window=window, field_id=name, tip=tip)
+            for name in FIELD_NAMES}
 
 
 def tip_log_coefficients(curve, material, coeffs):
@@ -172,13 +196,18 @@ def tip_log_coefficients(curve, material, coeffs):
             "du1_ds": a_du.real, "du2_ds": a_du.imag}
 
 
-def max_face_traction(curve, material, load, coeffs,
-                      n_points: int = 101) -> float:
-    """sup over both faces of |sigma_n + i tau_n| on a midpoint grid."""
+def _traction_grid(length, n_points):
+    """Midpoint grid of max_face_traction."""
     j = np.arange(1, n_points + 1)
-    grid = (2 * j - 1) * curve.length / (2 * n_points)
-    ev = _FieldEvaluator(curve, material, load, coeffs)
-    return float(np.max(np.abs(ev.face_values(grid)[0])))
+    return (2 * j - 1) * length / (2 * n_points)
+
+
+def max_face_traction(curve, material, load, coeffs,
+                      n_points: int = _TRACTION_POINTS) -> float:
+    """sup over both faces of |sigma_n + i tau_n| on a midpoint grid."""
+    ev = _FieldEvaluator(curve, material, load,
+                         _traction_grid(curve.length, n_points), coeffs.degree)
+    return float(np.max(np.abs(ev.face_values(coeffs)[0])))
 
 
 @dataclass
@@ -203,44 +232,76 @@ class CurvatureSweepRow:
     error: str = ""
 
 
-def _solve_and_report(curve, material, load, gamma1, N):
-    coeffs = solve_problem(curve, material, load, gamma1, N=N)
-    fits = fit_tip_coefficients(curve, material, load, coeffs)
+class _SweepTables:
+    """Everything a sweep point on one curve reuses.
+
+    The collocation tables, and one field evaluator at the points of the
+    sweep columns: max_face_traction's default grid and, for the tip fits
+    at s = 0 on the "+" face, fit_tip_coefficients' default window.
+    """
+
+    def __init__(self, curve, material, load, N):
+        self.curve, self.material, self.load = curve, material, load
+        self.collocation = _CollocationTables(
+            curve, material, Discretization(N, curve.length))
+        self.tip_dist, tip_s = _tip_points(curve, 0.0, None, _TIP_POINTS)
+        grid = _traction_grid(curve.length, _TRACTION_POINTS)
+        self.fields = _FieldEvaluator(curve, material, load,
+                                      np.concatenate([grid, tip_s]), N)
+
+
+def _solve_and_report(tables, gamma1):
+    """(A1, A2, max opening, min opening, max traction) at one gamma1."""
+    curve, material = tables.curve, tables.material
+    coeffs = solve(tables.collocation.system(tables.load, gamma1), curve)
+    traction, du = tables.fields.face_values(coeffs)
+    n = _TRACTION_POINTS
+    values = _field_values(traction[0, n:], du[0, n:])
+    A1, A2 = (fit_log_coefficient(np.column_stack([tables.tip_dist,
+                                                   values[name]])).A
+              for name in ("du1_ds", "tau_n"))
     prof = opening_profile(coeffs, curve, material)
-    mt = max_face_traction(curve, material, load, coeffs)
-    return (fits["du1_ds"].A, fits["tau_n"].A, prof.max_opening,
-            prof.min_opening, mt)
+    return (A1, A2, prof.max_opening, prof.min_opening,
+            float(np.max(np.abs(traction[:, :n]))))
+
+
+_SWEEP_ERRORS = (AssemblyError, SolveError, ValueError)
+
+
+def _fill(row, report, *args):
+    """Fill row from report(*args), or record the error it raised."""
+    try:
+        (row.A1, row.A2, row.max_opening, row.min_opening,
+         row.max_traction) = report(*args)
+    except _SWEEP_ERRORS as exc:
+        row.error = str(exc)
+    return row
 
 
 def sweep_gamma(curve, material, load, gamma_grid, N: int = 20):
-    """One solve per gamma1 value, in order; failed rows carry the error."""
-    def one(g1):
-        row = GammaSweepRow(gamma1=float(g1))
-        try:
-            (row.A1, row.A2, row.max_opening, row.min_opening,
-             row.max_traction) = _solve_and_report(curve, material, load,
-                                                   float(g1), N)
-        except (AssemblyError, SolveError, ValueError) as exc:
-            row.error = str(exc)
-        return row
+    """One solve per gamma1 value, in order; failed rows carry the error.
 
-    return [one(g1) for g1 in gamma_grid]
+    The kernels and the field evaluator are tabulated once for the whole
+    sweep; every point applies them to its own gamma1 and density.
+    """
+    try:
+        tables = _SweepTables(curve, material, load, N)
+    except _SWEEP_ERRORS as exc:
+        return [GammaSweepRow(gamma1=float(g1), error=str(exc))
+                for g1 in gamma_grid]
+    return [_fill(GammaSweepRow(gamma1=float(g1)), _solve_and_report,
+                  tables, float(g1))
+            for g1 in gamma_grid]
 
 
 def sweep_curvature(material, load, gamma1, kappa0_grid, N: int = 20):
     """One solve per arc curvature in (0, 1], in order; arcs end at +1, -1."""
-    def one(k0):
-        row = CurvatureSweepRow(kappa0=float(k0))
-        try:
-            curve = make_circular_arc(float(k0))
-            (row.A1, row.A2, row.max_opening, row.min_opening,
-             row.max_traction) = _solve_and_report(curve, material, load,
-                                                   gamma1, N)
-        except (AssemblyError, SolveError, ValueError) as exc:
-            row.error = str(exc)
-        return row
+    def report(k0):
+        tables = _SweepTables(make_circular_arc(k0), material, load, N)
+        return _solve_and_report(tables, gamma1)
 
-    return [one(k0) for k0 in kappa0_grid]
+    return [_fill(CurvatureSweepRow(kappa0=float(k0)), report, float(k0))
+            for k0 in kappa0_grid]
 
 
 @dataclass

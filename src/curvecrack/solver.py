@@ -23,20 +23,27 @@ the boundary equation at the collocation midpoints but not between them,
 least of all near the tips (see the tests/test_acceptance.py docstring).
 
 Integral evaluation: the collocation rows come from the face-field
-operator (`fields._FaceOperator`) applied to the 2N+2 basis columns at the
-collocation points, 16 collocation points per kernel block.  Per column it
-gives the face-average traction Sigma and the face function omega with its
-first two s0-derivatives; the real row is (kappa+1)(Re Sigma - gamma1
-kappa0 dk) and the imaginary row (kappa+1)(Im Sigma - gamma1 dk'), where
-dk = -(kappa0 Re omega - Im omega')/2mu is the face-curvature change and
-dk' = -(kappa0' Re omega + kappa0 Re omega' - Im omega'')/2mu.  The face
-fields of a solved density are the same operator on one column, so the
-assembly and the field evaluation share one code path.  The principal
-values (and their s0-derivatives, boundary terms included) are in closed
-form (`quadrature.pv_monomials`) and the regular kernels use
+operator (`fields._FaceOperator`) tabulated at the collocation points and
+applied to the 2N+2 basis columns.  Per column it gives the face-average
+traction Sigma and the face function omega with its first two
+s0-derivatives; the real row is (kappa+1)(Re Sigma - gamma1 kappa0 dk) and
+the imaginary row (kappa+1)(Im Sigma - gamma1 dk'), where dk = -(kappa0 Re
+omega - Im omega')/2mu is the face-curvature change and dk' = -(kappa0' Re
+omega + kappa0 Re omega' - Im omega'')/2mu.  The face fields of a solved
+density are the same kind of table applied to one column, so the assembly
+and the field evaluation share one code path.  The principal values (and
+their s0-derivatives, boundary terms included) are in closed form
+(`quadrature.pv_monomials`) and the regular kernels use
 `quadrature.regular_rule`.  The flat node rule of `quadrature` is kept
 only for the oracles; feeding its O(1/N) errors into this strongly
 amplifying system destroys convergence.
+
+Nothing of this depends on gamma1 except through q, which is linear in
+gamma1.  `_CollocationTables` therefore holds the gamma1-independent part
+of the system of one curve, material and N: the tabulated operator, the
+basis columns with q at gamma1 = 1 and the single-valuedness integrals.
+assemble() builds it and applies it to one gamma1; a gamma1 sweep builds
+it once and applies it to every point.
 
 The constrained system is solved by least squares in the constraint null
 space with a light Tikhonov term (relative weight 1e-8) that suppresses
@@ -51,7 +58,7 @@ import numpy as np
 
 from .densities import (DensityCoefficients, poly_derivative, poly_eval,
                         q_coefficients, traction_jump)
-from .fields import _FaceOperator, boundary_forcing
+from .fields import _basis, _FaceOperator, boundary_forcing
 from .geometry import CrackCurve
 from .quadrature import Discretization, gauss_legendre
 
@@ -76,6 +83,8 @@ class LinearSystem:
     gamma1 > 0, the tip rows.  condition_estimate is the 2-norm
     condition number of the collocation block restricted to the constraint
     null space (the operator the least-squares solve actually inverts).
+    single_valued_integrals are the unscaled integrals I_k of the
+    single-valuedness rows, which `solve` reuses for its residual.
     """
 
     matrix: np.ndarray
@@ -85,6 +94,7 @@ class LinearSystem:
     row_scale: np.ndarray
     disc: Discretization
     gamma1: float
+    single_valued_integrals: np.ndarray
 
     @property
     def collocation_block(self):
@@ -116,79 +126,108 @@ def _single_valued_row_integrals(curve: CrackCurve, N: int):
     return basis @ (w * curve.tangent(x))
 
 
+class _CollocationTables:
+    """The gamma1-independent part of the system of one curve, material and N.
+
+    It holds the face-field operator tabulated with s0-derivatives at the
+    collocation points, the 2N+2 basis columns (their g' and the q of
+    gamma1 = 1, since q is linear in gamma1), the basis at the tips, the
+    curvature at the collocation points and the single-valuedness
+    integrals.  system() applies them to one gamma1 and load, so a sweep
+    over gamma1 tabulates the kernels once.
+    """
+
+    def __init__(self, curve: CrackCurve, material, disc: Discretization):
+        if curve.constant_curvature is None:
+            raise AssemblyError(
+                "assembly requires a constant-curvature curve; built-in "
+                "shapes only")
+        N = disc.N
+        self.curve, self.material, self.disc = curve, material, disc
+        # column c of the system is the unknown g1_c (c <= N) or g2_(c-N-1):
+        # its g' and q as centered coefficient rows, shape (2N+2, N+1)
+        eye, zero = np.eye(N + 1), np.zeros((N + 1, N + 1))
+        g1, g2 = np.vstack([eye, zero]), np.vstack([zero, eye])
+        self.gp = g1 + 1j * g2
+        self.q_unit = q_coefficients(curve, material, 1.0, g1, g2)
+        colloc = disc.collocation_points
+        self.op = _FaceOperator(curve, material.kappa, colloc, N,
+                                derivatives=True)
+        self.k0 = curve.kappa0(colloc)[:, None]
+        self.k0p = curve.kappa0_prime(colloc)[:, None]
+        self.single_valued_integrals = _single_valued_row_integrals(curve, N)
+        self.tip_basis = _basis([0.0, curve.length], curve.length, N)
+
+    def system(self, load, gamma1: float,
+               row_scaling: bool = True) -> LinearSystem:
+        """The row-scaled constrained system at one gamma1 and load."""
+        if not np.isfinite(gamma1) or gamma1 < 0:
+            raise AssemblyError(
+                f"gamma1 must be finite and nonnegative, got {gamma1}")
+        curve, material, disc = self.curve, self.material, self.disc
+        kappa, mu = material.kappa, material.mu
+
+        # the boundary equation (kappa+1)[Sigma - gamma1 (kappa0 dk + i dk')]
+        # = (kappa+1) f, with the face-curvature change dk built from omega
+        sigma, omega, omega1, omega2 = self.op.apply(self.gp,
+                                                     gamma1 * self.q_unit)
+        k0, k0p = self.k0, self.k0p
+        dk = -(k0 * omega.real - omega1.imag) / (2.0 * mu)
+        dk1 = -(k0p * omega.real + k0 * omega1.real - omega2.imag) / (2.0 * mu)
+        f_c = boundary_forcing(curve, material, load, gamma1,
+                               disc.collocation_points)
+        rows = (kappa + 1.0) * np.vstack([sigma.real - gamma1 * k0 * dk,
+                                          sigma.imag - gamma1 * dk1])
+        rhs = (kappa + 1.0) * np.concatenate([f_c.real, f_c.imag])
+
+        ints = self.single_valued_integrals
+        con_rows = [np.concatenate([ints.real, -ints.imag]),
+                    np.concatenate([ints.imag, ints.real])]
+        if gamma1 > 0.0:
+            # Tip rows: zero the log coefficients of the normal component of
+            # du/ds (first row) and of sigma_n (second row) at each tip.  For
+            # a straight crack these degenerate (the channels decouple and
+            # the first reduces to Im g' = 0), which leaves the
+            # boundary-layer modes exp(+-s/sqrt(gamma1(kappa-1)/4mu)) of the
+            # homogeneous system unpinned; pinning the tip values of g''
+            # there restores a uniquely resolved density without touching
+            # the log-singular structure of the curved problem.
+            for basis in self.tip_basis:
+                gp_t = self.gp @ basis
+                q_t = gamma1 * (self.q_unit @ basis)
+                con_rows += [-(kappa - 1.0) * gp_t.imag
+                             + 4.0 * kappa * q_t.real,
+                             gp_t.real - (kappa - 1.0) * q_t.imag]
+                if curve.constant_curvature == 0.0:
+                    gpp_t = poly_derivative(self.gp) @ basis[:disc.N]
+                    con_rows += [gpp_t.real, gpp_t.imag]
+        A = np.vstack([rows] + con_rows)
+        b = np.concatenate([rhs, np.zeros(len(con_rows))])
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+            raise AssemblyError("non-finite entries in the collocation system")
+
+        if row_scaling:
+            scale = np.max(np.abs(A), axis=1)
+            if np.any(scale == 0.0):
+                raise AssemblyError("zero row encountered during scaling")
+        else:
+            scale = np.ones(A.shape[0])
+        A = A / scale[:, None]
+        b = b / scale
+
+        system = LinearSystem(matrix=A, rhs=b, n_constraints=len(con_rows),
+                              condition_estimate=np.nan, row_scale=scale,
+                              disc=disc, gamma1=gamma1,
+                              single_valued_integrals=ints)
+        system.condition_estimate = _condition_estimate(system)
+        return system
+
+
 def assemble(curve: CrackCurve, material, load, gamma1: float,
              disc: Discretization, row_scaling: bool = True) -> LinearSystem:
-    """Assemble the constrained collocation system."""
-    if not np.isfinite(gamma1) or gamma1 < 0:
-        raise AssemblyError(
-            f"gamma1 must be finite and nonnegative, got {gamma1}")
-    if curve.constant_curvature is None:
-        raise AssemblyError(
-            "assembly requires a constant-curvature curve; built-in "
-            "shapes only")
-    N = disc.N
-    kappa, mu = material.kappa, material.mu
-
-    # column c of the system is the unknown g1_c (c <= N) or g2_(c-N-1):
-    # its g' and q as centered coefficient rows, shape (2N+2, N+1)
-    eye, zero = np.eye(N + 1), np.zeros((N + 1, N + 1))
-    g1, g2 = np.vstack([eye, zero]), np.vstack([zero, eye])
-    gp = g1 + 1j * g2
-    q = q_coefficients(curve, material, gamma1, g1, g2)
-
-    # the boundary equation (kappa+1)[Sigma - gamma1 (kappa0 dk + i dk')]
-    # = (kappa+1) f, with the face-curvature change dk built from omega
-    colloc = disc.collocation_points
-    op = _FaceOperator(curve, kappa, gp, q)
-    sigma, omega, omega1, omega2 = op.values(colloc, derivatives=True)
-    k0 = curve.kappa0(colloc)[:, None]
-    k0p = curve.kappa0_prime(colloc)[:, None]
-    dk = -(k0 * omega.real - omega1.imag) / (2.0 * mu)
-    dk1 = -(k0p * omega.real + k0 * omega1.real - omega2.imag) / (2.0 * mu)
-    f_c = boundary_forcing(curve, material, load, gamma1, colloc)
-    rows = (kappa + 1.0) * np.vstack([sigma.real - gamma1 * k0 * dk,
-                                      sigma.imag - gamma1 * dk1])
-    rhs = (kappa + 1.0) * np.concatenate([f_c.real, f_c.imag])
-
-    ints = _single_valued_row_integrals(curve, N)
-    con_rows = [np.concatenate([ints.real, -ints.imag]),
-                np.concatenate([ints.imag, ints.real])]
-    if gamma1 > 0.0:
-        # Tip rows: zero the log coefficients of the normal component of
-        # du/ds (first row) and of sigma_n (second row) at each tip.  For a
-        # straight crack these degenerate (the channels decouple and the
-        # first reduces to Im g' = 0), which
-        # leaves the boundary-layer modes exp(+-s/sqrt(gamma1(kappa-1)/4mu))
-        # of the homogeneous system unpinned; pinning the tip values of g''
-        # there restores a uniquely resolved density without touching the
-        # log-singular structure of the curved problem.
-        for tip in (0.0, curve.length):
-            basis = (tip - 0.5 * curve.length) ** np.arange(N + 1)
-            gp_t, q_t = gp @ basis, q @ basis
-            con_rows += [-(kappa - 1.0) * gp_t.imag + 4.0 * kappa * q_t.real,
-                         gp_t.real - (kappa - 1.0) * q_t.imag]
-            if curve.constant_curvature == 0.0:
-                gpp_t = poly_derivative(gp) @ basis[:N]
-                con_rows += [gpp_t.real, gpp_t.imag]
-    A = np.vstack([rows] + con_rows)
-    b = np.concatenate([rhs, np.zeros(len(con_rows))])
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-        raise AssemblyError("non-finite entries in the collocation system")
-
-    if row_scaling:
-        scale = np.max(np.abs(A), axis=1)
-        if np.any(scale == 0.0):
-            raise AssemblyError("zero row encountered during scaling")
-    else:
-        scale = np.ones(A.shape[0])
-    A = A / scale[:, None]
-    b = b / scale
-
-    system = LinearSystem(matrix=A, rhs=b, n_constraints=len(con_rows),
-                          condition_estimate=np.nan, row_scale=scale,
-                          disc=disc, gamma1=gamma1)
-    system.condition_estimate = _condition_estimate(system)
-    return system
+    """Assemble the constrained collocation system: tabulate, then apply."""
+    tables = _CollocationTables(curve, material, disc)
+    return tables.system(load, gamma1, row_scaling)
 
 
 def _reduced_parts(system: LinearSystem):
@@ -261,7 +300,8 @@ def solve(system: LinearSystem, curve: CrackCurve | None = None) -> DensityCoeff
         classical_limit=(system.gamma1 == 0.0),
     )
     if curve is not None:
-        coeffs.single_valued_residual = single_valued_residual(coeffs, curve)
+        coeffs.single_valued_residual = _normalized_residual(
+            coeffs, curve, system.single_valued_integrals)
     return coeffs
 
 
@@ -283,7 +323,13 @@ def single_valued_integral(coeffs: DensityCoefficients,
 def single_valued_residual(coeffs: DensityCoefficients,
                            curve: CrackCurve) -> float:
     """|int g' t' ds| normalized by sup|g'| times the arc length."""
-    value = abs(single_valued_integral(coeffs, curve))
+    return _normalized_residual(
+        coeffs, curve, _single_valued_row_integrals(curve, coeffs.degree))
+
+
+def _normalized_residual(coeffs, curve, ints) -> float:
+    """single_valued_residual from the integrals I_k of the rows."""
+    value = abs(complex(np.sum((coeffs.g1 + 1j * coeffs.g2) * ints)))
     samples = np.linspace(0.0, curve.length, 512)
     sup = float(np.max(np.abs(coeffs.gprime(samples))))
     if sup == 0.0:

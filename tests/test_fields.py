@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,9 @@ from curvecrack import (DensityCoefficients, FarFieldLoad, KernelSet,
                         pv_polynomial, solve_problem,
                         surface_tension_coefficients, traction_jump)
 from curvecrack import fields
-from curvecrack.densities import q_coefficients, q_polynomial
-from curvecrack.quadrature import gauss_legendre
+from curvecrack.densities import (poly_derivative, poly_eval, q_coefficients,
+                                  q_polynomial)
+from curvecrack.quadrature import gauss_legendre, regular_rule
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -281,17 +284,21 @@ class TestFaceFields:
         coeffs = DensityCoefficients(rng.normal(size=9), rng.normal(size=9),
                                      semicircle.length, gamma1=1.0)
         n_quad = 400
-        ev = fields._FieldEvaluator(semicircle, material, load_h, coeffs,
-                                    n_quad=n_quad, cauchy=cauchy)
+
+        def evaluator(points):
+            return fields._FieldEvaluator(semicircle, material, load_h,
+                                          points, coeffs.degree,
+                                          n_quad=n_quad, cauchy=cauchy)
+
         # cell midpoints of the discrete rule, which never hit its nodes;
         # more than two blocks and not a multiple of the block size
         j = np.sort(rng.choice(n_quad, size=37, replace=False))
         grid = (2 * j + 1) * semicircle.length / (2 * n_quad)
         assert len(grid) > 2 * fields._BLOCK and len(grid) % fields._BLOCK
-        traction, du = ev.face_values(grid)
+        traction, du = evaluator(grid).face_values(coeffs)
         assert traction.shape == du.shape == (2, len(grid))
         for k, s0 in enumerate(grid):
-            one_t, one_du = ev.face_values(np.array([s0]))
+            one_t, one_du = evaluator([s0]).face_values(coeffs)
             for got, want in ((traction[:, k], one_t[:, 0]),
                               (du[:, k], one_du[:, 0])):
                 assert np.all(np.abs(got - want)
@@ -307,16 +314,81 @@ class TestFaceFields:
         rng = np.random.default_rng(19)
         g1, g2 = rng.normal(size=(2, 3, 9))
         q = q_coefficients(curve, material, 1.0, g1, g2)
-        op = fields._FaceOperator(curve, material.kappa, g1 + 1j * g2, q)
+
+        def apply(points):
+            op = fields._FaceOperator(curve, material.kappa, points, 8,
+                                      derivatives=True)
+            return op.apply(g1 + 1j * g2, q)
+
         # more than two blocks and not a multiple of the block size
         grid = np.sort(rng.uniform(0.005, 0.995, 37)) * curve.length
         assert len(grid) > 2 * fields._BLOCK and len(grid) % fields._BLOCK
-        batched = op.values(grid, derivatives=True)
+        batched = apply(grid)
         assert batched.shape == (4, len(grid), 3)
         for k, s0 in enumerate(grid):
-            one = op.values(np.array([s0]), derivatives=True)[:, 0]
+            one = apply(np.array([s0]))[:, 0]
             assert np.all(np.abs(batched[:, k] - one)
                           <= 1e-13 * np.abs(one) + 1e-13)
+
+    @pytest.mark.parametrize("curve", [make_semicircle(),
+                                       make_circular_arc(0.5)],
+                             ids=["semicircle", "arc"])
+    def test_apply_matches_all_twelve_kernel_arrays(self, material, curve):
+        # the operator drops d2 and dd2 and sums the constant k2 once; an
+        # explicit evaluation on the same Gauss rule with every array of
+        # KernelSet.block and pointwise principal values agrees
+        rng = np.random.default_rng(23)
+        g1, g2 = rng.normal(size=(2, 3, 9))
+        gp_poly = g1 + 1j * g2
+        q_poly = q_coefficients(curve, material, 1.0, g1, g2)
+        l, kappa = curve.length, material.kappa
+        grid = np.sort(rng.uniform(0.005, 0.995, 21)) * l
+        got = fields._FaceOperator(curve, kappa, grid, 8,
+                                   derivatives=True).apply(gp_poly, q_poly)
+
+        nodes, w = regular_rule(l)
+        blk = KernelSet(curve, kappa).block(nodes, grid[:, None])
+        assert len(blk) == 12
+
+        def nodal(p):
+            return np.array([poly_eval(c, nodes, l) for c in p]).T
+
+        gp = w[:, None] * nodal(gp_poly)
+        wq = -2j * w[:, None] * nodal(q_poly)
+        conj = w[:, None] * np.conj(nodal(gp_poly - 2j * q_poly))
+        reg = [blk["k1"] @ gp + blk["k3"] @ wq + blk["k2"] @ conj]
+        for key in ("k", "d", "dd"):
+            reg.append(blk[key + "4"] @ gp + kappa * (blk[key + "1"] @ wq)
+                       - blk[key + "2"] @ conj)
+
+        def pv(polys):
+            return np.array([pv_polynomial(c, l, grid) for c in polys]).T
+
+        def at(polys, s):
+            return np.array([poly_eval(c, s, l) for c in polys])
+
+        omega = (kappa - 1.0) * gp_poly - 4j * kappa * q_poly
+        omega1 = poly_derivative(omega)
+        a, b = 1.0 / (l - grid)[:, None], 1.0 / grid[:, None]
+        sing = [pv(2.0 * gp_poly + 2j * (kappa - 1.0) * q_poly), pv(omega),
+                pv(omega1) - at(omega, l) * a - at(omega, 0.0) * b,
+                pv(poly_derivative(omega1)) - at(omega1, l) * a
+                - at(omega1, 0.0) * b - at(omega, l) * a * a
+                + at(omega, 0.0) * b * b]
+        want = np.stack([p + r for p, r in zip(sing, reg)]) \
+            / (2.0 * np.pi * (kappa + 1.0))
+        assert got.shape == want.shape == (4, len(grid), 3)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want) + 1e-13)
+
+    @pytest.mark.parametrize("cauchy", ["auto", "exact", "discrete"])
+    def test_variable_curvature_rejected_in_every_mode(self, material,
+                                                       load_h, cauchy):
+        curve = dataclasses.replace(make_semicircle(),
+                                    constant_curvature=None)
+        with pytest.raises(ValueError,
+                           match="face fields need a constant-curvature"):
+            face_fields(curve, material, load_h, _zero_coeffs(curve), "plus",
+                        1.0, cauchy=cauchy)
 
     def test_validation_errors(self, material, semicircle, load_h):
         zero = _zero_coeffs(semicircle)

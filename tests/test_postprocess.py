@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvecrack import (DensityCoefficients, FarFieldLoad, Material,
+from curvecrack import (DensityCoefficients, FarFieldLoad, KernelSet, Material,
                         collect_tip_samples, convergence_study,
                         default_fit_window, fit_log_coefficient,
                         fit_tip_coefficients, make_circular_arc,
@@ -218,6 +218,61 @@ class TestSweeps:
         assert rows[0].error != ""
         assert np.isnan(rows[0].A1)
         assert rows[1].error == "" and np.isfinite(rows[1].A1)
+
+
+def _per_point_row(curve, material, load, gamma1, N):
+    """A sweep row's columns from the public per-point functions."""
+    co = solve_problem(curve, material, load, gamma1, N=N)
+    fits = fit_tip_coefficients(curve, material, load, co)
+    prof = opening_profile(co, curve, material)
+    return (fits["du1_ds"].A, fits["tau_n"].A, prof.max_opening,
+            prof.min_opening, max_face_traction(curve, material, load, co))
+
+
+def _sweep_columns(rows):
+    assert all(r.error == "" for r in rows)
+    return np.array([(r.A1, r.A2, r.max_opening, r.min_opening,
+                      r.max_traction) for r in rows])
+
+
+class TestSweepTables:
+    """Sweeps tabulate once and apply per point; the rows must not move."""
+
+    def test_gamma_sweep_matches_per_point(self, semicircle, material,
+                                           load_h):
+        grid = [0.25, 0.5, 1.0, 2.0, 4.0]
+        got = _sweep_columns(sweep_gamma(semicircle, material, load_h, grid,
+                                         N=20))
+        want = np.array([_per_point_row(semicircle, material, load_h, g, 20)
+                         for g in grid])
+        assert np.all(np.abs(got - want)
+                      <= 1e-9 * np.max(np.abs(want), axis=0))
+
+    def test_curvature_sweep_matches_per_point(self, material, load_h):
+        grid = [0.25, 0.5, 1.0]
+        got = _sweep_columns(sweep_curvature(material, load_h, 1.0, grid,
+                                             N=20))
+        want = np.array([_per_point_row(make_circular_arc(k0), material,
+                                        load_h, 1.0, 20) for k0 in grid])
+        assert np.all(np.abs(got - want)
+                      <= 1e-9 * np.max(np.abs(want), axis=0))
+
+    def test_kernel_blocks_do_not_grow_with_gamma_points(
+            self, semicircle, material, load_h, monkeypatch):
+        calls = []
+        block = KernelSet.block
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return block(self, *args, **kwargs)
+
+        monkeypatch.setattr(KernelSet, "block", counted)
+        sweep_gamma(semicircle, material, load_h, [1.0], N=20)
+        one = len(calls)
+        calls.clear()
+        sweep_gamma(semicircle, material, load_h,
+                    [0.5 * 4.0 ** (i / 7) for i in range(8)], N=20)
+        assert one > 0 and len(calls) == one
 
 
 class TestConvergenceStudy:

@@ -11,7 +11,7 @@ from curvecrack import (AssemblyError, DensityCoefficients, Discretization,
                         single_valued_residual, solve, solve_problem,
                         tip_condition_residuals, traction_jump,
                         traction_jump_parts)
-from curvecrack import quadrature
+from curvecrack import quadrature, solver
 from curvecrack.densities import poly_derivative, poly_eval
 from curvecrack.quadrature import gauss_legendre, pv_monomials
 
@@ -357,6 +357,20 @@ class TestSolve:
                                            semicircle):
         assert solved_semicircle.single_valued_residual <= 1e-8
         assert abs(single_valued_integral(solved_semicircle, semicircle)) < 1e-9
+
+    def test_solve_reuses_single_valued_integrals(self, material, semicircle,
+                                                  load_h, monkeypatch):
+        disc = Discretization(12, semicircle.length)
+        system = assemble(semicircle, material, load_h, 1.0, disc)
+        calls = []
+        rebuild = solver._single_valued_row_integrals
+        monkeypatch.setattr(solver, "_single_valued_row_integrals",
+                            lambda *a: calls.append(a) or rebuild(*a))
+        coeffs = solve(system, semicircle)
+        assert calls == []
+        assert coeffs.single_valued_residual \
+            == single_valued_residual(coeffs, semicircle)
+        assert len(calls) == 1
 
     def test_classical_limit_flag(self, material, semicircle, load_h):
         co = solve_problem(semicircle, material, load_h, 0.0, N=10)
