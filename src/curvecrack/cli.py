@@ -228,23 +228,10 @@ def parse_config(text: str) -> RunConfig:
     if "grid" in seen:
         # grid values are space- or semicolon-separated (commas split pairs)
         raw, ln = take("grid")
-        parts = [p for p in raw.replace(";", " ").split() if p]
-        if run_mode == "convergence":
-            grid = tuple(_parse_int(p, "grid", ln) for p in parts)
-            if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ConfigError(f"line {ln}: key 'grid' must be an "
-                                  "ascending list of at least two N values")
-        else:
-            grid = tuple(_parse_float(p, "grid", ln) for p in parts)
-            if not grid:
-                raise ConfigError(f"line {ln}: key 'grid' is empty")
-            if run_mode == "sweep-gamma" and any(g <= 0 for g in grid):
-                raise ConfigError(f"line {ln}: sweep-gamma grid values must "
-                                  "be positive")
-            if run_mode == "sweep-curvature" and \
-                    any(not 0.0 < g <= 1.0 for g in grid):
-                raise ConfigError(f"line {ln}: sweep-curvature grid values "
-                                  "must lie in (0, 1]")
+        parse = _parse_int if run_mode == "convergence" else _parse_float
+        grid = _check_grid(tuple(parse(p, "grid", ln)
+                                 for p in raw.replace(";", " ").split()),
+                           run_mode, f"line {ln}: ")
     elif run_mode != "solve":
         raise ConfigError(f"run_mode={run_mode} requires key 'grid'")
 
@@ -272,23 +259,28 @@ def _check_row_scaling(row_scaling, run_mode, where=""):
                           f"run_mode=solve; {run_mode} always scales its rows")
 
 
-def _coerce_grid(grid, run_mode):
-    """Re-validate a parsed grid when the run mode is overridden."""
+def _check_grid(grid, run_mode, where=""):
+    """Validate a grid for run_mode; a convergence grid comes back as ints."""
+    if not grid:
+        raise ConfigError(f"{where}key 'grid' is empty")
     if run_mode == "convergence":
-        out = []
-        for g in grid:
-            if float(g) != int(g):
-                raise ConfigError(f"convergence grid needs integers, got {g}")
-            out.append(int(g))
-        if len(out) < 2 or any(b <= a for a, b in zip(out, out[1:])):
-            raise ConfigError("convergence grid must be ascending with at "
-                              "least two N values")
-        return tuple(out)
+        if any(float(g) != int(g) for g in grid):
+            raise ConfigError(f"{where}convergence grid needs integers, "
+                              f"got {grid}")
+        grid = tuple(int(g) for g in grid)
+        if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ConfigError(f"{where}key 'grid' must be an ascending list "
+                              "of at least two N values")
+        if grid[0] < 4:
+            raise ConfigError(f"{where}convergence grid values must be at "
+                              f"least 4, got {grid[0]}")
+        return grid
     grid = tuple(float(g) for g in grid)
     if run_mode == "sweep-gamma" and any(g <= 0 for g in grid):
-        raise ConfigError("sweep-gamma grid values must be positive")
+        raise ConfigError(f"{where}sweep-gamma grid values must be positive")
     if run_mode == "sweep-curvature" and any(not 0.0 < g <= 1.0 for g in grid):
-        raise ConfigError("sweep-curvature grid values must lie in (0, 1]")
+        raise ConfigError(f"{where}sweep-curvature grid values must lie in "
+                          "(0, 1]")
     return grid
 
 
@@ -327,19 +319,13 @@ def run(config: RunConfig, out_dir: str | None = None,
             print(f"error: unknown mode {mode_override!r}", file=sys.stderr)
             return 2
         config = replace(config, run_mode=mode_override)
+    try:
         if config.run_mode != "solve":
             if not config.grid:
-                print(f"error: run_mode={config.run_mode} requires key "
-                      "'grid'", file=sys.stderr)
-                return 2
-            try:
-                config = replace(config,
-                                 grid=_coerce_grid(config.grid,
-                                                   config.run_mode))
-            except ConfigError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-    try:
+                raise ConfigError(f"run_mode={config.run_mode} requires key "
+                                  "'grid'")
+            config = replace(config, grid=_check_grid(config.grid,
+                                                      config.run_mode))
         _check_row_scaling(config.row_scaling, config.run_mode)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

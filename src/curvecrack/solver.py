@@ -47,12 +47,15 @@ it once and applies it to every point.
 
 The constrained system is solved by least squares in the constraint null
 space with a light Tikhonov term (relative weight 1e-8) that suppresses
-the residual boundary-layer content.
+the residual boundary-layer content.  The constraints are homogeneous, so
+each system is reduced once (`LinearSystem.reduction`: the null basis and
+the SVD of the reduced block) for its condition estimate, solve and dump.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,17 +83,21 @@ class LinearSystem:
 
     The first 2N rows collocate the boundary equation; the trailing
     n_constraints rows hold the single-valuedness condition and, for
-    gamma1 > 0, the tip rows.  condition_estimate is the 2-norm
-    condition number of the collocation block restricted to the constraint
-    null space (the operator the least-squares solve actually inverts).
-    single_valued_integrals are the unscaled integrals I_k of the
-    single-valuedness rows, which `solve` reuses for its residual.
+    gamma1 > 0, the tip rows.  The constraints are homogeneous (their
+    right-hand side is zero), so the solve needs no particular solution:
+    `reduction` is the null basis Z of the constraint block and the thin
+    SVD of the collocation block times Z, computed once and shared by the
+    condition gate, `solve` and `dump_text`.  condition_estimate is the
+    2-norm condition number of that reduced block with its smallest
+    singular value clipped at the Tikhonov floor LAMBDA_REL * sigma_max,
+    so it never exceeds 1/LAMBDA_REL = 1e8; it is inf only for a zero
+    reduced block.  single_valued_integrals are the unscaled integrals I_k
+    of the single-valuedness rows, which `solve` reuses for its residual.
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
     n_constraints: int
-    condition_estimate: float
     row_scale: np.ndarray
     disc: Discretization
     gamma1: float
@@ -103,6 +110,22 @@ class LinearSystem:
     @property
     def constraint_block(self):
         return self.matrix[-self.n_constraints:]
+
+    @cached_property
+    def reduction(self):
+        """(Z, G, U, S, Vt): null basis Z, G = A Z and G = U diag(S) Vt."""
+        _, _, Vt = np.linalg.svd(self.constraint_block)
+        Z = Vt[self.n_constraints:].T
+        G = self.collocation_block @ Z
+        return (Z, G) + tuple(np.linalg.svd(G, full_matrices=False))
+
+    @cached_property
+    def condition_estimate(self) -> float:
+        _, _, _, S, _ = self.reduction
+        smallest = max(S[-1], LAMBDA_REL * S[0])
+        if smallest == 0.0:
+            return float("inf")
+        return float(S[0] / smallest)
 
     def dump_text(self) -> str:
         """Plain-text dump of the matrix and right-hand side."""
@@ -215,12 +238,9 @@ class _CollocationTables:
         A = A / scale[:, None]
         b = b / scale
 
-        system = LinearSystem(matrix=A, rhs=b, n_constraints=len(con_rows),
-                              condition_estimate=np.nan, row_scale=scale,
-                              disc=disc, gamma1=gamma1,
-                              single_valued_integrals=ints)
-        system.condition_estimate = _condition_estimate(system)
-        return system
+        return LinearSystem(matrix=A, rhs=b, n_constraints=len(con_rows),
+                            row_scale=scale, disc=disc, gamma1=gamma1,
+                            single_valued_integrals=ints)
 
 
 def assemble(curve: CrackCurve, material, load, gamma1: float,
@@ -230,57 +250,33 @@ def assemble(curve: CrackCurve, material, load, gamma1: float,
     return tables.system(load, gamma1, row_scaling)
 
 
-def _reduced_parts(system: LinearSystem):
-    """Constraint particular solution, null basis, and reduced block."""
-    A = system.collocation_block
-    b = system.rhs[: -system.n_constraints]
-    T = system.constraint_block
-    t = system.rhs[-system.n_constraints:]
-    x0, *_ = np.linalg.lstsq(T, t, rcond=None)
-    _, _, Vt = np.linalg.svd(T)
-    Z = Vt[T.shape[0]:].T
-    return A, b, T, t, x0, Z
-
-
-def _condition_estimate(system: LinearSystem) -> float:
-    A, _, _, _, _, Z = _reduced_parts(system)
-    sv = np.linalg.svd(A @ Z, compute_uv=False)
-    lam = LAMBDA_REL * sv[0] if sv[0] > 0 else 0.0
-    smallest = max(sv[-1], lam)
-    if smallest == 0.0:
-        return float("inf")
-    return float(sv[0] / smallest)
-
-
 def solve(system: LinearSystem, curve: CrackCurve | None = None) -> DensityCoefficients:
     """Constrained least-squares solve with light Tikhonov regularization.
 
-    The equality constraints are eliminated exactly; in their null space the
-    collocation block is inverted through its SVD with singular values
-    damped by lambda = 1e-8 * sigma_max, which suppresses the boundary-layer
-    null family while leaving resolved directions untouched.  Raises
-    SolveError when the effective conditioning still exceeds 1e14: the
-    underlying operator has a unique solution except on the discrete
-    spectrum of its compact part, and parameters near such a point (or a
-    degenerate geometry) land here.
+    The equality constraints are homogeneous and eliminated exactly: x =
+    Z y with Z the constraint null basis of `system.reduction`, whose SVD
+    of the reduced block inverts it with singular values damped by lambda
+    = 1e-8 * sigma_max.  That suppresses the boundary-layer null family
+    while leaving resolved directions untouched.  Raises SolveError on a
+    non-finite matrix, or when condition_estimate is non-finite or exceeds
+    CONDITION_LIMIT = 1e14.  The estimate is clipped at 1/LAMBDA_REL = 1e8,
+    so as computed the gate fires only on a zero reduced block (estimate
+    inf); an ill-conditioned but nonzero block is damped, not rejected.
     """
     if not np.all(np.isfinite(system.matrix)):
         raise SolveError("system matrix contains non-finite entries")
     if not np.isfinite(system.condition_estimate) \
             or system.condition_estimate > CONDITION_LIMIT:
         raise SolveError(
-            f"condition estimate {system.condition_estimate:.3e} exceeds "
-            f"{CONDITION_LIMIT:.0e}; parameters may sit near the discrete "
-            "spectrum of the integral operator")
+            f"condition estimate {system.condition_estimate:.3e} is not "
+            f"finite or exceeds {CONDITION_LIMIT:.0e}")
 
-    A, b, T, t, x0, Z = _reduced_parts(system)
-    G = A @ Z
-    h = b - A @ x0
-    U, S, Vt = np.linalg.svd(G, full_matrices=False)
-    lam = LAMBDA_REL * S[0] if S[0] > 0 else 0.0
+    Z, G, U, S, Vt = system.reduction
+    h = system.rhs[: -system.n_constraints]
+    lam = LAMBDA_REL * S[0]
     damped = S / (S * S + lam * lam)
     y = Vt.T @ (damped * (U.T @ h))
-    x = x0 + Z @ y
+    x = Z @ y
 
     # solver-level residual of the damped normal equations
     lhs = G.T @ (G @ y) + lam * lam * y

@@ -248,6 +248,19 @@ class TestMain:
         assert code == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra,mode", [
+        ("run_mode = convergence\ngrid = 2 3\n", None),
+        ("run_mode = sweep-gamma\ngrid = 2 3\n", "convergence"),
+    ])
+    def test_convergence_grid_below_4_exit_code(self, tmp_path, capsys,
+                                                extra, mode):
+        cfg_path = tmp_path / "small.cfg"
+        cfg_path.write_text(BASE + extra)
+        argv = ["--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        assert main(argv + (["--mode", mode] if mode else [])) == 2
+        assert "grid" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "convergence.csv").exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("shape = triangle\n")

@@ -353,6 +353,51 @@ class TestSolve:
         with pytest.raises(SolveError):
             solve(system, semicircle)
 
+    def test_one_factorization_per_system(self, material, semicircle, load_h,
+                                          monkeypatch):
+        # the gate, solve and the dump share one null-space reduction: one
+        # SVD of the constraint block, one of the reduced block, no lstsq
+        calls = {"svd": 0, "lstsq": 0}
+
+        def counting(name):
+            real = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        disc = Discretization(20, semicircle.length)
+        system = assemble(semicircle, material, load_h, 1.0, disc)
+        coeffs = solve(system, semicircle)
+        text = system.dump_text()
+        assert calls == {"svd": 2, "lstsq": 0}
+        line, = [ln for ln in text.splitlines()
+                 if ln.startswith("condition_estimate ")]
+        assert float(line.split()[1]) == coeffs.condition_estimate
+
+    @pytest.mark.parametrize("curve_name,load_name", [
+        ("semicircle", "load_h"), ("arc_half", "load_h"),
+        ("straight2", "load_v"),  # under load_h the straight solution is 0
+    ])
+    @pytest.mark.parametrize("gamma1", [0.0, 1.0])
+    @pytest.mark.parametrize("row_scaling", [True, False])
+    def test_constraints_are_homogeneous(self, request, material, curve_name,
+                                         load_name, gamma1, row_scaling):
+        curve = request.getfixturevalue(curve_name)
+        load = request.getfixturevalue(load_name)
+        disc = Discretization(20, curve.length)
+        system = assemble(curve, material, load, gamma1, disc, row_scaling)
+        assert np.all(system.rhs[-system.n_constraints:] == 0.0)
+        coeffs = solve(system, curve)
+        x = np.concatenate([coeffs.g1, coeffs.g2])
+        T = system.constraint_block
+        assert np.max(np.abs(x)) > 0.0
+        assert np.max(np.abs(T @ x)) \
+            <= 1e-13 * np.max(np.abs(T)) * np.max(np.abs(x))
+
     def test_single_valuedness_after_solve(self, solved_semicircle,
                                            semicircle):
         assert solved_semicircle.single_valued_residual <= 1e-8
