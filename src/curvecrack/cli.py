@@ -12,18 +12,19 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import postprocess as post
-from .fields import FarFieldLoad, Material, face_field_profile
-from .geometry import (CrackCurve, GeometryError, make_circular_arc,
-                       make_semicircle, make_straight)
+from .fields import FarFieldLoad, Material, SurfaceParams, face_field_profile
+from .geometry import (CrackCurve, make_circular_arc, make_semicircle,
+                       make_straight)
+from .quadrature import midpoint_grid
 from .solver import (AssemblyError, Discretization, SolveError, assemble,
                      solve, tip_condition_residuals)
 
 RUN_MODES = ("solve", "sweep-gamma", "sweep-curvature", "convergence")
-MATERIAL_MODES = ("plane_strain", "plane_stress")
 
 _MANDATORY = ("shape", "mu", "sigma1_inf", "sigma2_inf", "gamma1")
 _KNOWN_KEYS = {
@@ -35,6 +36,16 @@ _KNOWN_KEYS = {
 
 class ConfigError(ValueError):
     """Malformed or out-of-range run configuration."""
+
+
+class BuiltRun(NamedTuple):
+    """A checked config (grid coerced to its run mode) and its objects."""
+
+    config: "RunConfig"
+    curve: CrackCurve
+    material: Material
+    load: FarFieldLoad
+    disc: Discretization
 
 
 @dataclass
@@ -56,20 +67,85 @@ class RunConfig:
     out_dir: str = "out"
     row_scaling: bool = True
 
-    def build_curve(self) -> CrackCurve:
-        if self.shape == "semicircle":
-            return make_semicircle()
+    def build(self, lines: dict | None = None) -> BuiltRun:
+        """Check the config and construct the library objects it describes.
+
+        The CLI's own rules come first: the shape and the key it needs, the
+        run mode and its grid, and row_scaling = off only in solve mode.
+        Every range is then left to the constructors (curve, Material,
+        FarFieldLoad, SurfaceParams, Discretization); a ValueError from any
+        of them becomes a ConfigError.  lines maps a key to the line of the
+        config text that set it, for the error messages.
+        """
+        lines = lines or {}
+
+        def at(key):
+            return f"line {lines[key]}: " if key in lines else ""
+
+        def make(key, ctor, *args, **kwargs):
+            try:
+                return ctor(*args, **kwargs)
+            except ValueError as exc:
+                where = f"{at(key)}key '{key}': " if key else ""
+                raise ConfigError(f"{where}{exc}") from None
+
+        if self.shape not in ("semicircle", "arc", "straight"):
+            raise ConfigError(f"{at('shape')}key 'shape' must be semicircle, "
+                              f"arc or straight, got {self.shape!r}")
+        for key, shape in (("curvature", "arc"), ("length", "straight")):
+            given = getattr(self, key) is not None
+            if given and self.shape != shape:
+                raise ConfigError(f"{at(key)}key '{key}' only applies to "
+                                  f"shape={shape}")
+            if not given and self.shape == shape:
+                raise ConfigError(f"{at('shape')}shape={shape} requires key "
+                                  f"'{key}'")
         if self.shape == "arc":
-            return make_circular_arc(self.curvature)
-        return make_straight(self.length)
+            curve = make("curvature", make_circular_arc, self.curvature)
+        elif self.shape == "straight":
+            curve = make("length", make_straight, self.length)
+        else:
+            curve = make_semicircle()
 
-    def build_material(self) -> Material:
-        return Material(mu=self.mu, kappa=self.kappa, mode=self.mode,
-                        nu=self.nu)
+        if self.run_mode not in RUN_MODES:
+            raise ConfigError(f"{at('run_mode')}key 'run_mode' must be one of "
+                              f"{', '.join(RUN_MODES)}, got {self.run_mode!r}")
+        if not self.row_scaling and self.run_mode != "solve":
+            raise ConfigError(f"{at('row_scaling')}key 'row_scaling' = off "
+                              "only applies to run_mode=solve; "
+                              f"{self.run_mode} always scales its rows")
+        grid = self.grid
+        if self.run_mode != "solve":
+            if not grid:
+                raise ConfigError(f"{at('grid')}run_mode={self.run_mode} "
+                                  "requires a non-empty key 'grid'")
+            if self.run_mode == "convergence":
+                if not all(float(g).is_integer() for g in grid):
+                    raise ConfigError(f"{at('grid')}convergence grid needs "
+                                      f"integers, got {grid}")
+                grid = tuple(int(g) for g in grid)
+                if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
+                    raise ConfigError(f"{at('grid')}key 'grid' must be an "
+                                      "ascending list of at least two N values")
+                for n in grid:
+                    make("grid", Discretization, n, curve.length)
+            else:
+                grid = tuple(float(g) for g in grid)
+                gammas = self.run_mode == "sweep-gamma"
+                for value in grid:
+                    make("grid", SurfaceParams if gammas else make_circular_arc,
+                         value)
+                if gammas and 0.0 in grid:
+                    raise ConfigError(f"{at('grid')}sweep-gamma grid values "
+                                      "must be positive")
 
-    def build_load(self) -> FarFieldLoad:
-        return FarFieldLoad(sigma1=self.sigma1_inf, sigma2=self.sigma2_inf,
-                            alpha=self.alpha)
+        material = make(None, Material, mu=self.mu, kappa=self.kappa,
+                        mode=self.mode, nu=self.nu)
+        load = make(None, FarFieldLoad, sigma1=self.sigma1_inf,
+                    sigma2=self.sigma2_inf, alpha=self.alpha)
+        make("gamma1", SurfaceParams, self.gamma1)
+        disc = make("N", Discretization, self.N, curve.length)
+        return BuiltRun(replace(self, grid=grid), curve, material, load, disc)
 
     def echo_text(self) -> str:
         pairs = {
@@ -107,8 +183,21 @@ def _parse_int(raw, key, line_no):
                           f"got {raw!r}") from None
 
 
+def _parse_grid(raw, key, line_no):
+    # grid values are space- or semicolon-separated (commas split pairs)
+    return tuple(_parse_float(p, key, line_no)
+                 for p in raw.replace(";", " ").split())
+
+
+def _parse_switch(raw, key, line_no):
+    if raw not in ("on", "off"):
+        raise ConfigError(f"line {line_no}: key '{key}' must be on or off, "
+                          f"got {raw!r}")
+    return raw == "on"
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate key=value config text; defaults applied."""
+    """Parse key=value config text, then check it with RunConfig.build."""
     seen: dict[str, tuple] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -135,158 +224,42 @@ def parse_config(text: str) -> RunConfig:
         missing.append("nu|kappa")
     if missing:
         raise ConfigError("missing mandatory keys: " + ", ".join(missing))
-
-    def take(key, default=None):
-        return seen.pop(key, (default, 0))
-
-    shape, ln = take("shape")
-    if shape not in ("semicircle", "arc", "straight"):
-        raise ConfigError(f"line {ln}: key 'shape' must be semicircle, arc "
-                          f"or straight, got {shape!r}")
-
-    curvature = length = None
-    if "curvature" in seen:
-        raw, ln = take("curvature")
-        curvature = _parse_float(raw, "curvature", ln)
-        if shape != "arc":
-            raise ConfigError(f"line {ln}: key 'curvature' only applies to "
-                              "shape=arc")
-        if not 0.0 < curvature <= 1.0:
-            raise ConfigError(f"line {ln}: key 'curvature' must lie in "
-                              f"(0, 1], got {curvature}")
-    elif shape == "arc":
-        raise ConfigError("shape=arc requires key 'curvature'")
-
-    if "length" in seen:
-        raw, ln = take("length")
-        length = _parse_float(raw, "length", ln)
-        if shape != "straight":
-            raise ConfigError(f"line {ln}: key 'length' only applies to "
-                              "shape=straight")
-        if length <= 0:
-            raise ConfigError(f"line {ln}: key 'length' must be positive, "
-                              f"got {length}")
-    elif shape == "straight":
-        raise ConfigError("shape=straight requires key 'length'")
-
-    raw, ln = take("mu")
-    mu = _parse_float(raw, "mu", ln)
-    if mu <= 0:
-        raise ConfigError(f"line {ln}: key 'mu' must be positive, got {mu}")
-
-    raw, ln = take("mode", "plane_strain")
-    mode = raw
-    if mode not in MATERIAL_MODES:
-        raise ConfigError(f"line {ln}: key 'mode' must be plane_strain or "
-                          f"plane_stress, got {mode!r}")
-
-    nu = kappa = None
     if "nu" in seen and "kappa" in seen:
-        _, ln = take("nu")
-        raise ConfigError(f"line {ln}: give either 'nu' or 'kappa', not both")
-    if "nu" in seen:
-        raw, ln = take("nu")
-        nu = _parse_float(raw, "nu", ln)
-        if not 0.0 < nu < 0.5:
-            raise ConfigError(f"line {ln}: key 'nu' must lie in (0, 0.5), "
-                              f"got {nu}")
-        kappa = 3.0 - 4.0 * nu if mode == "plane_strain" \
-            else (3.0 - nu) / (1.0 + nu)
-    else:
-        raw, ln = take("kappa")
-        kappa = _parse_float(raw, "kappa", ln)
-        if not 1.0 < kappa < 3.0:
-            raise ConfigError(f"line {ln}: key 'kappa' must lie in (1, 3), "
-                              f"got {kappa}")
+        raise ConfigError(f"line {seen['nu'][1]}: give either 'nu' or "
+                          "'kappa', not both")
 
-    raw, ln = take("sigma1_inf")
-    sigma1 = _parse_float(raw, "sigma1_inf", ln)
-    raw, ln = take("sigma2_inf")
-    sigma2 = _parse_float(raw, "sigma2_inf", ln)
-    raw, ln = take("alpha", "0.0")
-    alpha = _parse_float(raw, "alpha", ln)
+    def take(key, parse=None, default=None):
+        if key not in seen:
+            return default
+        raw, line_no = seen[key]
+        return parse(raw, key, line_no) if parse else raw
 
-    raw, ln = take("gamma1")
-    gamma1 = _parse_float(raw, "gamma1", ln)
-    if gamma1 < 0:
-        raise ConfigError(f"line {ln}: key 'gamma1' must be nonnegative, "
-                          f"got {gamma1}")
-
-    raw, ln = take("N", "20")
-    n_value = _parse_int(raw, "N", ln)
-    if n_value < 4:
-        raise ConfigError(f"line {ln}: key 'N' must be at least 4, "
-                          f"got {n_value}")
-
-    raw, ln = take("run_mode", "solve")
-    run_mode = raw
-    if run_mode not in RUN_MODES:
-        raise ConfigError(f"line {ln}: key 'run_mode' must be one of "
-                          f"{', '.join(RUN_MODES)}, got {run_mode!r}")
-
-    grid: tuple = ()
-    if "grid" in seen:
-        # grid values are space- or semicolon-separated (commas split pairs)
-        raw, ln = take("grid")
-        parse = _parse_int if run_mode == "convergence" else _parse_float
-        grid = _check_grid(tuple(parse(p, "grid", ln)
-                                 for p in raw.replace(";", " ").split()),
-                           run_mode, f"line {ln}: ")
-    elif run_mode != "solve":
-        raise ConfigError(f"run_mode={run_mode} requires key 'grid'")
-
-    raw, ln = take("out_dir", "out")
-    out_dir = raw
-
-    raw, ln = take("row_scaling", "on")
-    if raw not in ("on", "off"):
-        raise ConfigError(f"line {ln}: key 'row_scaling' must be on or off, "
-                          f"got {raw!r}")
-    row_scaling = raw == "on"
-    _check_row_scaling(row_scaling, run_mode, f"line {ln}: ")
-
-    return RunConfig(shape=shape, curvature=curvature, length=length, mu=mu,
-                     kappa=kappa, nu=nu, mode=mode, sigma1_inf=sigma1,
-                     sigma2_inf=sigma2, alpha=alpha, gamma1=gamma1,
-                     N=n_value, run_mode=run_mode, grid=grid, out_dir=out_dir,
-                     row_scaling=row_scaling)
+    mu = take("mu", _parse_float)
+    mode = take("mode", default="plane_strain")
+    nu = take("nu", _parse_float)
+    kappa = take("kappa", _parse_float)
+    if nu is not None:
+        try:
+            kappa = Material.from_poisson(mu, nu, mode).kappa
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    config = RunConfig(
+        shape=take("shape"), curvature=take("curvature", _parse_float),
+        length=take("length", _parse_float), mu=mu, kappa=kappa, nu=nu,
+        mode=mode, sigma1_inf=take("sigma1_inf", _parse_float),
+        sigma2_inf=take("sigma2_inf", _parse_float),
+        alpha=take("alpha", _parse_float, 0.0),
+        gamma1=take("gamma1", _parse_float), N=take("N", _parse_int, 20),
+        run_mode=take("run_mode", default="solve"),
+        grid=take("grid", _parse_grid, ()),
+        out_dir=take("out_dir", default="out"),
+        row_scaling=take("row_scaling", _parse_switch, True))
+    lines = {key: line_no for key, (_, line_no) in seen.items()}
+    return config.build(lines).config
 
 
-def _check_row_scaling(row_scaling, run_mode, where=""):
-    """Only solve mode passes row_scaling on; the other modes always scale."""
-    if not row_scaling and run_mode != "solve":
-        raise ConfigError(f"{where}key 'row_scaling' = off only applies to "
-                          f"run_mode=solve; {run_mode} always scales its rows")
-
-
-def _check_grid(grid, run_mode, where=""):
-    """Validate a grid for run_mode; a convergence grid comes back as ints."""
-    if not grid:
-        raise ConfigError(f"{where}key 'grid' is empty")
-    if run_mode == "convergence":
-        if any(float(g) != int(g) for g in grid):
-            raise ConfigError(f"{where}convergence grid needs integers, "
-                              f"got {grid}")
-        grid = tuple(int(g) for g in grid)
-        if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError(f"{where}key 'grid' must be an ascending list "
-                              "of at least two N values")
-        if grid[0] < 4:
-            raise ConfigError(f"{where}convergence grid values must be at "
-                              f"least 4, got {grid[0]}")
-        return grid
-    grid = tuple(float(g) for g in grid)
-    if run_mode == "sweep-gamma" and any(g <= 0 for g in grid):
-        raise ConfigError(f"{where}sweep-gamma grid values must be positive")
-    if run_mode == "sweep-curvature" and any(not 0.0 < g <= 1.0 for g in grid):
-        raise ConfigError(f"{where}sweep-curvature grid values must lie in "
-                          "(0, 1]")
-    return grid
-
-
-def _solve_outputs(config, curve, material, load, dump_system):
+def _solve_outputs(config, curve, material, load, disc, dump_system):
     """Compute everything solve mode writes, before touching the filesystem."""
-    disc = Discretization(config.N, curve.length)
     system = assemble(curve, material, load, config.gamma1, disc,
                       config.row_scaling)
     coeffs = solve(system, curve)
@@ -295,9 +268,7 @@ def _solve_outputs(config, curve, material, load, dump_system):
     gp = coeffs.gprime(s_grid)
     g_cols = {"re_gprime": np.real(gp), "im_gprime": np.imag(gp)}
 
-    k_pts = 100
-    j = np.arange(1, k_pts + 1)
-    field_grid = (2 * j - 1) * curve.length / (2 * k_pts)
+    field_grid = midpoint_grid(curve.length, 100)
     samples = face_field_profile(curve, material, load, coeffs, field_grid)
     profile = post.opening_profile(coeffs, curve, material)
     fits = post.fit_tip_coefficients(curve, material, load, coeffs)
@@ -313,25 +284,20 @@ def _solve_outputs(config, curve, material, load, dump_system):
 def run(config: RunConfig, out_dir: str | None = None,
         mode_override: str | None = None, dump_system: bool = False,
         quiet: bool = False) -> int:
-    """Execute the configured pipeline; returns the process exit code."""
+    """Execute the configured pipeline; returns the process exit code.
+
+    The config is checked before anything is written: a ConfigError exits
+    2 and leaves no output directory.
+    """
     if mode_override is not None:
-        if mode_override not in RUN_MODES:
-            print(f"error: unknown mode {mode_override!r}", file=sys.stderr)
-            return 2
         config = replace(config, run_mode=mode_override)
+    if out_dir is not None:
+        config = replace(config, out_dir=out_dir)
     try:
-        if config.run_mode != "solve":
-            if not config.grid:
-                raise ConfigError(f"run_mode={config.run_mode} requires key "
-                                  "'grid'")
-            config = replace(config, grid=_check_grid(config.grid,
-                                                      config.run_mode))
-        _check_row_scaling(config.row_scaling, config.run_mode)
+        config, curve, material, load, disc = config.build()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if out_dir is not None:
-        config = replace(config, out_dir=out_dir)
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -343,18 +309,12 @@ def run(config: RunConfig, out_dir: str | None = None,
             print(f"error: {exc}", file=sys.stderr)
         return code
 
-    try:
-        curve = config.build_curve()
-        material = config.build_material()
-        load = config.build_load()
-    except (GeometryError, ValueError) as exc:
-        return fail(exc, 2)
-
     say = (lambda *a: None) if quiet else print
 
     try:
         if config.run_mode == "solve":
-            res = _solve_outputs(config, curve, material, load, dump_system)
+            res = _solve_outputs(config, curve, material, load, disc,
+                                 dump_system)
             post.write_g_prime_csv(out / "g_prime.csv", res["s_grid"],
                                    res["g_cols"])
             post.write_face_fields_csv(out / "face_fields.csv", res["samples"])
@@ -402,8 +362,6 @@ def run(config: RunConfig, out_dir: str | None = None,
         return fail(exc, 3)
     except SolveError as exc:
         return fail(exc, 4)
-    except GeometryError as exc:
-        return fail(exc, 2)
     return 0
 
 

@@ -63,13 +63,17 @@ class DensityCoefficients:
     gamma1: float
     condition_estimate: float = float("nan")
     single_valued_residual: float = float("nan")
-    classical_limit: bool = False
 
     def __post_init__(self):
         self.g1 = np.asarray(self.g1, dtype=float)
         self.g2 = np.asarray(self.g2, dtype=float)
         if self.g1.shape != self.g2.shape or self.g1.ndim != 1:
             raise ValueError("g1 and g2 must be equal-length 1-D coefficient vectors")
+
+    @property
+    def classical_limit(self) -> bool:
+        """True at gamma1 = 0, the classical traction-free limit."""
+        return self.gamma1 == 0.0
 
     @property
     def degree(self) -> int:

@@ -25,7 +25,7 @@ import numpy as np
 from .densities import DensityCoefficients, traction_jump
 from .fields import _SIDES, _FieldEvaluator
 from .geometry import CrackCurve, make_circular_arc
-from .quadrature import Discretization, gauss_legendre
+from .quadrature import Discretization, gauss_legendre, midpoint_grid
 from .solver import (AssemblyError, SolveError, _CollocationTables, solve,
                      solve_problem)
 
@@ -196,17 +196,11 @@ def tip_log_coefficients(curve, material, coeffs):
             "du1_ds": a_du.real, "du2_ds": a_du.imag}
 
 
-def _traction_grid(length, n_points):
-    """Midpoint grid of max_face_traction."""
-    j = np.arange(1, n_points + 1)
-    return (2 * j - 1) * length / (2 * n_points)
-
-
 def max_face_traction(curve, material, load, coeffs,
                       n_points: int = _TRACTION_POINTS) -> float:
     """sup over both faces of |sigma_n + i tau_n| on a midpoint grid."""
     ev = _FieldEvaluator(curve, material, load,
-                         _traction_grid(curve.length, n_points), coeffs.degree)
+                         midpoint_grid(curve.length, n_points), coeffs.degree)
     return float(np.max(np.abs(ev.face_values(coeffs)[0])))
 
 
@@ -245,7 +239,7 @@ class _SweepTables:
         self.collocation = _CollocationTables(
             curve, material, Discretization(N, curve.length))
         self.tip_dist, tip_s = _tip_points(curve, 0.0, None, _TIP_POINTS)
-        grid = _traction_grid(curve.length, _TRACTION_POINTS)
+        grid = midpoint_grid(curve.length, _TRACTION_POINTS)
         self.fields = _FieldEvaluator(curve, material, load,
                                       np.concatenate([grid, tip_s]), N)
 

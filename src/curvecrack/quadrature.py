@@ -28,6 +28,12 @@ from functools import lru_cache
 import numpy as np
 
 
+def midpoint_grid(length: float, n: int) -> np.ndarray:
+    """Midpoints (2j-1)*l/(2n), j = 1..n, of n equal cells of [0, l]."""
+    j = np.arange(1, n + 1)
+    return (2 * j - 1) * length / (2 * n)
+
+
 @dataclass(frozen=True)
 class Discretization:
     """Node/collocation layout of the dense 2N+2 collocation system."""
@@ -56,8 +62,7 @@ class Discretization:
     @property
     def collocation_points(self) -> np.ndarray:
         """Midpoints s_j = (2j-1)*l/(2N), j = 1..N."""
-        j = np.arange(1, self.N + 1)
-        return (2 * j - 1) * self.length / (2 * self.N)
+        return midpoint_grid(self.length, self.N)
 
 
 def pv_cauchy_sum(values, nodes, weight, s0, order: int = 0, on_node: str = "raise"):

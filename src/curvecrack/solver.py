@@ -293,7 +293,6 @@ def solve(system: LinearSystem, curve: CrackCurve | None = None) -> DensityCoeff
         g1=x[: N + 1], g2=x[N + 1:], length=system.disc.length,
         gamma1=system.gamma1,
         condition_estimate=system.condition_estimate,
-        classical_limit=(system.gamma1 == 0.0),
     )
     if curve is not None:
         coeffs.single_valued_residual = _normalized_residual(
