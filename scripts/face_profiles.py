@@ -7,11 +7,10 @@ gamma1 in {0.5, 1.0, 2.0}, both faces, on a uniform interior grid.
 
 from pathlib import Path
 
-import numpy as np
-
 from curvecrack import FarFieldLoad, Material, make_semicircle, solve_problem
 from curvecrack.fields import face_field_profile
 from curvecrack.postprocess import write_face_fields_csv
+from curvecrack.quadrature import midpoint_grid
 
 OUT = Path(__file__).resolve().parent.parent / "results" / "face_profiles"
 
@@ -26,9 +25,7 @@ def main():
     OUT.mkdir(parents=True, exist_ok=True)
     curve = make_semicircle()
     material = Material(mu=60.0, kappa=2.5)
-    k = 150
-    j = np.arange(1, k + 1)
-    grid = (2 * j - 1) * curve.length / (2 * k)
+    grid = midpoint_grid(curve.length, 150)
     for load_name, load in LOADS.items():
         for gamma1 in (0.5, 1.0, 2.0):
             coeffs = solve_problem(curve, material, load, gamma1, N=20)

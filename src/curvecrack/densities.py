@@ -7,14 +7,15 @@ in the centered variable x = s - l/2,
 
 with real coefficient vectors g1, g2.  The traction-jump density q is never
 an independent unknown: the surface-tension closure determines it from g'.
-Writing P(s) = kappa0(s) Im g'(s) + Re g''(s),
+Writing P(s) = kappa0 Im g'(s) + Re g''(s),
 
-    q(s) + conj(q(s))   = (gamma1 / 2 mu) kappa0(s) P(s),
+    q(s) + conj(q(s))   = (gamma1 / 2 mu) kappa0 P(s),
     i (q(s) - conj(q(s))) = -(gamma1 / 2 mu) P'(s),
 
-so Re q = (gamma1/4mu) kappa0 P and Im q = (gamma1/4mu) P'.  For the built-in
-constant-curvature shapes P is itself a polynomial, which the assembly and
-the face-field evaluator exploit for exact principal values.
+so Re q = (gamma1/4mu) kappa0 P and Im q = (gamma1/4mu) P'.  Every curve
+the solver accepts has constant curvature, so q is a polynomial, written
+once in coefficient form (`q_coefficients`).  `cauchy_densities` is the one
+definition of the face fields' principal-value densities and tip log terms.
 """
 
 from __future__ import annotations
@@ -85,37 +86,6 @@ class DensityCoefficients:
                 + 1j * poly_eval(self.g2, s, self.length))
 
 
-def _p_values(curve: CrackCurve, coeffs: DensityCoefficients, s):
-    """P(s) = kappa0 Im g' + Re g'' and its derivative P'(s), pointwise."""
-    s = np.asarray(s, dtype=float)
-    k0 = curve.kappa0(s)
-    k0p = curve.kappa0_prime(s)
-    im_g = poly_eval(coeffs.g2, s, coeffs.length)
-    im_gp = poly_eval(poly_derivative(coeffs.g2), s, coeffs.length)
-    re_gpp = poly_eval(poly_derivative(coeffs.g1), s, coeffs.length)
-    re_gppp = poly_eval(poly_derivative(poly_derivative(coeffs.g1)), s,
-                        coeffs.length)
-    P = k0 * im_g + re_gpp
-    Pp = k0p * im_g + k0 * im_gp + re_gppp
-    return P, Pp
-
-
-def traction_jump_parts(curve: CrackCurve, material, gamma1: float,
-                        coeffs: DensityCoefficients, s):
-    """The two real traction-jump combinations (q + conj q, i(q - conj q))."""
-    P, Pp = _p_values(curve, coeffs, s)
-    scale = gamma1 / (2.0 * material.mu)
-    k0 = curve.kappa0(np.asarray(s, dtype=float))
-    return scale * k0 * P, -scale * Pp
-
-
-def traction_jump(curve: CrackCurve, material, gamma1: float,
-                  coeffs: DensityCoefficients, s):
-    """Complex traction-jump density q(s) recovered from the closure."""
-    q_plus, iq_minus = traction_jump_parts(curve, material, gamma1, coeffs, s)
-    return 0.5 * q_plus - 0.5j * iq_minus
-
-
 def q_coefficients(curve: CrackCurve, material, gamma1: float, g1, g2):
     """Complex coefficients of q for equal-shape real coefficient arrays.
 
@@ -140,3 +110,33 @@ def q_polynomial(curve: CrackCurve, material, gamma1: float,
                  coeffs: DensityCoefficients) -> np.ndarray:
     """Complex coefficient vector of q(s); constant curvature only."""
     return q_coefficients(curve, material, gamma1, coeffs.g1, coeffs.g2)
+
+
+def traction_jump(curve: CrackCurve, material, gamma1: float,
+                  coeffs: DensityCoefficients, s):
+    """Complex traction-jump density q(s): `q_polynomial` evaluated at s."""
+    return poly_eval(q_polynomial(curve, material, gamma1, coeffs), s,
+                     coeffs.length)
+
+
+def traction_jump_parts(curve: CrackCurve, material, gamma1: float,
+                        coeffs: DensityCoefficients, s):
+    """The two real traction-jump combinations (q + conj q, i(q - conj q))."""
+    q = traction_jump(curve, material, gamma1, coeffs, s)
+    return 2.0 * q.real, -2.0 * q.imag
+
+
+def cauchy_densities(gp, q, kappa: float):
+    """Principal-value densities (sigma, omega) of the face fields.
+
+    sigma = 2g' + 2i(kappa-1)q and omega = (kappa-1)g' - 4i kappa q.  The
+    face-average traction holds PV int sigma/(s - s0) ds / (2 pi (kappa+1))
+    and the face-average du/ds is t'/2mu times that integral of omega.  gp
+    and q may be coefficient arrays or point values alike.  Near a tip the
+    integral goes like -+p(tip) ln|s0 - tip| (minus at s = 0), so the log
+    coefficients there are -+sigma(tip)/(2 pi (kappa+1)) for sigma_n +
+    i tau_n and -+t'(tip) omega(tip)/(4 pi mu (kappa+1)) for du1/ds +
+    i du2/ds.  The solver's tip rows zero two of them.
+    """
+    return (2.0 * gp + 2j * (kappa - 1.0) * q,
+            (kappa - 1.0) * gp - 4j * kappa * q)

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import DensityCoefficients, poly_derivative, q_polynomial
+from .densities import (DensityCoefficients, cauchy_densities,
+                        poly_derivative, q_polynomial)
 from .geometry import CrackCurve
 from .kernels import KernelSet
 from .quadrature import (Discretization, pv_cauchy_sum, pv_monomials,
@@ -298,8 +299,7 @@ class _FaceOperator:
         reg = {key: k[:, :n] for key, k in self._reg.items()}
         gp, wq = gp_poly.T, -2j * q_poly.T
         k2 = self._k2 * (self._wsum[:n] @ np.conj(gp + wq))
-        sigma = 2.0 * gp_poly + 2j * (kappa - 1.0) * q_poly
-        omega = (kappa - 1.0) * gp_poly - 4j * kappa * q_poly
+        sigma, omega = cauchy_densities(gp_poly, q_poly, kappa)
         J = self._pv
         out = [J[:, :n] @ sigma.T + (reg["k1"] @ gp + reg["k3"] @ wq + k2),
                J[:, :n] @ omega.T

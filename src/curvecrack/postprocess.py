@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import DensityCoefficients, traction_jump
-from .fields import _SIDES, _FieldEvaluator
+from .densities import DensityCoefficients, cauchy_densities, q_polynomial
+from .fields import _SIDES, _basis, _FieldEvaluator
 from .geometry import CrackCurve, make_circular_arc
 from .quadrature import Discretization, gauss_legendre, midpoint_grid
 from .solver import (AssemblyError, SolveError, _CollocationTables, solve,
@@ -176,22 +176,20 @@ def tip_log_coefficients(curve, material, coeffs):
     """Closed-form log coefficients at the tip s = 0 from the densities.
 
     Splitting the principal-value integrals at the tip shows each face field
-    behaves like A ln s + O(1) with A set by the density values at the tip:
-
-        traction:      A = -(g'(0) + i (kappa-1) q(0)) / (pi (kappa+1))
-        displacement:  A = -t'(0) ((kappa-1) g'(0) - 4 i kappa q(0))
-                           / (4 pi mu (kappa+1))
-
-    Real and imaginary parts give sigma_n/tau_n and du1_ds/du2_ds.  Used as
-    an independent cross-check of the fitted coefficients.
+    behaves like A ln s + O(1) with A = -p(0) / (2 pi (kappa+1)), where p
+    is its principal-value density (`densities.cauchy_densities`, the
+    definition the solver's tip rows use): sigma for sigma_n + i tau_n and
+    t'(0) omega / 2mu for du1/ds + i du2/ds.  Used as an independent
+    cross-check of the fitted coefficients.
     """
     kappa = material.kappa
-    gp0 = complex(coeffs.gprime(0.0))
-    q0 = complex(traction_jump(curve, material, coeffs.gamma1, coeffs, 0.0))
-    t1 = complex(curve.tangent(0.0))
-    a_tr = -(gp0 + 1j * (kappa - 1.0) * q0) / (np.pi * (kappa + 1.0))
-    a_du = -t1 * ((kappa - 1.0) * gp0 - 4j * kappa * q0) \
-        / (4.0 * np.pi * material.mu * (kappa + 1.0))
+    tip = _basis([0.0], curve.length, coeffs.degree)[0]
+    gp0 = complex((coeffs.g1 + 1j * coeffs.g2) @ tip)
+    q0 = complex(q_polynomial(curve, material, coeffs.gamma1, coeffs) @ tip)
+    sigma, omega = cauchy_densities(gp0, q0, kappa)
+    scale = -1.0 / (2.0 * np.pi * (kappa + 1.0))
+    a_tr = scale * sigma
+    a_du = scale * complex(curve.tangent(0.0)) * omega / (2.0 * material.mu)
     return {"sigma_n": a_tr.real, "tau_n": a_tr.imag,
             "du1_ds": a_du.real, "du2_ds": a_du.imag}
 

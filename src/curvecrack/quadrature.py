@@ -14,9 +14,7 @@ over the N+1 equispaced nodes tau_k = l*k/N, tips included, with the flat
 weight l/(N+1), and collocates at the cell midpoints s_j = (2j-1)*l/(2N),
 which interlace the nodes so the Cauchy kernel is never sampled at its
 pole.  The rule is first-order accurate; the principal-value oracle below
-quantifies it.  Discrete Cauchy sums are rational in s0, so their
-s0-derivatives are exact: 1/(tau-s0) differentiates to 1/(tau-s0)^2 and
-2/(tau-s0)^3.
+quantifies it.
 """
 
 from __future__ import annotations
@@ -65,17 +63,13 @@ class Discretization:
         return midpoint_grid(self.length, self.N)
 
 
-def pv_cauchy_sum(values, nodes, weight, s0, order: int = 0, on_node: str = "raise"):
-    """Discrete principal-value Cauchy sum and its s0-derivatives.
-
-    order 0: w * sum values_k / (tau_k - s0)
-    order 1: w * sum values_k / (tau_k - s0)^2
-    order 2: w * sum 2 * values_k / (tau_k - s0)^3
+def pv_cauchy_sum(values, nodes, weight, s0, on_node: str = "raise"):
+    """Discrete principal-value Cauchy sum w * sum values_k / (tau_k - s0).
 
     s0 may be an array; the result then has its shape.  When s0 coincides
     exactly with a node, on_node selects the behavior: "drop" omits that
-    node (the symmetric-limit principal value, valid for order 0 only),
-    "raise" rejects the evaluation point.
+    node (the symmetric-limit principal value), "raise" rejects the
+    evaluation point.
     """
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values)
@@ -83,17 +77,11 @@ def pv_cauchy_sum(values, nodes, weight, s0, order: int = 0, on_node: str = "rai
     d = nodes - s0[..., None]
     hit = d == 0.0
     if hit.any():
-        if on_node == "drop" and order == 0:
+        if on_node == "drop":
             terms = np.where(hit, 0.0, values / np.where(hit, 1.0, d))
             return weight * np.sum(terms, axis=-1)
         raise ValueError(f"evaluation point {s0} coincides with a quadrature node")
-    if order == 0:
-        return weight * np.sum(values / d, axis=-1)
-    if order == 1:
-        return weight * np.sum(values / d**2, axis=-1)
-    if order == 2:
-        return weight * np.sum(2.0 * values / d**3, axis=-1)
-    raise ValueError(f"unsupported derivative order {order}")
+    return weight * np.sum(values / d, axis=-1)
 
 
 @lru_cache(maxsize=None)

@@ -11,11 +11,12 @@ density-dependent terms sit in the matrix; only the load forcing
 (kappa+1) f(s_j) enters the right-hand side.  Appended to the block are
 equality constraints: the single-valuedness condition
 int_0^l g'(s) t'(s) ds = 0, and (for gamma1 > 0) four tip rows, two per
-tip.  They zero the log coefficients (`postprocess.tip_log_coefficients`)
-of sigma_n and of the normal component of du/ds, the component along the
-normal i t'; at s = 0 on the semicircle that component is -du1/ds, not
-du2/ds.  Times +-gamma1/(4 pi mu), the normal-component row is also the
-coefficient of the (s0 - tip)^-2 term of the imaginary collocation rows.
+tip (`_tip_rows`).  They zero the log coefficients of sigma_n and of the
+normal component of du/ds, the component along the normal i t' (at s = 0
+on the semicircle -du1/ds, not du2/ds): tip values of the densities of
+`densities.cauchy_densities`.  Times +-gamma1/(4 pi mu), the
+normal-component row is also the coefficient of the (s0 - tip)^-2 term of
+the imaginary collocation rows.
 
 With 2N collocation rows and 6 constraint rows for 2N + 2 unknowns the
 constrained system has no exact solution: the least-squares density meets
@@ -28,12 +29,12 @@ applied to the 2N+2 basis columns.  Per column it gives the face-average
 traction Sigma and the face function omega with its first two
 s0-derivatives; the real row is (kappa+1)(Re Sigma - gamma1 kappa0 dk) and
 the imaginary row (kappa+1)(Im Sigma - gamma1 dk'), where dk = -(kappa0 Re
-omega - Im omega')/2mu is the face-curvature change and dk' = -(kappa0' Re
-omega + kappa0 Re omega' - Im omega'')/2mu.  The face fields of a solved
-density are the same kind of table applied to one column, so the assembly
-and the field evaluation share one code path.  The principal values (and
-their s0-derivatives, boundary terms included) are in closed form
-(`quadrature.pv_monomials`) and the regular kernels use
+omega - Im omega')/2mu is the face-curvature change and dk' = -(kappa0 Re
+omega' - Im omega'')/2mu, with kappa0 constant.  The face fields of a
+solved density are the same kind of table applied to one column, so the
+assembly and the field evaluation share one code path.  The principal
+values (and their s0-derivatives, boundary terms included) are in closed
+form (`quadrature.pv_monomials`) and the regular kernels use
 `quadrature.regular_rule`.  The flat node rule of `quadrature` is kept
 only for the oracles; feeding its O(1/N) errors into this strongly
 amplifying system destroys convergence.
@@ -59,8 +60,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .densities import (DensityCoefficients, poly_derivative, poly_eval,
-                        q_coefficients, traction_jump)
+from .densities import (DensityCoefficients, cauchy_densities,
+                        poly_derivative, q_coefficients)
 from .fields import _basis, _FaceOperator, boundary_forcing
 from .geometry import CrackCurve
 from .quadrature import Discretization, gauss_legendre
@@ -149,13 +150,36 @@ def _single_valued_row_integrals(curve: CrackCurve, N: int):
     return basis @ (w * curve.tangent(x))
 
 
+def _tip_rows(curve: CrackCurve, kappa: float, gamma1: float, gp, q_unit):
+    """Tip rows of the densities gp, gamma1 * q_unit, in constraint order.
+
+    gp and q_unit are (C, N+1) coefficient arrays (q_unit at gamma1 = 1);
+    each row holds one value per density.  Per tip: -Im omega and
+    Re sigma / 2 of `cauchy_densities`, which zero the log terms of the
+    normal component of du/ds and of sigma_n.  On a straight crack these
+    degenerate (the first reduces to Im g' = 0) and leave the boundary-layer
+    modes exp(+-s/sqrt(gamma1(kappa-1)/4mu)) unpinned; the rows Re g'' and
+    Im g'' at each tip pin them.
+    """
+    degree = gp.shape[-1] - 1
+    rows = []
+    for basis in _basis([0.0, curve.length], curve.length, degree):
+        sigma, omega = cauchy_densities(gp @ basis,
+                                        gamma1 * (q_unit @ basis), kappa)
+        # 0.0 - x rather than -x: an exact zero stays +0.0
+        rows += [0.0 - omega.imag, 0.5 * sigma.real]
+        if curve.constant_curvature == 0.0:
+            gpp = poly_derivative(gp) @ basis[:degree]
+            rows += [gpp.real, gpp.imag]
+    return rows
+
+
 class _CollocationTables:
     """The gamma1-independent part of the system of one curve, material and N.
 
     It holds the face-field operator tabulated with s0-derivatives at the
     collocation points, the 2N+2 basis columns (their g' and the q of
-    gamma1 = 1, since q is linear in gamma1), the basis at the tips, the
-    curvature at the collocation points and the single-valuedness
+    gamma1 = 1, since q is linear in gamma1) and the single-valuedness
     integrals.  system() applies them to one gamma1 and load, so a sweep
     over gamma1 tabulates the kernels once.
     """
@@ -176,10 +200,7 @@ class _CollocationTables:
         colloc = disc.collocation_points
         self.op = _FaceOperator(curve, material.kappa, colloc, N,
                                 derivatives=True)
-        self.k0 = curve.kappa0(colloc)[:, None]
-        self.k0p = curve.kappa0_prime(colloc)[:, None]
         self.single_valued_integrals = _single_valued_row_integrals(curve, N)
-        self.tip_basis = _basis([0.0, curve.length], curve.length, N)
 
     def system(self, load, gamma1: float,
                row_scaling: bool = True) -> LinearSystem:
@@ -194,9 +215,9 @@ class _CollocationTables:
         # = (kappa+1) f, with the face-curvature change dk built from omega
         sigma, omega, omega1, omega2 = self.op.apply(self.gp,
                                                      gamma1 * self.q_unit)
-        k0, k0p = self.k0, self.k0p
+        k0 = curve.constant_curvature
         dk = -(k0 * omega.real - omega1.imag) / (2.0 * mu)
-        dk1 = -(k0p * omega.real + k0 * omega1.real - omega2.imag) / (2.0 * mu)
+        dk1 = -(k0 * omega1.real - omega2.imag) / (2.0 * mu)
         f_c = boundary_forcing(curve, material, load, gamma1,
                                disc.collocation_points)
         rows = (kappa + 1.0) * np.vstack([sigma.real - gamma1 * k0 * dk,
@@ -207,23 +228,7 @@ class _CollocationTables:
         con_rows = [np.concatenate([ints.real, -ints.imag]),
                     np.concatenate([ints.imag, ints.real])]
         if gamma1 > 0.0:
-            # Tip rows: zero the log coefficients of the normal component of
-            # du/ds (first row) and of sigma_n (second row) at each tip.  For
-            # a straight crack these degenerate (the channels decouple and
-            # the first reduces to Im g' = 0), which leaves the
-            # boundary-layer modes exp(+-s/sqrt(gamma1(kappa-1)/4mu)) of the
-            # homogeneous system unpinned; pinning the tip values of g''
-            # there restores a uniquely resolved density without touching
-            # the log-singular structure of the curved problem.
-            for basis in self.tip_basis:
-                gp_t = self.gp @ basis
-                q_t = gamma1 * (self.q_unit @ basis)
-                con_rows += [-(kappa - 1.0) * gp_t.imag
-                             + 4.0 * kappa * q_t.real,
-                             gp_t.real - (kappa - 1.0) * q_t.imag]
-                if curve.constant_curvature == 0.0:
-                    gpp_t = poly_derivative(self.gp) @ basis[:disc.N]
-                    con_rows += [gpp_t.real, gpp_t.imag]
+            con_rows += _tip_rows(curve, kappa, gamma1, self.gp, self.q_unit)
         A = np.vstack([rows] + con_rows)
         b = np.concatenate([rhs, np.zeros(len(con_rows))])
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
@@ -322,11 +327,16 @@ def single_valued_residual(coeffs: DensityCoefficients,
         coeffs, curve, _single_valued_row_integrals(curve, coeffs.degree))
 
 
+def _sup_gprime(coeffs: DensityCoefficients, curve: CrackCurve) -> float:
+    """sup|g'| over 512 equispaced points of [0, l], the residuals' scale."""
+    samples = np.linspace(0.0, curve.length, 512)
+    return float(np.max(np.abs(coeffs.gprime(samples))))
+
+
 def _normalized_residual(coeffs, curve, ints) -> float:
     """single_valued_residual from the integrals I_k of the rows."""
     value = abs(complex(np.sum((coeffs.g1 + 1j * coeffs.g2) * ints)))
-    samples = np.linspace(0.0, curve.length, 512)
-    sup = float(np.max(np.abs(coeffs.gprime(samples))))
+    sup = _sup_gprime(coeffs, curve)
     if sup == 0.0:
         return 0.0
     return value / (sup * curve.length)
@@ -336,29 +346,21 @@ def tip_condition_residuals(coeffs: DensityCoefficients, curve: CrackCurve,
                             material, gamma1: float):
     """Residuals of the crack-tip solvability conditions at both tips.
 
-    For curved cracks these are the two bracketed combinations whose
-    vanishing removes the log term at the tip from the normal component of
-    du/ds, the component along i t' (at s = 0 on the semicircle -du1/ds;
-    du2/ds keeps its log term), and from sigma_n.  For a straight crack the
-    reported combinations are Im g' and Im g'' at the tips.  Values are
-    normalized by the maximum interior |g'|; the solve imposes the tip rows
-    as equality constraints, so the residuals vanish to rounding.
+    For curved cracks these are the two tip rows of the solve
+    (`_tip_rows`) at each tip, whose vanishing removes the log term from
+    the normal component of du/ds and from sigma_n.  For a straight crack
+    the reported combinations are Im g' and Im g'' at the tips.  Values
+    are normalized by the maximum interior |g'|; the solve imposes the tip
+    rows as equality constraints, so the residuals vanish to rounding.
     """
-    samples = np.linspace(0.0, curve.length, 512)
-    sup = float(np.max(np.abs(coeffs.gprime(samples))))
+    sup = _sup_gprime(coeffs, curve)
     norm = sup if sup > 0.0 else 1.0
-
-    tips = np.array([0.0, curve.length])
+    g1, g2 = coeffs.g1, coeffs.g2
+    rows = _tip_rows(curve, material.kappa, gamma1, (g1 + 1j * g2)[None],
+                     q_coefficients(curve, material, 1.0, g1, g2)[None])
+    r = [row[0] for row in rows]
     if curve.constant_curvature == 0.0:
-        im_gp = poly_eval(coeffs.g2, tips, coeffs.length)
-        im_gpp = poly_eval(poly_derivative(coeffs.g2), tips, coeffs.length)
-        r = (im_gp[0], im_gpp[0], im_gp[1], im_gpp[1])
-    else:
-        kappa = material.kappa
-        re_gp = poly_eval(coeffs.g1, tips, coeffs.length)
-        im_gp = poly_eval(coeffs.g2, tips, coeffs.length)
-        q = traction_jump(curve, material, gamma1, coeffs, tips)
-        r_a = -(kappa - 1.0) * im_gp + 4.0 * kappa * np.real(q)
-        r_b = re_gp - (kappa - 1.0) * np.imag(q)
-        r = (r_a[0], r_b[0], r_a[1], r_b[1])
+        # rows per tip: -(kappa-1) Im g', a Re g' row, Re g'', Im g''
+        im_gp = coeffs.gprime([0.0, curve.length]).imag
+        r = (im_gp[0], r[3], im_gp[1], r[7])
     return tuple(float(v) / norm for v in r)

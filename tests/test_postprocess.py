@@ -108,6 +108,24 @@ class TestTipCoefficients:
             fit = fit_log_coefficient(np.column_stack([d, v]), window=window)
             assert fit.A == pytest.approx(closed[name], abs=5e-3)
 
+    @pytest.mark.parametrize("gamma1", [1.0, 0.25])
+    @pytest.mark.parametrize("curvature", [1.0, 0.5])
+    def test_closed_form_vanishes_where_tip_rows_zero(self, material, load_h,
+                                                      curvature, gamma1):
+        # the tip rows zero the log coefficients of sigma_n and of the
+        # normal component of du/ds at s = 0; the closed form must agree
+        curve = make_circular_arc(curvature)
+        coeffs = solve_problem(curve, material, load_h, gamma1, N=20)
+        closed = tip_log_coefficients(curve, material, coeffs)
+        sup = np.max(np.abs(coeffs.gprime(np.linspace(0.0, curve.length,
+                                                      512))))
+        normal = 1j * complex(curve.tangent(0.0))
+        a_normal = (np.conj(normal)
+                    * (closed["du1_ds"] + 1j * closed["du2_ds"])).real
+        assert abs(closed["sigma_n"]) <= 1e-10 * sup
+        assert abs(a_normal) <= 1e-10 * sup
+        assert abs(closed["tau_n"]) >= 0.1
+
     def test_fit_bundle_fields(self, solved_semicircle, semicircle, material,
                                load_h):
         fits = fit_tip_coefficients(semicircle, material, load_h,
