@@ -7,7 +7,7 @@ derivatives, crack-opening profiles, and logarithmic tip-singularity
 coefficients.
 """
 
-from .densities import (DensityCoefficients, traction_jump,
+from .densities import (DensityCoefficients, pv_polynomial, traction_jump,
                         traction_jump_parts)
 from .fields import (FaceFieldSample, FarFieldLoad, Material, SurfaceParams,
                      boundary_forcing, face_field_profile, face_fields,
@@ -23,7 +23,7 @@ from .postprocess import (ConvergenceRow, CurvatureSweepRow, GammaSweepRow,
                           max_face_traction, opening_profile,
                           parity_residuals, sweep_curvature, sweep_gamma,
                           tip_log_coefficients)
-from .quadrature import Discretization, pv_cauchy_sum, pv_polynomial
+from .quadrature import Discretization, pv_cauchy_sum
 from .solver import (AssemblyError, LinearSystem, SolveError, assemble, solve,
                      solve_problem, single_valued_integral,
                      single_valued_residual, tip_condition_residuals)

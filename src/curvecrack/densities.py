@@ -5,9 +5,10 @@ in the centered variable x = s - l/2,
 
     g'(s) = sum_k (g1_k + i g2_k) x^k,
 
-with real coefficient vectors g1, g2.  The traction-jump density q is never
-an independent unknown: the surface-tension closure determines it from g'.
-Writing P(s) = kappa0 Im g'(s) + Re g''(s),
+with real coefficient vectors g1, g2.  Only this module forms the basis
+(`basis`, `poly_eval`, `pv_monomials`).  The traction-jump density q is
+never an independent unknown: the surface-tension closure determines it
+from g'.  Writing P(s) = kappa0 Im g'(s) + Re g''(s),
 
     q(s) + conj(q(s))   = (gamma1 / 2 mu) kappa0 P(s),
     i (q(s) - conj(q(s))) = -(gamma1 / 2 mu) P'(s),
@@ -40,13 +41,49 @@ def poly_derivative(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[..., 1:] * np.arange(1, n)
 
 
-def poly_eval(coeffs: np.ndarray, s, length: float):
-    """Evaluate a polynomial given in the centered basis (s - l/2)^k."""
+def basis(s, length: float, degree: int) -> np.ndarray:
+    """Centered monomials (s - l/2)^k, k = 0..degree, on a new last axis."""
     x = np.asarray(s, dtype=float) - 0.5 * length
-    out = np.zeros_like(x, dtype=np.result_type(coeffs.dtype, float))
-    for c in np.asarray(coeffs)[::-1]:
-        out = out * x + c
+    return np.vander(x.ravel(), degree + 1, increasing=True).reshape(
+        x.shape + (degree + 1,))
+
+
+def poly_eval(coeffs: np.ndarray, s, length: float):
+    """Evaluate a polynomial given in the centered basis (s - l/2)^k at s."""
+    return basis(s, length, len(coeffs) - 1) @ coeffs
+
+
+def pv_monomials(length: float, s0, kmax: int) -> np.ndarray:
+    """PV int_0^l (s - l/2)^k / (s - s0) ds for k = 0..kmax.
+
+    Writing x = s - l/2 and x0 = s0 - l/2,
+
+        PV int x^k/(x - x0) dx = sum_{i even, i<k} x0^(k-1-i) * 2 L^(i+1)/(i+1)
+                                 + x0^k * log((l - s0)/s0),   L = l/2.
+
+    Expanding this way (difference quotient plus log term) keeps every term
+    bounded by L^k; the binomial expansion about s0 cancels catastrophically
+    for high degree and is not used.  s0 may be an array of shape (M,); the
+    result then has shape (M, kmax+1), one row per point.
+    """
+    s0 = np.asarray(s0, dtype=float)
+    if not np.all((0.0 < s0) & (s0 < length)):
+        raise ValueError(f"s0 must lie strictly inside (0, {length}), got {s0}")
+    half = 0.5 * length
+    x0p = basis(s0, length, kmax)
+    out = x0p * np.log((length - s0) / s0)[..., None]
+    for i in range(0, kmax, 2):
+        out[..., i + 1:] += x0p[..., :kmax - i] * 2.0 * half ** (i + 1) / (i + 1)
     return out
+
+
+def pv_polynomial(coeffs, length: float, s0):
+    """Exact principal value of int_0^l p(s)/(s - s0) ds for a polynomial p.
+
+    p is given by coefficients in the centered basis (s - l/2)^k; see
+    `pv_monomials`.  s0 may be an array; the result then has its shape.
+    """
+    return pv_monomials(length, s0, len(coeffs) - 1) @ np.asarray(coeffs)
 
 
 @dataclass
@@ -82,8 +119,7 @@ class DensityCoefficients:
 
     def gprime(self, s):
         """Reconstructed complex density g'(s)."""
-        return (poly_eval(self.g1, s, self.length)
-                + 1j * poly_eval(self.g2, s, self.length))
+        return poly_eval(self.g1 + 1j * self.g2, s, self.length)
 
 
 def q_coefficients(curve: CrackCurve, material, gamma1: float, g1, g2):

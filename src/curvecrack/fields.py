@@ -17,12 +17,12 @@ arc or a straight line; any other curve raises ValueError.
 The density parts of the face fields are linear in the density, so they
 are split into a table and its application.  `_FaceOperator` tabulates,
 once per set of points s0, everything that does not depend on the density:
-the kernels integrated against each monomial of the centered basis, the
-closed-form principal values of the monomials and the end factors of their
-s0-derivatives, filled 16 points per kernel block.  Its apply() then gives
-the face-average traction and the face function omega (and omega's first
-two s0-derivatives) of any number of density columns by matrix products
-alone.  The assembly (`solver.assemble`) applies it at the N collocation
+the kernels integrated against each monomial of the centered basis
+(`densities.basis`), the closed-form principal values of the monomials and
+the end factors of their s0-derivatives, filled 16 points per kernel block.
+Its apply() then gives the face-average traction and the face function
+omega (and omega's first two s0-derivatives) of any number of density
+columns by matrix products alone.  The assembly (`solver.assemble`) applies it at the N collocation
 points to the 2N+2 basis columns; the field evaluator applies it to one
 solved density and adds the +-jump terms and the far field.  A sweep builds
 both tables once and applies them to the density of every point, so the
@@ -35,12 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import (DensityCoefficients, cauchy_densities,
-                        poly_derivative, q_polynomial)
+from .densities import (DensityCoefficients, basis, cauchy_densities,
+                        poly_derivative, pv_monomials, q_polynomial)
 from .geometry import CrackCurve
 from .kernels import KernelSet
-from .quadrature import (Discretization, pv_cauchy_sum, pv_monomials,
-                         regular_rule)
+from .quadrature import Discretization, pv_cauchy_sum, regular_rule
 
 
 @dataclass(frozen=True)
@@ -232,12 +231,6 @@ _KERNELS = {False: ("k1", "k3", "k4"),
             True: ("k1", "k3", "k4", "d1", "d3", "d4", "dd1", "dd3", "dd4")}
 
 
-def _basis(s, length, degree):
-    """Centered monomials (s - l/2)^k, k = 0..degree, one row per point."""
-    return (np.asarray(s, dtype=float) - 0.5 * length)[:, None] \
-        ** np.arange(degree + 1)
-
-
 class _FaceOperator:
     """Density parts of the face fields, tabulated once at fixed points s0.
 
@@ -266,7 +259,7 @@ class _FaceOperator:
         self._pv = pv_monomials(l, s0, degree)
         if derivatives:
             self._inv_ends = (1.0 / (l - s0)[:, None], 1.0 / s0[:, None])
-            self._ends = _basis([0.0, l], l, degree)
+            self._ends = basis([0.0, l], l, degree)
 
     def _tabulate(self, kset, s0, degree, derivatives, nodes, weights):
         """Kernel blocks summed against the weighted basis, (M, degree+1)."""
@@ -274,7 +267,7 @@ class _FaceOperator:
         self.derivatives = derivatives
         self._k2 = -1j * float(kset.curve.constant_curvature)
         wbasis = np.reshape(weights, (-1, 1)) \
-            * _basis(nodes, kset.curve.length, degree)
+            * basis(nodes, kset.curve.length, degree)
         self._wsum = wbasis.sum(axis=0)
         keys = _KERNELS[derivatives]
         self._reg = {key: np.empty((s0.size, degree + 1), dtype=complex)
@@ -332,7 +325,7 @@ class _FlatRuleOperator(_FaceOperator):
     def __init__(self, curve, kappa, s0, degree, disc):
         s0 = np.asarray(s0, dtype=float)
         nodes = disc.nodes
-        self._pv = pv_cauchy_sum(_basis(nodes, curve.length, degree).T,
+        self._pv = pv_cauchy_sum(basis(nodes, curve.length, degree).T,
                                  nodes, disc.weight, s0[:, None])
         self._tabulate(KernelSet(curve, kappa), s0, degree, False, nodes,
                        np.full(nodes.shape, disc.weight))
@@ -369,7 +362,7 @@ class _FieldEvaluator:
             self._op = _FlatRuleOperator(curve, kappa, self.s0, degree, disc)
         else:
             self._op = _FaceOperator(curve, kappa, self.s0, degree)
-        self._basis = _basis(self.s0, curve.length, degree)
+        self._basis = basis(self.s0, curve.length, degree)
         phi, psi = load.phi_inf, load.psi_inf
         t1 = curve.tangent(self.s0)
         self._t1 = t1
@@ -386,15 +379,15 @@ class _FieldEvaluator:
         q = q_polynomial(self.curve, self.material, densities.gamma1,
                          densities)
         sigma, omega = self._op.apply(gp[None], q[None])[:, :, 0]
-        basis = self._basis[:, : gp.size]
-        traction = _SIGNS * (basis @ q) + sigma + self._far
+        mono = self._basis[:, : gp.size]
+        traction = _SIGNS * (mono @ q) + sigma + self._far
 
         # omega is the face function whose jump is i g'(s0).  Its jump
         # coefficient is i/2, not i(kappa+1)/2: the face limits of the
         # potentials fix it so that the displacement-jump derivative equals
         # i g' t'/(2 mu), consistent with the density definition (checked
         # against a direct bulk evaluation of the potentials).
-        omega = _SIGNS * 0.5j * (basis @ gp) + omega
+        omega = _SIGNS * 0.5j * (mono @ gp) + omega
         du = (self._t1 * omega + self._du_far) / (2.0 * self.material.mu)
         return traction, du
 

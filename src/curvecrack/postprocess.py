@@ -1,19 +1,20 @@
 """Derived results: opening profiles, tip log-singularity fits, parameter sweeps.
 
-The solved density is a polynomial, so the crack opening is obtained by
-integrating g'(s) t'(s) with a Gauss rule that is exact to machine precision,
-and close to the tips the face fields inherit a logarithmic term whose
-coefficient is extracted by a least-squares fit of value ~ A ln s + c over a
-window well inside the first quarter of the arc.  Face-field profiles, tip
-fits and the maximal face traction each build one field evaluator at all
-their points s0 and apply it to the density; it returns both faces at once.
+The crack opening is the solver's jump table applied to the density's
+coefficients, and close to the tips the face fields inherit a logarithmic
+term whose coefficient is extracted by a least-squares fit of value ~
+A ln s + c over a window well inside the first quarter of the arc.
+Face-field profiles, tip fits and the maximal face traction each build one
+field evaluator at all their points s0 and apply it to the density; it
+returns both faces at once.
 
 Sweeps tabulate once and apply per point.  A gamma1 sweep builds the
 collocation tables (`solver._CollocationTables`) and one field evaluator at
 the 101-point max-traction grid plus the 32 default tip-window points, then
 applies both to each gamma1 in turn (`_solve_and_report`), so the kernels
-are tabulated once per sweep however many points it has.  A curvature
-sweep builds them once per curve.
+are tabulated once per sweep however many points it has; the opening
+comes from the collocation tables' jump table.  A curvature sweep builds
+them once per curve.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import DensityCoefficients, cauchy_densities, q_polynomial
-from .fields import _SIDES, _basis, _FieldEvaluator
+from .densities import (DensityCoefficients, basis, cauchy_densities,
+                        q_polynomial)
+from .fields import _SIDES, _FieldEvaluator
 from .geometry import CrackCurve, make_circular_arc
-from .quadrature import Discretization, gauss_legendre, midpoint_grid
-from .solver import (AssemblyError, SolveError, _CollocationTables, solve,
-                     solve_problem)
+from .quadrature import Discretization, midpoint_grid
+from .solver import (AssemblyError, SolveError, _CollocationTables,
+                     _jump_table, solve, solve_problem)
 
 FIELD_NAMES = ("sigma_n", "tau_n", "du1_ds", "du2_ds")
 
@@ -50,15 +52,16 @@ def opening_profile(coeffs: DensityCoefficients, curve: CrackCurve, material,
     jump(s) = (i / 2 mu) * int_0^s g'(x) t'(x) dx, which vanishes at s = 0 by
     construction and at s = l up to the single-valuedness residual.  The
     opening delta is the projection of the jump on the unit normal i t'(s).
+    The integrals are the jump table (`solver._jump_table`) applied to g'.
     """
-    s_grid = np.linspace(0.0, curve.length, n_samples)
-    unit_x, unit_w = gauss_legendre(16, 0.0, 1.0)
-    width = np.diff(s_grid)[:, None]
-    x = s_grid[:-1, None] + width * unit_x
-    cells = np.sum(width * unit_w * coeffs.gprime(x) * curve.tangent(x),
-                   axis=1)
-    acc = np.concatenate([[0.0], np.cumsum(cells)])
-    jump = 0.5j * acc / material.mu
+    return _opening(coeffs, curve, material,
+                    _jump_table(curve, coeffs.degree, n_samples))
+
+
+def _opening(coeffs, curve, material, table) -> OpeningProfile:
+    """opening_profile from a jump table of the curve."""
+    s_grid = np.linspace(0.0, curve.length, len(table))
+    jump = 0.5j * (table @ (coeffs.g1 + 1j * coeffs.g2)) / material.mu
     delta = np.imag(np.conj(curve.tangent(s_grid)) * jump)
     return OpeningProfile(s=s_grid, jump=jump, delta=delta,
                           max_opening=float(np.max(delta)),
@@ -183,7 +186,7 @@ def tip_log_coefficients(curve, material, coeffs):
     cross-check of the fitted coefficients.
     """
     kappa = material.kappa
-    tip = _basis([0.0], curve.length, coeffs.degree)[0]
+    tip = basis(0.0, curve.length, coeffs.degree)
     gp0 = complex((coeffs.g1 + 1j * coeffs.g2) @ tip)
     q0 = complex(q_polynomial(curve, material, coeffs.gamma1, coeffs) @ tip)
     sigma, omega = cauchy_densities(gp0, q0, kappa)
@@ -252,7 +255,7 @@ def _solve_and_report(tables, gamma1):
     A1, A2 = (fit_log_coefficient(np.column_stack([tables.tip_dist,
                                                    values[name]])).A
               for name in ("du1_ds", "tau_n"))
-    prof = opening_profile(coeffs, curve, material)
+    prof = _opening(coeffs, curve, material, tables.collocation.jump)
     return (A1, A2, prof.max_opening, prof.min_opening,
             float(np.max(np.abs(traction[:, :n]))))
 

@@ -5,8 +5,8 @@ and the face fields) uses one composite Gauss-Legendre rule,
 `regular_rule`: 12 equal panels of 16 points on [0, l].  The kernels are
 smooth, so this rule is converged to about 1e-11 relative.  The unit
 Gauss-Legendre rule of each order is computed once per process and shared
-read-only.  The Cauchy principal values of the polynomial densities come in
-closed form from `pv_monomials`, for one point s0 or an array of them.
+read-only; the solver's jump table (int_0^s g' t') also maps it.  The
+principal values of the densities come in closed form from `densities`.
 
 The flat node rule is kept only for the oracles: `pv_cauchy_sum`,
 `kernels.fredholm_operator` and the discrete face-field mode.  It sums
@@ -116,37 +116,3 @@ def regular_rule(length: float):
     edges = np.linspace(0.0, length, _GL_PANELS + 1)[:, None]
     x, w = gauss_legendre(_GL_ORDER, edges[:-1], edges[1:])
     return x.ravel(), w.ravel()
-
-
-def pv_monomials(length: float, s0, kmax: int) -> np.ndarray:
-    """PV int_0^l (s - l/2)^k / (s - s0) ds for k = 0..kmax.
-
-    Writing x = s - l/2 and x0 = s0 - l/2,
-
-        PV int x^k/(x - x0) dx = sum_{i even, i<k} x0^(k-1-i) * 2 L^(i+1)/(i+1)
-                                 + x0^k * log((l - s0)/s0),   L = l/2.
-
-    Expanding this way (difference quotient plus log term) keeps every term
-    bounded by L^k; the binomial expansion about s0 cancels catastrophically
-    for high degree and is not used.  s0 may be an array of shape (M,); the
-    result then has shape (M, kmax+1), one row per point.
-    """
-    s0 = np.asarray(s0, dtype=float)
-    if not np.all((0.0 < s0) & (s0 < length)):
-        raise ValueError(f"s0 must lie strictly inside (0, {length}), got {s0}")
-    half = 0.5 * length
-    x0p = (s0 - half)[..., None] ** np.arange(kmax + 1)
-    out = x0p * np.log((length - s0) / s0)[..., None]
-    for i in range(0, kmax, 2):
-        out[..., i + 1:] += x0p[..., :kmax - i] * 2.0 * half ** (i + 1) / (i + 1)
-    return out
-
-
-def pv_polynomial(coeffs, length: float, s0):
-    """Exact principal value of int_0^l p(s)/(s - s0) ds for a polynomial p.
-
-    p is given by coefficients in the centered basis (s - l/2)^k; see
-    `pv_monomials`.  s0 may be an array; the result then has its shape.
-    """
-    coeffs = np.asarray(coeffs)
-    return pv_monomials(length, s0, len(coeffs) - 1) @ coeffs

@@ -34,7 +34,7 @@ omega' - Im omega'')/2mu, with kappa0 constant.  The face fields of a
 solved density are the same kind of table applied to one column, so the
 assembly and the field evaluation share one code path.  The principal
 values (and their s0-derivatives, boundary terms included) are in closed
-form (`quadrature.pv_monomials`) and the regular kernels use
+form (`densities.pv_monomials`) and the regular kernels use
 `quadrature.regular_rule`.  The flat node rule of `quadrature` is kept
 only for the oracles; feeding its O(1/N) errors into this strongly
 amplifying system destroys convergence.
@@ -42,9 +42,10 @@ amplifying system destroys convergence.
 Nothing of this depends on gamma1 except through q, which is linear in
 gamma1.  `_CollocationTables` therefore holds the gamma1-independent part
 of the system of one curve, material and N: the tabulated operator, the
-basis columns with q at gamma1 = 1 and the single-valuedness integrals.
-assemble() builds it and applies it to one gamma1; a gamma1 sweep builds
-it once and applies it to every point.
+basis columns with q at gamma1 = 1 and the jump table (`_jump_table`),
+the integrals of g' t' up to each point of the opening profile, whose last
+row gives the single-valuedness rows.  assemble() builds it and applies it
+to one gamma1; a gamma1 sweep builds it once and applies it to every point.
 
 The constrained system is solved by least squares in the constraint null
 space with a light Tikhonov term (relative weight 1e-8) that suppresses
@@ -60,9 +61,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .densities import (DensityCoefficients, cauchy_densities,
+from .densities import (DensityCoefficients, basis, cauchy_densities,
                         poly_derivative, q_coefficients)
-from .fields import _basis, _FaceOperator, boundary_forcing
+from .fields import _FaceOperator, boundary_forcing
 from .geometry import CrackCurve
 from .quadrature import Discretization, gauss_legendre
 
@@ -92,8 +93,8 @@ class LinearSystem:
     2-norm condition number of that reduced block with its smallest
     singular value clipped at the Tikhonov floor LAMBDA_REL * sigma_max,
     so it never exceeds 1/LAMBDA_REL = 1e8; it is inf only for a zero
-    reduced block.  single_valued_integrals are the unscaled integrals I_k
-    of the single-valuedness rows, which `solve` reuses for its residual.
+    reduced block.  single_valued_integrals, the jump table's last row, are
+    the unscaled integrals I_k of the single-valuedness rows.
     """
 
     matrix: np.ndarray
@@ -141,13 +142,20 @@ class LinearSystem:
         return "\n".join(lines) + "\n"
 
 
-def _single_valued_row_integrals(curve: CrackCurve, N: int):
-    """I_k = int_0^l t'(s) (s - l/2)^k ds, k = 0..N, by composite Gauss rule."""
-    edges = np.linspace(0.0, curve.length, max(8, N // 2) + 1)[:, None]
-    x, w = gauss_legendre(24, edges[:-1], edges[1:])
-    x, w = x.ravel(), w.ravel()
-    basis = (x - 0.5 * curve.length)[None, :] ** np.arange(N + 1)[:, None]
-    return basis @ (w * curve.tangent(x))
+def _jump_table(curve: CrackCurve, degree: int, n_samples: int = 201):
+    """M[k, n] = int_0^{s_k} (x - l/2)^n t'(x) dx on equispaced s_k in [0, l].
+
+    16 Gauss points per cell between neighbours, summed cumulatively; the
+    last row holds the integrals I_n of the single-valuedness rows.
+    """
+    s = np.linspace(0.0, curve.length, n_samples)[:, None]
+    x, w = gauss_legendre(16, s[:-1], s[1:])
+    wt = (w * curve.tangent(x))[:, None, :]
+    mono = basis(x, curve.length, degree)
+    # two real products: a complex one would copy the basis as complex
+    cells = (wt.real @ mono + 1j * (wt.imag @ mono))[:, 0]
+    return np.concatenate([np.zeros((1, degree + 1)),
+                           np.cumsum(cells, axis=0)])
 
 
 def _tip_rows(curve: CrackCurve, kappa: float, gamma1: float, gp, q_unit):
@@ -163,13 +171,13 @@ def _tip_rows(curve: CrackCurve, kappa: float, gamma1: float, gp, q_unit):
     """
     degree = gp.shape[-1] - 1
     rows = []
-    for basis in _basis([0.0, curve.length], curve.length, degree):
-        sigma, omega = cauchy_densities(gp @ basis,
-                                        gamma1 * (q_unit @ basis), kappa)
+    for tip in basis([0.0, curve.length], curve.length, degree):
+        sigma, omega = cauchy_densities(gp @ tip,
+                                        gamma1 * (q_unit @ tip), kappa)
         # 0.0 - x rather than -x: an exact zero stays +0.0
         rows += [0.0 - omega.imag, 0.5 * sigma.real]
         if curve.constant_curvature == 0.0:
-            gpp = poly_derivative(gp) @ basis[:degree]
+            gpp = poly_derivative(gp) @ tip[:degree]
             rows += [gpp.real, gpp.imag]
     return rows
 
@@ -179,9 +187,9 @@ class _CollocationTables:
 
     It holds the face-field operator tabulated with s0-derivatives at the
     collocation points, the 2N+2 basis columns (their g' and the q of
-    gamma1 = 1, since q is linear in gamma1) and the single-valuedness
-    integrals.  system() applies them to one gamma1 and load, so a sweep
-    over gamma1 tabulates the kernels once.
+    gamma1 = 1, since q is linear in gamma1) and the jump table.  system()
+    applies them to one gamma1 and load, so a sweep over gamma1 tabulates
+    the kernels once.
     """
 
     def __init__(self, curve: CrackCurve, material, disc: Discretization):
@@ -200,7 +208,7 @@ class _CollocationTables:
         colloc = disc.collocation_points
         self.op = _FaceOperator(curve, material.kappa, colloc, N,
                                 derivatives=True)
-        self.single_valued_integrals = _single_valued_row_integrals(curve, N)
+        self.jump = _jump_table(curve, N)
 
     def system(self, load, gamma1: float,
                row_scaling: bool = True) -> LinearSystem:
@@ -224,7 +232,7 @@ class _CollocationTables:
                                           sigma.imag - gamma1 * dk1])
         rhs = (kappa + 1.0) * np.concatenate([f_c.real, f_c.imag])
 
-        ints = self.single_valued_integrals
+        ints = self.jump[-1]
         con_rows = [np.concatenate([ints.real, -ints.imag]),
                     np.concatenate([ints.imag, ints.real])]
         if gamma1 > 0.0:
@@ -315,8 +323,8 @@ def solve_problem(curve: CrackCurve, material, load, gamma1: float, N: int = 20,
 
 def single_valued_integral(coeffs: DensityCoefficients,
                            curve: CrackCurve) -> complex:
-    """int_0^l g'(s) t'(s) ds with the same Gauss rule as the constraint rows."""
-    ints = _single_valued_row_integrals(curve, coeffs.degree)
+    """int_0^l g'(s) t'(s) ds: the jump table's last row, as in the solve."""
+    ints = _jump_table(curve, coeffs.degree)[-1]
     return complex(np.sum((coeffs.g1 + 1j * coeffs.g2) * ints))
 
 
@@ -324,7 +332,7 @@ def single_valued_residual(coeffs: DensityCoefficients,
                            curve: CrackCurve) -> float:
     """|int g' t' ds| normalized by sup|g'| times the arc length."""
     return _normalized_residual(
-        coeffs, curve, _single_valued_row_integrals(curve, coeffs.degree))
+        coeffs, curve, _jump_table(curve, coeffs.degree)[-1])
 
 
 def _sup_gprime(coeffs: DensityCoefficients, curve: CrackCurve) -> float:
@@ -335,32 +343,22 @@ def _sup_gprime(coeffs: DensityCoefficients, curve: CrackCurve) -> float:
 
 def _normalized_residual(coeffs, curve, ints) -> float:
     """single_valued_residual from the integrals I_k of the rows."""
-    value = abs(complex(np.sum((coeffs.g1 + 1j * coeffs.g2) * ints)))
     sup = _sup_gprime(coeffs, curve)
-    if sup == 0.0:
-        return 0.0
-    return value / (sup * curve.length)
+    value = abs(complex(np.sum((coeffs.g1 + 1j * coeffs.g2) * ints)))
+    return value / (sup * curve.length) if sup > 0.0 else 0.0
 
 
 def tip_condition_residuals(coeffs: DensityCoefficients, curve: CrackCurve,
                             material, gamma1: float):
     """Residuals of the crack-tip solvability conditions at both tips.
 
-    For curved cracks these are the two tip rows of the solve
-    (`_tip_rows`) at each tip, whose vanishing removes the log term from
-    the normal component of du/ds and from sigma_n.  For a straight crack
-    the reported combinations are Im g' and Im g'' at the tips.  Values
-    are normalized by the maximum interior |g'|; the solve imposes the tip
-    rows as equality constraints, so the residuals vanish to rounding.
+    One value per row of `_tip_rows`, 4 on a curved crack and 8 on a
+    straight one, normalized by sup|g'|.  The solve imposes the tip rows as
+    equality constraints, so the residuals vanish to rounding.
     """
     sup = _sup_gprime(coeffs, curve)
     norm = sup if sup > 0.0 else 1.0
     g1, g2 = coeffs.g1, coeffs.g2
     rows = _tip_rows(curve, material.kappa, gamma1, (g1 + 1j * g2)[None],
                      q_coefficients(curve, material, 1.0, g1, g2)[None])
-    r = [row[0] for row in rows]
-    if curve.constant_curvature == 0.0:
-        # rows per tip: -(kappa-1) Im g', a Re g' row, Re g'', Im g''
-        im_gp = coeffs.gprime([0.0, curve.length]).imag
-        r = (im_gp[0], r[3], im_gp[1], r[7])
-    return tuple(float(v) / norm for v in r)
+    return tuple(float(row[0]) / norm for row in rows)

@@ -12,8 +12,9 @@ from curvecrack import (AssemblyError, DensityCoefficients, Discretization,
                         tip_condition_residuals, traction_jump,
                         traction_jump_parts)
 from curvecrack import quadrature, solver
-from curvecrack.densities import poly_derivative, poly_eval
-from curvecrack.quadrature import gauss_legendre, pv_monomials
+from curvecrack.densities import (poly_derivative, poly_eval, pv_monomials,
+                                  q_polynomial)
+from curvecrack.quadrature import gauss_legendre
 
 
 class TestQuadratureRule:
@@ -99,6 +100,31 @@ class TestQuadratureRule:
             unit_x[0] = 0.0
         with pytest.raises(ValueError):
             unit_w[0] = 0.0
+
+
+class TestPolynomialEvaluation:
+    @pytest.mark.parametrize("shape", [(), (7,), (5, 16)])
+    def test_shapes_and_values_against_polyval(self, material, semicircle,
+                                               shape):
+        l, N, gamma1 = semicircle.length, 40, 1.3
+        rng = np.random.default_rng(11)
+        # every term of size O(1) on [0, l]
+        scale = (0.5 * l) ** -np.arange(N + 1)
+        coeffs = DensityCoefficients(rng.normal(size=N + 1) * scale,
+                                     rng.normal(size=N + 1) * scale, l,
+                                     gamma1)
+        s = rng.uniform(0.0, l, shape)
+        x = s - 0.5 * l
+        q_poly = traction_jump(semicircle, material, gamma1, coeffs, s)
+        cases = [(poly_eval(coeffs.g1, s, l), coeffs.g1),
+                 (coeffs.gprime(s), coeffs.g1 + 1j * coeffs.g2),
+                 (q_poly, q_polynomial(semicircle, material, gamma1, coeffs))]
+        for got, c in cases:
+            ref = np.polynomial.polynomial.polyval(x, c)
+            bound = 1e-13 * np.polynomial.polynomial.polyval(np.abs(x),
+                                                             np.abs(c))
+            assert np.shape(got) == shape
+            assert np.all(np.abs(got - ref) <= bound)
 
 
 class TestClosureIdentity:
@@ -408,8 +434,8 @@ class TestSolve:
         disc = Discretization(12, semicircle.length)
         system = assemble(semicircle, material, load_h, 1.0, disc)
         calls = []
-        rebuild = solver._single_valued_row_integrals
-        monkeypatch.setattr(solver, "_single_valued_row_integrals",
+        rebuild = solver._jump_table
+        monkeypatch.setattr(solver, "_jump_table",
                             lambda *a: calls.append(a) or rebuild(*a))
         coeffs = solve(system, semicircle)
         assert calls == []
@@ -450,6 +476,16 @@ class TestTipConditions:
         res = tip_condition_residuals(solved_straight, straight2,
                                       material, 1.0)
         assert max(abs(v) for v in res) < 1e-2
+
+    @pytest.mark.parametrize("load", [
+        FarFieldLoad(sigma1=0.0, sigma2=1.0),
+        FarFieldLoad(sigma1=1.0, sigma2=0.0, alpha=0.7)])
+    def test_straight_reports_every_tip_row(self, material, straight2, load):
+        # 4 rows per tip on a straight crack, the two real-channel rows too
+        coeffs = solve_problem(straight2, material, load, 1.0, N=24)
+        res = tip_condition_residuals(coeffs, straight2, material, 1.0)
+        assert len(res) == 8
+        assert max(abs(v) for v in res) <= 1e-8
 
     def test_residual_normalization_zero_field(self, material, semicircle):
         coeffs = DensityCoefficients(np.zeros(3), np.zeros(3),
