@@ -8,7 +8,7 @@ gamma1 in {0.5, 1.0, 2.0}, both faces, on a uniform interior grid.
 from pathlib import Path
 
 from curvecrack import FarFieldLoad, Material, make_semicircle, solve_problem
-from curvecrack.fields import face_field_profile
+from curvecrack.fields import _FieldEvaluator
 from curvecrack.postprocess import write_face_fields_csv
 from curvecrack.quadrature import midpoint_grid
 
@@ -27,11 +27,12 @@ def main():
     material = Material(mu=60.0, kappa=2.5)
     grid = midpoint_grid(curve.length, 150)
     for load_name, load in LOADS.items():
+        # one field evaluator per load serves the solves of every gamma1
+        fields = _FieldEvaluator(curve, material, load, grid, 20)
         for gamma1 in (0.5, 1.0, 2.0):
             coeffs = solve_problem(curve, material, load, gamma1, N=20)
-            samples = face_field_profile(curve, material, load, coeffs, grid)
             path = OUT / f"face_fields_{load_name}_g{gamma1}.csv"
-            write_face_fields_csv(path, samples)
+            write_face_fields_csv(path, grid, *fields.face_values(coeffs))
             print(f"wrote {path}")
 
 

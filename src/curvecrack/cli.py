@@ -3,6 +3,12 @@
 Configs are UTF-8 key=value text; blank lines and '#' comments are ignored,
 and several pairs may share a line separated by commas.  Exit codes:
 0 success, 2 configuration/geometry error, 3 assembly error, 4 solve error.
+
+Solve mode tabulates once, as the sweeps do: one `postprocess._SweepTables`
+gives the constrained system, the face fields on both faces and the tip-fit
+samples (one field evaluator at all those points), and the opening (the
+jump table the system was built with).  Every mode writes its CSVs through
+`postprocess.write_csv`, from whole columns.
 """
 
 from __future__ import annotations
@@ -17,12 +23,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import postprocess as post
-from .fields import FarFieldLoad, Material, SurfaceParams, face_field_profile
+from .fields import FarFieldLoad, Material, SurfaceParams
 from .geometry import (CrackCurve, make_circular_arc, make_semicircle,
                        make_straight)
-from .quadrature import midpoint_grid
-from .solver import (AssemblyError, Discretization, SolveError, assemble,
-                     solve, tip_condition_residuals)
+from .solver import (AssemblyError, Discretization, SolveError, solve,
+                     tip_condition_residuals)
 
 RUN_MODES = ("solve", "sweep-gamma", "sweep-curvature", "convergence")
 
@@ -259,24 +264,30 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _solve_outputs(config, curve, material, load, disc, dump_system):
-    """Compute everything solve mode writes, before touching the filesystem."""
-    system = assemble(curve, material, load, config.gamma1, disc,
-                      config.row_scaling)
+    """Compute everything solve mode writes, before touching the filesystem.
+
+    One table set (`postprocess._SweepTables`) serves the whole run: its
+    collocation tables give the system and the opening, and its one field
+    evaluator gives both faces on the 100-point face_fields.csv grid and
+    the tip-window samples of the four tip fits.
+    """
+    tables = post._SweepTables(curve, material, load, disc.N, n_face=100)
+    system = tables.collocation.system(load, config.gamma1,
+                                       config.row_scaling)
     coeffs = solve(system, curve)
 
     s_grid = np.linspace(0.0, curve.length, 401)
     gp = coeffs.gprime(s_grid)
     g_cols = {"re_gprime": np.real(gp), "im_gprime": np.imag(gp)}
 
-    field_grid = midpoint_grid(curve.length, 100)
-    samples = face_field_profile(curve, material, load, coeffs, field_grid)
-    profile = post.opening_profile(coeffs, curve, material)
-    fits = post.fit_tip_coefficients(curve, material, load, coeffs)
+    traction, du, tip_values = tables.face_values(coeffs)
+    fits = post._log_fits(tables.tip_dist, tip_values, post.FIELD_NAMES)
     residuals = tip_condition_residuals(coeffs, curve, material, config.gamma1)
     dump = system.dump_text() if dump_system else None
     return {
         "coeffs": coeffs, "s_grid": s_grid, "g_cols": g_cols,
-        "samples": samples, "profile": profile, "fits": fits,
+        "face": (tables.face_s, traction, du),
+        "profile": tables.opening(coeffs), "fits": fits,
         "residuals": residuals, "dump": dump,
     }
 
@@ -317,7 +328,7 @@ def run(config: RunConfig, out_dir: str | None = None,
                                  dump_system)
             post.write_g_prime_csv(out / "g_prime.csv", res["s_grid"],
                                    res["g_cols"])
-            post.write_face_fields_csv(out / "face_fields.csv", res["samples"])
+            post.write_face_fields_csv(out / "face_fields.csv", *res["face"])
             post.write_opening_csv(out / "opening.csv", res["profile"])
             if res["dump"] is not None:
                 (out / "system_dump.txt").write_text(res["dump"])

@@ -385,8 +385,10 @@ class _FieldEvaluator:
         # omega is the face function whose jump is i g'(s0).  Its jump
         # coefficient is i/2, not i(kappa+1)/2: the face limits of the
         # potentials fix it so that the displacement-jump derivative equals
-        # i g' t'/(2 mu), consistent with the density definition (checked
-        # against a direct bulk evaluation of the potentials).
+        # i g' t'/(2 mu), consistent with the density definition.  Checked
+        # by test_displacement_jump_identity (the face values' jump) and
+        # test_jump_derivative_consistency (the slope of the opening, the
+        # integral of g' t' by the jump table).
         omega = _SIGNS * 0.5j * (mono @ gp) + omega
         du = (self._t1 * omega + self._du_far) / (2.0 * self.material.mu)
         return traction, du

@@ -8,13 +8,19 @@ Face-field profiles, tip fits and the maximal face traction each build one
 field evaluator at all their points s0 and apply it to the density; it
 returns both faces at once.
 
-Sweeps tabulate once and apply per point.  A gamma1 sweep builds the
-collocation tables (`solver._CollocationTables`) and one field evaluator at
-the 101-point max-traction grid plus the 32 default tip-window points, then
-applies both to each gamma1 in turn (`_solve_and_report`), so the kernels
-are tabulated once per sweep however many points it has; the opening
-comes from the collocation tables' jump table.  A curvature sweep builds
-them once per curve.
+Solve mode and the sweeps tabulate once and apply per solve.  `_SweepTables`
+holds the collocation tables (`solver._CollocationTables`) of one curve and
+N, and one field evaluator at a midpoint face grid plus the 32 default
+tip-window points at s = 0: the 101-point max-traction grid for a sweep,
+the 100-point `face_fields.csv` grid for solve mode (`cli._solve_outputs`).
+Every solve applies both to its own gamma1 (`_solve_and_report` for a sweep
+point), and its opening comes from the collocation tables' jump table, so
+the kernels and the jump table are built once per curve however many
+solves use them.  A gamma1 sweep builds the tables once, a curvature sweep
+once per curve.
+
+Every CSV goes through `write_csv`, which takes whole columns and formats
+each column once: floats by repr, integers by str, strings as given.
 """
 
 from __future__ import annotations
@@ -170,9 +176,14 @@ def fit_tip_coefficients(curve, material, load, coeffs, tip: float = 0.0,
     """LogFit for each of the four face fields at one tip, sampled once."""
     dist, values = _tip_fields(curve, material, load, coeffs, tip, side,
                                window, n)
+    return _log_fits(dist, values, FIELD_NAMES, window, tip)
+
+
+def _log_fits(dist, values, names, window=None, tip=0.0):
+    """LogFit of each named field from its values at distances dist."""
     return {name: fit_log_coefficient(np.column_stack([dist, values[name]]),
                                       window=window, field_id=name, tip=tip)
-            for name in FIELD_NAMES}
+            for name in names}
 
 
 def tip_log_coefficients(curve, material, coeffs):
@@ -228,36 +239,47 @@ class CurvatureSweepRow:
 
 
 class _SweepTables:
-    """Everything a sweep point on one curve reuses.
+    """Everything a solve on one curve and N reuses.
 
     The collocation tables, and one field evaluator at the points of the
-    sweep columns: max_face_traction's default grid and, for the tip fits
-    at s = 0 on the "+" face, fit_tip_coefficients' default window.
+    outputs: a midpoint grid of n_face points on both faces and, for the
+    tip fits at s = 0 on the "+" face, fit_tip_coefficients' default
+    window.  The sweeps use max_face_traction's default grid; solve mode
+    passes the 100 points of face_fields.csv.
     """
 
-    def __init__(self, curve, material, load, N):
+    def __init__(self, curve, material, load, N, n_face=_TRACTION_POINTS):
         self.curve, self.material, self.load = curve, material, load
         self.collocation = _CollocationTables(
             curve, material, Discretization(N, curve.length))
+        self.face_s = midpoint_grid(curve.length, n_face)
         self.tip_dist, tip_s = _tip_points(curve, 0.0, None, _TIP_POINTS)
-        grid = midpoint_grid(curve.length, _TRACTION_POINTS)
         self.fields = _FieldEvaluator(curve, material, load,
-                                      np.concatenate([grid, tip_s]), N)
+                                      np.concatenate([self.face_s, tip_s]), N)
+
+    def face_values(self, coeffs):
+        """Traction and du/ds on both faces at face_s, (2, n_face) each,
+        and the "+" face fields at the tip points, named as in FIELD_NAMES."""
+        traction, du = self.fields.face_values(coeffs)
+        n = self.face_s.size
+        return (traction[:, :n], du[:, :n],
+                _field_values(traction[0, n:], du[0, n:]))
+
+    def opening(self, coeffs) -> OpeningProfile:
+        """opening_profile of coeffs from the collocation jump table."""
+        return _opening(coeffs, self.curve, self.material,
+                        self.collocation.jump)
 
 
 def _solve_and_report(tables, gamma1):
     """(A1, A2, max opening, min opening, max traction) at one gamma1."""
-    curve, material = tables.curve, tables.material
-    coeffs = solve(tables.collocation.system(tables.load, gamma1), curve)
-    traction, du = tables.fields.face_values(coeffs)
-    n = _TRACTION_POINTS
-    values = _field_values(traction[0, n:], du[0, n:])
-    A1, A2 = (fit_log_coefficient(np.column_stack([tables.tip_dist,
-                                                   values[name]])).A
-              for name in ("du1_ds", "tau_n"))
-    prof = _opening(coeffs, curve, material, tables.collocation.jump)
-    return (A1, A2, prof.max_opening, prof.min_opening,
-            float(np.max(np.abs(traction[:, :n]))))
+    coeffs = solve(tables.collocation.system(tables.load, gamma1),
+                   tables.curve)
+    traction, _, tip_values = tables.face_values(coeffs)
+    fits = _log_fits(tables.tip_dist, tip_values, ("du1_ds", "tau_n"))
+    prof = tables.opening(coeffs)
+    return (fits["du1_ds"].A, fits["tau_n"].A, prof.max_opening,
+            prof.min_opening, float(np.max(np.abs(traction))))
 
 
 _SWEEP_ERRORS = (AssemblyError, SolveError, ValueError)
@@ -362,57 +384,72 @@ def extremum_coincidence_report(rows):
 # ---------------------------------------------------------------------------
 # CSV persistence (header row mandatory, full-precision floats)
 
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, str):
-        return v
-    return repr(float(v))
+def _cells(column):
+    """The text of one CSV column: floats by repr (the shortest text that
+    reads back to the same double), integers by str, strings as given."""
+    values = np.asarray(column)
+    if values.dtype.kind == "f":
+        return list(map(repr, values.astype(float, copy=False).tolist()))
+    if values.dtype.kind in "iu":
+        return list(map(str, values.tolist()))
+    if values.dtype.kind == "U":
+        return list(column)
+    raise TypeError("a CSV column holds floats, integers or strings, got "
+                    f"dtype {values.dtype}")
 
 
-def write_csv(path, header, rows):
+def write_csv(path, header, columns):
+    """Write a header row and the rows of equally long columns."""
+    cells = [_cells(column) for column in columns]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(row) + "\n"
+                      for row in zip(*cells, strict=True))
 
 
 def write_g_prime_csv(path, s, columns: dict):
-    header = ["s"] + list(columns)
-    data = zip(s, *columns.values())
-    write_csv(path, header, data)
+    write_csv(path, ["s", *columns], [s, *columns.values()])
 
 
-def write_face_fields_csv(path, samples):
+def write_face_fields_csv(path, s, traction, du):
+    """Face fields of both faces at the points s, all "+" rows first.
+
+    traction is sigma_n + i tau_n and du is d(u1 + i u2)/ds, each (2, M)
+    with the "+" face first, as `fields._FieldEvaluator.face_values`
+    returns them.
+    """
     header = ["s", "side", "sigma_n", "tau_n", "du1_ds", "du2_ds"]
-    rows = [(f.s, f.side, f.sigma_n, f.tau_n, f.du1_ds, f.du2_ds)
-            for f in samples]
-    write_csv(path, header, rows)
+    s = np.asarray(s, dtype=float)
+    write_csv(path, header,
+              [np.tile(s, len(_SIDES)), np.repeat(_SIDES, s.size),
+               traction.real.ravel(), traction.imag.ravel(),
+               du.real.ravel(), du.imag.ravel()])
 
 
 def write_opening_csv(path, profile: OpeningProfile):
     header = ["s", "du1_jump", "du2_jump", "delta"]
-    rows = zip(profile.s, np.real(profile.jump), np.imag(profile.jump),
-               profile.delta)
-    write_csv(path, header, rows)
+    write_csv(path, header, [profile.s, profile.jump.real, profile.jump.imag,
+                             profile.delta])
+
+
+_SWEEP_COLUMNS = ("A1", "A2", "max_opening", "min_opening", "max_traction",
+                  "error")
+
+
+def _write_sweep_csv(path, key, rows):
+    header = [key, *_SWEEP_COLUMNS]
+    write_csv(path, header,
+              [[getattr(r, name) for r in rows] for name in header])
 
 
 def write_sweep_gamma_csv(path, rows):
-    header = ["gamma1", "A1", "A2", "max_opening", "min_opening",
-              "max_traction", "error"]
-    write_csv(path, header,
-              [(r.gamma1, r.A1, r.A2, r.max_opening, r.min_opening,
-                r.max_traction, r.error) for r in rows])
+    _write_sweep_csv(path, "gamma1", rows)
 
 
 def write_sweep_curvature_csv(path, rows):
-    header = ["kappa0", "A1", "A2", "max_opening", "min_opening",
-              "max_traction", "error"]
-    write_csv(path, header,
-              [(r.kappa0, r.A1, r.A2, r.max_opening, r.min_opening,
-                r.max_traction, r.error) for r in rows])
+    _write_sweep_csv(path, "kappa0", rows)
 
 
 def write_convergence_csv(path, rows):
     header = ["N", "sup_diff_vs_largest"]
-    write_csv(path, header, [(r.N, r.sup_diff) for r in rows])
+    write_csv(path, header, [[r.N for r in rows], [r.sup_diff for r in rows]])

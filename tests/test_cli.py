@@ -3,7 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import curvecrack.fields as fields
+import curvecrack.postprocess as post
+import curvecrack.solver as solver
+from curvecrack import (face_field_profile, fit_tip_coefficients,
+                        opening_profile, solve_problem)
 from curvecrack.cli import ConfigError, RunConfig, main, parse_config, run
+from curvecrack.quadrature import midpoint_grid
 
 BASE = """
 shape = semicircle
@@ -232,6 +238,82 @@ class TestRun:
         names = sorted(p.name for p in out.iterdir())
         assert names == ["config_echo.txt", "error.log"]
         assert "forced failure" in (out / "error.log").read_text()
+
+
+SOLVE_CASES = {
+    "readme": BASE + "N = 20\n",
+    "straight": BASE.replace("shape = semicircle",
+                             "shape = straight\nlength = 2.0")
+    + "alpha = 0.5\nN = 24\n",
+    "arc_unscaled": BASE.replace("shape = semicircle",
+                                 "shape = arc\ncurvature = 0.5")
+    + "N = 20\nrow_scaling = off\n",
+}
+
+
+def _csv_columns(path):
+    """{header: column of cell strings} of a CSV written by the CLI."""
+    header, *rows = path.read_text().splitlines()
+    return dict(zip(header.split(","), zip(*(r.split(",") for r in rows))))
+
+
+def _assert_close(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", SOLVE_CASES)
+def test_solve_mode_matches_public_functions(case, tmp_path, capsys):
+    config = parse_config(SOLVE_CASES[case] + f"out_dir = {tmp_path}\n")
+    assert run(config) == 0
+    printed = dict((key.strip(), value) for key, value in
+                   (line.split(" = ") for line in
+                    capsys.readouterr().out.splitlines()))
+    config, curve, material, load, _ = config.build()
+    coeffs = solve_problem(curve, material, load, config.gamma1, config.N,
+                           config.row_scaling)
+
+    face = _csv_columns(tmp_path / "face_fields.csv")
+    samples = face_field_profile(curve, material, load, coeffs,
+                                 midpoint_grid(curve.length, 100))
+    assert list(face["side"]) == [f.side for f in samples]
+    for name in ("s", "sigma_n", "tau_n", "du1_ds", "du2_ds"):
+        _assert_close(face[name], [getattr(f, name) for f in samples])
+
+    opening = _csv_columns(tmp_path / "opening.csv")
+    profile = opening_profile(coeffs, curve, material)
+    for name, want in (("s", profile.s), ("du1_jump", profile.jump.real),
+                       ("du2_jump", profile.jump.imag),
+                       ("delta", profile.delta)):
+        _assert_close(opening[name], want)
+
+    fits = fit_tip_coefficients(curve, material, load, coeffs)
+    for key, name in (("A1 (du1/ds)", "du1_ds"), ("A2 (tau_n)", "tau_n")):
+        assert float(printed[key]) == pytest.approx(fits[name].A, rel=1e-13)
+
+
+def test_solve_mode_tabulates_once(tmp_path, monkeypatch):
+    """One face operator for the system, one for every face field and tip
+    fit, and one jump table for the constraint row and the opening."""
+    operators, jump_tables = [], []
+    init = fields._FaceOperator.__init__
+    jump_table = solver._jump_table
+
+    def counted_init(self, *args, **kwargs):
+        operators.append(1)
+        init(self, *args, **kwargs)
+
+    def counted_jump_table(*args, **kwargs):
+        jump_tables.append(1)
+        return jump_table(*args, **kwargs)
+
+    monkeypatch.setattr(fields._FaceOperator, "__init__", counted_init)
+    for module in (solver, post):
+        monkeypatch.setattr(module, "_jump_table", counted_jump_table)
+    config = parse_config(SOLVE_CASES["readme"] + f"out_dir = {tmp_path}\n")
+    assert run(config, dump_system=True, quiet=True) == 0
+    assert (len(operators), len(jump_tables)) == (2, 1)
 
 
 class TestMain:

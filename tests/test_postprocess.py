@@ -10,10 +10,10 @@ from curvecrack import (DensityCoefficients, FarFieldLoad, KernelSet, Material,
                         make_semicircle, make_straight, max_face_traction,
                         opening_profile, parity_residuals, solve_problem,
                         sweep_curvature, sweep_gamma, tip_log_coefficients)
-from curvecrack.fields import face_field_profile
+from curvecrack.fields import _FieldEvaluator, face_field_profile
 from curvecrack.postprocess import (ConvergenceRow, GammaSweepRow,
                                     extremum_coincidence_report,
-                                    write_convergence_csv,
+                                    write_convergence_csv, write_csv,
                                     write_face_fields_csv, write_g_prime_csv,
                                     write_opening_csv, write_sweep_gamma_csv)
 
@@ -318,7 +318,42 @@ class TestConvergenceStudy:
         assert np.isfinite(rows[0].sup_diff)
 
 
+def _cell_text(v):
+    """The per-cell CSV rule the columnar writer keeps, as the reference."""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, str):
+        return v
+    return repr(float(v))
+
+
+def _csv_text(header, rows):
+    return "".join(",".join(map(_cell_text, row)) + "\n"
+                   for row in [header, *rows])
+
+
 class TestCsvWriters:
+    def test_write_csv_keeps_the_cell_rule(self, tmp_path):
+        floats = [0.1, -0.0, 0.0, float("nan"), float("inf"), -float("inf"),
+                  5e-324, 1.7976931348623157e308, np.float64(1.0 / 3.0),
+                  np.float64(-2.5e-17)]
+        singles = np.linspace(-1.0, 1.0, 10, dtype=np.float32) / 3
+        ints = [0, -1, 7, 2**62, np.int64(-2**62), np.int64(3), np.int32(-5),
+                np.uint8(255), 10, 11]
+        strings = ["", "plus", "minus", "nan", "1.0", "ERROR: no fit",
+                   "x y", "-", "0", ""]
+        header = ["f", "f32", "i", "str"]
+        path = tmp_path / "cells.csv"
+        write_csv(path, header, [floats, singles, ints, strings])
+        assert path.read_text() == _csv_text(
+            header, zip(floats, singles, ints, strings))
+        write_csv(path, header, [np.array(floats), singles, np.array(ints),
+                                 np.array(strings)])
+        assert path.read_text() == _csv_text(
+            header, zip(floats, singles, ints, strings))
+        with pytest.raises(ValueError):
+            write_csv(path, ["a", "b"], [[1.0], [1.0, 2.0]])
+
     def test_g_prime_csv(self, tmp_path):
         path = tmp_path / "g_prime.csv"
         write_g_prime_csv(path, np.array([0.0, 0.5]),
@@ -329,14 +364,18 @@ class TestCsvWriters:
         assert lines[1] == "0.0,1.0,3.0"
 
     def test_face_fields_csv(self, tmp_path, material, semicircle, load_h):
-        coeffs = DensityCoefficients(np.zeros(4), np.zeros(4),
+        rng = np.random.default_rng(5)
+        coeffs = DensityCoefficients(rng.normal(size=4), rng.normal(size=4),
                                      semicircle.length, 1.0)
-        prof = face_field_profile(semicircle, material, load_h, coeffs, [1.0])
+        grid = [0.5, 1.0, 2.5]
+        fields = _FieldEvaluator(semicircle, material, load_h, grid, 3)
         path = tmp_path / "face_fields.csv"
-        write_face_fields_csv(path, prof)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "s,side,sigma_n,tau_n,du1_ds,du2_ds"
-        assert len(lines) == 3
+        write_face_fields_csv(path, grid, *fields.face_values(coeffs))
+        prof = face_field_profile(semicircle, material, load_h, coeffs, grid)
+        header = ["s", "side", "sigma_n", "tau_n", "du1_ds", "du2_ds"]
+        assert path.read_text() == _csv_text(
+            header, [(f.s, f.side, f.sigma_n, f.tau_n, f.du1_ds, f.du2_ds)
+                     for f in prof])
 
     def test_opening_csv(self, tmp_path, material, semicircle):
         coeffs = DensityCoefficients(np.zeros(4), np.zeros(4),
@@ -349,17 +388,21 @@ class TestCsvWriters:
         assert len(lines) == 6
 
     def test_sweep_and_convergence_csv(self, tmp_path):
-        rows = [GammaSweepRow(gamma1=0.5, A1=1.0, A2=2.0, max_opening=0.1,
-                              min_opening=-0.05, max_traction=3.0)]
+        rows = [GammaSweepRow(gamma1=0.5, A1=np.float64(1.0), A2=2.0,
+                              max_opening=0.1, min_opening=-0.0,
+                              max_traction=3.0),
+                GammaSweepRow(gamma1=2.0, error="condition estimate inf")]
         path = tmp_path / "sweep_gamma.csv"
         write_sweep_gamma_csv(path, rows)
-        header = path.read_text().splitlines()[0]
-        assert header.startswith("gamma1,A1,A2,max_opening,min_opening")
+        assert path.read_text() == (
+            "gamma1,A1,A2,max_opening,min_opening,max_traction,error\n"
+            "0.5,1.0,2.0,0.1,-0.0,3.0,\n"
+            "2.0,nan,nan,nan,nan,nan,condition estimate inf\n")
         crows = [ConvergenceRow(N=16, sup_diff=0.5),
-                 ConvergenceRow(N=30, sup_diff=0.0)]
+                 ConvergenceRow(N=np.int64(30), sup_diff=0.0)]
         cpath = tmp_path / "convergence.csv"
         write_convergence_csv(cpath, crows)
-        assert cpath.read_text().splitlines()[0] == "N,sup_diff_vs_largest"
+        assert cpath.read_text() == "N,sup_diff_vs_largest\n16,0.5\n30,0.0\n"
 
 
 def test_max_face_traction_positive(solved_semicircle, semicircle, material,
