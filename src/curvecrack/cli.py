@@ -335,8 +335,8 @@ def run(config: RunConfig, out_dir: str | None = None,
             coeffs = res["coeffs"]
             fits = res["fits"]
             say(f"condition_estimate = {coeffs.condition_estimate:.6e}")
-            say("tip_condition_residuals = "
-                + " ".join(f"{v:.3e}" for v in res["residuals"]))
+            say("tip_condition_residuals ="
+                + "".join(f" {v:.3e}" for v in res["residuals"]))
             say(f"single_valued_residual = {coeffs.single_valued_residual:.3e}")
             say(f"A1 (du1/ds) = {fits['du1_ds'].A!r}")
             say(f"A2 (tau_n)  = {fits['tau_n'].A!r}")

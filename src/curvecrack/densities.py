@@ -14,9 +14,10 @@ from g'.  Writing P(s) = kappa0 Im g'(s) + Re g''(s),
     i (q(s) - conj(q(s))) = -(gamma1 / 2 mu) P'(s),
 
 so Re q = (gamma1/4mu) kappa0 P and Im q = (gamma1/4mu) P'.  Every curve
-the solver accepts has constant curvature, so q is a polynomial, written
-once in coefficient form (`q_coefficients`).  `cauchy_densities` is the one
-definition of the face fields' principal-value densities and tip log terms.
+has constant curvature (`geometry.CrackCurve`), so P and q are
+polynomials, written once in coefficient form (`q_coefficients`).
+`cauchy_densities` is the one definition of the face fields'
+principal-value densities and tip log terms.
 """
 
 from __future__ import annotations
@@ -127,10 +128,8 @@ def q_coefficients(curve: CrackCurve, material, gamma1: float, g1, g2):
 
     The closure above, with P = kappa0 Im g' + Re g'' in the centered
     basis, over the last axis: (C, N+1) arrays g1, g2 give one q polynomial
-    per row.  Constant curvature only, where P is itself a polynomial.
+    per row.
     """
-    if curve.constant_curvature is None:
-        raise ValueError("P is polynomial only for constant-curvature curves")
     k0 = curve.constant_curvature
     g1, g2 = np.asarray(g1, dtype=float), np.asarray(g2, dtype=float)
     d1 = poly_derivative(g1)
@@ -144,7 +143,7 @@ def q_coefficients(curve: CrackCurve, material, gamma1: float, g1, g2):
 
 def q_polynomial(curve: CrackCurve, material, gamma1: float,
                  coeffs: DensityCoefficients) -> np.ndarray:
-    """Complex coefficient vector of q(s); constant curvature only."""
+    """Complex coefficient vector of q(s)."""
     return q_coefficients(curve, material, gamma1, coeffs.g1, coeffs.g2)
 
 

@@ -9,10 +9,7 @@ global Cartesian components differentiated along the arc.
 The face fields integrate the regular kernels with `regular_rule`, the
 composite Gauss-Legendre rule of the assembly, and take the Cauchy
 principal values in closed form.  The flat node rule survives only in the
-discrete oracle mode, face_fields(..., cauchy="discrete"); "auto" is the
-exact mode.  Every mode needs a constant-curvature curve, because the
-kernels (`KernelSet`) are evaluated as functions of s - s0 on a circular
-arc or a straight line; any other curve raises ValueError.
+discrete oracle mode, face_fields(..., cauchy="discrete").
 
 The density parts of the face fields are linear in the density, so they
 are split into a table and its application.  `_FaceOperator` tabulates,
@@ -228,7 +225,7 @@ _SIGNS = np.array([1.0, -1.0])[:, None]
 _BLOCK = 16
 # the kernel blocks an operator keeps, without and with s0-derivatives
 _KERNELS = {False: ("k1", "k3", "k4"),
-            True: ("k1", "k3", "k4", "d1", "d3", "d4", "dd1", "dd3", "dd4")}
+            True: ("k1", "k3", "k4", "d1", "d4", "dd1", "dd4")}
 
 
 class _FaceOperator:
@@ -237,13 +234,14 @@ class _FaceOperator:
     Construction does all the work that does not depend on the density, for
     polynomial densities of degree up to `degree` in the centered basis: it
     integrates the regular kernels against each basis monomial with
-    `regular_rule` (k1, k3, k4, and with derivatives also their first and
-    second s0-derivatives), tabulates the closed-form principal values of
-    the monomials (`pv_monomials`) and the end factors 1/s0 and 1/(l - s0)
-    of their s0-derivatives.  The points go through `KernelSet.block`
-    _BLOCK at a time.  On every supported curve k2 = -i kappa0 is constant
-    and d2 = dd2 = 0, so k2 enters as -i kappa0 times the weighted sum of
-    the conjugate density and d2, dd2 not at all.
+    `regular_rule` (k1, k3, k4, and with derivatives also the first and
+    second s0-derivatives of k1 and k4, all that apply() reads), tabulates
+    the closed-form principal values of the monomials (`pv_monomials`) and
+    the end factors 1/s0 and 1/(l - s0) of their s0-derivatives.  The
+    points go through `KernelSet.block` _BLOCK at a time.  On every curve
+    k2 = -i kappa0 is constant and d2 = dd2 = 0, so k2 enters as -i kappa0
+    times the weighted sum of the conjugate density and d2, dd2 not at
+    all.
 
     apply() then evaluates any number of density columns by matrix
     products alone.  The assembly applies the operator at the collocation
@@ -265,7 +263,7 @@ class _FaceOperator:
         """Kernel blocks summed against the weighted basis, (M, degree+1)."""
         self.kappa = kset.kappa
         self.derivatives = derivatives
-        self._k2 = -1j * float(kset.curve.constant_curvature)
+        self._k2 = -1j * kset.curve.constant_curvature
         wbasis = np.reshape(weights, (-1, 1)) \
             * basis(nodes, kset.curve.length, degree)
         self._wsum = wbasis.sum(axis=0)
@@ -337,22 +335,17 @@ class _FieldEvaluator:
     Construction tabulates the operator (_FaceOperator) and the far field
     at the points; face_values applies the operator to one solved density
     and adds the +-jump terms and the far field, so one evaluator serves
-    every density of a sweep.  The default exact mode ("auto" is the same)
-    integrates the regular kernels with `regular_rule` and takes the
-    principal values in closed form.  The discrete mode is the flat-rule
-    oracle (_FlatRuleOperator): node sums over the n_quad + 1 nodes of the
-    collocation rule, with its flat weight.  Every mode needs a
-    constant-curvature curve, as the kernels do; any other curve raises
-    ValueError.
+    every density of a sweep.  The default exact mode integrates the
+    regular kernels with `regular_rule` and takes the principal values in
+    closed form.  The discrete mode is the flat-rule oracle
+    (_FlatRuleOperator): node sums over the n_quad + 1 nodes of the
+    collocation rule, with its flat weight.
     """
 
     def __init__(self, curve, material, load, s0, degree, n_quad=400,
-                 cauchy="auto"):
-        if cauchy not in ("auto", "exact", "discrete"):
+                 cauchy="exact"):
+        if cauchy not in ("exact", "discrete"):
             raise ValueError(f"unknown cauchy mode {cauchy!r}")
-        if curve.constant_curvature is None:
-            raise ValueError("face fields need a constant-curvature curve "
-                             "(a built-in shape); constant_curvature is None")
         self.curve = curve
         self.material = material
         self.s0 = np.asarray(s0, dtype=float)
@@ -407,14 +400,13 @@ class _FieldEvaluator:
 
 def face_fields(curve: CrackCurve, material: Material, load: FarFieldLoad,
                 densities: DensityCoefficients, side: str, s0: float,
-                n_quad: int = 400, cauchy: str = "auto") -> FaceFieldSample:
+                n_quad: int = 400, cauchy: str = "exact") -> FaceFieldSample:
     """Face stresses and displacement derivatives at one interior point.
 
     side is "plus" (left of increasing s) or "minus".  cauchy is "exact"
-    (closed-form principal values; "auto" is the same) or "discrete", the
-    flat-rule oracle on n_quad + 1 nodes, where s0 must not coincide with a
-    node.  The exact mode ignores n_quad.  Both need a constant-curvature
-    curve and raise ValueError otherwise.
+    (closed-form principal values) or "discrete", the flat-rule oracle on
+    n_quad + 1 nodes, where s0 must not coincide with a node.  The exact
+    mode ignores n_quad.
     """
     if side not in _SIDES:
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")

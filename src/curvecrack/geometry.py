@@ -1,9 +1,11 @@
-"""Smooth crack geometries given by analytic arc-length parametrizations.
+"""Crack geometries of constant curvature: circular arcs and straight segments.
 
 A crack is a Jordan arc t(s) = x1(s) + i*x2(s) with s the arc length,
-s in [0, l].  The boundary-condition model needs derivatives of t up to
-fourth order, so curves are supplied in closed form rather than fitted:
-numerical fourth derivatives of interpolated data are far too noisy.
+s in [0, l].  The boundary condition needs t', t'' and t''', and the
+kernels (x = (s - s0)/2R), the closure q and the operator tables all rely
+on constant curvature, so a curve is a record of a few numbers and its
+derivatives are computed in closed form.  `CrackCurve` checks those numbers
+once, at construction; no other module validates a curve.
 
 Orientation convention: arcs run counterclockwise (the unit semicircle is
 t(s) = exp(i*s)), and the "+" face of the crack is the left side with
@@ -14,7 +16,7 @@ for unit-speed curves, which makes the semicircle kappa0 = +1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from numbers import Real
 
 import numpy as np
 
@@ -23,31 +25,58 @@ class GeometryError(ValueError):
     """Invalid geometric parameters (zero/negative length, bad curvature)."""
 
 
+def _finite(value) -> bool:
+    return isinstance(value, Real) and bool(np.isfinite(value))
+
+
 @dataclass(frozen=True)
 class CrackCurve:
-    """Arc-length parametrized crack with derivatives through fourth order.
+    """Arc-length parametrized crack of constant curvature.
 
     Attributes
     ----------
     length : float
-        Total arc length l; the parameter domain is [0, l].
+        Total arc length l > 0; the parameter domain is [0, l].
     shape : str
         One of "semicircle", "arc", "straight".
-    constant_curvature : float or None
-        Curvature value when kappa0 is constant along the curve (all
-        built-in shapes), else None.
+    constant_curvature : float
+        The curvature kappa0, finite; 0 for a straight crack.
+    theta0, center : float, complex
+        An arc is t(s) = center + R exp(i (theta0 + s/R)) with R =
+        1/kappa0.  A straight crack is t(s) = s and ignores both.
     """
 
     length: float
     shape: str
-    _derivs: Callable[[np.ndarray], tuple]
-    _kappa0: Callable[[np.ndarray], np.ndarray]
-    _kappa0_prime: Callable[[np.ndarray], np.ndarray]
-    constant_curvature: float | None = None
+    constant_curvature: float
+    theta0: float = 0.0
+    center: complex = 0j
+
+    def __post_init__(self):
+        if not _finite(self.constant_curvature):
+            raise GeometryError("curvature must be a finite number, got "
+                                f"{self.constant_curvature!r}")
+        if not (_finite(self.length) and self.length > 0.0):
+            raise GeometryError(
+                "crack length must be positive and finite, got "
+                f"{self.length!r}")
+        for name in ("length", "constant_curvature"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def derivatives(self, s):
         """Return (t, t', t'', t''', t'''') at s (scalar or array)."""
-        return self._derivs(np.asarray(s, dtype=float))
+        s = np.asarray(s, dtype=float)
+        if self.constant_curvature == 0.0:
+            t = s.astype(complex)
+            zero = np.zeros_like(t)
+            return t, np.ones_like(t), zero, zero, zero
+        radius = 1.0 / self.constant_curvature
+        phase = np.exp(1j * (self.theta0 + s / radius))
+        t1 = 1j * phase
+        t2 = (1j / radius) * t1
+        t3 = (1j / radius) * t2
+        t4 = (1j / radius) * t3
+        return self.center + radius * phase, t1, t2, t3, t4
 
     def point(self, s):
         return self.derivatives(s)[0]
@@ -57,93 +86,39 @@ class CrackCurve:
 
     def kappa0(self, s):
         """Signed curvature of the undeformed crack."""
-        return self._kappa0(np.asarray(s, dtype=float))
+        return np.full(np.shape(s), self.constant_curvature)
 
     def kappa0_prime(self, s):
-        """Arc-length derivative of the curvature."""
-        return self._kappa0_prime(np.asarray(s, dtype=float))
-
-
-def _semicircle_derivs(s):
-    t = np.exp(1j * s)
-    return t, 1j * t, -t, -1j * t, t
+        """Arc-length derivative of the curvature: zero."""
+        return np.zeros(np.shape(s))
 
 
 def make_semicircle() -> CrackCurve:
     """Unit semicircle t(s) = exp(i*s), s in [0, pi], from +1 to -1."""
-    return CrackCurve(
-        length=np.pi,
-        shape="semicircle",
-        _derivs=_semicircle_derivs,
-        _kappa0=lambda s: np.ones_like(s),
-        _kappa0_prime=lambda s: np.zeros_like(s),
-        constant_curvature=1.0,
-    )
+    return CrackCurve(length=np.pi, shape="semicircle", constant_curvature=1.0)
 
 
 def make_circular_arc(curvature: float) -> CrackCurve:
     """Constant-curvature arc through z = +1 and z = -1 in the upper half plane.
 
     The arc starts at +1 and ends at -1, traversed counterclockwise, so that
-    curvature = 1.0 reproduces the unit semicircle exactly.  Admissible range
-    is 0 < curvature <= 1 (use make_straight for the flat limit).
+    curvature = 1.0 gives the derivatives of the unit semicircle exactly.
+    Admissible range is 0 < curvature <= 1 (use make_straight for the flat
+    limit).
     """
     if not np.isfinite(curvature) or curvature <= 0.0 or curvature > 1.0:
         raise GeometryError(
             f"arc curvature must lie in (0, 1], got {curvature!r}; "
             "use make_straight() for curvature 0"
         )
-    if curvature == 1.0:
-        curve = make_semicircle()
-        return CrackCurve(
-            length=curve.length,
-            shape="arc",
-            _derivs=curve._derivs,
-            _kappa0=curve._kappa0,
-            _kappa0_prime=curve._kappa0_prime,
-            constant_curvature=1.0,
-        )
-
     radius = 1.0 / curvature
     half_angle = np.arcsin(curvature)  # half the subtended angle, chord = 2
-    theta0 = np.pi / 2.0 - half_angle
-    center = -1j * radius * np.cos(half_angle)
-    length = 2.0 * radius * half_angle
-
-    def derivs(s):
-        phase = np.exp(1j * (theta0 + s / radius))
-        t = center + radius * phase
-        t1 = 1j * phase
-        t2 = (1j / radius) * t1
-        t3 = (1j / radius) * t2
-        t4 = (1j / radius) * t3
-        return t, t1, t2, t3, t4
-
-    return CrackCurve(
-        length=length,
-        shape="arc",
-        _derivs=derivs,
-        _kappa0=lambda s: np.full_like(s, curvature),
-        _kappa0_prime=lambda s: np.zeros_like(s),
-        constant_curvature=curvature,
-    )
+    return CrackCurve(length=2.0 * radius * half_angle, shape="arc",
+                      constant_curvature=curvature,
+                      theta0=np.pi / 2.0 - half_angle,
+                      center=-1j * radius * np.cos(half_angle))
 
 
 def make_straight(length: float) -> CrackCurve:
     """Straight crack t(s) = s on the real axis, s in [0, length]."""
-    if not np.isfinite(length) or length <= 0.0:
-        raise GeometryError(f"crack length must be positive, got {length!r}")
-
-    def derivs(s):
-        t = s.astype(complex)
-        zero = np.zeros_like(t)
-        return t, np.ones_like(t), zero, zero, zero
-
-    return CrackCurve(
-        length=float(length),
-        shape="straight",
-        _derivs=derivs,
-        _kappa0=lambda s: np.zeros_like(s),
-        _kappa0_prime=lambda s: np.zeros_like(s),
-        constant_curvature=0.0,
-    )
+    return CrackCurve(length=length, shape="straight", constant_curvature=0.0)

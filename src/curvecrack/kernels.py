@@ -5,9 +5,10 @@ Four kernels k_j(s, s0), j = 1..4, remain after the Cauchy singularity
 smooth function that extends continuously onto the diagonal s = s0, and each
 vanishes identically on a straight crack.
 
-Every built-in curve is straight or a circular arc of signed radius
-R = 1/kappa0, so by rotation invariance the kernels depend on s and s0 only
-through x = (s - s0)/2R.  With c = cot x - 1/x and E = exp(2ix) they are
+Every curve (`geometry.CrackCurve`) is straight or a circular arc of
+signed radius R = 1/kappa0, so by rotation invariance the kernels depend
+on s and s0 only through x = (s - s0)/2R.  With c = cot x - 1/x and
+E = exp(2ix) they are
 
     2R k1 = 2c - 2 sin 2x + 4i cos^2 x
     2R k3 = (1 - kappa) c + 2 kappa sin 2x + i(1 - 3 kappa + 4 kappa sin^2 x)
@@ -108,10 +109,8 @@ def _complex(re, im):
 class KernelSet:
     """Evaluator for the four regular kernels tied to one curve and material.
 
-    The kernels are evaluated in the x-form of the module docstring, so the
-    curve must have constant curvature (every built-in shape does); a curve
-    with constant_curvature None raises ValueError.  On a straight crack
-    every kernel and derivative is exactly zero.
+    The kernels are evaluated in the x-form of the module docstring.  On a
+    straight crack every kernel and derivative is exactly zero.
 
     Parameters
     ----------
@@ -127,11 +126,9 @@ class KernelSet:
     """
 
     def __init__(self, curve: CrackCurve, kappa: float):
-        if curve.constant_curvature is None:
-            raise ValueError("the kernels need a constant-curvature curve")
         self.curve = curve
         self.kappa = float(kappa)
-        self._k0 = float(curve.constant_curvature)
+        self._k0 = curve.constant_curvature
 
     @property
     def eps_d(self) -> float:

@@ -72,7 +72,7 @@ LAMBDA_REL = 1e-8
 
 
 class AssemblyError(RuntimeError):
-    """Non-finite entries or invalid geometry during system assembly."""
+    """Non-finite entries, a zero row or a bad gamma1 during assembly."""
 
 
 class SolveError(RuntimeError):
@@ -193,10 +193,6 @@ class _CollocationTables:
     """
 
     def __init__(self, curve: CrackCurve, material, disc: Discretization):
-        if curve.constant_curvature is None:
-            raise AssemblyError(
-                "assembly requires a constant-curvature curve; built-in "
-                "shapes only")
         N = disc.N
         self.curve, self.material, self.disc = curve, material, disc
         # column c of the system is the unknown g1_c (c <= N) or g2_(c-N-1):
@@ -354,8 +350,11 @@ def tip_condition_residuals(coeffs: DensityCoefficients, curve: CrackCurve,
 
     One value per row of `_tip_rows`, 4 on a curved crack and 8 on a
     straight one, normalized by sup|g'|.  The solve imposes the tip rows as
-    equality constraints, so the residuals vanish to rounding.
+    equality constraints, so the residuals vanish to rounding.  At gamma1 =
+    0 it imposes none, and there are no residuals: ().
     """
+    if gamma1 == 0.0:
+        return ()
     sup = _sup_gprime(coeffs, curve)
     norm = sup if sup > 0.0 else 1.0
     g1, g2 = coeffs.g1, coeffs.g2

@@ -166,6 +166,17 @@ class TestRun:
         assert "condition_estimate" in captured
         assert "single_valued_residual" in captured
 
+    @pytest.mark.parametrize("gamma1, count", [(0.0, 0), (1.0, 4)])
+    def test_summary_prints_one_residual_per_tip_row(self, tmp_path, capsys,
+                                                     gamma1, count):
+        # the solve imposes no tip rows at gamma1 = 0, four on a curved crack
+        cfg = parse_config(BASE.replace("gamma1 = 1.0", f"gamma1 = {gamma1}")
+                           + f"N = 8\nout_dir = {tmp_path / 'run'}\n")
+        assert run(cfg) == 0
+        line, = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("tip_condition_residuals =")]
+        assert len(line.split("=")[1].split()) == count
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg_a = self._cfg(tmp_path / "a")
         cfg_b = self._cfg(tmp_path / "b")

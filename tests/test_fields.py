@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -379,16 +377,6 @@ class TestFaceFields:
             / (2.0 * np.pi * (kappa + 1.0))
         assert got.shape == want.shape == (4, len(grid), 3)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want) + 1e-13)
-
-    @pytest.mark.parametrize("cauchy", ["auto", "exact", "discrete"])
-    def test_variable_curvature_rejected_in_every_mode(self, material,
-                                                       load_h, cauchy):
-        curve = dataclasses.replace(make_semicircle(),
-                                    constant_curvature=None)
-        with pytest.raises(ValueError,
-                           match="face fields need a constant-curvature"):
-            face_fields(curve, material, load_h, _zero_coeffs(curve), "plus",
-                        1.0, cauchy=cauchy)
 
     def test_validation_errors(self, material, semicircle, load_h):
         zero = _zero_coeffs(semicircle)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvecrack import (GeometryError, make_circular_arc, make_semicircle,
-                        make_straight)
+from curvecrack import (CrackCurve, GeometryError, make_circular_arc,
+                        make_semicircle, make_straight)
 
 ALL_CURVES = [make_semicircle(), make_circular_arc(0.5),
               make_circular_arc(0.25), make_straight(2.0)]
@@ -35,6 +35,35 @@ def test_arc_unit_curvature_equals_semicircle():
     s = np.linspace(0.0, np.pi, 9)
     assert np.allclose(arc.point(s), semi.point(s))
     assert arc.length == semi.length
+
+
+def test_unit_arc_derivatives_are_the_semicircles():
+    # theta0 = pi/2 - arcsin(1) is exactly 0, so the arc formula gives the
+    # semicircle's derivatives; only t differs, by the centre's rounding
+    s = np.linspace(0.0, np.pi, 97)
+    arc = make_circular_arc(1.0).derivatives(s)
+    semi = make_semicircle().derivatives(s)
+    for a, b in zip(arc[1:], semi[1:]):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("curvature", [None, np.nan, np.inf, -np.inf, "1.0",
+                                       1j])
+def test_curve_rejects_bad_curvature(curvature):
+    with pytest.raises(GeometryError, match="curvature"):
+        CrackCurve(length=1.0, shape="arc", constant_curvature=curvature)
+
+
+@pytest.mark.parametrize("length", [0.0, -1.0, np.nan, np.inf, None])
+def test_curve_rejects_bad_length(length):
+    with pytest.raises(GeometryError, match="length"):
+        CrackCurve(length=length, shape="straight", constant_curvature=0.0)
+
+
+def test_curve_is_a_record_of_floats():
+    c = CrackCurve(length=2, shape="straight", constant_curvature=0)
+    assert type(c.length) is float and type(c.constant_curvature) is float
+    assert not any(callable(getattr(c, f)) for f in c.__dataclass_fields__)
 
 
 def test_arc_half_curvature_geometry():

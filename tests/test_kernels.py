@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -123,12 +121,6 @@ def test_kernel_index_validation(kset_semi):
         kset_semi.kernel(5, 1.0, 0.5)
     with pytest.raises(ValueError):
         kset_semi.kernel_derivatives(0, 1.0, 0.5)
-
-
-def test_variable_curvature_rejected(semicircle):
-    curve = dataclasses.replace(semicircle, constant_curvature=None)
-    with pytest.raises(ValueError, match="constant-curvature"):
-        KernelSet(curve, KAPPA)
 
 
 ARC_CURVATURES = (1.0, 0.9, 0.5, 0.3)

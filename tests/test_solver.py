@@ -487,6 +487,12 @@ class TestTipConditions:
         assert len(res) == 8
         assert max(abs(v) for v in res) <= 1e-8
 
+    def test_none_at_gamma1_zero(self, material, semicircle, load_h):
+        # the solve imposes no tip rows at gamma1 = 0: nothing to report
+        coeffs = solve_problem(semicircle, material, load_h, 0.0, N=10)
+        assert tip_condition_residuals(coeffs, semicircle, material,
+                                       0.0) == ()
+
     def test_residual_normalization_zero_field(self, material, semicircle):
         coeffs = DensityCoefficients(np.zeros(3), np.zeros(3),
                                      semicircle.length, 1.0)
