@@ -7,8 +7,9 @@ and several pairs may share a line separated by commas.  Exit codes:
 Solve mode tabulates once, as the sweeps do: one `postprocess._SweepTables`
 gives the constrained system, the face fields on both faces and the tip-fit
 samples (one field evaluator at all those points), and the opening (the
-jump table the system was built with).  Every mode writes its CSVs through
-`postprocess.write_csv`, from whole columns.
+jump table the collocation tables hold).  A convergence run writes
+g_prime.csv from the samples the study compared.  Every mode writes its
+CSVs through `postprocess.write_csv`, from whole columns.
 """
 
 from __future__ import annotations
@@ -360,12 +361,11 @@ def run(config: RunConfig, out_dir: str | None = None,
             rows = post.convergence_study(curve, material, load,
                                           config.gamma1, config.grid)
             post.write_convergence_csv(out / "convergence.csv", rows)
-            s_grid = np.linspace(0.0, curve.length, 401)
+            s_grid = np.linspace(0.0, curve.length, rows[0].gprime.size)
             cols = {}
             for r in rows:
-                gp = r.coeffs.gprime(s_grid)
-                cols[f"re_gprime_N{r.N}"] = np.real(gp)
-                cols[f"im_gprime_N{r.N}"] = np.imag(gp)
+                cols[f"re_gprime_N{r.N}"] = np.real(r.gprime)
+                cols[f"im_gprime_N{r.N}"] = np.imag(r.gprime)
             post.write_g_prime_csv(out / "g_prime.csv", s_grid, cols)
             for r in rows:
                 say(f"N={r.N} sup_diff={r.sup_diff!r}")

@@ -15,15 +15,15 @@ The density parts of the face fields are linear in the density, so they
 are split into a table and its application.  `_FaceOperator` tabulates,
 once per set of points s0, everything that does not depend on the density:
 the kernels integrated against each monomial of the centered basis
-(`densities.basis`), the closed-form principal values of the monomials and
-the end factors of their s0-derivatives, filled 16 points per kernel block.
-Its apply() then gives the face-average traction and the face function
-omega (and omega's first two s0-derivatives) of any number of density
-columns by matrix products alone.  The assembly (`solver.assemble`) applies it at the N collocation
-points to the 2N+2 basis columns; the field evaluator applies it to one
-solved density and adds the +-jump terms and the far field.  A sweep builds
-both tables once and applies them to the density of every point, so the
-collocation rows and the face fields come from one code path.
+(`densities.basis`, `KernelSet.integrated`), the closed-form principal
+values of the monomials and the end factors of their s0-derivatives.  Its
+apply() then gives the face-average traction and the face function omega
+(and omega's first two s0-derivatives) of any number of density columns by
+matrix products alone.  The assembly (`solver.assemble`) applies it at the
+N collocation points to the 2N+2 basis columns; the field evaluator applies
+it to one solved density and adds the +-jump terms and the far field.  A
+sweep builds both tables once and applies them to the density of every
+point, so the collocation rows and the face fields come from one code path.
 """
 
 from __future__ import annotations
@@ -219,11 +219,7 @@ class FaceFieldSample:
 
 _SIDES = ("plus", "minus")
 _SIGNS = np.array([1.0, -1.0])[:, None]
-# Points per kernel block while an operator is tabulated.  Larger blocks
-# save little time and raise peak memory: a block holds up to twelve complex
-# (points x quadrature nodes) kernel arrays and their temporaries.
-_BLOCK = 16
-# the kernel blocks an operator keeps, without and with s0-derivatives
+# the kernel tables an operator keeps, without and with s0-derivatives
 _KERNELS = {False: ("k1", "k3", "k4"),
             True: ("k1", "k3", "k4", "d1", "d4", "dd1", "dd4")}
 
@@ -238,10 +234,11 @@ class _FaceOperator:
     second s0-derivatives of k1 and k4, all that apply() reads), tabulates
     the closed-form principal values of the monomials (`pv_monomials`) and
     the end factors 1/s0 and 1/(l - s0) of their s0-derivatives.  The
-    points go through `KernelSet.block` _BLOCK at a time.  On every curve
-    k2 = -i kappa0 is constant and d2 = dd2 = 0, so k2 enters as -i kappa0
-    times the weighted sum of the conjugate density and d2, dd2 not at
-    all.
+    kernel tables come from `KernelSet.integrated`: three real cotangent
+    tables and one trigonometric moment, combined per kernel.  On every
+    curve k2 = -i kappa0 is constant and d2 = dd2 = 0, so k2 enters as
+    -i kappa0 times the weighted sum of the conjugate density and d2, dd2
+    not at all.
 
     apply() then evaluates any number of density columns by matrix
     products alone.  The assembly applies the operator at the collocation
@@ -260,21 +257,14 @@ class _FaceOperator:
             self._ends = basis([0.0, l], l, degree)
 
     def _tabulate(self, kset, s0, degree, derivatives, nodes, weights):
-        """Kernel blocks summed against the weighted basis, (M, degree+1)."""
+        """Kernels summed against the weighted basis, (M, degree+1) each."""
         self.kappa = kset.kappa
         self.derivatives = derivatives
         self._k2 = -1j * kset.curve.constant_curvature
         wbasis = np.reshape(weights, (-1, 1)) \
             * basis(nodes, kset.curve.length, degree)
         self._wsum = wbasis.sum(axis=0)
-        keys = _KERNELS[derivatives]
-        self._reg = {key: np.empty((s0.size, degree + 1), dtype=complex)
-                     for key in keys}
-        for start in range(0, s0.size, _BLOCK):
-            part = slice(start, start + _BLOCK)
-            blk = kset.block(nodes, s0[part, None], derivatives=derivatives)
-            for key in keys:
-                self._reg[key][part] = blk[key] @ wbasis
+        self._reg = kset.integrated(s0, nodes, wbasis, _KERNELS[derivatives])
 
     def apply(self, gp_poly, q_poly):
         """(Sigma, omega[, omega', omega'']) stacked, shape (2 or 4, M, C).

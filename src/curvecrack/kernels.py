@@ -27,9 +27,22 @@ cot x = 1/x - sum_n b_n x^(2n-1), b_n = 2^(2n) |B_2n| / (2n)!, whose eleven
 terms reach double precision there; above the cut the closed forms lose at
 most about two digits.
 
-`KernelSet.block` takes arrays of s and s0 that broadcast against each
-other, so one call evaluates a whole block of evaluation points against the
-quadrature nodes as array arithmetic over all pairs at once.
+Since 2i cos^2 x = i + iE and 2 sin^2 x = 1 - Re E, every form above is
+scale_p (alpha c_p + i gamma + eps E): p = 0, 1, 2 is the order of the
+s0-derivative, c_p is c, c' or c'', scale_p is a, -a^2 or a^3 with
+a = 1/2R, alpha and gamma are real and eps is complex.  `_coefficients`
+holds (p, alpha, gamma, eps) for all twelve kernels, and both evaluators
+read it:
+
+- `KernelSet.block` evaluates the kernels at pairs (s, s0) that broadcast
+  against each other.  It is the pointwise evaluation behind `kernel`,
+  `kernel_derivatives` and `fredholm_operator`.
+- `KernelSet.integrated` gives what the face operator tabulates: each
+  kernel summed over quadrature nodes against a weighted basis, one row per
+  point s0.  Only c, c' and c'' are evaluated per (point, node) pair, each
+  followed by one real matrix product.  The constant part is the column
+  sums of the weighted basis, and E = exp(i kappa0 s) exp(-i kappa0 s0)
+  splits into one moment over the nodes and one phase per point.
 
 The operator assembled from these kernels (`fredholm_operator`) is the
 regular, compact part of the collocation system; its first and second
@@ -106,11 +119,45 @@ def _complex(re, im):
     return out
 
 
+# Points per cotangent block while KernelSet.integrated fills its tables.
+# Larger blocks save little time and raise peak memory: a block holds up to
+# three real (points x nodes) arrays, c, c' and c'', and their temporaries.
+_BLOCK = 16
+_KEYS = {False: ("k1", "k2", "k3", "k4"),
+         True: ("k1", "k2", "k3", "k4", "d1", "d2", "d3", "d4",
+                "dd1", "dd2", "dd3", "dd4")}
+
+
+def _coefficients(kappa: float):
+    """(p, alpha, gamma, eps) of each kernel, as in the module docstring.
+
+    The kernel is scale_p (alpha c_p + i gamma + eps E): p is the order of
+    its s0-derivative, c_p is c, c' or c'' and scale_p is a, -a^2 or a^3,
+    with a = 1/2R and E = exp(2ix).  eps is a float where it is real.
+    """
+    return {
+        "k1": (0, 2.0, 2.0, 2j),
+        "k2": (0, 0.0, -2.0, 0.0),
+        "k3": (0, 1.0 - kappa, 1.0 - kappa, -2j * kappa),
+        "k4": (0, kappa - 1.0, kappa - 1.0, -2j),
+        "d1": (1, 2.0, 0.0, -4.0),
+        "d2": (1, 0.0, 0.0, 0.0),
+        "d3": (1, 1.0 - kappa, 0.0, 4.0 * kappa),
+        "d4": (1, kappa - 1.0, 0.0, 4.0),
+        "dd1": (2, 2.0, 0.0, -8j),
+        "dd2": (2, 0.0, 0.0, 0.0),
+        "dd3": (2, 1.0 - kappa, 0.0, 8j * kappa),
+        "dd4": (2, kappa - 1.0, 0.0, 8j),
+    }
+
+
 class KernelSet:
     """Evaluator for the four regular kernels tied to one curve and material.
 
-    The kernels are evaluated in the x-form of the module docstring.  On a
-    straight crack every kernel and derivative is exactly zero.
+    The kernels are evaluated in the x-form of the module docstring, from
+    one table of coefficients (`_coefficients`) that `block` and
+    `integrated` both read.  On a straight crack every kernel and
+    derivative is exactly zero.
 
     Parameters
     ----------
@@ -129,6 +176,9 @@ class KernelSet:
         self.curve = curve
         self.kappa = float(kappa)
         self._k0 = curve.constant_curvature
+        self._coef = _coefficients(self.kappa)
+        a = 0.5 * self._k0
+        self._scale = (a, -a * a, a * a * a)
 
     @property
     def eps_d(self) -> float:
@@ -153,47 +203,62 @@ class KernelSet:
         s and s0 may be arrays; they broadcast against each other, so an
         s0 of shape (M, 1) against nodes s of shape (n,) gives (M, n)
         blocks, one row per evaluation point.  Returns a dict with keys
-        k1..k4 and, when derivatives is set, d1..d4 and dd1..dd4.
+        k1..k4 and, when derivatives is set, d1..d4 and dd1..dd4.  This is
+        the pointwise evaluation; the operator tables use `integrated`.
         """
         ds = np.asarray(s, dtype=float) - np.asarray(s0, dtype=float)
-        keys = ["k1", "k2", "k3", "k4"]
-        if derivatives:
-            keys += ["d1", "d2", "d3", "d4", "dd1", "dd2", "dd3", "dd4"]
+        keys = _KEYS[derivatives]
         if self._k0 == 0.0:
             return {key: np.zeros(ds.shape, dtype=complex) for key in keys}
-        # the module docstring's forms, scaled by a = 1/2R, -a^2 = -1/4R^2
-        # and a^3 = 1/8R^3, with real and imaginary parts built apart
-        a = 0.5 * self._k0
-        x = a * ds
-        kappa = self.kappa
+        x = 0.5 * self._k0 * ds
         c = _cot_parts(x, derivatives)
         sin2, cos2 = np.sin(2.0 * x), np.cos(2.0 * x)
-        out = {
-            "k1": _complex(a * (2.0 * c[0] - 2.0 * sin2),
-                           a * (2.0 + 2.0 * cos2)),
-            "k2": np.full(x.shape, -1j * self._k0),
-            "k3": _complex(a * ((1.0 - kappa) * c[0] + 2.0 * kappa * sin2),
-                           a * (1.0 - kappa - 2.0 * kappa * cos2)),
-            "k4": _complex(a * ((kappa - 1.0) * c[0] + 2.0 * sin2),
-                           a * (kappa - 1.0 - 2.0 * cos2)),
-        }
-        if not derivatives:
-            return out
-        a1, a2 = -a * a, a * a * a
-        out.update({
-            "d1": _complex(a1 * (2.0 * c[1] - 4.0 * cos2), a1 * -4.0 * sin2),
-            "d2": np.zeros(x.shape, dtype=complex),
-            "d3": _complex(a1 * ((1.0 - kappa) * c[1] + 4.0 * kappa * cos2),
-                           a1 * 4.0 * kappa * sin2),
-            "d4": _complex(a1 * ((kappa - 1.0) * c[1] + 4.0 * cos2),
-                           a1 * 4.0 * sin2),
-            "dd1": _complex(a2 * (2.0 * c[2] + 8.0 * sin2), a2 * -8.0 * cos2),
-            "dd2": np.zeros(x.shape, dtype=complex),
-            "dd3": _complex(a2 * ((1.0 - kappa) * c[2] - 8.0 * kappa * sin2),
-                            a2 * 8.0 * kappa * cos2),
-            "dd4": _complex(a2 * ((kappa - 1.0) * c[2] - 8.0 * sin2),
-                            a2 * 8.0 * cos2),
-        })
+        out = {}
+        for key in keys:
+            p, alpha, gamma, eps = self._coef[key]
+            scale = self._scale[p]
+            # eps E = (Re eps cos 2x - Im eps sin 2x)
+            #         + i (Im eps cos 2x + Re eps sin 2x)
+            out[key] = _complex(
+                scale * (alpha * c[p] + (eps.real * cos2 - eps.imag * sin2)),
+                scale * (gamma + (eps.imag * cos2 + eps.real * sin2)))
+        return out
+
+    def integrated(self, s0, nodes, wbasis, keys):
+        """Each kernel summed against a weighted basis over the nodes.
+
+        s0 has shape (M,), nodes (n,) and wbasis (n, C); returns a dict of
+        complex (M, C) tables, one per key of `keys` (names as in `block`).
+        Equal to block(nodes, s0[:, None]) @ wbasis for each key, but only
+        the real c, c' and c'' are evaluated per (point, node) pair, _BLOCK
+        points at a time, each followed by one real product with wbasis.
+        The constant term is i gamma times the column sums of wbasis, and
+        E = exp(i kappa0 (s - s0)) splits into a phase exp(-i kappa0 s0)
+        per point times one moment, the sum of exp(i kappa0 s) wbasis over
+        the nodes.
+        """
+        s0 = np.asarray(s0, dtype=float)
+        nodes = np.asarray(nodes, dtype=float)
+        shape = (s0.size, wbasis.shape[1])
+        if self._k0 == 0.0:
+            return {key: np.zeros(shape, dtype=complex) for key in keys}
+        derivatives = any(self._coef[key][0] for key in keys)
+        cparts = [np.empty(shape) for _ in range(3 if derivatives else 1)]
+        a = 0.5 * self._k0
+        for start in range(0, s0.size, _BLOCK):
+            part = slice(start, start + _BLOCK)
+            x = a * (nodes - s0[part, None])
+            for table, c in zip(cparts, _cot_parts(x, derivatives)):
+                table[part] = c @ wbasis
+        k0s = self._k0 * nodes
+        moment = _complex(np.cos(k0s) @ wbasis, np.sin(k0s) @ wbasis)
+        trig = np.exp(-1j * self._k0 * s0)[:, None] * moment
+        wsum = wbasis.sum(axis=0)
+        out = {}
+        for key in keys:
+            p, alpha, gamma, eps = self._coef[key]
+            out[key] = self._scale[p] * (alpha * cparts[p] + eps * trig
+                                         + 1j * gamma * wsum)
         return out
 
     @staticmethod

@@ -14,10 +14,10 @@ N, and one field evaluator at a midpoint face grid plus the 32 default
 tip-window points at s = 0: the 101-point max-traction grid for a sweep,
 the 100-point `face_fields.csv` grid for solve mode (`cli._solve_outputs`).
 Every solve applies both to its own gamma1 (`_solve_and_report` for a sweep
-point), and its opening comes from the collocation tables' jump table, so
-the kernels and the jump table are built once per curve however many
-solves use them.  A gamma1 sweep builds the tables once, a curvature sweep
-once per curve.
+point), and its opening comes from the collocation tables' jump table,
+built on the first opening, so the kernels and the jump table are built
+once per curve however many solves use them.  A gamma1 sweep builds the
+tables once, a curvature sweep once per curve.
 
 Every CSV goes through `write_csv`, which takes whole columns and formats
 each column once: floats by repr, integers by str, strings as given.
@@ -323,25 +323,33 @@ def sweep_curvature(material, load, gamma1, kappa0_grid, N: int = 20):
 
 @dataclass
 class ConvergenceRow:
+    """One N of a convergence study; gprime holds g' on the study's grid."""
+
     N: int
     sup_diff: float
     coeffs: DensityCoefficients = field(repr=False, default=None)
+    gprime: np.ndarray = field(repr=False, default=None)
 
 
 def convergence_study(curve, material, load, gamma1, n_list,
                       n_grid: int = 401):
-    """Reconstructed g' for each N against the largest N on a common grid."""
+    """Reconstructed g' for each N against the largest N on a common grid.
+
+    The grid is n_grid equispaced points of [0, l]; each row carries its
+    g' there.
+    """
     n_list = list(n_list)
     if len(n_list) < 2 or any(b < a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be ascending with at least two entries")
     grid = np.linspace(0.0, curve.length, n_grid)
     solved = [(n, solve_problem(curve, material, load, gamma1, N=n))
               for n in n_list]
-    ref = solved[-1][1].gprime(grid)
+    samples = [coeffs.gprime(grid) for _, coeffs in solved]
     rows = []
-    for n, coeffs in solved:
-        diff = float(np.max(np.abs(coeffs.gprime(grid) - ref)))
-        rows.append(ConvergenceRow(N=n, sup_diff=diff, coeffs=coeffs))
+    for (n, coeffs), gp in zip(solved, samples):
+        diff = float(np.max(np.abs(gp - samples[-1])))
+        rows.append(ConvergenceRow(N=n, sup_diff=diff, coeffs=coeffs,
+                                   gprime=gp))
     return rows
 
 

@@ -42,10 +42,13 @@ amplifying system destroys convergence.
 Nothing of this depends on gamma1 except through q, which is linear in
 gamma1.  `_CollocationTables` therefore holds the gamma1-independent part
 of the system of one curve, material and N: the tabulated operator, the
-basis columns with q at gamma1 = 1 and the jump table (`_jump_table`),
-the integrals of g' t' up to each point of the opening profile, whose last
-row gives the single-valuedness rows.  assemble() builds it and applies it
-to one gamma1; a gamma1 sweep builds it once and applies it to every point.
+basis columns with q at gamma1 = 1 and the integrals I_n of the
+single-valuedness rows, int_0^l (x - l/2)^n t'(x) dx on the same
+`regular_rule` (`_single_valued_integrals`).  The jump table
+(`_jump_table`), the integrals of g' t' up to each point of the opening
+profile, is built only when an opening is asked for, so a convergence run
+builds none.  assemble() builds the tables and applies them to one gamma1;
+a gamma1 sweep builds them once and applies them to every point.
 
 The constrained system is solved by least squares in the constraint null
 space with a light Tikhonov term (relative weight 1e-8) that suppresses
@@ -65,7 +68,7 @@ from .densities import (DensityCoefficients, basis, cauchy_densities,
                         poly_derivative, q_coefficients)
 from .fields import _FaceOperator, boundary_forcing
 from .geometry import CrackCurve
-from .quadrature import Discretization, gauss_legendre
+from .quadrature import Discretization, gauss_legendre, regular_rule
 
 CONDITION_LIMIT = 1e14
 LAMBDA_REL = 1e-8
@@ -93,8 +96,8 @@ class LinearSystem:
     2-norm condition number of that reduced block with its smallest
     singular value clipped at the Tikhonov floor LAMBDA_REL * sigma_max,
     so it never exceeds 1/LAMBDA_REL = 1e8; it is inf only for a zero
-    reduced block.  single_valued_integrals, the jump table's last row, are
-    the unscaled integrals I_k of the single-valuedness rows.
+    reduced block.  single_valued_integrals are the unscaled integrals I_k
+    of the single-valuedness rows (`_single_valued_integrals`).
     """
 
     matrix: np.ndarray
@@ -145,8 +148,8 @@ class LinearSystem:
 def _jump_table(curve: CrackCurve, degree: int, n_samples: int = 201):
     """M[k, n] = int_0^{s_k} (x - l/2)^n t'(x) dx on equispaced s_k in [0, l].
 
-    16 Gauss points per cell between neighbours, summed cumulatively; the
-    last row holds the integrals I_n of the single-valuedness rows.
+    16 Gauss points per cell between neighbours, summed cumulatively.  The
+    opening profile is this table applied to the density.
     """
     s = np.linspace(0.0, curve.length, n_samples)[:, None]
     x, w = gauss_legendre(16, s[:-1], s[1:])
@@ -156,6 +159,18 @@ def _jump_table(curve: CrackCurve, degree: int, n_samples: int = 201):
     cells = (wt.real @ mono + 1j * (wt.imag @ mono))[:, 0]
     return np.concatenate([np.zeros((1, degree + 1)),
                            np.cumsum(cells, axis=0)])
+
+
+def _single_valued_integrals(curve: CrackCurve, degree: int):
+    """I_n = int_0^l (x - l/2)^n t'(x) dx, n = 0..degree, by regular_rule.
+
+    The integrals of the single-valuedness rows: the sum of w t' times the
+    basis over the 192 nodes of the regular-kernel rule.
+    """
+    x, w = regular_rule(curve.length)
+    wt = w * curve.tangent(x)
+    mono = basis(x, curve.length, degree)
+    return wt.real @ mono + 1j * (wt.imag @ mono)
 
 
 def _tip_rows(curve: CrackCurve, kappa: float, gamma1: float, gp, q_unit):
@@ -187,9 +202,10 @@ class _CollocationTables:
 
     It holds the face-field operator tabulated with s0-derivatives at the
     collocation points, the 2N+2 basis columns (their g' and the q of
-    gamma1 = 1, since q is linear in gamma1) and the jump table.  system()
-    applies them to one gamma1 and load, so a sweep over gamma1 tabulates
-    the kernels once.
+    gamma1 = 1, since q is linear in gamma1) and the single-valuedness
+    integrals; the jump table of the opening is built on first use.
+    system() applies them to one gamma1 and load, so a sweep over gamma1
+    tabulates the kernels once.
     """
 
     def __init__(self, curve: CrackCurve, material, disc: Discretization):
@@ -204,7 +220,12 @@ class _CollocationTables:
         colloc = disc.collocation_points
         self.op = _FaceOperator(curve, material.kappa, colloc, N,
                                 derivatives=True)
-        self.jump = _jump_table(curve, N)
+        self.single_valued = _single_valued_integrals(curve, N)
+
+    @cached_property
+    def jump(self):
+        """The (201, N+1) jump table of the opening, built on first use."""
+        return _jump_table(self.curve, self.disc.N)
 
     def system(self, load, gamma1: float,
                row_scaling: bool = True) -> LinearSystem:
@@ -228,7 +249,7 @@ class _CollocationTables:
                                           sigma.imag - gamma1 * dk1])
         rhs = (kappa + 1.0) * np.concatenate([f_c.real, f_c.imag])
 
-        ints = self.jump[-1]
+        ints = self.single_valued
         con_rows = [np.concatenate([ints.real, -ints.imag]),
                     np.concatenate([ints.imag, ints.real])]
         if gamma1 > 0.0:
@@ -319,8 +340,8 @@ def solve_problem(curve: CrackCurve, material, load, gamma1: float, N: int = 20,
 
 def single_valued_integral(coeffs: DensityCoefficients,
                            curve: CrackCurve) -> complex:
-    """int_0^l g'(s) t'(s) ds: the jump table's last row, as in the solve."""
-    ints = _jump_table(curve, coeffs.degree)[-1]
+    """int_0^l g'(s) t'(s) ds, with the integrals of the solve's rows."""
+    ints = _single_valued_integrals(curve, coeffs.degree)
     return complex(np.sum((coeffs.g1 + 1j * coeffs.g2) * ints))
 
 
@@ -328,7 +349,7 @@ def single_valued_residual(coeffs: DensityCoefficients,
                            curve: CrackCurve) -> float:
     """|int g' t' ds| normalized by sup|g'| times the arc length."""
     return _normalized_residual(
-        coeffs, curve, _jump_table(curve, coeffs.degree)[-1])
+        coeffs, curve, _single_valued_integrals(curve, coeffs.degree))
 
 
 def _sup_gprime(coeffs: DensityCoefficients, curve: CrackCurve) -> float:

@@ -304,9 +304,23 @@ def test_solve_mode_matches_public_functions(case, tmp_path, capsys):
         assert float(printed[key]) == pytest.approx(fits[name].A, rel=1e-13)
 
 
-def test_solve_mode_tabulates_once(tmp_path, monkeypatch):
-    """One face operator for the system, one for every face field and tip
-    fit, and one jump table for the constraint row and the opening."""
+# run mode: (config lines, face operators, jump tables) of one run.  Solve
+# mode and each point of a sweep build one operator for the system and one
+# for the face fields and tip fits, and the jump table of the opening once
+# per curve; a convergence run builds one operator per N and no jump table.
+TABULATIONS = {
+    "solve": ("N = 20\n", 2, 1),
+    "sweep-gamma": ("N = 12\nrun_mode = sweep-gamma\ngrid = 0.5 1.0 2.0\n",
+                    2, 1),
+    "sweep-curvature": ("N = 12\nrun_mode = sweep-curvature\n"
+                        "grid = 0.5 0.75 1.0\n", 2 * 3, 3),
+    "convergence": ("run_mode = convergence\ngrid = 8 10 12\n", 3, 0),
+}
+
+
+@pytest.mark.parametrize("mode", TABULATIONS)
+def test_tabulations_per_run_mode(mode, tmp_path, monkeypatch):
+    lines, n_operators, n_jump_tables = TABULATIONS[mode]
     operators, jump_tables = [], []
     init = fields._FaceOperator.__init__
     jump_table = solver._jump_table
@@ -322,9 +336,9 @@ def test_solve_mode_tabulates_once(tmp_path, monkeypatch):
     monkeypatch.setattr(fields._FaceOperator, "__init__", counted_init)
     for module in (solver, post):
         monkeypatch.setattr(module, "_jump_table", counted_jump_table)
-    config = parse_config(SOLVE_CASES["readme"] + f"out_dir = {tmp_path}\n")
-    assert run(config, dump_system=True, quiet=True) == 0
-    assert (len(operators), len(jump_tables)) == (2, 1)
+    config = parse_config(BASE + lines + f"out_dir = {tmp_path}\n")
+    assert run(config, dump_system=mode == "solve", quiet=True) == 0
+    assert (len(operators), len(jump_tables)) == (n_operators, n_jump_tables)
 
 
 class TestMain:

@@ -4,6 +4,8 @@ import pytest
 from curvecrack import (Discretization, FarFieldLoad, KernelSet,
                         boundary_forcing, fredholm_operator, kernels,
                         make_circular_arc, make_semicircle, make_straight)
+from curvecrack.densities import basis
+from curvecrack.quadrature import midpoint_grid, regular_rule
 
 KAPPA = 2.5
 
@@ -285,3 +287,32 @@ class TestFredholmOperator:
         val = fredholm_operator(kset_semi, material, load, gamma1, disc,
                                 ones, zeros, s0)
         assert abs(val - expected) <= 1e-4 * abs(expected)
+
+
+@pytest.mark.parametrize("N", [8, 20, 60, 80])
+@pytest.mark.parametrize("derivatives", [False, True])
+@pytest.mark.parametrize("shape", ["semicircle", "arc0.3", "arc0.9",
+                                   "straight"])
+def test_integrated_matches_block_times_basis(shape, derivatives, N):
+    # the tables from cotangent products and trigonometric moments against
+    # the pointwise kernels summed over the weighted basis of the rule
+    curve = {"semicircle": make_semicircle(),
+             "arc0.3": make_circular_arc(0.3),
+             "arc0.9": make_circular_arc(0.9),
+             "straight": make_straight(2.0)}[shape]
+    kset = KernelSet(curve, KAPPA)
+    l = curve.length
+    nodes, w = regular_rule(l)
+    wbasis = w[:, None] * basis(nodes, l, N)
+    s0 = midpoint_grid(l, N)
+    blk = kset.block(nodes, s0[:, None], derivatives=derivatives)
+    got = kset.integrated(s0, nodes, wbasis, list(blk))
+    assert set(got) == set(blk)
+    for key, arr in blk.items():
+        want = arr @ wbasis
+        assert got[key].shape == want.shape == (N, N + 1)
+        if shape == "straight":
+            assert not np.any(got[key]), key
+        else:
+            assert np.max(np.abs(got[key] - want)) \
+                <= 1e-13 * np.max(np.abs(want)), key

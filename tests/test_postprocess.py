@@ -278,13 +278,13 @@ class TestSweepTables:
     def test_kernel_blocks_do_not_grow_with_gamma_points(
             self, semicircle, material, load_h, monkeypatch):
         calls = []
-        block = KernelSet.block
+        integrated = KernelSet.integrated
 
         def counted(self, *args, **kwargs):
             calls.append(1)
-            return block(self, *args, **kwargs)
+            return integrated(self, *args, **kwargs)
 
-        monkeypatch.setattr(KernelSet, "block", counted)
+        monkeypatch.setattr(KernelSet, "integrated", counted)
         sweep_gamma(semicircle, material, load_h, [1.0], N=20)
         one = len(calls)
         calls.clear()
