@@ -33,6 +33,13 @@ from .solver import (AssemblyError, Discretization, SolveError, solve,
 RUN_MODES = ("solve", "sweep-gamma", "sweep-curvature", "convergence")
 
 _MANDATORY = ("shape", "mu", "sigma1_inf", "sigma2_inf", "gamma1")
+# the modes that read a key, where not all do: a curvature sweep builds one
+# arc per grid value, and a gamma1 sweep and a convergence run take their
+# gamma1 and N values from the grid.  A mode requires and checks only the
+# keys it reads.
+_READ_BY = {"shape": ("solve", "sweep-gamma", "convergence"),
+            "gamma1": ("solve", "sweep-curvature", "convergence"),
+            "N": ("solve", "sweep-gamma", "sweep-curvature")}
 _KNOWN_KEYS = {
     "shape", "curvature", "length", "mu", "nu", "kappa", "mode",
     "sigma1_inf", "sigma2_inf", "alpha", "gamma1", "N", "run_mode",
@@ -48,20 +55,20 @@ class BuiltRun(NamedTuple):
     """A checked config (grid coerced to its run mode) and its objects."""
 
     config: "RunConfig"
-    curve: CrackCurve
+    curve: CrackCurve | None
     material: Material
     load: FarFieldLoad
-    disc: Discretization
+    disc: Discretization | None
 
 
 @dataclass
 class RunConfig:
-    shape: str
+    shape: str | None
     mu: float
     kappa: float
     sigma1_inf: float
     sigma2_inf: float
-    gamma1: float
+    gamma1: float | None
     curvature: float | None = None
     length: float | None = None
     nu: float | None = None
@@ -76,12 +83,16 @@ class RunConfig:
     def build(self, lines: dict | None = None) -> BuiltRun:
         """Check the config and construct the library objects it describes.
 
-        The CLI's own rules come first: the shape and the key it needs, the
-        run mode and its grid, and row_scaling = off only in solve mode.
-        Every range is then left to the constructors (curve, Material,
-        FarFieldLoad, SurfaceParams, Discretization); a ValueError from any
-        of them becomes a ConfigError.  lines maps a key to the line of the
-        config text that set it, for the error messages.
+        The CLI's own rules come first: the run mode and its grid, the
+        shape and the key it needs, and row_scaling = off only in solve
+        mode.  Only the keys the run mode reads are required and checked
+        (`_READ_BY`): sweep-curvature reads no shape (nor curvature or
+        length), sweep-gamma no gamma1 and convergence no N.  curve and
+        disc are None where the mode reads no shape or no N.  Every range
+        is then left to the constructors (curve, Material, FarFieldLoad,
+        SurfaceParams, Discretization); a ValueError from any of them
+        becomes a ConfigError.  lines maps a key to the line of the config
+        text that set it, for the error messages.
         """
         lines = lines or {}
 
@@ -95,32 +106,24 @@ class RunConfig:
                 where = f"{at(key)}key '{key}': " if key else ""
                 raise ConfigError(f"{where}{exc}") from None
 
-        if self.shape not in ("semicircle", "arc", "straight"):
-            raise ConfigError(f"{at('shape')}key 'shape' must be semicircle, "
-                              f"arc or straight, got {self.shape!r}")
-        for key, shape in (("curvature", "arc"), ("length", "straight")):
-            given = getattr(self, key) is not None
-            if given and self.shape != shape:
-                raise ConfigError(f"{at(key)}key '{key}' only applies to "
-                                  f"shape={shape}")
-            if not given and self.shape == shape:
-                raise ConfigError(f"{at('shape')}shape={shape} requires key "
+        def reads(key):
+            """Whether the run mode reads key; it must then be given."""
+            if self.run_mode not in _READ_BY[key]:
+                return False
+            if getattr(self, key) is None:
+                raise ConfigError(f"run_mode={self.run_mode} requires key "
                                   f"'{key}'")
-        if self.shape == "arc":
-            curve = make("curvature", make_circular_arc, self.curvature)
-        elif self.shape == "straight":
-            curve = make("length", make_straight, self.length)
-        else:
-            curve = make_semicircle()
+            return True
 
         if self.run_mode not in RUN_MODES:
             raise ConfigError(f"{at('run_mode')}key 'run_mode' must be one of "
                               f"{', '.join(RUN_MODES)}, got {self.run_mode!r}")
+        curve = self._curve(at, make) if reads("shape") else None
         if not self.row_scaling and self.run_mode != "solve":
             raise ConfigError(f"{at('row_scaling')}key 'row_scaling' = off "
                               "only applies to run_mode=solve; "
                               f"{self.run_mode} always scales its rows")
-        grid = self.grid
+        grid, arcs = self.grid, []
         if self.run_mode != "solve":
             if not grid:
                 raise ConfigError(f"{at('grid')}run_mode={self.run_mode} "
@@ -135,23 +138,49 @@ class RunConfig:
                                       "ascending list of at least two N values")
                 for n in grid:
                     make("grid", Discretization, n, curve.length)
-            else:
+            elif self.run_mode == "sweep-gamma":
                 grid = tuple(float(g) for g in grid)
-                gammas = self.run_mode == "sweep-gamma"
                 for value in grid:
-                    make("grid", SurfaceParams if gammas else make_circular_arc,
-                         value)
-                if gammas and 0.0 in grid:
+                    make("grid", SurfaceParams, value)
+                if 0.0 in grid:
                     raise ConfigError(f"{at('grid')}sweep-gamma grid values "
                                       "must be positive")
+            else:
+                grid = tuple(float(g) for g in grid)
+                arcs = [make("grid", make_circular_arc, value)
+                        for value in grid]
 
         material = make(None, Material, mu=self.mu, kappa=self.kappa,
                         mode=self.mode, nu=self.nu)
         load = make(None, FarFieldLoad, sigma1=self.sigma1_inf,
                     sigma2=self.sigma2_inf, alpha=self.alpha)
-        make("gamma1", SurfaceParams, self.gamma1)
-        disc = make("N", Discretization, self.N, curve.length)
+        if reads("gamma1"):
+            make("gamma1", SurfaceParams, self.gamma1)
+        disc = None
+        if reads("N"):
+            # a curvature sweep checks N on its first arc; all are alike
+            length = curve.length if curve is not None else arcs[0].length
+            disc = make("N", Discretization, self.N, length)
         return BuiltRun(replace(self, grid=grid), curve, material, load, disc)
+
+    def _curve(self, at, make):
+        """The curve of the shape key and the key that shape needs."""
+        if self.shape not in ("semicircle", "arc", "straight"):
+            raise ConfigError(f"{at('shape')}key 'shape' must be semicircle, "
+                              f"arc or straight, got {self.shape!r}")
+        for key, shape in (("curvature", "arc"), ("length", "straight")):
+            given = getattr(self, key) is not None
+            if given and self.shape != shape:
+                raise ConfigError(f"{at(key)}key '{key}' only applies to "
+                                  f"shape={shape}")
+            if not given and self.shape == shape:
+                raise ConfigError(f"{at('shape')}shape={shape} requires key "
+                                  f"'{key}'")
+        if self.shape == "arc":
+            return make("curvature", make_circular_arc, self.curvature)
+        if self.shape == "straight":
+            return make("length", make_straight, self.length)
+        return make_semicircle()
 
     def echo_text(self) -> str:
         pairs = {
@@ -225,7 +254,9 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"line {line_no}: duplicate key '{key}'")
             seen[key] = (raw, line_no)
 
-    missing = [k for k in _MANDATORY if k not in seen]
+    run_mode = seen.get("run_mode", ("solve",))[0]
+    missing = [k for k in _MANDATORY if k not in seen
+               and run_mode in _READ_BY.get(k, RUN_MODES)]
     if "nu" not in seen and "kappa" not in seen:
         missing.append("nu|kappa")
     if missing:

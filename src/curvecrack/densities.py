@@ -64,18 +64,21 @@ def pv_monomials(length: float, s0, kmax: int) -> np.ndarray:
 
     Expanding this way (difference quotient plus log term) keeps every term
     bounded by L^k; the binomial expansion about s0 cancels catastrophically
-    for high degree and is not used.  s0 may be an array of shape (M,); the
-    result then has shape (M, kmax+1), one row per point.
+    for high degree and is not used.  The sum is one product of the powers
+    x0^m with a constant upper-triangular Toeplitz matrix, whose entry
+    (m, k) is 2 L^d / d for odd d = k - m and 0 otherwise.  s0 may be an
+    array of shape (M,); the result then has shape (M, kmax+1), one row per
+    point.
     """
     s0 = np.asarray(s0, dtype=float)
     if not np.all((0.0 < s0) & (s0 < length)):
         raise ValueError(f"s0 must lie strictly inside (0, {length}), got {s0}")
-    half = 0.5 * length
+    d = np.arange(kmax + 1)
+    diagonals = np.zeros(kmax + 1)
+    diagonals[1::2] = 2.0 * (0.5 * length) ** d[1::2] / d[1::2]
+    toeplitz = diagonals[np.maximum(d - d[:, None], 0)]
     x0p = basis(s0, length, kmax)
-    out = x0p * np.log((length - s0) / s0)[..., None]
-    for i in range(0, kmax, 2):
-        out[..., i + 1:] += x0p[..., :kmax - i] * 2.0 * half ** (i + 1) / (i + 1)
-    return out
+    return x0p * np.log((length - s0) / s0)[..., None] + x0p @ toeplitz
 
 
 def pv_polynomial(coeffs, length: float, s0):

@@ -19,11 +19,14 @@ the kernels integrated against each monomial of the centered basis
 values of the monomials and the end factors of their s0-derivatives.  Its
 apply() then gives the face-average traction and the face function omega
 (and omega's first two s0-derivatives) of any number of density columns by
-matrix products alone.  The assembly (`solver.assemble`) applies it at the
-N collocation points to the 2N+2 basis columns; the field evaluator applies
-it to one solved density and adds the +-jump terms and the far field.  A
-sweep builds both tables once and applies them to the density of every
-point, so the collocation rows and the face fields come from one code path.
+matrix products alone; the field evaluator applies it to one solved
+density and adds the +-jump terms and the far field.  The assembly
+(`solver._CollocationTables`) needs it on the 2N+2 basis columns at the N
+collocation points, whose g' is the identity and i times it, so it reads
+the operator as tables over the coefficients instead (tables()), combined
+column for column from the same kernel and principal-value tables with no
+product over the coefficients.  A sweep builds both operators once, so the
+collocation rows and the face fields come from one tabulation.
 """
 
 from __future__ import annotations
@@ -224,6 +227,14 @@ _KERNELS = {False: ("k1", "k3", "k4"),
             True: ("k1", "k3", "k4", "d1", "d4", "dd1", "dd4")}
 
 
+def _times_derivative(table):
+    """table @ D for a real table and the derivative matrix D of the basis:
+    column c of the result is c table[:, c - 1], column 0 is zero."""
+    out = np.zeros(table.shape)
+    out[:, 1:] = table[:, :-1] * np.arange(1, table.shape[1])
+    return out
+
+
 class _FaceOperator:
     """Density parts of the face fields, tabulated once at fixed points s0.
 
@@ -241,9 +252,10 @@ class _FaceOperator:
     not at all.
 
     apply() then evaluates any number of density columns by matrix
-    products alone.  The assembly applies the operator at the collocation
-    points to the 2N+2 basis columns, the field evaluator to one solved
-    density at a time.
+    products alone; the field evaluator applies it to one solved density
+    at a time.  tables() gives the same operator as tables over the density
+    coefficients, from which the assembly builds its rows for the 2N+2
+    basis columns at the collocation points.
     """
 
     def __init__(self, curve, kappa, s0, degree, derivatives=False):
@@ -300,6 +312,52 @@ class _FaceOperator:
                        - vl * a * a + v0 * b * b
                        + (reg["dd4"] @ gp + kappa * (reg["dd1"] @ wq)))
         return np.stack(out) / (2.0 * np.pi * (kappa + 1.0))
+
+    def tables(self):
+        """The operator as tables over the density coefficients: (T, C).
+
+        Field f of apply() (Sigma, omega, omega', omega'') is
+        T[0, f] @ gp + T[1, f] @ q + C[0, f] @ conj(gp) + C[1, f] @ conj(q)
+        for coefficient vectors gp and q of g' and q.  T is complex of shape
+        (2, 4, M, degree+1) and C of shape (2, 4, 1, degree+1): k2 is
+        constant, so it enters as the weighted sum of conj(g' - 2i q), in
+        Sigma and in -omega.  Each table combines the kernel and
+        principal-value tables column for column, with no product over the
+        coefficients; the s0-derivatives of the principal values are shifted
+        columns (column c of P D is c P[:, c - 1] for the derivative matrix
+        D) minus the end terms.  The operator must have been tabulated with
+        derivatives.
+        """
+        kappa, reg = self.kappa, self._reg
+        a, b = self._inv_ends
+        at0, atl = self._ends
+        # PV int x^c/(s - s0) ds and its two s0-derivatives, as in apply()
+        pv = self._pv
+        pv1 = _times_derivative(pv) - (atl * a + at0 * b)
+        pv2 = _times_derivative(pv1) - (atl * a * a - at0 * b * b)
+        # the fields per unit g' (rows 0-3) and per unit q (rows 4-7) from
+        # the tables in `parts`: the densities of `cauchy_densities` times
+        # the principal values, and the kernels, which take wq = -2i q
+        (sg, og), (sq, oq) = (cauchy_densities(1.0, 0.0, kappa),
+                              cauchy_densities(0.0, 1.0, kappa))
+        wq, wk = -2j, -2j * kappa
+        coef = np.array([
+            [sg, 0., 0., 1., 0., 0., 0., 0., 0., 0.],  # Sigma
+            [og, 0., 0., 0., 1., 0., 0., 0., 0., 0.],  # omega
+            [0., og, 0., 0., 0., 1., 0., 0., 0., 0.],  # omega'
+            [0., 0., og, 0., 0., 0., 1., 0., 0., 0.],  # omega''
+            [sq, 0., 0., 0., 0., 0., 0., wq, 0., 0.],  # Sigma
+            [oq, 0., 0., wk, 0., 0., 0., 0., 0., 0.],  # omega
+            [0., oq, 0., 0., 0., 0., 0., 0., wk, 0.],  # omega'
+            [0., 0., oq, 0., 0., 0., 0., 0., 0., wk]])  # omega''
+        parts = np.array([pv, pv1, pv2] + [reg[key] for key in (
+            "k1", "k4", "d4", "dd4", "k3", "d1", "dd1")])
+        scale = 1.0 / (2.0 * np.pi * (kappa + 1.0))
+        T = ((scale * coef) @ parts.reshape(10, -1)).reshape(
+            (2, 4) + pv.shape)
+        k2 = np.array([[1.0, -1.0, 0.0, 0.0], [2j, -2j, 0.0, 0.0]])
+        C = k2[:, :, None, None] * (scale * self._k2 * self._wsum)
+        return T, C
 
 
 class _FlatRuleOperator(_FaceOperator):

@@ -24,31 +24,35 @@ the boundary equation at the collocation midpoints but not between them,
 least of all near the tips (see the tests/test_acceptance.py docstring).
 
 Integral evaluation: the collocation rows come from the face-field
-operator (`fields._FaceOperator`) tabulated at the collocation points and
-applied to the 2N+2 basis columns.  Per column it gives the face-average
-traction Sigma and the face function omega with its first two
-s0-derivatives; the real row is (kappa+1)(Re Sigma - gamma1 kappa0 dk) and
-the imaginary row (kappa+1)(Im Sigma - gamma1 dk'), where dk = -(kappa0 Re
-omega - Im omega')/2mu is the face-curvature change and dk' = -(kappa0 Re
-omega' - Im omega'')/2mu, with kappa0 constant.  The face fields of a
-solved density are the same kind of table applied to one column, so the
-assembly and the field evaluation share one code path.  The principal
-values (and their s0-derivatives, boundary terms included) are in closed
-form (`densities.pv_monomials`) and the regular kernels use
+operator (`fields._FaceOperator`) tabulated at the collocation points.
+For each of the 2N+2 basis columns it gives the face-average traction
+Sigma and the face function omega with its first two s0-derivatives; the
+real row is (kappa+1)(Re Sigma - gamma1 kappa0 dk) and the imaginary row
+(kappa+1)(Im Sigma - gamma1 dk'), where dk = -(kappa0 Re omega - Im
+omega')/2mu is the face-curvature change and dk' = -(kappa0 Re omega' -
+Im omega'')/2mu, with kappa0 constant.  The face fields of a solved
+density are the same operator applied to one column, so the assembly and
+the field evaluation share one tabulation.  The principal values (and
+their s0-derivatives, boundary terms included) are in closed form
+(`densities.pv_monomials`) and the regular kernels use
 `quadrature.regular_rule`.  The flat node rule of `quadrature` is kept
 only for the oracles; feeding its O(1/N) errors into this strongly
 amplifying system destroys convergence.
 
-Nothing of this depends on gamma1 except through q, which is linear in
-gamma1.  `_CollocationTables` therefore holds the gamma1-independent part
-of the system of one curve, material and N: the tabulated operator, the
-basis columns with q at gamma1 = 1 and the integrals I_n of the
+gamma1 enters the rows twice: q is linear in gamma1, and the
+face-curvature term multiplies by gamma1 once more.  So the collocation
+block is (kappa+1)(R0 + gamma1 R1 + gamma1^2 R2) with three real blocks,
+and the tip rows are T0 + gamma1 T1.  `_CollocationTables` holds this
+gamma1-independent part of the system of one curve, material and N: the
+blocks, built once from the operator's tables (`_FaceOperator.tables`,
+`_system_rows`), the tip rows and the integrals I_n of the
 single-valuedness rows, int_0^l (x - l/2)^n t'(x) dx on the same
 `regular_rule` (`_single_valued_integrals`).  The jump table
 (`_jump_table`), the integrals of g' t' up to each point of the opening
 profile, is built only when an opening is asked for, so a convergence run
-builds none.  assemble() builds the tables and applies them to one gamma1;
-a gamma1 sweep builds them once and applies them to every point.
+builds none.  assemble() builds the tables and combines them for one
+gamma1; a gamma1 sweep builds them once and combines them for every
+point, with no operator product.
 
 The constrained system is solved by least squares in the constraint null
 space with a light Tikhonov term (relative weight 1e-8) that suppresses
@@ -185,41 +189,86 @@ def _tip_rows(curve: CrackCurve, kappa: float, gamma1: float, gp, q_unit):
     Im g'' at each tip pin them.
     """
     degree = gp.shape[-1] - 1
-    rows = []
-    for tip in basis([0.0, curve.length], curve.length, degree):
-        sigma, omega = cauchy_densities(gp @ tip,
-                                        gamma1 * (q_unit @ tip), kappa)
-        # 0.0 - x rather than -x: an exact zero stays +0.0
-        rows += [0.0 - omega.imag, 0.5 * sigma.real]
-        if curve.constant_curvature == 0.0:
-            gpp = poly_derivative(gp) @ tip[:degree]
-            rows += [gpp.real, gpp.imag]
-    return rows
+    tips = basis([0.0, curve.length], curve.length, degree).T
+    sigma, omega = cauchy_densities(gp @ tips, gamma1 * (q_unit @ tips),
+                                    kappa)
+    # 0.0 - x rather than -x: an exact zero stays +0.0
+    rows = [0.0 - omega.imag, 0.5 * sigma.real]
+    if curve.constant_curvature == 0.0:
+        gpp = poly_derivative(gp) @ tips[:degree]
+        rows += [gpp.real, gpp.imag]
+    return [row[..., tip] for tip in (0, 1) for row in rows]
+
+
+def _system_rows(curve, material, tables, conj):
+    """The rows of the boundary equation per unit density coefficient.
+
+    tables and conj are `_FaceOperator.tables`.  The collocation rows hold
+    Re Sigma, Im Sigma and the face-curvature terms -kappa0 dk and -dk',
+    with dk = -(kappa0 Re omega - Im omega')/2mu the face-curvature change
+    and dk' = -(kappa0 Re omega' - Im omega'')/2mu.  All four are real
+    parts of combinations of the fields: of Sigma, -i Sigma,
+    kappa0 (kappa0 omega + i omega')/2mu and (kappa0 omega' + i
+    omega'')/2mu.  Returns them as real rows on the stacked [Re c; Im c] of
+    the coefficients c of g' (index 0) and of q (index 1), shape
+    (2, 4 M, 2n), the four kinds of row one after the other.
+    """
+    k0, two_mu = curve.constant_curvature, 2.0 * material.mu
+    combine = np.array([[1.0, 0.0, 0.0, 0.0],
+                        [-1j, 0.0, 0.0, 0.0],
+                        [0.0, k0 * k0 / two_mu, 1j * k0 / two_mu, 0.0],
+                        [0.0, 0.0, k0 / two_mu, 1j / two_mu]])
+    t, tc = ((combine @ x.reshape(2, 4, -1)).reshape(x.shape)
+             for x in (tables, conj))
+    # Re of t c + tc conj(c), with c = cr + i ci
+    n = t.shape[-1]
+    rows = np.empty(t.shape[:-1] + (2 * n,))
+    np.add(t.real, tc.real, out=rows[..., :n])
+    np.subtract(tc.imag, t.imag, out=rows[..., n:])
+    return rows.reshape(2, -1, 2 * n)
 
 
 class _CollocationTables:
     """The gamma1-independent part of the system of one curve, material and N.
 
-    It holds the face-field operator tabulated with s0-derivatives at the
-    collocation points, the 2N+2 basis columns (their g' and the q of
-    gamma1 = 1, since q is linear in gamma1) and the single-valuedness
-    integrals; the jump table of the opening is built on first use.
-    system() applies them to one gamma1 and load, so a sweep over gamma1
-    tabulates the kernels once.
+    The collocation rows are (kappa+1)(R0 + gamma1 R1 + gamma1^2 R2): q is
+    linear in gamma1, and the face-curvature term multiplies by gamma1 once
+    more.  The three real (2N, 2N+2) blocks are built once from the tables
+    of the face-field operator at the collocation points, with
+    s0-derivatives (`_FaceOperator.tables`).  R0 is the traction of the g'
+    of the basis columns, R1 the traction of their q at gamma1 = 1 plus the
+    curvature term of their g', and R2 the curvature term of their q.  The
+    g' columns are the identity and i times it, so their rows are the
+    tables themselves, placed; the q rows are one real product with the
+    basis columns' q.  The tip rows are T0 + gamma1 T1 likewise.  The tables
+    also hold the single-valuedness integrals; the jump table of the opening
+    is built on first use.  system() combines them for one gamma1 and load
+    with no operator product, so a sweep over gamma1 tabulates the kernels
+    and builds the blocks once.
     """
 
     def __init__(self, curve: CrackCurve, material, disc: Discretization):
         N = disc.N
         self.curve, self.material, self.disc = curve, material, disc
+        kappa = material.kappa
         # column c of the system is the unknown g1_c (c <= N) or g2_(c-N-1):
-        # its g' and q as centered coefficient rows, shape (2N+2, N+1)
+        # its g' and q (gamma1 = 1) as centered coefficient rows, (2N+2, N+1)
         eye, zero = np.eye(N + 1), np.zeros((N + 1, N + 1))
         g1, g2 = np.vstack([eye, zero]), np.vstack([zero, eye])
-        self.gp = g1 + 1j * g2
-        self.q_unit = q_coefficients(curve, material, 1.0, g1, g2)
-        colloc = disc.collocation_points
-        self.op = _FaceOperator(curve, material.kappa, colloc, N,
-                                derivatives=True)
+        gp = g1 + 1j * g2
+        q_unit = q_coefficients(curve, material, 1.0, g1, g2)
+        op = _FaceOperator(curve, kappa, disc.collocation_points, N,
+                           derivatives=True)
+        g_rows, q_rows = _system_rows(curve, material, *op.tables())
+        # q_unit maps the q rows to the basis columns
+        q_rows = q_rows @ np.concatenate([q_unit.real, q_unit.imag], axis=1).T
+        self.blocks = (g_rows[: 2 * N], q_rows[: 2 * N] + g_rows[2 * N:],
+                       q_rows[2 * N:])
+        # g' and, at gamma1 = 1, q of the basis columns, side by side
+        tips = np.array(_tip_rows(curve, kappa, 1.0,
+                                  np.concatenate([gp, 0.0 * gp]),
+                                  np.concatenate([0.0 * q_unit, q_unit])))
+        self.tip_rows = (tips[:, : 2 * N + 2], tips[:, 2 * N + 2:])
         self.single_valued = _single_valued_integrals(curve, N)
 
     @cached_property
@@ -234,26 +283,22 @@ class _CollocationTables:
             raise AssemblyError(
                 f"gamma1 must be finite and nonnegative, got {gamma1}")
         curve, material, disc = self.curve, self.material, self.disc
-        kappa, mu = material.kappa, material.mu
+        kappa = material.kappa
 
         # the boundary equation (kappa+1)[Sigma - gamma1 (kappa0 dk + i dk')]
-        # = (kappa+1) f, with the face-curvature change dk built from omega
-        sigma, omega, omega1, omega2 = self.op.apply(self.gp,
-                                                     gamma1 * self.q_unit)
-        k0 = curve.constant_curvature
-        dk = -(k0 * omega.real - omega1.imag) / (2.0 * mu)
-        dk1 = -(k0 * omega1.real - omega2.imag) / (2.0 * mu)
+        # = (kappa+1) f, real rows first
+        r0, r1, r2 = self.blocks
+        rows = (kappa + 1.0) * (r0 + gamma1 * (r1 + gamma1 * r2))
         f_c = boundary_forcing(curve, material, load, gamma1,
                                disc.collocation_points)
-        rows = (kappa + 1.0) * np.vstack([sigma.real - gamma1 * k0 * dk,
-                                          sigma.imag - gamma1 * dk1])
         rhs = (kappa + 1.0) * np.concatenate([f_c.real, f_c.imag])
 
         ints = self.single_valued
         con_rows = [np.concatenate([ints.real, -ints.imag]),
                     np.concatenate([ints.imag, ints.real])]
         if gamma1 > 0.0:
-            con_rows += _tip_rows(curve, kappa, gamma1, self.gp, self.q_unit)
+            t0, t1 = self.tip_rows
+            con_rows += list(t0 + gamma1 * t1)
         A = np.vstack([rows] + con_rows)
         b = np.concatenate([rhs, np.zeros(len(con_rows))])
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):

@@ -10,7 +10,8 @@ from curvecrack import (DensityCoefficients, FarFieldLoad, KernelSet, Material,
                         make_semicircle, make_straight, max_face_traction,
                         opening_profile, parity_residuals, solve_problem,
                         sweep_curvature, sweep_gamma, tip_log_coefficients)
-from curvecrack.fields import _FieldEvaluator, face_field_profile
+from curvecrack.fields import (_FaceOperator, _FieldEvaluator,
+                               face_field_profile)
 from curvecrack.postprocess import (ConvergenceRow, GammaSweepRow,
                                     extremum_coincidence_report,
                                     write_convergence_csv, write_csv,
@@ -290,6 +291,32 @@ class TestSweepTables:
         calls.clear()
         sweep_gamma(semicircle, material, load_h,
                     [0.5 * 4.0 ** (i / 7) for i in range(8)], N=20)
+        assert one > 0 and len(calls) == one
+
+    def test_basis_columns_do_not_grow_with_gamma_points(
+            self, semicircle, material, load_h, monkeypatch):
+        # operator products over the 2N+2 basis columns: apply() on that
+        # many columns, or the tables the collocation blocks are built from
+        N = 20
+        calls = []
+        apply, tables = _FaceOperator.apply, _FaceOperator.tables
+
+        def counted_apply(self, gp_poly, q_poly):
+            if gp_poly.shape[0] == 2 * N + 2:
+                calls.append(1)
+            return apply(self, gp_poly, q_poly)
+
+        def counted_tables(self):
+            calls.append(1)
+            return tables(self)
+
+        monkeypatch.setattr(_FaceOperator, "apply", counted_apply)
+        monkeypatch.setattr(_FaceOperator, "tables", counted_tables)
+        sweep_gamma(semicircle, material, load_h, [1.0], N=N)
+        one = len(calls)
+        calls.clear()
+        sweep_gamma(semicircle, material, load_h,
+                    [0.5 * 4.0 ** (i / 7) for i in range(8)], N=N)
         assert one > 0 and len(calls) == one
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from curvecrack.cli import ConfigError, parse_config, run
+from curvecrack.cli import ConfigError, main, parse_config, run
 
 GOOD = {"shape": "semicircle", "mu": "60", "kappa": "2.5",
         "sigma1_inf": "1.0", "sigma2_inf": "0.0", "gamma1": "1.0", "N": "8"}
@@ -60,3 +60,51 @@ def test_shipped_config_runs(tmp_path, path):
     cfg = parse_config(path.read_text(encoding="utf-8"))
     assert run(cfg, out_dir=str(tmp_path), quiet=True) == 0
     assert (tmp_path / CSV_OF_MODE[cfg.run_mode]).stat().st_size > 0
+
+
+# Each run mode requires and checks only the keys it reads: a curvature
+# sweep builds its own arcs and reads no shape, a gamma1 sweep and a
+# convergence run read their gamma1 and N values from the grid.
+SWEEP_CURVATURE = {"mu": "60", "kappa": "2.5", "sigma1_inf": "1.0",
+                   "sigma2_inf": "1.0", "gamma1": "0.5", "N": "8",
+                   "run_mode": "sweep-curvature", "grid": "0.5 1.0"}
+
+
+def test_sweep_curvature_needs_no_shape(tmp_path):
+    written = []
+    for name, shape in (("with", {"shape": "semicircle"}), ("without", {})):
+        cfg = parse_config(_text(dict(SWEEP_CURVATURE, **shape)))
+        assert run(cfg, out_dir=str(tmp_path / name), quiet=True) == 0
+        written.append((tmp_path / name / "sweep_curvature.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_sweep_gamma_needs_no_gamma1(tmp_path):
+    pairs = dict(GOOD, run_mode="sweep-gamma", grid="0.5 1.0")
+    written = []
+    for name, drop in (("with", ()), ("without", ("gamma1",))):
+        cfg = parse_config(_text({k: v for k, v in pairs.items()
+                                  if k not in drop}))
+        assert run(cfg, out_dir=str(tmp_path / name), quiet=True) == 0
+        written.append((tmp_path / name / "sweep_gamma.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_convergence_does_not_check_n(tmp_path):
+    text = _text(dict(GOOD, N="2", run_mode="convergence", grid="8 10"))
+    assert run(parse_config(text), out_dir=str(tmp_path), quiet=True) == 0
+    assert (tmp_path / "convergence.csv").stat().st_size > 0
+
+
+def test_solve_without_shape_exits_2(tmp_path, capsys):
+    pairs = {k: v for k, v in GOOD.items() if k != "shape"}
+    path = tmp_path / "solve.cfg"
+    path.write_text(_text(pairs))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "shape" in capsys.readouterr().err
+    # a curvature sweep without shape, run as a solve
+    cfg = parse_config(_text(SWEEP_CURVATURE))
+    assert run(cfg, out_dir=str(tmp_path / "out"), mode_override="solve",
+               quiet=True) == 2
+    assert "shape" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -13,7 +13,8 @@ from curvecrack import (AssemblyError, DensityCoefficients, Discretization,
                         traction_jump_parts)
 from curvecrack import quadrature, solver
 from curvecrack.densities import (poly_derivative, poly_eval, pv_monomials,
-                                  q_polynomial)
+                                  q_coefficients, q_polynomial)
+from curvecrack.fields import _FaceOperator
 from curvecrack.quadrature import gauss_legendre
 
 
@@ -88,6 +89,30 @@ class TestQuadratureRule:
                           <= 1e-13 * np.abs(single) + 1e-13)
         with pytest.raises(ValueError):
             pv_monomials(l, np.array([1.0, l]), 4)
+
+    @pytest.mark.parametrize("length", [np.pi, 2.0, 0.7])
+    def test_pv_monomials_match_loop_formula(self, length):
+        # the difference-quotient sum of the docstring as a loop of array
+        # updates, the reference for the Toeplitz product
+        def looped(s0, kmax):
+            half = 0.5 * length
+            x0p = (s0[:, None] - half) ** np.arange(kmax + 1)
+            out = x0p * np.log((length - s0) / s0)[:, None]
+            for i in range(0, kmax, 2):
+                out[:, i + 1:] += (x0p[:, :kmax - i] * 2.0
+                                   * half ** (i + 1) / (i + 1))
+            return out
+
+        s0 = np.random.default_rng(5).uniform(0.001, 0.999, 40) * length
+        # the terms are bounded by (l/2)^k, the log term by |log| (l/2)^k
+        log = np.abs(np.log((length - s0) / s0))[:, None]
+        for kmax in (0, 1, 2, 7, 20, 60, 100):
+            want = looped(s0, kmax)
+            got = pv_monomials(length, s0, kmax)
+            scale = ((0.5 * length) ** np.arange(kmax + 1)
+                     * np.maximum(1.0, log))
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-15 * scale)
 
     def test_gauss_rule_built_once_and_read_only(self):
         x, w = gauss_legendre(16, 0.0, 1.0)
@@ -282,6 +307,53 @@ class TestAssembly:
                                         coeffs, disc.collocation_points)
         got = resid[:N] + 1j * resid[N:]
         assert np.max(np.abs(got - ref)) < 1e-7
+
+
+def _operator_system(curve, material, gamma1, N):
+    """The unscaled system the face operator gives for the basis columns.
+
+    The direct assembly at one gamma1: `_FaceOperator.apply` on all 2N+2
+    basis columns with q at this gamma1, then the traction and
+    face-curvature rows, the single-valuedness rows and the tip rows.  The
+    tabulation as a quadratic in gamma1 must reproduce it.
+    """
+    kappa, mu = material.kappa, material.mu
+    eye, zero = np.eye(N + 1), np.zeros((N + 1, N + 1))
+    g1, g2 = np.vstack([eye, zero]), np.vstack([zero, eye])
+    gp = g1 + 1j * g2
+    q_unit = q_coefficients(curve, material, 1.0, g1, g2)
+    disc = Discretization(N, curve.length)
+    op = _FaceOperator(curve, kappa, disc.collocation_points, N,
+                       derivatives=True)
+    sigma, omega, omega1, omega2 = op.apply(gp, gamma1 * q_unit)
+    k0 = curve.constant_curvature
+    dk = -(k0 * omega.real - omega1.imag) / (2.0 * mu)
+    dk1 = -(k0 * omega1.real - omega2.imag) / (2.0 * mu)
+    rows = (kappa + 1.0) * np.vstack([sigma.real - gamma1 * k0 * dk,
+                                      sigma.imag - gamma1 * dk1])
+    ints = solver._single_valued_integrals(curve, N)
+    con_rows = [np.concatenate([ints.real, -ints.imag]),
+                np.concatenate([ints.imag, ints.real])]
+    if gamma1 > 0.0:
+        con_rows += solver._tip_rows(curve, kappa, gamma1, gp, q_unit)
+    return np.vstack([rows] + con_rows)
+
+
+@pytest.mark.parametrize("N", [8, 20, 60])
+@pytest.mark.parametrize("curve", [make_semicircle(), make_circular_arc(0.5),
+                                   make_straight(2.0)],
+                         ids=["semicircle", "arc", "straight"])
+def test_quadratic_assembly_matches_operator(material, load_h, curve, N):
+    disc = Discretization(N, curve.length)
+    for gamma1 in (0.0, 0.25, 1.0, 4.0):
+        want = _operator_system(curve, material, gamma1, N)
+        tol = 1e-13 * np.max(np.abs(want), axis=1, keepdims=True)
+        for row_scaling in (True, False):
+            system = assemble(curve, material, load_h, gamma1, disc,
+                              row_scaling)
+            got = system.matrix * system.row_scale[:, None]
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= tol)
 
 
 def _independent_row_residual(curve, material, load, gamma1, coeffs, points):
