@@ -19,13 +19,14 @@ the kernels integrated against each monomial of the centered basis
 values of the monomials and the end factors of their s0-derivatives.  Its
 apply() then gives the face-average traction and the face function omega
 (and omega's first two s0-derivatives) of any number of density columns by
-matrix products alone; the field evaluator applies it to one solved
-density and adds the +-jump terms and the far field.  The assembly
-(`solver._CollocationTables`) needs it on the 2N+2 basis columns at the N
-collocation points, whose g' is the identity and i times it, so it reads
-the operator as tables over the coefficients instead (tables()), combined
-column for column from the same kernel and principal-value tables with no
-product over the coefficients.  A sweep builds both operators once, so the
+matrix products alone; the field evaluator applies it to the solved
+densities, one or a sweep's stack of them as columns, and adds the +-jump
+terms and the far field.  The assembly (`solver._CollocationTables`)
+needs it on the 2N+2 basis columns at the N collocation points, whose g'
+is the identity and i times it, so it reads the operator as tables over
+the coefficients instead (tables()), combined column for column from the
+same kernel and principal-value tables with no product over the
+coefficients.  A sweep builds both operators once, so the
 collocation rows and the face fields come from one tabulation.
 """
 
@@ -133,7 +134,12 @@ def surface_tension_coefficients(curve: CrackCurve, gamma1: float, s):
     straight crack.
     """
     s = np.asarray(s, dtype=float)
-    _, t1, t2, t3, _ = curve.derivatives(s)
+    return _surface_tension_terms(curve, gamma1, s, curve.derivatives(s))
+
+
+def _surface_tension_terms(curve, gamma1, s, derivatives):
+    """surface_tension_coefficients from the curve's derivatives at s."""
+    _, t1, t2, t3, _ = derivatives
     k0 = curve.kappa0(s)
     k0p = curve.kappa0_prime(s)
     t1c, t2c, t3c = np.conj(t1), np.conj(t2), np.conj(t3)
@@ -156,8 +162,9 @@ def boundary_forcing(curve: CrackCurve, material: Material, load: FarFieldLoad,
     gamma1 (kappa0 dk + i dk'), evaluated on the uniform far field.
     """
     s0 = np.asarray(s0, dtype=float)
-    _, t1, t2, t3, _ = curve.derivatives(s0)
-    m1, m2, m3, m4 = surface_tension_coefficients(curve, gamma1, s0)
+    derivatives = curve.derivatives(s0)
+    _, t1, t2, t3, _ = derivatives
+    m1, m2, m3, m4 = _surface_tension_terms(curve, gamma1, s0, derivatives)
     kappa = material.kappa
     phi = load.phi_inf
     psi = load.psi_inf
@@ -252,10 +259,11 @@ class _FaceOperator:
     not at all.
 
     apply() then evaluates any number of density columns by matrix
-    products alone; the field evaluator applies it to one solved density
-    at a time.  tables() gives the same operator as tables over the density
-    coefficients, from which the assembly builds its rows for the 2N+2
-    basis columns at the collocation points.
+    products alone; the field evaluator applies it to all the solved
+    densities of a solve or a sweep at once.  tables() gives the same
+    operator as tables over the density coefficients, from which the
+    assembly builds its rows for the 2N+2 basis columns at the collocation
+    points.
     """
 
     def __init__(self, curve, kappa, s0, degree, derivatives=False):
@@ -381,9 +389,10 @@ class _FieldEvaluator:
     """Face fields at fixed points s0, for any density of degree <= degree.
 
     Construction tabulates the operator (_FaceOperator) and the far field
-    at the points; face_values applies the operator to one solved density
-    and adds the +-jump terms and the far field, so one evaluator serves
-    every density of a sweep.  The default exact mode integrates the
+    at the points; apply() applies the operator to any number of solved
+    densities as columns and adds the +-jump terms and the far field, so
+    one evaluator serves every density of a sweep, and face_values is its
+    one-density case.  The default exact mode integrates the
     regular kernels with `regular_rule` and takes the principal values in
     closed form.  The discrete mode is the flat-rule oracle
     (_FlatRuleOperator): node sums over the n_quad + 1 nodes of the
@@ -414,14 +423,26 @@ class _FieldEvaluator:
     def face_values(self, densities):
         """sigma_n + i tau_n and d(u1 + i u2)/ds on both faces at the points.
 
-        Returns two complex arrays of shape (2, M), "+" face first.
+        Returns two complex arrays of shape (2, M), "+" face first: apply()
+        on the one density.
         """
         gp = densities.g1 + 1j * densities.g2
         q = q_polynomial(self.curve, self.material, densities.gamma1,
                          densities)
-        sigma, omega = self._op.apply(gp[None], q[None])[:, :, 0]
-        mono = self._basis[:, : gp.size]
-        traction = _SIGNS * (mono @ q) + sigma + self._far
+        traction, du = self.apply(gp[None], q[None])
+        return traction[..., 0], du[..., 0]
+
+    def apply(self, gp_poly, q_poly):
+        """face_values of C densities, (2, M, C) each.
+
+        gp_poly and q_poly are (C, n) complex coefficient matrices of g' and
+        q, as for `_FaceOperator.apply`; column c of the results belongs to
+        row c.
+        """
+        sigma, omega = self._op.apply(gp_poly, q_poly)
+        mono = self._basis[:, : gp_poly.shape[-1]]
+        signs = _SIGNS[..., None]
+        traction = signs * (mono @ q_poly.T) + sigma + self._far[:, None]
 
         # omega is the face function whose jump is i g'(s0).  Its jump
         # coefficient is i/2, not i(kappa+1)/2: the face limits of the
@@ -430,8 +451,9 @@ class _FieldEvaluator:
         # by test_displacement_jump_identity (the face values' jump) and
         # test_jump_derivative_consistency (the slope of the opening, the
         # integral of g' t' by the jump table).
-        omega = _SIGNS * 0.5j * (mono @ gp) + omega
-        du = (self._t1 * omega + self._du_far) / (2.0 * self.material.mu)
+        omega = signs * 0.5j * (mono @ gp_poly.T) + omega
+        du = (self._t1[:, None] * omega + self._du_far[:, None]) \
+            / (2.0 * self.material.mu)
         return traction, du
 
     def samples(self, densities):

@@ -13,11 +13,21 @@ holds the collocation tables (`solver._CollocationTables`) of one curve and
 N, and one field evaluator at a midpoint face grid plus the 32 default
 tip-window points at s = 0: the 101-point max-traction grid for a sweep,
 the 100-point `face_fields.csv` grid for solve mode (`cli._solve_outputs`).
-Every solve applies both to its own gamma1 (`_solve_and_report` for a sweep
-point), and its opening comes from the collocation tables' jump table,
-built on the first opening, so the kernels and the jump table are built
-once per curve however many solves use them.  A gamma1 sweep builds the
-tables once, a curvature sweep once per curve.
+The openings come from the collocation tables' jump table, built on the
+first opening, so the kernels and the jump table are built once per curve
+however many solves use them.  A gamma1 sweep builds the tables once, a
+curvature sweep once per curve.
+
+A gamma1 sweep solves its points as stacks (`_solve_and_report`): one for
+the gamma1 = 0 points and one for the positive ones, which carry the tip
+rows too.  Each stack is one batched reduction and solve
+(`solver._solutions`), one application of the field evaluator to all its
+densities as columns, one least-squares fit of every point's two tip
+fields on the shared [ln s, 1] design, and one product of the jump table
+with all the densities.  Errors stay per point: an invalid gamma1 never
+enters a stack, a point that fails a check of its own gets that error
+while the others go on, and an error of the whole stack goes on each of
+its rows.
 
 Every CSV goes through `write_csv`, which takes whole columns and formats
 each column once: floats by repr, integers by str, strings as given.
@@ -30,12 +40,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densities import (DensityCoefficients, basis, cauchy_densities,
-                        q_polynomial)
+                        q_coefficients, q_polynomial)
 from .fields import _SIDES, _FieldEvaluator
 from .geometry import CrackCurve, make_circular_arc
 from .quadrature import Discretization, midpoint_grid
-from .solver import (AssemblyError, SolveError, _CollocationTables,
-                     _jump_table, solve, solve_problem)
+from .solver import (AssemblyError, SolveError, _check_gamma1,
+                     _CollocationTables, _jump_table, _solutions,
+                     solve_problem)
 
 FIELD_NAMES = ("sigma_n", "tau_n", "du1_ds", "du2_ds")
 
@@ -66,12 +77,24 @@ def opening_profile(coeffs: DensityCoefficients, curve: CrackCurve, material,
 
 def _opening(coeffs, curve, material, table) -> OpeningProfile:
     """opening_profile from a jump table of the curve."""
-    s_grid = np.linspace(0.0, curve.length, len(table))
-    jump = 0.5j * (table @ (coeffs.g1 + 1j * coeffs.g2)) / material.mu
-    delta = np.imag(np.conj(curve.tangent(s_grid)) * jump)
-    return OpeningProfile(s=s_grid, jump=jump, delta=delta,
+    s_grid, jump, delta = _openings(
+        (coeffs.g1 + 1j * coeffs.g2)[:, None], curve, material, table)
+    delta = delta[:, 0]
+    return OpeningProfile(s=s_grid, jump=jump[:, 0], delta=delta,
                           max_opening=float(np.max(delta)),
                           min_opening=float(np.min(delta)))
+
+
+def _openings(gp, curve, material, table):
+    """The grid of a jump table, and the jump and opening of densities there.
+
+    gp holds the coefficients of g' of P densities as columns, (N+1, P);
+    the jump and the opening delta are (n_samples, P), from one product.
+    """
+    s_grid = np.linspace(0.0, curve.length, len(table))
+    jump = 0.5j * (table @ gp) / material.mu
+    delta = np.imag(np.conj(curve.tangent(s_grid))[:, None] * jump)
+    return s_grid, jump, delta
 
 
 @dataclass
@@ -99,22 +122,29 @@ def fit_log_coefficient(samples, window=None, field_id: str = "",
         s, v = arr[0], arr[1]
     else:
         s, v = arr[:, 0], arr[:, 1]
-    if np.any(s <= 0.0):
+    return _log_fits(s, {field_id: v}, (field_id,), window, tip)[field_id]
+
+
+def _fit_lines(dist, values, window=None):
+    """Least-squares A ln s + c of every column of values, one fit call.
+
+    dist are the (n,) distances s from the tip, values (n, K).  Returns A,
+    c and the rms residual, (K,) each, and the window.
+    """
+    if np.any(dist <= 0.0):
         raise ValueError("log fit requires strictly positive tip distances")
     if window is None:
-        window = (float(np.min(s)), float(np.max(s)))
-    mask = (s >= window[0]) & (s <= window[1])
+        window = (float(np.min(dist)), float(np.max(dist)))
+    mask = (dist >= window[0]) & (dist <= window[1])
     if np.count_nonzero(mask) < 8:
         raise ValueError(
             f"log fit needs at least 8 samples in window {window}, "
             f"got {np.count_nonzero(mask)}")
-    ls = np.log(s[mask])
-    vv = v[mask]
+    ls = np.log(dist[mask])
+    vv = values[mask]
     slope, intercept = np.polyfit(ls, vv, 1)
-    resid = vv - (slope * ls + intercept)
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return LogFit(A=float(slope), c=float(intercept), window=tuple(window),
-                  rms=rms, field_id=field_id, tip=tip)
+    resid = vv - (slope * ls[:, None] + intercept)
+    return slope, intercept, np.sqrt(np.mean(resid**2, axis=0)), window
 
 
 def default_fit_window(length: float) -> tuple:
@@ -180,10 +210,16 @@ def fit_tip_coefficients(curve, material, load, coeffs, tip: float = 0.0,
 
 
 def _log_fits(dist, values, names, window=None, tip=0.0):
-    """LogFit of each named field from its values at distances dist."""
-    return {name: fit_log_coefficient(np.column_stack([dist, values[name]]),
-                                      window=window, field_id=name, tip=tip)
-            for name in names}
+    """LogFit of each named field from its values at distances dist.
+
+    All the named fields are fitted in one call (`_fit_lines`).
+    """
+    A, c, rms, window = _fit_lines(
+        np.asarray(dist, dtype=float),
+        np.column_stack([values[name] for name in names]), window)
+    return {name: LogFit(A=float(A[k]), c=float(c[k]), window=tuple(window),
+                         rms=float(rms[k]), field_id=name, tip=tip)
+            for k, name in enumerate(names)}
 
 
 def tip_log_coefficients(curve, material, coeffs):
@@ -257,68 +293,136 @@ class _SweepTables:
         self.fields = _FieldEvaluator(curve, material, load,
                                       np.concatenate([self.face_s, tip_s]), N)
 
-    def face_values(self, coeffs):
-        """Traction and du/ds on both faces at face_s, (2, n_face) each,
-        and the "+" face fields at the tip points, named as in FIELD_NAMES."""
-        traction, du = self.fields.face_values(coeffs)
+    def _split(self, traction, du):
+        """The evaluator's values as face values at face_s, (2, n_face, ...)
+        each, and the "+" face fields at the tip points, named as in
+        FIELD_NAMES."""
         n = self.face_s.size
         return (traction[:, :n], du[:, :n],
                 _field_values(traction[0, n:], du[0, n:]))
+
+    def face_values(self, coeffs):
+        """Traction and du/ds on both faces at face_s, (2, n_face) each,
+        and the "+" face fields at the tip points, named as in FIELD_NAMES."""
+        return self._split(*self.fields.face_values(coeffs))
 
     def opening(self, coeffs) -> OpeningProfile:
         """opening_profile of coeffs from the collocation jump table."""
         return _opening(coeffs, self.curve, self.material,
                         self.collocation.jump)
 
+    def columns(self, x, gamma1):
+        """The sweep columns of P solutions x (P, 2N+2) at gamma1 (P,).
 
-def _solve_and_report(tables, gamma1):
-    """(A1, A2, max opening, min opening, max traction) at one gamma1."""
-    coeffs = solve(tables.collocation.system(tables.load, gamma1),
-                   tables.curve)
-    traction, _, tip_values = tables.face_values(coeffs)
-    fits = _log_fits(tables.tip_dist, tip_values, ("du1_ds", "tau_n"))
-    prof = tables.opening(coeffs)
-    return (fits["du1_ds"].A, fits["tau_n"].A, prof.max_opening,
-            prof.min_opening, float(np.max(np.abs(traction))))
+        (A1, A2, max opening, min opening, max traction) per solution, as
+        a (P, 5) array.  The field evaluator takes the P densities as
+        columns, one fit call fits both tip fields of every point, and the
+        openings are one product with the jump table.
+        """
+        N = self.collocation.disc.N
+        g1, g2 = x[:, : N + 1], x[:, N + 1:]
+        gp = g1 + 1j * g2
+        q = q_coefficients(self.curve, self.material, gamma1[:, None], g1, g2)
+        traction, _, tip_values = self._split(*self.fields.apply(gp, q))
+        A = _fit_lines(self.tip_dist, np.concatenate(
+            [tip_values["du1_ds"], tip_values["tau_n"]], axis=1))[0]
+        _, _, delta = _openings(gp.T, self.curve, self.material,
+                                self.collocation.jump)
+        P = x.shape[0]
+        return np.column_stack([A[:P], A[P:], np.max(delta, axis=0),
+                                np.min(delta, axis=0),
+                                np.max(np.abs(traction), axis=(0, 1))])
 
 
+# numpy's LinAlgError is a ValueError
 _SWEEP_ERRORS = (AssemblyError, SolveError, ValueError)
 
 
-def _fill(row, report, *args):
-    """Fill row from report(*args), or record the error it raised."""
+def _solve_and_report(tables, rows, gamma1):
+    """Fill rows from their gamma1 values, solved as one stack.
+
+    gamma1 holds valid values, all zero or all positive (one stack of
+    `_CollocationTables.systems`).  A point whose own system fails a check
+    gets that check's error; an error raised for the whole stack, a
+    LinAlgError of a stacked factorization say, goes on every row still
+    in it.
+    """
     try:
-        (row.A1, row.A2, row.max_opening, row.min_opening,
-         row.max_traction) = report(*args)
+        system, errors = tables.collocation.systems(tables.load, gamma1)
+        rows, gamma1 = _keep(rows, gamma1, errors)
+        if not rows:
+            return
+        x, errors = _solutions(system)
+        x = x[[e is None for e in errors]]
+        rows, gamma1 = _keep(rows, gamma1, errors)
+        for row, values in zip(rows, tables.columns(x, gamma1).tolist()):
+            (row.A1, row.A2, row.max_opening, row.min_opening,
+             row.max_traction) = values
     except _SWEEP_ERRORS as exc:
-        row.error = str(exc)
-    return row
+        for row in rows:
+            row.error = str(exc)
+
+
+def _keep(rows, gamma1, errors):
+    """Record each row's error; the rows without one, and their gamma1."""
+    ok = [error is None for error in errors]
+    for row, error in zip(rows, errors):
+        if error is not None:
+            row.error = str(error)
+    return [row for row, keep in zip(rows, ok) if keep], gamma1[ok]
+
+
+def _fill(rows, tables, gamma1):
+    """Fill each row from the solve at its gamma1, or record its error.
+
+    An invalid gamma1 never enters a stack; the zero and the positive
+    values form one stack each, since they differ in constraint rows.
+    """
+    gamma1 = np.array(gamma1, dtype=float)
+    valid = np.zeros(gamma1.shape, dtype=bool)
+    for i, row in enumerate(rows):
+        try:
+            _check_gamma1(gamma1[i])
+            valid[i] = True
+        except AssemblyError as exc:
+            row.error = str(exc)
+    for kind in (gamma1 == 0.0, gamma1 > 0.0):
+        kind &= valid
+        if kind.any():
+            _solve_and_report(tables, [r for r, k in zip(rows, kind) if k],
+                              gamma1[kind])
 
 
 def sweep_gamma(curve, material, load, gamma_grid, N: int = 20):
     """One solve per gamma1 value, in order; failed rows carry the error.
 
     The kernels and the field evaluator are tabulated once for the whole
-    sweep; every point applies them to its own gamma1 and density.
+    sweep, and the points are solved as stacks (`_solve_and_report`): one
+    for the gamma1 = 0 points and one for the positive ones.
     """
+    rows = [GammaSweepRow(gamma1=float(g1)) for g1 in gamma_grid]
     try:
         tables = _SweepTables(curve, material, load, N)
     except _SWEEP_ERRORS as exc:
-        return [GammaSweepRow(gamma1=float(g1), error=str(exc))
-                for g1 in gamma_grid]
-    return [_fill(GammaSweepRow(gamma1=float(g1)), _solve_and_report,
-                  tables, float(g1))
-            for g1 in gamma_grid]
+        for row in rows:
+            row.error = str(exc)
+        return rows
+    _fill(rows, tables, [row.gamma1 for row in rows])
+    return rows
 
 
 def sweep_curvature(material, load, gamma1, kappa0_grid, N: int = 20):
     """One solve per arc curvature in (0, 1], in order; arcs end at +1, -1."""
-    def report(k0):
-        tables = _SweepTables(make_circular_arc(k0), material, load, N)
-        return _solve_and_report(tables, gamma1)
-
-    return [_fill(CurvatureSweepRow(kappa0=float(k0)), report, float(k0))
-            for k0 in kappa0_grid]
+    rows = [CurvatureSweepRow(kappa0=float(k0)) for k0 in kappa0_grid]
+    for row in rows:
+        try:
+            tables = _SweepTables(make_circular_arc(row.kappa0), material,
+                                  load, N)
+        except _SWEEP_ERRORS as exc:
+            row.error = str(exc)
+            continue
+        _fill([row], tables, [gamma1])
+    return rows
 
 
 @dataclass
@@ -339,8 +443,9 @@ def convergence_study(curve, material, load, gamma1, n_list,
     g' there.
     """
     n_list = list(n_list)
-    if len(n_list) < 2 or any(b < a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be ascending with at least two entries")
+    if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("n_list must be strictly ascending with at least "
+                         "two entries")
     grid = np.linspace(0.0, curve.length, n_grid)
     solved = [(n, solve_problem(curve, material, load, gamma1, N=n))
               for n in n_list]
@@ -373,17 +478,19 @@ def parity_residuals(values):
 def extremum_coincidence_report(rows):
     """Soft diagnostic: do |A1|, |A2| and the openings peak at the same gamma1?
 
-    Returns (indices, within_one_step); never raises.  Reported, not
-    asserted: the coincidence is an observation about the model, not a
-    solver invariant.
+    Returns (indices, within_one_step); never raises.  The indices are
+    positions in rows, the sweep grid, and rows that carry an error are
+    skipped, so "within one step" means at most one grid step apart.
+    Reported, not asserted: the coincidence is an observation about the
+    model, not a solver invariant.
     """
-    ok = [r for r in rows if not r.error]
+    ok = [i for i, r in enumerate(rows) if not r.error]
     if len(ok) < 3:
         return {}, False
     idx = {
-        "A1": max(range(len(ok)), key=lambda i: abs(ok[i].A1)),
-        "A2": max(range(len(ok)), key=lambda i: abs(ok[i].A2)),
-        "max_opening": max(range(len(ok)), key=lambda i: ok[i].max_opening),
+        "A1": max(ok, key=lambda i: abs(rows[i].A1)),
+        "A2": max(ok, key=lambda i: abs(rows[i].A2)),
+        "max_opening": max(ok, key=lambda i: rows[i].max_opening),
     }
     vals = list(idx.values())
     return idx, (max(vals) - min(vals) <= 1)

@@ -50,20 +50,24 @@ single-valuedness rows, int_0^l (x - l/2)^n t'(x) dx on the same
 `regular_rule` (`_single_valued_integrals`).  The jump table
 (`_jump_table`), the integrals of g' t' up to each point of the opening
 profile, is built only when an opening is asked for, so a convergence run
-builds none.  assemble() builds the tables and combines them for one
-gamma1; a gamma1 sweep builds them once and combines them for every
-point, with no operator product.
+builds none.  `_CollocationTables.systems` combines them for P gamma1
+values at once into a stack, arrays with a leading point axis, with no
+operator product; assemble() builds the tables and takes the one-point
+stack, a gamma1 sweep builds them once and stacks all its points.
 
 The constrained system is solved by least squares in the constraint null
 space with a light Tikhonov term (relative weight 1e-8) that suppresses
 the residual boundary-layer content.  The constraints are homogeneous, so
-each system is reduced once (`LinearSystem.reduction`: the null basis and
-the SVD of the reduced block) for its condition estimate, solve and dump.
+each stack is reduced once (`LinearSystem.reduction`: the null bases and
+the SVDs of the reduced blocks, one batched call per SVD) for its
+condition estimates, solutions and dump.  `_solutions` solves a stack and
+checks each point on its own; solve() is its one-point case, so a single
+solve and a sweep share one solver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -102,6 +106,12 @@ class LinearSystem:
     so it never exceeds 1/LAMBDA_REL = 1e8; it is inf only for a zero
     reduced block.  single_valued_integrals are the unscaled integrals I_k
     of the single-valuedness rows (`_single_valued_integrals`).
+
+    A stack of P systems that share N and the number of constraint rows
+    (`_CollocationTables.systems`) carries a leading point axis on matrix,
+    rhs and row_scale, and gamma1 and condition_estimate are (P,) arrays;
+    the reduction factorizes the whole stack in one call per SVD.  A single
+    system has no point axis.
     """
 
     matrix: np.ndarray
@@ -114,30 +124,32 @@ class LinearSystem:
 
     @property
     def collocation_block(self):
-        return self.matrix[: -self.n_constraints]
+        return self.matrix[..., : -self.n_constraints, :]
 
     @property
     def constraint_block(self):
-        return self.matrix[-self.n_constraints:]
+        return self.matrix[..., -self.n_constraints:, :]
 
     @cached_property
     def reduction(self):
         """(Z, G, U, S, Vt): null basis Z, G = A Z and G = U diag(S) Vt."""
         _, _, Vt = np.linalg.svd(self.constraint_block)
-        Z = Vt[self.n_constraints:].T
+        Z = Vt[..., self.n_constraints:, :].swapaxes(-1, -2)
         G = self.collocation_block @ Z
         return (Z, G) + tuple(np.linalg.svd(G, full_matrices=False))
 
     @cached_property
-    def condition_estimate(self) -> float:
+    def condition_estimate(self):
         _, _, _, S, _ = self.reduction
-        smallest = max(S[-1], LAMBDA_REL * S[0])
-        if smallest == 0.0:
-            return float("inf")
-        return float(S[0] / smallest)
+        estimates = []
+        for largest, last in zip(np.ravel(S[..., 0]).tolist(),
+                                 np.ravel(S[..., -1]).tolist()):
+            smallest = max(last, LAMBDA_REL * largest)
+            estimates.append(largest / smallest if smallest else float("inf"))
+        return np.array(estimates) if S.ndim > 1 else estimates[0]
 
     def dump_text(self) -> str:
-        """Plain-text dump of the matrix and right-hand side."""
+        """Plain-text dump of the matrix and right-hand side of one system."""
         lines = [f"n_rows {self.matrix.shape[0]}",
                  f"n_cols {self.matrix.shape[1]}",
                  f"n_constraints {self.n_constraints}"]
@@ -242,9 +254,10 @@ class _CollocationTables:
     tables themselves, placed; the q rows are one real product with the
     basis columns' q.  The tip rows are T0 + gamma1 T1 likewise.  The tables
     also hold the single-valuedness integrals; the jump table of the opening
-    is built on first use.  system() combines them for one gamma1 and load
-    with no operator product, so a sweep over gamma1 tabulates the kernels
-    and builds the blocks once.
+    is built on first use.  systems() combines them for a stack of gamma1
+    values and one load with no operator product, and system() for one
+    gamma1, so a sweep over gamma1 tabulates the kernels and builds the
+    blocks once.
     """
 
     def __init__(self, curve: CrackCurve, material, disc: Discretization):
@@ -269,7 +282,10 @@ class _CollocationTables:
                                   np.concatenate([gp, 0.0 * gp]),
                                   np.concatenate([0.0 * q_unit, q_unit])))
         self.tip_rows = (tips[:, : 2 * N + 2], tips[:, 2 * N + 2:])
-        self.single_valued = _single_valued_integrals(curve, N)
+        self.single_valued = ints = _single_valued_integrals(curve, N)
+        self.single_valued_rows = np.array(
+            [np.concatenate([ints.real, -ints.imag]),
+             np.concatenate([ints.imag, ints.real])])
 
     @cached_property
     def jump(self):
@@ -278,44 +294,77 @@ class _CollocationTables:
 
     def system(self, load, gamma1: float,
                row_scaling: bool = True) -> LinearSystem:
-        """The row-scaled constrained system at one gamma1 and load."""
-        if not np.isfinite(gamma1) or gamma1 < 0:
-            raise AssemblyError(
-                f"gamma1 must be finite and nonnegative, got {gamma1}")
+        """The row-scaled constrained system at one gamma1 and load.
+
+        The one-point stack of `systems`, without its point axis.
+        """
+        _check_gamma1(gamma1)
+        stack, (error,) = self.systems(load, [gamma1], row_scaling)
+        if error is not None:
+            raise error
+        return replace(stack, matrix=stack.matrix[0], rhs=stack.rhs[0],
+                       row_scale=stack.row_scale[0], gamma1=gamma1)
+
+    def systems(self, load, gamma1, row_scaling: bool = True):
+        """The row-scaled constrained systems at P gamma1 values, one stack.
+
+        gamma1 holds valid values (`_check_gamma1`), all zero or all
+        positive: the tip rows exist only for gamma1 > 0, so the two kinds
+        differ in their number of rows.  Every array is formed for all
+        points at once, with the point axis first.  Returns the stack of
+        the points whose system is finite and, with row_scaling, has no
+        zero row, and the AssemblyError of each point (None where it has
+        none), in the order of gamma1.
+        """
+        g = np.asarray(gamma1, dtype=float)
+        positive = g > 0.0
+        tip_rows = positive.any()
+        if tip_rows and not positive.all():
+            raise ValueError("a stack holds gamma1 = 0 or gamma1 > 0, "
+                             "not both")
         curve, material, disc = self.curve, self.material, self.disc
-        kappa = material.kappa
+        kappa, N = material.kappa, disc.N
+        t0, t1 = self.tip_rows
+        n_con = 2 + (len(t0) if tip_rows else 0)
+        A = np.empty((g.size, 2 * N + n_con, 2 * N + 2))
+        b = np.zeros(A.shape[:2])
+        gcol = g[:, None, None]
 
         # the boundary equation (kappa+1)[Sigma - gamma1 (kappa0 dk + i dk')]
         # = (kappa+1) f, real rows first
         r0, r1, r2 = self.blocks
-        rows = (kappa + 1.0) * (r0 + gamma1 * (r1 + gamma1 * r2))
-        f_c = boundary_forcing(curve, material, load, gamma1,
+        A[:, : 2 * N] = (kappa + 1.0) * (r0 + gcol * (r1 + gcol * r2))
+        f_c = boundary_forcing(curve, material, load, g[:, None],
                                disc.collocation_points)
-        rhs = (kappa + 1.0) * np.concatenate([f_c.real, f_c.imag])
+        b[:, :N] = (kappa + 1.0) * f_c.real
+        b[:, N: 2 * N] = (kappa + 1.0) * f_c.imag
+        A[:, 2 * N: 2 * N + 2] = self.single_valued_rows
+        if tip_rows:
+            A[:, 2 * N + 2:] = t0 + gcol * t1
 
-        ints = self.single_valued
-        con_rows = [np.concatenate([ints.real, -ints.imag]),
-                    np.concatenate([ints.imag, ints.real])]
-        if gamma1 > 0.0:
-            t0, t1 = self.tip_rows
-            con_rows += list(t0 + gamma1 * t1)
-        A = np.vstack([rows] + con_rows)
-        b = np.concatenate([rhs, np.zeros(len(con_rows))])
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-            raise AssemblyError("non-finite entries in the collocation system")
+        # a row's largest |entry| is finite only if all its entries are
+        peak = abs(A).max(axis=2)
+        finite = np.isfinite(peak).all(axis=1) & np.isfinite(b).all(axis=1)
+        scale = peak if row_scaling else np.ones(peak.shape)
+        keep = finite & (scale != 0.0).all(axis=1)
+        errors = [None if ok else AssemblyError(
+            "zero row encountered during scaling" if fin
+            else "non-finite entries in the collocation system")
+            for ok, fin in zip(keep, finite)]
+        if not keep.all():
+            A, b, scale, g = A[keep], b[keep], scale[keep], g[keep]
+        A /= scale[..., None]
+        b /= scale
+        return LinearSystem(matrix=A, rhs=b, n_constraints=n_con,
+                            row_scale=scale, disc=disc, gamma1=g,
+                            single_valued_integrals=self.single_valued), errors
 
-        if row_scaling:
-            scale = np.max(np.abs(A), axis=1)
-            if np.any(scale == 0.0):
-                raise AssemblyError("zero row encountered during scaling")
-        else:
-            scale = np.ones(A.shape[0])
-        A = A / scale[:, None]
-        b = b / scale
 
-        return LinearSystem(matrix=A, rhs=b, n_constraints=len(con_rows),
-                            row_scale=scale, disc=disc, gamma1=gamma1,
-                            single_valued_integrals=ints)
+def _check_gamma1(gamma1):
+    """Raise AssemblyError unless gamma1 is finite and nonnegative."""
+    if not np.isfinite(gamma1) or gamma1 < 0:
+        raise AssemblyError(
+            f"gamma1 must be finite and nonnegative, got {gamma1}")
 
 
 def assemble(curve: CrackCurve, material, load, gamma1: float,
@@ -328,41 +377,12 @@ def assemble(curve: CrackCurve, material, load, gamma1: float,
 def solve(system: LinearSystem, curve: CrackCurve | None = None) -> DensityCoefficients:
     """Constrained least-squares solve with light Tikhonov regularization.
 
-    The equality constraints are homogeneous and eliminated exactly: x =
-    Z y with Z the constraint null basis of `system.reduction`, whose SVD
-    of the reduced block inverts it with singular values damped by lambda
-    = 1e-8 * sigma_max.  That suppresses the boundary-layer null family
-    while leaving resolved directions untouched.  Raises SolveError on a
-    non-finite matrix, or when condition_estimate is non-finite or exceeds
-    CONDITION_LIMIT = 1e14.  The estimate is clipped at 1/LAMBDA_REL = 1e8,
-    so as computed the gate fires only on a zero reduced block (estimate
-    inf); an ill-conditioned but nonzero block is damped, not rejected.
+    The one-point case of `_solutions`: raises its SolveError, if any, and
+    attaches the diagnostics to the density.
     """
-    if not np.all(np.isfinite(system.matrix)):
-        raise SolveError("system matrix contains non-finite entries")
-    if not np.isfinite(system.condition_estimate) \
-            or system.condition_estimate > CONDITION_LIMIT:
-        raise SolveError(
-            f"condition estimate {system.condition_estimate:.3e} is not "
-            f"finite or exceeds {CONDITION_LIMIT:.0e}")
-
-    Z, G, U, S, Vt = system.reduction
-    h = system.rhs[: -system.n_constraints]
-    lam = LAMBDA_REL * S[0]
-    damped = S / (S * S + lam * lam)
-    y = Vt.T @ (damped * (U.T @ h))
-    x = Z @ y
-
-    # solver-level residual of the damped normal equations
-    lhs = G.T @ (G @ y) + lam * lam * y
-    rhs_n = G.T @ h
-    residual = np.max(np.abs(lhs - rhs_n))
-    bound = 1e-10 * (np.max(np.abs(G)) ** 2 * max(np.max(np.abs(y)), 1.0)
-                     + np.max(np.abs(rhs_n)) + 1e-300)
-    if residual > bound:
-        raise SolveError(
-            f"normal-equation residual {residual:.3e} exceeds {bound:.3e}")
-
+    (x,), (error,) = _solutions(system)
+    if error is not None:
+        raise error
     N = system.disc.N
     coeffs = DensityCoefficients(
         g1=x[: N + 1], g2=x[N + 1:], length=system.disc.length,
@@ -373,6 +393,61 @@ def solve(system: LinearSystem, curve: CrackCurve | None = None) -> DensityCoeff
         coeffs.single_valued_residual = _normalized_residual(
             coeffs, curve, system.single_valued_integrals)
     return coeffs
+
+
+def _solutions(system: LinearSystem):
+    """The damped solutions of a system or stack, (P, 2N+2), and their errors.
+
+    The equality constraints are homogeneous and eliminated exactly: x =
+    Z y with Z the constraint null basis of `system.reduction`, whose SVD
+    of the reduced block inverts it with singular values damped by lambda
+    = 1e-8 * sigma_max.  That suppresses the boundary-layer null family
+    while leaving resolved directions untouched.  A single system is the
+    one-point stack.  Raises SolveError on a non-finite matrix.  Each point
+    gets a SolveError when its condition_estimate is non-finite or exceeds
+    CONDITION_LIMIT = 1e14, or when the damped normal equations are not met
+    to 1e-10, and None otherwise; the list of them is the second return
+    value.  The estimate is clipped at 1/LAMBDA_REL = 1e8, so as computed
+    the gate fires only on a zero reduced block (estimate inf); an
+    ill-conditioned but nonzero block is damped, not rejected.  The same
+    array code serves both: a single system has no point axis.
+    """
+    if not np.isfinite(system.matrix).all():
+        raise SolveError("system matrix contains non-finite entries")
+    Z, G, U, S, Vt = system.reduction
+    Gt = G.swapaxes(-1, -2)
+    h = system.rhs[..., : -system.n_constraints, None]
+    lam2 = (LAMBDA_REL * S[..., :1]) ** 2
+    # 0/0 only for a zero reduced block, which the condition gate rejects
+    with np.errstate(invalid="ignore"):
+        damped = S / (S * S + lam2)
+    y = Vt.swapaxes(-1, -2) @ (damped[..., None] * (U.swapaxes(-1, -2) @ h))
+    x = (Z @ y)[..., 0]
+
+    # solver-level residual of the damped normal equations
+    rhs_n = Gt @ h
+    residual = _peak(Gt @ (G @ y) + lam2[..., None] * y - rhs_n)
+    bound = 1e-10 * (_peak(G) ** 2 * np.maximum(_peak(y), 1.0)
+                     + _peak(rhs_n) + 1e-300)
+    errors = []
+    for cond, res, bnd in zip(np.ravel(system.condition_estimate).tolist(),
+                              np.ravel(residual).tolist(),
+                              np.ravel(bound).tolist()):
+        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+            errors.append(SolveError(
+                f"condition estimate {cond:.3e} is not finite or exceeds "
+                f"{CONDITION_LIMIT:.0e}"))
+        elif res > bnd:
+            errors.append(SolveError(
+                f"normal-equation residual {res:.3e} exceeds {bnd:.3e}"))
+        else:
+            errors.append(None)
+    return x.reshape(-1, x.shape[-1]), errors
+
+
+def _peak(a):
+    """max |a| of a matrix, or of each matrix of a stack."""
+    return abs(a).max(axis=(-2, -1))
 
 
 def solve_problem(curve: CrackCurve, material, load, gamma1: float, N: int = 20,

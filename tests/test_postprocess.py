@@ -10,6 +10,7 @@ from curvecrack import (DensityCoefficients, FarFieldLoad, KernelSet, Material,
                         make_semicircle, make_straight, max_face_traction,
                         opening_profile, parity_residuals, solve_problem,
                         sweep_curvature, sweep_gamma, tip_log_coefficients)
+from curvecrack import solver
 from curvecrack.fields import (_FaceOperator, _FieldEvaluator,
                                face_field_profile)
 from curvecrack.postprocess import (ConvergenceRow, GammaSweepRow,
@@ -17,6 +18,7 @@ from curvecrack.postprocess import (ConvergenceRow, GammaSweepRow,
                                     write_convergence_csv, write_csv,
                                     write_face_fields_csv, write_g_prime_csv,
                                     write_opening_csv, write_sweep_gamma_csv)
+from curvecrack.solver import AssemblyError
 
 
 class TestOpeningProfile:
@@ -231,6 +233,25 @@ class TestSweeps:
         assert set(idx) == {"A1", "A2", "max_opening"}
         assert isinstance(within, bool)
 
+    def test_extremum_report_indexes_the_grid(self):
+        # the peak at gamma1 = 0.3 is grid index 2, after a failed first row
+        rows = [GammaSweepRow(gamma1=0.1, error="failed"),
+                GammaSweepRow(gamma1=0.2, A1=1.0, A2=1.0, max_opening=1.0),
+                GammaSweepRow(gamma1=0.3, A1=-3.0, A2=3.0, max_opening=3.0),
+                GammaSweepRow(gamma1=0.4, A1=2.0, A2=-2.0, max_opening=2.0)]
+        assert extremum_coincidence_report(rows) \
+            == ({"A1": 2, "A2": 2, "max_opening": 2}, True)
+
+    def test_extremum_report_steps_over_failed_rows(self):
+        # peaks at grid indices 0 and 2 are two steps apart, although only
+        # one error-free row lies between them
+        rows = [GammaSweepRow(gamma1=0.1, A1=5.0, A2=1.0, max_opening=1.0),
+                GammaSweepRow(gamma1=0.2, error="failed"),
+                GammaSweepRow(gamma1=0.3, A1=1.0, A2=5.0, max_opening=5.0),
+                GammaSweepRow(gamma1=0.4, A1=2.0, A2=2.0, max_opening=2.0)]
+        assert extremum_coincidence_report(rows) \
+            == ({"A1": 0, "A2": 2, "max_opening": 2}, False)
+
     def test_failed_row_recorded_and_sweep_continues(self, semicircle,
                                                      material, load_h):
         rows = sweep_gamma(semicircle, material, load_h, [-1.0, 1.0], N=10)
@@ -293,6 +314,23 @@ class TestSweepTables:
                     [0.5 * 4.0 ** (i / 7) for i in range(8)], N=20)
         assert one > 0 and len(calls) == one
 
+    def test_factorizations_do_not_grow_with_gamma_points(
+            self, semicircle, material, load_h, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        sweep_gamma(semicircle, material, load_h, [1.0], N=20)
+        one = len(calls)
+        calls.clear()
+        sweep_gamma(semicircle, material, load_h,
+                    [0.5 * 4.0 ** (i / 7) for i in range(8)], N=20)
+        assert one > 0 and len(calls) == one
+
     def test_basis_columns_do_not_grow_with_gamma_points(
             self, semicircle, material, load_h, monkeypatch):
         # operator products over the 2N+2 basis columns: apply() on that
@@ -320,6 +358,84 @@ class TestSweepTables:
         assert one > 0 and len(calls) == one
 
 
+class TestSweepStacks:
+    """A gamma1 sweep solves its points as stacks; errors stay per point."""
+
+    GRID = [0.5, 1.0, 2.0, 4.0]
+
+    def test_zero_and_positive_points_match_per_point(self, semicircle,
+                                                      material, load_h):
+        # gamma1 = 0 points have 2 constraint rows, not 6: their own stack
+        grid = [0.0, 0.5, 1.0, 0.0, 2.0]
+        got = _sweep_columns(sweep_gamma(semicircle, material, load_h, grid,
+                                         N=20))
+        want = np.array([_per_point_row(semicircle, material, load_h, g, 20)
+                         for g in grid])
+        assert np.all(np.abs(got - want)
+                      <= 1e-9 * np.max(np.abs(want), axis=0))
+
+    def test_invalid_gamma1_never_enters_a_stack(self, semicircle, material,
+                                                 load_h):
+        grid = [0.5, float("inf"), float("nan"), -1.0, 1.0]
+        rows = sweep_gamma(semicircle, material, load_h, grid, N=12)
+        clean = sweep_gamma(semicircle, material, load_h, [0.5, 1.0], N=12)
+        for row in rows[1:4]:
+            assert row.error == ("gamma1 must be finite and nonnegative, "
+                                 f"got {row.gamma1}")
+            assert np.isnan(row.A1)
+        assert [rows[0], rows[4]] == clean
+
+    def test_non_finite_point_fails_alone(self, semicircle, material,
+                                          load_h, monkeypatch):
+        clean = sweep_gamma(semicircle, material, load_h, self.GRID, N=12)
+        bad = self.GRID[1]
+        forcing = solver.boundary_forcing
+
+        def nan_at_bad(curve, material, load, gamma1, s0):
+            f = forcing(curve, material, load, gamma1, s0)
+            return np.where(np.asarray(gamma1) == bad, np.nan, f)
+
+        monkeypatch.setattr(solver, "boundary_forcing", nan_at_bad)
+        rows = sweep_gamma(semicircle, material, load_h, self.GRID, N=12)
+        with pytest.raises(AssemblyError) as per_point:
+            solve_problem(semicircle, material, load_h, bad, N=12)
+        assert rows[1].error == str(per_point.value)
+        assert np.isnan(rows[1].A1)
+        # the other rows are the clean sweep's, up to the rounding of BLAS
+        # products over 3 density columns instead of 4
+        assert [r.gamma1 for r in rows] == self.GRID
+        got = _sweep_columns(rows[:1] + rows[2:])
+        want = _sweep_columns(clean[:1] + clean[2:])
+        assert np.all(np.abs(got - want)
+                      <= 1e-12 * np.max(np.abs(want), axis=0))
+
+    def test_factorization_error_fails_its_stack(self, semicircle, material,
+                                                 load_h, monkeypatch):
+        # the gamma1 = 0 point in the middle is a stack of its own, the one
+        # whose constraint block has 2 rows
+        grid = [0.5, 0.0, 1.0, 2.0]
+        clean = sweep_gamma(semicircle, material, load_h, grid, N=12)
+        svd = np.linalg.svd
+
+        def failing(a, *args, **kwargs):
+            if a.shape[-2] == 2:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        rows = sweep_gamma(semicircle, material, load_h, grid, N=12)
+        assert rows[1].error == "SVD did not converge"
+        assert np.isnan(rows[1].A1)
+        assert rows[:1] + rows[2:] == clean[:1] + clean[2:]
+
+        def always(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", always)
+        rows = sweep_gamma(semicircle, material, load_h, grid, N=12)
+        assert all(r.error == "SVD did not converge" for r in rows)
+
+
 class TestConvergenceStudy:
     def test_ordering_and_rows(self, material, semicircle, load_h):
         rows = convergence_study(semicircle, material, load_h, 1.0,
@@ -328,10 +444,11 @@ class TestConvergenceStudy:
         assert rows[-1].sup_diff == 0.0
         assert rows[0].sup_diff > rows[-1].sup_diff
 
-    def test_equal_entries_give_zero_difference(self, material, semicircle,
-                                                load_h):
-        rows = convergence_study(semicircle, material, load_h, 1.0, [10, 10])
-        assert rows[0].sup_diff == pytest.approx(0.0, abs=1e-12)
+    def test_repeated_entries_rejected(self, material, semicircle, load_h):
+        # strictly ascending, as the message and the CLI's grid check say
+        for n_list in ([10, 10], [8, 8, 12]):
+            with pytest.raises(ValueError, match="strictly ascending"):
+                convergence_study(semicircle, material, load_h, 1.0, n_list)
 
     def test_validation(self, material, semicircle, load_h):
         with pytest.raises(ValueError):

@@ -476,6 +476,21 @@ class TestSolve:
                  if ln.startswith("condition_estimate ")]
         assert float(line.split()[1]) == coeffs.condition_estimate
 
+    def test_stack_gates_each_point(self, material, semicircle, load_h):
+        # a zero reduced block fails the condition gate of its own point;
+        # the other point of the stack solves as it does alone
+        disc = Discretization(12, semicircle.length)
+        tables = solver._CollocationTables(semicircle, material, disc)
+        stack, errors = tables.systems(load_h, [0.5, 1.0])
+        assert errors == [None, None]
+        stack.matrix[0, : -stack.n_constraints] = 0.0
+        x, errors = solver._solutions(stack)
+        assert isinstance(errors[0], SolveError)
+        assert "condition estimate inf" in str(errors[0])
+        assert errors[1] is None
+        alone = solve(tables.system(load_h, 1.0))
+        assert np.array_equal(x[1], np.concatenate([alone.g1, alone.g2]))
+
     @pytest.mark.parametrize("curve_name,load_name", [
         ("semicircle", "load_h"), ("arc_half", "load_h"),
         ("straight2", "load_v"),  # under load_h the straight solution is 0
