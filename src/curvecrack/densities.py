@@ -90,13 +90,35 @@ def pv_polynomial(coeffs, length: float, s0):
     return pv_monomials(length, s0, len(coeffs) - 1) @ np.asarray(coeffs)
 
 
+class _OnFirstRead:
+    """A float field that may be set to a function of the object instead:
+    the function runs on the first read, and its value is kept."""
+
+    def __set_name__(self, owner, name):
+        self._name = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return float("nan")  # the dataclass default
+        value = obj.__dict__[self._name]
+        if callable(value):
+            value = obj.__dict__[self._name] = float(value(obj))
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self._name] = value
+
+
 @dataclass
 class DensityCoefficients:
     """Taylor coefficients of the displacement-jump density g'.
 
     g1 and g2 hold the real and imaginary coefficient vectors (degree N each).
     gamma1 is carried along because the closure to the traction-jump density
-    q depends on it.  Diagnostics are attached by the solver.
+    q depends on it.  Diagnostics are attached by the solver.  It sets
+    single_valued_residual to the function that computes it from the
+    density, which runs on first read, so a run that never reads the
+    residual never pays for it.
     """
 
     g1: np.ndarray
@@ -104,7 +126,7 @@ class DensityCoefficients:
     length: float
     gamma1: float
     condition_estimate: float = float("nan")
-    single_valued_residual: float = float("nan")
+    single_valued_residual: float = _OnFirstRead()
 
     def __post_init__(self):
         self.g1 = np.asarray(self.g1, dtype=float)

@@ -252,8 +252,10 @@ class _FaceOperator:
     second s0-derivatives of k1 and k4, all that apply() reads), tabulates
     the closed-form principal values of the monomials (`pv_monomials`) and
     the end factors 1/s0 and 1/(l - s0) of their s0-derivatives.  The
-    kernel tables come from `KernelSet.integrated`: three real cotangent
-    tables and one trigonometric moment, combined per kernel.  On every
+    kernel tables come from `KernelSet.integrated`: the real tables of
+    c = cot x - 1/x and its derivatives, products of small matrices from
+    its separable Taylor series, and one trigonometric moment, combined
+    per kernel.  On every
     curve k2 = -i kappa0 is constant and d2 = dd2 = 0, so k2 enters as
     -i kappa0 times the weighted sum of the conjugate density and d2, dd2
     not at all.

@@ -5,7 +5,10 @@ s in [0, l].  The boundary condition needs t', t'' and t''', and the
 kernels (x = (s - s0)/2R), the closure q and the operator tables all rely
 on constant curvature, so a curve is a record of a few numbers and its
 derivatives are computed in closed form.  `CrackCurve` checks those numbers
-once, at construction; no other module validates a curve.
+once, at construction; no other module validates a curve.  An arc of
+curvature kappa0 and length l is a Jordan arc only while |kappa0| l < 2 pi:
+at 2 pi it closes, and the kernels' cot((s - s0) kappa0/2) has its pole
+at the ends.
 
 Orientation convention: arcs run counterclockwise (the unit semicircle is
 t(s) = exp(i*s)), and the "+" face of the crack is the left side with
@@ -22,7 +25,8 @@ import numpy as np
 
 
 class GeometryError(ValueError):
-    """Invalid geometric parameters (zero/negative length, bad curvature)."""
+    """Invalid geometric parameters: a length that is not positive, a
+    curvature that is not finite, or an arc that closes on itself."""
 
 
 def _finite(value) -> bool:
@@ -60,6 +64,11 @@ class CrackCurve:
             raise GeometryError(
                 "crack length must be positive and finite, got "
                 f"{self.length!r}")
+        if not abs(self.constant_curvature) * self.length < 2.0 * np.pi:
+            raise GeometryError(
+                "an arc of curvature kappa0 and length l is a Jordan arc "
+                "only for |kappa0| l < 2 pi, got "
+                f"{abs(self.constant_curvature) * self.length!r}")
         for name in ("length", "constant_curvature"):
             object.__setattr__(self, name, float(getattr(self, name)))
 

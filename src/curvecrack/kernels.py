@@ -21,11 +21,9 @@ and, since d/ds0 = -(1/2R) d/dx, their s0-derivatives d_j and dd_j are
     -4R^2 d3 = (1 - kappa) c' + 4kE   8R^3 dd3 = (1 - kappa) c'' + 8ikE
     -4R^2 d4 = (kappa - 1) c' + 4E    8R^3 dd4 = (kappa - 1) c'' + 8iE
 
-with k = kappa and d2 = dd2 = 0 exactly.  The only cancellation is in c,
-c' and c'' near the diagonal x = 0.  For |x| < 1/2 they come from the series
-cot x = 1/x - sum_n b_n x^(2n-1), b_n = 2^(2n) |B_2n| / (2n)!, whose eleven
-terms reach double precision there; above the cut the closed forms lose at
-most about two digits.
+with k = kappa and d2 = dd2 = 0 exactly.  c = sum_j beta_j x^(2j-1),
+beta_j = -2^(2j) |B_2j| / (2j)!, converges for |x| < pi; on a Jordan arc
+(|kappa0| l < 2 pi, `CrackCurve`) every pair of points has |x| < pi.
 
 Since 2i cos^2 x = i + iE and 2 sin^2 x = 1 - Re E, every form above is
 scale_p (alpha c_p + i gamma + eps E): p = 0, 1, 2 is the order of the
@@ -36,13 +34,21 @@ read it:
 
 - `KernelSet.block` evaluates the kernels at pairs (s, s0) that broadcast
   against each other.  It is the pointwise evaluation behind `kernel`,
-  `kernel_derivatives` and `fredholm_operator`.
+  `kernel_derivatives` and `fredholm_operator`, the reference of the
+  tables.  The only cancellation is in c, c' and c'' near the diagonal
+  x = 0: below the cut |x| = 1/2 they come from eleven terms of the
+  series, which reach double precision there; above it the closed forms
+  lose at most about two digits.
 - `KernelSet.integrated` gives what the face operator tabulates: each
   kernel summed over quadrature nodes against a weighted basis, one row per
-  point s0.  Only c, c' and c'' are evaluated per (point, node) pair, each
-  followed by one real matrix product.  The constant part is the column
-  sums of the weighted basis, and E = exp(i kappa0 s) exp(-i kappa0 s0)
-  splits into one moment over the nodes and one phase per point.
+  point s0, with no (point, node) pair evaluated.  With u = a (s - l/2),
+  v = a (s0 - l/2) and a = kappa0/2, the series of c(u - v) is separable,
+  sum_{r,i} H[r, i] v^r u^i, so the table of c is V(v) H U(u)^T wbasis
+  with the Vandermonde matrices V and U, and those of c' and c'' differ
+  only in V, differentiated in v.  The number of terms follows from
+  rho = max|u| + max|v| < pi.  The constant part is the column sums of
+  the weighted basis, and E = exp(i kappa0 s) exp(-i kappa0 s0) splits
+  into one moment over the nodes and one phase per point.
 
 The operator assembled from these kernels (`fredholm_operator`) is the
 regular, compact part of the collocation system; its first and second
@@ -53,30 +59,50 @@ never finite differences.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .geometry import CrackCurve
 
-# c = cot x - 1/x and its derivatives come from the series below |x| = _CUT
+# Series terms of c = cot x - 1/x: _TERMS for the pointwise evaluation below
+# |x| = _CUT, at most _MAX_TERMS for the separable tables of `integrated`
 _CUT = 0.5
 _TERMS = 11
+_MAX_TERMS = 512
 
 
-def _cot_series():
-    """Coefficients in y = x^2 of c/x, c' and c''/x, ascending in y.
+def _cot_coefficients():
+    """beta_j pi^(2j-1), j = 1.._MAX_TERMS, where c = sum_j beta_j x^(2j-1).
 
-    b_n follows from x cot x = 1 - sum_n b_n x^(2n), which solves
-    x f' - f = -x^2 - f^2: (2n + 1) b_n = [n = 1] + sum_{i<n} b_i b_(n-i).
+    beta_j = -b_j, b_j = 2^(2j) |B_2j| / (2j)! = 2 zeta(2j) / pi^(2j).  The
+    first _TERMS are exact rationals from x cot x = 1 - sum_j b_j x^(2j),
+    which solves x f' - f = -x^2 - f^2: (2j + 1) b_j = [j = 1] + sum_{i<j}
+    b_i b_(j-i).  The rest are -2 zeta(2j)/pi, with zeta(2j) summed to
+    k = 16, whose remainder is below 1e-29 there.  Scaled by pi^(2j-1) the
+    coefficients tend to -2/pi, so none underflows.
     """
     b = [Fraction(0)]
     for n in range(1, _TERMS + 1):
         b.append((int(n == 1) + sum(b[i] * b[n - i] for i in range(1, n)))
                  / (2 * n + 1))
+    exact = [-float(v) * np.pi ** (2 * n - 1) for n, v in enumerate(b) if n]
+    # row j - 1 holds k^(-2j) for k = 16..1
+    powers = np.cumprod(np.tile(np.arange(16, 0, -1.0) ** -2,
+                                (_MAX_TERMS, 1)), axis=0)
+    zeta = powers[_TERMS:].sum(axis=1)
+    return np.concatenate([exact, -2.0 * zeta / np.pi])
+
+
+_BETA = _cot_coefficients()
+
+
+def _cot_series():
+    """Coefficients in y = x^2 of c/x, c' and c''/x, ascending in y."""
     n = np.arange(1, _TERMS + 1)
-    b = -np.array([float(v) for v in b[1:]])
-    return b, (2 * n - 1) * b, ((2 * n - 1) * (2 * n - 2) * b)[1:]
+    beta = _BETA[:_TERMS] / np.pi ** (2 * n - 1)
+    return beta, (2 * n - 1) * beta, ((2 * n - 1) * (2 * n - 2) * beta)[1:]
 
 
 _SERIES = _cot_series()
@@ -111,6 +137,51 @@ def _cot_parts(x, derivatives):
             for a, b in zip(_series_parts(x, derivatives), closed)]
 
 
+def _series_terms(rho):
+    """Fewest terms J of the series of c for c, c' and c'' at |x| <= rho.
+
+    Every term of c'' has the sign of x, so its tail past J terms, relative
+    to its first term 6 beta_2 x, is largest at x = rho: the sum over j > J
+    of (2j-1)(2j-2)/6 (beta_j/beta_2) rho^(2j-4).  J is the first count that
+    brings it below 2^-56, and at most _MAX_TERMS, which suffices up to
+    rho = 0.95 pi; the tails of c and c' are smaller still.
+    """
+    j = np.arange(2, _MAX_TERMS + 1)
+    terms = ((2 * j - 1) * (j - 1) / 3.0 * (_BETA[1:] / _BETA[1])
+             * (rho / np.pi) ** (2 * j - 4))
+    tails = np.cumsum(terms[::-1])[::-1]
+    small = np.flatnonzero(tails[1:] <= 2.0 ** -56)
+    return int(j[small[0]]) if small.size else _MAX_TERMS
+
+
+@lru_cache(maxsize=8)
+def _separable(terms):
+    """The (K, K) matrix H, K = 2 terms, of the separable series of c.
+
+    With z = 2u/pi and w = 2v/pi, the first `terms` terms of the series
+    give c(u - v) = sum_{r,i} w^r H[r, i] z^i: (u - v)^n = (pi/2)^n sum_i
+    C(n, i) z^i (-w)^(n-i), so H[r, i] = (-1)^r beta_j pi^n C(n, i)/2^n for
+    odd n = r + i = 2j - 1 < K, and 0 otherwise.  Both factors are at most
+    one, and the binomials, from Pascal's triangle, stay below 2^1023; they
+    are exact while below 2^53, up to n = 56.  Read-only, built once per
+    number of terms.
+    """
+    K = 2 * terms
+    pascal = np.zeros((K, K))
+    pascal[:, 0] = 1.0
+    for n in range(1, K):
+        pascal[n, 1:] = pascal[n - 1, 1:] + pascal[n - 1, :-1]
+    r, i = np.indices((K, K))
+    n = r + i
+    odd = (n % 2 == 1) & (n < K)
+    r, i, n = r[odd], i[odd], n[odd]
+    H = np.zeros((K, K))
+    H[odd] = (np.where(r % 2, -1.0, 1.0) * _BETA[n // 2]
+              * np.ldexp(pascal[n, i], -n))
+    H.flags.writeable = False
+    return H
+
+
 def _complex(re, im):
     """re + i im, without the two complex temporaries of re + 1j * im."""
     out = np.empty(np.shape(re), dtype=complex)
@@ -119,10 +190,6 @@ def _complex(re, im):
     return out
 
 
-# Points per cotangent block while KernelSet.integrated fills its tables.
-# Larger blocks save little time and raise peak memory: a block holds up to
-# three real (points x nodes) arrays, c, c' and c'', and their temporaries.
-_BLOCK = 16
 _KEYS = {False: ("k1", "k2", "k3", "k4"),
          True: ("k1", "k2", "k3", "k4", "d1", "d2", "d3", "d4",
                 "dd1", "dd2", "dd3", "dd4")}
@@ -229,27 +296,20 @@ class KernelSet:
 
         s0 has shape (M,), nodes (n,) and wbasis (n, C); returns a dict of
         complex (M, C) tables, one per key of `keys` (names as in `block`).
-        Equal to block(nodes, s0[:, None]) @ wbasis for each key, but only
-        the real c, c' and c'' are evaluated per (point, node) pair, _BLOCK
-        points at a time, each followed by one real product with wbasis.
-        The constant term is i gamma times the column sums of wbasis, and
-        E = exp(i kappa0 (s - s0)) splits into a phase exp(-i kappa0 s0)
-        per point times one moment, the sum of exp(i kappa0 s) wbasis over
-        the nodes.
+        Equal to block(nodes, s0[:, None]) @ wbasis for each key, with no
+        (point, node) pair evaluated: the real tables of c, c' and c'' are
+        products of small matrices (`_cot_tables`), the constant term is
+        i gamma times the column sums of wbasis, and E = exp(i kappa0
+        (s - s0)) splits into a phase exp(-i kappa0 s0) per point times one
+        moment, the sum of exp(i kappa0 s) wbasis over the nodes.
         """
         s0 = np.asarray(s0, dtype=float)
         nodes = np.asarray(nodes, dtype=float)
-        shape = (s0.size, wbasis.shape[1])
         if self._k0 == 0.0:
+            shape = (s0.size, wbasis.shape[1])
             return {key: np.zeros(shape, dtype=complex) for key in keys}
         derivatives = any(self._coef[key][0] for key in keys)
-        cparts = [np.empty(shape) for _ in range(3 if derivatives else 1)]
-        a = 0.5 * self._k0
-        for start in range(0, s0.size, _BLOCK):
-            part = slice(start, start + _BLOCK)
-            x = a * (nodes - s0[part, None])
-            for table, c in zip(cparts, _cot_parts(x, derivatives)):
-                table[part] = c @ wbasis
+        cparts = self._cot_tables(s0, nodes, wbasis, derivatives)
         k0s = self._k0 * nodes
         moment = _complex(np.cos(k0s) @ wbasis, np.sin(k0s) @ wbasis)
         trig = np.exp(-1j * self._k0 * s0)[:, None] * moment
@@ -259,6 +319,38 @@ class KernelSet:
             p, alpha, gamma, eps = self._coef[key]
             out[key] = self._scale[p] * (alpha * cparts[p] + eps * trig
                                          + 1j * gamma * wsum)
+        return out
+
+    def _cot_tables(self, s0, nodes, wbasis, derivatives):
+        """[C] or [C, C', C''] with C_p = sum_k c_p(x_k) wbasis_k, (M, C).
+
+        x_k = a (nodes_k - s0) = u - v with u = a (s - l/2), v = a (s0 -
+        l/2) and a = kappa0/2.  In z = 2u/pi and w = 2v/pi the series of c
+        is separable, c = sum_{r,i} w^r H[r, i] z^i (`_separable`), so C =
+        V(w) H Z(z)^T wbasis with the Vandermonde matrices V and Z of the
+        points and the nodes.  c' = -dc/dv and c'' = d^2c/dv^2 take the
+        same product with V differentiated.  The series converges for rho =
+        max|u| + max|v| < pi, which holds on every Jordan arc
+        (`CrackCurve`), and `_series_terms(rho)` terms reach double
+        precision.
+        """
+        half = 0.5 * self.curve.length
+        z = (self._k0 / np.pi) * (nodes - half)
+        w = (self._k0 / np.pi) * (s0 - half)
+        rho = 0.5 * np.pi * (np.max(np.abs(z)) + np.max(np.abs(w)))
+        if not rho < np.pi:
+            raise ValueError("the kernel series needs max|u| + max|v| < pi, "
+                             f"got {rho!r}")
+        terms = _series_terms(rho)
+        K = 2 * terms
+        B = _separable(terms) @ (np.vander(z, K, increasing=True).T @ wbasis)
+        V = np.vander(w, K, increasing=True)
+        out = [V @ B]
+        if derivatives:
+            # d/dv w^r = (2/pi) r w^(r-1)
+            r = (2.0 / np.pi) * np.arange(1, K)[:, None]
+            B1 = r * B[1:]
+            out += [-(V[:, :-1] @ B1), V[:, :-2] @ (r[:-1] * B1[1:])]
         return out
 
     @staticmethod

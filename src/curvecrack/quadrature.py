@@ -1,14 +1,14 @@
 """Discretization grid and quadrature rules for the collocation scheme.
 
 Every regular-kernel integral of the package (the assembled operator rows
-and the face fields) and the single-valuedness integrals int_0^l x^n t'
-use one composite Gauss-Legendre rule, `regular_rule`: 12 equal panels of
-16 points on [0, l].  The kernels are smooth, so this rule is converged to
-about 1e-11 relative, and the single-valuedness integrals to about 2e-16
-of (l/2)^n l.  The unit Gauss-Legendre rule of each order is computed once
-per process and shared read-only; the opening's jump table (int_0^s g' t'
-on 200 cells) also maps it.  The principal values of the densities come in
-closed form from `densities`.
+and the face fields) uses one composite Gauss-Legendre rule,
+`regular_rule`: 12 equal panels of 16 points on [0, l].  The kernels are
+smooth, so this rule is converged to about 1e-11 relative.  The unit
+Gauss-Legendre rule of each order is computed once per process and shared
+read-only.  The integrals of the density against the tangent (the
+single-valuedness rows and the opening's jump table) and the principal
+values of the densities need no rule: they come in closed form from
+`solver` and `densities`.
 
 The flat node rule is kept only for the oracles: `pv_cauchy_sum`,
 `kernels.fredholm_operator` and the discrete face-field mode.  It sums

@@ -46,14 +46,16 @@ and the tip rows are T0 + gamma1 T1.  `_CollocationTables` holds this
 gamma1-independent part of the system of one curve, material and N: the
 blocks, built once from the operator's tables (`_FaceOperator.tables`,
 `_system_rows`), the tip rows and the integrals I_n of the
-single-valuedness rows, int_0^l (x - l/2)^n t'(x) dx on the same
-`regular_rule` (`_single_valued_integrals`).  The jump table
-(`_jump_table`), the integrals of g' t' up to each point of the opening
-profile, is built only when an opening is asked for, so a convergence run
-builds none.  `_CollocationTables.systems` combines them for P gamma1
-values at once into a stack, arrays with a leading point axis, with no
-operator product; assemble() builds the tables and takes the one-point
-stack, a gamma1 sweep builds them once and stacks all its points.
+single-valuedness rows, int_0^l (x - l/2)^n t'(x) dx
+(`_single_valued_integrals`).  The jump table (`_jump_table`), the
+integrals of g' t' up to each point of the opening profile, is built only
+when an opening is asked for, so a convergence run builds none.  Both
+are one closed form, `_tangent_integrals`: t' is t'(l/2) exp(i kappa0
+(x - l/2)) on every curve, so no quadrature rule is needed.
+`_CollocationTables.systems` combines them for P gamma1 values at once
+into a stack, arrays with a leading point axis, with no operator product;
+assemble() builds the tables and takes the one-point stack, a gamma1
+sweep builds them once and stacks all its points.
 
 The constrained system is solved by least squares in the constraint null
 space with a light Tikhonov term (relative weight 1e-8) that suppresses
@@ -68,7 +70,7 @@ solve and a sweep share one solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -76,7 +78,9 @@ from .densities import (DensityCoefficients, basis, cauchy_densities,
                         poly_derivative, q_coefficients)
 from .fields import _FaceOperator, boundary_forcing
 from .geometry import CrackCurve
-from .quadrature import Discretization, gauss_legendre, regular_rule
+# gauss_legendre is not called here, but perfbench's tracer test rebinds it
+# by name in this module, so the name stays bound here
+from .quadrature import Discretization, gauss_legendre  # noqa: F401
 
 CONDITION_LIMIT = 1e14
 LAMBDA_REL = 1e-8
@@ -161,32 +165,64 @@ class LinearSystem:
         return "\n".join(lines) + "\n"
 
 
+def _tangent_integrals(curve: CrackCurve, degree: int, s):
+    """M[k, n] = int_0^{s_k} (x - l/2)^n t'(x) dx, n = 0..degree, closed form.
+
+    With L = l/2, t'(x) = t'(L) exp(i kappa0 (x - L)) on every curve, so
+
+        M[k, n] = t'(L) sum_m (i kappa0)^m / m!
+                  * ((s_k - L)^p - (-L)^p) / p,   p = n + m + 1:
+
+    the differences of the Vandermonde matrix of the s_k - L times a banded
+    Toeplitz matrix of (i kappa0)^m / m!, divided by p.  The terms fall
+    below 2^-56 of the first after m = `_exp_terms(|kappa0| L)`.
+    """
+    L = 0.5 * curve.length
+    k0 = curve.constant_curvature
+    terms = _exp_terms(abs(k0) * L)
+    top = degree + terms
+    powers = basis(s, curve.length, top)[..., 1:] \
+        - basis(0.0, curve.length, top)[1:]
+    # padded[degree + m] = (i kappa0)^m / m! for m = p - 1 - n, zero off
+    # the band
+    padded = np.zeros(top + degree, dtype=complex)
+    padded[degree: top] = np.cumprod(
+        np.concatenate([[1.0], 1j * k0 / np.arange(1, terms)]))
+    p = np.arange(1, top + 1)[:, None]
+    toeplitz = padded[degree + p - 1 - np.arange(degree + 1)] / p
+    # one real product: a complex one would copy the powers as complex
+    parts = powers @ np.concatenate([toeplitz.real, toeplitz.imag], axis=1)
+    return curve.tangent(L) * (parts[..., : degree + 1]
+                               + 1j * parts[..., degree + 1:])
+
+
+def _exp_terms(x):
+    """How many terms of sum_m x^m/m! to keep: the first left out is below
+    2^-56."""
+    m, term = 1, x
+    while term >= 2.0 ** -56:
+        m += 1
+        term *= x / m
+    return m
+
+
 def _jump_table(curve: CrackCurve, degree: int, n_samples: int = 201):
     """M[k, n] = int_0^{s_k} (x - l/2)^n t'(x) dx on equispaced s_k in [0, l].
 
-    16 Gauss points per cell between neighbours, summed cumulatively.  The
-    opening profile is this table applied to the density.
+    `_tangent_integrals` at the points of the opening profile, which is
+    this table applied to the density.
     """
-    s = np.linspace(0.0, curve.length, n_samples)[:, None]
-    x, w = gauss_legendre(16, s[:-1], s[1:])
-    wt = (w * curve.tangent(x))[:, None, :]
-    mono = basis(x, curve.length, degree)
-    # two real products: a complex one would copy the basis as complex
-    cells = (wt.real @ mono + 1j * (wt.imag @ mono))[:, 0]
-    return np.concatenate([np.zeros((1, degree + 1)),
-                           np.cumsum(cells, axis=0)])
+    return _tangent_integrals(curve, degree,
+                              np.linspace(0.0, curve.length, n_samples))
 
 
 def _single_valued_integrals(curve: CrackCurve, degree: int):
-    """I_n = int_0^l (x - l/2)^n t'(x) dx, n = 0..degree, by regular_rule.
+    """I_n = int_0^l (x - l/2)^n t'(x) dx, n = 0..degree.
 
-    The integrals of the single-valuedness rows: the sum of w t' times the
-    basis over the 192 nodes of the regular-kernel rule.
+    The integrals of the single-valuedness rows: `_tangent_integrals` at
+    s = l.
     """
-    x, w = regular_rule(curve.length)
-    wt = w * curve.tangent(x)
-    mono = basis(x, curve.length, degree)
-    return wt.real @ mono + 1j * (wt.imag @ mono)
+    return _tangent_integrals(curve, degree, [curve.length])[0]
 
 
 def _tip_rows(curve: CrackCurve, kappa: float, gamma1: float, gp, q_unit):
@@ -378,7 +414,9 @@ def solve(system: LinearSystem, curve: CrackCurve | None = None) -> DensityCoeff
     """Constrained least-squares solve with light Tikhonov regularization.
 
     The one-point case of `_solutions`: raises its SolveError, if any, and
-    attaches the diagnostics to the density.
+    attaches the diagnostics to the density.  With a curve, the density's
+    single_valued_residual is computed from the system's integrals when it
+    is first read.
     """
     (x,), (error,) = _solutions(system)
     if error is not None:
@@ -390,8 +428,9 @@ def solve(system: LinearSystem, curve: CrackCurve | None = None) -> DensityCoeff
         condition_estimate=system.condition_estimate,
     )
     if curve is not None:
-        coeffs.single_valued_residual = _normalized_residual(
-            coeffs, curve, system.single_valued_integrals)
+        coeffs.single_valued_residual = partial(
+            _normalized_residual, curve=curve,
+            ints=system.single_valued_integrals)
     return coeffs
 
 

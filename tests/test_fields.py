@@ -10,7 +10,7 @@ from curvecrack import (DensityCoefficients, FarFieldLoad, KernelSet,
                         make_circular_arc, make_semicircle, make_straight,
                         pv_polynomial, solve_problem,
                         surface_tension_coefficients, traction_jump)
-from curvecrack import fields, kernels
+from curvecrack import fields
 from curvecrack.densities import (poly_derivative, poly_eval, q_coefficients,
                                   q_polynomial)
 from curvecrack.quadrature import gauss_legendre, regular_rule
@@ -288,11 +288,9 @@ class TestFaceFields:
                                           points, coeffs.degree,
                                           n_quad=n_quad, cauchy=cauchy)
 
-        # cell midpoints of the discrete rule, which never hit its nodes;
-        # more than two blocks and not a multiple of the block size
+        # cell midpoints of the discrete rule, which never hit its nodes
         j = np.sort(rng.choice(n_quad, size=37, replace=False))
         grid = (2 * j + 1) * semicircle.length / (2 * n_quad)
-        assert len(grid) > 2 * kernels._BLOCK and len(grid) % kernels._BLOCK
         traction, du = evaluator(grid).face_values(coeffs)
         assert traction.shape == du.shape == (2, len(grid))
         for k, s0 in enumerate(grid):
@@ -318,9 +316,7 @@ class TestFaceFields:
                                       derivatives=True)
             return op.apply(g1 + 1j * g2, q)
 
-        # more than two blocks and not a multiple of the block size
         grid = np.sort(rng.uniform(0.005, 0.995, 37)) * curve.length
-        assert len(grid) > 2 * kernels._BLOCK and len(grid) % kernels._BLOCK
         batched = apply(grid)
         assert batched.shape == (4, len(grid), 3)
         for k, s0 in enumerate(grid):

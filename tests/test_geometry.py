@@ -60,6 +60,17 @@ def test_curve_rejects_bad_length(length):
         CrackCurve(length=length, shape="straight", constant_curvature=0.0)
 
 
+@pytest.mark.parametrize("length, curvature", [(2.0 * np.pi, 1.0),
+                                               (7.0, 1.0), (7.0, -1.0),
+                                               (20.0, 1.0)])
+def test_curve_rejects_closed_arcs(length, curvature):
+    # an arc is a Jordan arc only for |kappa0| l < 2 pi
+    with pytest.raises(GeometryError, match="Jordan"):
+        CrackCurve(length=length, shape="arc", constant_curvature=curvature)
+    CrackCurve(length=0.999 * 2.0 * np.pi, shape="arc",
+               constant_curvature=curvature)
+
+
 def test_curve_is_a_record_of_floats():
     c = CrackCurve(length=2, shape="straight", constant_curvature=0)
     assert type(c.length) is float and type(c.constant_curvature) is float

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curvecrack import (Discretization, FarFieldLoad, KernelSet,
+from curvecrack import (CrackCurve, Discretization, FarFieldLoad, KernelSet,
                         boundary_forcing, fredholm_operator, kernels,
                         make_circular_arc, make_semicircle, make_straight)
 from curvecrack.densities import basis
@@ -289,17 +289,27 @@ class TestFredholmOperator:
         assert abs(val - expected) <= 1e-4 * abs(expected)
 
 
+# curves of the kernel tables: |kappa0| l/2 runs from 0.30 (arc0.3) through
+# pi/2 (semicircle) to 0.9 pi, near the pi at which an arc closes
+CURVES = {"semicircle": make_semicircle(),
+          "arc0.3": make_circular_arc(0.3),
+          "arc0.9": make_circular_arc(0.9),
+          "arc-0.5": CrackCurve(length=2.0 * np.pi / 3.0, shape="arc",
+                                constant_curvature=-0.5),
+          "arc3pi/4": CrackCurve(length=1.5 * np.pi, shape="arc",
+                                 constant_curvature=1.0),
+          "arc0.9pi": CrackCurve(length=1.8 * np.pi, shape="arc",
+                                 constant_curvature=1.0),
+          "straight": make_straight(2.0)}
+
+
 @pytest.mark.parametrize("N", [8, 20, 60, 80])
 @pytest.mark.parametrize("derivatives", [False, True])
-@pytest.mark.parametrize("shape", ["semicircle", "arc0.3", "arc0.9",
-                                   "straight"])
+@pytest.mark.parametrize("shape", CURVES)
 def test_integrated_matches_block_times_basis(shape, derivatives, N):
-    # the tables from cotangent products and trigonometric moments against
+    # the tables from the separable series and trigonometric moments against
     # the pointwise kernels summed over the weighted basis of the rule
-    curve = {"semicircle": make_semicircle(),
-             "arc0.3": make_circular_arc(0.3),
-             "arc0.9": make_circular_arc(0.9),
-             "straight": make_straight(2.0)}[shape]
+    curve = CURVES[shape]
     kset = KernelSet(curve, KAPPA)
     l = curve.length
     nodes, w = regular_rule(l)
@@ -316,3 +326,60 @@ def test_integrated_matches_block_times_basis(shape, derivatives, N):
         else:
             assert np.max(np.abs(got[key] - want)) \
                 <= 1e-13 * np.max(np.abs(want)), key
+
+
+@pytest.mark.parametrize("shape", ["semicircle", "arc0.9", "arc3pi/4"])
+def test_cotangent_tables_against_mpmath(shape):
+    # the node sums of c = cot x - 1/x, c' and c'' against the weighted
+    # basis at the N = 20 collocation points, from a 40-digit evaluation at
+    # every (point, node) pair, to 1e-14 of each table's largest entry
+    import mpmath as mp
+
+    curve = CURVES[shape]
+    l, a = curve.length, 0.5 * curve.constant_curvature
+    nodes, w = regular_rule(l)
+    wbasis = w[:, None] * basis(nodes, l, 20)
+    s0 = midpoint_grid(l, 20)
+    got = KernelSet(curve, KAPPA)._cot_tables(s0, nodes, wbasis, True)
+    pairs = np.empty((3, s0.size, nodes.size))
+    with mp.workdps(40):
+        for m, point in enumerate(s0):
+            for k, node in enumerate(nodes):
+                x = mp.mpf(a) * (mp.mpf(node) - mp.mpf(point))
+                cot = mp.cot(x)
+                csc2 = 1 + cot * cot
+                pairs[:, m, k] = [float(cot - 1 / x), float(1 / x**2 - csc2),
+                                  float(2 * (csc2 * cot - 1 / x**3))]
+    for order, (table, ref) in enumerate(zip(got, pairs)):
+        want = ref @ wbasis
+        assert np.max(np.abs(table - want)) \
+            <= 1e-14 * np.max(np.abs(want)), order
+
+
+def test_integrated_evaluates_no_pair(monkeypatch):
+    # the tables come from products of small matrices: the pointwise
+    # cotangent of `block` is never evaluated
+    calls = []
+    cot_parts = kernels._cot_parts
+    monkeypatch.setattr(kernels, "_cot_parts",
+                        lambda *a: calls.append(a) or cot_parts(*a))
+    curve = make_circular_arc(0.6)
+    kset = KernelSet(curve, KAPPA)
+    nodes, w = regular_rule(curve.length)
+    wbasis = w[:, None] * basis(nodes, curve.length, 20)
+    s0 = midpoint_grid(curve.length, 20)
+    kset.integrated(s0, nodes, wbasis, list(kernels._KEYS[True]))
+    assert calls == []
+    kset.block(nodes, s0[:, None])
+    assert len(calls) == 1
+
+
+def test_integrated_rejects_a_divergent_series():
+    # max|u| + max|v| >= pi: points off the arc, past where the series of
+    # c converges
+    curve = CURVES["arc0.9pi"]
+    nodes, w = regular_rule(curve.length)
+    wbasis = w[:, None] * basis(nodes, curve.length, 4)
+    with pytest.raises(ValueError, match="pi"):
+        KernelSet(curve, KAPPA).integrated(np.array([-0.2 * curve.length]),
+                                           nodes, wbasis, ["k1"])

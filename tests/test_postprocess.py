@@ -456,6 +456,21 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(semicircle, material, load_h, 1.0, [16, 12])
 
+    def test_residual_is_not_normalized(self, material, semicircle, load_h,
+                                        monkeypatch):
+        # no row reads the single-valuedness residual, so no solve of the
+        # study computes sup|g'| for it; reading it afterwards does
+        calls = []
+        sup = solver._sup_gprime
+        monkeypatch.setattr(solver, "_sup_gprime",
+                            lambda *a: calls.append(a) or sup(*a))
+        rows = convergence_study(semicircle, material, load_h, 1.0,
+                                 [8, 12, 16])
+        assert calls == []
+        assert rows[0].coeffs.single_valued_residual \
+            == solver.single_valued_residual(rows[0].coeffs, semicircle)
+        assert len(calls) == 2
+
     def test_straight_crack_decreasing(self, material, straight2, load_v):
         rows = convergence_study(straight2, material, load_v, 1.0, [8, 16, 24])
         assert rows[0].sup_diff >= rows[1].sup_diff

@@ -3,17 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvecrack import (AssemblyError, DensityCoefficients, Discretization,
-                        FarFieldLoad, KernelSet, LinearSystem, Material,
-                        SolveError, SurfaceParams, assemble, boundary_forcing,
-                        make_circular_arc, make_semicircle, make_straight,
-                        pv_cauchy_sum, pv_polynomial, single_valued_integral,
-                        single_valued_residual, solve, solve_problem,
-                        tip_condition_residuals, traction_jump,
+from curvecrack import (AssemblyError, CrackCurve, DensityCoefficients,
+                        Discretization, FarFieldLoad, KernelSet, LinearSystem,
+                        Material, SolveError, SurfaceParams, assemble,
+                        boundary_forcing, make_circular_arc, make_semicircle,
+                        make_straight, pv_cauchy_sum, pv_polynomial,
+                        single_valued_integral, single_valued_residual, solve,
+                        solve_problem, tip_condition_residuals, traction_jump,
                         traction_jump_parts)
 from curvecrack import quadrature, solver
-from curvecrack.densities import (poly_derivative, poly_eval, pv_monomials,
-                                  q_coefficients, q_polynomial)
+from curvecrack.densities import (basis, poly_derivative, poly_eval,
+                                  pv_monomials, q_coefficients, q_polynomial)
 from curvecrack.fields import _FaceOperator
 from curvecrack.quadrature import gauss_legendre
 
@@ -530,6 +530,14 @@ class TestSolve:
             == single_valued_residual(coeffs, semicircle)
         assert calls == []
 
+    def test_single_valued_residual_stays_a_field(self):
+        # the solver sets it lazily; built by hand it is a plain field
+        co = DensityCoefficients(np.ones(3), np.ones(3), 1.0, 1.0)
+        assert np.isnan(co.single_valued_residual)
+        co = DensityCoefficients(np.ones(3), np.ones(3), 1.0, 1.0,
+                                 single_valued_residual=0.5)
+        assert co.single_valued_residual == 0.5
+
     @pytest.mark.parametrize("curve", [make_semicircle(),
                                        make_circular_arc(0.3),
                                        make_circular_arc(0.9),
@@ -558,6 +566,31 @@ class TestSolve:
                     for m in range(n % 2, 80 if k0 else 1, 2))
                 assert abs(got[n] - complex(ref)) \
                     <= 1e-15 * float(half ** n) * l, n
+
+    @pytest.mark.parametrize("N", [20, 40, 60])
+    @pytest.mark.parametrize("curve", [
+        make_semicircle(), make_circular_arc(0.3), make_circular_arc(0.6),
+        CrackCurve(length=2.0 * np.pi / 3.0, shape="arc",
+                   constant_curvature=-0.5),
+        make_straight(2.0)],
+        ids=["semicircle", "arc0.3", "arc0.6", "arc-0.5", "straight"])
+    def test_jump_table_matches_gauss_rule(self, curve, N):
+        # the closed-form integrals of (x - l/2)^n t'(x) from 0 to each of
+        # the 201 points of the opening against 16 Gauss points per cell
+        # between neighbours, summed cumulatively, to 1e-14 of each
+        # column's largest |value|
+        s = np.linspace(0.0, curve.length, 201)[:, None]
+        x, w = gauss_legendre(16, s[:-1], s[1:])
+        wt = (w * curve.tangent(x))[:, None, :]
+        cells = (wt @ basis(x, curve.length, N))[:, 0]
+        want = np.concatenate([np.zeros((1, N + 1)),
+                               np.cumsum(cells, axis=0)])
+        # the single-valuedness integrals are the same closed form at s = l
+        got = np.vstack([solver._jump_table(curve, N),
+                         solver._single_valued_integrals(curve, N)])
+        assert got.shape == (202, N + 1)
+        assert np.all(np.abs(got - want[[*range(201), -1]]).max(axis=0)
+                      <= 1e-14 * np.abs(want).max(axis=0))
 
     def test_classical_limit_flag(self, material, semicircle, load_h):
         co = solve_problem(semicircle, material, load_h, 0.0, N=10)
