@@ -42,6 +42,14 @@ def poly_derivative(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[..., 1:] * np.arange(1, n)
 
 
+def _times_derivative(table):
+    """table @ D for a real table and the derivative matrix D of the basis:
+    column c of the result is c table[..., c - 1], column 0 is zero."""
+    out = np.zeros(table.shape)
+    out[..., 1:] = table[..., :-1] * np.arange(1, table.shape[-1])
+    return out
+
+
 def basis(s, length: float, degree: int) -> np.ndarray:
     """Centered monomials (s - l/2)^k, k = 0..degree, on a new last axis."""
     x = np.asarray(s, dtype=float) - 0.5 * length
@@ -164,6 +172,19 @@ def q_coefficients(curve: CrackCurve, material, gamma1: float, g1, g2):
     out = k0 * P + 0j
     out[..., : Pp.shape[-1]] += 1j * Pp
     return (gamma1 / (4.0 * material.mu)) * out
+
+
+def q_rows_to_unknowns(re_rows, im_rows, curve: CrackCurve, material):
+    """Rows on the coefficients g1 and g2 of rows on those of Re q and Im q.
+
+    The closure of `q_coefficients` at gamma1 = 1 in banded form: q =
+    (kappa0 P + i P')/4mu with P = D g1 + kappa0 g2 for the derivative
+    matrix D, so rows (a, b) on (Re q, Im q) are W P with W = (kappa0 a +
+    b D)/4mu: W D on g1 and kappa0 W on g2.  D acts on the last axis.
+    """
+    k0 = curve.constant_curvature
+    w = (k0 * re_rows + _times_derivative(im_rows)) / (4.0 * material.mu)
+    return _times_derivative(w), k0 * w
 
 
 def q_polynomial(curve: CrackCurve, material, gamma1: float,

@@ -15,17 +15,18 @@ The density parts of the face fields are linear in the density, so they
 are split into a table and its application.  `_FaceOperator` tabulates,
 once per set of points s0, everything that does not depend on the density:
 the kernels integrated against each monomial of the centered basis
-(`densities.basis`, `KernelSet.integrated`), the closed-form principal
+(`densities.basis`, `KernelSet.raw_tables`), the closed-form principal
 values of the monomials and the end factors of their s0-derivatives.  Its
 apply() then gives the face-average traction and the face function omega
 (and omega's first two s0-derivatives) of any number of density columns by
 matrix products alone; the field evaluator applies it to the solved
 densities, one or a sweep's stack of them as columns, and adds the +-jump
 terms and the far field.  The assembly (`solver._CollocationTables`)
-needs it on the 2N+2 basis columns at the N collocation points, whose g'
-is the identity and i times it, so it reads the operator as tables over
-the coefficients instead (tables()), combined column for column from the
-same kernel and principal-value tables with no product over the
+needs real rows of combinations of these fields per unit density
+coefficient at the N collocation points, so it reads the operator through
+rows() instead: one real map, composed from the small coefficient arrays
+of the kernels and the fields, applied to the nine real tables of the
+principal values and the raw kernel integrals, with no product over the
 coefficients.  A sweep builds both operators once, so the
 collocation rows and the face fields come from one tabulation.
 """
@@ -33,11 +34,13 @@ collocation rows and the face fields come from one tabulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .densities import (DensityCoefficients, basis, cauchy_densities,
-                        poly_derivative, pv_monomials, q_polynomial)
+from .densities import (DensityCoefficients, _times_derivative, basis,
+                        cauchy_densities, poly_derivative, pv_monomials,
+                        q_polynomial)
 from .geometry import CrackCurve
 from .kernels import KernelSet
 from .quadrature import Discretization, pv_cauchy_sum, regular_rule
@@ -48,7 +51,8 @@ class Material:
     """Isotropic elastic material in plane strain or plane stress.
 
     kappa is the Kolosov constant: 3 - 4 nu in plane strain,
-    (3 - nu)/(1 + nu) in plane stress.
+    (3 - nu)/(1 + nu) in plane stress.  A Poisson ratio nu, when given,
+    must lie in (0, 1/2) and give kappa in the mode, to 1e-12.
     """
 
     mu: float
@@ -64,18 +68,23 @@ class Material:
                 f"Kolosov constant must lie in (1, 3), got {self.kappa}")
         if self.mode not in ("plane_strain", "plane_stress"):
             raise ValueError(f"unknown material mode {self.mode!r}")
+        if self.nu is not None and not (
+                abs(_kolosov(self.nu, self.mode) - self.kappa) <= 1e-12):
+            raise ValueError(f"Poisson ratio {self.nu} disagrees with "
+                             f"kappa = {self.kappa} in {self.mode}")
 
     @classmethod
     def from_poisson(cls, mu: float, nu: float, mode: str = "plane_strain"):
-        if not 0.0 < nu < 0.5:
-            raise ValueError(f"Poisson ratio must lie in (0, 1/2), got {nu}")
-        if mode == "plane_strain":
-            kappa = 3.0 - 4.0 * nu
-        elif mode == "plane_stress":
-            kappa = (3.0 - nu) / (1.0 + nu)
-        else:
+        if mode not in ("plane_strain", "plane_stress"):
             raise ValueError(f"unknown material mode {mode!r}")
-        return cls(mu=mu, kappa=kappa, mode=mode, nu=nu)
+        return cls(mu=mu, kappa=_kolosov(nu, mode), mode=mode, nu=nu)
+
+
+def _kolosov(nu, mode):
+    """The Kolosov constant of Poisson ratio nu in (0, 1/2) in the mode."""
+    if not 0.0 < nu < 0.5:
+        raise ValueError(f"Poisson ratio must lie in (0, 1/2), got {nu}")
+    return 3.0 - 4.0 * nu if mode == "plane_strain" else (3.0 - nu) / (1.0 + nu)
 
 
 def far_field_potentials(sigma1: float, sigma2: float, alpha: float = 0.0):
@@ -234,14 +243,6 @@ _KERNELS = {False: ("k1", "k3", "k4"),
             True: ("k1", "k3", "k4", "d1", "d4", "dd1", "dd4")}
 
 
-def _times_derivative(table):
-    """table @ D for a real table and the derivative matrix D of the basis:
-    column c of the result is c table[:, c - 1], column 0 is zero."""
-    out = np.zeros(table.shape)
-    out[:, 1:] = table[:, :-1] * np.arange(1, table.shape[1])
-    return out
-
-
 class _FaceOperator:
     """Density parts of the face fields, tabulated once at fixed points s0.
 
@@ -251,21 +252,21 @@ class _FaceOperator:
     `regular_rule` (k1, k3, k4, and with derivatives also the first and
     second s0-derivatives of k1 and k4, all that apply() reads), tabulates
     the closed-form principal values of the monomials (`pv_monomials`) and
-    the end factors 1/s0 and 1/(l - s0) of their s0-derivatives.  The
-    kernel tables come from `KernelSet.integrated`: the real tables of
-    c = cot x - 1/x and its derivatives, products of small matrices from
-    its separable Taylor series, and one trigonometric moment, combined
-    per kernel.  On every
-    curve k2 = -i kappa0 is constant and d2 = dd2 = 0, so k2 enters as
-    -i kappa0 times the weighted sum of the conjugate density and d2, dd2
-    not at all.
+    the end factors 1/s0 and 1/(l - s0) of their s0-derivatives.  It keeps
+    the real raw tables of `KernelSet.raw_tables`: those of c = cot x -
+    1/x and its derivatives, products of small matrices from its separable
+    Taylor series, the trigonometric moment and the basis column sums;
+    apply() combines its complex kernel tables from them on first use
+    (`KernelSet.kernel_tables`).  On every curve k2 = -i kappa0 is constant
+    and d2 = dd2 = 0, so k2 enters as -i kappa0 times the weighted sum of
+    the conjugate density and d2, dd2 not at all.
 
     apply() then evaluates any number of density columns by matrix
     products alone; the field evaluator applies it to all the solved
-    densities of a solve or a sweep at once.  tables() gives the same
-    operator as tables over the density coefficients, from which the
-    assembly builds its rows for the 2N+2 basis columns at the collocation
-    points.
+    densities of a solve or a sweep at once.  rows() gives real
+    combinations of the same fields per unit density coefficient, from
+    which the assembly builds its rows for the 2N+2 basis columns at the
+    collocation points.
     """
 
     def __init__(self, curve, kappa, s0, degree, derivatives=False):
@@ -279,14 +280,22 @@ class _FaceOperator:
             self._ends = basis([0.0, l], l, degree)
 
     def _tabulate(self, kset, s0, degree, derivatives, nodes, weights):
-        """Kernels summed against the weighted basis, (M, degree+1) each."""
+        """The raw tables of the kernels summed against the weighted basis,
+        (R, M, degree+1) (`KernelSet.raw_tables`); the last holds the
+        column sums of the weighted basis in every row."""
         self.kappa = kset.kappa
         self.derivatives = derivatives
+        self._kset = kset
         self._k2 = -1j * kset.curve.constant_curvature
         wbasis = np.reshape(weights, (-1, 1)) \
             * basis(nodes, kset.curve.length, degree)
-        self._wsum = wbasis.sum(axis=0)
-        self._reg = kset.integrated(s0, nodes, wbasis, _KERNELS[derivatives])
+        self._raw = kset.raw_tables(s0, nodes, wbasis, derivatives)
+
+    @cached_property
+    def _reg(self):
+        """The kernel tables of apply(), combined on first use."""
+        keys = _KERNELS[self.derivatives]
+        return dict(zip(keys, self._kset.kernel_tables(self._raw, keys)))
 
     def apply(self, gp_poly, q_poly):
         """(Sigma, omega[, omega', omega'']) stacked, shape (2 or 4, M, C).
@@ -301,7 +310,7 @@ class _FaceOperator:
         kappa = self.kappa
         reg = {key: k[:, :n] for key, k in self._reg.items()}
         gp, wq = gp_poly.T, -2j * q_poly.T
-        k2 = self._k2 * (self._wsum[:n] @ np.conj(gp + wq))
+        k2 = self._k2 * (self._raw[-1, 0, :n] @ np.conj(gp + wq))
         sigma, omega = cauchy_densities(gp_poly, q_poly, kappa)
         J = self._pv
         out = [J[:, :n] @ sigma.T + (reg["k1"] @ gp + reg["k3"] @ wq + k2),
@@ -323,51 +332,54 @@ class _FaceOperator:
                        + (reg["dd4"] @ gp + kappa * (reg["dd1"] @ wq)))
         return np.stack(out) / (2.0 * np.pi * (kappa + 1.0))
 
-    def tables(self):
-        """The operator as tables over the density coefficients: (T, C).
+    def rows(self, combine):
+        """Real rows Re(sum_f combine[r, f] F_f) per unit density coefficient.
 
-        Field f of apply() (Sigma, omega, omega', omega'') is
-        T[0, f] @ gp + T[1, f] @ q + C[0, f] @ conj(gp) + C[1, f] @ conj(q)
-        for coefficient vectors gp and q of g' and q.  T is complex of shape
-        (2, 4, M, degree+1) and C of shape (2, 4, 1, degree+1): k2 is
-        constant, so it enters as the weighted sum of conj(g' - 2i q), in
-        Sigma and in -omega.  Each table combines the kernel and
-        principal-value tables column for column, with no product over the
-        coefficients; the s0-derivatives of the principal values are shifted
-        columns (column c of P D is c P[:, c - 1] for the derivative matrix
-        D) minus the end terms.  The operator must have been tabulated with
-        derivatives.
+        F_f are the fields of apply() (Sigma, omega, omega', omega''), and
+        combine is complex (R, 4).  Returns real (2, R, 2, M, degree+1): for
+        the coefficients c of g' or of q, per row r, the columns of Re c
+        and of Im c.  The operator must have been tabulated with
+        derivatives.  The fields are complex combinations T c + K conj(c)
+        of nine real tables, the principal values with their s0-derivatives
+        (shifted columns minus the end terms) and `KernelSet.raw_tables`;
+        K is on the column sums alone (k2 enters as the weighted sum of
+        conj(g' - 2i q), in Sigma and in -omega).  The real part of t c +
+        k conj(c) is Re(t + k) Re c + Im(k - t) Im c, so one real product
+        of a (4R, 9) map with the tables gives the rows.
         """
-        kappa, reg = self.kappa, self._reg
+        kappa = self.kappa
         a, b = self._inv_ends
         at0, atl = self._ends
         # PV int x^c/(s - s0) ds and its two s0-derivatives, as in apply()
         pv = self._pv
         pv1 = _times_derivative(pv) - (atl * a + at0 * b)
         pv2 = _times_derivative(pv1) - (atl * a * a - at0 * b * b)
-        # the fields per unit g' (rows 0-3) and per unit q (rows 4-7) from
-        # the tables in `parts`: the densities of `cauchy_densities` times
-        # the principal values, and the kernels, which take wq = -2i q
+        raw = np.concatenate([[pv, pv1, pv2], self._raw])
+        # the fields per unit g' (rows 0-3) and per unit q (rows 4-7) over
+        # the principal values and the kernels of _KERNELS[True]: the
+        # densities of `cauchy_densities` times the principal values, and
+        # the kernels, which take wq = -2i q
         (sg, og), (sq, oq) = (cauchy_densities(1.0, 0.0, kappa),
                               cauchy_densities(0.0, 1.0, kappa))
         wq, wk = -2j, -2j * kappa
         coef = np.array([
             [sg, 0., 0., 1., 0., 0., 0., 0., 0., 0.],  # Sigma
-            [og, 0., 0., 0., 1., 0., 0., 0., 0., 0.],  # omega
-            [0., og, 0., 0., 0., 1., 0., 0., 0., 0.],  # omega'
-            [0., 0., og, 0., 0., 0., 1., 0., 0., 0.],  # omega''
-            [sq, 0., 0., 0., 0., 0., 0., wq, 0., 0.],  # Sigma
+            [og, 0., 0., 0., 0., 1., 0., 0., 0., 0.],  # omega
+            [0., og, 0., 0., 0., 0., 0., 1., 0., 0.],  # omega'
+            [0., 0., og, 0., 0., 0., 0., 0., 0., 1.],  # omega''
+            [sq, 0., 0., 0., wq, 0., 0., 0., 0., 0.],  # Sigma
             [oq, 0., 0., wk, 0., 0., 0., 0., 0., 0.],  # omega
-            [0., oq, 0., 0., 0., 0., 0., 0., wk, 0.],  # omega'
-            [0., 0., oq, 0., 0., 0., 0., 0., 0., wk]])  # omega''
-        parts = np.array([pv, pv1, pv2] + [reg[key] for key in (
-            "k1", "k4", "d4", "dd4", "k3", "d1", "dd1")])
+            [0., oq, 0., 0., 0., 0., wk, 0., 0., 0.],  # omega'
+            [0., 0., oq, 0., 0., 0., 0., 0., wk, 0.]])  # omega''
         scale = 1.0 / (2.0 * np.pi * (kappa + 1.0))
-        T = ((scale * coef) @ parts.reshape(10, -1)).reshape(
-            (2, 4) + pv.shape)
-        k2 = np.array([[1.0, -1.0, 0.0, 0.0], [2j, -2j, 0.0, 0.0]])
-        C = k2[:, :, None, None] * (scale * self._k2 * self._wsum)
-        return T, C
+        T = scale * np.hstack([coef[:, :3], coef[:, 3:] @ self._kset
+                               .table_rows(_KERNELS[True], True)])
+        K = np.zeros(T.shape, dtype=complex)
+        K[:, -1] = (scale * self._k2) * np.array([1, -1, 0, 0, 2j, -2j, 0, 0])
+        t, k = (combine @ x.reshape(2, 4, -1) for x in (T, K))
+        real = np.stack([t.real + k.real, k.imag - t.imag], axis=2)
+        out = real.reshape(-1, len(raw)) @ raw.reshape(len(raw), -1)
+        return out.reshape(real.shape[:3] + pv.shape)
 
 
 class _FlatRuleOperator(_FaceOperator):

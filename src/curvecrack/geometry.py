@@ -19,18 +19,19 @@ for unit-speed curves, which makes the semicircle kappa0 = +1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Complex, Real
 
 import numpy as np
 
 
 class GeometryError(ValueError):
     """Invalid geometric parameters: a length that is not positive, a
-    curvature that is not finite, or an arc that closes on itself."""
+    curvature, start angle or center that is not finite, or an arc that
+    closes on itself."""
 
 
-def _finite(value) -> bool:
-    return isinstance(value, Real) and bool(np.isfinite(value))
+def _finite(value, kind=Real) -> bool:
+    return isinstance(value, kind) and bool(np.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,13 @@ class CrackCurve:
                 "an arc of curvature kappa0 and length l is a Jordan arc "
                 "only for |kappa0| l < 2 pi, got "
                 f"{abs(self.constant_curvature) * self.length!r}")
-        for name in ("length", "constant_curvature"):
+        for name, kind in (("theta0", Real), ("center", Complex)):
+            if not _finite(getattr(self, name), kind):
+                raise GeometryError(f"{name} must be a finite number, got "
+                                    f"{getattr(self, name)!r}")
+        for name in ("length", "constant_curvature", "theta0"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "center", complex(self.center))
 
     def derivatives(self, s):
         """Return (t, t', t'', t''', t'''') at s (scalar or array)."""

@@ -39,16 +39,19 @@ read it:
   x = 0: below the cut |x| = 1/2 they come from eleven terms of the
   series, which reach double precision there; above it the closed forms
   lose at most about two digits.
-- `KernelSet.integrated` gives what the face operator tabulates: each
-  kernel summed over quadrature nodes against a weighted basis, one row per
-  point s0, with no (point, node) pair evaluated.  With u = a (s - l/2),
-  v = a (s0 - l/2) and a = kappa0/2, the series of c(u - v) is separable,
-  sum_{r,i} H[r, i] v^r u^i, so the table of c is V(v) H U(u)^T wbasis
-  with the Vandermonde matrices V and U, and those of c' and c'' differ
-  only in V, differentiated in v.  The number of terms follows from
-  rho = max|u| + max|v| < pi.  The constant part is the column sums of
-  the weighted basis, and E = exp(i kappa0 s) exp(-i kappa0 s0) splits
-  into one moment over the nodes and one phase per point.
+- `KernelSet.raw_tables` gives six real tables over the nodes, one row per
+  point s0, with no (point, node) pair evaluated; each kernel summed
+  against a weighted basis is a complex combination of them
+  (`table_rows`, `kernel_tables`); `integrated` does both steps in one
+  call, the form the tests hold against `block`.
+  With u = a (s - l/2), v = a (s0 - l/2) and a = kappa0/2, the series of
+  c(u - v) is separable, sum_{r,i} H[r, i] v^r u^i, so the table of c is
+  V(v) H U(u)^T wbasis with the Vandermonde matrices V and U, and those
+  of c' and c'' differ only in V, differentiated in v.  The number of
+  terms follows from rho = max|u| + max|v| < pi.  E = exp(i kappa0 s)
+  exp(-i kappa0 s0) splits into one moment over the nodes and one phase
+  per point, and the constant part is the column sums of the weighted
+  basis.
 
 The operator assembled from these kernels (`fredholm_operator`) is the
 regular, compact part of the collocation system; its first and second
@@ -67,7 +70,7 @@ from numpy.polynomial.polynomial import polyval
 from .geometry import CrackCurve
 
 # Series terms of c = cot x - 1/x: _TERMS for the pointwise evaluation below
-# |x| = _CUT, at most _MAX_TERMS for the separable tables of `integrated`
+# |x| = _CUT, at most _MAX_TERMS for the separable tables of `raw_tables`
 _CUT = 0.5
 _TERMS = 11
 _MAX_TERMS = 512
@@ -223,7 +226,7 @@ class KernelSet:
 
     The kernels are evaluated in the x-form of the module docstring, from
     one table of coefficients (`_coefficients`) that `block` and
-    `integrated` both read.  On a straight crack every kernel and
+    `table_rows` both read.  On a straight crack every kernel and
     derivative is exactly zero.
 
     Parameters
@@ -271,7 +274,7 @@ class KernelSet:
         s0 of shape (M, 1) against nodes s of shape (n,) gives (M, n)
         blocks, one row per evaluation point.  Returns a dict with keys
         k1..k4 and, when derivatives is set, d1..d4 and dd1..dd4.  This is
-        the pointwise evaluation; the operator tables use `integrated`.
+        the pointwise evaluation; the operator tables use `raw_tables`.
         """
         ds = np.asarray(s, dtype=float) - np.asarray(s0, dtype=float)
         keys = _KEYS[derivatives]
@@ -295,31 +298,57 @@ class KernelSet:
         """Each kernel summed against a weighted basis over the nodes.
 
         s0 has shape (M,), nodes (n,) and wbasis (n, C); returns a dict of
-        complex (M, C) tables, one per key of `keys` (names as in `block`).
-        Equal to block(nodes, s0[:, None]) @ wbasis for each key, with no
-        (point, node) pair evaluated: the real tables of c, c' and c'' are
-        products of small matrices (`_cot_tables`), the constant term is
-        i gamma times the column sums of wbasis, and E = exp(i kappa0
-        (s - s0)) splits into a phase exp(-i kappa0 s0) per point times one
-        moment, the sum of exp(i kappa0 s) wbasis over the nodes.
+        complex (M, C) tables, one per key of `keys` (names as in `block`),
+        equal to block(nodes, s0[:, None]) @ wbasis: `kernel_tables`.
+        """
+        derivatives = any(self._coef[key][0] for key in keys)
+        raw = self.raw_tables(s0, nodes, wbasis, derivatives)
+        return dict(zip(keys, self.kernel_tables(raw, keys)))
+
+    def raw_tables(self, s0, nodes, wbasis, derivatives):
+        """The real tables that the kernel tables combine, (R, M, C).
+
+        C_p = sum_k c_p(x_k) wbasis_k for c (and c', c'' with derivatives,
+        `_cot_tables`), Re and Im of sum_k E_k wbasis_k, and the column
+        sums of wbasis in every row: R is 4, or 6 with derivatives.
         """
         s0 = np.asarray(s0, dtype=float)
         nodes = np.asarray(nodes, dtype=float)
-        if self._k0 == 0.0:
-            shape = (s0.size, wbasis.shape[1])
-            return {key: np.zeros(shape, dtype=complex) for key in keys}
-        derivatives = any(self._coef[key][0] for key in keys)
-        cparts = self._cot_tables(s0, nodes, wbasis, derivatives)
-        k0s = self._k0 * nodes
-        moment = _complex(np.cos(k0s) @ wbasis, np.sin(k0s) @ wbasis)
-        trig = np.exp(-1j * self._k0 * s0)[:, None] * moment
-        wsum = wbasis.sum(axis=0)
-        out = {}
-        for key in keys:
-            p, alpha, gamma, eps = self._coef[key]
-            out[key] = self._scale[p] * (alpha * cparts[p] + eps * trig
-                                         + 1j * gamma * wsum)
+        orders = 3 if derivatives else 1
+        out = np.zeros((orders + 3, s0.size, wbasis.shape[1]))
+        out[-1] = wbasis.sum(axis=0)
+        if self._k0 != 0.0:
+            out[:orders] = self._cot_tables(s0, nodes, wbasis, derivatives)
+            k0s = self._k0 * nodes
+            cos, sin = np.cos(k0s) @ wbasis, np.sin(k0s) @ wbasis
+            phase = self._k0 * s0[:, None]
+            cos0, sin0 = np.cos(phase), np.sin(phase)
+            out[orders] = cos0 * cos + sin0 * sin
+            out[orders + 1] = cos0 * sin - sin0 * cos
         return out
+
+    def table_rows(self, keys, derivatives):
+        """Complex (K, R): each key's table is its row times `raw_tables`.
+
+        scale_p (alpha c_p + i gamma + eps E) puts scale_p alpha on C_p,
+        scale_p eps and i scale_p eps on Re E and Im E, and i scale_p gamma
+        on the column sums."""
+        orders = 3 if derivatives else 1
+        rows = np.zeros((len(keys), orders + 3), dtype=complex)
+        for row, key in zip(rows, keys):
+            p, alpha, gamma, eps = self._coef[key]
+            scale = self._scale[p]
+            row[p] = scale * alpha
+            row[orders:] = scale * eps, 1j * scale * eps, 1j * scale * gamma
+        return rows
+
+    def kernel_tables(self, raw, keys):
+        """The complex tables of `keys` from `raw_tables`, (K, M, C): raw is
+        real, so one real product with `table_rows` per part."""
+        rows = self.table_rows(keys, len(raw) > 4)
+        flat = raw.reshape(len(raw), -1)
+        return _complex(rows.real @ flat, rows.imag @ flat).reshape(
+            (len(keys),) + raw.shape[1:])
 
     def _cot_tables(self, s0, nodes, wbasis, derivatives):
         """[C] or [C, C', C''] with C_p = sum_k c_p(x_k) wbasis_k, (M, C).

@@ -440,7 +440,7 @@ def convergence_study(curve, material, load, gamma1, n_list,
     """Reconstructed g' for each N against the largest N on a common grid.
 
     The grid is n_grid equispaced points of [0, l]; each row carries its
-    g' there.
+    g' there, from the first N+1 columns of one basis table of the grid.
     """
     n_list = list(n_list)
     if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -449,7 +449,9 @@ def convergence_study(curve, material, load, gamma1, n_list,
     grid = np.linspace(0.0, curve.length, n_grid)
     solved = [(n, solve_problem(curve, material, load, gamma1, N=n))
               for n in n_list]
-    samples = [coeffs.gprime(grid) for _, coeffs in solved]
+    table = basis(grid, curve.length, n_list[-1])
+    samples = [table[:, : n + 1] @ (coeffs.g1 + 1j * coeffs.g2)
+               for n, coeffs in solved]
     rows = []
     for (n, coeffs), gp in zip(solved, samples):
         diff = float(np.max(np.abs(gp - samples[-1])))

@@ -11,7 +11,7 @@ density-dependent terms sit in the matrix; only the load forcing
 (kappa+1) f(s_j) enters the right-hand side.  Appended to the block are
 equality constraints: the single-valuedness condition
 int_0^l g'(s) t'(s) ds = 0, and (for gamma1 > 0) four tip rows, two per
-tip (`_tip_rows`).  They zero the log coefficients of sigma_n and of the
+tip (`_tip_blocks`).  They zero the log coefficients of sigma_n and of the
 normal component of du/ds, the component along the normal i t' (at s = 0
 on the semicircle -du1/ds, not du2/ds): tip values of the densities of
 `densities.cauchy_densities`.  Times +-gamma1/(4 pi mu), the
@@ -44,9 +44,9 @@ face-curvature term multiplies by gamma1 once more.  So the collocation
 block is (kappa+1)(R0 + gamma1 R1 + gamma1^2 R2) with three real blocks,
 and the tip rows are T0 + gamma1 T1.  `_CollocationTables` holds this
 gamma1-independent part of the system of one curve, material and N: the
-blocks, built once from the operator's tables (`_FaceOperator.tables`,
-`_system_rows`), the tip rows and the integrals I_n of the
-single-valuedness rows, int_0^l (x - l/2)^n t'(x) dx
+blocks, built once by one real map of the operator's raw tables
+(`_FaceOperator.rows`), the closed-form tip rows and the integrals I_n
+of the single-valuedness rows, int_0^l (x - l/2)^n t'(x) dx
 (`_single_valued_integrals`).  The jump table (`_jump_table`), the
 integrals of g' t' up to each point of the opening profile, is built only
 when an opening is asked for, so a convergence run builds none.  Both
@@ -74,8 +74,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .densities import (DensityCoefficients, basis, cauchy_densities,
-                        poly_derivative, q_coefficients)
+from .densities import (DensityCoefficients, _times_derivative, basis,
+                        cauchy_densities, q_rows_to_unknowns)
 from .fields import _FaceOperator, boundary_forcing
 from .geometry import CrackCurve
 # gauss_legendre is not called here, but perfbench's tracer test rebinds it
@@ -225,55 +225,36 @@ def _single_valued_integrals(curve: CrackCurve, degree: int):
     return _tangent_integrals(curve, degree, [curve.length])[0]
 
 
-def _tip_rows(curve: CrackCurve, kappa: float, gamma1: float, gp, q_unit):
-    """Tip rows of the densities gp, gamma1 * q_unit, in constraint order.
+def _tip_blocks(curve: CrackCurve, material, degree: int):
+    """T0 and T1 of the tip rows, (rows, 2 degree + 2): the rows of a
+    density [g1; g2] at gamma1 are (T0 + gamma1 T1) [g1; g2], in
+    constraint order, the rows of the first tip first.
 
-    gp and q_unit are (C, N+1) coefficient arrays (q_unit at gamma1 = 1);
-    each row holds one value per density.  Per tip: -Im omega and
-    Re sigma / 2 of `cauchy_densities`, which zero the log terms of the
-    normal component of du/ds and of sigma_n.  On a straight crack these
-    degenerate (the first reduces to Im g' = 0) and leave the boundary-layer
-    modes exp(+-s/sqrt(gamma1(kappa-1)/4mu)) unpinned; the rows Re g'' and
-    Im g'' at each tip pin them.
+    Per tip: -Im omega and Re sigma / 2 of `cauchy_densities`, which zero
+    the log terms of the normal component of du/ds and of sigma_n.  Both
+    are Re(z g' + z_q q) with the densities' coefficients z and z_q, and
+    Re(z x) = Re z Re x - Im z Im x; g' at a tip is the basis b there on
+    g1 and i b on g2, and q (gamma1 T1) comes from the closure
+    (`q_rows_to_unknowns`).  On a straight crack these degenerate (the
+    first reduces to Im g' = 0) and leave the boundary-layer modes
+    exp(+-s/sqrt(gamma1(kappa-1)/4mu)) unpinned; the rows Re g'' and
+    Im g'' at each tip, b' on g1 and on g2, pin them.
     """
-    degree = gp.shape[-1] - 1
-    tips = basis([0.0, curve.length], curve.length, degree).T
-    sigma, omega = cauchy_densities(gp @ tips, gamma1 * (q_unit @ tips),
-                                    kappa)
-    # 0.0 - x rather than -x: an exact zero stays +0.0
-    rows = [0.0 - omega.imag, 0.5 * sigma.real]
+    b = basis([0.0, curve.length], curve.length, degree)
+    (sg, og), (sq, oq) = (cauchy_densities(1.0, 0.0, material.kappa),
+                          cauchy_densities(0.0, 1.0, material.kappa))
+    t0, t1 = [], []
+    # -Im omega = Re(i omega), then Re sigma / 2
+    for z, zq in ((1j * og, 1j * oq), (0.5 * sg, 0.5 * sq)):
+        t0.append(np.hstack([z.real * b, -z.imag * b]))
+        t1.append(np.hstack(q_rows_to_unknowns(zq.real * b, -zq.imag * b,
+                                               curve, material)))
     if curve.constant_curvature == 0.0:
-        gpp = poly_derivative(gp) @ tips[:degree]
-        rows += [gpp.real, gpp.imag]
-    return [row[..., tip] for tip in (0, 1) for row in rows]
-
-
-def _system_rows(curve, material, tables, conj):
-    """The rows of the boundary equation per unit density coefficient.
-
-    tables and conj are `_FaceOperator.tables`.  The collocation rows hold
-    Re Sigma, Im Sigma and the face-curvature terms -kappa0 dk and -dk',
-    with dk = -(kappa0 Re omega - Im omega')/2mu the face-curvature change
-    and dk' = -(kappa0 Re omega' - Im omega'')/2mu.  All four are real
-    parts of combinations of the fields: of Sigma, -i Sigma,
-    kappa0 (kappa0 omega + i omega')/2mu and (kappa0 omega' + i
-    omega'')/2mu.  Returns them as real rows on the stacked [Re c; Im c] of
-    the coefficients c of g' (index 0) and of q (index 1), shape
-    (2, 4 M, 2n), the four kinds of row one after the other.
-    """
-    k0, two_mu = curve.constant_curvature, 2.0 * material.mu
-    combine = np.array([[1.0, 0.0, 0.0, 0.0],
-                        [-1j, 0.0, 0.0, 0.0],
-                        [0.0, k0 * k0 / two_mu, 1j * k0 / two_mu, 0.0],
-                        [0.0, 0.0, k0 / two_mu, 1j / two_mu]])
-    t, tc = ((combine @ x.reshape(2, 4, -1)).reshape(x.shape)
-             for x in (tables, conj))
-    # Re of t c + tc conj(c), with c = cr + i ci
-    n = t.shape[-1]
-    rows = np.empty(t.shape[:-1] + (2 * n,))
-    np.add(t.real, tc.real, out=rows[..., :n])
-    np.subtract(tc.imag, t.imag, out=rows[..., n:])
-    return rows.reshape(2, -1, 2 * n)
+        b1, zero = _times_derivative(b), np.zeros(b.shape)
+        t0 += [np.hstack([b1, zero]), np.hstack([zero, b1])]
+        t1 += [np.zeros(t0[0].shape)] * 2
+    return tuple(np.stack(t, axis=1).reshape(-1, 2 * degree + 2)
+                 for t in (t0, t1))
 
 
 class _CollocationTables:
@@ -281,18 +262,16 @@ class _CollocationTables:
 
     The collocation rows are (kappa+1)(R0 + gamma1 R1 + gamma1^2 R2): q is
     linear in gamma1, and the face-curvature term multiplies by gamma1 once
-    more.  The three real (2N, 2N+2) blocks are built once from the tables
-    of the face-field operator at the collocation points, with
-    s0-derivatives (`_FaceOperator.tables`).  R0 is the traction of the g'
-    of the basis columns, R1 the traction of their q at gamma1 = 1 plus the
-    curvature term of their g', and R2 the curvature term of their q.  The
-    g' columns are the identity and i times it, so their rows are the
-    tables themselves, placed; the q rows are one real product with the
-    basis columns' q.  The tip rows are T0 + gamma1 T1 likewise.  The tables
-    also hold the single-valuedness integrals; the jump table of the opening
-    is built on first use.  systems() combines them for a stack of gamma1
-    values and one load with no operator product, and system() for one
-    gamma1, so a sweep over gamma1 tabulates the kernels and builds the
+    more.  R0 is the traction of the g' of the basis columns, R1 the
+    traction of their q at gamma1 = 1 plus the curvature term of their g',
+    and R2 the curvature term of their q.  The three real (2N, 2N+2) blocks
+    come from one real product (`_FaceOperator.rows` at the collocation
+    points), and the q rows become g1 and g2 columns by column shifts.  The
+    tip rows are T0 + gamma1 T1, in closed form (`_tip_blocks`).  The
+    tables also hold the single-valuedness integrals; the jump table of the
+    opening is built on first use.  systems() combines them for a stack of
+    gamma1 values and one load with no operator product, and system() for
+    one gamma1, so a sweep over gamma1 tabulates the kernels and builds the
     blocks once.
     """
 
@@ -300,24 +279,25 @@ class _CollocationTables:
         N = disc.N
         self.curve, self.material, self.disc = curve, material, disc
         kappa = material.kappa
-        # column c of the system is the unknown g1_c (c <= N) or g2_(c-N-1):
-        # its g' and q (gamma1 = 1) as centered coefficient rows, (2N+2, N+1)
-        eye, zero = np.eye(N + 1), np.zeros((N + 1, N + 1))
-        g1, g2 = np.vstack([eye, zero]), np.vstack([zero, eye])
-        gp = g1 + 1j * g2
-        q_unit = q_coefficients(curve, material, 1.0, g1, g2)
+        k0, two_mu = curve.constant_curvature, 2.0 * material.mu
         op = _FaceOperator(curve, kappa, disc.collocation_points, N,
                            derivatives=True)
-        g_rows, q_rows = _system_rows(curve, material, *op.tables())
-        # q_unit maps the q rows to the basis columns
-        q_rows = q_rows @ np.concatenate([q_unit.real, q_unit.imag], axis=1).T
-        self.blocks = (g_rows[: 2 * N], q_rows[: 2 * N] + g_rows[2 * N:],
-                       q_rows[2 * N:])
-        # g' and, at gamma1 = 1, q of the basis columns, side by side
-        tips = np.array(_tip_rows(curve, kappa, 1.0,
-                                  np.concatenate([gp, 0.0 * gp]),
-                                  np.concatenate([0.0 * q_unit, q_unit])))
-        self.tip_rows = (tips[:, : 2 * N + 2], tips[:, 2 * N + 2:])
+        # Re Sigma, Im Sigma and the face-curvature terms -kappa0 dk and -dk'
+        # are the real parts of Sigma, -i Sigma, kappa0 (kappa0 omega +
+        # i omega')/2mu and (kappa0 omega' + i omega'')/2mu: (4, 2, N, N+1)
+        # rows per unit Re and Im of the coefficients of g' and of q
+        g, q = op.rows(np.array([[1.0, 0.0, 0.0, 0.0],
+                                 [-1j, 0.0, 0.0, 0.0],
+                                 [0.0, k0 * k0 / two_mu, 1j * k0 / two_mu,
+                                  0.0],
+                                 [0.0, 0.0, k0 / two_mu, 1j / two_mu]]))
+        q = np.stack(q_rows_to_unknowns(q[:, 0], q[:, 1], curve, material),
+                     axis=1)
+        # (row kind, point) by (Re or Im, coefficient)
+        self.blocks = tuple(
+            block.transpose(0, 2, 1, 3).reshape(2 * N, 2 * N + 2)
+            for block in (g[:2], q[:2] + g[2:], q[2:]))
+        self.tip_rows = _tip_blocks(curve, material, N)
         self.single_valued = ints = _single_valued_integrals(curve, N)
         self.single_valued_rows = np.array(
             [np.concatenate([ints.real, -ints.imag]),
@@ -528,7 +508,7 @@ def tip_condition_residuals(coeffs: DensityCoefficients, curve: CrackCurve,
                             material, gamma1: float):
     """Residuals of the crack-tip solvability conditions at both tips.
 
-    One value per row of `_tip_rows`, 4 on a curved crack and 8 on a
+    One value per row of `_tip_blocks`, 4 on a curved crack and 8 on a
     straight one, normalized by sup|g'|.  The solve imposes the tip rows as
     equality constraints, so the residuals vanish to rounding.  At gamma1 =
     0 it imposes none, and there are no residuals: ().
@@ -537,7 +517,7 @@ def tip_condition_residuals(coeffs: DensityCoefficients, curve: CrackCurve,
         return ()
     sup = _sup_gprime(coeffs, curve)
     norm = sup if sup > 0.0 else 1.0
-    g1, g2 = coeffs.g1, coeffs.g2
-    rows = _tip_rows(curve, material.kappa, gamma1, (g1 + 1j * g2)[None],
-                     q_coefficients(curve, material, 1.0, g1, g2)[None])
-    return tuple(float(row[0]) / norm for row in rows)
+    t0, t1 = _tip_blocks(curve, material, coeffs.degree)
+    rows = (t0 + gamma1 * t1) @ np.concatenate([coeffs.g1, coeffs.g2])
+    # + 0.0: an exact zero reads +0.0
+    return tuple(float(row) / norm + 0.0 for row in rows)

@@ -59,6 +59,16 @@ def test_material_validation():
     assert ps.kappa == pytest.approx((3.0 - 0.3) / 1.3)
     with pytest.raises(ValueError):
         Material.from_poisson(60.0, 0.6)
+    # nu must lie in (0, 1/2) and agree with kappa in the mode
+    assert Material(mu=60.0, kappa=2.5, nu=0.125).nu == 0.125
+    assert Material(mu=60.0, kappa=2.9 / 1.1, mode="plane_stress", nu=0.1)
+    for nu in (0.1, 0.6, -0.2, 0.0, 0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="Poisson"):
+            Material(mu=60.0, kappa=2.5, nu=nu)
+    with pytest.raises(ValueError, match="Poisson"):
+        Material(mu=60.0, kappa=2.5, mode="plane_stress", nu=0.125)
+    with pytest.raises(ValueError):
+        Material.from_poisson(60.0, 0.3, mode="plane_chaos")
 
 
 def test_surface_params_validation():

@@ -60,6 +60,19 @@ def test_curve_rejects_bad_length(length):
         CrackCurve(length=length, shape="straight", constant_curvature=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("theta0", np.nan), ("theta0", np.inf), ("theta0", -np.inf),
+    ("theta0", None), ("theta0", "0.0"), ("center", np.nan),
+    ("center", complex(np.nan, 0.0)), ("center", complex(0.0, np.inf)),
+    ("center", -np.inf), ("center", None), ("center", "0j")])
+def test_curve_rejects_bad_placement(field, value):
+    # a non-finite start angle or center would reach the solver (theta0 =
+    # nan as non-finite matrix entries) or the curve's points (center = nan)
+    with pytest.raises(GeometryError, match=field):
+        CrackCurve(length=1.0, shape="arc", constant_curvature=1.0,
+                   **{field: value})
+
+
 @pytest.mark.parametrize("length, curvature", [(2.0 * np.pi, 1.0),
                                                (7.0, 1.0), (7.0, -1.0),
                                                (20.0, 1.0)])
@@ -74,6 +87,9 @@ def test_curve_rejects_closed_arcs(length, curvature):
 def test_curve_is_a_record_of_floats():
     c = CrackCurve(length=2, shape="straight", constant_curvature=0)
     assert type(c.length) is float and type(c.constant_curvature) is float
+    arc = CrackCurve(length=1.0, shape="arc", constant_curvature=1.0,
+                     theta0=np.float64(1), center=np.complex128(2j))
+    assert type(arc.theta0) is float and type(arc.center) is complex
     assert not any(callable(getattr(c, f)) for f in c.__dataclass_fields__)
 
 

@@ -300,13 +300,13 @@ class TestSweepTables:
     def test_kernel_blocks_do_not_grow_with_gamma_points(
             self, semicircle, material, load_h, monkeypatch):
         calls = []
-        integrated = KernelSet.integrated
+        raw_tables = KernelSet.raw_tables
 
         def counted(self, *args, **kwargs):
             calls.append(1)
-            return integrated(self, *args, **kwargs)
+            return raw_tables(self, *args, **kwargs)
 
-        monkeypatch.setattr(KernelSet, "integrated", counted)
+        monkeypatch.setattr(KernelSet, "raw_tables", counted)
         sweep_gamma(semicircle, material, load_h, [1.0], N=20)
         one = len(calls)
         calls.clear()
@@ -334,22 +334,22 @@ class TestSweepTables:
     def test_basis_columns_do_not_grow_with_gamma_points(
             self, semicircle, material, load_h, monkeypatch):
         # operator products over the 2N+2 basis columns: apply() on that
-        # many columns, or the tables the collocation blocks are built from
+        # many columns, or the rows the collocation blocks are built from
         N = 20
         calls = []
-        apply, tables = _FaceOperator.apply, _FaceOperator.tables
+        apply, rows = _FaceOperator.apply, _FaceOperator.rows
 
         def counted_apply(self, gp_poly, q_poly):
             if gp_poly.shape[0] == 2 * N + 2:
                 calls.append(1)
             return apply(self, gp_poly, q_poly)
 
-        def counted_tables(self):
+        def counted_rows(self, combine):
             calls.append(1)
-            return tables(self)
+            return rows(self, combine)
 
         monkeypatch.setattr(_FaceOperator, "apply", counted_apply)
-        monkeypatch.setattr(_FaceOperator, "tables", counted_tables)
+        monkeypatch.setattr(_FaceOperator, "rows", counted_rows)
         sweep_gamma(semicircle, material, load_h, [1.0], N=N)
         one = len(calls)
         calls.clear()

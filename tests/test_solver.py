@@ -12,8 +12,9 @@ from curvecrack import (AssemblyError, CrackCurve, DensityCoefficients,
                         solve_problem, tip_condition_residuals, traction_jump,
                         traction_jump_parts)
 from curvecrack import quadrature, solver
-from curvecrack.densities import (basis, poly_derivative, poly_eval,
-                                  pv_monomials, q_coefficients, q_polynomial)
+from curvecrack.densities import (_times_derivative, basis, cauchy_densities,
+                                  poly_derivative, poly_eval, pv_monomials,
+                                  q_coefficients, q_polynomial)
 from curvecrack.fields import _FaceOperator
 from curvecrack.quadrature import gauss_legendre
 
@@ -309,6 +310,26 @@ class TestAssembly:
         assert np.max(np.abs(got - ref)) < 1e-7
 
 
+def _tip_rows(curve, kappa, gamma1, gp, q_unit):
+    """Tip rows of the densities gp, gamma1 * q_unit, in constraint order.
+
+    The reference of `solver._tip_blocks`, from point values at the tips:
+    gp and q_unit are (C, N+1) coefficient arrays (q_unit at gamma1 = 1);
+    each row holds one value per density.  Per tip: -Im omega and
+    Re sigma / 2 of `cauchy_densities`, and on a straight crack Re g'' and
+    Im g''.
+    """
+    degree = gp.shape[-1] - 1
+    tips = basis([0.0, curve.length], curve.length, degree).T
+    sigma, omega = cauchy_densities(gp @ tips, gamma1 * (q_unit @ tips),
+                                    kappa)
+    rows = [-omega.imag, 0.5 * sigma.real]
+    if curve.constant_curvature == 0.0:
+        gpp = poly_derivative(gp) @ tips[:degree]
+        rows += [gpp.real, gpp.imag]
+    return [row[..., tip] for tip in (0, 1) for row in rows]
+
+
 def _operator_system(curve, material, gamma1, N):
     """The unscaled system the face operator gives for the basis columns.
 
@@ -335,14 +356,73 @@ def _operator_system(curve, material, gamma1, N):
     con_rows = [np.concatenate([ints.real, -ints.imag]),
                 np.concatenate([ints.imag, ints.real])]
     if gamma1 > 0.0:
-        con_rows += solver._tip_rows(curve, kappa, gamma1, gp, q_unit)
+        con_rows += _tip_rows(curve, kappa, gamma1, gp, q_unit)
     return np.vstack([rows] + con_rows)
 
 
-@pytest.mark.parametrize("N", [8, 20, 60])
+def _table_blocks(curve, material, N):
+    """R0, R1, R2 and T0, T1 column for column, the route the fold replaced.
+
+    The operator as complex tables over the density coefficients, from its
+    kernel tables (apply()'s) and principal values; then the four kinds of
+    row as real parts on [Re c; Im c]; then the q rows times the real
+    coefficients of the basis columns' q; and the tip rows of `_tip_rows`
+    on the basis columns.
+    """
+    kappa, mu = material.kappa, material.mu
+    k0, two_mu = curve.constant_curvature, 2.0 * mu
+    op = _FaceOperator(curve, kappa, Discretization(N, curve.length)
+                       .collocation_points, N, derivatives=True)
+    reg, (a, b), (at0, atl) = op._reg, op._inv_ends, op._ends
+    pv = op._pv
+    pv1 = _times_derivative(pv) - (atl * a + at0 * b)
+    pv2 = _times_derivative(pv1) - (atl * a * a - at0 * b * b)
+    (sg, og), (sq, oq) = (cauchy_densities(1.0, 0.0, kappa),
+                          cauchy_densities(0.0, 1.0, kappa))
+    wq, wk = -2j, -2j * kappa
+    coef = np.array([
+        [sg, 0., 0., 1., 0., 0., 0., 0., 0., 0.],
+        [og, 0., 0., 0., 1., 0., 0., 0., 0., 0.],
+        [0., og, 0., 0., 0., 1., 0., 0., 0., 0.],
+        [0., 0., og, 0., 0., 0., 1., 0., 0., 0.],
+        [sq, 0., 0., 0., 0., 0., 0., wq, 0., 0.],
+        [oq, 0., 0., wk, 0., 0., 0., 0., 0., 0.],
+        [0., oq, 0., 0., 0., 0., 0., 0., wk, 0.],
+        [0., 0., oq, 0., 0., 0., 0., 0., 0., wk]])
+    parts = np.array([pv, pv1, pv2] + [reg[key] for key in (
+        "k1", "k4", "d4", "dd4", "k3", "d1", "dd1")])
+    scale = 1.0 / (2.0 * np.pi * (kappa + 1.0))
+    T = ((scale * coef) @ parts.reshape(10, -1)).reshape((2, 4) + pv.shape)
+    k2 = np.array([[1.0, -1.0, 0.0, 0.0], [2j, -2j, 0.0, 0.0]])
+    C = k2[:, :, None, None] * (scale * op._k2 * op._raw[-1, 0])
+    combine = np.array([[1.0, 0.0, 0.0, 0.0],
+                        [-1j, 0.0, 0.0, 0.0],
+                        [0.0, k0 * k0 / two_mu, 1j * k0 / two_mu, 0.0],
+                        [0.0, 0.0, k0 / two_mu, 1j / two_mu]])
+    t, tc = ((combine @ x.reshape(2, 4, -1)).reshape(x.shape)
+             for x in (T, C))
+    rows = np.concatenate([t.real + tc.real, tc.imag - t.imag], axis=-1)
+    g_rows, q_rows = rows.reshape(2, 4 * N, 2 * N + 2)
+    eye, zero = np.eye(N + 1), np.zeros((N + 1, N + 1))
+    g1, g2 = np.vstack([eye, zero]), np.vstack([zero, eye])
+    q_unit = q_coefficients(curve, material, 1.0, g1, g2)
+    q_rows = q_rows @ np.concatenate([q_unit.real, q_unit.imag], axis=1).T
+    blocks = (g_rows[: 2 * N], q_rows[: 2 * N] + g_rows[2 * N:],
+              q_rows[2 * N:])
+    gp = g1 + 1j * g2
+    tips = np.array(_tip_rows(curve, kappa, 1.0,
+                                     np.concatenate([gp, 0.0 * gp]),
+                                     np.concatenate([0.0 * q_unit, q_unit])))
+    return blocks + (tips[:, : 2 * N + 2], tips[:, 2 * N + 2:])
+
+
+@pytest.mark.parametrize("N", [8, 20, 40, 60])
 @pytest.mark.parametrize("curve", [make_semicircle(), make_circular_arc(0.5),
+                                   CrackCurve(length=2.0 * np.pi / 3.0,
+                                              shape="arc",
+                                              constant_curvature=-0.5),
                                    make_straight(2.0)],
-                         ids=["semicircle", "arc", "straight"])
+                         ids=["semicircle", "arc", "arc-0.5", "straight"])
 def test_quadratic_assembly_matches_operator(material, load_h, curve, N):
     disc = Discretization(N, curve.length)
     for gamma1 in (0.0, 0.25, 1.0, 4.0):
@@ -354,6 +434,14 @@ def test_quadratic_assembly_matches_operator(material, load_h, curve, N):
             got = system.matrix * system.row_scale[:, None]
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= tol)
+    # the blocks and tip rows themselves against the column-for-column
+    # route, to rounding of each row's largest entry
+    tables = solver._CollocationTables(curve, material, disc)
+    for got, want in zip(tables.blocks + tables.tip_rows,
+                         _table_blocks(curve, material, N)):
+        assert got.shape == want.shape
+        tol = 1e-14 * np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= tol)
 
 
 def _independent_row_residual(curve, material, load, gamma1, coeffs, points):
@@ -635,6 +723,26 @@ class TestTipConditions:
         res = tip_condition_residuals(coeffs, straight2, material, 1.0)
         assert len(res) == 8
         assert max(abs(v) for v in res) <= 1e-8
+
+    @pytest.mark.parametrize("curve", [make_semicircle(),
+                                       CrackCurve(length=2.0 * np.pi / 3.0,
+                                                  shape="arc",
+                                                  constant_curvature=-0.5),
+                                       make_straight(2.0)],
+                             ids=["semicircle", "arc-0.5", "straight"])
+    def test_rows_match_tip_values(self, material, curve):
+        # an arbitrary density: the closed-form rows against the densities'
+        # values at the tips
+        g1, g2 = np.random.default_rng(5).normal(size=(2, 13))
+        coeffs = DensityCoefficients(g1, g2, curve.length, 0.7)
+        got = tip_condition_residuals(coeffs, curve, material, 0.7)
+        want = np.array(_tip_rows(
+            curve, material.kappa, 0.7, (g1 + 1j * g2)[None],
+            q_coefficients(curve, material, 1.0, g1, g2)[None]))[:, 0] \
+            / solver._sup_gprime(coeffs, curve)
+        assert len(got) == len(want)
+        assert np.max(np.abs(np.array(got) - want)) \
+            <= 1e-13 * np.max(np.abs(want))
 
     def test_none_at_gamma1_zero(self, material, semicircle, load_h):
         # the solve imposes no tip rows at gamma1 = 0: nothing to report
