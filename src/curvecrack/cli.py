@@ -27,8 +27,8 @@ from . import postprocess as post
 from .fields import FarFieldLoad, Material, SurfaceParams
 from .geometry import (CrackCurve, make_circular_arc, make_semicircle,
                        make_straight)
-from .solver import (AssemblyError, Discretization, SolveError, solve,
-                     tip_condition_residuals)
+from .solver import (AssemblyError, Discretization, SolveError,
+                     _tip_residuals, solve)
 
 RUN_MODES = ("solve", "sweep-gamma", "sweep-curvature", "convergence")
 
@@ -314,7 +314,7 @@ def _solve_outputs(config, curve, material, load, disc, dump_system):
 
     traction, du, tip_values = tables.face_values(coeffs)
     fits = post._log_fits(tables.tip_dist, tip_values, post.FIELD_NAMES)
-    residuals = tip_condition_residuals(coeffs, curve, material, config.gamma1)
+    residuals = _tip_residuals(coeffs, curve, tables.collocation.tip_rows)
     dump = system.dump_text() if dump_system else None
     return {
         "coeffs": coeffs, "s_grid": s_grid, "g_cols": g_cols,

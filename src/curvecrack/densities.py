@@ -17,7 +17,10 @@ so Re q = (gamma1/4mu) kappa0 P and Im q = (gamma1/4mu) P'.  Every curve
 has constant curvature (`geometry.CrackCurve`), so P and q are
 polynomials, written once in coefficient form (`q_coefficients`).
 `cauchy_densities` is the one definition of the face fields'
-principal-value densities and tip log terms.
+principal-value densities and tip log terms.  The constraint rows of the
+solver are closed forms over the basis alone: the integrals of the
+monomials against the tangent (`_tangent_integrals`) and the tip rows
+(`_tip_blocks`).
 """
 
 from __future__ import annotations
@@ -221,3 +224,83 @@ def cauchy_densities(gp, q, kappa: float):
     """
     return (2.0 * gp + 2j * (kappa - 1.0) * q,
             (kappa - 1.0) * gp - 4j * kappa * q)
+
+
+def _tangent_integrals(curve: CrackCurve, degree: int, s):
+    """M[k, n] = int_0^{s_k} (x - l/2)^n t'(x) dx, n = 0..degree, closed form.
+
+    With L = l/2, t'(x) = t'(L) exp(i kappa0 (x - L)) on every curve, so
+
+        M[k, n] = t'(L) sum_m (i kappa0)^m / m! * P[k, n + m],
+        P[k, p - 1] = ((s_k - L)^p - (-L)^p) / p:
+
+    a sliding sum over the differences of the Vandermonde matrix of the
+    s_k - L, real over even m and imaginary over odd m.  Each entry sums
+    the same terms in the same order at any degree, so the table of a
+    degree is bit for bit the first columns of a higher one.  The terms
+    fall below 2^-56 of the first after m = `_exp_terms(|kappa0| L)`.
+    """
+    L = 0.5 * curve.length
+    k0 = curve.constant_curvature
+    terms = _exp_terms(abs(k0) * L)
+    top = degree + terms
+    powers = (basis(s, curve.length, top)[..., 1:]
+              - basis(0.0, curve.length, top)[1:]) / np.arange(1, top + 1)
+    # entry (n, m) of the window is P[..., n + m]
+    window = np.lib.stride_tricks.sliding_window_view(
+        powers, terms, axis=-1)[..., : degree + 1, :]
+    coef = np.cumprod(np.concatenate([[1.0], 1j * k0 / np.arange(1, terms)]))
+    re = np.einsum("...nm,m->...n", window[..., ::2], coef.real[::2])
+    im = np.einsum("...nm,m->...n", window[..., 1::2], coef.imag[1::2])
+    return curve.tangent(L) * (re + 1j * im)
+
+
+def _exp_terms(x):
+    """How many terms of sum_m x^m/m! to keep: the first left out is below
+    2^-56."""
+    m, term = 1, x
+    while term >= 2.0 ** -56:
+        m += 1
+        term *= x / m
+    return m
+
+
+def _single_valued_integrals(curve: CrackCurve, degree: int):
+    """I_n = int_0^l (x - l/2)^n t'(x) dx, n = 0..degree.
+
+    The integrals of the single-valuedness rows: `_tangent_integrals` at
+    s = l.
+    """
+    return _tangent_integrals(curve, degree, [curve.length])[0]
+
+
+def _tip_blocks(curve: CrackCurve, material, degree: int):
+    """T0 and T1 of the tip rows, (rows, 2 degree + 2): the rows of a
+    density [g1; g2] at gamma1 are (T0 + gamma1 T1) [g1; g2], in
+    constraint order, the rows of the first tip first.
+
+    Per tip: -Im omega and Re sigma / 2 of `cauchy_densities`, which zero
+    the log terms of the normal component of du/ds and of sigma_n.  Both
+    are Re(z g' + z_q q) with the densities' coefficients z and z_q, and
+    Re(z x) = Re z Re x - Im z Im x; g' at a tip is the basis b there on
+    g1 and i b on g2, and q (gamma1 T1) comes from the closure
+    (`q_rows_to_unknowns`).  On a straight crack these degenerate (the
+    first reduces to Im g' = 0) and leave the boundary-layer modes
+    exp(+-s/sqrt(gamma1(kappa-1)/4mu)) unpinned; the rows Re g'' and
+    Im g'' at each tip, b' on g1 and on g2, pin them.
+    """
+    b = basis([0.0, curve.length], curve.length, degree)
+    (sg, og), (sq, oq) = (cauchy_densities(1.0, 0.0, material.kappa),
+                          cauchy_densities(0.0, 1.0, material.kappa))
+    t0, t1 = [], []
+    # -Im omega = Re(i omega), then Re sigma / 2
+    for z, zq in ((1j * og, 1j * oq), (0.5 * sg, 0.5 * sq)):
+        t0.append(np.hstack([z.real * b, -z.imag * b]))
+        t1.append(np.hstack(q_rows_to_unknowns(zq.real * b, -zq.imag * b,
+                                               curve, material)))
+    if curve.constant_curvature == 0.0:
+        b1, zero = _times_derivative(b), np.zeros(b.shape)
+        t0 += [np.hstack([b1, zero]), np.hstack([zero, b1])]
+        t1 += [np.zeros(t0[0].shape)] * 2
+    return tuple(np.stack(t, axis=1).reshape(-1, 2 * degree + 2)
+                 for t in (t0, t1))

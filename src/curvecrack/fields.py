@@ -16,19 +16,20 @@ are split into a table and its application.  `_FaceOperator` tabulates,
 once per set of points s0, everything that does not depend on the density:
 the kernels integrated against each monomial of the centered basis
 (`densities.basis`, `KernelSet.raw_tables`), the closed-form principal
-values of the monomials and the end factors of their s0-derivatives.  Its
-apply() then gives the face-average traction and the face function omega
-(and omega's first two s0-derivatives) of any number of density columns by
-matrix products alone; the field evaluator applies it to the solved
-densities, one or a sweep's stack of them as columns, and adds the +-jump
-terms and the far field.  The assembly (`solver._CollocationTables`)
-needs real rows of combinations of these fields per unit density
-coefficient at the N collocation points, so it reads the operator through
-rows() instead: one real map, composed from the small coefficient arrays
-of the kernels and the fields, applied to the nine real tables of the
-principal values and the raw kernel integrals, with no product over the
-coefficients.  A sweep builds both operators once, so the
-collocation rows and the face fields come from one tabulation.
+values of the monomials and the end factors of their s0-derivatives.  All
+that does not depend on the points either is its node side (`_NodeSide`),
+which a run builds once at its largest degree and shares among all its
+operators.  Its apply() then gives the face-average traction and the face
+function omega (and omega's first two s0-derivatives) of any number of
+density columns by matrix products alone; the field evaluator applies it
+to the solved densities, one or a sweep's stack of them as columns, and
+adds the +-jump terms and the far field.  The assembly
+(`solver._CollocationTables`) needs real rows of combinations of these
+fields per unit density coefficient at the N collocation points, so it
+reads the operator through rows() instead: one real map of the node side,
+composed from the small coefficient arrays of the kernels and the fields,
+applied to the nine real tables of the principal values and the raw
+kernel integrals, with no product over the coefficients.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .densities import (DensityCoefficients, _times_derivative, basis,
+from .densities import (DensityCoefficients, _single_valued_integrals,
+                        _times_derivative, _tip_blocks, basis,
                         cauchy_densities, poly_derivative, pv_monomials,
                         q_polynomial)
 from .geometry import CrackCurve
@@ -243,23 +245,104 @@ _KERNELS = {False: ("k1", "k3", "k4"),
             True: ("k1", "k3", "k4", "d1", "d4", "dd1", "dd4")}
 
 
+class _NodeSide:
+    """The tables of the face operator that do not depend on the points s0.
+
+    For one curve and material and degrees up to `degree`: the weighted
+    basis of `regular_rule` (or of the given nodes and weights), the
+    kernels' node tables (`KernelSet.node_tables`) and, on first use, the
+    real map of `_FaceOperator.rows`, the tip rows and the
+    single-valuedness integrals.  A column of each table depends only on
+    its own monomial and lower ones, so degree N reads the first N+1.
+    """
+
+    def __init__(self, curve, material, degree, rule=None):
+        self.curve, self.material, self.degree = curve, material, degree
+        self.kset = KernelSet(curve, material.kappa)
+        nodes, weights = regular_rule(curve.length) if rule is None else rule
+        wbasis = np.reshape(weights, (-1, 1)) * basis(nodes, curve.length,
+                                                      degree)
+        self._kernel = self.kset.node_tables(nodes, wbasis)
+
+    def columns(self, degree):
+        """The kernels' node tables of the monomials up to degree."""
+        if degree > self.degree:
+            raise ValueError(f"degree {degree} exceeds the {self.degree} "
+                             "the node side was built for")
+        return tuple(table[..., : degree + 1] for table in self._kernel)
+
+    @cached_property
+    def tip_rows(self):
+        """T0 and T1 of `_tip_blocks`, g1 columns then g2 columns."""
+        return _tip_blocks(self.curve, self.material, self.degree)
+
+    @cached_property
+    def single_valued(self):
+        """I_n = int_0^l (x - l/2)^n t'(x) dx, n = 0..degree."""
+        return _single_valued_integrals(self.curve, self.degree)
+
+    @cached_property
+    def rows_map(self):
+        """The real (16, 9) map of `_FaceOperator.rows`.
+
+        The fields are complex combinations T c + K conj(c) of the nine
+        tables, K on the column sums alone (k2 enters as the weighted sum
+        of conj(g' - 2i q), in Sigma and in -omega), and Re(t c + k conj(c))
+        = Re(t + k) Re c + Im(k - t) Im c.
+        """
+        kappa = self.kset.kappa
+        k0, two_mu = self.curve.constant_curvature, 2.0 * self.material.mu
+        # Re Sigma, Im Sigma, -kappa0 dk and -dk' are the real parts of
+        # Sigma, -i Sigma, kappa0 (kappa0 omega + i omega')/2mu and
+        # (kappa0 omega' + i omega'')/2mu
+        combine = np.array([[1.0, 0.0, 0.0, 0.0],
+                            [-1j, 0.0, 0.0, 0.0],
+                            [0.0, k0 * k0 / two_mu, 1j * k0 / two_mu, 0.0],
+                            [0.0, 0.0, k0 / two_mu, 1j / two_mu]])
+        # the fields per unit g' (rows 0-3) and per unit q (rows 4-7) over
+        # the principal values and the kernels of _KERNELS[True]: the
+        # densities of `cauchy_densities` times the principal values, and
+        # the kernels, which take wq = -2i q
+        (sg, og), (sq, oq) = (cauchy_densities(1.0, 0.0, kappa),
+                              cauchy_densities(0.0, 1.0, kappa))
+        wq, wk = -2j, -2j * kappa
+        coef = np.array([
+            [sg, 0., 0., 1., 0., 0., 0., 0., 0., 0.],  # Sigma
+            [og, 0., 0., 0., 0., 1., 0., 0., 0., 0.],  # omega
+            [0., og, 0., 0., 0., 0., 0., 1., 0., 0.],  # omega'
+            [0., 0., og, 0., 0., 0., 0., 0., 0., 1.],  # omega''
+            [sq, 0., 0., 0., wq, 0., 0., 0., 0., 0.],  # Sigma
+            [oq, 0., 0., wk, 0., 0., 0., 0., 0., 0.],  # omega
+            [0., oq, 0., 0., 0., 0., wk, 0., 0., 0.],  # omega'
+            [0., 0., oq, 0., 0., 0., 0., 0., wk, 0.]])  # omega''
+        scale = 1.0 / (2.0 * np.pi * (kappa + 1.0))
+        T = scale * np.hstack([coef[:, :3], coef[:, 3:] @ self.kset
+                               .table_rows(_KERNELS[True], True)])
+        K = np.zeros(T.shape, dtype=complex)
+        K[:, -1] = (-1j * k0 * scale) * np.array([1, -1, 0, 0, 2j, -2j, 0, 0])
+        t, k = (combine @ x.reshape(2, 4, -1) for x in (T, K))
+        return np.stack([t.real + k.real, k.imag - t.imag],
+                        axis=2).reshape(-1, T.shape[1])
+
+
 class _FaceOperator:
     """Density parts of the face fields, tabulated once at fixed points s0.
 
     Construction does all the work that does not depend on the density, for
-    polynomial densities of degree up to `degree` in the centered basis: it
-    integrates the regular kernels against each basis monomial with
-    `regular_rule` (k1, k3, k4, and with derivatives also the first and
-    second s0-derivatives of k1 and k4, all that apply() reads), tabulates
-    the closed-form principal values of the monomials (`pv_monomials`) and
-    the end factors 1/s0 and 1/(l - s0) of their s0-derivatives.  It keeps
-    the real raw tables of `KernelSet.raw_tables`: those of c = cot x -
-    1/x and its derivatives, products of small matrices from its separable
-    Taylor series, the trigonometric moment and the basis column sums;
-    apply() combines its complex kernel tables from them on first use
-    (`KernelSet.kernel_tables`).  On every curve k2 = -i kappa0 is constant
-    and d2 = dd2 = 0, so k2 enters as -i kappa0 times the weighted sum of
-    the conjugate density and d2, dd2 not at all.
+    polynomial densities of degree up to `degree` in the centered basis,
+    from a node side (`_NodeSide`) of at least that degree: it integrates
+    the regular kernels against each basis monomial with its rule (k1, k3,
+    k4, and with derivatives also the first and second s0-derivatives of k1
+    and k4, all that apply() reads), tabulates the closed-form principal
+    values of the monomials (`pv_monomials`) and the end factors 1/s0 and
+    1/(l - s0) of their s0-derivatives.  It keeps the real raw tables of
+    `KernelSet.raw_tables`: those of c = cot x - 1/x and its derivatives,
+    products of small matrices from its separable Taylor series, the
+    trigonometric moment and the basis column sums; apply() combines its
+    complex kernel tables from them on first use (`KernelSet.kernel_tables`).
+    On every curve k2 = -i kappa0 is constant and d2 = dd2 = 0, so k2
+    enters as -i kappa0 times the weighted sum of the conjugate density and
+    d2, dd2 not at all.
 
     apply() then evaluates any number of density columns by matrix
     products alone; the field evaluator applies it to all the solved
@@ -269,33 +352,26 @@ class _FaceOperator:
     collocation points.
     """
 
-    def __init__(self, curve, kappa, s0, degree, derivatives=False):
+    def __init__(self, side, s0, degree, derivatives=False):
         s0 = np.asarray(s0, dtype=float)
-        l = curve.length
-        self._tabulate(KernelSet(curve, kappa), s0, degree, derivatives,
-                       *regular_rule(l))
+        l = side.curve.length
+        self.kappa = side.kset.kappa
+        self.derivatives = derivatives
+        self._side = side
+        self._k2 = -1j * side.curve.constant_curvature
+        self._raw = side.kset.raw_tables(s0, side.columns(degree),
+                                         derivatives)
         self._pv = pv_monomials(l, s0, degree)
         if derivatives:
             self._inv_ends = (1.0 / (l - s0)[:, None], 1.0 / s0[:, None])
             self._ends = basis([0.0, l], l, degree)
 
-    def _tabulate(self, kset, s0, degree, derivatives, nodes, weights):
-        """The raw tables of the kernels summed against the weighted basis,
-        (R, M, degree+1) (`KernelSet.raw_tables`); the last holds the
-        column sums of the weighted basis in every row."""
-        self.kappa = kset.kappa
-        self.derivatives = derivatives
-        self._kset = kset
-        self._k2 = -1j * kset.curve.constant_curvature
-        wbasis = np.reshape(weights, (-1, 1)) \
-            * basis(nodes, kset.curve.length, degree)
-        self._raw = kset.raw_tables(s0, nodes, wbasis, derivatives)
-
     @cached_property
     def _reg(self):
         """The kernel tables of apply(), combined on first use."""
         keys = _KERNELS[self.derivatives]
-        return dict(zip(keys, self._kset.kernel_tables(self._raw, keys)))
+        return dict(zip(keys, self._side.kset.kernel_tables(self._raw,
+                                                             keys)))
 
     def apply(self, gp_poly, q_poly):
         """(Sigma, omega[, omega', omega'']) stacked, shape (2 or 4, M, C).
@@ -332,22 +408,15 @@ class _FaceOperator:
                        + (reg["dd4"] @ gp + kappa * (reg["dd1"] @ wq)))
         return np.stack(out) / (2.0 * np.pi * (kappa + 1.0))
 
-    def rows(self, combine):
-        """Real rows Re(sum_f combine[r, f] F_f) per unit density coefficient.
+    def rows(self):
+        """Re Sigma, Im Sigma, -kappa0 dk and -dk' per unit coefficient.
 
-        F_f are the fields of apply() (Sigma, omega, omega', omega''), and
-        combine is complex (R, 4).  Returns real (2, R, 2, M, degree+1): for
-        the coefficients c of g' or of q, per row r, the columns of Re c
-        and of Im c.  The operator must have been tabulated with
-        derivatives.  The fields are complex combinations T c + K conj(c)
-        of nine real tables, the principal values with their s0-derivatives
-        (shifted columns minus the end terms) and `KernelSet.raw_tables`;
-        K is on the column sums alone (k2 enters as the weighted sum of
-        conj(g' - 2i q), in Sigma and in -omega).  The real part of t c +
-        k conj(c) is Re(t + k) Re c + Im(k - t) Im c, so one real product
-        of a (4R, 9) map with the tables gives the rows.
+        Real (2, 4, 2, M, degree+1): for the coefficients c of g' or of q,
+        per kind of row, the columns of Re c and of Im c.  The operator
+        must have been tabulated with derivatives.  One product of
+        `_NodeSide.rows_map` with nine real tables: the principal values
+        with their s0-derivatives and `KernelSet.raw_tables`.
         """
-        kappa = self.kappa
         a, b = self._inv_ends
         at0, atl = self._ends
         # PV int x^c/(s - s0) ds and its two s0-derivatives, as in apply()
@@ -355,31 +424,8 @@ class _FaceOperator:
         pv1 = _times_derivative(pv) - (atl * a + at0 * b)
         pv2 = _times_derivative(pv1) - (atl * a * a - at0 * b * b)
         raw = np.concatenate([[pv, pv1, pv2], self._raw])
-        # the fields per unit g' (rows 0-3) and per unit q (rows 4-7) over
-        # the principal values and the kernels of _KERNELS[True]: the
-        # densities of `cauchy_densities` times the principal values, and
-        # the kernels, which take wq = -2i q
-        (sg, og), (sq, oq) = (cauchy_densities(1.0, 0.0, kappa),
-                              cauchy_densities(0.0, 1.0, kappa))
-        wq, wk = -2j, -2j * kappa
-        coef = np.array([
-            [sg, 0., 0., 1., 0., 0., 0., 0., 0., 0.],  # Sigma
-            [og, 0., 0., 0., 0., 1., 0., 0., 0., 0.],  # omega
-            [0., og, 0., 0., 0., 0., 0., 1., 0., 0.],  # omega'
-            [0., 0., og, 0., 0., 0., 0., 0., 0., 1.],  # omega''
-            [sq, 0., 0., 0., wq, 0., 0., 0., 0., 0.],  # Sigma
-            [oq, 0., 0., wk, 0., 0., 0., 0., 0., 0.],  # omega
-            [0., oq, 0., 0., 0., 0., wk, 0., 0., 0.],  # omega'
-            [0., 0., oq, 0., 0., 0., 0., 0., wk, 0.]])  # omega''
-        scale = 1.0 / (2.0 * np.pi * (kappa + 1.0))
-        T = scale * np.hstack([coef[:, :3], coef[:, 3:] @ self._kset
-                               .table_rows(_KERNELS[True], True)])
-        K = np.zeros(T.shape, dtype=complex)
-        K[:, -1] = (scale * self._k2) * np.array([1, -1, 0, 0, 2j, -2j, 0, 0])
-        t, k = (combine @ x.reshape(2, 4, -1) for x in (T, K))
-        real = np.stack([t.real + k.real, k.imag - t.imag], axis=2)
-        out = real.reshape(-1, len(raw)) @ raw.reshape(len(raw), -1)
-        return out.reshape(real.shape[:3] + pv.shape)
+        out = self._side.rows_map @ raw.reshape(len(raw), -1)
+        return out.reshape((2, 4, 2) + pv.shape)
 
 
 class _FlatRuleOperator(_FaceOperator):
@@ -390,13 +436,14 @@ class _FlatRuleOperator(_FaceOperator):
     basis monomial, so no point s0 may coincide with a node.
     """
 
-    def __init__(self, curve, kappa, s0, degree, disc):
-        s0 = np.asarray(s0, dtype=float)
+    def __init__(self, curve, material, s0, degree, disc):
         nodes = disc.nodes
+        rule = nodes, np.full(nodes.shape, disc.weight)
+        super().__init__(_NodeSide(curve, material, degree, rule), s0, degree)
+        # the node sums replace the closed-form principal values
         self._pv = pv_cauchy_sum(basis(nodes, curve.length, degree).T,
-                                 nodes, disc.weight, s0[:, None])
-        self._tabulate(KernelSet(curve, kappa), s0, degree, False, nodes,
-                       np.full(nodes.shape, disc.weight))
+                                 nodes, disc.weight,
+                                 np.asarray(s0, dtype=float)[:, None])
 
 
 class _FieldEvaluator:
@@ -414,7 +461,7 @@ class _FieldEvaluator:
     """
 
     def __init__(self, curve, material, load, s0, degree, n_quad=400,
-                 cauchy="exact"):
+                 cauchy="exact", node_side=None):
         if cauchy not in ("exact", "discrete"):
             raise ValueError(f"unknown cauchy mode {cauchy!r}")
         self.curve = curve
@@ -423,9 +470,12 @@ class _FieldEvaluator:
         kappa = material.kappa
         if cauchy == "discrete":
             disc = Discretization(n_quad, curve.length)
-            self._op = _FlatRuleOperator(curve, kappa, self.s0, degree, disc)
+            self._op = _FlatRuleOperator(curve, material, self.s0, degree,
+                                         disc)
         else:
-            self._op = _FaceOperator(curve, kappa, self.s0, degree)
+            if node_side is None:
+                node_side = _NodeSide(curve, material, degree)
+            self._op = _FaceOperator(node_side, self.s0, degree)
         self._basis = basis(self.s0, curve.length, degree)
         phi, psi = load.phi_inf, load.psi_inf
         t1 = curve.tangent(self.s0)

@@ -40,18 +40,18 @@ read it:
   series, which reach double precision there; above it the closed forms
   lose at most about two digits.
 - `KernelSet.raw_tables` gives six real tables over the nodes, one row per
-  point s0, with no (point, node) pair evaluated; each kernel summed
+  point s0, with no (point, node) pair evaluated, from the node side
+  `KernelSet.node_tables`, which needs no point; each kernel summed
   against a weighted basis is a complex combination of them
-  (`table_rows`, `kernel_tables`); `integrated` does both steps in one
-  call, the form the tests hold against `block`.
+  (`table_rows`, `kernel_tables`).
   With u = a (s - l/2), v = a (s0 - l/2) and a = kappa0/2, the series of
   c(u - v) is separable, sum_{r,i} H[r, i] v^r u^i, so the table of c is
   V(v) H U(u)^T wbasis with the Vandermonde matrices V and U, and those
   of c' and c'' differ only in V, differentiated in v.  The number of
-  terms follows from rho = max|u| + max|v| < pi.  E = exp(i kappa0 s)
-  exp(-i kappa0 s0) splits into one moment over the nodes and one phase
-  per point, and the constant part is the column sums of the weighted
-  basis.
+  terms follows from rho = |kappa0| l/2 < pi, which bounds max|u| +
+  max|v| on the arc.  E = exp(i kappa0 s) exp(-i kappa0 s0) splits into
+  one moment over the nodes and one phase per point, and the constant
+  part is the column sums of the weighted basis.
 
 The operator assembled from these kernels (`fredholm_operator`) is the
 regular, compact part of the collocation system; its first and second
@@ -70,7 +70,7 @@ from numpy.polynomial.polynomial import polyval
 from .geometry import CrackCurve
 
 # Series terms of c = cot x - 1/x: _TERMS for the pointwise evaluation below
-# |x| = _CUT, at most _MAX_TERMS for the separable tables of `raw_tables`
+# |x| = _CUT, at most _MAX_TERMS for the separable tables of `node_tables`
 _CUT = 0.5
 _TERMS = 11
 _MAX_TERMS = 512
@@ -294,33 +294,36 @@ class KernelSet:
                 scale * (gamma + (eps.imag * cos2 + eps.real * sin2)))
         return out
 
-    def integrated(self, s0, nodes, wbasis, keys):
-        """Each kernel summed against a weighted basis over the nodes.
+    def node_tables(self, nodes, wbasis):
+        """The node side of `raw_tables`, (B, cos, sin, wsum), with one
+        column per column of wbasis: B = H Z(z)^T wbasis of `_cot_tables`,
+        the moments of cos(kappa0 s) and sin(kappa0 s), and the column sums.
+        B keeps the series terms of rho = |kappa0| l/2, which no two points
+        of [0, l] exceed, so no point s0 is needed."""
+        nodes = np.asarray(nodes, dtype=float)
+        z = (self._k0 / np.pi) * (nodes - 0.5 * self.curve.length)
+        terms = _series_terms(0.5 * abs(self._k0) * self.curve.length)
+        B = _separable(terms) @ (np.vander(z, 2 * terms, increasing=True).T
+                                 @ wbasis)
+        k0s = self._k0 * nodes
+        return (B, np.cos(k0s) @ wbasis, np.sin(k0s) @ wbasis,
+                wbasis.sum(axis=0))
 
-        s0 has shape (M,), nodes (n,) and wbasis (n, C); returns a dict of
-        complex (M, C) tables, one per key of `keys` (names as in `block`),
-        equal to block(nodes, s0[:, None]) @ wbasis: `kernel_tables`.
-        """
-        derivatives = any(self._coef[key][0] for key in keys)
-        raw = self.raw_tables(s0, nodes, wbasis, derivatives)
-        return dict(zip(keys, self.kernel_tables(raw, keys)))
-
-    def raw_tables(self, s0, nodes, wbasis, derivatives):
+    def raw_tables(self, s0, tables, derivatives):
         """The real tables that the kernel tables combine, (R, M, C).
 
-        C_p = sum_k c_p(x_k) wbasis_k for c (and c', c'' with derivatives,
-        `_cot_tables`), Re and Im of sum_k E_k wbasis_k, and the column
-        sums of wbasis in every row: R is 4, or 6 with derivatives.
+        From the first C columns of `node_tables`: C_p = sum_k c_p(x_k)
+        wbasis_k for c (and c', c'' with derivatives, `_cot_tables`), Re
+        and Im of sum_k E_k wbasis_k, and the column sums of wbasis in
+        every row: R is 4, or 6 with derivatives.
         """
+        B, cos, sin, wsum = tables
         s0 = np.asarray(s0, dtype=float)
-        nodes = np.asarray(nodes, dtype=float)
         orders = 3 if derivatives else 1
-        out = np.zeros((orders + 3, s0.size, wbasis.shape[1]))
-        out[-1] = wbasis.sum(axis=0)
+        out = np.zeros((orders + 3, s0.size, wsum.size))
+        out[-1] = wsum
         if self._k0 != 0.0:
-            out[:orders] = self._cot_tables(s0, nodes, wbasis, derivatives)
-            k0s = self._k0 * nodes
-            cos, sin = np.cos(k0s) @ wbasis, np.sin(k0s) @ wbasis
+            out[:orders] = self._cot_tables(s0, B, derivatives)
             phase = self._k0 * s0[:, None]
             cos0, sin0 = np.cos(phase), np.sin(phase)
             out[orders] = cos0 * cos + sin0 * sin
@@ -350,29 +353,26 @@ class KernelSet:
         return _complex(rows.real @ flat, rows.imag @ flat).reshape(
             (len(keys),) + raw.shape[1:])
 
-    def _cot_tables(self, s0, nodes, wbasis, derivatives):
+    def _cot_tables(self, s0, B, derivatives):
         """[C] or [C, C', C''] with C_p = sum_k c_p(x_k) wbasis_k, (M, C).
 
         x_k = a (nodes_k - s0) = u - v with u = a (s - l/2), v = a (s0 -
         l/2) and a = kappa0/2.  In z = 2u/pi and w = 2v/pi the series of c
         is separable, c = sum_{r,i} w^r H[r, i] z^i (`_separable`), so C =
-        V(w) H Z(z)^T wbasis with the Vandermonde matrices V and Z of the
-        points and the nodes.  c' = -dc/dv and c'' = d^2c/dv^2 take the
-        same product with V differentiated.  The series converges for rho =
-        max|u| + max|v| < pi, which holds on every Jordan arc
-        (`CrackCurve`), and `_series_terms(rho)` terms reach double
-        precision.
+        V(w) B with the Vandermonde matrix V of the points and B = H Z(z)^T
+        wbasis of the nodes (`node_tables`).  c' = -dc/dv and c'' =
+        d^2c/dv^2 take the same product with V differentiated.  The series
+        converges for rho = max|u| + max|v| < pi; B holds the terms that
+        reach double precision at rho = |kappa0| l/2, which bounds rho for
+        points s0 of [0, l], on every Jordan arc (`CrackCurve`) below pi.
         """
         half = 0.5 * self.curve.length
-        z = (self._k0 / np.pi) * (nodes - half)
+        if not np.all(np.abs(s0 - half) <= half):
+            raise ValueError("the kernel series needs max|u| + max|v| < pi "
+                             "and points s0 of [0, l], got s0 from "
+                             f"{s0.min()!r} to {s0.max()!r}")
         w = (self._k0 / np.pi) * (s0 - half)
-        rho = 0.5 * np.pi * (np.max(np.abs(z)) + np.max(np.abs(w)))
-        if not rho < np.pi:
-            raise ValueError("the kernel series needs max|u| + max|v| < pi, "
-                             f"got {rho!r}")
-        terms = _series_terms(rho)
-        K = 2 * terms
-        B = _separable(terms) @ (np.vander(z, K, increasing=True).T @ wbasis)
+        K = len(B)
         V = np.vander(w, K, increasing=True)
         out = [V @ B]
         if derivatives:

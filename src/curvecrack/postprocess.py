@@ -13,6 +13,8 @@ holds the collocation tables (`solver._CollocationTables`) of one curve and
 N, and one field evaluator at a midpoint face grid plus the 32 default
 tip-window points at s = 0: the 101-point max-traction grid for a sweep,
 the 100-point `face_fields.csv` grid for solve mode (`cli._solve_outputs`).
+Both share one node side of the operator (`fields._NodeSide`), which a
+convergence study builds once at its largest N for the tables of every N.
 The openings come from the collocation tables' jump table, built on the
 first opening, so the kernels and the jump table are built once per curve
 however many solves use them.  A gamma1 sweep builds the tables once, a
@@ -30,7 +32,8 @@ while the others go on, and an error of the whole stack goes on each of
 its rows.
 
 Every CSV goes through `write_csv`, which takes whole columns and formats
-each column once: floats by repr, integers by str, strings as given.
+each column once: floats by repr, integers by str, strings as given, quoted
+where they hold a comma, a quote or a line break.
 """
 
 from __future__ import annotations
@@ -41,12 +44,12 @@ import numpy as np
 
 from .densities import (DensityCoefficients, basis, cauchy_densities,
                         q_coefficients, q_polynomial)
-from .fields import _SIDES, _FieldEvaluator
+from .fields import _SIDES, _FieldEvaluator, _NodeSide
 from .geometry import CrackCurve, make_circular_arc
 from .quadrature import Discretization, midpoint_grid
 from .solver import (AssemblyError, SolveError, _check_gamma1,
-                     _CollocationTables, _jump_table, _solutions,
-                     solve_problem)
+                     _CollocationTables, _jump_table, _solutions, assemble,
+                     solve)
 
 FIELD_NAMES = ("sigma_n", "tau_n", "du1_ds", "du2_ds")
 
@@ -286,12 +289,14 @@ class _SweepTables:
 
     def __init__(self, curve, material, load, N, n_face=_TRACTION_POINTS):
         self.curve, self.material, self.load = curve, material, load
+        node_side = _NodeSide(curve, material, N)
         self.collocation = _CollocationTables(
-            curve, material, Discretization(N, curve.length))
+            curve, material, Discretization(N, curve.length), node_side)
         self.face_s = midpoint_grid(curve.length, n_face)
         self.tip_dist, tip_s = _tip_points(curve, 0.0, None, _TIP_POINTS)
         self.fields = _FieldEvaluator(curve, material, load,
-                                      np.concatenate([self.face_s, tip_s]), N)
+                                      np.concatenate([self.face_s, tip_s]), N,
+                                      node_side=node_side)
 
     def _split(self, traction, du):
         """The evaluator's values as face values at face_s, (2, n_face, ...)
@@ -447,7 +452,10 @@ def convergence_study(curve, material, load, gamma1, n_list,
         raise ValueError("n_list must be strictly ascending with at least "
                          "two entries")
     grid = np.linspace(0.0, curve.length, n_grid)
-    solved = [(n, solve_problem(curve, material, load, gamma1, N=n))
+    node_side = _NodeSide(curve, material, n_list[-1])
+    solved = [(n, solve(assemble(curve, material, load, gamma1,
+                                 Discretization(n, curve.length),
+                                 node_side=node_side), curve))
               for n in n_list]
     table = basis(grid, curve.length, n_list[-1])
     samples = [table[:, : n + 1] @ (coeffs.g1 + 1j * coeffs.g2)
@@ -503,16 +511,25 @@ def extremum_coincidence_report(rows):
 
 def _cells(column):
     """The text of one CSV column: floats by repr (the shortest text that
-    reads back to the same double), integers by str, strings as given."""
+    reads back to the same double), integers by str, strings as given
+    (`_quoted`)."""
     values = np.asarray(column)
     if values.dtype.kind == "f":
         return list(map(repr, values.astype(float, copy=False).tolist()))
     if values.dtype.kind in "iu":
         return list(map(str, values.tolist()))
     if values.dtype.kind == "U":
-        return list(column)
+        return [_quoted(cell) for cell in map(str, column)]
     raise TypeError("a CSV column holds floats, integers or strings, got "
                     f"dtype {values.dtype}")
+
+
+def _quoted(text):
+    """A string cell: quoted, with its quotes doubled, where it holds a
+    comma, a quote or a line break, as the csv module reads it."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_csv(path, header, columns):

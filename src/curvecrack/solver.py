@@ -47,15 +47,17 @@ gamma1-independent part of the system of one curve, material and N: the
 blocks, built once by one real map of the operator's raw tables
 (`_FaceOperator.rows`), the closed-form tip rows and the integrals I_n
 of the single-valuedness rows, int_0^l (x - l/2)^n t'(x) dx
-(`_single_valued_integrals`).  The jump table (`_jump_table`), the
+(`_single_valued_integrals`), the last two sliced from the run's node
+side (`fields._NodeSide`).  The jump table (`_jump_table`), the
 integrals of g' t' up to each point of the opening profile, is built only
 when an opening is asked for, so a convergence run builds none.  Both
 are one closed form, `_tangent_integrals`: t' is t'(l/2) exp(i kappa0
 (x - l/2)) on every curve, so no quadrature rule is needed.
 `_CollocationTables.systems` combines them for P gamma1 values at once
 into a stack, arrays with a leading point axis, with no operator product;
-assemble() builds the tables and takes the one-point stack, a gamma1
-sweep builds them once and stacks all its points.
+assemble() builds the tables of one N from the node side of its run and
+takes the one-point stack, a gamma1 sweep builds them once and stacks
+all its points.
 
 The constrained system is solved by least squares in the constraint null
 space with a light Tikhonov term (relative weight 1e-8) that suppresses
@@ -74,9 +76,9 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .densities import (DensityCoefficients, _times_derivative, basis,
-                        cauchy_densities, q_rows_to_unknowns)
-from .fields import _FaceOperator, boundary_forcing
+from .densities import (DensityCoefficients, _single_valued_integrals,
+                        _tangent_integrals, _tip_blocks, q_rows_to_unknowns)
+from .fields import _FaceOperator, _NodeSide, boundary_forcing
 from .geometry import CrackCurve
 # gauss_legendre is not called here, but perfbench's tracer test rebinds it
 # by name in this module, so the name stays bound here
@@ -165,47 +167,6 @@ class LinearSystem:
         return "\n".join(lines) + "\n"
 
 
-def _tangent_integrals(curve: CrackCurve, degree: int, s):
-    """M[k, n] = int_0^{s_k} (x - l/2)^n t'(x) dx, n = 0..degree, closed form.
-
-    With L = l/2, t'(x) = t'(L) exp(i kappa0 (x - L)) on every curve, so
-
-        M[k, n] = t'(L) sum_m (i kappa0)^m / m!
-                  * ((s_k - L)^p - (-L)^p) / p,   p = n + m + 1:
-
-    the differences of the Vandermonde matrix of the s_k - L times a banded
-    Toeplitz matrix of (i kappa0)^m / m!, divided by p.  The terms fall
-    below 2^-56 of the first after m = `_exp_terms(|kappa0| L)`.
-    """
-    L = 0.5 * curve.length
-    k0 = curve.constant_curvature
-    terms = _exp_terms(abs(k0) * L)
-    top = degree + terms
-    powers = basis(s, curve.length, top)[..., 1:] \
-        - basis(0.0, curve.length, top)[1:]
-    # padded[degree + m] = (i kappa0)^m / m! for m = p - 1 - n, zero off
-    # the band
-    padded = np.zeros(top + degree, dtype=complex)
-    padded[degree: top] = np.cumprod(
-        np.concatenate([[1.0], 1j * k0 / np.arange(1, terms)]))
-    p = np.arange(1, top + 1)[:, None]
-    toeplitz = padded[degree + p - 1 - np.arange(degree + 1)] / p
-    # one real product: a complex one would copy the powers as complex
-    parts = powers @ np.concatenate([toeplitz.real, toeplitz.imag], axis=1)
-    return curve.tangent(L) * (parts[..., : degree + 1]
-                               + 1j * parts[..., degree + 1:])
-
-
-def _exp_terms(x):
-    """How many terms of sum_m x^m/m! to keep: the first left out is below
-    2^-56."""
-    m, term = 1, x
-    while term >= 2.0 ** -56:
-        m += 1
-        term *= x / m
-    return m
-
-
 def _jump_table(curve: CrackCurve, degree: int, n_samples: int = 201):
     """M[k, n] = int_0^{s_k} (x - l/2)^n t'(x) dx on equispaced s_k in [0, l].
 
@@ -214,47 +175,6 @@ def _jump_table(curve: CrackCurve, degree: int, n_samples: int = 201):
     """
     return _tangent_integrals(curve, degree,
                               np.linspace(0.0, curve.length, n_samples))
-
-
-def _single_valued_integrals(curve: CrackCurve, degree: int):
-    """I_n = int_0^l (x - l/2)^n t'(x) dx, n = 0..degree.
-
-    The integrals of the single-valuedness rows: `_tangent_integrals` at
-    s = l.
-    """
-    return _tangent_integrals(curve, degree, [curve.length])[0]
-
-
-def _tip_blocks(curve: CrackCurve, material, degree: int):
-    """T0 and T1 of the tip rows, (rows, 2 degree + 2): the rows of a
-    density [g1; g2] at gamma1 are (T0 + gamma1 T1) [g1; g2], in
-    constraint order, the rows of the first tip first.
-
-    Per tip: -Im omega and Re sigma / 2 of `cauchy_densities`, which zero
-    the log terms of the normal component of du/ds and of sigma_n.  Both
-    are Re(z g' + z_q q) with the densities' coefficients z and z_q, and
-    Re(z x) = Re z Re x - Im z Im x; g' at a tip is the basis b there on
-    g1 and i b on g2, and q (gamma1 T1) comes from the closure
-    (`q_rows_to_unknowns`).  On a straight crack these degenerate (the
-    first reduces to Im g' = 0) and leave the boundary-layer modes
-    exp(+-s/sqrt(gamma1(kappa-1)/4mu)) unpinned; the rows Re g'' and
-    Im g'' at each tip, b' on g1 and on g2, pin them.
-    """
-    b = basis([0.0, curve.length], curve.length, degree)
-    (sg, og), (sq, oq) = (cauchy_densities(1.0, 0.0, material.kappa),
-                          cauchy_densities(0.0, 1.0, material.kappa))
-    t0, t1 = [], []
-    # -Im omega = Re(i omega), then Re sigma / 2
-    for z, zq in ((1j * og, 1j * oq), (0.5 * sg, 0.5 * sq)):
-        t0.append(np.hstack([z.real * b, -z.imag * b]))
-        t1.append(np.hstack(q_rows_to_unknowns(zq.real * b, -zq.imag * b,
-                                               curve, material)))
-    if curve.constant_curvature == 0.0:
-        b1, zero = _times_derivative(b), np.zeros(b.shape)
-        t0 += [np.hstack([b1, zero]), np.hstack([zero, b1])]
-        t1 += [np.zeros(t0[0].shape)] * 2
-    return tuple(np.stack(t, axis=1).reshape(-1, 2 * degree + 2)
-                 for t in (t0, t1))
 
 
 class _CollocationTables:
@@ -268,37 +188,34 @@ class _CollocationTables:
     come from one real product (`_FaceOperator.rows` at the collocation
     points), and the q rows become g1 and g2 columns by column shifts.  The
     tip rows are T0 + gamma1 T1, in closed form (`_tip_blocks`).  The
-    tables also hold the single-valuedness integrals; the jump table of the
+    tables also hold the single-valuedness integrals, both sliced from
+    node_side or a node side of their own; the jump table of the
     opening is built on first use.  systems() combines them for a stack of
     gamma1 values and one load with no operator product, and system() for
     one gamma1, so a sweep over gamma1 tabulates the kernels and builds the
     blocks once.
     """
 
-    def __init__(self, curve: CrackCurve, material, disc: Discretization):
+    def __init__(self, curve: CrackCurve, material, disc: Discretization,
+                 node_side: _NodeSide | None = None):
         N = disc.N
         self.curve, self.material, self.disc = curve, material, disc
-        kappa = material.kappa
-        k0, two_mu = curve.constant_curvature, 2.0 * material.mu
-        op = _FaceOperator(curve, kappa, disc.collocation_points, N,
-                           derivatives=True)
-        # Re Sigma, Im Sigma and the face-curvature terms -kappa0 dk and -dk'
-        # are the real parts of Sigma, -i Sigma, kappa0 (kappa0 omega +
-        # i omega')/2mu and (kappa0 omega' + i omega'')/2mu: (4, 2, N, N+1)
-        # rows per unit Re and Im of the coefficients of g' and of q
-        g, q = op.rows(np.array([[1.0, 0.0, 0.0, 0.0],
-                                 [-1j, 0.0, 0.0, 0.0],
-                                 [0.0, k0 * k0 / two_mu, 1j * k0 / two_mu,
-                                  0.0],
-                                 [0.0, 0.0, k0 / two_mu, 1j / two_mu]]))
+        if node_side is None:
+            node_side = _NodeSide(curve, material, N)
+        # (g' or q, row kind, Re or Im, point, coefficient): Re Sigma,
+        # Im Sigma, -kappa0 dk and -dk' per unit coefficient
+        g, q = _FaceOperator(node_side, disc.collocation_points, N,
+                             derivatives=True).rows()
         q = np.stack(q_rows_to_unknowns(q[:, 0], q[:, 1], curve, material),
                      axis=1)
         # (row kind, point) by (Re or Im, coefficient)
         self.blocks = tuple(
             block.transpose(0, 2, 1, 3).reshape(2 * N, 2 * N + 2)
             for block in (g[:2], q[:2] + g[2:], q[2:]))
-        self.tip_rows = _tip_blocks(curve, material, N)
-        self.single_valued = ints = _single_valued_integrals(curve, N)
+        top = node_side.degree + 1
+        cols = np.r_[: N + 1, top: top + N + 1]
+        self.tip_rows = tuple(t[:, cols] for t in node_side.tip_rows)
+        self.single_valued = ints = node_side.single_valued[: N + 1]
         self.single_valued_rows = np.array(
             [np.concatenate([ints.real, -ints.imag]),
              np.concatenate([ints.imag, ints.real])])
@@ -384,9 +301,13 @@ def _check_gamma1(gamma1):
 
 
 def assemble(curve: CrackCurve, material, load, gamma1: float,
-             disc: Discretization, row_scaling: bool = True) -> LinearSystem:
-    """Assemble the constrained collocation system: tabulate, then apply."""
-    tables = _CollocationTables(curve, material, disc)
+             disc: Discretization, row_scaling: bool = True,
+             node_side: _NodeSide | None = None) -> LinearSystem:
+    """Assemble the constrained collocation system: tabulate, then apply.
+
+    node_side is the run's (`fields._NodeSide`), of degree disc.N or more.
+    """
+    tables = _CollocationTables(curve, material, disc, node_side)
     return tables.system(load, gamma1, row_scaling)
 
 
@@ -511,13 +432,24 @@ def tip_condition_residuals(coeffs: DensityCoefficients, curve: CrackCurve,
     One value per row of `_tip_blocks`, 4 on a curved crack and 8 on a
     straight one, normalized by sup|g'|.  The solve imposes the tip rows as
     equality constraints, so the residuals vanish to rounding.  At gamma1 =
-    0 it imposes none, and there are no residuals: ().
+    0 it imposes none, and there are no residuals: ().  gamma1 must be the
+    density's own: q follows from g' at coeffs.gamma1.
     """
-    if gamma1 == 0.0:
+    if gamma1 != coeffs.gamma1:
+        raise ValueError(f"gamma1 {gamma1!r} is not the density's own "
+                         f"{coeffs.gamma1!r}")
+    return _tip_residuals(coeffs, curve,
+                          _tip_blocks(curve, material, coeffs.degree))
+
+
+def _tip_residuals(coeffs: DensityCoefficients, curve: CrackCurve, tip_rows):
+    """tip_condition_residuals from the tip rows (T0, T1) of the density's
+    degree, at the density's gamma1."""
+    if coeffs.gamma1 == 0.0:
         return ()
     sup = _sup_gprime(coeffs, curve)
     norm = sup if sup > 0.0 else 1.0
-    t0, t1 = _tip_blocks(curve, material, coeffs.degree)
-    rows = (t0 + gamma1 * t1) @ np.concatenate([coeffs.g1, coeffs.g2])
+    t0, t1 = tip_rows
+    rows = (t0 + coeffs.gamma1 * t1) @ np.concatenate([coeffs.g1, coeffs.g2])
     # + 0.0: an exact zero reads +0.0
     return tuple(float(row) / norm + 0.0 for row in rows)

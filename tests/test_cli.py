@@ -304,41 +304,47 @@ def test_solve_mode_matches_public_functions(case, tmp_path, capsys):
         assert float(printed[key]) == pytest.approx(fits[name].A, rel=1e-13)
 
 
-# run mode: (config lines, face operators, jump tables) of one run.  Solve
-# mode and each point of a sweep build one operator for the system and one
-# for the face fields and tip fits, and the jump table of the opening once
-# per curve; a convergence run builds one operator per N and no jump table.
+# run mode: (config lines, node sides, face operators, jump tables, tip
+# blocks) of one run.  Solve mode and each point of a sweep build one node
+# side, one operator for the system and one for the face fields and tip
+# fits, and the jump table of the opening once per curve; a convergence run
+# builds one node side at its largest N, one operator per N and no jump
+# table.  The tip blocks come once per node side: solve mode reads its tip
+# residuals from the collocation tables.
 TABULATIONS = {
-    "solve": ("N = 20\n", 2, 1),
+    "solve": ("N = 20\n", 1, 2, 1, 1),
     "sweep-gamma": ("N = 12\nrun_mode = sweep-gamma\ngrid = 0.5 1.0 2.0\n",
-                    2, 1),
+                    1, 2, 1, 1),
     "sweep-curvature": ("N = 12\nrun_mode = sweep-curvature\n"
-                        "grid = 0.5 0.75 1.0\n", 2 * 3, 3),
-    "convergence": ("run_mode = convergence\ngrid = 8 10 12\n", 3, 0),
+                        "grid = 0.5 0.75 1.0\n", 3, 2 * 3, 3, 3),
+    "convergence": ("run_mode = convergence\ngrid = 8 10 12\n", 1, 3, 0, 1),
 }
 
 
 @pytest.mark.parametrize("mode", TABULATIONS)
 def test_tabulations_per_run_mode(mode, tmp_path, monkeypatch):
-    lines, n_operators, n_jump_tables = TABULATIONS[mode]
-    operators, jump_tables = [], []
-    init = fields._FaceOperator.__init__
-    jump_table = solver._jump_table
+    lines, *want = TABULATIONS[mode]
+    calls = {name: [] for name in ("nodes", "operators", "jump", "tips")}
 
-    def counted_init(self, *args, **kwargs):
-        operators.append(1)
-        init(self, *args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name].append(1)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    def counted_jump_table(*args, **kwargs):
-        jump_tables.append(1)
-        return jump_table(*args, **kwargs)
-
-    monkeypatch.setattr(fields._FaceOperator, "__init__", counted_init)
+    monkeypatch.setattr(fields._NodeSide, "__init__",
+                        counted("nodes", fields._NodeSide.__init__))
+    monkeypatch.setattr(fields._FaceOperator, "__init__",
+                        counted("operators", fields._FaceOperator.__init__))
     for module in (solver, post):
-        monkeypatch.setattr(module, "_jump_table", counted_jump_table)
+        monkeypatch.setattr(module, "_jump_table",
+                            counted("jump", solver._jump_table))
+    for module in (fields, solver):
+        monkeypatch.setattr(module, "_tip_blocks",
+                            counted("tips", solver._tip_blocks))
     config = parse_config(BASE + lines + f"out_dir = {tmp_path}\n")
     assert run(config, dump_system=mode == "solve", quiet=True) == 0
-    assert (len(operators), len(jump_tables)) == (n_operators, n_jump_tables)
+    assert [len(c) for c in calls.values()] == want
 
 
 class TestMain:

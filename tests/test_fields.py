@@ -322,8 +322,8 @@ class TestFaceFields:
         q = q_coefficients(curve, material, 1.0, g1, g2)
 
         def apply(points):
-            op = fields._FaceOperator(curve, material.kappa, points, 8,
-                                      derivatives=True)
+            op = fields._FaceOperator(fields._NodeSide(curve, material, 8),
+                                      points, 8, derivatives=True)
             return op.apply(g1 + 1j * g2, q)
 
         grid = np.sort(rng.uniform(0.005, 0.995, 37)) * curve.length
@@ -347,7 +347,8 @@ class TestFaceFields:
         q_poly = q_coefficients(curve, material, 1.0, g1, g2)
         l, kappa = curve.length, material.kappa
         grid = np.sort(rng.uniform(0.005, 0.995, 21)) * l
-        got = fields._FaceOperator(curve, kappa, grid, 8,
+        got = fields._FaceOperator(fields._NodeSide(curve, material, 8),
+                                   grid, 8,
                                    derivatives=True).apply(gp_poly, q_poly)
 
         nodes, w = regular_rule(l)

@@ -303,6 +303,16 @@ CURVES = {"semicircle": make_semicircle(),
           "straight": make_straight(2.0)}
 
 
+def integrated(kset, s0, nodes, wbasis, keys):
+    """Each kernel of keys (names as in `block`) summed against a weighted
+    basis over the nodes, a dict of complex (M, C) tables: the node side
+    and the point side of the tables, then their kernel combinations."""
+    derivatives = any(kernels._coefficients(kset.kappa)[key][0]
+                      for key in keys)
+    raw = kset.raw_tables(s0, kset.node_tables(nodes, wbasis), derivatives)
+    return dict(zip(keys, kset.kernel_tables(raw, keys)))
+
+
 @pytest.mark.parametrize("N", [8, 20, 60, 80])
 @pytest.mark.parametrize("derivatives", [False, True])
 @pytest.mark.parametrize("shape", CURVES)
@@ -316,7 +326,7 @@ def test_integrated_matches_block_times_basis(shape, derivatives, N):
     wbasis = w[:, None] * basis(nodes, l, N)
     s0 = midpoint_grid(l, N)
     blk = kset.block(nodes, s0[:, None], derivatives=derivatives)
-    got = kset.integrated(s0, nodes, wbasis, list(blk))
+    got = integrated(kset, s0, nodes, wbasis, list(blk))
     assert set(got) == set(blk)
     for key, arr in blk.items():
         want = arr @ wbasis
@@ -340,7 +350,8 @@ def test_cotangent_tables_against_mpmath(shape):
     nodes, w = regular_rule(l)
     wbasis = w[:, None] * basis(nodes, l, 20)
     s0 = midpoint_grid(l, 20)
-    got = KernelSet(curve, KAPPA)._cot_tables(s0, nodes, wbasis, True)
+    kset = KernelSet(curve, KAPPA)
+    got = kset._cot_tables(s0, kset.node_tables(nodes, wbasis)[0], True)
     pairs = np.empty((3, s0.size, nodes.size))
     with mp.workdps(40):
         for m, point in enumerate(s0):
@@ -368,7 +379,7 @@ def test_integrated_evaluates_no_pair(monkeypatch):
     nodes, w = regular_rule(curve.length)
     wbasis = w[:, None] * basis(nodes, curve.length, 20)
     s0 = midpoint_grid(curve.length, 20)
-    kset.integrated(s0, nodes, wbasis, list(kernels._KEYS[True]))
+    integrated(kset, s0, nodes, wbasis, list(kernels._KEYS[True]))
     assert calls == []
     kset.block(nodes, s0[:, None])
     assert len(calls) == 1
@@ -381,5 +392,5 @@ def test_integrated_rejects_a_divergent_series():
     nodes, w = regular_rule(curve.length)
     wbasis = w[:, None] * basis(nodes, curve.length, 4)
     with pytest.raises(ValueError, match="pi"):
-        KernelSet(curve, KAPPA).integrated(np.array([-0.2 * curve.length]),
-                                           nodes, wbasis, ["k1"])
+        integrated(KernelSet(curve, KAPPA), np.array([-0.2 * curve.length]),
+                   nodes, wbasis, ["k1"])

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,13 +13,15 @@ from curvecrack import (DensityCoefficients, FarFieldLoad, KernelSet, Material,
                         opening_profile, parity_residuals, solve_problem,
                         sweep_curvature, sweep_gamma, tip_log_coefficients)
 from curvecrack import solver
-from curvecrack.fields import (_FaceOperator, _FieldEvaluator,
+from curvecrack.fields import (_FaceOperator, _FieldEvaluator, _NodeSide,
                                face_field_profile)
 from curvecrack.postprocess import (ConvergenceRow, GammaSweepRow,
                                     extremum_coincidence_report,
                                     write_convergence_csv, write_csv,
                                     write_face_fields_csv, write_g_prime_csv,
-                                    write_opening_csv, write_sweep_gamma_csv)
+                                    write_opening_csv,
+                                    write_sweep_curvature_csv,
+                                    write_sweep_gamma_csv)
 from curvecrack.solver import AssemblyError
 
 
@@ -299,20 +303,48 @@ class TestSweepTables:
 
     def test_kernel_blocks_do_not_grow_with_gamma_points(
             self, semicircle, material, load_h, monkeypatch):
+        # neither the node side of the kernel tables nor their point sides
         calls = []
-        raw_tables = KernelSet.raw_tables
 
-        def counted(self, *args, **kwargs):
-            calls.append(1)
-            return raw_tables(self, *args, **kwargs)
+        def counted(name):
+            original = getattr(KernelSet, name)
 
-        monkeypatch.setattr(KernelSet, "raw_tables", counted)
+            def wrapper(self, *args, **kwargs):
+                calls.append(name)
+                return original(self, *args, **kwargs)
+            return wrapper
+
+        for name in ("node_tables", "raw_tables"):
+            monkeypatch.setattr(KernelSet, name, counted(name))
         sweep_gamma(semicircle, material, load_h, [1.0], N=20)
-        one = len(calls)
+        one = sorted(calls)
         calls.clear()
         sweep_gamma(semicircle, material, load_h,
                     [0.5 * 4.0 ** (i / 7) for i in range(8)], N=20)
-        assert one > 0 and len(calls) == one
+        assert {"node_tables", "raw_tables"} <= set(one)
+        assert sorted(calls) == one
+
+    @pytest.mark.parametrize("study", ["convergence", "sweep"])
+    def test_one_node_side_per_run(self, semicircle, material, load_h,
+                                   monkeypatch, study):
+        # a five-N study and an eight-point sweep each tabulate the node
+        # side of the operator once
+        calls = []
+        init = _NodeSide.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[2])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_NodeSide, "__init__", counted)
+        if study == "convergence":
+            convergence_study(semicircle, material, load_h, 1.0,
+                              [8, 10, 12, 14, 16])
+            assert calls == [16]
+        else:
+            sweep_gamma(semicircle, material, load_h,
+                        [0.5 * 4.0 ** (i / 7) for i in range(8)], N=12)
+            assert calls == [12]
 
     def test_factorizations_do_not_grow_with_gamma_points(
             self, semicircle, material, load_h, monkeypatch):
@@ -344,9 +376,9 @@ class TestSweepTables:
                 calls.append(1)
             return apply(self, gp_poly, q_poly)
 
-        def counted_rows(self, combine):
+        def counted_rows(self):
             calls.append(1)
-            return rows(self, combine)
+            return rows(self)
 
         monkeypatch.setattr(_FaceOperator, "apply", counted_apply)
         monkeypatch.setattr(_FaceOperator, "rows", counted_rows)
@@ -482,6 +514,8 @@ def _cell_text(v):
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, str):
+        if any(c in v for c in ',"\r\n'):
+            return '"' + v.replace('"', '""') + '"'
         return v
     return repr(float(v))
 
@@ -562,6 +596,40 @@ class TestCsvWriters:
         cpath = tmp_path / "convergence.csv"
         write_convergence_csv(cpath, crows)
         assert cpath.read_text() == "N,sup_diff_vs_largest\n16,0.5\n30,0.0\n"
+
+
+    @pytest.mark.parametrize("sweep", ["gamma", "curvature"])
+    def test_error_rows_read_back_whole(self, tmp_path, semicircle, material,
+                                        load_h, sweep):
+        # error messages with commas are quoted, so every row keeps the
+        # header's fields
+        if sweep == "gamma":
+            rows = sweep_gamma(semicircle, material, load_h,
+                               [1.0, float("nan")], N=12)
+            write = write_sweep_gamma_csv
+        else:
+            rows = sweep_curvature(material, load_h, 1.0, [0.5, 1.5], N=12)
+            write = write_sweep_curvature_csv
+        assert not rows[0].error and "," in rows[1].error
+        path = tmp_path / "sweep.csv"
+        write(path, rows)
+        with open(path, newline="") as fh:
+            header, *table = list(csv.reader(fh))
+        assert len(header) == 7
+        assert [len(row) for row in table] == [7, 7]
+        assert [row[-1] for row in table] == [row.error for row in rows]
+        assert float(table[0][1]) == rows[0].A1
+
+    def test_quoted_strings_read_back(self, tmp_path):
+        strings = ['a, b', 'say "hi"', "two\nlines", "plain", ""]
+        path = tmp_path / "strings.csv"
+        write_csv(path, ["text", "n"], [strings, list(range(5))])
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["text", "n"]] + [[t, str(n)]
+                                          for n, t in enumerate(strings)]
+        assert path.read_text().splitlines()[1:3] == ['"a, b",0',
+                                                      '"say ""hi""",1']
 
 
 def test_max_face_traction_positive(solved_semicircle, semicircle, material,

@@ -15,7 +15,7 @@ from curvecrack import quadrature, solver
 from curvecrack.densities import (_times_derivative, basis, cauchy_densities,
                                   poly_derivative, poly_eval, pv_monomials,
                                   q_coefficients, q_polynomial)
-from curvecrack.fields import _FaceOperator
+from curvecrack.fields import _FaceOperator, _NodeSide
 from curvecrack.quadrature import gauss_legendre
 
 
@@ -344,8 +344,8 @@ def _operator_system(curve, material, gamma1, N):
     gp = g1 + 1j * g2
     q_unit = q_coefficients(curve, material, 1.0, g1, g2)
     disc = Discretization(N, curve.length)
-    op = _FaceOperator(curve, kappa, disc.collocation_points, N,
-                       derivatives=True)
+    op = _FaceOperator(_NodeSide(curve, material, N),
+                       disc.collocation_points, N, derivatives=True)
     sigma, omega, omega1, omega2 = op.apply(gp, gamma1 * q_unit)
     k0 = curve.constant_curvature
     dk = -(k0 * omega.real - omega1.imag) / (2.0 * mu)
@@ -371,8 +371,9 @@ def _table_blocks(curve, material, N):
     """
     kappa, mu = material.kappa, material.mu
     k0, two_mu = curve.constant_curvature, 2.0 * mu
-    op = _FaceOperator(curve, kappa, Discretization(N, curve.length)
-                       .collocation_points, N, derivatives=True)
+    op = _FaceOperator(_NodeSide(curve, material, N),
+                       Discretization(N, curve.length).collocation_points, N,
+                       derivatives=True)
     reg, (a, b), (at0, atl) = op._reg, op._inv_ends, op._ends
     pv = op._pv
     pv1 = _times_derivative(pv) - (atl * a + at0 * b)
@@ -442,6 +443,36 @@ def test_quadratic_assembly_matches_operator(material, load_h, curve, N):
         assert got.shape == want.shape
         tol = 1e-14 * np.max(np.abs(want), axis=1, keepdims=True)
         assert np.all(np.abs(got - want) <= tol)
+
+
+@pytest.mark.parametrize("curve", [make_semicircle(), make_circular_arc(0.6),
+                                   CrackCurve(length=2.0 * np.pi / 3.0,
+                                              shape="arc",
+                                              constant_curvature=-0.5),
+                                   make_straight(2.0)],
+                         ids=["semicircle", "arc0.6", "arc-0.5", "straight"])
+def test_shared_node_side_matches_standalone_tables(material, curve):
+    # the first N+1 columns of a node side of degree 60 serve every N
+    node_side = _NodeSide(curve, material, 60)
+    for N in (16, 20, 30, 40, 60):
+        disc = Discretization(N, curve.length)
+        shared = solver._CollocationTables(curve, material, disc, node_side)
+        alone = solver._CollocationTables(curve, material, disc)
+        for got, want in zip(shared.blocks + shared.tip_rows
+                             + (shared.single_valued,),
+                             alone.blocks + alone.tip_rows
+                             + (alone.single_valued,)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) \
+                <= 1e-13 * np.max(np.abs(want)), N
+
+
+def test_node_side_refuses_a_higher_degree(material, semicircle):
+    node_side = _NodeSide(semicircle, material, 16)
+    with pytest.raises(ValueError, match="degree 20"):
+        solver._CollocationTables(semicircle, material,
+                                  Discretization(20, semicircle.length),
+                                  node_side)
 
 
 def _independent_row_residual(curve, material, load, gamma1, coeffs, points):
@@ -743,6 +774,14 @@ class TestTipConditions:
         assert len(got) == len(want)
         assert np.max(np.abs(np.array(got) - want)) \
             <= 1e-13 * np.max(np.abs(want))
+
+    def test_gamma1_must_be_the_densitys_own(self, material, semicircle,
+                                             solved_semicircle):
+        # the tip rows of another gamma1 would give plausible wrong values
+        for gamma1 in (0.0, 0.5, float("nan")):
+            with pytest.raises(ValueError, match="density's own"):
+                tip_condition_residuals(solved_semicircle, semicircle,
+                                        material, gamma1)
 
     def test_none_at_gamma1_zero(self, material, semicircle, load_h):
         # the solve imposes no tip rows at gamma1 = 0: nothing to report
