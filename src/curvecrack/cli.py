@@ -301,7 +301,9 @@ def _solve_outputs(config, curve, material, load, disc, dump_system):
     One table set (`postprocess._SweepTables`) serves the whole run: its
     collocation tables give the system and the opening, and its one field
     evaluator gives both faces on the 100-point face_fields.csv grid and
-    the tip-window samples of the four tip fits.
+    the tip-window samples of the four tip fits.  The fits and the tip
+    residuals are left to `_solve_summary`, which only a printed summary
+    reads.
     """
     tables = post._SweepTables(curve, material, load, disc.N, n_face=100)
     system = tables.collocation.system(load, config.gamma1,
@@ -313,15 +315,33 @@ def _solve_outputs(config, curve, material, load, disc, dump_system):
     g_cols = {"re_gprime": np.real(gp), "im_gprime": np.imag(gp)}
 
     traction, du, tip_values = tables.face_values(coeffs)
-    fits = post._log_fits(tables.tip_dist, tip_values, post.FIELD_NAMES)
-    residuals = _tip_residuals(coeffs, curve, tables.collocation.tip_rows)
     dump = system.dump_text() if dump_system else None
     return {
         "coeffs": coeffs, "s_grid": s_grid, "g_cols": g_cols,
         "face": (tables.face_s, traction, du),
-        "profile": tables.opening(coeffs), "fits": fits,
-        "residuals": residuals, "dump": dump,
+        "profile": tables.opening(coeffs), "tables": tables,
+        "tip_values": tip_values, "dump": dump,
     }
+
+
+def _solve_summary(res, curve):
+    """The lines of solve mode's run summary, from `_solve_outputs`.
+
+    The tip fits, the tip residuals and the single-valuedness residual are
+    computed here, for the summary alone.
+    """
+    coeffs, tables = res["coeffs"], res["tables"]
+    fits = post._log_fits(tables.tip_dist, res["tip_values"],
+                          post.FIELD_NAMES)
+    residuals = _tip_residuals(coeffs, curve, tables.collocation.tip_rows)
+    return [f"condition_estimate = {coeffs.condition_estimate:.6e}",
+            "tip_condition_residuals ="
+            + "".join(f" {v:.3e}" for v in residuals),
+            f"single_valued_residual = {coeffs.single_valued_residual:.3e}",
+            f"A1 (du1/ds) = {fits['du1_ds'].A!r}",
+            f"A2 (tau_n)  = {fits['tau_n'].A!r}",
+            f"max_opening = {res['profile'].max_opening!r}",
+            f"min_opening = {res['profile'].min_opening!r}"]
 
 
 def run(config: RunConfig, out_dir: str | None = None,
@@ -364,16 +384,8 @@ def run(config: RunConfig, out_dir: str | None = None,
             post.write_opening_csv(out / "opening.csv", res["profile"])
             if res["dump"] is not None:
                 (out / "system_dump.txt").write_text(res["dump"])
-            coeffs = res["coeffs"]
-            fits = res["fits"]
-            say(f"condition_estimate = {coeffs.condition_estimate:.6e}")
-            say("tip_condition_residuals ="
-                + "".join(f" {v:.3e}" for v in res["residuals"]))
-            say(f"single_valued_residual = {coeffs.single_valued_residual:.3e}")
-            say(f"A1 (du1/ds) = {fits['du1_ds'].A!r}")
-            say(f"A2 (tau_n)  = {fits['tau_n'].A!r}")
-            say(f"max_opening = {res['profile'].max_opening!r}")
-            say(f"min_opening = {res['profile'].min_opening!r}")
+            if not quiet:
+                print("\n".join(_solve_summary(res, curve)))
         elif config.run_mode == "sweep-gamma":
             rows = post.sweep_gamma(curve, material, load, config.grid,
                                     N=config.N)

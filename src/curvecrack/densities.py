@@ -20,7 +20,9 @@ polynomials, written once in coefficient form (`q_coefficients`).
 principal-value densities and tip log terms.  The constraint rows of the
 solver are closed forms over the basis alone: the integrals of the
 monomials against the tangent (`_tangent_integrals`) and the tip rows
-(`_tip_blocks`).
+(`_tip_blocks`).  The mirror s -> l - s acts on the coefficients by
+signs alone (`_mirror_signs`), which split the unknowns into the two
+parity halves the solver solves apart (`_parity_columns`).
 """
 
 from __future__ import annotations
@@ -58,6 +60,24 @@ def basis(s, length: float, degree: int) -> np.ndarray:
     x = np.asarray(s, dtype=float) - 0.5 * length
     return np.vander(x.ravel(), degree + 1, increasing=True).reshape(
         x.shape + (degree + 1,))
+
+
+def _mirror_signs(degree: int) -> np.ndarray:
+    """The diagonal P of the mirror s -> l - s on the unknowns [g1; g2].
+
+    The mirror maps the collocation system onto itself with its unknowns
+    times P (see `solver`): P takes g'(x) to conj(g'(-x)), x = s - l/2, so
+    it multiplies g1_k by (-1)^k and g2_k by -(-1)^k.
+    """
+    signs = (-1.0) ** np.arange(degree + 1)
+    return np.concatenate([signs, -signs])
+
+
+def _parity_columns(degree: int) -> np.ndarray:
+    """(2, degree + 1) column indices of the unknowns [g1; g2] that the
+    mirror keeps (g1 at even k, g2 at odd k) and of those it negates."""
+    signs = _mirror_signs(degree)
+    return np.array([np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)])
 
 
 def poly_eval(coeffs: np.ndarray, s, length: float):

@@ -25,11 +25,12 @@ density columns by matrix products alone; the field evaluator applies it
 to the solved densities, one or a sweep's stack of them as columns, and
 adds the +-jump terms and the far field.  The assembly
 (`solver._CollocationTables`) needs real rows of combinations of these
-fields per unit density coefficient at the N collocation points, so it
-reads the operator through rows() instead: one real map of the node side,
-composed from the small coefficient arrays of the kernels and the fields,
-applied to the nine real tables of the principal values and the raw
-kernel integrals, with no product over the coefficients.
+fields per unit density coefficient at the first ceil(N/2) collocation
+points (the mirror gives the rest), so it reads the operator through
+rows() instead: one real map of the node side, composed from the small
+coefficient arrays of the kernels and the fields, applied to the nine
+real tables of the principal values and the raw kernel integrals, with
+no product over the coefficients.
 """
 
 from __future__ import annotations
@@ -349,7 +350,7 @@ class _FaceOperator:
     densities of a solve or a sweep at once.  rows() gives real
     combinations of the same fields per unit density coefficient, from
     which the assembly builds its rows for the 2N+2 basis columns at the
-    collocation points.
+    first half of the collocation points.
     """
 
     def __init__(self, side, s0, degree, derivatives=False):

@@ -519,17 +519,20 @@ def _cells(column):
     if values.dtype.kind in "iu":
         return list(map(str, values.tolist()))
     if values.dtype.kind == "U":
-        return [_quoted(cell) for cell in map(str, column)]
+        return _quoted(values.tolist())
     raise TypeError("a CSV column holds floats, integers or strings, got "
                     f"dtype {values.dtype}")
 
 
-def _quoted(text):
-    """A string cell: quoted, with its quotes doubled, where it holds a
-    comma, a quote or a line break, as the csv module reads it."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+def _quoted(cells):
+    """String cells, each quoted, with its quotes doubled, where it holds a
+    comma, a quote or a line break, as the csv module reads it.  Most
+    columns hold none, which one scan of the joined column finds."""
+    special, joined = ',"\r\n', "".join(cells)
+    if not any(c in joined for c in special):
+        return cells
+    return ['"' + text.replace('"', '""') + '"'
+            if any(c in text for c in special) else text for text in cells]
 
 
 def write_csv(path, header, columns):

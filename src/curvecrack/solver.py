@@ -24,17 +24,18 @@ the boundary equation at the collocation midpoints but not between them,
 least of all near the tips (see the tests/test_acceptance.py docstring).
 
 Integral evaluation: the collocation rows come from the face-field
-operator (`fields._FaceOperator`) tabulated at the collocation points.
-For each of the 2N+2 basis columns it gives the face-average traction
-Sigma and the face function omega with its first two s0-derivatives; the
-real row is (kappa+1)(Re Sigma - gamma1 kappa0 dk) and the imaginary row
-(kappa+1)(Im Sigma - gamma1 dk'), where dk = -(kappa0 Re omega - Im
-omega')/2mu is the face-curvature change and dk' = -(kappa0 Re omega' -
-Im omega'')/2mu, with kappa0 constant.  The face fields of a solved
-density are the same operator applied to one column, so the assembly and
-the field evaluation share one tabulation.  The principal values (and
-their s0-derivatives, boundary terms included) are in closed form
-(`densities.pv_monomials`) and the regular kernels use
+operator (`fields._FaceOperator`) tabulated at the first ceil(N/2)
+collocation points; the rows of the others are their mirror images (see
+the solve below).  For each of the 2N+2 basis columns the operator gives
+the face-average traction Sigma and the face function omega with its
+first two s0-derivatives; the real row is (kappa+1)(Re Sigma - gamma1
+kappa0 dk) and the imaginary row (kappa+1)(Im Sigma - gamma1 dk'), where
+dk = -(kappa0 Re omega - Im omega')/2mu is the face-curvature change and
+dk' = -(kappa0 Re omega' - Im omega'')/2mu, with kappa0 constant.  The
+face fields of a solved density are the same operator applied to one
+column, so the assembly and the field evaluation share one tabulation.
+The principal values (and their s0-derivatives, boundary terms included)
+are in closed form (`densities.pv_monomials`) and the regular kernels use
 `quadrature.regular_rule`.  The flat node rule of `quadrature` is kept
 only for the oracles; feeding its O(1/N) errors into this strongly
 amplifying system destroys convergence.
@@ -61,9 +62,25 @@ all its points.
 
 The constrained system is solved by least squares in the constraint null
 space with a light Tikhonov term (relative weight 1e-8) that suppresses
-the residual boundary-layer content.  The constraints are homogeneous, so
-each stack is reduced once (`LinearSystem.reduction`: the null bases and
-the SVDs of the reduced blocks, one batched call per SVD) for its
+the residual boundary-layer content.  Every crack is a constant-curvature
+arc or a straight segment, symmetric about the normal at its midpoint, and
+the mirror s -> l - s maps the system onto itself: with P =
+diag((-1)^k on g1, -(-1)^k on g2) (`densities._mirror_signs`), the Re row
+at s_{N+1-j} is -(Re row at s_j) P, the Im row +(Im row at s_j) P, the
+single-valuedness rows (times conj t'(l/2)) are P-even and P-odd, and the
+tip rows of the second tip are +-(those of the first) P.  So the N+1
+unknowns P keeps (g1 at even k, g2 at odd k) and the N+1 it negates
+(`densities._parity_columns`) decouple into two damped least-squares
+problems of the same shape (`LinearSystem.halves`): each has a row per
+Re and Im row of the first ceil(N/2) points on its own columns, a
+mirrored pair weighted sqrt 2 against the middle point of odd N, with
+right-hand sides (b_j -+ b_j')/sqrt 2 from the forcing at all N points
+(the load is not symmetric), and as constraints one single-valuedness row
+and the first tip's rows.  The damping lambda is 1e-8 times the largest
+singular value of both halves, so the solution is that of the whole
+system.  The constraints are homogeneous, so each stack is reduced once
+(`LinearSystem.reduction`: the null bases and the SVDs of the reduced
+blocks of both halves of every point, one batched call per SVD) for its
 condition estimates, solutions and dump.  `_solutions` solves a stack and
 checks each point on its own; solve() is its one-point case, so a single
 solve and a sweep share one solver.
@@ -76,8 +93,9 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .densities import (DensityCoefficients, _single_valued_integrals,
-                        _tangent_integrals, _tip_blocks, q_rows_to_unknowns)
+from .densities import (DensityCoefficients, _mirror_signs, _parity_columns,
+                        _single_valued_integrals, _tangent_integrals,
+                        _tip_blocks, q_rows_to_unknowns)
 from .fields import _FaceOperator, _NodeSide, boundary_forcing
 from .geometry import CrackCurve
 # gauss_legendre is not called here, but perfbench's tracer test rebinds it
@@ -103,11 +121,13 @@ class LinearSystem:
     The first 2N rows collocate the boundary equation; the trailing
     n_constraints rows hold the single-valuedness condition and, for
     gamma1 > 0, the tip rows.  The constraints are homogeneous (their
-    right-hand side is zero), so the solve needs no particular solution:
-    `reduction` is the null basis Z of the constraint block and the thin
-    SVD of the collocation block times Z, computed once and shared by the
-    condition gate, `solve` and `dump_text`.  condition_estimate is the
-    2-norm condition number of that reduced block with its smallest
+    right-hand side is zero), so the solve needs no particular solution.
+    The system splits into two parity halves (`halves`), and `reduction`
+    is, for each half, the null basis Z of its constraint rows and the
+    thin SVD of its collocation rows times Z, computed once and shared by
+    the condition gate, `solve` and `dump_text`.  condition_estimate is
+    the 2-norm condition number of the reduced block of the whole system,
+    whose singular values are those of both halves, with its smallest
     singular value clipped at the Tikhonov floor LAMBDA_REL * sigma_max,
     so it never exceeds 1/LAMBDA_REL = 1e8; it is inf only for a zero
     reduced block.  single_valued_integrals are the unscaled integrals I_k
@@ -116,8 +136,8 @@ class LinearSystem:
     A stack of P systems that share N and the number of constraint rows
     (`_CollocationTables.systems`) carries a leading point axis on matrix,
     rhs and row_scale, and gamma1 and condition_estimate are (P,) arrays;
-    the reduction factorizes the whole stack in one call per SVD.  A single
-    system has no point axis.
+    the reduction factorizes the whole stack, both halves of every point,
+    in one call per SVD.  A single system has no point axis.
     """
 
     matrix: np.ndarray
@@ -137,22 +157,75 @@ class LinearSystem:
         return self.matrix[..., -self.n_constraints:, :]
 
     @cached_property
+    def halves(self):
+        """(A, C, h) of the two parity halves, a parity axis before the
+        matrix axes: collocation rows (..., 2, 2M, N+1), constraint rows
+        (..., 2, n_constraints/2, N+1) and right-hand sides (..., 2, 2M).
+
+        Half 0 holds the columns that P keeps, half 1 those it negates
+        (module docstring).  Only the rows of the first M = ceil(N/2)
+        points are read: after the orthogonal map (r_j -+ r_j')/sqrt 2 of
+        a mirrored pair of rows, each half has sqrt 2 times the row at s_j
+        on its columns, against (b_j -+ b_j')/sqrt 2.  The middle point of
+        odd N is its own mirror: its Im row lies on half 0 and its Re row
+        on half 1, with weight 1, and its other row is zero.  The
+        single-valuedness rows are the real and imaginary parts of [I,
+        iI]; times conj t'(l/2), which I_0, the chord, lies along, the real
+        row lies on half 0 and the imaginary one on half 1.  Each half
+        takes the first tip's rows on its columns.
+        """
+        N, n_con = self.disc.N, self.n_constraints
+        M = (N + 1) // 2
+        cols = _parity_columns(N)
+        # sign[p, kind] of the mirrored row in half p: -1 for (0, Re) and
+        # (1, Im); weight of a row of the first M points in each half
+        sign = (1.0 - 2.0 * np.eye(2))[..., None]
+        weight = np.full((2, 2, M), np.sqrt(2.0))
+        if N % 2:
+            weight[..., -1] = 0.5 * (1.0 + sign[..., 0])
+        # the Re and Im rows of the first M points, and of their mirrors
+        first = N * np.arange(2)[:, None] + np.arange(M)
+        mirrored = N * np.arange(2)[:, None] + (N - 1 - np.arange(M))
+        A = np.moveaxis(self.matrix[..., first, :][..., cols], -2, -4)
+        A = (weight[..., None] * A).reshape(A.shape[:-4] + (2, 2 * M, N + 1))
+        rhs = self.rhs[..., None, :]
+        h = 0.5 * weight * (rhs[..., first] + sign * rhs[..., mirrored])
+        C = self.constraint_block
+        I0 = self.single_valued_integrals[0]
+        sv = (np.conj(I0) / abs(I0)) * (C[..., 0, :] + 1j * C[..., 1, :])
+        # the second tip's rows are +-(the first tip's rows) P
+        tips = C[..., 2: 2 + (n_con - 2) // 2, :]
+        even = np.concatenate([sv.real[..., None, :], tips], axis=-2)
+        odd = np.concatenate([sv.imag[..., None, :], tips], axis=-2)
+        C = np.stack([even[..., cols[0]], odd[..., cols[1]]], axis=-3)
+        return A, C, h.reshape(h.shape[:-2] + (2 * M,))
+
+    @cached_property
     def reduction(self):
-        """(Z, G, U, S, Vt): null basis Z, G = A Z and G = U diag(S) Vt."""
-        _, _, Vt = np.linalg.svd(self.constraint_block)
-        Z = Vt[..., self.n_constraints:, :].swapaxes(-1, -2)
-        G = self.collocation_block @ Z
+        """(Z, G, U, S, Vt) of both halves: null basis Z, G = A Z and G = U
+        diag(S) Vt, each with the parity axis of `halves`.
+
+        Raises SolveError when the constraints leave no free unknown.
+        """
+        A, C, _ = self.halves
+        if C.shape[-2] >= C.shape[-1]:
+            raise SolveError("the constraints leave no free unknown: "
+                             f"{self.n_constraints} constraint rows for "
+                             f"{self.matrix.shape[-1]} unknowns")
+        _, _, Vt = np.linalg.svd(C)
+        Z = Vt[..., C.shape[-2]:, :].swapaxes(-1, -2)
+        G = A @ Z
         return (Z, G) + tuple(np.linalg.svd(G, full_matrices=False))
 
     @cached_property
     def condition_estimate(self):
         _, _, _, S, _ = self.reduction
         estimates = []
-        for largest, last in zip(np.ravel(S[..., 0]).tolist(),
-                                 np.ravel(S[..., -1]).tolist()):
+        for largest, last in zip(np.ravel(S[..., 0].max(axis=-1)).tolist(),
+                                 np.ravel(S[..., -1].min(axis=-1)).tolist()):
             smallest = max(last, LAMBDA_REL * largest)
             estimates.append(largest / smallest if smallest else float("inf"))
-        return np.array(estimates) if S.ndim > 1 else estimates[0]
+        return np.array(estimates) if S.ndim > 2 else estimates[0]
 
     def dump_text(self) -> str:
         """Plain-text dump of the matrix and right-hand side of one system."""
@@ -184,10 +257,12 @@ class _CollocationTables:
     linear in gamma1, and the face-curvature term multiplies by gamma1 once
     more.  R0 is the traction of the g' of the basis columns, R1 the
     traction of their q at gamma1 = 1 plus the curvature term of their g',
-    and R2 the curvature term of their q.  The three real (2N, 2N+2) blocks
-    come from one real product (`_FaceOperator.rows` at the collocation
-    points), and the q rows become g1 and g2 columns by column shifts.  The
-    tip rows are T0 + gamma1 T1, in closed form (`_tip_blocks`).  The
+    and R2 the curvature term of their q.  The three real (2M, 2N+2)
+    blocks, the Re rows then the Im rows of the first M = ceil(N/2)
+    collocation points, come from one real product (`_FaceOperator.rows`
+    at those points), and the q rows become g1 and g2 columns by column
+    shifts; the rows of the other points are their mirrors (`systems`).
+    The tip rows are T0 + gamma1 T1, in closed form (`_tip_blocks`).  The
     tables also hold the single-valuedness integrals, both sliced from
     node_side or a node side of their own; the jump table of the
     opening is built on first use.  systems() combines them for a stack of
@@ -202,16 +277,20 @@ class _CollocationTables:
         self.curve, self.material, self.disc = curve, material, disc
         if node_side is None:
             node_side = _NodeSide(curve, material, N)
+        M = (N + 1) // 2
         # (g' or q, row kind, Re or Im, point, coefficient): Re Sigma,
         # Im Sigma, -kappa0 dk and -dk' per unit coefficient
-        g, q = _FaceOperator(node_side, disc.collocation_points, N,
+        g, q = _FaceOperator(node_side, disc.collocation_points[:M], N,
                              derivatives=True).rows()
         q = np.stack(q_rows_to_unknowns(q[:, 0], q[:, 1], curve, material),
                      axis=1)
         # (row kind, point) by (Re or Im, coefficient)
         self.blocks = tuple(
-            block.transpose(0, 2, 1, 3).reshape(2 * N, 2 * N + 2)
+            block.transpose(0, 2, 1, 3).reshape(2 * M, 2 * N + 2)
             for block in (g[:2], q[:2] + g[2:], q[2:]))
+        # the mirror s -> l - s takes the Re row at s_j to minus the Re row
+        # at s_{N+1-j} times P, and the Im row to plus it times P
+        self.mirror = np.array([[-1.0], [1.0]]) * _mirror_signs(N)
         top = node_side.degree + 1
         cols = np.r_[: N + 1, top: top + N + 1]
         self.tip_rows = tuple(t[:, cols] for t in node_side.tip_rows)
@@ -244,7 +323,9 @@ class _CollocationTables:
         gamma1 holds valid values (`_check_gamma1`), all zero or all
         positive: the tip rows exist only for gamma1 > 0, so the two kinds
         differ in their number of rows.  Every array is formed for all
-        points at once, with the point axis first.  Returns the stack of
+        points at once, with the point axis first.  The rows of the points
+        past the first M are the mirrors of theirs (`mirror`), so a row
+        and its mirror share their scale exactly.  Returns the stack of
         the points whose system is finite and, with row_scaling, has no
         zero row, and the AssemblyError of each point (None where it has
         none), in the order of gamma1.
@@ -266,7 +347,13 @@ class _CollocationTables:
         # the boundary equation (kappa+1)[Sigma - gamma1 (kappa0 dk + i dk')]
         # = (kappa+1) f, real rows first
         r0, r1, r2 = self.blocks
-        A[:, : 2 * N] = (kappa + 1.0) * (r0 + gcol * (r1 + gcol * r2))
+        # (point, Re or Im, collocation point, coefficient), a view of A
+        rows = A[:, : 2 * N].reshape(g.size, 2, N, 2 * N + 2)
+        M = (N + 1) // 2
+        rows[:, :, :M] = ((kappa + 1.0) * (r0 + gcol * (r1 + gcol * r2))
+                          ).reshape(g.size, 2, M, -1)
+        mirrored = rows[:, :, : N // 2][:, :, ::-1]
+        rows[:, :, M:] = self.mirror[:, None] * mirrored
         f_c = boundary_forcing(curve, material, load, g[:, None],
                                disc.collocation_points)
         b[:, :N] = (kappa + 1.0) * f_c.real
@@ -338,31 +425,36 @@ def solve(system: LinearSystem, curve: CrackCurve | None = None) -> DensityCoeff
 def _solutions(system: LinearSystem):
     """The damped solutions of a system or stack, (P, 2N+2), and their errors.
 
-    The equality constraints are homogeneous and eliminated exactly: x =
-    Z y with Z the constraint null basis of `system.reduction`, whose SVD
-    of the reduced block inverts it with singular values damped by lambda
-    = 1e-8 * sigma_max.  That suppresses the boundary-layer null family
-    while leaving resolved directions untouched.  A single system is the
-    one-point stack.  Raises SolveError on a non-finite matrix.  Each point
-    gets a SolveError when its condition_estimate is non-finite or exceeds
-    CONDITION_LIMIT = 1e14, or when the damped normal equations are not met
-    to 1e-10, and None otherwise; the list of them is the second return
-    value.  The estimate is clipped at 1/LAMBDA_REL = 1e8, so as computed
-    the gate fires only on a zero reduced block (estimate inf); an
-    ill-conditioned but nonzero block is damped, not rejected.  The same
-    array code serves both: a single system has no point axis.
+    The equality constraints are homogeneous and eliminated exactly: each
+    parity half's unknowns are Z y with Z the null basis of its
+    constraints in `system.reduction`, whose SVD of the reduced block
+    inverts it with singular values damped by lambda = 1e-8 * sigma_max,
+    sigma_max the largest of both halves, as for the whole system.  That
+    suppresses the boundary-layer null family while leaving resolved
+    directions untouched.  A single system is the one-point stack.  Raises
+    SolveError on a non-finite matrix or when the constraints leave no
+    free unknown.  Each point gets a SolveError when its
+    condition_estimate is non-finite or exceeds CONDITION_LIMIT = 1e14, or
+    when the damped normal equations of its halves are not met to 1e-10,
+    and None otherwise; the list of them is the second return value.  The
+    estimate is clipped at 1/LAMBDA_REL = 1e8, so as computed the gate
+    fires only on a zero reduced block (estimate inf); an ill-conditioned
+    but nonzero block is damped, not rejected.  The same array code serves
+    both: a single system has no point axis.
     """
     if not np.isfinite(system.matrix).all():
         raise SolveError("system matrix contains non-finite entries")
     Z, G, U, S, Vt = system.reduction
     Gt = G.swapaxes(-1, -2)
-    h = system.rhs[..., : -system.n_constraints, None]
-    lam2 = (LAMBDA_REL * S[..., :1]) ** 2
+    h = system.halves[2][..., None]
+    lam2 = (LAMBDA_REL * S[..., :1].max(axis=-2, keepdims=True)) ** 2
     # 0/0 only for a zero reduced block, which the condition gate rejects
     with np.errstate(invalid="ignore"):
         damped = S / (S * S + lam2)
     y = Vt.swapaxes(-1, -2) @ (damped[..., None] * (U.swapaxes(-1, -2) @ h))
-    x = (Z @ y)[..., 0]
+    half_x = (Z @ y)[..., 0]
+    x = np.empty(half_x.shape[:-2] + (2 * half_x.shape[-1],))
+    x[..., _parity_columns(system.disc.N).ravel()] = half_x.reshape(x.shape)
 
     # solver-level residual of the damped normal equations
     rhs_n = Gt @ h
@@ -386,8 +478,9 @@ def _solutions(system: LinearSystem):
 
 
 def _peak(a):
-    """max |a| of a matrix, or of each matrix of a stack."""
-    return abs(a).max(axis=(-2, -1))
+    """max |a| over both parity halves of a system, or of each system of a
+    stack."""
+    return abs(a).max(axis=(-3, -2, -1))
 
 
 def solve_problem(curve: CrackCurve, material, load, gamma1: float, N: int = 20,

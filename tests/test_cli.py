@@ -251,6 +251,27 @@ class TestRun:
         assert "forced failure" in (out / "error.log").read_text()
 
 
+    def test_no_free_unknown_exits_4_and_fails_sweep_rows(self, tmp_path):
+        # a straight crack at gamma1 > 0 and N = 4: 10 constraint rows for
+        # 10 unknowns
+        text = BASE.replace("shape = semicircle",
+                            "shape = straight\nlength = 2.0")
+        cfg = parse_config(text + f"N = 4\nout_dir = {tmp_path / 'solve'}\n")
+        assert run(cfg, quiet=True) == 4
+        assert "no free unknown" in (tmp_path / "solve" / "error.log") \
+            .read_text()
+        cfg = parse_config(text + "N = 4\nrun_mode = sweep-gamma\n"
+                           "grid = 0.5 1.0\n"
+                           f"out_dir = {tmp_path / 'sweep'}\n")
+        assert run(cfg, quiet=True) == 0
+        lines = (tmp_path / "sweep" / "sweep_gamma.csv").read_text() \
+            .splitlines()
+        assert len(lines) == 3
+        for line in lines[1:]:
+            assert line.split(",")[1] == "nan"
+            assert "no free unknown" in line.split(",")[-1]
+
+
 SOLVE_CASES = {
     "readme": BASE + "N = 20\n",
     "straight": BASE.replace("shape = semicircle",

@@ -11,7 +11,7 @@ from curvecrack import (AssemblyError, CrackCurve, DensityCoefficients,
                         single_valued_integral, single_valued_residual, solve,
                         solve_problem, tip_condition_residuals, traction_jump,
                         traction_jump_parts)
-from curvecrack import quadrature, solver
+from curvecrack import densities, quadrature, solver
 from curvecrack.densities import (_times_derivative, basis, cauchy_densities,
                                   poly_derivative, poly_eval, pv_monomials,
                                   q_coefficients, q_polynomial)
@@ -435,11 +435,15 @@ def test_quadratic_assembly_matches_operator(material, load_h, curve, N):
             got = system.matrix * system.row_scale[:, None]
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= tol)
-    # the blocks and tip rows themselves against the column-for-column
-    # route, to rounding of each row's largest entry
+    # the blocks, tabulated at the first ceil(N/2) collocation points, and
+    # the tip rows against the column-for-column route, to rounding of each
+    # row's largest entry
     tables = solver._CollocationTables(curve, material, disc)
+    M = (N + 1) // 2
+    r0, r1, r2, t0, t1 = _table_blocks(curve, material, N)
+    first = np.r_[: M, N: N + M]
     for got, want in zip(tables.blocks + tables.tip_rows,
-                         _table_blocks(curve, material, N)):
+                         (r0[first], r1[first], r2[first], t0, t1)):
         assert got.shape == want.shape
         tol = 1e-14 * np.max(np.abs(want), axis=1, keepdims=True)
         assert np.all(np.abs(got - want) <= tol)
@@ -473,6 +477,128 @@ def test_node_side_refuses_a_higher_degree(material, semicircle):
         solver._CollocationTables(semicircle, material,
                                   Discretization(20, semicircle.length),
                                   node_side)
+
+
+_MIRROR_CURVES = [make_semicircle(), make_circular_arc(0.5),
+                  make_straight(2.0)]
+_MIRROR_IDS = ["semicircle", "arc", "straight"]
+
+
+@pytest.mark.parametrize("gamma1", [0.0, 1.0])
+@pytest.mark.parametrize("N", [20, 21])
+@pytest.mark.parametrize("curve", _MIRROR_CURVES, ids=_MIRROR_IDS)
+def test_operator_system_is_mirror_equivariant(material, curve, N, gamma1):
+    # the symmetry the parity halves rest on, in the system tabulated at
+    # all N points: the Re row at s_{N+1-j} is -(Re row at s_j) P, the Im
+    # row +(Im row at s_j) P, the single-valuedness rows are P-even and
+    # P-odd (t'(l/2) is real on these curves), and each tip row of the
+    # second tip is -, +, -, + (that of the first) P
+    A = _operator_system(curve, material, gamma1, N)
+    P = densities._mirror_signs(N)
+    tol = 1e-13 * np.max(np.abs(A))
+    re, im, con = A[:N], A[N: 2 * N], A[2 * N:]
+    assert np.max(np.abs(re[::-1] + re * P)) <= tol
+    assert np.max(np.abs(im[::-1] - im * P)) <= tol
+    assert np.max(np.abs(con[0] - con[0] * P)) <= tol
+    assert np.max(np.abs(con[1] + con[1] * P)) <= tol
+    tips = con[2:]
+    half = len(tips) // 2
+    signs = np.array([-1.0, 1.0, -1.0, 1.0])[:half, None]
+    assert half == (0 if gamma1 == 0.0 else 4 if curve.shape == "straight"
+                    else 2)
+    assert np.max(np.abs(tips[half:] - signs * tips[:half] * P),
+                  initial=0.0) <= tol
+
+
+def _whole_system_solution(system):
+    """The damped solution, singular values and condition estimate of one
+    system from the reduction of the whole system: the null basis of all
+    its constraint rows and one SVD of its reduced collocation block."""
+    n = system.n_constraints
+    _, _, Vt = np.linalg.svd(system.constraint_block)
+    Z = Vt[n:].T
+    U, S, Vt = np.linalg.svd(system.collocation_block @ Z,
+                             full_matrices=False)
+    lam2 = (solver.LAMBDA_REL * S[0]) ** 2
+    y = Vt.T @ (S / (S * S + lam2) * (U.T @ system.rhs[:-n]))
+    condition = S[0] / max(S[-1], solver.LAMBDA_REL * S[0])
+    return Z @ y, S, condition
+
+
+_SPLIT_CURVES = [(make_semicircle(), FarFieldLoad(sigma1=1.0, sigma2=0.0)),
+                 (make_circular_arc(0.5),
+                  FarFieldLoad(sigma1=1.0, sigma2=0.0)),
+                 (make_straight(2.0),
+                  FarFieldLoad(sigma1=1.0, sigma2=0.0, alpha=0.5)),
+                 # t'(l/2) is not real, and then t'(l/2) = i: the
+                 # single-valuedness rows split only after the rotation by
+                 # conj t'(l/2)
+                 (CrackCurve(length=2.0, shape="arc", constant_curvature=-0.5,
+                             theta0=1.0, center=0.3 + 0.2j),
+                  FarFieldLoad(sigma1=1.0, sigma2=0.3, alpha=0.4)),
+                 (CrackCurve(length=2.0, shape="arc", constant_curvature=0.5,
+                             theta0=-0.5),
+                  FarFieldLoad(sigma1=1.0, sigma2=0.3, alpha=0.4))]
+_SPLIT_IDS = ["semicircle", "arc", "straight-inclined", "arc-rotated",
+              "arc-vertical"]
+
+
+@pytest.mark.parametrize("gamma1", [0.0, 1.0])
+@pytest.mark.parametrize("N", [8, 13, 20, 21, 24])
+@pytest.mark.parametrize("case", _SPLIT_CURVES, ids=_SPLIT_IDS)
+def test_parity_halves_solve_the_whole_system(material, case, N, gamma1):
+    # the split solve against the whole-system reduction: g' on a grid to
+    # 1e-8 of its largest value (odd N runs in no benchmark workload, and
+    # a middle row weighted 2 instead of sqrt 2 moves g' by about 1e-2);
+    # the singular values of both halves are those of the whole reduced
+    # block, so the condition estimates agree
+    curve, load = case
+    system = assemble(curve, material, load, gamma1,
+                      Discretization(N, curve.length))
+    want, S, condition = _whole_system_solution(system)
+    (got,), (error,) = solver._solutions(system)
+    assert error is None
+    grid = basis(np.linspace(0.0, curve.length, 201), curve.length, N)
+    gp_want = grid @ (want[: N + 1] + 1j * want[N + 1:])
+    gp_got = grid @ (got[: N + 1] + 1j * got[N + 1:])
+    assert np.max(np.abs(gp_got - gp_want)) \
+        <= 1e-8 * np.max(np.abs(gp_want))
+    halves = np.sort(system.reduction[3].ravel())[::-1]
+    assert halves.shape == S.shape
+    assert np.max(np.abs(halves - S)) <= 1e-14 * S[0]
+    assert system.condition_estimate == pytest.approx(condition, rel=1e-8)
+
+
+def test_halves_have_one_shape(material, semicircle, straight2, load_h):
+    # both halves of every N and curve have N+1 columns, one collocation
+    # row per Re and Im row of the first ceil(N/2) points and half the
+    # constraint rows; the middle point of odd N has a zero row in one
+    for curve, n_con in ((semicircle, 6), (straight2, 10)):
+        for N in (20, 21):
+            system = assemble(curve, material, load_h, 1.0,
+                              Discretization(N, curve.length))
+            A, C, h = system.halves
+            M = (N + 1) // 2
+            assert A.shape == (2, 2 * M, N + 1)
+            assert C.shape == (2, n_con // 2, N + 1)
+            assert h.shape == (2, 2 * M)
+            zero = np.flatnonzero(~np.abs(A).any(axis=-1))
+            assert list(zero) == ([M - 1, 4 * M - 1] if N % 2 else [])
+
+
+def test_no_free_unknown_is_a_solve_error(material, straight2, load_v):
+    # a straight crack at gamma1 > 0 has 10 constraint rows, all the
+    # unknowns at N = 4
+    system = assemble(straight2, material, load_v, 1.0,
+                      Discretization(4, straight2.length))
+    assert system.n_constraints == system.matrix.shape[1] == 10
+    with pytest.raises(SolveError, match="no free unknown"):
+        solve(system, straight2)
+    with pytest.raises(SolveError, match="no free unknown"):
+        system.condition_estimate
+    # one unknown more per half is enough
+    coeffs = solve_problem(straight2, material, load_v, 1.0, N=5)
+    assert np.isfinite(coeffs.condition_estimate)
 
 
 def _independent_row_residual(curve, material, load, gamma1, coeffs, points):
