@@ -349,8 +349,9 @@ def run(config: RunConfig, out_dir: str | None = None,
         quiet: bool = False) -> int:
     """Execute the configured pipeline; returns the process exit code.
 
-    The config is checked before anything is written: a ConfigError exits
-    2 and leaves no output directory.
+    The config is checked before anything is written: a ConfigError, or
+    dump_system outside solve mode, exits 2 and leaves no output
+    directory.
     """
     if mode_override is not None:
         config = replace(config, run_mode=mode_override)
@@ -358,6 +359,9 @@ def run(config: RunConfig, out_dir: str | None = None,
         config = replace(config, out_dir=out_dir)
     try:
         config, curve, material, load, disc = config.build()
+        if dump_system and config.run_mode != "solve":
+            raise ConfigError("--dump-system only applies to run_mode=solve; "
+                              f"{config.run_mode} assembles no single system")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,12 +1,25 @@
 """Polynomial density representation shared by the solver and field evaluators.
 
-The unknown displacement-jump density is approximated by a Taylor polynomial
-in the centered variable x = s - l/2,
+The unknown displacement-jump density is g'(s) = sum_k (g1_k + i g2_k)
+phi_k(s), k = 0..N, with real coefficient vectors g1, g2 over the
+centered monomials phi_k = (s - l/2)^k.  This module owns the basis:
+all that depends on it rests on four primitives, which are looked up in
+this module's namespace when they run (other modules call
+`densities.basis`), so replacing them here replaces the basis everywhere:
 
-    g'(s) = sum_k (g1_k + i g2_k) x^k,
+- `basis`, the table phi_k(s);
+- `_derivative_matrix`, D with phi_k' = sum_j D[j, k] phi_j: a table over
+  the basis times D is the table of the derivatives (`_pv_tables`,
+  `q_rows_to_unknowns`, `_tip_blocks`), and coefficients times D^T are
+  those of the derivative (`poly_derivative`);
+- `pv_monomials`, the principal values PV int_0^l phi_k(s)/(s - s0) ds;
+- `_tangent_integrals`, int_0^s phi_k(x) t'(x) dx.
 
-with real coefficient vectors g1, g2.  Only this module forms the basis
-(`basis`, `poly_eval`, `pv_monomials`).  The traction-jump density q is
+Any basis whose phi_k has degree k and parity (-1)^k about l/2 will do:
+a degree-N table is the first N+1 columns of a higher one, D is strictly
+upper triangular and the mirror s -> l - s acts by signs alone
+(`_mirror_signs`, which split the unknowns into the two parity halves the
+solver solves apart, `_parity_columns`).  The traction-jump density q is
 never an independent unknown: the surface-tension closure determines it
 from g'.  Writing P(s) = kappa0 Im g'(s) + Re g''(s),
 
@@ -18,11 +31,9 @@ has constant curvature (`geometry.CrackCurve`), so P and q are
 polynomials, written once in coefficient form (`q_coefficients`).
 `cauchy_densities` is the one definition of the face fields'
 principal-value densities and tip log terms.  The constraint rows of the
-solver are closed forms over the basis alone: the integrals of the
-monomials against the tangent (`_tangent_integrals`) and the tip rows
-(`_tip_blocks`).  The mirror s -> l - s acts on the coefficients by
-signs alone (`_mirror_signs`), which split the unknowns into the two
-parity halves the solver solves apart (`_parity_columns`).
+solver are closed forms over the basis alone: the single-valuedness
+integrals (`_tangent_integrals` at s = l; at the opening points it is
+the opening's jump table) and the tip rows (`_tip_blocks`).
 """
 
 from __future__ import annotations
@@ -34,32 +45,28 @@ import numpy as np
 from .geometry import CrackCurve
 
 
-def poly_derivative(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients of d/ds of a polynomial in (s - l/2)^k.
-
-    The coefficient index is the last axis, so a (C, N+1) array
-    differentiates C polynomials at once.
-    """
-    coeffs = np.asarray(coeffs)
-    n = coeffs.shape[-1]
-    if n <= 1:
-        return np.zeros(coeffs.shape[:-1] + (1,), dtype=coeffs.dtype)
-    return coeffs[..., 1:] * np.arange(1, n)
-
-
-def _times_derivative(table):
-    """table @ D for a real table and the derivative matrix D of the basis:
-    column c of the result is c table[..., c - 1], column 0 is zero."""
-    out = np.zeros(table.shape)
-    out[..., 1:] = table[..., :-1] * np.arange(1, table.shape[-1])
-    return out
-
-
 def basis(s, length: float, degree: int) -> np.ndarray:
     """Centered monomials (s - l/2)^k, k = 0..degree, on a new last axis."""
     x = np.asarray(s, dtype=float) - 0.5 * length
     return np.vander(x.ravel(), degree + 1, increasing=True).reshape(
         x.shape + (degree + 1,))
+
+
+def _derivative_matrix(length: float, degree: int) -> np.ndarray:
+    """The derivative matrix D of the basis, (degree + 1, degree + 1):
+    d/ds phi_k = sum_j D[j, k] phi_j, so D[k - 1, k] = k, all else 0."""
+    return np.diag(np.arange(1.0, degree + 1), 1)
+
+
+def poly_derivative(coeffs, length: float) -> np.ndarray:
+    """Coefficients of d/ds of polynomials in the basis: coeffs times D^T.
+
+    The coefficient index is the last axis, so a (C, N+1) array
+    differentiates C polynomials at once; the result has the same shape,
+    its last coefficient zero.
+    """
+    coeffs = np.asarray(coeffs)
+    return coeffs @ _derivative_matrix(length, coeffs.shape[-1] - 1).T
 
 
 def _mirror_signs(degree: int) -> np.ndarray:
@@ -119,6 +126,27 @@ def pv_polynomial(coeffs, length: float, s0):
     `pv_monomials`.  s0 may be an array; the result then has its shape.
     """
     return pv_monomials(length, s0, len(coeffs) - 1) @ np.asarray(coeffs)
+
+
+def _pv_tables(length: float, s0, degree: int, derivatives: bool = False):
+    """The principal values of `pv_monomials` at the points s0, (1, M,
+    degree+1), and with derivatives also their first two s0-derivatives,
+    (3, M, degree+1).
+
+    d/ds0 PV int p/(s - s0) ds = PV int p'/(s - s0) ds - p(l)/(l - s0)
+    - p(0)/s0, so each derivative is the table before times D less the
+    end terms of its own derivative.
+    """
+    s0 = np.asarray(s0, dtype=float)
+    pv = pv_monomials(length, s0, degree)
+    if not derivatives:
+        return pv[None]
+    D = _derivative_matrix(length, degree)
+    a, b = 1.0 / (length - s0)[:, None], 1.0 / s0[:, None]
+    at0, atl = basis([0.0, length], length, degree)
+    pv1 = pv @ D - (atl * a + at0 * b)
+    pv2 = pv1 @ D - (atl * a * a - at0 * b * b)
+    return np.stack([pv, pv1, pv2])
 
 
 class _OnFirstRead:
@@ -186,15 +214,11 @@ def q_coefficients(curve: CrackCurve, material, gamma1: float, g1, g2):
     basis, over the last axis: (C, N+1) arrays g1, g2 give one q polynomial
     per row.
     """
-    k0 = curve.constant_curvature
+    k0, length = curve.constant_curvature, curve.length
     g1, g2 = np.asarray(g1, dtype=float), np.asarray(g2, dtype=float)
-    d1 = poly_derivative(g1)
-    P = k0 * g2
-    P[..., : d1.shape[-1]] += d1
-    Pp = poly_derivative(P)
-    out = k0 * P + 0j
-    out[..., : Pp.shape[-1]] += 1j * Pp
-    return (gamma1 / (4.0 * material.mu)) * out
+    P = poly_derivative(g1, length) + k0 * g2
+    return (gamma1 / (4.0 * material.mu)) * (
+        k0 * P + 1j * poly_derivative(P, length))
 
 
 def q_rows_to_unknowns(re_rows, im_rows, curve: CrackCurve, material):
@@ -206,8 +230,9 @@ def q_rows_to_unknowns(re_rows, im_rows, curve: CrackCurve, material):
     b D)/4mu: W D on g1 and kappa0 W on g2.  D acts on the last axis.
     """
     k0 = curve.constant_curvature
-    w = (k0 * re_rows + _times_derivative(im_rows)) / (4.0 * material.mu)
-    return _times_derivative(w), k0 * w
+    D = _derivative_matrix(curve.length, re_rows.shape[-1] - 1)
+    w = (k0 * re_rows + im_rows @ D) / (4.0 * material.mu)
+    return w @ D, k0 * w
 
 
 def q_polynomial(curve: CrackCurve, material, gamma1: float,
@@ -294,6 +319,16 @@ def _single_valued_integrals(curve: CrackCurve, degree: int):
     return _tangent_integrals(curve, degree, [curve.length])[0]
 
 
+def _jump_table(curve: CrackCurve, degree: int, n_samples: int = 201):
+    """M[k, n] = int_0^{s_k} phi_n(x) t'(x) dx on equispaced s_k in [0, l].
+
+    `_tangent_integrals` at the points of the opening profile, which is
+    this table applied to the density.
+    """
+    return _tangent_integrals(curve, degree,
+                              np.linspace(0.0, curve.length, n_samples))
+
+
 def _tip_blocks(curve: CrackCurve, material, degree: int):
     """T0 and T1 of the tip rows, (rows, 2 degree + 2): the rows of a
     density [g1; g2] at gamma1 are (T0 + gamma1 T1) [g1; g2], in
@@ -319,7 +354,8 @@ def _tip_blocks(curve: CrackCurve, material, degree: int):
         t1.append(np.hstack(q_rows_to_unknowns(zq.real * b, -zq.imag * b,
                                                curve, material)))
     if curve.constant_curvature == 0.0:
-        b1, zero = _times_derivative(b), np.zeros(b.shape)
+        b1 = b @ _derivative_matrix(curve.length, degree)
+        zero = np.zeros(b.shape)
         t0 += [np.hstack([b1, zero]), np.hstack([zero, b1])]
         t1 += [np.zeros(t0[0].shape)] * 2
     return tuple(np.stack(t, axis=1).reshape(-1, 2 * degree + 2)

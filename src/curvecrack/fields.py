@@ -14,23 +14,24 @@ discrete oracle mode, face_fields(..., cauchy="discrete").
 The density parts of the face fields are linear in the density, so they
 are split into a table and its application.  `_FaceOperator` tabulates,
 once per set of points s0, everything that does not depend on the density:
-the kernels integrated against each monomial of the centered basis
-(`densities.basis`, `KernelSet.raw_tables`), the closed-form principal
-values of the monomials and the end factors of their s0-derivatives.  All
-that does not depend on the points either is its node side (`_NodeSide`),
-which a run builds once at its largest degree and shares among all its
-operators.  Its apply() then gives the face-average traction and the face
-function omega (and omega's first two s0-derivatives) of any number of
-density columns by matrix products alone; the field evaluator applies it
-to the solved densities, one or a sweep's stack of them as columns, and
-adds the +-jump terms and the far field.  The assembly
-(`solver._CollocationTables`) needs real rows of combinations of these
-fields per unit density coefficient at the first ceil(N/2) collocation
-points (the mirror gives the rest), so it reads the operator through
-rows() instead: one real map of the node side, composed from the small
-coefficient arrays of the kernels and the fields, applied to the nine
-real tables of the principal values and the raw kernel integrals, with
-no product over the coefficients.
+the kernels integrated against each function of the density basis
+(`KernelSet.raw_tables`) and the closed-form principal values of the
+basis functions, with their s0-derivatives for the assembly
+(`densities._pv_tables`).  All that does not depend on the points either
+is its node side (`_NodeSide`), which a run builds once at its largest
+degree and shares among all its operators.  The operator is read one way
+only, through rows(): one real map of the node side, composed from the
+small coefficient arrays of the kernels and the fields, applied to the
+real tables of the principal values and the raw kernel integrals, gives
+real combinations of the fields per unit real and imaginary part of each
+coefficient of g' and of q.  The assembly (`solver._CollocationTables`)
+reads the traction and the face-curvature change, which need the
+s0-derivatives, at the first ceil(N/2) collocation points (the mirror
+gives the rest).  The field evaluator reads the face-average traction and
+the face function omega at its points, applies those rows to the real and
+imaginary coefficient columns of the solved densities, one or a sweep's
+stack of them, and adds the +-jump terms and the far field.  This module
+reaches the density basis only through `densities`.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .densities import (DensityCoefficients, _single_valued_integrals,
-                        _times_derivative, _tip_blocks, basis,
-                        cauchy_densities, poly_derivative, pv_monomials,
-                        q_polynomial)
+from . import densities
+from .densities import (DensityCoefficients, _pv_tables,
+                        _single_valued_integrals, _tip_blocks,
+                        cauchy_densities, q_polynomial)
 from .geometry import CrackCurve
 from .kernels import KernelSet
 from .quadrature import Discretization, pv_cauchy_sum, regular_rule
@@ -241,9 +242,8 @@ class FaceFieldSample:
 
 _SIDES = ("plus", "minus")
 _SIGNS = np.array([1.0, -1.0])[:, None]
-# the kernel tables an operator keeps, without and with s0-derivatives
-_KERNELS = {False: ("k1", "k3", "k4"),
-            True: ("k1", "k3", "k4", "d1", "d4", "dd1", "dd4")}
+# the kernels of the face fields, in the columns of `_NodeSide.rows_maps`
+_KERNELS = ("k1", "k3", "k4", "d1", "d4", "dd1", "dd4")
 
 
 class _NodeSide:
@@ -252,21 +252,22 @@ class _NodeSide:
     For one curve and material and degrees up to `degree`: the weighted
     basis of `regular_rule` (or of the given nodes and weights), the
     kernels' node tables (`KernelSet.node_tables`) and, on first use, the
-    real map of `_FaceOperator.rows`, the tip rows and the
+    real maps of `_FaceOperator.rows`, the tip rows and the
     single-valuedness integrals.  A column of each table depends only on
-    its own monomial and lower ones, so degree N reads the first N+1.
+    its own basis function and lower ones, so degree N reads the first
+    N+1.
     """
 
     def __init__(self, curve, material, degree, rule=None):
         self.curve, self.material, self.degree = curve, material, degree
         self.kset = KernelSet(curve, material.kappa)
         nodes, weights = regular_rule(curve.length) if rule is None else rule
-        wbasis = np.reshape(weights, (-1, 1)) * basis(nodes, curve.length,
-                                                      degree)
+        wbasis = np.reshape(weights, (-1, 1)) * densities.basis(
+            nodes, curve.length, degree)
         self._kernel = self.kset.node_tables(nodes, wbasis)
 
     def columns(self, degree):
-        """The kernels' node tables of the monomials up to degree."""
+        """The kernels' node tables of the basis functions up to degree."""
         if degree > self.degree:
             raise ValueError(f"degree {degree} exceeds the {self.degree} "
                              "the node side was built for")
@@ -279,31 +280,39 @@ class _NodeSide:
 
     @cached_property
     def single_valued(self):
-        """I_n = int_0^l (x - l/2)^n t'(x) dx, n = 0..degree."""
+        """I_n = int_0^l phi_n(x) t'(x) dx, n = 0..degree."""
         return _single_valued_integrals(self.curve, self.degree)
 
     @cached_property
-    def rows_map(self):
-        """The real (16, 9) map of `_FaceOperator.rows`.
+    def rows_maps(self):
+        """The real maps of `_FaceOperator.rows`: {True: (16, 9), False:
+        (16, 5)}, with and without s0-derivatives.
 
-        The fields are complex combinations T c + K conj(c) of the nine
-        tables, K on the column sums alone (k2 enters as the weighted sum
-        of conj(g' - 2i q), in Sigma and in -omega), and Re(t c + k conj(c))
-        = Re(t + k) Re c + Im(k - t) Im c.
+        The fields Sigma, omega, omega', omega'' are complex combinations
+        T c + K conj(c) of the nine tables (the principal values and their
+        two s0-derivatives, then `KernelSet.raw_tables`), K on the column
+        sums alone (k2 enters as the weighted sum of conj(g' - 2i q), in
+        Sigma and in -omega).  Each kind of row is the real part of a
+        combination of the fields, and Re(t c + k conj(c)) = Re(t + k) Re c
+        + Im(k - t) Im c.  Without derivatives the kinds read Sigma and
+        omega alone, which lie on five of the tables: the principal values,
+        C, the two parts of the moment and the column sums.
         """
         kappa = self.kset.kappa
         k0, two_mu = self.curve.constant_curvature, 2.0 * self.material.mu
-        # Re Sigma, Im Sigma, -kappa0 dk and -dk' are the real parts of
-        # Sigma, -i Sigma, kappa0 (kappa0 omega + i omega')/2mu and
-        # (kappa0 omega' + i omega'')/2mu
-        combine = np.array([[1.0, 0.0, 0.0, 0.0],
-                            [-1j, 0.0, 0.0, 0.0],
-                            [0.0, k0 * k0 / two_mu, 1j * k0 / two_mu, 0.0],
-                            [0.0, 0.0, k0 / two_mu, 1j / two_mu]])
+        # with derivatives Re Sigma, Im Sigma, -kappa0 dk and -dk' are the
+        # real parts of Sigma, -i Sigma, kappa0 (kappa0 omega + i omega')/2mu
+        # and (kappa0 omega' + i omega'')/2mu; without, Re Sigma, Im Sigma,
+        # Re omega and Im omega those of Sigma, -i Sigma, omega, -i omega
+        combine = {True: np.array([[1, 0, 0, 0], [-1j, 0, 0, 0],
+                                   [0, k0 * k0 / two_mu, 1j * k0 / two_mu, 0],
+                                   [0, 0, k0 / two_mu, 1j / two_mu]]),
+                   False: np.array([[1, 0, 0, 0], [-1j, 0, 0, 0],
+                                    [0, 1, 0, 0], [0, -1j, 0, 0]])}
         # the fields per unit g' (rows 0-3) and per unit q (rows 4-7) over
-        # the principal values and the kernels of _KERNELS[True]: the
-        # densities of `cauchy_densities` times the principal values, and
-        # the kernels, which take wq = -2i q
+        # the principal values and the kernels of _KERNELS: the densities
+        # of `cauchy_densities` times the principal values, and the
+        # kernels, which take wq = -2i q
         (sg, og), (sq, oq) = (cauchy_densities(1.0, 0.0, kappa),
                               cauchy_densities(0.0, 1.0, kappa))
         wq, wk = -2j, -2j * kappa
@@ -318,115 +327,58 @@ class _NodeSide:
             [0., 0., oq, 0., 0., 0., 0., 0., wk, 0.]])  # omega''
         scale = 1.0 / (2.0 * np.pi * (kappa + 1.0))
         T = scale * np.hstack([coef[:, :3], coef[:, 3:] @ self.kset
-                               .table_rows(_KERNELS[True], True)])
+                               .table_rows(_KERNELS, True)])
         K = np.zeros(T.shape, dtype=complex)
         K[:, -1] = (-1j * k0 * scale) * np.array([1, -1, 0, 0, 2j, -2j, 0, 0])
-        t, k = (combine @ x.reshape(2, 4, -1) for x in (T, K))
-        return np.stack([t.real + k.real, k.imag - t.imag],
-                        axis=2).reshape(-1, T.shape[1])
+        maps = {}
+        for derivatives, cols in ((True, slice(None)),
+                                  (False, [0, 3, 6, 7, 8])):
+            t, k = (combine[derivatives] @ x.reshape(2, 4, -1)
+                    for x in (T, K))
+            maps[derivatives] = np.stack(
+                [t.real + k.real, k.imag - t.imag],
+                axis=2).reshape(-1, T.shape[1])[:, cols]
+        return maps
 
 
 class _FaceOperator:
     """Density parts of the face fields, tabulated once at fixed points s0.
 
     Construction does all the work that does not depend on the density, for
-    polynomial densities of degree up to `degree` in the centered basis,
-    from a node side (`_NodeSide`) of at least that degree: it integrates
-    the regular kernels against each basis monomial with its rule (k1, k3,
-    k4, and with derivatives also the first and second s0-derivatives of k1
-    and k4, all that apply() reads), tabulates the closed-form principal
-    values of the monomials (`pv_monomials`) and the end factors 1/s0 and
-    1/(l - s0) of their s0-derivatives.  It keeps the real raw tables of
-    `KernelSet.raw_tables`: those of c = cot x - 1/x and its derivatives,
-    products of small matrices from its separable Taylor series, the
-    trigonometric moment and the basis column sums; apply() combines its
-    complex kernel tables from them on first use (`KernelSet.kernel_tables`).
-    On every curve k2 = -i kappa0 is constant and d2 = dd2 = 0, so k2
-    enters as -i kappa0 times the weighted sum of the conjugate density and
-    d2, dd2 not at all.
-
-    apply() then evaluates any number of density columns by matrix
-    products alone; the field evaluator applies it to all the solved
-    densities of a solve or a sweep at once.  rows() gives real
-    combinations of the same fields per unit density coefficient, from
-    which the assembly builds its rows for the 2N+2 basis columns at the
-    first half of the collocation points.
+    densities of degree up to `degree`, from a node side (`_NodeSide`) of
+    at least that degree: the real tables of `KernelSet.raw_tables` (of
+    c = cot x - 1/x, with derivatives also of c' and c''; the moment; the
+    basis column sums) and the closed-form principal values of the basis
+    functions, with their s0-derivatives when derivatives is set
+    (`densities._pv_tables`).  On every curve k2 = -i kappa0 is constant
+    and d2 = dd2 = 0, so k2 enters through the column sums and d2, dd2 not
+    at all.  rows() is the one read of the operator: the assembly builds
+    its rows for the 2N+2 basis columns from it, and the field evaluator
+    applies it to the solved densities.
     """
 
     def __init__(self, side, s0, degree, derivatives=False):
-        s0 = np.asarray(s0, dtype=float)
-        l = side.curve.length
-        self.kappa = side.kset.kappa
         self.derivatives = derivatives
         self._side = side
-        self._k2 = -1j * side.curve.constant_curvature
         self._raw = side.kset.raw_tables(s0, side.columns(degree),
                                          derivatives)
-        self._pv = pv_monomials(l, s0, degree)
-        if derivatives:
-            self._inv_ends = (1.0 / (l - s0)[:, None], 1.0 / s0[:, None])
-            self._ends = basis([0.0, l], l, degree)
-
-    @cached_property
-    def _reg(self):
-        """The kernel tables of apply(), combined on first use."""
-        keys = _KERNELS[self.derivatives]
-        return dict(zip(keys, self._side.kset.kernel_tables(self._raw,
-                                                             keys)))
-
-    def apply(self, gp_poly, q_poly):
-        """(Sigma, omega[, omega', omega'']) stacked, shape (2 or 4, M, C).
-
-        gp_poly and q_poly are (C, n) complex coefficient matrices of g'
-        and q, n <= degree + 1.  Sigma is the face-average traction without
-        the far field and the +-q jump, omega the face-average face
-        function; omega' and omega'' come when the operator was tabulated
-        with derivatives.
-        """
-        n = gp_poly.shape[-1]
-        kappa = self.kappa
-        reg = {key: k[:, :n] for key, k in self._reg.items()}
-        gp, wq = gp_poly.T, -2j * q_poly.T
-        k2 = self._k2 * (self._raw[-1, 0, :n] @ np.conj(gp + wq))
-        sigma, omega = cauchy_densities(gp_poly, q_poly, kappa)
-        J = self._pv
-        out = [J[:, :n] @ sigma.T + (reg["k1"] @ gp + reg["k3"] @ wq + k2),
-               J[:, :n] @ omega.T
-               + (reg["k4"] @ gp + kappa * (reg["k1"] @ wq) - k2)]
-        if self.derivatives:
-            # d/ds0 PV int p/(s - s0) = PV int p'/(s - s0)
-            #                           - p(l)/(l - s0) - p(0)/s0
-            omega1 = poly_derivative(omega)
-            omega2 = poly_derivative(omega1)
-            n1, n2 = omega1.shape[-1], omega2.shape[-1]
-            a, b = self._inv_ends
-            v0, vl = self._ends[:, :n] @ omega.T
-            d0, dl = self._ends[:, :n1] @ omega1.T
-            out.append(J[:, :n1] @ omega1.T - vl * a - v0 * b
-                       + (reg["d4"] @ gp + kappa * (reg["d1"] @ wq)))
-            out.append(J[:, :n2] @ omega2.T - dl * a - d0 * b
-                       - vl * a * a + v0 * b * b
-                       + (reg["dd4"] @ gp + kappa * (reg["dd1"] @ wq)))
-        return np.stack(out) / (2.0 * np.pi * (kappa + 1.0))
+        self._pv = _pv_tables(side.curve.length, s0, degree, derivatives)
 
     def rows(self):
-        """Re Sigma, Im Sigma, -kappa0 dk and -dk' per unit coefficient.
+        """Real fields per unit coefficient, (2, 4, 2, M, degree+1).
 
-        Real (2, 4, 2, M, degree+1): for the coefficients c of g' or of q,
-        per kind of row, the columns of Re c and of Im c.  The operator
-        must have been tabulated with derivatives.  One product of
-        `_NodeSide.rows_map` with nine real tables: the principal values
-        with their s0-derivatives and `KernelSet.raw_tables`.
+        For the coefficients c of g' or of q, per kind of row, the columns
+        of Re c and of Im c.  The kinds are Re Sigma, Im Sigma, -kappa0 dk
+        and -dk' with s0-derivatives, and Re Sigma, Im Sigma, Re omega and
+        Im omega without: Sigma is the face-average traction without the
+        far field and the +-q jump, omega the face-average face function.
+        One product of `_NodeSide.rows_maps` with the principal-value
+        tables and `KernelSet.raw_tables`.
         """
-        a, b = self._inv_ends
-        at0, atl = self._ends
-        # PV int x^c/(s - s0) ds and its two s0-derivatives, as in apply()
-        pv = self._pv
-        pv1 = _times_derivative(pv) - (atl * a + at0 * b)
-        pv2 = _times_derivative(pv1) - (atl * a * a - at0 * b * b)
-        raw = np.concatenate([[pv, pv1, pv2], self._raw])
-        out = self._side.rows_map @ raw.reshape(len(raw), -1)
-        return out.reshape((2, 4, 2) + pv.shape)
+        raw = np.concatenate([self._pv, self._raw])
+        out = self._side.rows_maps[self.derivatives] \
+            @ raw.reshape(len(raw), -1)
+        return out.reshape((2, 4, 2) + raw.shape[1:])
 
 
 class _FlatRuleOperator(_FaceOperator):
@@ -434,7 +386,7 @@ class _FlatRuleOperator(_FaceOperator):
 
     Both the regular and the Cauchy parts are node sums over the nodes of
     disc with its flat weight; the Cauchy part is `pv_cauchy_sum` of each
-    basis monomial, so no point s0 may coincide with a node.
+    basis function, so no point s0 may coincide with a node.
     """
 
     def __init__(self, curve, material, s0, degree, disc):
@@ -442,22 +394,23 @@ class _FlatRuleOperator(_FaceOperator):
         rule = nodes, np.full(nodes.shape, disc.weight)
         super().__init__(_NodeSide(curve, material, degree, rule), s0, degree)
         # the node sums replace the closed-form principal values
-        self._pv = pv_cauchy_sum(basis(nodes, curve.length, degree).T,
-                                 nodes, disc.weight,
-                                 np.asarray(s0, dtype=float)[:, None])
+        self._pv = pv_cauchy_sum(
+            densities.basis(nodes, curve.length, degree).T, nodes,
+            disc.weight, np.asarray(s0, dtype=float)[:, None])[None]
 
 
 class _FieldEvaluator:
     """Face fields at fixed points s0, for any density of degree <= degree.
 
-    Construction tabulates the operator (_FaceOperator) and the far field
-    at the points; apply() applies the operator to any number of solved
-    densities as columns and adds the +-jump terms and the far field, so
-    one evaluator serves every density of a sweep, and face_values is its
-    one-density case.  The default exact mode integrates the
-    regular kernels with `regular_rule` and takes the principal values in
-    closed form.  The discrete mode is the flat-rule oracle
-    (_FlatRuleOperator): node sums over the n_quad + 1 nodes of the
+    Construction checks the points, tabulates the operator's rows
+    (`_FaceOperator.rows`, without s0-derivatives), the basis and the far
+    field at the points; apply() applies the rows to the real and imaginary
+    coefficient columns of any number of solved densities and adds the
+    +-jump terms and the far field, so one evaluator serves every density
+    of a sweep, and face_values is its one-density case.  The default exact
+    mode integrates the regular kernels with `regular_rule` and takes the
+    principal values in closed form.  The discrete mode is the flat-rule
+    oracle (_FlatRuleOperator): node sums over the n_quad + 1 nodes of the
     collocation rule, with its flat weight.
     """
 
@@ -468,19 +421,22 @@ class _FieldEvaluator:
         self.curve = curve
         self.material = material
         self.s0 = np.asarray(s0, dtype=float)
+        if not np.all(np.isfinite(self.s0) & (self.s0 > 0.0)
+                      & (self.s0 < curve.length)):
+            raise ValueError("the points s0 must be finite and lie strictly "
+                             f"inside (0, {curve.length}), got {s0}")
         kappa = material.kappa
         if cauchy == "discrete":
-            disc = Discretization(n_quad, curve.length)
-            self._op = _FlatRuleOperator(curve, material, self.s0, degree,
-                                         disc)
+            op = _FlatRuleOperator(curve, material, self.s0, degree,
+                                   Discretization(n_quad, curve.length))
         else:
             if node_side is None:
                 node_side = _NodeSide(curve, material, degree)
-            self._op = _FaceOperator(node_side, self.s0, degree)
-        self._basis = basis(self.s0, curve.length, degree)
+            op = _FaceOperator(node_side, self.s0, degree)
+        self._rows = op.rows()
+        self._basis = densities.basis(self.s0, curve.length, degree)
         phi, psi = load.phi_inf, load.psi_inf
-        t1 = curve.tangent(self.s0)
-        self._t1 = t1
+        self._t1 = t1 = curve.tangent(self.s0)
         self._far = 2.0 * np.real(phi) + np.conj(psi) * np.conj(t1) ** 2
         self._du_far = (kappa * phi - np.conj(phi)) * t1 \
             - np.conj(psi) * np.conj(t1)
@@ -501,13 +457,19 @@ class _FieldEvaluator:
         """face_values of C densities, (2, M, C) each.
 
         gp_poly and q_poly are (C, n) complex coefficient matrices of g' and
-        q, as for `_FaceOperator.apply`; column c of the results belongs to
-        row c.
+        q, n <= degree + 1; column c of the results belongs to row c.
         """
-        sigma, omega = self._op.apply(gp_poly, q_poly)
-        mono = self._basis[:, : gp_poly.shape[-1]]
+        n = gp_poly.shape[-1]
+        # (g' or q, 1, Re or Im, coefficient, density) against the rows'
+        # (g' or q, kind, Re or Im, point, coefficient)
+        parts = np.array([[gp_poly.real.T, gp_poly.imag.T],
+                          [q_poly.real.T, q_poly.imag.T]])[:, None]
+        re_s, im_s, re_w, im_w = (self._rows[..., :n] @ parts).sum(
+            axis=(0, 2))
+        mono = self._basis[:, :n]
         signs = _SIGNS[..., None]
-        traction = signs * (mono @ q_poly.T) + sigma + self._far[:, None]
+        traction = signs * (mono @ q_poly.T) + (re_s + 1j * im_s) \
+            + self._far[:, None]
 
         # omega is the face function whose jump is i g'(s0).  Its jump
         # coefficient is i/2, not i(kappa+1)/2: the face limits of the
@@ -516,7 +478,7 @@ class _FieldEvaluator:
         # by test_displacement_jump_identity (the face values' jump) and
         # test_jump_derivative_consistency (the slope of the opening, the
         # integral of g' t' by the jump table).
-        omega = signs * 0.5j * (mono @ gp_poly.T) + omega
+        omega = signs * 0.5j * (mono @ gp_poly.T) + (re_w + 1j * im_w)
         du = (self._t1[:, None] * omega + self._du_far[:, None]) \
             / (2.0 * self.material.mu)
         return traction, du
@@ -545,8 +507,6 @@ def face_fields(curve: CrackCurve, material: Material, load: FarFieldLoad,
     """
     if side not in _SIDES:
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    if not 0.0 < s0 < curve.length:
-        raise ValueError(f"s0 must lie strictly inside (0, {curve.length})")
     ev = _FieldEvaluator(curve, material, load, [s0], densities.degree,
                          n_quad, cauchy)
     return ev.samples(densities)[_SIDES.index(side)][0]

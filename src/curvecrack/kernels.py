@@ -43,7 +43,8 @@ read it:
   point s0, with no (point, node) pair evaluated, from the node side
   `KernelSet.node_tables`, which needs no point; each kernel summed
   against a weighted basis is a complex combination of them
-  (`table_rows`, `kernel_tables`).
+  (`table_rows`), which the face operator folds into its real map
+  (`fields._NodeSide.rows_maps`) without forming the kernel tables.
   With u = a (s - l/2), v = a (s0 - l/2) and a = kappa0/2, the series of
   c(u - v) is separable, sum_{r,i} H[r, i] v^r u^i, so the table of c is
   V(v) H U(u)^T wbasis with the Vandermonde matrices V and U, and those
@@ -344,14 +345,6 @@ class KernelSet:
             row[p] = scale * alpha
             row[orders:] = scale * eps, 1j * scale * eps, 1j * scale * gamma
         return rows
-
-    def kernel_tables(self, raw, keys):
-        """The complex tables of `keys` from `raw_tables`, (K, M, C): raw is
-        real, so one real product with `table_rows` per part."""
-        rows = self.table_rows(keys, len(raw) > 4)
-        flat = raw.reshape(len(raw), -1)
-        return _complex(rows.real @ flat, rows.imag @ flat).reshape(
-            (len(keys),) + raw.shape[1:])
 
     def _cot_tables(self, s0, B, derivatives):
         """[C] or [C, C', C''] with C_p = sum_k c_p(x_k) wbasis_k, (M, C).

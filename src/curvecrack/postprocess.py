@@ -38,18 +38,19 @@ where they hold a comma, a quote or a line break.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import (DensityCoefficients, basis, cauchy_densities,
-                        q_coefficients, q_polynomial)
+from . import densities
+from .densities import (DensityCoefficients, _jump_table, cauchy_densities,
+                        poly_eval, q_coefficients, q_polynomial)
 from .fields import _SIDES, _FieldEvaluator, _NodeSide
 from .geometry import CrackCurve, make_circular_arc
 from .quadrature import Discretization, midpoint_grid
 from .solver import (AssemblyError, SolveError, _check_gamma1,
-                     _CollocationTables, _jump_table, _solutions, assemble,
-                     solve)
+                     _CollocationTables, _solutions, assemble, solve)
 
 FIELD_NAMES = ("sigma_n", "tau_n", "du1_ds", "du2_ds")
 
@@ -72,10 +73,18 @@ def opening_profile(coeffs: DensityCoefficients, curve: CrackCurve, material,
     jump(s) = (i / 2 mu) * int_0^s g'(x) t'(x) dx, which vanishes at s = 0 by
     construction and at s = l up to the single-valuedness residual.  The
     opening delta is the projection of the jump on the unit normal i t'(s).
-    The integrals are the jump table (`solver._jump_table`) applied to g'.
+    The integrals are the jump table (`densities._jump_table`) applied to g'.
     """
+    _check_count("n_samples", n_samples, 2)
     return _opening(coeffs, curve, material,
                     _jump_table(curve, coeffs.degree, n_samples))
+
+
+def _check_count(name, value, least):
+    """Reject a non-integer value or one below least, naming the argument."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, "
+                         f"got {value!r}")
 
 
 def _opening(coeffs, curve, material, table) -> OpeningProfile:
@@ -167,9 +176,11 @@ def _tip_points(curve, tip, window, n):
     if tip not in (0.0, curve.length):
         raise ValueError(f"tip must be 0.0 or the arc length {curve.length}, "
                          f"got {tip}")
-    if window is None:
-        window = default_fit_window(curve.length)
-    dist = np.geomspace(window[0], window[1], n)
+    lo, hi = default_fit_window(curve.length) if window is None else window
+    if not 0.0 < lo < hi < curve.length:
+        raise ValueError("the tip window (lo, hi) needs 0 < lo < hi < "
+                         f"{curve.length}, got {window}")
+    dist = np.geomspace(lo, hi, n)
     return dist, (dist if tip == 0.0 else curve.length - dist)
 
 
@@ -236,9 +247,9 @@ def tip_log_coefficients(curve, material, coeffs):
     cross-check of the fitted coefficients.
     """
     kappa = material.kappa
-    tip = basis(0.0, curve.length, coeffs.degree)
-    gp0 = complex((coeffs.g1 + 1j * coeffs.g2) @ tip)
-    q0 = complex(q_polynomial(curve, material, coeffs.gamma1, coeffs) @ tip)
+    gp0 = complex(coeffs.gprime(0.0))
+    q0 = complex(poly_eval(q_polynomial(curve, material, coeffs.gamma1,
+                                        coeffs), 0.0, curve.length))
     sigma, omega = cauchy_densities(gp0, q0, kappa)
     scale = -1.0 / (2.0 * np.pi * (kappa + 1.0))
     a_tr = scale * sigma
@@ -250,6 +261,7 @@ def tip_log_coefficients(curve, material, coeffs):
 def max_face_traction(curve, material, load, coeffs,
                       n_points: int = _TRACTION_POINTS) -> float:
     """sup over both faces of |sigma_n + i tau_n| on a midpoint grid."""
+    _check_count("n_points", n_points, 1)
     ev = _FieldEvaluator(curve, material, load,
                          midpoint_grid(curve.length, n_points), coeffs.degree)
     return float(np.max(np.abs(ev.face_values(coeffs)[0])))
@@ -447,6 +459,7 @@ def convergence_study(curve, material, load, gamma1, n_list,
     The grid is n_grid equispaced points of [0, l]; each row carries its
     g' there, from the first N+1 columns of one basis table of the grid.
     """
+    _check_count("n_grid", n_grid, 2)
     n_list = list(n_list)
     if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly ascending with at least "
@@ -457,7 +470,7 @@ def convergence_study(curve, material, load, gamma1, n_list,
                                  Discretization(n, curve.length),
                                  node_side=node_side), curve))
               for n in n_list]
-    table = basis(grid, curve.length, n_list[-1])
+    table = densities.basis(grid, curve.length, n_list[-1])
     samples = [table[:, : n + 1] @ (coeffs.g1 + 1j * coeffs.g2)
                for n, coeffs in solved]
     rows = []

@@ -1,9 +1,11 @@
 """Collocation solver for the singular integro-differential crack system.
 
-The unknown density g'(s) is expanded in the centered Taylor basis
-(s - l/2)^k, k = 0..N, with real coefficient pairs (g1_k, g2_k).  The
-traction-jump density q is eliminated through the surface-tension closure
-(see densities.py), so the unknown vector has 2N+2 real entries.
+The unknown density g'(s) is expanded in the basis of `densities`, the
+centered Taylor basis (s - l/2)^k, k = 0..N, with real coefficient pairs
+(g1_k, g2_k).  The traction-jump density q is eliminated through the
+surface-tension closure (see densities.py), so the unknown vector has
+2N+2 real entries.  This module reaches the basis only through
+`densities` and the face operator.
 
 Rows 1..N of the collocation block are the real parts of the boundary
 equation at the midpoints s_j, rows N+1..2N the imaginary parts.  All
@@ -24,18 +26,18 @@ the boundary equation at the collocation midpoints but not between them,
 least of all near the tips (see the tests/test_acceptance.py docstring).
 
 Integral evaluation: the collocation rows come from the face-field
-operator (`fields._FaceOperator`) tabulated at the first ceil(N/2)
-collocation points; the rows of the others are their mirror images (see
-the solve below).  For each of the 2N+2 basis columns the operator gives
-the face-average traction Sigma and the face function omega with its
-first two s0-derivatives; the real row is (kappa+1)(Re Sigma - gamma1
-kappa0 dk) and the imaginary row (kappa+1)(Im Sigma - gamma1 dk'), where
-dk = -(kappa0 Re omega - Im omega')/2mu is the face-curvature change and
-dk' = -(kappa0 Re omega' - Im omega'')/2mu, with kappa0 constant.  The
-face fields of a solved density are the same operator applied to one
-column, so the assembly and the field evaluation share one tabulation.
-The principal values (and their s0-derivatives, boundary terms included)
-are in closed form (`densities.pv_monomials`) and the regular kernels use
+operator (`fields._FaceOperator.rows`, the one read of the operator, which
+the field evaluator shares) tabulated at the first ceil(N/2) collocation
+points; the rows of the others are their mirror images (see the solve
+below).  Per unit real and imaginary part of each coefficient of g' and
+of q, rows() gives Re Sigma and Im Sigma of the face-average traction
+Sigma, and -kappa0 dk and -dk' of the face-curvature change dk =
+-(kappa0 Re omega - Im omega')/2mu, dk' = -(kappa0 Re omega' - Im
+omega'')/2mu, with kappa0 constant and omega the face function; the real
+row is (kappa+1)(Re Sigma - gamma1 kappa0 dk) and the imaginary row
+(kappa+1)(Im Sigma - gamma1 dk').  The principal values (and their
+s0-derivatives, boundary terms included) are in closed form
+(`densities._pv_tables`) and the regular kernels use
 `quadrature.regular_rule`.  The flat node rule of `quadrature` is kept
 only for the oracles; feeding its O(1/N) errors into this strongly
 amplifying system destroys convergence.
@@ -45,20 +47,18 @@ face-curvature term multiplies by gamma1 once more.  So the collocation
 block is (kappa+1)(R0 + gamma1 R1 + gamma1^2 R2) with three real blocks,
 and the tip rows are T0 + gamma1 T1.  `_CollocationTables` holds this
 gamma1-independent part of the system of one curve, material and N: the
-blocks, built once by one real map of the operator's raw tables
-(`_FaceOperator.rows`), the closed-form tip rows and the integrals I_n
-of the single-valuedness rows, int_0^l (x - l/2)^n t'(x) dx
+blocks, built once from the rows, the closed-form tip rows and the
+integrals I_n of the single-valuedness rows, int_0^l phi_n(x) t'(x) dx
 (`_single_valued_integrals`), the last two sliced from the run's node
 side (`fields._NodeSide`).  The jump table (`_jump_table`), the
 integrals of g' t' up to each point of the opening profile, is built only
 when an opening is asked for, so a convergence run builds none.  Both
-are one closed form, `_tangent_integrals`: t' is t'(l/2) exp(i kappa0
-(x - l/2)) on every curve, so no quadrature rule is needed.
-`_CollocationTables.systems` combines them for P gamma1 values at once
-into a stack, arrays with a leading point axis, with no operator product;
-assemble() builds the tables of one N from the node side of its run and
-takes the one-point stack, a gamma1 sweep builds them once and stacks
-all its points.
+are one closed form, `densities._tangent_integrals`, so no quadrature rule
+is needed.  `_CollocationTables.systems` combines them for P gamma1
+values at once into a stack, arrays with a leading point axis, with no
+operator product; assemble() builds the tables of one N from the node
+side of its run and takes the one-point stack, a gamma1 sweep builds them
+once and stacks all its points.
 
 The constrained system is solved by least squares in the constraint null
 space with a light Tikhonov term (relative weight 1e-8) that suppresses
@@ -93,8 +93,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .densities import (DensityCoefficients, _mirror_signs, _parity_columns,
-                        _single_valued_integrals, _tangent_integrals,
+from .densities import (DensityCoefficients, _jump_table, _mirror_signs,
+                        _parity_columns, _single_valued_integrals,
                         _tip_blocks, q_rows_to_unknowns)
 from .fields import _FaceOperator, _NodeSide, boundary_forcing
 from .geometry import CrackCurve
@@ -240,16 +240,6 @@ class LinearSystem:
         return "\n".join(lines) + "\n"
 
 
-def _jump_table(curve: CrackCurve, degree: int, n_samples: int = 201):
-    """M[k, n] = int_0^{s_k} (x - l/2)^n t'(x) dx on equispaced s_k in [0, l].
-
-    `_tangent_integrals` at the points of the opening profile, which is
-    this table applied to the density.
-    """
-    return _tangent_integrals(curve, degree,
-                              np.linspace(0.0, curve.length, n_samples))
-
-
 class _CollocationTables:
     """The gamma1-independent part of the system of one curve, material and N.
 
@@ -260,15 +250,15 @@ class _CollocationTables:
     and R2 the curvature term of their q.  The three real (2M, 2N+2)
     blocks, the Re rows then the Im rows of the first M = ceil(N/2)
     collocation points, come from one real product (`_FaceOperator.rows`
-    at those points), and the q rows become g1 and g2 columns by column
-    shifts; the rows of the other points are their mirrors (`systems`).
-    The tip rows are T0 + gamma1 T1, in closed form (`_tip_blocks`).  The
-    tables also hold the single-valuedness integrals, both sliced from
-    node_side or a node side of their own; the jump table of the
-    opening is built on first use.  systems() combines them for a stack of
-    gamma1 values and one load with no operator product, and system() for
-    one gamma1, so a sweep over gamma1 tabulates the kernels and builds the
-    blocks once.
+    at those points), and the q rows become g1 and g2 columns through the
+    closure (`q_rows_to_unknowns`); the rows of the other points are their
+    mirrors (`systems`).  The tip rows are T0 + gamma1 T1, in closed form
+    (`_tip_blocks`).  The tables also hold the single-valuedness
+    integrals, both sliced from node_side or a node side of their own; the
+    jump table of the opening is built on first use.  systems() combines
+    them for a stack of gamma1 values and one load with no operator
+    product, and system() for one gamma1, so a sweep over gamma1 tabulates
+    the kernels and builds the blocks once.
     """
 
     def __init__(self, curve: CrackCurve, material, disc: Discretization,

@@ -1,0 +1,108 @@
+"""Complex-product route to the face fields: the reference of the real rows.
+
+The program reads the face operator only through `fields._FaceOperator.rows`,
+one real map applied to real tables.  This module keeps the route it
+replaced, in which the kernels are complex tables over the density
+coefficients and the fields come from complex matrix products with the
+coefficient columns of g' and q:
+
+- `kernel_tables` combines the raw tables of `KernelSet.raw_tables` into
+  one complex table per kernel, with `KernelSet.table_rows`;
+- `FaceOperator` is `fields._FaceOperator` with those tables (`_reg`) and
+  `apply`, which gives Sigma and omega (and omega', omega'' with
+  s0-derivatives) of density columns, differentiating omega's
+  coefficients with `times_derivative`, the column shift of the centered
+  monomials, not with the derivative matrix of `densities`.
+"""
+
+from functools import cached_property
+
+import numpy as np
+
+from curvecrack import fields
+from curvecrack.densities import basis, cauchy_densities
+
+# the kernel tables apply() reads, without and with s0-derivatives
+KERNELS = {False: ("k1", "k3", "k4"),
+           True: ("k1", "k3", "k4", "d1", "d4", "dd1", "dd4")}
+
+
+def times_derivative(table):
+    """table @ D for the centered monomials: column c of the result is
+    c table[..., c - 1], column 0 is zero."""
+    out = np.zeros(table.shape, dtype=table.dtype)
+    out[..., 1:] = table[..., :-1] * np.arange(1, table.shape[-1])
+    return out
+
+
+def derivative(coeffs):
+    """Coefficients of d/ds of polynomials in (s - l/2)^k, one shorter."""
+    coeffs = np.asarray(coeffs)
+    n = coeffs.shape[-1]
+    if n <= 1:
+        return np.zeros(coeffs.shape[:-1] + (1,), dtype=coeffs.dtype)
+    return coeffs[..., 1:] * np.arange(1, n)
+
+
+def kernel_tables(kset, raw, keys):
+    """The complex tables of `keys` from `raw_tables`, (K, M, C): raw is
+    real, so one real product with `table_rows` per part."""
+    rows = kset.table_rows(keys, len(raw) > 4)
+    flat = raw.reshape(len(raw), -1)
+    return (rows.real @ flat + 1j * (rows.imag @ flat)).reshape(
+        (len(keys),) + raw.shape[1:])
+
+
+class FaceOperator(fields._FaceOperator):
+    """The face operator with the complex route: `_reg` and apply()."""
+
+    def __init__(self, side, s0, degree, derivatives=False):
+        super().__init__(side, s0, degree, derivatives)
+        s0 = np.asarray(s0, dtype=float)
+        l = side.curve.length
+        self.kappa = side.kset.kappa
+        self._k2 = -1j * side.curve.constant_curvature
+        self._inv_ends = (1.0 / (l - s0)[:, None], 1.0 / s0[:, None])
+        self._ends = basis([0.0, l], l, degree)
+
+    @cached_property
+    def _reg(self):
+        """The kernel tables of apply(), combined on first use."""
+        keys = KERNELS[self.derivatives]
+        return dict(zip(keys, kernel_tables(self._side.kset, self._raw,
+                                            keys)))
+
+    def apply(self, gp_poly, q_poly):
+        """(Sigma, omega[, omega', omega'']) stacked, shape (2 or 4, M, C).
+
+        gp_poly and q_poly are (C, n) complex coefficient matrices of g'
+        and q, n <= degree + 1.  Sigma is the face-average traction without
+        the far field and the +-q jump, omega the face-average face
+        function; omega' and omega'' come when the operator was tabulated
+        with derivatives.
+        """
+        n = gp_poly.shape[-1]
+        kappa = self.kappa
+        reg = {key: k[:, :n] for key, k in self._reg.items()}
+        gp, wq = gp_poly.T, -2j * q_poly.T
+        k2 = self._k2 * (self._raw[-1, 0, :n] @ np.conj(gp + wq))
+        sigma, omega = cauchy_densities(gp_poly, q_poly, kappa)
+        J = self._pv[0]
+        out = [J[:, :n] @ sigma.T + (reg["k1"] @ gp + reg["k3"] @ wq + k2),
+               J[:, :n] @ omega.T
+               + (reg["k4"] @ gp + kappa * (reg["k1"] @ wq) - k2)]
+        if self.derivatives:
+            # d/ds0 PV int p/(s - s0) = PV int p'/(s - s0)
+            #                           - p(l)/(l - s0) - p(0)/s0
+            omega1 = derivative(omega)
+            omega2 = derivative(omega1)
+            n1, n2 = omega1.shape[-1], omega2.shape[-1]
+            a, b = self._inv_ends
+            v0, vl = self._ends[:, :n] @ omega.T
+            d0, dl = self._ends[:, :n1] @ omega1.T
+            out.append(J[:, :n1] @ omega1.T - vl * a - v0 * b
+                       + (reg["d4"] @ gp + kappa * (reg["d1"] @ wq)))
+            out.append(J[:, :n2] @ omega2.T - dl * a - d0 * b
+                       - vl * a * a + v0 * b * b
+                       + (reg["dd4"] @ gp + kappa * (reg["dd1"] @ wq)))
+        return np.stack(out) / (2.0 * np.pi * (kappa + 1.0))

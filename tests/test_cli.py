@@ -234,6 +234,21 @@ class TestRun:
         text = (tmp_path / "dump" / "system_dump.txt").read_text()
         assert text.startswith("n_rows")
 
+    @pytest.mark.parametrize("mode,grid", [("sweep-gamma", "0.5 1.0"),
+                                           ("sweep-curvature", "0.5 1.0"),
+                                           ("convergence", "8 10")])
+    def test_dump_system_only_in_solve_mode(self, tmp_path, capsys, mode,
+                                            grid):
+        # no other mode assembles one system to dump: the config runs
+        # without the flag, and with it exits 2 before any output is written
+        cfg = self._cfg(tmp_path / "ok", f"grid = {grid}\n")
+        assert run(cfg, mode_override=mode, quiet=True) == 0
+        cfg = replace(cfg, out_dir=str(tmp_path / "dump"))
+        assert run(cfg, mode_override=mode, dump_system=True) == 2
+        err = capsys.readouterr().err
+        assert "--dump-system" in err and mode in err
+        assert not (tmp_path / "dump").exists()
+
     def test_solve_error_leaves_no_partial_artifacts(self, tmp_path,
                                                      monkeypatch):
         import curvecrack.cli as cli_mod

@@ -14,6 +14,7 @@ from curvecrack import fields
 from curvecrack.densities import (poly_derivative, poly_eval, q_coefficients,
                                   q_polynomial)
 from curvecrack.quadrature import gauss_legendre, regular_rule
+from oracle import FaceOperator
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -322,8 +323,8 @@ class TestFaceFields:
         q = q_coefficients(curve, material, 1.0, g1, g2)
 
         def apply(points):
-            op = fields._FaceOperator(fields._NodeSide(curve, material, 8),
-                                      points, 8, derivatives=True)
+            op = FaceOperator(fields._NodeSide(curve, material, 8),
+                              points, 8, derivatives=True)
             return op.apply(g1 + 1j * g2, q)
 
         grid = np.sort(rng.uniform(0.005, 0.995, 37)) * curve.length
@@ -347,9 +348,8 @@ class TestFaceFields:
         q_poly = q_coefficients(curve, material, 1.0, g1, g2)
         l, kappa = curve.length, material.kappa
         grid = np.sort(rng.uniform(0.005, 0.995, 21)) * l
-        got = fields._FaceOperator(fields._NodeSide(curve, material, 8),
-                                   grid, 8,
-                                   derivatives=True).apply(gp_poly, q_poly)
+        got = FaceOperator(fields._NodeSide(curve, material, 8), grid, 8,
+                           derivatives=True).apply(gp_poly, q_poly)
 
         nodes, w = regular_rule(l)
         blk = KernelSet(curve, kappa).block(nodes, grid[:, None])
@@ -373,17 +373,45 @@ class TestFaceFields:
             return np.array([poly_eval(c, s, l) for c in polys])
 
         omega = (kappa - 1.0) * gp_poly - 4j * kappa * q_poly
-        omega1 = poly_derivative(omega)
+        omega1 = poly_derivative(omega, l)
         a, b = 1.0 / (l - grid)[:, None], 1.0 / grid[:, None]
         sing = [pv(2.0 * gp_poly + 2j * (kappa - 1.0) * q_poly), pv(omega),
                 pv(omega1) - at(omega, l) * a - at(omega, 0.0) * b,
-                pv(poly_derivative(omega1)) - at(omega1, l) * a
+                pv(poly_derivative(omega1, l)) - at(omega1, l) * a
                 - at(omega1, 0.0) * b - at(omega, l) * a * a
                 + at(omega, 0.0) * b * b]
         want = np.stack([p + r for p, r in zip(sing, reg)]) \
             / (2.0 * np.pi * (kappa + 1.0))
         assert got.shape == want.shape == (4, len(grid), 3)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want) + 1e-13)
+
+    @pytest.mark.parametrize("curve", [make_semicircle(),
+                                       make_circular_arc(0.5),
+                                       make_straight(2.0)],
+                             ids=["semicircle", "arc", "straight"])
+    def test_evaluator_rows_match_complex_products(self, material, curve):
+        # the evaluator applies the operator's real rows; the oracle's
+        # complex products give the same face-average traction and face
+        # function, which the mean of the two faces recovers
+        rng = np.random.default_rng(29)
+        g1, g2 = rng.normal(size=(2, 3, 9))
+        gp = g1 + 1j * g2
+        q = q_coefficients(curve, material, 1.0, g1, g2)
+        load = FarFieldLoad(sigma1=1.0, sigma2=0.4, alpha=0.3)
+        grid = np.sort(rng.uniform(0.005, 0.995, 21)) * curve.length
+        side = fields._NodeSide(curve, material, 8)
+        want = FaceOperator(side, grid, 8).apply(gp, q)
+        traction, du = fields._FieldEvaluator(
+            curve, material, load, grid, 8, node_side=side).apply(gp, q)
+        t1 = curve.tangent(grid)[:, None]
+        phi, psi = load.phi_inf, load.psi_inf
+        far = 2.0 * phi.real + np.conj(psi) * np.conj(t1) ** 2
+        du_far = (material.kappa * phi - np.conj(phi)) * t1 \
+            - np.conj(psi) * np.conj(t1)
+        got = [traction.mean(axis=0) - far,
+               (2.0 * material.mu * du.mean(axis=0) - du_far) / t1]
+        for x, y in zip(got, want):
+            assert np.max(np.abs(x - y)) <= 1e-13 * np.max(np.abs(y))
 
     def test_validation_errors(self, material, semicircle, load_h):
         zero = _zero_coeffs(semicircle)

@@ -365,28 +365,22 @@ class TestSweepTables:
 
     def test_basis_columns_do_not_grow_with_gamma_points(
             self, semicircle, material, load_h, monkeypatch):
-        # operator products over the 2N+2 basis columns: apply() on that
-        # many columns, or the rows the collocation blocks are built from
-        N = 20
+        # operator products over the basis columns: rows() is the one read
+        # of the operator, for the collocation blocks and the field
+        # evaluator alike
         calls = []
-        apply, rows = _FaceOperator.apply, _FaceOperator.rows
-
-        def counted_apply(self, gp_poly, q_poly):
-            if gp_poly.shape[0] == 2 * N + 2:
-                calls.append(1)
-            return apply(self, gp_poly, q_poly)
+        rows = _FaceOperator.rows
 
         def counted_rows(self):
             calls.append(1)
             return rows(self)
 
-        monkeypatch.setattr(_FaceOperator, "apply", counted_apply)
         monkeypatch.setattr(_FaceOperator, "rows", counted_rows)
-        sweep_gamma(semicircle, material, load_h, [1.0], N=N)
+        sweep_gamma(semicircle, material, load_h, [1.0], N=20)
         one = len(calls)
         calls.clear()
         sweep_gamma(semicircle, material, load_h,
-                    [0.5 * 4.0 ** (i / 7) for i in range(8)], N=N)
+                    [0.5 * 4.0 ** (i / 7) for i in range(8)], N=20)
         assert one > 0 and len(calls) == one
 
 
@@ -636,3 +630,52 @@ def test_max_face_traction_positive(solved_semicircle, semicircle, material,
                                     load_h):
     val = max_face_traction(semicircle, material, load_h, solved_semicircle)
     assert val > 0.0 and np.isfinite(val)
+
+
+class TestArgumentChecks:
+    """Bad counts and points raise a ValueError that names the argument."""
+
+    def test_max_face_traction_needs_a_point(self, solved_semicircle,
+                                             semicircle, material, load_h):
+        for n in (0, -3, 2.5):
+            with pytest.raises(ValueError, match="n_points"):
+                max_face_traction(semicircle, material, load_h,
+                                  solved_semicircle, n_points=n)
+        assert max_face_traction(semicircle, material, load_h,
+                                 solved_semicircle, n_points=1) > 0.0
+
+    def test_opening_profile_needs_two_samples(self, solved_semicircle,
+                                               semicircle, material):
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="n_samples"):
+                opening_profile(solved_semicircle, semicircle, material,
+                                n_samples=n)
+        prof = opening_profile(solved_semicircle, semicircle, material,
+                               n_samples=2)
+        assert list(prof.s) == [0.0, semicircle.length]
+
+    def test_convergence_study_needs_two_grid_points(self, semicircle,
+                                                     material, load_h):
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="n_grid"):
+                convergence_study(semicircle, material, load_h, 1.0, [8, 10],
+                                  n_grid=n)
+
+    @pytest.mark.parametrize("s0", [float("nan"), float("inf"), -0.5, 0.0,
+                                    np.pi, 4.0])
+    def test_face_field_points_inside_the_arc(self, solved_semicircle,
+                                              semicircle, material, load_h,
+                                              s0):
+        # the point is named, not the kernel series it would break
+        with pytest.raises(ValueError, match="s0"):
+            face_field_profile(semicircle, material, load_h,
+                               solved_semicircle, [1.0, s0])
+
+    @pytest.mark.parametrize("window", [(0.1, 0.01), (0.05, 0.05),
+                                        (0.0, 0.1), (-0.1, 0.1),
+                                        (0.1, 4.0), (0.1, float("nan"))])
+    def test_tip_window_inside_the_arc_and_ascending(
+            self, solved_semicircle, semicircle, material, load_h, window):
+        with pytest.raises(ValueError, match="window"):
+            collect_tip_samples(semicircle, material, load_h,
+                                solved_semicircle, "sigma_n", window=window)

@@ -12,11 +12,12 @@ from curvecrack import (AssemblyError, CrackCurve, DensityCoefficients,
                         solve_problem, tip_condition_residuals, traction_jump,
                         traction_jump_parts)
 from curvecrack import densities, quadrature, solver
-from curvecrack.densities import (_times_derivative, basis, cauchy_densities,
-                                  poly_derivative, poly_eval, pv_monomials,
-                                  q_coefficients, q_polynomial)
-from curvecrack.fields import _FaceOperator, _NodeSide
+from curvecrack.densities import (basis, cauchy_densities, poly_derivative,
+                                  poly_eval, pv_monomials, q_coefficients,
+                                  q_polynomial)
+from curvecrack.fields import _NodeSide
 from curvecrack.quadrature import gauss_legendre
+from oracle import FaceOperator, times_derivative
 
 
 class TestQuadratureRule:
@@ -325,7 +326,7 @@ def _tip_rows(curve, kappa, gamma1, gp, q_unit):
                                     kappa)
     rows = [-omega.imag, 0.5 * sigma.real]
     if curve.constant_curvature == 0.0:
-        gpp = poly_derivative(gp) @ tips[:degree]
+        gpp = poly_derivative(gp, curve.length) @ tips
         rows += [gpp.real, gpp.imag]
     return [row[..., tip] for tip in (0, 1) for row in rows]
 
@@ -333,7 +334,7 @@ def _tip_rows(curve, kappa, gamma1, gp, q_unit):
 def _operator_system(curve, material, gamma1, N):
     """The unscaled system the face operator gives for the basis columns.
 
-    The direct assembly at one gamma1: `_FaceOperator.apply` on all 2N+2
+    The direct assembly at one gamma1: the oracle's apply() on all 2N+2
     basis columns with q at this gamma1, then the traction and
     face-curvature rows, the single-valuedness rows and the tip rows.  The
     tabulation as a quadratic in gamma1 must reproduce it.
@@ -344,8 +345,8 @@ def _operator_system(curve, material, gamma1, N):
     gp = g1 + 1j * g2
     q_unit = q_coefficients(curve, material, 1.0, g1, g2)
     disc = Discretization(N, curve.length)
-    op = _FaceOperator(_NodeSide(curve, material, N),
-                       disc.collocation_points, N, derivatives=True)
+    op = FaceOperator(_NodeSide(curve, material, N),
+                      disc.collocation_points, N, derivatives=True)
     sigma, omega, omega1, omega2 = op.apply(gp, gamma1 * q_unit)
     k0 = curve.constant_curvature
     dk = -(k0 * omega.real - omega1.imag) / (2.0 * mu)
@@ -371,13 +372,13 @@ def _table_blocks(curve, material, N):
     """
     kappa, mu = material.kappa, material.mu
     k0, two_mu = curve.constant_curvature, 2.0 * mu
-    op = _FaceOperator(_NodeSide(curve, material, N),
-                       Discretization(N, curve.length).collocation_points, N,
-                       derivatives=True)
+    op = FaceOperator(_NodeSide(curve, material, N),
+                      Discretization(N, curve.length).collocation_points, N,
+                      derivatives=True)
     reg, (a, b), (at0, atl) = op._reg, op._inv_ends, op._ends
-    pv = op._pv
-    pv1 = _times_derivative(pv) - (atl * a + at0 * b)
-    pv2 = _times_derivative(pv1) - (atl * a * a - at0 * b * b)
+    pv = op._pv[0]
+    pv1 = times_derivative(pv) - (atl * a + at0 * b)
+    pv2 = times_derivative(pv1) - (atl * a * a - at0 * b * b)
     (sg, og), (sq, oq) = (cauchy_densities(1.0, 0.0, kappa),
                           cauchy_densities(0.0, 1.0, kappa))
     wq, wk = -2j, -2j * kappa
@@ -620,8 +621,8 @@ def _independent_row_residual(curve, material, load, gamma1, coeffs, points):
     q_poly = q_polynomial(curve, material, gamma1, coeffs)
 
     def pv_all(coef, s0):
-        d = poly_derivative(coef)
-        dd = poly_derivative(d)
+        d = poly_derivative(coef, l)
+        dd = poly_derivative(d, l)
         v = pv_polynomial(coef, l, s0)
         p_l, p_0 = poly_eval(coef, l, l), poly_eval(coef, 0.0, l)
         d_l, d_0 = poly_eval(d, l, l), poly_eval(d, 0.0, l)
