@@ -9,7 +9,8 @@ gives the constrained system, the face fields on both faces and the tip-fit
 samples (one field evaluator at all those points), and the opening (the
 jump table the collocation tables hold).  A convergence run writes
 g_prime.csv from the samples the study compared.  Every mode writes its
-CSVs through `postprocess.write_csv`, from whole columns.
+CSVs through `postprocess.write_csv`, from whole columns; solve mode
+formats its g' grid once and writes opening.csv's s column from that text.
 """
 
 from __future__ import annotations
@@ -183,14 +184,20 @@ class RunConfig:
         return make_semicircle()
 
     def echo_text(self) -> str:
+        """The config as key = value text that parse_config reads back.
+
+        The material key is the one the config was given: nu, from which
+        kappa follows, or else kappa.  Grid values are space-separated.
+        """
         pairs = {
             "shape": self.shape, "curvature": self.curvature,
             "length": self.length, "mu": self.mu, "nu": self.nu,
-            "kappa": self.kappa, "mode": self.mode,
+            "kappa": self.kappa if self.nu is None else None,
+            "mode": self.mode,
             "sigma1_inf": self.sigma1_inf, "sigma2_inf": self.sigma2_inf,
             "alpha": self.alpha, "gamma1": self.gamma1, "N": self.N,
             "run_mode": self.run_mode,
-            "grid": ",".join(repr(g) for g in self.grid) if self.grid else None,
+            "grid": " ".join(map(repr, self.grid)) if self.grid else None,
             "out_dir": self.out_dir,
             "row_scaling": "on" if self.row_scaling else "off",
         }
@@ -382,10 +389,14 @@ def run(config: RunConfig, out_dir: str | None = None,
         if config.run_mode == "solve":
             res = _solve_outputs(config, curve, material, load, disc,
                                  dump_system)
-            post.write_g_prime_csv(out / "g_prime.csv", res["s_grid"],
+            # the opening's 201-point grid is every second point of the
+            # 401-point g' grid, bit for bit, so its s column is that text
+            s_text = post._cells(res["s_grid"])
+            post.write_g_prime_csv(out / "g_prime.csv", s_text,
                                    res["g_cols"])
             post.write_face_fields_csv(out / "face_fields.csv", *res["face"])
-            post.write_opening_csv(out / "opening.csv", res["profile"])
+            post._write_opening_csv(out / "opening.csv", s_text[::2],
+                                    res["profile"])
             if res["dump"] is not None:
                 (out / "system_dump.txt").write_text(res["dump"])
             if not quiet:

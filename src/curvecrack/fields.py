@@ -362,7 +362,12 @@ class _FaceOperator:
         self._side = side
         self._raw = side.kset.raw_tables(s0, side.columns(degree),
                                          derivatives)
-        self._pv = _pv_tables(side.curve.length, s0, degree, derivatives)
+        self._pv = self._pv_table(s0, degree)
+
+    def _pv_table(self, s0, degree):
+        """The closed-form principal values of the basis functions."""
+        return _pv_tables(self._side.curve.length, s0, degree,
+                          self.derivatives)
 
     def rows(self):
         """Real fields per unit coefficient, (2, 4, 2, M, degree+1).
@@ -390,13 +395,16 @@ class _FlatRuleOperator(_FaceOperator):
     """
 
     def __init__(self, curve, material, s0, degree, disc):
-        nodes = disc.nodes
-        rule = nodes, np.full(nodes.shape, disc.weight)
+        self._disc = disc
+        rule = disc.nodes, np.full(disc.nodes.shape, disc.weight)
         super().__init__(_NodeSide(curve, material, degree, rule), s0, degree)
-        # the node sums replace the closed-form principal values
-        self._pv = pv_cauchy_sum(
-            densities.basis(nodes, curve.length, degree).T, nodes,
-            disc.weight, np.asarray(s0, dtype=float)[:, None])[None]
+
+    def _pv_table(self, s0, degree):
+        """The node sums that stand for the closed-form principal values."""
+        nodes, weight = self._disc.nodes, self._disc.weight
+        return pv_cauchy_sum(
+            densities.basis(nodes, self._side.curve.length, degree).T, nodes,
+            weight, np.asarray(s0, dtype=float)[:, None])[None]
 
 
 class _FieldEvaluator:

@@ -33,7 +33,12 @@ its rows.
 
 Every CSV goes through `write_csv`, which takes whole columns and formats
 each column once: floats by repr, integers by str, strings as given, quoted
-where they hold a comma, a quote or a line break.
+where they hold a comma, a quote or a line break.  It joins the rows in one
+pass and writes the file in one call, so a write costs about one repr per
+float.  A column given as a list of strings is text already formatted
+(`_cells`) and is only quoted, so a repeated column is formatted once: the
+points of `write_face_fields_csv` for both faces, and in solve mode the
+opening's s grid, the even points of the g' grid (`cli.run`).
 """
 
 from __future__ import annotations
@@ -525,7 +530,10 @@ def extremum_coincidence_report(rows):
 def _cells(column):
     """The text of one CSV column: floats by repr (the shortest text that
     reads back to the same double), integers by str, strings as given
-    (`_quoted`)."""
+    (`_quoted`).  A list of strings is a text column as it stands, so a
+    column formatted once can be written again without a second repr."""
+    if isinstance(column, list) and all(isinstance(c, str) for c in column):
+        return _quoted(column)
     values = np.asarray(column)
     if values.dtype.kind == "f":
         return list(map(repr, values.astype(float, copy=False).tolist()))
@@ -549,12 +557,16 @@ def _quoted(cells):
 
 
 def write_csv(path, header, columns):
-    """Write a header row and the rows of equally long columns."""
+    """Write a header row and the rows of equally long columns.
+
+    The whole file is one string, the rows joined in one pass, written in
+    one call; a column of unequal length raises before the file is opened.
+    """
     cells = [_cells(column) for column in columns]
+    text = "\n".join([",".join(header),
+                      *map(",".join, zip(*cells, strict=True))])
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n"
-                      for row in zip(*cells, strict=True))
+        fh.write(text + "\n")
 
 
 def write_g_prime_csv(path, s, columns: dict):
@@ -566,19 +578,26 @@ def write_face_fields_csv(path, s, traction, du):
 
     traction is sigma_n + i tau_n and du is d(u1 + i u2)/ds, each (2, M)
     with the "+" face first, as `fields._FieldEvaluator.face_values`
-    returns them.
+    returns them.  The points are formatted once, for both faces.
     """
     header = ["s", "side", "sigma_n", "tau_n", "du1_ds", "du2_ds"]
-    s = np.asarray(s, dtype=float)
+    s_text = _cells(np.asarray(s, dtype=float))
     write_csv(path, header,
-              [np.tile(s, len(_SIDES)), np.repeat(_SIDES, s.size),
+              [s_text * len(_SIDES),
+               [side for side in _SIDES for _ in s_text],
                traction.real.ravel(), traction.imag.ravel(),
                du.real.ravel(), du.imag.ravel()])
 
 
 def write_opening_csv(path, profile: OpeningProfile):
+    _write_opening_csv(path, profile.s, profile)
+
+
+def _write_opening_csv(path, s, profile):
+    """write_opening_csv with the s column given, as floats or as the text
+    of profile.s (solve mode reuses the text of its g' grid)."""
     header = ["s", "du1_jump", "du2_jump", "delta"]
-    write_csv(path, header, [profile.s, profile.jump.real, profile.jump.imag,
+    write_csv(path, header, [s, profile.jump.real, profile.jump.imag,
                              profile.delta])
 
 

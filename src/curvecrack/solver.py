@@ -232,12 +232,18 @@ class LinearSystem:
         lines = [f"n_rows {self.matrix.shape[0]}",
                  f"n_cols {self.matrix.shape[1]}",
                  f"n_constraints {self.n_constraints}"]
-        lines.append("row_scale " + " ".join(repr(float(v)) for v in self.row_scale))
+        lines.append("row_scale " + _floats_text(self.row_scale))
         for i, row in enumerate(self.matrix):
-            lines.append(f"row {i} " + " ".join(repr(float(v)) for v in row))
-        lines.append("rhs " + " ".join(repr(float(v)) for v in self.rhs))
+            lines.append(f"row {i} " + _floats_text(row))
+        lines.append("rhs " + _floats_text(self.rhs))
         lines.append(f"condition_estimate {self.condition_estimate!r}")
         return "\n".join(lines) + "\n"
+
+
+def _floats_text(values):
+    """Space-separated repr of each value as a double, the rule of the
+    CSVs: one tolist() of the whole row, then repr of each float."""
+    return " ".join(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
 class _CollocationTables:

@@ -1,13 +1,17 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_postprocess import _csv_text
 
 import curvecrack.fields as fields
 import curvecrack.postprocess as post
 import curvecrack.solver as solver
-from curvecrack import (face_field_profile, fit_tip_coefficients,
-                        opening_profile, solve_problem)
+from curvecrack import (DensityCoefficients, Material, face_field_profile,
+                        fit_tip_coefficients, make_circular_arc,
+                        make_semicircle, make_straight, opening_profile,
+                        solve_problem)
 from curvecrack.cli import ConfigError, RunConfig, main, parse_config, run
 from curvecrack.quadrature import midpoint_grid
 
@@ -72,6 +76,26 @@ class TestParseConfig:
     def test_both_nu_and_kappa(self):
         with pytest.raises(ConfigError):
             parse_config(BASE + "nu = 0.2\n")
+
+    @pytest.mark.parametrize("text", [
+        BASE,
+        BASE.replace("kappa = 2.5", "nu = 0.2\nmode = plane_stress"),
+        BASE.replace("shape = semicircle", "shape = arc\ncurvature = 0.5")
+        + "alpha = 0.3\nN = 16\nrow_scaling = off\n",
+        BASE.replace("shape = semicircle", "shape = straight\nlength = 2.0"),
+        BASE + "run_mode = sweep-gamma\ngrid = 0.5 1.0 2.0\n",
+        BASE.replace("shape = semicircle\n", "")
+        + "run_mode = sweep-curvature\ngrid = 0.25; 0.5 1.0\n",
+        BASE + "run_mode = convergence\ngrid = 8 10.0 12\nout_dir = o\n",
+    ], ids=["solve", "nu", "arc", "straight", "sweep-gamma",
+            "sweep-curvature", "convergence"])
+    def test_echo_reads_back(self, text):
+        # config_echo.txt holds the grid space-separated and only the
+        # material key the config was given
+        config = parse_config(text)
+        echo = config.echo_text()
+        assert parse_config(echo) == config
+        assert ("nu" in echo.split()) != ("kappa" in echo.split())
 
     @pytest.mark.parametrize("line,frag", [
         ("shape = triangle", "shape"),
@@ -151,6 +175,22 @@ class TestParseConfig:
         assert cfg.shape == "semicircle"
 
 
+def _dump_per_entry(system):
+    """system_dump.txt by the per-entry rule: repr of each entry as a
+    double, one numpy scalar at a time."""
+    def floats(values):
+        return " ".join(repr(float(v)) for v in values)
+    lines = [f"n_rows {system.matrix.shape[0]}",
+             f"n_cols {system.matrix.shape[1]}",
+             f"n_constraints {system.n_constraints}",
+             "row_scale " + floats(system.row_scale),
+             *(f"row {i} " + floats(row)
+               for i, row in enumerate(system.matrix)),
+             "rhs " + floats(system.rhs),
+             f"condition_estimate {system.condition_estimate!r}"]
+    return ("\n".join(lines) + "\n").encode()
+
+
 class TestRun:
     def _cfg(self, out, extra=""):
         return parse_config(BASE + f"N = 8\nout_dir = {out}\n" + extra)
@@ -228,11 +268,17 @@ class TestRun:
         # a config built in code gets the same check
         assert run(replace(cfg, run_mode="sweep-gamma"), quiet=True) == 2
 
-    def test_dump_system(self, tmp_path):
+    def test_dump_system(self, tmp_path, monkeypatch):
+        dumped = []
+        dump_text = solver.LinearSystem.dump_text
+        monkeypatch.setattr(solver.LinearSystem, "dump_text",
+                            lambda system: dumped.append(system)
+                            or dump_text(system))
         cfg = self._cfg(tmp_path / "dump")
         assert run(cfg, dump_system=True, quiet=True) == 0
-        text = (tmp_path / "dump" / "system_dump.txt").read_text()
-        assert text.startswith("n_rows")
+        data = (tmp_path / "dump" / "system_dump.txt").read_bytes()
+        assert data.startswith(b"n_rows")
+        assert data == _dump_per_entry(*dumped)
 
     @pytest.mark.parametrize("mode,grid", [("sweep-gamma", "0.5 1.0"),
                                            ("sweep-curvature", "0.5 1.0"),
@@ -334,10 +380,66 @@ def test_solve_mode_matches_public_functions(case, tmp_path, capsys):
                        ("du2_jump", profile.jump.imag),
                        ("delta", profile.delta)):
         _assert_close(opening[name], want)
+    # the s column is the text of every second point of the g' grid
+    assert [float(v) for v in opening["s"]] == profile.s.tolist()
+    g_prime = _csv_columns(tmp_path / "g_prime.csv")
+    assert list(opening["s"]) == list(g_prime["s"][::2])
 
     fits = fit_tip_coefficients(curve, material, load, coeffs)
     for key, name in (("A1 (du1/ds)", "du1_ds"), ("A2 (tau_n)", "tau_n")):
         assert float(printed[key]) == pytest.approx(fits[name].A, rel=1e-13)
+
+
+@pytest.mark.parametrize("curve", [
+    make_semicircle(), *(make_circular_arc(k0) for k0 in (0.3, 0.6, 0.9)),
+    make_straight(2.0)], ids=["semicircle", "arc0.3", "arc0.6", "arc0.9",
+                              "straight"])
+def test_opening_grid_is_every_second_g_prime_point(curve):
+    # solve mode writes opening.csv's s column as every second cell of
+    # g_prime.csv's, which holds only if the 201-point grid is the even
+    # points of the 401-point one, bit for bit
+    zero = np.zeros(4)
+    profile = opening_profile(
+        DensityCoefficients(zero, zero, curve.length, 1.0), curve,
+        Material(mu=60.0, kappa=2.5))
+    fine = np.linspace(0.0, curve.length, 401)
+    assert profile.s.size == 201
+    assert profile.s.tobytes() == fine[::2].tobytes()
+
+
+# the configs of one run per mode, and one sweep whose rows fail with an
+# error message; the types of the CSV columns that do not hold floats
+CSV_RUNS = {
+    "solve": BASE + "N = 12\n",
+    "sweep-gamma": BASE + "N = 12\nrun_mode = sweep-gamma\n"
+                          "grid = 0.5 1.0 2.0\n",
+    "sweep-curvature": BASE + "N = 12\nrun_mode = sweep-curvature\n"
+                              "grid = 0.5 1.0\n",
+    "convergence": BASE + "run_mode = convergence\ngrid = 8 10 12\n",
+    "sweep-errors": BASE.replace("shape = semicircle",
+                                 "shape = straight\nlength = 2.0")
+    + "N = 4\nrun_mode = sweep-gamma\ngrid = 0.5 1.0\n",
+}
+_CELL_TYPES = {"side": str, "error": str, "N": int}
+
+
+@pytest.mark.parametrize("case", CSV_RUNS)
+def test_csv_bytes_keep_the_cell_rule(case, tmp_path):
+    # every CSV of a run is the per-cell rule applied to its values read
+    # back, and the config echo reads back as the run's config
+    config = parse_config(CSV_RUNS[case] + f"out_dir = {tmp_path}\n")
+    assert run(config, quiet=True) == 0
+    paths = sorted(tmp_path.glob("*.csv"))
+    assert paths
+    for path in paths:
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        kinds = [_CELL_TYPES.get(name, float) for name in header]
+        values = [[kind(cell) for kind, cell in zip(kinds, row, strict=True)]
+                  for row in rows]
+        assert path.read_bytes() == _csv_text(header, values).encode()
+    echo = (tmp_path / "config_echo.txt").read_text()
+    assert parse_config(echo) == config
 
 
 # run mode: (config lines, node sides, face operators, jump tables, tip

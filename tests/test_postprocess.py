@@ -15,7 +15,7 @@ from curvecrack import (DensityCoefficients, FarFieldLoad, KernelSet, Material,
 from curvecrack import solver
 from curvecrack.fields import (_FaceOperator, _FieldEvaluator, _NodeSide,
                                face_field_profile)
-from curvecrack.postprocess import (ConvergenceRow, GammaSweepRow,
+from curvecrack.postprocess import (ConvergenceRow, GammaSweepRow, _cells,
                                     extremum_coincidence_report,
                                     write_convergence_csv, write_csv,
                                     write_face_fields_csv, write_g_prime_csv,
@@ -529,17 +529,25 @@ class TestCsvWriters:
                 np.uint8(255), 10, 11]
         strings = ["", "plus", "minus", "nan", "1.0", "ERROR: no fit",
                    "x y", "-", "0", ""]
-        header = ["f", "f32", "i", "str"]
+        texts = ["a, b", 'say "hi"', "two\nlines", ",", '"', "plain", "",
+                 "x,y,z", 'q"', "1e5"]
+        header = ["f", "f32", "i", "str", "text"]
+        want = _csv_text(header, zip(floats, singles, ints, strings, texts))
         path = tmp_path / "cells.csv"
-        write_csv(path, header, [floats, singles, ints, strings])
-        assert path.read_text() == _csv_text(
-            header, zip(floats, singles, ints, strings))
+        write_csv(path, header, [floats, singles, ints, strings, texts])
+        assert path.read_text() == want
         write_csv(path, header, [np.array(floats), singles, np.array(ints),
-                                 np.array(strings)])
-        assert path.read_text() == _csv_text(
-            header, zip(floats, singles, ints, strings))
+                                 np.array(strings), np.array(texts)])
+        assert path.read_text() == want
+        # a column formatted once is a list of str and writes as before
+        write_csv(path, header, [_cells(floats), _cells(singles),
+                                 _cells(ints), strings, texts])
+        assert path.read_text() == want
         with pytest.raises(ValueError):
             write_csv(path, ["a", "b"], [[1.0], [1.0, 2.0]])
+        assert path.read_text() == want
+        write_csv(path, ["a", "b"], [[], []])
+        assert path.read_text() == "a,b\n"
 
     def test_g_prime_csv(self, tmp_path):
         path = tmp_path / "g_prime.csv"
