@@ -84,11 +84,12 @@ class RunConfig:
     def build(self, lines: dict | None = None) -> BuiltRun:
         """Check the config and construct the library objects it describes.
 
-        The CLI's own rules come first: the run mode and its grid, the
-        shape and the key it needs, and row_scaling = off only in solve
-        mode.  Only the keys the run mode reads are required and checked
-        (`_READ_BY`): sweep-curvature reads no shape (nor curvature or
-        length), sweep-gamma no gamma1 and convergence no N.  curve and
+        The CLI's own rules come first: an out_dir that the config echo
+        reads back unchanged, the run mode and its grid, the shape and the
+        key it needs, and row_scaling = off only in solve mode.  Only the
+        keys the run mode reads are required and checked (`_READ_BY`):
+        sweep-curvature reads no shape (nor curvature or length),
+        sweep-gamma no gamma1 and convergence no N.  curve and
         disc are None where the mode reads no shape or no N.  Every range
         is then left to the constructors (curve, Material, FarFieldLoad,
         SurfaceParams, Discretization); a ValueError from any of them
@@ -116,6 +117,15 @@ class RunConfig:
                                   f"'{key}'")
             return True
 
+        # parse_config splits lines, pairs at ',' and comments at '#', and
+        # strips each value, so out_dir must hold none of these to be read
+        # back from the echo
+        out_dir = str(self.out_dir)
+        if (any(c in out_dir for c in ",#") or out_dir != out_dir.strip()
+                or len(out_dir.splitlines()) > 1):
+            raise ConfigError(f"{at('out_dir')}key 'out_dir' must hold no "
+                              "',', '#', line break or leading or trailing "
+                              f"whitespace, got {out_dir!r}")
         if self.run_mode not in RUN_MODES:
             raise ConfigError(f"{at('run_mode')}key 'run_mode' must be one of "
                               f"{', '.join(RUN_MODES)}, got {self.run_mode!r}")
@@ -358,7 +368,8 @@ def run(config: RunConfig, out_dir: str | None = None,
 
     The config is checked before anything is written: a ConfigError, or
     dump_system outside solve mode, exits 2 and leaves no output
-    directory.
+    directory.  An output directory that cannot be created, or its config
+    echo written, exits 2 as well.
     """
     if mode_override is not None:
         config = replace(config, run_mode=mode_override)
@@ -374,8 +385,13 @@ def run(config: RunConfig, out_dir: str | None = None,
         return 2
 
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config_echo.txt").write_text(config.echo_text())
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "config_echo.txt").write_text(config.echo_text())
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        print(f"error: cannot write output directory {str(out)!r}: {exc}",
+              file=sys.stderr)
+        return 2
 
     def fail(exc, code):
         (out / "error.log").write_text(f"{type(exc).__name__}: {exc}\n")

@@ -12,25 +12,26 @@ principal values in closed form.  The flat node rule survives only in the
 discrete oracle mode, face_fields(..., cauchy="discrete").
 
 The density parts of the face fields are linear in the density, so they
-are split into a table and its application.  `_FaceOperator` tabulates,
-once per set of points s0, everything that does not depend on the density:
-the kernels integrated against each function of the density basis
-(`KernelSet.raw_tables`) and the closed-form principal values of the
-basis functions, with their s0-derivatives for the assembly
-(`densities._pv_tables`).  All that does not depend on the points either
-is its node side (`_NodeSide`), which a run builds once at its largest
-degree and shares among all its operators.  The operator is read one way
-only, through rows(): one real map of the node side, composed from the
-small coefficient arrays of the kernels and the fields, applied to the
-real tables of the principal values and the raw kernel integrals, gives
-real combinations of the fields per unit real and imaginary part of each
-coefficient of g' and of q.  The assembly (`solver._CollocationTables`)
-reads the traction and the face-curvature change, which need the
-s0-derivatives, at the first ceil(N/2) collocation points (the mirror
-gives the rest).  The field evaluator reads the face-average traction and
-the face function omega at its points, applies those rows to the real and
-imaginary coefficient columns of the solved densities, one or a sweep's
-stack of them, and adds the +-jump terms and the far field.  This module
+are split into a table and its application.  The operator is one object,
+`_NodeSide`, for one curve and material, which a run builds once at its
+largest degree and shares among all its reads.  It tabulates everything
+that depends neither on the density nor on the points s0: the rule's
+weighted basis and the kernels' node tables.  It is read one way only,
+through rows(s0, degree, derivatives): the kernels integrated against
+each function of the density basis at the points (`KernelSet.raw_tables`)
+and the closed-form principal values of the basis functions, with their
+s0-derivatives for the assembly (`densities._pv_tables`), times one real
+map composed from the small coefficient arrays of the kernels and the
+fields, give real combinations of the fields per unit real and imaginary
+part of each coefficient of g' and of q.  The assembly
+(`solver._CollocationTables`) reads the traction and the face-curvature
+change, which need the s0-derivatives, at the first ceil(N/2)
+collocation points (the mirror gives the rest).  The field evaluator
+reads the face-average traction and the face function omega at its
+points, applies those rows to the real and imaginary coefficient columns
+of the solved densities, one or a sweep's stack of them, and adds the
++-jump terms and the far field.  A node side on a flat node rule is the
+discrete oracle: its principal values are node sums.  This module
 reaches the density basis only through `densities`.
 """
 
@@ -247,21 +248,26 @@ _KERNELS = ("k1", "k3", "k4", "d1", "d4", "dd1", "dd4")
 
 
 class _NodeSide:
-    """The tables of the face operator that do not depend on the points s0.
+    """The face operator of one curve and material, for degrees up to
+    `degree`.
 
-    For one curve and material and degrees up to `degree`: the weighted
-    basis of `regular_rule` (or of the given nodes and weights), the
-    kernels' node tables (`KernelSet.node_tables`) and, on first use, the
-    real maps of `_FaceOperator.rows`, the tip rows and the
-    single-valuedness integrals.  A column of each table depends only on
-    its own basis function and lower ones, so degree N reads the first
-    N+1.
+    Construction tabulates what does not depend on the points s0: the
+    weighted basis of the rule and the kernels' node tables
+    (`KernelSet.node_tables`); on first use come the real maps of rows(),
+    the tip rows and the single-valuedness integrals.  The rule is
+    `regular_rule`, or, when a `Discretization` disc is given, its flat
+    node rule, whose principal values are then the `pv_cauchy_sum` node
+    sums of the discrete oracle (without s0-derivatives).  A column of
+    each table depends only on its own basis function and lower ones, so
+    degree N reads the first N+1.
     """
 
-    def __init__(self, curve, material, degree, rule=None):
+    def __init__(self, curve, material, degree, disc=None):
         self.curve, self.material, self.degree = curve, material, degree
         self.kset = KernelSet(curve, material.kappa)
-        nodes, weights = regular_rule(curve.length) if rule is None else rule
+        self.disc = disc
+        nodes, weights = (regular_rule(curve.length) if disc is None
+                          else (disc.nodes, disc.weight))
         wbasis = np.reshape(weights, (-1, 1)) * densities.basis(
             nodes, curve.length, degree)
         self._kernel = self.kset.node_tables(nodes, wbasis)
@@ -272,6 +278,32 @@ class _NodeSide:
             raise ValueError(f"degree {degree} exceeds the {self.degree} "
                              "the node side was built for")
         return tuple(table[..., : degree + 1] for table in self._kernel)
+
+    def rows(self, s0, degree, derivatives=False):
+        """Real fields per unit coefficient at the points s0, (2, 4, 2, M,
+        degree+1): the one read of the operator.
+
+        For the coefficients c of g' or of q, per kind of row, the columns
+        of Re c and of Im c.  The kinds are Re Sigma, Im Sigma, -kappa0 dk
+        and -dk' with s0-derivatives, and Re Sigma, Im Sigma, Re omega and
+        Im omega without: Sigma is the face-average traction without the
+        far field and the +-q jump, omega the face-average face function.
+        One product of `rows_maps` with the principal values of the basis
+        functions and `KernelSet.raw_tables`.  On every curve k2 = -i
+        kappa0 is constant and d2 = dd2 = 0, so k2 enters through the
+        column sums and d2, dd2 not at all.
+        """
+        if self.disc is None:
+            pv = _pv_tables(self.curve.length, s0, degree, derivatives)
+        else:
+            nodes = self.disc.nodes
+            pv = pv_cauchy_sum(
+                densities.basis(nodes, self.curve.length, degree).T, nodes,
+                self.disc.weight, np.asarray(s0, dtype=float)[:, None])[None]
+        raw = np.concatenate([pv, self.kset.raw_tables(
+            s0, self.columns(degree), derivatives)])
+        out = self.rows_maps[derivatives] @ raw.reshape(len(raw), -1)
+        return out.reshape((2, 4, 2) + raw.shape[1:])
 
     @cached_property
     def tip_rows(self):
@@ -285,8 +317,8 @@ class _NodeSide:
 
     @cached_property
     def rows_maps(self):
-        """The real maps of `_FaceOperator.rows`: {True: (16, 9), False:
-        (16, 5)}, with and without s0-derivatives.
+        """The real maps of rows(): {True: (16, 9), False: (16, 5)}, with
+        and without s0-derivatives.
 
         The fields Sigma, omega, omega', omega'' are complex combinations
         T c + K conj(c) of the nine tables (the principal values and their
@@ -341,91 +373,20 @@ class _NodeSide:
         return maps
 
 
-class _FaceOperator:
-    """Density parts of the face fields, tabulated once at fixed points s0.
-
-    Construction does all the work that does not depend on the density, for
-    densities of degree up to `degree`, from a node side (`_NodeSide`) of
-    at least that degree: the real tables of `KernelSet.raw_tables` (of
-    c = cot x - 1/x, with derivatives also of c' and c''; the moment; the
-    basis column sums) and the closed-form principal values of the basis
-    functions, with their s0-derivatives when derivatives is set
-    (`densities._pv_tables`).  On every curve k2 = -i kappa0 is constant
-    and d2 = dd2 = 0, so k2 enters through the column sums and d2, dd2 not
-    at all.  rows() is the one read of the operator: the assembly builds
-    its rows for the 2N+2 basis columns from it, and the field evaluator
-    applies it to the solved densities.
-    """
-
-    def __init__(self, side, s0, degree, derivatives=False):
-        self.derivatives = derivatives
-        self._side = side
-        self._raw = side.kset.raw_tables(s0, side.columns(degree),
-                                         derivatives)
-        self._pv = self._pv_table(s0, degree)
-
-    def _pv_table(self, s0, degree):
-        """The closed-form principal values of the basis functions."""
-        return _pv_tables(self._side.curve.length, s0, degree,
-                          self.derivatives)
-
-    def rows(self):
-        """Real fields per unit coefficient, (2, 4, 2, M, degree+1).
-
-        For the coefficients c of g' or of q, per kind of row, the columns
-        of Re c and of Im c.  The kinds are Re Sigma, Im Sigma, -kappa0 dk
-        and -dk' with s0-derivatives, and Re Sigma, Im Sigma, Re omega and
-        Im omega without: Sigma is the face-average traction without the
-        far field and the +-q jump, omega the face-average face function.
-        One product of `_NodeSide.rows_maps` with the principal-value
-        tables and `KernelSet.raw_tables`.
-        """
-        raw = np.concatenate([self._pv, self._raw])
-        out = self._side.rows_maps[self.derivatives] \
-            @ raw.reshape(len(raw), -1)
-        return out.reshape((2, 4, 2) + raw.shape[1:])
-
-
-class _FlatRuleOperator(_FaceOperator):
-    """The discrete oracle of _FaceOperator, without s0-derivatives.
-
-    Both the regular and the Cauchy parts are node sums over the nodes of
-    disc with its flat weight; the Cauchy part is `pv_cauchy_sum` of each
-    basis function, so no point s0 may coincide with a node.
-    """
-
-    def __init__(self, curve, material, s0, degree, disc):
-        self._disc = disc
-        rule = disc.nodes, np.full(disc.nodes.shape, disc.weight)
-        super().__init__(_NodeSide(curve, material, degree, rule), s0, degree)
-
-    def _pv_table(self, s0, degree):
-        """The node sums that stand for the closed-form principal values."""
-        nodes, weight = self._disc.nodes, self._disc.weight
-        return pv_cauchy_sum(
-            densities.basis(nodes, self._side.curve.length, degree).T, nodes,
-            weight, np.asarray(s0, dtype=float)[:, None])[None]
-
-
 class _FieldEvaluator:
     """Face fields at fixed points s0, for any density of degree <= degree.
 
-    Construction checks the points, tabulates the operator's rows
-    (`_FaceOperator.rows`, without s0-derivatives), the basis and the far
-    field at the points; apply() applies the rows to the real and imaginary
-    coefficient columns of any number of solved densities and adds the
-    +-jump terms and the far field, so one evaluator serves every density
-    of a sweep, and face_values is its one-density case.  The default exact
-    mode integrates the regular kernels with `regular_rule` and takes the
-    principal values in closed form.  The discrete mode is the flat-rule
-    oracle (_FlatRuleOperator): node sums over the n_quad + 1 nodes of the
-    collocation rule, with its flat weight.
+    Construction checks the points and reads the operator's rows at them
+    (`_NodeSide.rows`, without s0-derivatives) from node_side, or from a
+    node side of its own on `regular_rule`, and tabulates the basis and
+    the far field at the points; apply() applies the rows to the real and
+    imaginary coefficient columns of any number of solved densities and
+    adds the +-jump terms and the far field, so one evaluator serves every
+    density of a sweep, and face_values is its one-density case.  A node
+    side on a flat node rule gives the discrete oracle.
     """
 
-    def __init__(self, curve, material, load, s0, degree, n_quad=400,
-                 cauchy="exact", node_side=None):
-        if cauchy not in ("exact", "discrete"):
-            raise ValueError(f"unknown cauchy mode {cauchy!r}")
+    def __init__(self, curve, material, load, s0, degree, node_side=None):
         self.curve = curve
         self.material = material
         self.s0 = np.asarray(s0, dtype=float)
@@ -434,14 +395,9 @@ class _FieldEvaluator:
             raise ValueError("the points s0 must be finite and lie strictly "
                              f"inside (0, {curve.length}), got {s0}")
         kappa = material.kappa
-        if cauchy == "discrete":
-            op = _FlatRuleOperator(curve, material, self.s0, degree,
-                                   Discretization(n_quad, curve.length))
-        else:
-            if node_side is None:
-                node_side = _NodeSide(curve, material, degree)
-            op = _FaceOperator(node_side, self.s0, degree)
-        self._rows = op.rows()
+        if node_side is None:
+            node_side = _NodeSide(curve, material, degree)
+        self._rows = node_side.rows(self.s0, degree)
         self._basis = densities.basis(self.s0, curve.length, degree)
         phi, psi = load.phi_inf, load.psi_inf
         self._t1 = t1 = curve.tangent(self.s0)
@@ -515,8 +471,14 @@ def face_fields(curve: CrackCurve, material: Material, load: FarFieldLoad,
     """
     if side not in _SIDES:
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    if cauchy not in ("exact", "discrete"):
+        raise ValueError(f"unknown cauchy mode {cauchy!r}")
+    node_side = None
+    if cauchy == "discrete":
+        node_side = _NodeSide(curve, material, densities.degree,
+                              Discretization(n_quad, curve.length))
     ev = _FieldEvaluator(curve, material, load, [s0], densities.degree,
-                         n_quad, cauchy)
+                         node_side)
     return ev.samples(densities)[_SIDES.index(side)][0]
 
 

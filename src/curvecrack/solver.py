@@ -26,9 +26,8 @@ the boundary equation at the collocation midpoints but not between them,
 least of all near the tips (see the tests/test_acceptance.py docstring).
 
 Integral evaluation: the collocation rows come from the face-field
-operator (`fields._FaceOperator.rows`, the one read of the operator, which
-the field evaluator shares) tabulated at the first ceil(N/2) collocation
-points; the rows of the others are their mirror images (see the solve
+operator (`fields._NodeSide.rows`, the one read of the operator, which
+the field evaluator shares) at the first ceil(N/2) collocation points; the rows of the others are their mirror images (see the solve
 below).  Per unit real and imaginary part of each coefficient of g' and
 of q, rows() gives Re Sigma and Im Sigma of the face-average traction
 Sigma, and -kappa0 dk and -dk' of the face-curvature change dk =
@@ -96,7 +95,7 @@ import numpy as np
 from .densities import (DensityCoefficients, _jump_table, _mirror_signs,
                         _parity_columns, _single_valued_integrals,
                         _tip_blocks, q_rows_to_unknowns)
-from .fields import _FaceOperator, _NodeSide, boundary_forcing
+from .fields import _NodeSide, boundary_forcing
 from .geometry import CrackCurve
 # gauss_legendre is not called here, but perfbench's tracer test rebinds it
 # by name in this module, so the name stays bound here
@@ -255,8 +254,8 @@ class _CollocationTables:
     traction of their q at gamma1 = 1 plus the curvature term of their g',
     and R2 the curvature term of their q.  The three real (2M, 2N+2)
     blocks, the Re rows then the Im rows of the first M = ceil(N/2)
-    collocation points, come from one real product (`_FaceOperator.rows`
-    at those points), and the q rows become g1 and g2 columns through the
+    collocation points, come from one read of the operator
+    (`_NodeSide.rows` at those points, with s0-derivatives), and the q rows become g1 and g2 columns through the
     closure (`q_rows_to_unknowns`); the rows of the other points are their
     mirrors (`systems`).  The tip rows are T0 + gamma1 T1, in closed form
     (`_tip_blocks`).  The tables also hold the single-valuedness
@@ -276,8 +275,8 @@ class _CollocationTables:
         M = (N + 1) // 2
         # (g' or q, row kind, Re or Im, point, coefficient): Re Sigma,
         # Im Sigma, -kappa0 dk and -dk' per unit coefficient
-        g, q = _FaceOperator(node_side, disc.collocation_points[:M], N,
-                             derivatives=True).rows()
+        g, q = node_side.rows(disc.collocation_points[:M], N,
+                              derivatives=True)
         q = np.stack(q_rows_to_unknowns(q[:, 0], q[:, 1], curve, material),
                      axis=1)
         # (row kind, point) by (Re or Im, coefficient)

@@ -1,6 +1,6 @@
 """Complex-product route to the face fields: the reference of the real rows.
 
-The program reads the face operator only through `fields._FaceOperator.rows`,
+The program reads the face operator only through `fields._NodeSide.rows`,
 one real map applied to real tables.  This module keeps the route it
 replaced, in which the kernels are complex tables over the density
 coefficients and the fields come from complex matrix products with the
@@ -8,19 +8,21 @@ coefficient columns of g' and q:
 
 - `kernel_tables` combines the raw tables of `KernelSet.raw_tables` into
   one complex table per kernel, with `KernelSet.table_rows`;
-- `FaceOperator` is `fields._FaceOperator` with those tables (`_reg`) and
-  `apply`, which gives Sigma and omega (and omega', omega'' with
-  s0-derivatives) of density columns, differentiating omega's
-  coefficients with `times_derivative`, the column shift of the centered
-  monomials, not with the derivative matrix of `densities`.
+- `FaceOperator` tabulates, from a node side's kernel columns, its own
+  raw tables (`_raw`) and closed-form principal values (`_pv`), combines
+  the kernel tables (`_reg`) and gives, through `apply`, Sigma and omega
+  (and omega', omega'' with s0-derivatives) of density columns,
+  differentiating omega's coefficients with `times_derivative`, the
+  column shift of the centered monomials, not with the derivative matrix
+  of `densities`.  It shares no code with the program's read beyond the
+  raw and principal-value tables.
 """
 
 from functools import cached_property
 
 import numpy as np
 
-from curvecrack import fields
-from curvecrack.densities import basis, cauchy_densities
+from curvecrack.densities import _pv_tables, basis, cauchy_densities
 
 # the kernel tables apply() reads, without and with s0-derivatives
 KERNELS = {False: ("k1", "k3", "k4"),
@@ -53,13 +55,17 @@ def kernel_tables(kset, raw, keys):
         (len(keys),) + raw.shape[1:])
 
 
-class FaceOperator(fields._FaceOperator):
+class FaceOperator:
     """The face operator with the complex route: `_reg` and apply()."""
 
     def __init__(self, side, s0, degree, derivatives=False):
-        super().__init__(side, s0, degree, derivatives)
         s0 = np.asarray(s0, dtype=float)
         l = side.curve.length
+        self.derivatives = derivatives
+        self._side = side
+        self._raw = side.kset.raw_tables(s0, side.columns(degree),
+                                         derivatives)
+        self._pv = _pv_tables(l, s0, degree, derivatives)
         self.kappa = side.kset.kappa
         self._k2 = -1j * side.curve.constant_curvature
         self._inv_ends = (1.0 / (l - s0)[:, None], 1.0 / s0[:, None])

@@ -472,8 +472,8 @@ def test_tabulations_per_run_mode(mode, tmp_path, monkeypatch):
 
     monkeypatch.setattr(fields._NodeSide, "__init__",
                         counted("nodes", fields._NodeSide.__init__))
-    monkeypatch.setattr(fields._FaceOperator, "__init__",
-                        counted("operators", fields._FaceOperator.__init__))
+    monkeypatch.setattr(fields._NodeSide, "rows",
+                        counted("operators", fields._NodeSide.rows))
     for module in (solver, post):
         monkeypatch.setattr(module, "_jump_table",
                             counted("jump", solver._jump_table))

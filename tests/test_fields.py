@@ -13,7 +13,8 @@ from curvecrack import (DensityCoefficients, FarFieldLoad, KernelSet,
 from curvecrack import fields
 from curvecrack.densities import (poly_derivative, poly_eval, q_coefficients,
                                   q_polynomial)
-from curvecrack.quadrature import gauss_legendre, regular_rule
+from curvecrack.quadrature import (Discretization, gauss_legendre,
+                                   pv_cauchy_sum, regular_rule)
 from oracle import FaceOperator
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -293,11 +294,15 @@ class TestFaceFields:
         coeffs = DensityCoefficients(rng.normal(size=9), rng.normal(size=9),
                                      semicircle.length, gamma1=1.0)
         n_quad = 400
+        side = None
+        if cauchy == "discrete":
+            side = fields._NodeSide(semicircle, material, coeffs.degree,
+                                    Discretization(n_quad, semicircle.length))
 
         def evaluator(points):
             return fields._FieldEvaluator(semicircle, material, load_h,
                                           points, coeffs.degree,
-                                          n_quad=n_quad, cauchy=cauchy)
+                                          node_side=side)
 
         # cell midpoints of the discrete rule, which never hit its nodes
         j = np.sort(rng.choice(n_quad, size=37, replace=False))
@@ -310,6 +315,65 @@ class TestFaceFields:
                               (du[:, k], one_du[:, 0])):
                 assert np.all(np.abs(got - want)
                               <= 1e-13 * np.abs(want) + 1e-13)
+
+    @pytest.mark.parametrize("curve", [make_semicircle(),
+                                       make_circular_arc(0.5),
+                                       make_straight(2.0)],
+                             ids=["semicircle", "arc", "straight"])
+    def test_discrete_mode_is_the_flat_node_sums(self, material, curve):
+        # the discrete oracle written out: every kernel of KernelSet.block
+        # and the Cauchy densities summed over the n_quad + 1 flat nodes
+        # l k / n_quad with the weight l / (n_quad + 1)
+        rng = np.random.default_rng(31)
+        coeffs = DensityCoefficients(rng.normal(size=9), rng.normal(size=9),
+                                     curve.length, gamma1=1.0)
+        load = FarFieldLoad(sigma1=1.0, sigma2=0.4, alpha=0.3)
+        l, kappa, mu, n_quad = curve.length, material.kappa, material.mu, 400
+        nodes = l * np.arange(n_quad + 1) / n_quad
+        w = l / (n_quad + 1)
+        grid = (2 * np.sort(rng.choice(n_quad, size=9, replace=False)) + 1) \
+            * l / (2 * n_quad)
+        blk = KernelSet(curve, kappa).block(nodes, grid[:, None],
+                                            derivatives=False)
+        gp = coeffs.gprime(nodes)
+        q = traction_jump(curve, material, 1.0, coeffs, nodes)
+        reg_t = w * (blk["k1"] @ gp + blk["k2"] @ np.conj(gp)
+                     - 2j * (blk["k3"] @ q) + 2j * (blk["k2"] @ np.conj(q)))
+        reg_w = w * (blk["k4"] @ gp + kappa * (blk["k1"] @ (-2j * q))
+                     - blk["k2"] @ np.conj(gp - 2j * q))
+        sing_t = pv_cauchy_sum(2.0 * gp + 2j * (kappa - 1.0) * q, nodes, w,
+                               grid)
+        sing_w = pv_cauchy_sum((kappa - 1.0) * gp - 4j * kappa * q, nodes,
+                               w, grid)
+        scale = 1.0 / (2.0 * np.pi * (kappa + 1.0))
+        t1 = curve.tangent(grid)
+        phi, psi = load.phi_inf, load.psi_inf
+        far = 2.0 * phi.real + np.conj(psi) * np.conj(t1) ** 2
+        du_far = (kappa * phi - np.conj(phi)) * t1 - np.conj(psi) * np.conj(t1)
+        q0 = traction_jump(curve, material, 1.0, coeffs, grid)
+        gp0 = coeffs.gprime(grid)
+        got_t, got_du, want_t, want_du = [], [], [], []
+        for side, sign in (("plus", 1.0), ("minus", -1.0)):
+            for k, s0 in enumerate(grid):
+                f = face_fields(curve, material, load, coeffs, side, s0,
+                                n_quad=n_quad, cauchy="discrete")
+                got_t.append(f.sigma_n + 1j * f.tau_n)
+                got_du.append(f.du1_ds + 1j * f.du2_ds)
+            want_t.append(sign * q0 + far + scale * (sing_t + reg_t))
+            want_du.append((t1 * (sign * 0.5j * gp0
+                                  + scale * (sing_w + reg_w)) + du_far)
+                           / (2.0 * mu))
+        for got, want in ((got_t, want_t), (got_du, want_du)):
+            got, want = np.array(got), np.concatenate(want)
+            assert got.shape == want.shape == (2 * len(grid),)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_unknown_cauchy_mode_is_named(self, material, semicircle,
+                                          load_h):
+        with pytest.raises(ValueError, match="bogus"):
+            face_fields(semicircle, material, load_h,
+                        _zero_coeffs(semicircle), "plus", 1.0,
+                        cauchy="bogus")
 
     @pytest.mark.parametrize("curve", [make_semicircle(),
                                        make_circular_arc(0.5)],

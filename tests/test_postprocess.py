@@ -13,8 +13,7 @@ from curvecrack import (DensityCoefficients, FarFieldLoad, KernelSet, Material,
                         opening_profile, parity_residuals, solve_problem,
                         sweep_curvature, sweep_gamma, tip_log_coefficients)
 from curvecrack import solver
-from curvecrack.fields import (_FaceOperator, _FieldEvaluator, _NodeSide,
-                               face_field_profile)
+from curvecrack.fields import _FieldEvaluator, _NodeSide, face_field_profile
 from curvecrack.postprocess import (ConvergenceRow, GammaSweepRow, _cells,
                                     extremum_coincidence_report,
                                     write_convergence_csv, write_csv,
@@ -369,13 +368,13 @@ class TestSweepTables:
         # of the operator, for the collocation blocks and the field
         # evaluator alike
         calls = []
-        rows = _FaceOperator.rows
+        rows = _NodeSide.rows
 
-        def counted_rows(self):
+        def counted_rows(self, *args, **kwargs):
             calls.append(1)
-            return rows(self)
+            return rows(self, *args, **kwargs)
 
-        monkeypatch.setattr(_FaceOperator, "rows", counted_rows)
+        monkeypatch.setattr(_NodeSide, "rows", counted_rows)
         sweep_gamma(semicircle, material, load_h, [1.0], N=20)
         one = len(calls)
         calls.clear()

@@ -4,6 +4,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvecrack.cli import ConfigError, main, parse_config, run
 
@@ -108,3 +110,51 @@ def test_solve_without_shape_exits_2(tmp_path, capsys):
                quiet=True) == 2
     assert "shape" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["file", "under-file", "nul"])
+def test_out_dir_that_cannot_be_created_exits_2(tmp_path, capsys, where):
+    # --out naming a regular file, a path under one, or a path the
+    # system rejects: an error naming the directory, the file untouched
+    path = tmp_path / "run.cfg"
+    path.write_text(_text(GOOD))
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = {"file": str(taken), "under-file": str(taken / "out"),
+           "nul": str(tmp_path / "o\0ut")}[where]
+    assert main(["--config", str(path), "--out", out, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(out) in err
+    assert taken.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "taken"]
+
+
+# out_dir values parse_config would read back from config_echo.txt as
+# something else: pairs split at ',', comments at '#', lines at any line
+# break, and values are stripped
+UNREADABLE_OUT_DIRS = ["{}/a,b", "{}/#x", "{}/a\nb", "{}/a\r\nb", "{}/a\x1cb",
+                       "{}/a\u2028b", " {}/a", "{}/a\t"]
+
+
+@pytest.mark.parametrize("template", UNREADABLE_OUT_DIRS)
+def test_out_dir_the_echo_cannot_read_back_exits_2(tmp_path, capsys,
+                                                   template):
+    out = template.format(tmp_path)
+    good = parse_config(_text(GOOD))
+    with pytest.raises(ConfigError, match="out_dir"):
+        replace(good, out_dir=out).build()
+    assert run(good, out_dir=out, quiet=True) == 2
+    assert "out_dir" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(out_dir=st.text(alphabet=st.one_of(
+    st.sampled_from(",#= \t\n\r\x0b\x0c\x1c\x85\u2028"), st.characters())))
+def test_out_dir_is_rejected_or_read_back(out_dir):
+    config = replace(parse_config(_text(GOOD)), out_dir=out_dir)
+    try:
+        config.build()
+    except ConfigError:
+        return
+    assert parse_config(config.echo_text()) == config
