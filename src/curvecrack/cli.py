@@ -4,6 +4,10 @@ Configs are UTF-8 key=value text; blank lines and '#' comments are ignored,
 and several pairs may share a line separated by commas.  Exit codes:
 0 success, 2 configuration/geometry error, 3 assembly error, 4 solve error.
 
+`RunConfig`'s fields are the keys, in echo order, with their defaults and
+`_PARSERS` their parsers; `parse_config` checks the syntax alone and
+`RunConfig.build` every other rule, for parsed and code-built configs.
+
 Solve mode tabulates once, as the sweeps do: one `postprocess._SweepTables`
 gives the constrained system, the face fields on both faces and the tip-fit
 samples (one field evaluator at all those points), and the opening (the
@@ -18,7 +22,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -41,11 +45,6 @@ _MANDATORY = ("shape", "mu", "sigma1_inf", "sigma2_inf", "gamma1")
 _READ_BY = {"shape": ("solve", "sweep-gamma", "convergence"),
             "gamma1": ("solve", "sweep-curvature", "convergence"),
             "N": ("solve", "sweep-gamma", "sweep-curvature")}
-_KNOWN_KEYS = {
-    "shape", "curvature", "length", "mu", "nu", "kappa", "mode",
-    "sigma1_inf", "sigma2_inf", "alpha", "gamma1", "N", "run_mode",
-    "grid", "out_dir", "row_scaling",
-}
 
 
 class ConfigError(ValueError):
@@ -64,17 +63,19 @@ class BuiltRun(NamedTuple):
 
 @dataclass
 class RunConfig:
-    shape: str | None
-    mu: float
-    kappa: float
-    sigma1_inf: float
-    sigma2_inf: float
-    gamma1: float | None
+    """The keys of a run config, in echo order; None is a key not given."""
+
+    shape: str | None = None
     curvature: float | None = None
     length: float | None = None
+    mu: float | None = None
     nu: float | None = None
+    kappa: float | None = None
     mode: str = "plane_strain"
+    sigma1_inf: float | None = None
+    sigma2_inf: float | None = None
     alpha: float = 0.0
+    gamma1: float | None = None
     N: int = 20
     run_mode: str = "solve"
     grid: tuple = ()
@@ -84,17 +85,18 @@ class RunConfig:
     def build(self, lines: dict | None = None) -> BuiltRun:
         """Check the config and construct the library objects it describes.
 
-        The CLI's own rules come first: an out_dir that the config echo
-        reads back unchanged, the run mode and its grid, the shape and the
-        key it needs, and row_scaling = off only in solve mode.  Only the
-        keys the run mode reads are required and checked (`_READ_BY`):
-        sweep-curvature reads no shape (nor curvature or length),
-        sweep-gamma no gamma1 and convergence no N.  curve and
+        The CLI's own rules come first: a non-empty out_dir that the config
+        echo reads back unchanged, the run mode, the keys it requires, its
+        grid, the shape and the key it needs, and row_scaling = off only in
+        solve mode.  Only the keys the run mode reads are required and
+        checked (`_READ_BY`): sweep-curvature reads no shape (nor curvature
+        or length), sweep-gamma no gamma1 and convergence no N.  curve and
         disc are None where the mode reads no shape or no N.  Every range
         is then left to the constructors (curve, Material, FarFieldLoad,
         SurfaceParams, Discretization); a ValueError from any of them
-        becomes a ConfigError.  lines maps a key to the line of the config
-        text that set it, for the error messages.
+        becomes a ConfigError.  Where nu is given, the checked config holds
+        the kappa that follows from it.  lines maps a key to the line of the
+        config text that set it, for the error messages.
         """
         lines = lines or {}
 
@@ -109,26 +111,28 @@ class RunConfig:
                 raise ConfigError(f"{where}{exc}") from None
 
         def reads(key):
-            """Whether the run mode reads key; it must then be given."""
-            if self.run_mode not in _READ_BY[key]:
-                return False
-            if getattr(self, key) is None:
-                raise ConfigError(f"run_mode={self.run_mode} requires key "
-                                  f"'{key}'")
-            return True
+            return self.run_mode in _READ_BY.get(key, RUN_MODES)
 
         # parse_config splits lines, pairs at ',' and comments at '#', and
         # strips each value, so out_dir must hold none of these to be read
-        # back from the echo
+        # back from the echo; an empty one is the current directory
         out_dir = str(self.out_dir)
-        if (any(c in out_dir for c in ",#") or out_dir != out_dir.strip()
+        if (not out_dir or any(c in out_dir for c in ",#")
+                or out_dir != out_dir.strip()
                 or len(out_dir.splitlines()) > 1):
-            raise ConfigError(f"{at('out_dir')}key 'out_dir' must hold no "
-                              "',', '#', line break or leading or trailing "
-                              f"whitespace, got {out_dir!r}")
+            raise ConfigError(f"{at('out_dir')}key 'out_dir' must be "
+                              "non-empty and hold no ',', '#', line break or "
+                              "leading or trailing whitespace, got "
+                              f"{out_dir!r}")
         if self.run_mode not in RUN_MODES:
             raise ConfigError(f"{at('run_mode')}key 'run_mode' must be one of "
                               f"{', '.join(RUN_MODES)}, got {self.run_mode!r}")
+        missing = [k for k in _MANDATORY
+                   if reads(k) and getattr(self, k) is None]
+        if self.nu is None and self.kappa is None:
+            missing.append("nu|kappa")
+        if missing:
+            raise ConfigError("missing mandatory keys: " + ", ".join(missing))
         curve = self._curve(at, make) if reads("shape") else None
         if not self.row_scaling and self.run_mode != "solve":
             raise ConfigError(f"{at('row_scaling')}key 'row_scaling' = off "
@@ -161,8 +165,12 @@ class RunConfig:
                 arcs = [make("grid", make_circular_arc, value)
                         for value in grid]
 
-        material = make(None, Material, mu=self.mu, kappa=self.kappa,
-                        mode=self.mode, nu=self.nu)
+        if self.nu is None:
+            material = make(None, Material, mu=self.mu, kappa=self.kappa,
+                            mode=self.mode)
+        else:
+            material = make(None, Material.from_poisson, self.mu, self.nu,
+                            self.mode)
         load = make(None, FarFieldLoad, sigma1=self.sigma1_inf,
                     sigma2=self.sigma2_inf, alpha=self.alpha)
         if reads("gamma1"):
@@ -172,7 +180,8 @@ class RunConfig:
             # a curvature sweep checks N on its first arc; all are alike
             length = curve.length if curve is not None else arcs[0].length
             disc = make("N", Discretization, self.N, length)
-        return BuiltRun(replace(self, grid=grid), curve, material, load, disc)
+        return BuiltRun(replace(self, grid=grid, kappa=material.kappa), curve,
+                        material, load, disc)
 
     def _curve(self, at, make):
         """The curve of the shape key and the key that shape needs."""
@@ -199,20 +208,22 @@ class RunConfig:
         The material key is the one the config was given: nu, from which
         kappa follows, or else kappa.  Grid values are space-separated.
         """
-        pairs = {
-            "shape": self.shape, "curvature": self.curvature,
-            "length": self.length, "mu": self.mu, "nu": self.nu,
-            "kappa": self.kappa if self.nu is None else None,
-            "mode": self.mode,
-            "sigma1_inf": self.sigma1_inf, "sigma2_inf": self.sigma2_inf,
-            "alpha": self.alpha, "gamma1": self.gamma1, "N": self.N,
-            "run_mode": self.run_mode,
-            "grid": " ".join(map(repr, self.grid)) if self.grid else None,
-            "out_dir": self.out_dir,
-            "row_scaling": "on" if self.row_scaling else "off",
-        }
-        lines = [f"{k} = {v}" for k, v in pairs.items() if v is not None]
+        lines = []
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.name == "kappa" and self.nu is not None:
+                value = None
+            elif field.name == "grid":
+                value = " ".join(map(repr, value)) or None
+            elif field.name == "row_scaling":
+                value = "on" if value else "off"
+            if value is not None:
+                lines.append(f"{field.name} = {value}")
         return "\n".join(lines) + "\n"
+
+
+def _parse_text(raw, key, line_no):
+    return raw
 
 
 def _parse_float(raw, key, line_no):
@@ -248,9 +259,21 @@ def _parse_switch(raw, key, line_no):
     return raw == "on"
 
 
+# the parser of each RunConfig field's key
+_PARSERS = {
+    "shape": _parse_text, "curvature": _parse_float, "length": _parse_float,
+    "mu": _parse_float, "nu": _parse_float, "kappa": _parse_float,
+    "mode": _parse_text, "sigma1_inf": _parse_float,
+    "sigma2_inf": _parse_float, "alpha": _parse_float,
+    "gamma1": _parse_float, "N": _parse_int, "run_mode": _parse_text,
+    "grid": _parse_grid, "out_dir": _parse_text, "row_scaling": _parse_switch,
+}
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse key=value config text, then check it with RunConfig.build."""
-    seen: dict[str, tuple] = {}
+    """Parse key=value config text (the syntax and each key's `_PARSERS`
+    parser), then check every other rule with RunConfig.build."""
+    parsed, lines = {}, {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -264,52 +287,16 @@ def parse_config(text: str) -> RunConfig:
                                   f"got {piece!r}")
             key, _, raw = piece.partition("=")
             key = key.strip()
-            raw = raw.strip()
-            if key not in _KNOWN_KEYS:
+            if key not in _PARSERS:
                 raise ConfigError(f"line {line_no}: unknown key '{key}'")
-            if key in seen:
+            if key in parsed:
                 raise ConfigError(f"line {line_no}: duplicate key '{key}'")
-            seen[key] = (raw, line_no)
-
-    run_mode = seen.get("run_mode", ("solve",))[0]
-    missing = [k for k in _MANDATORY if k not in seen
-               and run_mode in _READ_BY.get(k, RUN_MODES)]
-    if "nu" not in seen and "kappa" not in seen:
-        missing.append("nu|kappa")
-    if missing:
-        raise ConfigError("missing mandatory keys: " + ", ".join(missing))
-    if "nu" in seen and "kappa" in seen:
-        raise ConfigError(f"line {seen['nu'][1]}: give either 'nu' or "
+            parsed[key] = _PARSERS[key](raw.strip(), key, line_no)
+            lines[key] = line_no
+    if "nu" in parsed and "kappa" in parsed:
+        raise ConfigError(f"line {lines['nu']}: give either 'nu' or "
                           "'kappa', not both")
-
-    def take(key, parse=None, default=None):
-        if key not in seen:
-            return default
-        raw, line_no = seen[key]
-        return parse(raw, key, line_no) if parse else raw
-
-    mu = take("mu", _parse_float)
-    mode = take("mode", default="plane_strain")
-    nu = take("nu", _parse_float)
-    kappa = take("kappa", _parse_float)
-    if nu is not None:
-        try:
-            kappa = Material.from_poisson(mu, nu, mode).kappa
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    config = RunConfig(
-        shape=take("shape"), curvature=take("curvature", _parse_float),
-        length=take("length", _parse_float), mu=mu, kappa=kappa, nu=nu,
-        mode=mode, sigma1_inf=take("sigma1_inf", _parse_float),
-        sigma2_inf=take("sigma2_inf", _parse_float),
-        alpha=take("alpha", _parse_float, 0.0),
-        gamma1=take("gamma1", _parse_float), N=take("N", _parse_int, 20),
-        run_mode=take("run_mode", default="solve"),
-        grid=take("grid", _parse_grid, ()),
-        out_dir=take("out_dir", default="out"),
-        row_scaling=take("row_scaling", _parse_switch, True))
-    lines = {key: line_no for key, (_, line_no) in seen.items()}
-    return config.build(lines).config
+    return RunConfig(**parsed).build(lines).config
 
 
 def _solve_outputs(config, curve, material, load, disc, dump_system):
@@ -424,6 +411,8 @@ def run(config: RunConfig, out_dir: str | None = None,
             for r in rows:
                 say(f"gamma1={r.gamma1!r} A1={r.A1!r} A2={r.A2!r} "
                     f"{('ERROR: ' + r.error) if r.error else ''}".rstrip())
+            idx, within = post.extremum_coincidence_report(rows)
+            say(f"extremum indices {idx}; within one grid step: {within}")
         elif config.run_mode == "sweep-curvature":
             rows = post.sweep_curvature(material, load, config.gamma1,
                                         config.grid, N=config.N)

@@ -192,6 +192,9 @@ class DensityCoefficients:
         self.g2 = np.asarray(self.g2, dtype=float)
         if self.g1.shape != self.g2.shape or self.g1.ndim != 1:
             raise ValueError("g1 and g2 must be equal-length 1-D coefficient vectors")
+        if not np.isfinite(self.length) or self.length <= 0:
+            raise ValueError(f"length must be positive, got {self.length}")
+        check_gamma1(self.gamma1)
 
     @property
     def classical_limit(self) -> bool:
@@ -205,6 +208,12 @@ class DensityCoefficients:
     def gprime(self, s):
         """Reconstructed complex density g'(s)."""
         return poly_eval(self.g1 + 1j * self.g2, s, self.length)
+
+
+def check_gamma1(gamma1, error=ValueError):
+    """Raise error unless gamma1 is finite and nonnegative."""
+    if not np.isfinite(gamma1) or gamma1 < 0:
+        raise error(f"gamma1 must be finite and nonnegative, got {gamma1}")
 
 
 def q_coefficients(curve: CrackCurve, material, gamma1: float, g1, g2):

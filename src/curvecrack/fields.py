@@ -134,9 +134,7 @@ class SurfaceParams:
     gamma1: float
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma1) or self.gamma1 < 0:
-            raise ValueError(
-                f"gamma1 must be finite and nonnegative, got {self.gamma1}")
+        densities.check_gamma1(self.gamma1)
 
 
 def surface_tension_coefficients(curve: CrackCurve, gamma1: float, s):

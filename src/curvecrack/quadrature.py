@@ -8,7 +8,7 @@ Gauss-Legendre rule of each order is computed once per process and shared
 read-only.  The integrals of the density against the tangent (the
 single-valuedness rows and the opening's jump table) and the principal
 values of the densities need no rule: they come in closed form from
-`solver` and `densities`.
+`densities`.
 
 The flat node rule is kept only for the oracles: `pv_cauchy_sum`,
 `kernels.fredholm_operator` and the discrete face-field mode.  It sums

@@ -27,9 +27,10 @@ least of all near the tips (see the tests/test_acceptance.py docstring).
 
 Integral evaluation: the collocation rows come from the face-field
 operator (`fields._NodeSide.rows`, the one read of the operator, which
-the field evaluator shares) at the first ceil(N/2) collocation points; the rows of the others are their mirror images (see the solve
-below).  Per unit real and imaginary part of each coefficient of g' and
-of q, rows() gives Re Sigma and Im Sigma of the face-average traction
+the field evaluator shares) at the first ceil(N/2) collocation points;
+the rows of the others are their mirror images (see the solve below).
+Per unit real and imaginary part of each coefficient of g' and of q,
+rows() gives Re Sigma and Im Sigma of the face-average traction
 Sigma, and -kappa0 dk and -dk' of the face-curvature change dk =
 -(kappa0 Re omega - Im omega')/2mu, dk' = -(kappa0 Re omega' - Im
 omega'')/2mu, with kappa0 constant and omega the face function; the real
@@ -94,7 +95,7 @@ import numpy as np
 
 from .densities import (DensityCoefficients, _jump_table, _mirror_signs,
                         _parity_columns, _single_valued_integrals,
-                        _tip_blocks, q_rows_to_unknowns)
+                        _tip_blocks, check_gamma1, q_rows_to_unknowns)
 from .fields import _NodeSide, boundary_forcing
 from .geometry import CrackCurve
 # gauss_legendre is not called here, but perfbench's tracer test rebinds it
@@ -255,9 +256,10 @@ class _CollocationTables:
     and R2 the curvature term of their q.  The three real (2M, 2N+2)
     blocks, the Re rows then the Im rows of the first M = ceil(N/2)
     collocation points, come from one read of the operator
-    (`_NodeSide.rows` at those points, with s0-derivatives), and the q rows become g1 and g2 columns through the
-    closure (`q_rows_to_unknowns`); the rows of the other points are their
-    mirrors (`systems`).  The tip rows are T0 + gamma1 T1, in closed form
+    (`_NodeSide.rows` at those points, with s0-derivatives), and the q
+    rows become g1 and g2 columns through the closure
+    (`q_rows_to_unknowns`); the rows of the other points are their mirrors
+    (`systems`).  The tip rows are T0 + gamma1 T1, in closed form
     (`_tip_blocks`).  The tables also hold the single-valuedness
     integrals, both sliced from node_side or a node side of their own; the
     jump table of the opening is built on first use.  systems() combines
@@ -377,9 +379,7 @@ class _CollocationTables:
 
 def _check_gamma1(gamma1):
     """Raise AssemblyError unless gamma1 is finite and nonnegative."""
-    if not np.isfinite(gamma1) or gamma1 < 0:
-        raise AssemblyError(
-            f"gamma1 must be finite and nonnegative, got {gamma1}")
+    check_gamma1(gamma1, AssemblyError)
 
 
 def assemble(curve: CrackCurve, material, load, gamma1: float,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,28 @@ sigma1_inf = 1.0
 sigma2_inf = 0.0
 gamma1 = 1.0
 """
+
+# configs whose echo must read back; together they give every key
+ECHO_CASES = {
+    "solve": BASE,
+    "nu": BASE.replace("kappa = 2.5", "nu = 0.2\nmode = plane_stress"),
+    "arc": BASE.replace("shape = semicircle", "shape = arc\ncurvature = 0.5")
+    + "alpha = 0.3\nN = 16\nrow_scaling = off\n",
+    "straight": BASE.replace("shape = semicircle",
+                             "shape = straight\nlength = 2.0"),
+    "sweep-gamma": BASE + "run_mode = sweep-gamma\ngrid = 0.5 1.0 2.0\n",
+    "sweep-curvature": BASE.replace("shape = semicircle\n", "")
+    + "run_mode = sweep-curvature\ngrid = 0.25; 0.5 1.0\n",
+    "convergence": BASE
+    + "run_mode = convergence\ngrid = 8 10.0 12\nout_dir = o\n",
+}
+
+
+def _keys(text):
+    """The keys that key = value text sets, one pair per line."""
+    return {line.partition("=")[0].strip() for line in text.splitlines()
+            if "=" in line}
+
 
 
 class TestParseConfig:
@@ -77,25 +100,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(BASE + "nu = 0.2\n")
 
-    @pytest.mark.parametrize("text", [
-        BASE,
-        BASE.replace("kappa = 2.5", "nu = 0.2\nmode = plane_stress"),
-        BASE.replace("shape = semicircle", "shape = arc\ncurvature = 0.5")
-        + "alpha = 0.3\nN = 16\nrow_scaling = off\n",
-        BASE.replace("shape = semicircle", "shape = straight\nlength = 2.0"),
-        BASE + "run_mode = sweep-gamma\ngrid = 0.5 1.0 2.0\n",
-        BASE.replace("shape = semicircle\n", "")
-        + "run_mode = sweep-curvature\ngrid = 0.25; 0.5 1.0\n",
-        BASE + "run_mode = convergence\ngrid = 8 10.0 12\nout_dir = o\n",
-    ], ids=["solve", "nu", "arc", "straight", "sweep-gamma",
-            "sweep-curvature", "convergence"])
+    @pytest.mark.parametrize("text", ECHO_CASES.values(), ids=ECHO_CASES)
     def test_echo_reads_back(self, text):
-        # config_echo.txt holds the grid space-separated and only the
-        # material key the config was given
+        # config_echo.txt holds the grid space-separated, every key the
+        # config gave and only the material key the config was given
         config = parse_config(text)
         echo = config.echo_text()
         assert parse_config(echo) == config
         assert ("nu" in echo.split()) != ("kappa" in echo.split())
+        assert _keys(text) <= _keys(echo)
+
+    def test_echo_cases_give_every_key(self):
+        # so every RunConfig key is parsed and echoed by one case above
+        assert set().union(*map(_keys, ECHO_CASES.values())) \
+            == {field.name for field in dataclasses.fields(RunConfig)}
 
     @pytest.mark.parametrize("line,frag", [
         ("shape = triangle", "shape"),

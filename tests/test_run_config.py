@@ -1,13 +1,16 @@
 """One set of rules for every run config: parsed, overridden or built in code."""
 
+import csv
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvecrack.cli import ConfigError, main, parse_config, run
+from curvecrack.cli import ConfigError, RunConfig, main, parse_config, run
 
 GOOD = {"shape": "semicircle", "mu": "60", "kappa": "2.5",
         "sigma1_inf": "1.0", "sigma2_inf": "0.0", "gamma1": "1.0", "N": "8"}
@@ -64,6 +67,23 @@ def test_shipped_config_runs(tmp_path, path):
     assert (tmp_path / CSV_OF_MODE[cfg.run_mode]).stat().st_size > 0
 
 
+@pytest.mark.parametrize("load", ["horizontal", "vertical"])
+def test_gamma_sweep_configs_solve_every_point(tmp_path, capsys, load):
+    # the 16-point gamma1 study, with the extremum-coincidence report last
+    # in the run summary
+    path = CONFIGS[0].parent / f"gamma_sweep_{load}.cfg"
+    cfg = parse_config(path.read_text(encoding="utf-8"))
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    summary = capsys.readouterr().out.splitlines()
+    assert summary[-1].startswith("extremum indices {'A1': ")
+    with open(tmp_path / "sweep_gamma.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 16
+    assert all(row.pop("error") == "" for row in rows)
+    assert np.all(np.isfinite([[float(v) for v in row.values()]
+                               for row in rows]))
+
+
 # Each run mode requires and checks only the keys it reads: a curvature
 # sweep builds its own arcs and reads no shape, a gamma1 sweep and a
 # convergence run read their gamma1 and N values from the grid.
@@ -110,6 +130,58 @@ def test_solve_without_shape_exits_2(tmp_path, capsys):
                quiet=True) == 2
     assert "shape" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# a config built in code meets the missing-key rule of a parsed one: each
+# key the run mode reads set to None, or neither nu nor kappa given
+MISSING = {"shape": {"shape": None}, "mu": {"mu": None},
+           "sigma1_inf": {"sigma1_inf": None},
+           "sigma2_inf": {"sigma2_inf": None}, "gamma1": {"gamma1": None},
+           "nu|kappa": {"nu": None, "kappa": None}}
+
+
+@pytest.mark.parametrize("name", MISSING)
+def test_code_built_config_missing_a_key_exits_2(tmp_path, capsys, name):
+    config = replace(parse_config(_text(GOOD)), **MISSING[name])
+    with pytest.raises(ConfigError, match="missing mandatory keys"):
+        config.build()
+    assert run(config, out_dir=str(tmp_path / "out"), quiet=True) == 2
+    assert capsys.readouterr().err \
+        == f"error: missing mandatory keys: {name}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_code_built_config_with_nu_runs_as_parsed(tmp_path):
+    # kappa follows from nu in build, for a parsed and a code-built config
+    pairs = {k: v for k, v in GOOD.items() if k != "kappa"}
+    out = str(tmp_path / "out")
+    parsed = parse_config(_text(dict(pairs, nu="0.125", out_dir=out)))
+    built = RunConfig(shape="semicircle", mu=60.0, nu=0.125, sigma1_inf=1.0,
+                      sigma2_inf=0.0, gamma1=1.0, N=8, out_dir=out)
+    assert built.build().config == parsed
+    written = []
+    for config in (parsed, built):
+        assert run(config, quiet=True) == 0
+        written.append({p.name: p.read_bytes()
+                        for p in (tmp_path / "out").iterdir()})
+        shutil.rmtree(tmp_path / "out")
+    assert written[0] == written[1]
+    assert len(written[0]) == 4
+
+
+@pytest.mark.parametrize("spelling", ["config", "--out"])
+def test_empty_out_dir_exits_2(tmp_path, monkeypatch, capsys, spelling):
+    # an empty out_dir names the current directory: rejected, with nothing
+    # written there
+    monkeypatch.chdir(tmp_path)
+    extra = "out_dir =\n" if spelling == "config" else ""
+    Path("run.cfg").write_text(_text(GOOD) + extra)
+    argv = ["--config", "run.cfg", "--quiet"]
+    if spelling == "--out":
+        argv += ["--out", ""]
+    assert main(argv) == 2
+    assert "out_dir" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 @pytest.mark.parametrize("where", ["file", "under-file", "nul"])

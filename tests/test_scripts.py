@@ -4,11 +4,9 @@ Importing a script only defines things: each creates its output directory
 inside main(), so the import has no side effects.
 """
 
-import csv
 import importlib.util
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from curvecrack import Material, make_semicircle, solve_problem
@@ -58,17 +56,3 @@ def test_face_profiles_match_solve_problem(tmp_path, monkeypatch):
     assert {p.name for p in (tmp_path / "out").iterdir()} == names
     assert len(names) == 9
 
-
-def test_gamma_sweep_writes_both_loads(tmp_path, monkeypatch):
-    module = _load(next(p for p in SCRIPTS if p.name == "gamma_sweep.py"))
-    monkeypatch.setattr(module, "OUT", tmp_path / "out")
-    module.main()
-    names = {p.name for p in (tmp_path / "out").iterdir()}
-    assert names == {"sweep_gamma_horizontal.csv", "sweep_gamma_vertical.csv"}
-    for name in names:
-        with open(tmp_path / "out" / name, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 16
-        assert all(row.pop("error") == "" for row in rows)
-        assert np.all(np.isfinite([[float(v) for v in row.values()]
-                                   for row in rows]))

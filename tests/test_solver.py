@@ -153,6 +153,17 @@ class TestPolynomialEvaluation:
             assert np.shape(got) == shape
             assert np.all(np.abs(got - ref) <= bound)
 
+    @pytest.mark.parametrize("length,gamma1,key", [
+        (2.0, -1.0, "gamma1"), (2.0, float("nan"), "gamma1"),
+        (2.0, float("inf"), "gamma1"), (-2.0, 1.0, "length"),
+        (0.0, 1.0, "length"), (float("nan"), 1.0, "length"),
+        (float("inf"), 1.0, "length"), (-2.0, float("nan"), "length")])
+    def test_coefficients_reject_bad_length_or_gamma1(self, length, gamma1,
+                                                      key):
+        # the same gamma1 rule as SurfaceParams and the assembly
+        with pytest.raises(ValueError, match=key):
+            DensityCoefficients(np.ones(3), np.ones(3), length, gamma1)
+
 
 class TestClosureIdentity:
     @settings(max_examples=40, deadline=None)
