@@ -8,19 +8,21 @@ and several pairs may share a line separated by commas.  Exit codes:
 `_PARSERS` their parsers; `parse_config` checks the syntax alone and
 `RunConfig.build` every other rule, for parsed and code-built configs.
 
-Solve mode tabulates once, as the sweeps do: one `postprocess._SweepTables`
-gives the constrained system, the face fields on both faces and the tip-fit
-samples (one field evaluator at all those points), and the opening (the
-jump table the collocation tables hold).  A convergence run writes
-g_prime.csv from the samples the study compared.  Every mode writes its
-CSVs through `postprocess.write_csv`, from whole columns; solve mode
-formats its g' grid once and writes opening.csv's s column from that text.
+Solve mode reads and reports through the sweeps' path: one
+`postprocess._SweepTables` gives the system, its `evaluate` the face fields,
+tip samples and opening of the solution, and its `report`, only for a
+printed summary, the numbers of `postprocess.SolveReport`.  A convergence
+run writes g_prime.csv from the samples the study compared.  Every mode
+writes its CSVs through `postprocess.write_csv`, from whole columns; solve
+mode formats its g' grid once and writes opening.csv's s column from that
+text.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import numbers
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -85,18 +87,20 @@ class RunConfig:
     def build(self, lines: dict | None = None) -> BuiltRun:
         """Check the config and construct the library objects it describes.
 
-        The CLI's own rules come first: a non-empty out_dir that the config
-        echo reads back unchanged, the run mode, the keys it requires, its
-        grid, the shape and the key it needs, and row_scaling = off only in
-        solve mode.  Only the keys the run mode reads are required and
-        checked (`_READ_BY`): sweep-curvature reads no shape (nor curvature
-        or length), sweep-gamma no gamma1 and convergence no N.  curve and
-        disc are None where the mode reads no shape or no N.  Every range
-        is then left to the constructors (curve, Material, FarFieldLoad,
-        SurfaceParams, Discretization); a ValueError from any of them
-        becomes a ConfigError.  Where nu is given, the checked config holds
-        the kappa that follows from it.  lines maps a key to the line of the
-        config text that set it, for the error messages.
+        The CLI's own rules come first: each key holds what its parser gives
+        (`_VALUE_KINDS`) or its default None, a non-empty out_dir that the
+        config echo reads back unchanged, the run mode, the keys it
+        requires, its grid, the shape and the key it needs, and
+        row_scaling = off only in solve mode.  Only the keys the run mode
+        reads are required and checked (`_READ_BY`): sweep-curvature reads
+        no shape (nor curvature or length), sweep-gamma no gamma1 and
+        convergence no N.  curve and disc are None where the mode reads no
+        shape or no N.  Every range is then left to the constructors (curve,
+        Material, FarFieldLoad, SurfaceParams, Discretization); a ValueError
+        from any of them becomes a ConfigError.  Where nu is given, the
+        checked config holds the kappa that follows from it.  lines maps a
+        key to the line of the config text that set it, for the error
+        messages.
         """
         lines = lines or {}
 
@@ -113,17 +117,23 @@ class RunConfig:
         def reads(key):
             return self.run_mode in _READ_BY.get(key, RUN_MODES)
 
+        # each key holds what its parser gives, in code-built configs too
+        for f in fields(self):
+            value = getattr(self, f.name)
+            what, fits = _VALUE_KINDS[_PARSERS[f.name]]
+            if not (fits(value) or value is None and f.default is None):
+                raise ConfigError(f"{at(f.name)}key '{f.name}' needs {what}, "
+                                  f"got {value!r}")
         # parse_config splits lines, pairs at ',' and comments at '#', and
         # strips each value, so out_dir must hold none of these to be read
         # back from the echo; an empty one is the current directory
-        out_dir = str(self.out_dir)
-        if (not out_dir or any(c in out_dir for c in ",#")
-                or out_dir != out_dir.strip()
-                or len(out_dir.splitlines()) > 1):
+        if (not self.out_dir or any(c in self.out_dir for c in ",#")
+                or self.out_dir != self.out_dir.strip()
+                or len(self.out_dir.splitlines()) > 1):
             raise ConfigError(f"{at('out_dir')}key 'out_dir' must be "
                               "non-empty and hold no ',', '#', line break or "
                               "leading or trailing whitespace, got "
-                              f"{out_dir!r}")
+                              f"{self.out_dir!r}")
         if self.run_mode not in RUN_MODES:
             raise ConfigError(f"{at('run_mode')}key 'run_mode' must be one of "
                               f"{', '.join(RUN_MODES)}, got {self.run_mode!r}")
@@ -138,7 +148,7 @@ class RunConfig:
             raise ConfigError(f"{at('row_scaling')}key 'row_scaling' = off "
                               "only applies to run_mode=solve; "
                               f"{self.run_mode} always scales its rows")
-        grid, arcs = self.grid, []
+        grid, arcs = tuple(self.grid), []
         if self.run_mode != "solve":
             if not grid:
                 raise ConfigError(f"{at('grid')}run_mode={self.run_mode} "
@@ -270,6 +280,24 @@ _PARSERS = {
 }
 
 
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# the value each parser gives, which a key of a config built in code must
+# hold too: what it is, and the test of a value
+_VALUE_KINDS = {
+    _parse_text: ("a string", lambda v: isinstance(v, str)),
+    _parse_float: ("a real number", _is_real),
+    _parse_int: ("an integer",
+                 lambda v: _is_real(v) and isinstance(v, numbers.Integral)),
+    _parse_grid: ("a tuple of real numbers",
+                  lambda v: isinstance(v, (tuple, list))
+                  and all(map(_is_real, v))),
+    _parse_switch: ("a bool (on or off)", lambda v: isinstance(v, bool)),
+}
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse key=value config text (the syntax and each key's `_PARSERS`
     parser), then check every other rule with RunConfig.build."""
@@ -303,11 +331,10 @@ def _solve_outputs(config, curve, material, load, disc, dump_system):
     """Compute everything solve mode writes, before touching the filesystem.
 
     One table set (`postprocess._SweepTables`) serves the whole run: its
-    collocation tables give the system and the opening, and its one field
-    evaluator gives both faces on the 100-point face_fields.csv grid and
-    the tip-window samples of the four tip fits.  The fits and the tip
-    residuals are left to `_solve_summary`, which only a printed summary
-    reads.
+    collocation tables give the system, and its `evaluate`, on a stack of
+    one, both faces on face_fields.csv's 100 points, the tip samples and
+    the opening.  The report and the tip residuals are left to
+    `_solve_summary`, which only a printed summary reads.
     """
     tables = post._SweepTables(curve, material, load, disc.N, n_face=100)
     system = tables.collocation.system(load, config.gamma1,
@@ -318,34 +345,32 @@ def _solve_outputs(config, curve, material, load, disc, dump_system):
     gp = coeffs.gprime(s_grid)
     g_cols = {"re_gprime": np.real(gp), "im_gprime": np.imag(gp)}
 
-    traction, du, tip_values = tables.face_values(coeffs)
+    traction, du, jump, delta = tables.evaluate(
+        np.concatenate([coeffs.g1, coeffs.g2])[None],
+        np.array([coeffs.gamma1]))
+    n = tables.face_s.size
     dump = system.dump_text() if dump_system else None
     return {
         "coeffs": coeffs, "s_grid": s_grid, "g_cols": g_cols,
-        "face": (tables.face_s, traction, du),
-        "profile": tables.opening(coeffs), "tables": tables,
-        "tip_values": tip_values, "dump": dump,
+        "face": (tables.face_s, traction[:, :n, 0], du[:, :n, 0]),
+        "opening": (jump[:, 0], delta[:, 0]), "tables": tables,
+        "fields": (traction, du, delta), "dump": dump,
     }
 
 
 def _solve_summary(res, curve):
-    """The lines of solve mode's run summary, from `_solve_outputs`.
-
-    The tip fits, the tip residuals and the single-valuedness residual are
-    computed here, for the summary alone.
-    """
+    """The lines of solve mode's run summary, from `_solve_outputs`: the
+    report (by label where a number has one), the tip residuals and the
+    single-valuedness residual are computed here, for the summary alone."""
     coeffs, tables = res["coeffs"], res["tables"]
-    fits = post._log_fits(tables.tip_dist, res["tip_values"],
-                          post.FIELD_NAMES)
+    report = tables.report(*res["fields"])[0].tolist()
     residuals = _tip_residuals(coeffs, curve, tables.collocation.tip_rows)
     return [f"condition_estimate = {coeffs.condition_estimate:.6e}",
             "tip_condition_residuals ="
             + "".join(f" {v:.3e}" for v in residuals),
             f"single_valued_residual = {coeffs.single_valued_residual:.3e}",
-            f"A1 (du1/ds) = {fits['du1_ds'].A!r}",
-            f"A2 (tau_n)  = {fits['tau_n'].A!r}",
-            f"max_opening = {res['profile'].max_opening!r}",
-            f"min_opening = {res['profile'].min_opening!r}"]
+            *(f"{f.metadata.get('label', f.name):<11} = {value!r}"
+              for f, value in zip(post._NUMBERS, report, strict=True))]
 
 
 def run(config: RunConfig, out_dir: str | None = None,
@@ -399,28 +424,12 @@ def run(config: RunConfig, out_dir: str | None = None,
                                    res["g_cols"])
             post.write_face_fields_csv(out / "face_fields.csv", *res["face"])
             post._write_opening_csv(out / "opening.csv", s_text[::2],
-                                    res["profile"])
+                                    *res["opening"])
             if res["dump"] is not None:
                 (out / "system_dump.txt").write_text(res["dump"])
             if not quiet:
                 print("\n".join(_solve_summary(res, curve)))
-        elif config.run_mode == "sweep-gamma":
-            rows = post.sweep_gamma(curve, material, load, config.grid,
-                                    N=config.N)
-            post.write_sweep_gamma_csv(out / "sweep_gamma.csv", rows)
-            for r in rows:
-                say(f"gamma1={r.gamma1!r} A1={r.A1!r} A2={r.A2!r} "
-                    f"{('ERROR: ' + r.error) if r.error else ''}".rstrip())
-            idx, within = post.extremum_coincidence_report(rows)
-            say(f"extremum indices {idx}; within one grid step: {within}")
-        elif config.run_mode == "sweep-curvature":
-            rows = post.sweep_curvature(material, load, config.gamma1,
-                                        config.grid, N=config.N)
-            post.write_sweep_curvature_csv(out / "sweep_curvature.csv", rows)
-            for r in rows:
-                say(f"kappa0={r.kappa0!r} A1={r.A1!r} A2={r.A2!r} "
-                    f"{('ERROR: ' + r.error) if r.error else ''}".rstrip())
-        else:
+        elif config.run_mode == "convergence":
             rows = post.convergence_study(curve, material, load,
                                           config.gamma1, config.grid)
             post.write_convergence_csv(out / "convergence.csv", rows)
@@ -432,6 +441,23 @@ def run(config: RunConfig, out_dir: str | None = None,
             post.write_g_prime_csv(out / "g_prime.csv", s_grid, cols)
             for r in rows:
                 say(f"N={r.N} sup_diff={r.sup_diff!r}")
+        else:
+            if config.run_mode == "sweep-gamma":
+                rows = post.sweep_gamma(curve, material, load, config.grid,
+                                        N=config.N)
+                post.write_sweep_gamma_csv(out / "sweep_gamma.csv", rows)
+            else:
+                rows = post.sweep_curvature(material, load, config.gamma1,
+                                            config.grid, N=config.N)
+                post.write_sweep_curvature_csv(out / "sweep_curvature.csv",
+                                               rows)
+            key = post._sweep_header(type(rows[0]))[0]
+            for r in rows:
+                say(f"{key}={getattr(r, key)!r} A1={r.A1!r} A2={r.A2!r} "
+                    f"{('ERROR: ' + r.error) if r.error else ''}".rstrip())
+            if config.run_mode == "sweep-gamma":
+                idx, within = post.extremum_coincidence_report(rows)
+                say(f"extremum indices {idx}; within one grid step: {within}")
     except AssemblyError as exc:
         return fail(exc, 3)
     except SolveError as exc:

@@ -8,43 +8,35 @@ Face-field profiles, tip fits and the maximal face traction each build one
 field evaluator at all their points s0 and apply it to the density; it
 returns both faces at once.
 
-Solve mode and the sweeps tabulate once and apply per solve.  `_SweepTables`
-holds the collocation tables (`solver._CollocationTables`) of one curve and
-N, and one field evaluator at a midpoint face grid plus the 32 default
-tip-window points at s = 0: the 101-point max-traction grid for a sweep,
-the 100-point `face_fields.csv` grid for solve mode (`cli._solve_outputs`).
-Both share one node side of the operator (`fields._NodeSide`), which a
-convergence study builds once at its largest N for the tables of every N.
-The openings come from the collocation tables' jump table, built on the
-first opening, so the kernels and the jump table are built once per curve
-however many solves use them.  A gamma1 sweep builds the tables once, a
-curvature sweep once per curve.
+Solve mode and the sweeps report one set of numbers, `SolveReport`, read
+and reduced through one path.  `_SweepTables` holds the collocation tables
+(`solver._CollocationTables`) of one curve and N, whose jump table gives
+the openings, and one field evaluator at a midpoint face grid (the sweeps'
+101 max-traction points, solve mode's 100 `face_fields.csv` points) plus
+the 32 default tip-window points at s = 0, on one node side of the
+operator (`fields._NodeSide`).  For a stack of P solutions its `evaluate`
+is one application of the evaluator to the densities as columns and one
+product with the jump table, and its `report` one fit of du1/ds and tau_n
+of every solution on the shared [ln s, 1] design and the extremes.  A
+gamma1 sweep builds the tables once and solves its points as two stacks
+(`_solve_and_report`), the gamma1 = 0 points and the positive ones with
+their tip rows; a curvature sweep builds them once per curve, and solve
+mode (`cli`) evaluates a stack of one and reports only for its summary.
+Errors stay per point: an invalid gamma1 never enters a stack, a point
+that fails a check of its own gets that error while the others go on, and
+an error of the whole stack goes on each of its rows.
 
-A gamma1 sweep solves its points as stacks (`_solve_and_report`): one for
-the gamma1 = 0 points and one for the positive ones, which carry the tip
-rows too.  Each stack is one batched reduction and solve
-(`solver._solutions`), one application of the field evaluator to all its
-densities as columns, one least-squares fit of every point's two tip
-fields on the shared [ln s, 1] design, and one product of the jump table
-with all the densities.  Errors stay per point: an invalid gamma1 never
-enters a stack, a point that fails a check of its own gets that error
-while the others go on, and an error of the whole stack goes on each of
-its rows.
-
-Every CSV goes through `write_csv`, which takes whole columns and formats
-each column once: floats by repr, integers by str, strings as given, quoted
-where they hold a comma, a quote or a line break.  It joins the rows in one
-pass and writes the file in one call, so a write costs about one repr per
-float.  A column given as a list of strings is text already formatted
-(`_cells`) and is only quoted, so a repeated column is formatted once: the
-points of `write_face_fields_csv` for both faces, and in solve mode the
-opening's s grid, the even points of the g' grid (`cli.run`).
+Every CSV goes through `write_csv`, which takes whole columns, formats each
+column once (floats by repr, integers by str, strings quoted where the csv
+module needs it) and writes the file in one call.  A column given as a
+list of strings is text already formatted (`_cells`), so a repeated column
+is formatted once.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -81,8 +73,13 @@ def opening_profile(coeffs: DensityCoefficients, curve: CrackCurve, material,
     The integrals are the jump table (`densities._jump_table`) applied to g'.
     """
     _check_count("n_samples", n_samples, 2)
-    return _opening(coeffs, curve, material,
-                    _jump_table(curve, coeffs.degree, n_samples))
+    s_grid, jump, delta = _openings(
+        (coeffs.g1 + 1j * coeffs.g2)[:, None], curve, material,
+        _jump_table(curve, coeffs.degree, n_samples))
+    delta = delta[:, 0]
+    return OpeningProfile(s=s_grid, jump=jump[:, 0], delta=delta,
+                          max_opening=float(np.max(delta)),
+                          min_opening=float(np.min(delta)))
 
 
 def _check_count(name, value, least):
@@ -90,16 +87,6 @@ def _check_count(name, value, least):
     if not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer of at least {least}, "
                          f"got {value!r}")
-
-
-def _opening(coeffs, curve, material, table) -> OpeningProfile:
-    """opening_profile from a jump table of the curve."""
-    s_grid, jump, delta = _openings(
-        (coeffs.g1 + 1j * coeffs.g2)[:, None], curve, material, table)
-    delta = delta[:, 0]
-    return OpeningProfile(s=s_grid, jump=jump[:, 0], delta=delta,
-                          max_opening=float(np.max(delta)),
-                          min_opening=float(np.min(delta)))
 
 
 def _openings(gp, curve, material, table):
@@ -130,16 +117,15 @@ def fit_log_coefficient(samples, window=None, field_id: str = "",
                         tip: float = 0.0) -> LogFit:
     """Fit A ln s + c to (s, value) samples inside the window.
 
-    samples is a sequence of (s, value) pairs (or a pair of arrays); s is the
-    distance to the tip and must be positive.  At least 8 samples must fall
-    inside the window.
+    samples is an (n, 2) array of (s, value) pairs; s is the distance to
+    the tip and must be positive.  At least 8 samples must fall inside the
+    window.
     """
     arr = np.asarray(samples, dtype=float)
-    if arr.ndim == 2 and arr.shape[0] == 2 and arr.shape[1] != 2:
-        s, v = arr[0], arr[1]
-    else:
-        s, v = arr[:, 0], arr[:, 1]
-    return _log_fits(s, {field_id: v}, (field_id,), window, tip)[field_id]
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("samples must be an (n, 2) array of (s, value) "
+                         f"pairs, got shape {arr.shape}")
+    return _log_fits(arr[:, 0], {field_id: arr[:, 1]}, window, tip)[field_id]
 
 
 def _fit_lines(dist, values, window=None):
@@ -171,7 +157,7 @@ def default_fit_window(length: float) -> tuple:
 
 
 # default point counts of max_face_traction and the tip fits; the sweep
-# columns use them too
+# reports use them too
 _TRACTION_POINTS = 101
 _TIP_POINTS = 32
 
@@ -189,19 +175,13 @@ def _tip_points(curve, tip, window, n):
     return dist, (dist if tip == 0.0 else curve.length - dist)
 
 
-def _field_values(traction, du):
-    """The four face fields of one face, named as in FIELD_NAMES."""
-    return {"sigma_n": traction.real, "tau_n": traction.imag,
-            "du1_ds": du.real, "du2_ds": du.imag}
-
-
 def _tip_fields(curve, material, load, coeffs, tip, side, window, n):
-    """Distances from the tip and the face fields there, one evaluator."""
+    """Distances from the tip and the four face fields there, one evaluator."""
     dist, s_vals = _tip_points(curve, tip, window, n)
     ev = _FieldEvaluator(curve, material, load, s_vals, coeffs.degree)
-    traction, du = ev.face_values(coeffs)
-    k = _SIDES.index(side)
-    return dist, _field_values(traction[k], du[k])
+    traction, du = (v[_SIDES.index(side)] for v in ev.face_values(coeffs))
+    return dist, {"sigma_n": traction.real, "tau_n": traction.imag,
+                  "du1_ds": du.real, "du2_ds": du.imag}
 
 
 def collect_tip_samples(curve, material, load, coeffs, field: str,
@@ -214,6 +194,7 @@ def collect_tip_samples(curve, material, load, coeffs, field: str,
     """
     if field not in FIELD_NAMES:
         raise ValueError(f"unknown field {field!r}; choose from {FIELD_NAMES}")
+    _check_count("n", n, 1)
     dist, values = _tip_fields(curve, material, load, coeffs, tip, side,
                                window, n)
     return dist, values[field]
@@ -223,22 +204,20 @@ def fit_tip_coefficients(curve, material, load, coeffs, tip: float = 0.0,
                          side: str = "plus", window=None,
                          n: int = _TIP_POINTS):
     """LogFit for each of the four face fields at one tip, sampled once."""
+    _check_count("n", n, 8)
     dist, values = _tip_fields(curve, material, load, coeffs, tip, side,
                                window, n)
-    return _log_fits(dist, values, FIELD_NAMES, window, tip)
+    return _log_fits(dist, values, window, tip)
 
 
-def _log_fits(dist, values, names, window=None, tip=0.0):
-    """LogFit of each named field from its values at distances dist.
-
-    All the named fields are fitted in one call (`_fit_lines`).
-    """
+def _log_fits(dist, values, window, tip):
+    """LogFit of each field of the dict values from its values at the
+    distances dist, all fitted in one call (`_fit_lines`)."""
     A, c, rms, window = _fit_lines(
-        np.asarray(dist, dtype=float),
-        np.column_stack([values[name] for name in names]), window)
+        dist, np.column_stack(list(values.values())), window)
     return {name: LogFit(A=float(A[k]), c=float(c[k]), window=tuple(window),
                          rms=float(rms[k]), field_id=name, tip=tip)
-            for k, name in enumerate(names)}
+            for k, name in enumerate(values)}
 
 
 def tip_log_coefficients(curve, material, coeffs):
@@ -272,36 +251,52 @@ def max_face_traction(curve, material, load, coeffs,
     return float(np.max(np.abs(ev.face_values(coeffs)[0])))
 
 
+@dataclass(kw_only=True)
+class SolveReport:
+    """The numbers reported for one solve, in `_SweepTables.report` order.
+
+    A1, A2: fitted log coefficients of du1/ds and tau_n at the s = 0 tip
+    on the "+" face; the extremes of the opening delta; the sup of
+    |sigma_n + i tau_n| over both faces at the face points.  error is the
+    message of a failed solve, whose numbers stay nan.
+    """
+
+    A1: float = field(default=float("nan"), metadata={"label": "A1 (du1/ds)"})
+    A2: float = field(default=float("nan"), metadata={"label": "A2 (tau_n)"})
+    max_opening: float = float("nan")
+    min_opening: float = float("nan")
+    max_traction: float = float("nan")
+    error: str = ""
+
+
+# the report's numbers, in the order of the columns of _SweepTables.report
+_NUMBERS = tuple(f for f in fields(SolveReport) if f.name != "error")
+
+
 @dataclass
-class GammaSweepRow:
+class GammaSweepRow(SolveReport):
     gamma1: float
-    A1: float = float("nan")
-    A2: float = float("nan")
-    max_opening: float = float("nan")
-    min_opening: float = float("nan")
-    max_traction: float = float("nan")
-    error: str = ""
 
 
 @dataclass
-class CurvatureSweepRow:
+class CurvatureSweepRow(SolveReport):
     kappa0: float
-    A1: float = float("nan")
-    A2: float = float("nan")
-    max_opening: float = float("nan")
-    min_opening: float = float("nan")
-    max_traction: float = float("nan")
-    error: str = ""
+
+
+def _sweep_header(row_type):
+    """The header of a sweep CSV: the row's key, the one field its type
+    adds to SolveReport, then the report's fields."""
+    *report, key = (f.name for f in fields(row_type))
+    return [key, *report]
 
 
 class _SweepTables:
-    """Everything a solve on one curve and N reuses.
+    """Everything a solve on one curve and N reuses, with the one read
+    (`evaluate`) and the one reduction (`report`) of a stack of solutions.
 
-    The collocation tables, and one field evaluator at the points of the
-    outputs: a midpoint grid of n_face points on both faces and, for the
-    tip fits at s = 0 on the "+" face, fit_tip_coefficients' default
-    window.  The sweeps use max_face_traction's default grid; solve mode
-    passes the 100 points of face_fields.csv.
+    The collocation tables, and one field evaluator at a midpoint grid of
+    n_face points on both faces and, for the tip fits at s = 0 on the "+"
+    face, at fit_tip_coefficients' default window.
     """
 
     def __init__(self, curve, material, load, N, n_face=_TRACTION_POINTS):
@@ -315,45 +310,31 @@ class _SweepTables:
                                       np.concatenate([self.face_s, tip_s]), N,
                                       node_side=node_side)
 
-    def _split(self, traction, du):
-        """The evaluator's values as face values at face_s, (2, n_face, ...)
-        each, and the "+" face fields at the tip points, named as in
-        FIELD_NAMES."""
-        n = self.face_s.size
-        return (traction[:, :n], du[:, :n],
-                _field_values(traction[0, n:], du[0, n:]))
+    def evaluate(self, x, gamma1):
+        """The fields of P solutions x (P, 2N+2) at gamma1 (P,).
 
-    def face_values(self, coeffs):
-        """Traction and du/ds on both faces at face_s, (2, n_face) each,
-        and the "+" face fields at the tip points, named as in FIELD_NAMES."""
-        return self._split(*self.fields.face_values(coeffs))
-
-    def opening(self, coeffs) -> OpeningProfile:
-        """opening_profile of coeffs from the collocation jump table."""
-        return _opening(coeffs, self.curve, self.material,
-                        self.collocation.jump)
-
-    def columns(self, x, gamma1):
-        """The sweep columns of P solutions x (P, 2N+2) at gamma1 (P,).
-
-        (A1, A2, max opening, min opening, max traction) per solution, as
-        a (P, 5) array.  The field evaluator takes the P densities as
-        columns, one fit call fits both tip fields of every point, and the
-        openings are one product with the jump table.
+        sigma_n + i tau_n and du/ds on both faces at face_s and then the
+        tip points, (2, M, P) each, and the jump and the opening delta on
+        the jump table's grid, (n_samples, P) each.
         """
         N = self.collocation.disc.N
         g1, g2 = x[:, : N + 1], x[:, N + 1:]
         gp = g1 + 1j * g2
         q = q_coefficients(self.curve, self.material, gamma1[:, None], g1, g2)
-        traction, _, tip_values = self._split(*self.fields.apply(gp, q))
+        traction, du = self.fields.apply(gp, q)
+        _, jump, delta = _openings(gp.T, self.curve, self.material,
+                                   self.collocation.jump)
+        return traction, du, jump, delta
+
+    def report(self, traction, du, delta):
+        """The numbers of SolveReport of P solutions, (P, 5), from their
+        evaluate() values: one fit call for both tip fields of all."""
+        n, P = self.face_s.size, delta.shape[1]
         A = _fit_lines(self.tip_dist, np.concatenate(
-            [tip_values["du1_ds"], tip_values["tau_n"]], axis=1))[0]
-        _, _, delta = _openings(gp.T, self.curve, self.material,
-                                self.collocation.jump)
-        P = x.shape[0]
+            [du[0, n:].real, traction[0, n:].imag], axis=1))[0]
         return np.column_stack([A[:P], A[P:], np.max(delta, axis=0),
                                 np.min(delta, axis=0),
-                                np.max(np.abs(traction), axis=(0, 1))])
+                                np.max(np.abs(traction[:, :n]), axis=(0, 1))])
 
 
 # numpy's LinAlgError is a ValueError
@@ -377,9 +358,11 @@ def _solve_and_report(tables, rows, gamma1):
         x, errors = _solutions(system)
         x = x[[e is None for e in errors]]
         rows, gamma1 = _keep(rows, gamma1, errors)
-        for row, values in zip(rows, tables.columns(x, gamma1).tolist()):
-            (row.A1, row.A2, row.max_opening, row.min_opening,
-             row.max_traction) = values
+        traction, du, _, delta = tables.evaluate(x, gamma1)
+        for row, values in zip(rows, tables.report(traction, du,
+                                                   delta).tolist()):
+            for number, value in zip(_NUMBERS, values, strict=True):
+                setattr(row, number.name, value)
     except _SWEEP_ERRORS as exc:
         for row in rows:
             row.error = str(exc)
@@ -394,12 +377,19 @@ def _keep(rows, gamma1, errors):
     return [row for row, keep in zip(rows, ok) if keep], gamma1[ok]
 
 
-def _fill(rows, tables, gamma1):
+def _fill(rows, gamma1, make_tables):
     """Fill each row from the solve at its gamma1, or record its error.
 
-    An invalid gamma1 never enters a stack; the zero and the positive
+    make_tables() builds the rows' `_SweepTables`; its error goes on every
+    row.  An invalid gamma1 never enters a stack; the zero and the positive
     values form one stack each, since they differ in constraint rows.
     """
+    try:
+        tables = make_tables()
+    except _SWEEP_ERRORS as exc:
+        for row in rows:
+            row.error = str(exc)
+        return
     gamma1 = np.array(gamma1, dtype=float)
     valid = np.zeros(gamma1.shape, dtype=bool)
     for i, row in enumerate(rows):
@@ -423,13 +413,8 @@ def sweep_gamma(curve, material, load, gamma_grid, N: int = 20):
     for the gamma1 = 0 points and one for the positive ones.
     """
     rows = [GammaSweepRow(gamma1=float(g1)) for g1 in gamma_grid]
-    try:
-        tables = _SweepTables(curve, material, load, N)
-    except _SWEEP_ERRORS as exc:
-        for row in rows:
-            row.error = str(exc)
-        return rows
-    _fill(rows, tables, [row.gamma1 for row in rows])
+    _fill(rows, [row.gamma1 for row in rows],
+          lambda: _SweepTables(curve, material, load, N))
     return rows
 
 
@@ -437,13 +422,8 @@ def sweep_curvature(material, load, gamma1, kappa0_grid, N: int = 20):
     """One solve per arc curvature in (0, 1], in order; arcs end at +1, -1."""
     rows = [CurvatureSweepRow(kappa0=float(k0)) for k0 in kappa0_grid]
     for row in rows:
-        try:
-            tables = _SweepTables(make_circular_arc(row.kappa0), material,
-                                  load, N)
-        except _SWEEP_ERRORS as exc:
-            row.error = str(exc)
-            continue
-        _fill([row], tables, [gamma1])
+        _fill([row], [gamma1], lambda: _SweepTables(
+            make_circular_arc(row.kappa0), material, load, N))
     return rows
 
 
@@ -478,12 +458,9 @@ def convergence_study(curve, material, load, gamma1, n_list,
     table = densities.basis(grid, curve.length, n_list[-1])
     samples = [table[:, : n + 1] @ (coeffs.g1 + 1j * coeffs.g2)
                for n, coeffs in solved]
-    rows = []
-    for (n, coeffs), gp in zip(solved, samples):
-        diff = float(np.max(np.abs(gp - samples[-1])))
-        rows.append(ConvergenceRow(N=n, sup_diff=diff, coeffs=coeffs,
-                                   gprime=gp))
-    return rows
+    return [ConvergenceRow(N=n, coeffs=coeffs, gprime=gp,
+                           sup_diff=float(np.max(np.abs(gp - samples[-1]))))
+            for (n, coeffs), gp in zip(solved, samples)]
 
 
 def parity_residuals(values):
@@ -590,33 +567,28 @@ def write_face_fields_csv(path, s, traction, du):
 
 
 def write_opening_csv(path, profile: OpeningProfile):
-    _write_opening_csv(path, profile.s, profile)
+    _write_opening_csv(path, profile.s, profile.jump, profile.delta)
 
 
-def _write_opening_csv(path, s, profile):
-    """write_opening_csv with the s column given, as floats or as the text
-    of profile.s (solve mode reuses the text of its g' grid)."""
+def _write_opening_csv(path, s, jump, delta):
+    """write_opening_csv from the columns, the s column as floats or as the
+    text of the grid (solve mode reuses the text of its g' grid)."""
     header = ["s", "du1_jump", "du2_jump", "delta"]
-    write_csv(path, header, [s, profile.jump.real, profile.jump.imag,
-                             profile.delta])
+    write_csv(path, header, [s, jump.real, jump.imag, delta])
 
 
-_SWEEP_COLUMNS = ("A1", "A2", "max_opening", "min_opening", "max_traction",
-                  "error")
-
-
-def _write_sweep_csv(path, key, rows):
-    header = [key, *_SWEEP_COLUMNS]
+def _write_sweep_csv(path, row_type, rows):
+    header = _sweep_header(row_type)
     write_csv(path, header,
               [[getattr(r, name) for r in rows] for name in header])
 
 
 def write_sweep_gamma_csv(path, rows):
-    _write_sweep_csv(path, "gamma1", rows)
+    _write_sweep_csv(path, GammaSweepRow, rows)
 
 
 def write_sweep_curvature_csv(path, rows):
-    _write_sweep_csv(path, "kappa0", rows)
+    _write_sweep_csv(path, CurvatureSweepRow, rows)
 
 
 def write_convergence_csv(path, rows):

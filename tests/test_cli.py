@@ -408,6 +408,36 @@ def test_solve_mode_matches_public_functions(case, tmp_path, capsys):
         assert float(printed[key]) == pytest.approx(fits[name].A, rel=1e-13)
 
 
+@pytest.mark.parametrize("case", ["readme", "arc"])
+def test_solve_summary_reports_as_a_one_point_sweep(case, tmp_path, capsys):
+    # solve mode and the sweeps reduce through one path: the summary's tip
+    # fits and openings are the one-point sweep_gamma row of the config,
+    # and its max_traction is the sup over face_fields.csv's points
+    text = SOLVE_CASES["readme"]
+    if case == "arc":
+        text = text.replace("shape = semicircle",
+                            "shape = arc\ncurvature = 0.5")
+    config = parse_config(text + f"out_dir = {tmp_path}\n")
+    assert run(config) == 0
+    printed = dict((key.strip(), float(value)) for key, value in
+                   (line.split(" = ") for line in
+                    capsys.readouterr().out.splitlines()[3:]))
+    config, curve, material, load, _ = config.build()
+    row, = post.sweep_gamma(curve, material, load, [config.gamma1],
+                            N=config.N)
+    assert not row.error
+    labels = {"A1 (du1/ds)": "A1", "A2 (tau_n)": "A2",
+              "max_opening": "max_opening", "min_opening": "min_opening",
+              "max_traction": "max_traction"}
+    assert list(printed) == list(labels)
+    for label, name in list(labels.items())[:4]:
+        assert printed[label] == pytest.approx(getattr(row, name), rel=1e-12)
+    face = _csv_columns(tmp_path / "face_fields.csv")
+    traction = np.abs(np.array(face["sigma_n"], dtype=float)
+                      + 1j * np.array(face["tau_n"], dtype=float))
+    assert printed["max_traction"] == np.max(traction)
+
+
 @pytest.mark.parametrize("curve", [
     make_semicircle(), *(make_circular_arc(k0) for k0 in (0.3, 0.6, 0.9)),
     make_straight(2.0)], ids=["semicircle", "arc0.3", "arc0.6", "arc0.9",

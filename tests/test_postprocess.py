@@ -1,4 +1,5 @@
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from curvecrack import (DensityCoefficients, FarFieldLoad, KernelSet, Material,
                         sweep_curvature, sweep_gamma, tip_log_coefficients)
 from curvecrack import solver
 from curvecrack.fields import _FieldEvaluator, _NodeSide, face_field_profile
-from curvecrack.postprocess import (ConvergenceRow, GammaSweepRow, _cells,
+from curvecrack.postprocess import (ConvergenceRow, CurvatureSweepRow,
+                                    GammaSweepRow, SolveReport, _cells,
                                     extremum_coincidence_report,
                                     write_convergence_csv, write_csv,
                                     write_face_fields_csv, write_g_prime_csv,
@@ -97,6 +99,14 @@ class TestLogFit:
                                   window=(1e-3, 1e-1))
         assert fit.window == (1e-3, 1e-1)
         assert fit.A == pytest.approx(2.0, abs=1e-10)
+
+    @pytest.mark.parametrize("shape", [(2, 10), (10,), (10, 3), (2, 2, 5)])
+    def test_samples_are_pairs_only(self, shape):
+        # one layout: (s, value) rows; a pair of arrays is not read
+        s = np.geomspace(0.01, 0.1, 10)
+        samples = np.resize(np.concatenate([s, np.log(s)]), shape)
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            fit_log_coefficient(samples)
 
 
 class TestTipCoefficients:
@@ -599,6 +609,25 @@ class TestCsvWriters:
         assert cpath.read_text() == "N,sup_diff_vs_largest\n16,0.5\n30,0.0\n"
 
 
+    @pytest.mark.parametrize("row_type, key, write", [
+        (GammaSweepRow, "gamma1", write_sweep_gamma_csv),
+        (CurvatureSweepRow, "kappa0", write_sweep_curvature_csv)])
+    def test_sweep_header_is_key_then_report(self, tmp_path, row_type, key,
+                                             write):
+        # the report's fields are declared once, and a sweep row adds its
+        # key; the rows construct and compare as before
+        report = [f.name for f in fields(SolveReport)]
+        assert report == ["A1", "A2", "max_opening", "min_opening",
+                          "max_traction", "error"]
+        row = row_type(**{key: 0.5}, A1=1.0)
+        assert row == row_type(0.5, A1=1.0) != row_type(**{key: 0.5})
+        assert isinstance(row, SolveReport) and np.isnan(row.A2)
+        path = tmp_path / "sweep.csv"
+        write(path, [row])
+        header, line = path.read_text().splitlines()
+        assert header.split(",") == [key, *report]
+        assert line == "0.5,1.0,nan,nan,nan,nan,"
+
     @pytest.mark.parametrize("sweep", ["gamma", "curvature"])
     def test_error_rows_read_back_whole(self, tmp_path, semicircle, material,
                                         load_h, sweep):
@@ -660,6 +689,23 @@ class TestArgumentChecks:
         prof = opening_profile(solved_semicircle, semicircle, material,
                                n_samples=2)
         assert list(prof.s) == [0.0, semicircle.length]
+
+    def test_tip_sample_counts(self, solved_semicircle, semicircle,
+                               material, load_h):
+        # at least 8 samples for the fits, 1 for the samples
+        args = (semicircle, material, load_h, solved_semicircle)
+        for n in (0, 7, 2.5, -1):
+            with pytest.raises(ValueError, match="n must be an integer of "
+                                                 "at least 8"):
+                fit_tip_coefficients(*args, n=n)
+        for n in (0, 2.5, -1):
+            with pytest.raises(ValueError, match="n must be an integer of "
+                                                 "at least 1"):
+                collect_tip_samples(*args, "tau_n", n=n)
+        assert fit_tip_coefficients(*args, n=8)["tau_n"].window \
+            == default_fit_window(semicircle.length)
+        d, v = collect_tip_samples(*args, "tau_n", n=1)
+        assert d.shape == v.shape == (1,)
 
     def test_convergence_study_needs_two_grid_points(self, semicircle,
                                                      material, load_h):

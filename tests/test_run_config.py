@@ -220,6 +220,39 @@ def test_out_dir_the_echo_cannot_read_back_exits_2(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+# a code-built config whose key holds a value of a type its parser never
+# gives: a ConfigError naming the key, exit 2 and nothing written
+WRONG_TYPES = [("alpha", None), ("mu", "60"), ("alpha", "0.5"),
+               ("gamma1", "1"), ("row_scaling", None), ("row_scaling", 1),
+               ("N", 8.0), ("N", True), ("sigma1_inf", True), ("shape", 1),
+               ("mode", None), ("run_mode", None), ("out_dir", None),
+               ("grid", None), ("grid", ("0.5",))]
+
+
+@pytest.mark.parametrize("key,value", WRONG_TYPES)
+def test_code_built_value_of_the_wrong_type_exits_2(tmp_path, capsys, key,
+                                                    value):
+    config = replace(parse_config(_text(dict(GOOD, out_dir=tmp_path / "o"))),
+                     **{key: value})
+    with pytest.raises(ConfigError, match=f"key '{key}' needs"):
+        config.build()
+    assert run(config, quiet=True) == 2
+    assert f"key '{key}' needs" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_code_built_numbers_of_any_real_type_run_as_parsed(tmp_path):
+    # ints for the float keys, numpy scalars and a grid list are values
+    # of the parsers' types
+    out = str(tmp_path / "out")
+    parsed = parse_config(_text(dict(GOOD, out_dir=out, alpha="0.0")))
+    built = replace(parsed, mu=60, alpha=np.float64(0.0), N=np.int64(8))
+    assert built.build().config == parsed
+    sweep = replace(parsed, run_mode="sweep-gamma", grid=[1, 2.0])
+    assert sweep.build().config.grid == (1.0, 2.0)
+    assert run(built, quiet=True) == 0
+
+
 @settings(max_examples=300, deadline=None)
 @given(out_dir=st.text(alphabet=st.one_of(
     st.sampled_from(",#= \t\n\r\x0b\x0c\x1c\x85\u2028"), st.characters())))

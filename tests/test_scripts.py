@@ -56,3 +56,32 @@ def test_face_profiles_match_solve_problem(tmp_path, monkeypatch):
     assert {p.name for p in (tmp_path / "out").iterdir()} == names
     assert len(names) == 9
 
+
+
+def test_snapshot_outputs_compare_between_directories(tmp_path, capsys):
+    # each run writes under OUT/<name> through the relative out_dir <name>,
+    # so two snapshots in different places are byte for byte alike
+    module = _load(next(p for p in SCRIPTS
+                        if p.name == "snapshot_outputs.py"))
+    names = [name for name, _, _ in module.runs()]
+    configs = sorted((module.ROOT / "configs").glob("*.cfg"))
+    assert names == [p.stem for p in configs] \
+        + ["reference_N20", "reference_N40"]
+    cwd = Path.cwd()
+    snapshots = [tmp_path / "a", tmp_path / "b" / "c"]
+    for out in snapshots:
+        assert module.main([str(out)]) == 0
+    assert Path.cwd() == cwd
+    files = [{p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+              if p.is_file()} for out in snapshots]
+    assert files[0] == files[1]
+    assert sorted(p.name for p in snapshots[0].iterdir()) == sorted(names)
+    for name in names:
+        echo = (snapshots[0] / name / "config_echo.txt").read_text()
+        assert f"\nout_dir = {name}\n" in echo
+    for name in ("reference_N20", "reference_N40"):
+        assert (snapshots[0] / name / "system_dump.txt").stat().st_size > 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in printed if line.startswith("== ")] \
+        == [f"== {name}" for name in names] * 2
+    assert module.main([]) == 2
