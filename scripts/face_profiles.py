@@ -4,13 +4,15 @@
 One CSV per loading (horizontal, vertical, biaxial stretching) and per
 gamma1 in {0.5, 1.0, 2.0}, both faces, on a uniform interior grid.  The
 collocation tables depend on neither the load nor gamma1, so they are built
-once and applied to each of the nine solves, as `solve_problem` would.
+once and applied to each of the nine solves, as `solve_problem` would.  One
+face operator (`fields._NodeSide`) of the curve at N serves the tables and
+the field evaluators of all three loads.
 """
 
 from pathlib import Path
 
 from curvecrack import FarFieldLoad, Material, make_semicircle, solve
-from curvecrack.fields import _FieldEvaluator
+from curvecrack.fields import _FieldEvaluator, _NodeSide
 from curvecrack.postprocess import write_face_fields_csv
 from curvecrack.quadrature import Discretization, midpoint_grid
 from curvecrack.solver import _CollocationTables
@@ -31,11 +33,12 @@ def main():
     curve = make_semicircle()
     material = Material(mu=60.0, kappa=2.5)
     grid = midpoint_grid(curve.length, 150)
+    node_side = _NodeSide(curve, material, N)
     tables = _CollocationTables(curve, material,
-                                Discretization(N, curve.length))
+                                Discretization(N, curve.length), node_side)
     for load_name, load in LOADS.items():
         # one field evaluator per load serves the solves of every gamma1
-        fields = _FieldEvaluator(curve, material, load, grid, N)
+        fields = _FieldEvaluator(curve, material, load, grid, N, node_side)
         for gamma1 in GAMMAS:
             coeffs = solve(tables.system(load, gamma1), curve)
             path = OUT / f"face_fields_{load_name}_g{gamma1}.csv"

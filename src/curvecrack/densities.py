@@ -1,23 +1,15 @@
 """Polynomial density representation shared by the solver and field evaluators.
 
 The unknown displacement-jump density is g'(s) = sum_k (g1_k + i g2_k)
-phi_k(s), k = 0..N, with real coefficient vectors g1, g2 over the
-centered monomials phi_k = (s - l/2)^k.  This module owns the basis:
-all that depends on it rests on four primitives, which are looked up in
-this module's namespace when they run (other modules call
-`densities.basis`), so replacing them here replaces the basis everywhere:
-
-- `basis`, the table phi_k(s);
-- `_derivative_matrix`, D with phi_k' = sum_j D[j, k] phi_j: a table over
-  the basis times D is the table of the derivatives (`_pv_tables`,
-  `q_rows_to_unknowns`, `_tip_blocks`), and coefficients times D^T are
-  those of the derivative (`poly_derivative`);
-- `pv_monomials`, the principal values PV int_0^l phi_k(s)/(s - s0) ds;
-- `_tangent_integrals`, int_0^s phi_k(x) t'(x) dx.
-
-Any basis whose phi_k has degree k and parity (-1)^k about l/2 will do:
-a degree-N table is the first N+1 columns of a higher one, D is strictly
-upper triangular and the mirror s -> l - s acts by signs alone
+phi_k(s), k = 0..N, with real coefficient vectors g1, g2 over a basis
+phi_k, one value of four primitives (`Basis`).  All else derives from the
+primitives of a basis it is given: a density carries its own
+(`DensityCoefficients.basis`), a table that of the node side it was built
+on (`fields._NodeSide`), so two bases live side by side in one process.
+`MONOMIALS`, the centered monomials (s - l/2)^k, is the one the program
+uses.  Any basis whose phi_k has degree k and parity (-1)^k about l/2 will
+do: a degree-N table is the first N+1 columns of a higher one, D is
+strictly upper triangular and the mirror s -> l - s acts by signs alone
 (`_mirror_signs`, which split the unknowns into the two parity halves the
 solver solves apart, `_parity_columns`).  The traction-jump density q is
 never an independent unknown: the surface-tension closure determines it
@@ -32,20 +24,42 @@ polynomials, written once in coefficient form (`q_coefficients`).
 `cauchy_densities` is the one definition of the face fields'
 principal-value densities and tip log terms.  The constraint rows of the
 solver are closed forms over the basis alone: the single-valuedness
-integrals (`_tangent_integrals` at s = l; at the opening points it is
+integrals (the tangent integrals at s = l; at the opening points they are
 the opening's jump table) and the tip rows (`_tip_blocks`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .geometry import CrackCurve
 
 
-def basis(s, length: float, degree: int) -> np.ndarray:
+@dataclass(frozen=True)
+class Basis:
+    """A density basis phi_k, k = 0..N, as its four primitives (a basis per
+    channel, Re g' and Im g' weighted apart, would be a pair on the density):
+
+    - table(s, length, degree), phi_k(s) on a new last axis;
+    - derivative_matrix(length, degree), D with phi_k' = sum_j D[j, k]
+      phi_j: a table times D is the table of the derivatives (`_pv_tables`,
+      `_tip_blocks`), coefficients times D^T those of the derivative
+      (`poly_derivative`);
+    - pv_table(length, s0, kmax), PV int_0^l phi_k(s)/(s - s0) ds, (M,
+      kmax + 1) at (M,) points s0;
+    - tangent_integrals(curve, degree, s), int_0^s phi_k(x) t'(x) dx.
+    """
+
+    table: Callable
+    derivative_matrix: Callable
+    pv_table: Callable
+    tangent_integrals: Callable
+
+
+def _monomials(s, length: float, degree: int) -> np.ndarray:
     """Centered monomials (s - l/2)^k, k = 0..degree, on a new last axis."""
     x = np.asarray(s, dtype=float) - 0.5 * length
     return np.vander(x.ravel(), degree + 1, increasing=True).reshape(
@@ -53,43 +67,9 @@ def basis(s, length: float, degree: int) -> np.ndarray:
 
 
 def _derivative_matrix(length: float, degree: int) -> np.ndarray:
-    """The derivative matrix D of the basis, (degree + 1, degree + 1):
+    """The derivative matrix D of the monomials, (degree + 1, degree + 1):
     d/ds phi_k = sum_j D[j, k] phi_j, so D[k - 1, k] = k, all else 0."""
     return np.diag(np.arange(1.0, degree + 1), 1)
-
-
-def poly_derivative(coeffs, length: float) -> np.ndarray:
-    """Coefficients of d/ds of polynomials in the basis: coeffs times D^T.
-
-    The coefficient index is the last axis, so a (C, N+1) array
-    differentiates C polynomials at once; the result has the same shape,
-    its last coefficient zero.
-    """
-    coeffs = np.asarray(coeffs)
-    return coeffs @ _derivative_matrix(length, coeffs.shape[-1] - 1).T
-
-
-def _mirror_signs(degree: int) -> np.ndarray:
-    """The diagonal P of the mirror s -> l - s on the unknowns [g1; g2].
-
-    The mirror maps the collocation system onto itself with its unknowns
-    times P (see `solver`): P takes g'(x) to conj(g'(-x)), x = s - l/2, so
-    it multiplies g1_k by (-1)^k and g2_k by -(-1)^k.
-    """
-    signs = (-1.0) ** np.arange(degree + 1)
-    return np.concatenate([signs, -signs])
-
-
-def _parity_columns(degree: int) -> np.ndarray:
-    """(2, degree + 1) column indices of the unknowns [g1; g2] that the
-    mirror keeps (g1 at even k, g2 at odd k) and of those it negates."""
-    signs = _mirror_signs(degree)
-    return np.array([np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)])
-
-
-def poly_eval(coeffs: np.ndarray, s, length: float):
-    """Evaluate a polynomial given in the centered basis (s - l/2)^k at s."""
-    return basis(s, length, len(coeffs) - 1) @ coeffs
 
 
 def pv_monomials(length: float, s0, kmax: int) -> np.ndarray:
@@ -115,8 +95,85 @@ def pv_monomials(length: float, s0, kmax: int) -> np.ndarray:
     diagonals = np.zeros(kmax + 1)
     diagonals[1::2] = 2.0 * (0.5 * length) ** d[1::2] / d[1::2]
     toeplitz = diagonals[np.maximum(d - d[:, None], 0)]
-    x0p = basis(s0, length, kmax)
+    x0p = _monomials(s0, length, kmax)
     return x0p * np.log((length - s0) / s0)[..., None] + x0p @ toeplitz
+
+
+def _tangent_integrals(curve: CrackCurve, degree: int, s):
+    """M[k, n] = int_0^{s_k} (x - l/2)^n t'(x) dx, n = 0..degree, closed form.
+
+    With L = l/2, t'(x) = t'(L) exp(i kappa0 (x - L)) on every curve, so
+
+        M[k, n] = t'(L) sum_m (i kappa0)^m / m! * P[k, n + m],
+        P[k, p - 1] = ((s_k - L)^p - (-L)^p) / p:
+
+    a sliding sum over the differences of the Vandermonde matrix of the
+    s_k - L, real over even m and imaginary over odd m.  Each entry sums
+    the same terms in the same order at any degree, so the table of a
+    degree is bit for bit the first columns of a higher one.  The terms
+    fall below 2^-56 of the first after m = `_exp_terms(|kappa0| L)`.
+    """
+    L = 0.5 * curve.length
+    k0 = curve.constant_curvature
+    terms = _exp_terms(abs(k0) * L)
+    top = degree + terms
+    powers = (_monomials(s, curve.length, top)[..., 1:]
+              - _monomials(0.0, curve.length, top)[1:]) / np.arange(1, top + 1)
+    # entry (n, m) of the window is P[..., n + m]
+    window = np.lib.stride_tricks.sliding_window_view(
+        powers, terms, axis=-1)[..., : degree + 1, :]
+    coef = np.cumprod(np.concatenate([[1.0], 1j * k0 / np.arange(1, terms)]))
+    re = np.einsum("...nm,m->...n", window[..., ::2], coef.real[::2])
+    im = np.einsum("...nm,m->...n", window[..., 1::2], coef.imag[1::2])
+    return curve.tangent(L) * (re + 1j * im)
+
+
+def _exp_terms(x):
+    """How many terms of sum_m x^m/m! to keep: the first left out is below
+    2^-56."""
+    m, term = 1, x
+    while term >= 2.0 ** -56:
+        m += 1
+        term *= x / m
+    return m
+
+
+MONOMIALS = Basis(_monomials, _derivative_matrix, pv_monomials,
+                  _tangent_integrals)
+
+
+def poly_derivative(coeffs, length: float, basis) -> np.ndarray:
+    """Coefficients of d/ds of polynomials in the basis: coeffs times D^T.
+
+    The coefficient index is the last axis, so a (C, N+1) array
+    differentiates C polynomials at once; the result has the same shape,
+    its last coefficient zero.
+    """
+    coeffs = np.asarray(coeffs)
+    return coeffs @ basis.derivative_matrix(length, coeffs.shape[-1] - 1).T
+
+
+def _mirror_signs(degree: int) -> np.ndarray:
+    """The diagonal P of the mirror s -> l - s on the unknowns [g1; g2].
+
+    The mirror maps the collocation system onto itself with its unknowns
+    times P (see `solver`): P takes g'(x) to conj(g'(-x)), x = s - l/2, so
+    it multiplies g1_k by (-1)^k and g2_k by -(-1)^k.
+    """
+    signs = (-1.0) ** np.arange(degree + 1)
+    return np.concatenate([signs, -signs])
+
+
+def _parity_columns(degree: int) -> np.ndarray:
+    """(2, degree + 1) column indices of the unknowns [g1; g2] that the
+    mirror keeps (g1 at even k, g2 at odd k) and of those it negates."""
+    signs = _mirror_signs(degree)
+    return np.array([np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)])
+
+
+def poly_eval(coeffs: np.ndarray, s, length: float, basis):
+    """Evaluate a polynomial given by its coefficients in the basis at s."""
+    return basis.table(s, length, len(coeffs) - 1) @ coeffs
 
 
 def pv_polynomial(coeffs, length: float, s0):
@@ -128,8 +185,9 @@ def pv_polynomial(coeffs, length: float, s0):
     return pv_monomials(length, s0, len(coeffs) - 1) @ np.asarray(coeffs)
 
 
-def _pv_tables(length: float, s0, degree: int, derivatives: bool = False):
-    """The principal values of `pv_monomials` at the points s0, (1, M,
+def _pv_tables(length: float, s0, degree: int, basis,
+               derivatives: bool = False):
+    """The principal values of the basis at the points s0, (1, M,
     degree+1), and with derivatives also their first two s0-derivatives,
     (3, M, degree+1).
 
@@ -138,12 +196,12 @@ def _pv_tables(length: float, s0, degree: int, derivatives: bool = False):
     end terms of its own derivative.
     """
     s0 = np.asarray(s0, dtype=float)
-    pv = pv_monomials(length, s0, degree)
+    pv = basis.pv_table(length, s0, degree)
     if not derivatives:
         return pv[None]
-    D = _derivative_matrix(length, degree)
+    D = basis.derivative_matrix(length, degree)
     a, b = 1.0 / (length - s0)[:, None], 1.0 / s0[:, None]
-    at0, atl = basis([0.0, length], length, degree)
+    at0, atl = basis.table([0.0, length], length, degree)
     pv1 = pv @ D - (atl * a + at0 * b)
     pv2 = pv1 @ D - (atl * a * a - at0 * b * b)
     return np.stack([pv, pv1, pv2])
@@ -170,11 +228,12 @@ class _OnFirstRead:
 
 @dataclass
 class DensityCoefficients:
-    """Taylor coefficients of the displacement-jump density g'.
+    """The displacement-jump density g' by its coefficients in a basis.
 
-    g1 and g2 hold the real and imaginary coefficient vectors (degree N each).
-    gamma1 is carried along because the closure to the traction-jump density
-    q depends on it.  Diagnostics are attached by the solver.  It sets
+    g1 and g2 hold the real and imaginary coefficient vectors (degree N each)
+    over basis, the one it was solved in.  gamma1 is carried along because
+    the closure to the traction-jump density q depends on it.  Diagnostics
+    are attached by the solver.  It sets
     single_valued_residual to the function that computes it from the
     density, which runs on first read, so a run that never reads the
     residual never pays for it.
@@ -186,6 +245,7 @@ class DensityCoefficients:
     gamma1: float
     condition_estimate: float = float("nan")
     single_valued_residual: float = _OnFirstRead()
+    basis: Basis = MONOMIALS
 
     def __post_init__(self):
         self.g1 = np.asarray(self.g1, dtype=float)
@@ -207,7 +267,13 @@ class DensityCoefficients:
 
     def gprime(self, s):
         """Reconstructed complex density g'(s)."""
-        return poly_eval(self.g1 + 1j * self.g2, s, self.length)
+        return poly_eval(self.g1 + 1j * self.g2, s, self.length, self.basis)
+
+    def check_curve(self, curve: CrackCurve):
+        """Raise ValueError unless the curve has the density's arc length."""
+        if curve.length != self.length:
+            raise ValueError(f"a density on an arc of length {self.length!r} "
+                             f"paired with a curve of length {curve.length!r}")
 
 
 def check_gamma1(gamma1, error=ValueError):
@@ -216,21 +282,20 @@ def check_gamma1(gamma1, error=ValueError):
         raise error(f"gamma1 must be finite and nonnegative, got {gamma1}")
 
 
-def q_coefficients(curve: CrackCurve, material, gamma1: float, g1, g2):
+def q_coefficients(curve: CrackCurve, material, gamma1: float, g1, g2, basis):
     """Complex coefficients of q for equal-shape real coefficient arrays.
 
-    The closure above, with P = kappa0 Im g' + Re g'' in the centered
-    basis, over the last axis: (C, N+1) arrays g1, g2 give one q polynomial
-    per row.
+    The closure above, with P = kappa0 Im g' + Re g'' in the basis, over
+    the last axis: (C, N+1) arrays g1, g2 give one q polynomial per row.
     """
     k0, length = curve.constant_curvature, curve.length
     g1, g2 = np.asarray(g1, dtype=float), np.asarray(g2, dtype=float)
-    P = poly_derivative(g1, length) + k0 * g2
+    P = poly_derivative(g1, length, basis) + k0 * g2
     return (gamma1 / (4.0 * material.mu)) * (
-        k0 * P + 1j * poly_derivative(P, length))
+        k0 * P + 1j * poly_derivative(P, length, basis))
 
 
-def q_rows_to_unknowns(re_rows, im_rows, curve: CrackCurve, material):
+def q_rows_to_unknowns(re_rows, im_rows, curve: CrackCurve, material, basis):
     """Rows on the coefficients g1 and g2 of rows on those of Re q and Im q.
 
     The closure of `q_coefficients` at gamma1 = 1 in banded form: q =
@@ -239,22 +304,24 @@ def q_rows_to_unknowns(re_rows, im_rows, curve: CrackCurve, material):
     b D)/4mu: W D on g1 and kappa0 W on g2.  D acts on the last axis.
     """
     k0 = curve.constant_curvature
-    D = _derivative_matrix(curve.length, re_rows.shape[-1] - 1)
+    D = basis.derivative_matrix(curve.length, re_rows.shape[-1] - 1)
     w = (k0 * re_rows + im_rows @ D) / (4.0 * material.mu)
     return w @ D, k0 * w
 
 
 def q_polynomial(curve: CrackCurve, material, gamma1: float,
                  coeffs: DensityCoefficients) -> np.ndarray:
-    """Complex coefficient vector of q(s)."""
-    return q_coefficients(curve, material, gamma1, coeffs.g1, coeffs.g2)
+    """Complex coefficient vector of q(s), in the density's basis."""
+    coeffs.check_curve(curve)
+    return q_coefficients(curve, material, gamma1, coeffs.g1, coeffs.g2,
+                          coeffs.basis)
 
 
 def traction_jump(curve: CrackCurve, material, gamma1: float,
                   coeffs: DensityCoefficients, s):
     """Complex traction-jump density q(s): `q_polynomial` evaluated at s."""
     return poly_eval(q_polynomial(curve, material, gamma1, coeffs), s,
-                     coeffs.length)
+                     coeffs.length, coeffs.basis)
 
 
 def traction_jump_parts(curve: CrackCurve, material, gamma1: float,
@@ -280,65 +347,26 @@ def cauchy_densities(gp, q, kappa: float):
             (kappa - 1.0) * gp - 4j * kappa * q)
 
 
-def _tangent_integrals(curve: CrackCurve, degree: int, s):
-    """M[k, n] = int_0^{s_k} (x - l/2)^n t'(x) dx, n = 0..degree, closed form.
+def _single_valued_integrals(curve: CrackCurve, degree: int, basis):
+    """I_n = int_0^l phi_n(x) t'(x) dx, n = 0..degree.
 
-    With L = l/2, t'(x) = t'(L) exp(i kappa0 (x - L)) on every curve, so
-
-        M[k, n] = t'(L) sum_m (i kappa0)^m / m! * P[k, n + m],
-        P[k, p - 1] = ((s_k - L)^p - (-L)^p) / p:
-
-    a sliding sum over the differences of the Vandermonde matrix of the
-    s_k - L, real over even m and imaginary over odd m.  Each entry sums
-    the same terms in the same order at any degree, so the table of a
-    degree is bit for bit the first columns of a higher one.  The terms
-    fall below 2^-56 of the first after m = `_exp_terms(|kappa0| L)`.
+    The integrals of the single-valuedness rows: the basis's tangent
+    integrals at s = l.
     """
-    L = 0.5 * curve.length
-    k0 = curve.constant_curvature
-    terms = _exp_terms(abs(k0) * L)
-    top = degree + terms
-    powers = (basis(s, curve.length, top)[..., 1:]
-              - basis(0.0, curve.length, top)[1:]) / np.arange(1, top + 1)
-    # entry (n, m) of the window is P[..., n + m]
-    window = np.lib.stride_tricks.sliding_window_view(
-        powers, terms, axis=-1)[..., : degree + 1, :]
-    coef = np.cumprod(np.concatenate([[1.0], 1j * k0 / np.arange(1, terms)]))
-    re = np.einsum("...nm,m->...n", window[..., ::2], coef.real[::2])
-    im = np.einsum("...nm,m->...n", window[..., 1::2], coef.imag[1::2])
-    return curve.tangent(L) * (re + 1j * im)
+    return basis.tangent_integrals(curve, degree, [curve.length])[0]
 
 
-def _exp_terms(x):
-    """How many terms of sum_m x^m/m! to keep: the first left out is below
-    2^-56."""
-    m, term = 1, x
-    while term >= 2.0 ** -56:
-        m += 1
-        term *= x / m
-    return m
-
-
-def _single_valued_integrals(curve: CrackCurve, degree: int):
-    """I_n = int_0^l (x - l/2)^n t'(x) dx, n = 0..degree.
-
-    The integrals of the single-valuedness rows: `_tangent_integrals` at
-    s = l.
-    """
-    return _tangent_integrals(curve, degree, [curve.length])[0]
-
-
-def _jump_table(curve: CrackCurve, degree: int, n_samples: int = 201):
+def _jump_table(curve: CrackCurve, degree: int, basis, n_samples: int = 201):
     """M[k, n] = int_0^{s_k} phi_n(x) t'(x) dx on equispaced s_k in [0, l].
 
-    `_tangent_integrals` at the points of the opening profile, which is
-    this table applied to the density.
+    The basis's tangent integrals at the points of the opening profile,
+    which is this table applied to the density.
     """
-    return _tangent_integrals(curve, degree,
-                              np.linspace(0.0, curve.length, n_samples))
+    return basis.tangent_integrals(
+        curve, degree, np.linspace(0.0, curve.length, n_samples))
 
 
-def _tip_blocks(curve: CrackCurve, material, degree: int):
+def _tip_blocks(curve: CrackCurve, material, degree: int, basis):
     """T0 and T1 of the tip rows, (rows, 2 degree + 2): the rows of a
     density [g1; g2] at gamma1 are (T0 + gamma1 T1) [g1; g2], in
     constraint order, the rows of the first tip first.
@@ -353,7 +381,7 @@ def _tip_blocks(curve: CrackCurve, material, degree: int):
     exp(+-s/sqrt(gamma1(kappa-1)/4mu)) unpinned; the rows Re g'' and
     Im g'' at each tip, b' on g1 and on g2, pin them.
     """
-    b = basis([0.0, curve.length], curve.length, degree)
+    b = basis.table([0.0, curve.length], curve.length, degree)
     (sg, og), (sq, oq) = (cauchy_densities(1.0, 0.0, material.kappa),
                           cauchy_densities(0.0, 1.0, material.kappa))
     t0, t1 = [], []
@@ -361,9 +389,9 @@ def _tip_blocks(curve: CrackCurve, material, degree: int):
     for z, zq in ((1j * og, 1j * oq), (0.5 * sg, 0.5 * sq)):
         t0.append(np.hstack([z.real * b, -z.imag * b]))
         t1.append(np.hstack(q_rows_to_unknowns(zq.real * b, -zq.imag * b,
-                                               curve, material)))
+                                               curve, material, basis)))
     if curve.constant_curvature == 0.0:
-        b1 = b @ _derivative_matrix(curve.length, degree)
+        b1 = b @ basis.derivative_matrix(curve.length, degree)
         zero = np.zeros(b.shape)
         t0 += [np.hstack([b1, zero]), np.hstack([zero, b1])]
         t1 += [np.zeros(t0[0].shape)] * 2

@@ -31,8 +31,9 @@ reads the face-average traction and the face function omega at its
 points, applies those rows to the real and imaginary coefficient columns
 of the solved densities, one or a sweep's stack of them, and adds the
 +-jump terms and the far field.  A node side on a flat node rule is the
-discrete oracle: its principal values are node sums.  This module
-reaches the density basis only through `densities`.
+discrete oracle: its principal values are node sums.  Each node side
+holds one density basis (`densities.Basis`), and this module reads the
+basis from node sides alone.
 """
 
 from __future__ import annotations
@@ -42,10 +43,9 @@ from functools import cached_property
 
 import numpy as np
 
-from . import densities
-from .densities import (DensityCoefficients, _pv_tables,
+from .densities import (MONOMIALS, DensityCoefficients, _pv_tables,
                         _single_valued_integrals, _tip_blocks,
-                        cauchy_densities, q_polynomial)
+                        cauchy_densities, check_gamma1, q_polynomial)
 from .geometry import CrackCurve
 from .kernels import KernelSet
 from .quadrature import Discretization, pv_cauchy_sum, regular_rule
@@ -134,7 +134,7 @@ class SurfaceParams:
     gamma1: float
 
     def __post_init__(self):
-        densities.check_gamma1(self.gamma1)
+        check_gamma1(self.gamma1)
 
 
 def surface_tension_coefficients(curve: CrackCurve, gamma1: float, s):
@@ -246,8 +246,8 @@ _KERNELS = ("k1", "k3", "k4", "d1", "d4", "dd1", "dd4")
 
 
 class _NodeSide:
-    """The face operator of one curve and material, for degrees up to
-    `degree`.
+    """The face operator of one curve and material in one density basis
+    (by default the centered monomials), for degrees up to `degree`.
 
     Construction tabulates what does not depend on the points s0: the
     weighted basis of the rule and the kernels' node tables
@@ -260,13 +260,13 @@ class _NodeSide:
     degree N reads the first N+1.
     """
 
-    def __init__(self, curve, material, degree, disc=None):
+    def __init__(self, curve, material, degree, disc=None, basis=MONOMIALS):
         self.curve, self.material, self.degree = curve, material, degree
         self.kset = KernelSet(curve, material.kappa)
-        self.disc = disc
+        self.disc, self.basis = disc, basis
         nodes, weights = (regular_rule(curve.length) if disc is None
                           else (disc.nodes, disc.weight))
-        wbasis = np.reshape(weights, (-1, 1)) * densities.basis(
+        wbasis = np.reshape(weights, (-1, 1)) * basis.table(
             nodes, curve.length, degree)
         self._kernel = self.kset.node_tables(nodes, wbasis)
 
@@ -292,11 +292,12 @@ class _NodeSide:
         column sums and d2, dd2 not at all.
         """
         if self.disc is None:
-            pv = _pv_tables(self.curve.length, s0, degree, derivatives)
+            pv = _pv_tables(self.curve.length, s0, degree, self.basis,
+                            derivatives)
         else:
             nodes = self.disc.nodes
             pv = pv_cauchy_sum(
-                densities.basis(nodes, self.curve.length, degree).T, nodes,
+                self.basis.table(nodes, self.curve.length, degree).T, nodes,
                 self.disc.weight, np.asarray(s0, dtype=float)[:, None])[None]
         raw = np.concatenate([pv, self.kset.raw_tables(
             s0, self.columns(degree), derivatives)])
@@ -306,12 +307,12 @@ class _NodeSide:
     @cached_property
     def tip_rows(self):
         """T0 and T1 of `_tip_blocks`, g1 columns then g2 columns."""
-        return _tip_blocks(self.curve, self.material, self.degree)
+        return _tip_blocks(self.curve, self.material, self.degree, self.basis)
 
     @cached_property
     def single_valued(self):
         """I_n = int_0^l phi_n(x) t'(x) dx, n = 0..degree."""
-        return _single_valued_integrals(self.curve, self.degree)
+        return _single_valued_integrals(self.curve, self.degree, self.basis)
 
     @cached_property
     def rows_maps(self):
@@ -376,12 +377,13 @@ class _FieldEvaluator:
 
     Construction checks the points and reads the operator's rows at them
     (`_NodeSide.rows`, without s0-derivatives) from node_side, or from a
-    node side of its own on `regular_rule`, and tabulates the basis and
-    the far field at the points; apply() applies the rows to the real and
-    imaginary coefficient columns of any number of solved densities and
-    adds the +-jump terms and the far field, so one evaluator serves every
-    density of a sweep, and face_values is its one-density case.  A node
-    side on a flat node rule gives the discrete oracle.
+    monomial node side of its own on `regular_rule`, and tabulates its
+    basis and the far field at the points; apply() applies the rows to the
+    real and imaginary coefficient columns of any number of solved
+    densities in that basis and adds the +-jump terms and the far field,
+    so one evaluator serves every density of a sweep, and face_values is
+    its one-density case.  A node side on a flat node rule gives the
+    discrete oracle.
     """
 
     def __init__(self, curve, material, load, s0, degree, node_side=None):
@@ -396,7 +398,7 @@ class _FieldEvaluator:
         if node_side is None:
             node_side = _NodeSide(curve, material, degree)
         self._rows = node_side.rows(self.s0, degree)
-        self._basis = densities.basis(self.s0, curve.length, degree)
+        self._table = node_side.basis.table(self.s0, curve.length, degree)
         phi, psi = load.phi_inf, load.psi_inf
         self._t1 = t1 = curve.tangent(self.s0)
         self._far = 2.0 * np.real(phi) + np.conj(psi) * np.conj(t1) ** 2
@@ -428,9 +430,9 @@ class _FieldEvaluator:
                           [q_poly.real.T, q_poly.imag.T]])[:, None]
         re_s, im_s, re_w, im_w = (self._rows[..., :n] @ parts).sum(
             axis=(0, 2))
-        mono = self._basis[:, :n]
+        phi = self._table[:, :n]
         signs = _SIGNS[..., None]
-        traction = signs * (mono @ q_poly.T) + (re_s + 1j * im_s) \
+        traction = signs * (phi @ q_poly.T) + (re_s + 1j * im_s) \
             + self._far[:, None]
 
         # omega is the face function whose jump is i g'(s0).  Its jump
@@ -440,7 +442,7 @@ class _FieldEvaluator:
         # by test_displacement_jump_identity (the face values' jump) and
         # test_jump_derivative_consistency (the slope of the opening, the
         # integral of g' t' by the jump table).
-        omega = signs * 0.5j * (mono @ gp_poly.T) + (re_w + 1j * im_w)
+        omega = signs * 0.5j * (phi @ gp_poly.T) + (re_w + 1j * im_w)
         du = (self._t1[:, None] * omega + self._du_far[:, None]) \
             / (2.0 * self.material.mu)
         return traction, du
@@ -457,6 +459,14 @@ class _FieldEvaluator:
                      for i, side in enumerate(_SIDES))
 
 
+def _evaluator(curve, material, load, s0, coeffs, disc=None):
+    """A field evaluator at s0 on a node side of the density's degree and
+    basis, on `regular_rule` or the flat node rule of disc."""
+    return _FieldEvaluator(curve, material, load, s0, coeffs.degree,
+                           _NodeSide(curve, material, coeffs.degree, disc,
+                                     coeffs.basis))
+
+
 def face_fields(curve: CrackCurve, material: Material, load: FarFieldLoad,
                 densities: DensityCoefficients, side: str, s0: float,
                 n_quad: int = 400, cauchy: str = "exact") -> FaceFieldSample:
@@ -471,12 +481,8 @@ def face_fields(curve: CrackCurve, material: Material, load: FarFieldLoad,
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     if cauchy not in ("exact", "discrete"):
         raise ValueError(f"unknown cauchy mode {cauchy!r}")
-    node_side = None
-    if cauchy == "discrete":
-        node_side = _NodeSide(curve, material, densities.degree,
-                              Discretization(n_quad, curve.length))
-    ev = _FieldEvaluator(curve, material, load, [s0], densities.degree,
-                         node_side)
+    disc = None if cauchy == "exact" else Discretization(n_quad, curve.length)
+    ev = _evaluator(curve, material, load, [s0], densities, disc)
     return ev.samples(densities)[_SIDES.index(side)][0]
 
 
@@ -486,6 +492,6 @@ def face_field_profile(curve, material, load, densities, s_values,
 
     Returns a list of FaceFieldSample.
     """
-    ev = _FieldEvaluator(curve, material, load, s_values, densities.degree)
+    ev = _evaluator(curve, material, load, s_values, densities)
     faces = ev.samples(densities)
     return [sample for side in sides for sample in faces[_SIDES.index(side)]]

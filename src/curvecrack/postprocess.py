@@ -40,10 +40,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import densities
 from .densities import (DensityCoefficients, _jump_table, cauchy_densities,
-                        poly_eval, q_coefficients, q_polynomial)
-from .fields import _SIDES, _FieldEvaluator, _NodeSide
+                        q_coefficients, traction_jump)
+from .fields import _SIDES, _FieldEvaluator, _NodeSide, _evaluator
 from .geometry import CrackCurve, make_circular_arc
 from .quadrature import Discretization, midpoint_grid
 from .solver import (AssemblyError, SolveError, _check_gamma1,
@@ -73,9 +72,10 @@ def opening_profile(coeffs: DensityCoefficients, curve: CrackCurve, material,
     The integrals are the jump table (`densities._jump_table`) applied to g'.
     """
     _check_count("n_samples", n_samples, 2)
+    coeffs.check_curve(curve)
     s_grid, jump, delta = _openings(
         (coeffs.g1 + 1j * coeffs.g2)[:, None], curve, material,
-        _jump_table(curve, coeffs.degree, n_samples))
+        _jump_table(curve, coeffs.degree, coeffs.basis, n_samples))
     delta = delta[:, 0]
     return OpeningProfile(s=s_grid, jump=jump[:, 0], delta=delta,
                           max_opening=float(np.max(delta)),
@@ -178,7 +178,7 @@ def _tip_points(curve, tip, window, n):
 def _tip_fields(curve, material, load, coeffs, tip, side, window, n):
     """Distances from the tip and the four face fields there, one evaluator."""
     dist, s_vals = _tip_points(curve, tip, window, n)
-    ev = _FieldEvaluator(curve, material, load, s_vals, coeffs.degree)
+    ev = _evaluator(curve, material, load, s_vals, coeffs)
     traction, du = (v[_SIDES.index(side)] for v in ev.face_values(coeffs))
     return dist, {"sigma_n": traction.real, "tau_n": traction.imag,
                   "du1_ds": du.real, "du2_ds": du.imag}
@@ -232,8 +232,7 @@ def tip_log_coefficients(curve, material, coeffs):
     """
     kappa = material.kappa
     gp0 = complex(coeffs.gprime(0.0))
-    q0 = complex(poly_eval(q_polynomial(curve, material, coeffs.gamma1,
-                                        coeffs), 0.0, curve.length))
+    q0 = complex(traction_jump(curve, material, coeffs.gamma1, coeffs, 0.0))
     sigma, omega = cauchy_densities(gp0, q0, kappa)
     scale = -1.0 / (2.0 * np.pi * (kappa + 1.0))
     a_tr = scale * sigma
@@ -246,8 +245,8 @@ def max_face_traction(curve, material, load, coeffs,
                       n_points: int = _TRACTION_POINTS) -> float:
     """sup over both faces of |sigma_n + i tau_n| on a midpoint grid."""
     _check_count("n_points", n_points, 1)
-    ev = _FieldEvaluator(curve, material, load,
-                         midpoint_grid(curve.length, n_points), coeffs.degree)
+    ev = _evaluator(curve, material, load,
+                    midpoint_grid(curve.length, n_points), coeffs)
     return float(np.max(np.abs(ev.face_values(coeffs)[0])))
 
 
@@ -320,7 +319,8 @@ class _SweepTables:
         N = self.collocation.disc.N
         g1, g2 = x[:, : N + 1], x[:, N + 1:]
         gp = g1 + 1j * g2
-        q = q_coefficients(self.curve, self.material, gamma1[:, None], g1, g2)
+        q = q_coefficients(self.curve, self.material, gamma1[:, None], g1, g2,
+                           self.collocation.basis)
         traction, du = self.fields.apply(gp, q)
         _, jump, delta = _openings(gp.T, self.curve, self.material,
                                    self.collocation.jump)
@@ -455,7 +455,7 @@ def convergence_study(curve, material, load, gamma1, n_list,
                                  Discretization(n, curve.length),
                                  node_side=node_side), curve))
               for n in n_list]
-    table = densities.basis(grid, curve.length, n_list[-1])
+    table = node_side.basis.table(grid, curve.length, n_list[-1])
     samples = [table[:, : n + 1] @ (coeffs.g1 + 1j * coeffs.g2)
                for n, coeffs in solved]
     return [ConvergenceRow(N=n, coeffs=coeffs, gprime=gp,

@@ -1,11 +1,11 @@
 """Collocation solver for the singular integro-differential crack system.
 
-The unknown density g'(s) is expanded in the basis of `densities`, the
-centered Taylor basis (s - l/2)^k, k = 0..N, with real coefficient pairs
-(g1_k, g2_k).  The traction-jump density q is eliminated through the
+The unknown density g'(s) = sum_k (g1_k + i g2_k) phi_k(s), k = 0..N, is
+expanded in the `densities.Basis` of the run's face operator (by default
+the centered monomials (s - l/2)^k), read from a node side or a density
+only.  The traction-jump density q is eliminated through the
 surface-tension closure (see densities.py), so the unknown vector has
-2N+2 real entries.  This module reaches the basis only through
-`densities` and the face operator.
+2N+2 real entries.
 
 Rows 1..N of the collocation block are the real parts of the boundary
 equation at the midpoints s_j, rows N+1..2N the imaginary parts.  All
@@ -53,7 +53,7 @@ integrals I_n of the single-valuedness rows, int_0^l phi_n(x) t'(x) dx
 side (`fields._NodeSide`).  The jump table (`_jump_table`), the
 integrals of g' t' up to each point of the opening profile, is built only
 when an opening is asked for, so a convergence run builds none.  Both
-are one closed form, `densities._tangent_integrals`, so no quadrature rule
+are the basis's tangent integrals, in closed form, so no quadrature rule
 is needed.  `_CollocationTables.systems` combines them for P gamma1
 values at once into a stack, arrays with a leading point axis, with no
 operator product; assemble() builds the tables of one N from the node
@@ -93,9 +93,9 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .densities import (DensityCoefficients, _jump_table, _mirror_signs,
-                        _parity_columns, _single_valued_integrals,
-                        _tip_blocks, check_gamma1, q_rows_to_unknowns)
+from .densities import (Basis, DensityCoefficients, _jump_table, _mirror_signs,
+                        _parity_columns, _single_valued_integrals, _tip_blocks,
+                        check_gamma1, q_rows_to_unknowns)
 from .fields import _NodeSide, boundary_forcing
 from .geometry import CrackCurve
 # gauss_legendre is not called here, but perfbench's tracer test rebinds it
@@ -131,7 +131,8 @@ class LinearSystem:
     singular value clipped at the Tikhonov floor LAMBDA_REL * sigma_max,
     so it never exceeds 1/LAMBDA_REL = 1e8; it is inf only for a zero
     reduced block.  single_valued_integrals are the unscaled integrals I_k
-    of the single-valuedness rows (`_single_valued_integrals`).
+    of the single-valuedness rows (`_single_valued_integrals`) in the
+    basis of the unknowns, which `solve` gives the density.
 
     A stack of P systems that share N and the number of constraint rows
     (`_CollocationTables.systems`) carries a leading point axis on matrix,
@@ -147,6 +148,7 @@ class LinearSystem:
     disc: Discretization
     gamma1: float
     single_valued_integrals: np.ndarray
+    basis: Basis
 
     @property
     def collocation_block(self):
@@ -247,7 +249,7 @@ def _floats_text(values):
 
 
 class _CollocationTables:
-    """The gamma1-independent part of the system of one curve, material and N.
+    """The gamma1-independent part of the system of one node side and N.
 
     The collocation rows are (kappa+1)(R0 + gamma1 R1 + gamma1^2 R2): q is
     linear in gamma1, and the face-curvature term multiplies by gamma1 once
@@ -274,13 +276,14 @@ class _CollocationTables:
         self.curve, self.material, self.disc = curve, material, disc
         if node_side is None:
             node_side = _NodeSide(curve, material, N)
+        self.basis = node_side.basis
         M = (N + 1) // 2
         # (g' or q, row kind, Re or Im, point, coefficient): Re Sigma,
         # Im Sigma, -kappa0 dk and -dk' per unit coefficient
         g, q = node_side.rows(disc.collocation_points[:M], N,
                               derivatives=True)
-        q = np.stack(q_rows_to_unknowns(q[:, 0], q[:, 1], curve, material),
-                     axis=1)
+        q = np.stack(q_rows_to_unknowns(q[:, 0], q[:, 1], curve, material,
+                                        self.basis), axis=1)
         # (row kind, point) by (Re or Im, coefficient)
         self.blocks = tuple(
             block.transpose(0, 2, 1, 3).reshape(2 * M, 2 * N + 2)
@@ -299,7 +302,7 @@ class _CollocationTables:
     @cached_property
     def jump(self):
         """The (201, N+1) jump table of the opening, built on first use."""
-        return _jump_table(self.curve, self.disc.N)
+        return _jump_table(self.curve, self.disc.N, self.basis)
 
     def system(self, load, gamma1: float,
                row_scaling: bool = True) -> LinearSystem:
@@ -374,7 +377,8 @@ class _CollocationTables:
         b /= scale
         return LinearSystem(matrix=A, rhs=b, n_constraints=n_con,
                             row_scale=scale, disc=disc, gamma1=g,
-                            single_valued_integrals=self.single_valued), errors
+                            single_valued_integrals=self.single_valued,
+                            basis=self.basis), errors
 
 
 def _check_gamma1(gamma1):
@@ -408,9 +412,10 @@ def solve(system: LinearSystem, curve: CrackCurve | None = None) -> DensityCoeff
     coeffs = DensityCoefficients(
         g1=x[: N + 1], g2=x[N + 1:], length=system.disc.length,
         gamma1=system.gamma1,
-        condition_estimate=system.condition_estimate,
+        condition_estimate=system.condition_estimate, basis=system.basis,
     )
     if curve is not None:
+        coeffs.check_curve(curve)
         coeffs.single_valued_residual = partial(
             _normalized_residual, curve=curve,
             ints=system.single_valued_integrals)
@@ -489,15 +494,17 @@ def solve_problem(curve: CrackCurve, material, load, gamma1: float, N: int = 20,
 def single_valued_integral(coeffs: DensityCoefficients,
                            curve: CrackCurve) -> complex:
     """int_0^l g'(s) t'(s) ds, with the integrals of the solve's rows."""
-    ints = _single_valued_integrals(curve, coeffs.degree)
+    coeffs.check_curve(curve)
+    ints = _single_valued_integrals(curve, coeffs.degree, coeffs.basis)
     return complex(np.sum((coeffs.g1 + 1j * coeffs.g2) * ints))
 
 
 def single_valued_residual(coeffs: DensityCoefficients,
                            curve: CrackCurve) -> float:
     """|int g' t' ds| normalized by sup|g'| times the arc length."""
-    return _normalized_residual(
-        coeffs, curve, _single_valued_integrals(curve, coeffs.degree))
+    coeffs.check_curve(curve)
+    return _normalized_residual(coeffs, curve, _single_valued_integrals(
+        curve, coeffs.degree, coeffs.basis))
 
 
 def _sup_gprime(coeffs: DensityCoefficients, curve: CrackCurve) -> float:
@@ -526,8 +533,9 @@ def tip_condition_residuals(coeffs: DensityCoefficients, curve: CrackCurve,
     if gamma1 != coeffs.gamma1:
         raise ValueError(f"gamma1 {gamma1!r} is not the density's own "
                          f"{coeffs.gamma1!r}")
-    return _tip_residuals(coeffs, curve,
-                          _tip_blocks(curve, material, coeffs.degree))
+    coeffs.check_curve(curve)
+    return _tip_residuals(coeffs, curve, _tip_blocks(
+        curve, material, coeffs.degree, coeffs.basis))
 
 
 def _tip_residuals(coeffs: DensityCoefficients, curve: CrackCurve, tip_rows):

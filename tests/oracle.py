@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from curvecrack.densities import _pv_tables, basis, cauchy_densities
+from curvecrack.densities import _pv_tables, cauchy_densities
 
 # the kernel tables apply() reads, without and with s0-derivatives
 KERNELS = {False: ("k1", "k3", "k4"),
@@ -65,11 +65,11 @@ class FaceOperator:
         self._side = side
         self._raw = side.kset.raw_tables(s0, side.columns(degree),
                                          derivatives)
-        self._pv = _pv_tables(l, s0, degree, derivatives)
+        self._pv = _pv_tables(l, s0, degree, side.basis, derivatives)
         self.kappa = side.kset.kappa
         self._k2 = -1j * side.curve.constant_curvature
         self._inv_ends = (1.0 / (l - s0)[:, None], 1.0 / s0[:, None])
-        self._ends = basis([0.0, l], l, degree)
+        self._ends = side.basis.table([0.0, l], l, degree)
 
     @cached_property
     def _reg(self):

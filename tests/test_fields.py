@@ -11,8 +11,8 @@ from curvecrack import (DensityCoefficients, FarFieldLoad, KernelSet,
                         pv_polynomial, solve_problem,
                         surface_tension_coefficients, traction_jump)
 from curvecrack import fields
-from curvecrack.densities import (poly_derivative, poly_eval, q_coefficients,
-                                  q_polynomial)
+from curvecrack.densities import (MONOMIALS, poly_derivative, poly_eval,
+                                  q_coefficients, q_polynomial)
 from curvecrack.quadrature import (Discretization, gauss_legendre,
                                    pv_cauchy_sum, regular_rule)
 from oracle import FaceOperator
@@ -384,7 +384,7 @@ class TestFaceFields:
         # density columns at once
         rng = np.random.default_rng(19)
         g1, g2 = rng.normal(size=(2, 3, 9))
-        q = q_coefficients(curve, material, 1.0, g1, g2)
+        q = q_coefficients(curve, material, 1.0, g1, g2, MONOMIALS)
 
         def apply(points):
             op = FaceOperator(fields._NodeSide(curve, material, 8),
@@ -409,7 +409,7 @@ class TestFaceFields:
         rng = np.random.default_rng(23)
         g1, g2 = rng.normal(size=(2, 3, 9))
         gp_poly = g1 + 1j * g2
-        q_poly = q_coefficients(curve, material, 1.0, g1, g2)
+        q_poly = q_coefficients(curve, material, 1.0, g1, g2, MONOMIALS)
         l, kappa = curve.length, material.kappa
         grid = np.sort(rng.uniform(0.005, 0.995, 21)) * l
         got = FaceOperator(fields._NodeSide(curve, material, 8), grid, 8,
@@ -420,7 +420,7 @@ class TestFaceFields:
         assert len(blk) == 12
 
         def nodal(p):
-            return np.array([poly_eval(c, nodes, l) for c in p]).T
+            return np.array([poly_eval(c, nodes, l, MONOMIALS) for c in p]).T
 
         gp = w[:, None] * nodal(gp_poly)
         wq = -2j * w[:, None] * nodal(q_poly)
@@ -434,14 +434,14 @@ class TestFaceFields:
             return np.array([pv_polynomial(c, l, grid) for c in polys]).T
 
         def at(polys, s):
-            return np.array([poly_eval(c, s, l) for c in polys])
+            return np.array([poly_eval(c, s, l, MONOMIALS) for c in polys])
 
         omega = (kappa - 1.0) * gp_poly - 4j * kappa * q_poly
-        omega1 = poly_derivative(omega, l)
+        omega1 = poly_derivative(omega, l, MONOMIALS)
         a, b = 1.0 / (l - grid)[:, None], 1.0 / grid[:, None]
         sing = [pv(2.0 * gp_poly + 2j * (kappa - 1.0) * q_poly), pv(omega),
                 pv(omega1) - at(omega, l) * a - at(omega, 0.0) * b,
-                pv(poly_derivative(omega1, l)) - at(omega1, l) * a
+                pv(poly_derivative(omega1, l, MONOMIALS)) - at(omega1, l) * a
                 - at(omega1, 0.0) * b - at(omega, l) * a * a
                 + at(omega, 0.0) * b * b]
         want = np.stack([p + r for p, r in zip(sing, reg)]) \
@@ -460,7 +460,7 @@ class TestFaceFields:
         rng = np.random.default_rng(29)
         g1, g2 = rng.normal(size=(2, 3, 9))
         gp = g1 + 1j * g2
-        q = q_coefficients(curve, material, 1.0, g1, g2)
+        q = q_coefficients(curve, material, 1.0, g1, g2, MONOMIALS)
         load = FarFieldLoad(sigma1=1.0, sigma2=0.4, alpha=0.3)
         grid = np.sort(rng.uniform(0.005, 0.995, 21)) * curve.length
         side = fields._NodeSide(curve, material, 8)

@@ -4,7 +4,7 @@ import pytest
 from curvecrack import (CrackCurve, Discretization, FarFieldLoad, KernelSet,
                         boundary_forcing, fredholm_operator, kernels,
                         make_circular_arc, make_semicircle, make_straight)
-from curvecrack.densities import basis
+from curvecrack.densities import MONOMIALS
 from curvecrack.quadrature import midpoint_grid, regular_rule
 from oracle import kernel_tables
 
@@ -324,7 +324,7 @@ def test_integrated_matches_block_times_basis(shape, derivatives, N):
     kset = KernelSet(curve, KAPPA)
     l = curve.length
     nodes, w = regular_rule(l)
-    wbasis = w[:, None] * basis(nodes, l, N)
+    wbasis = w[:, None] * MONOMIALS.table(nodes, l, N)
     s0 = midpoint_grid(l, N)
     blk = kset.block(nodes, s0[:, None], derivatives=derivatives)
     got = integrated(kset, s0, nodes, wbasis, list(blk))
@@ -349,7 +349,7 @@ def test_cotangent_tables_against_mpmath(shape):
     curve = CURVES[shape]
     l, a = curve.length, 0.5 * curve.constant_curvature
     nodes, w = regular_rule(l)
-    wbasis = w[:, None] * basis(nodes, l, 20)
+    wbasis = w[:, None] * MONOMIALS.table(nodes, l, 20)
     s0 = midpoint_grid(l, 20)
     kset = KernelSet(curve, KAPPA)
     got = kset._cot_tables(s0, kset.node_tables(nodes, wbasis)[0], True)
@@ -378,7 +378,7 @@ def test_integrated_evaluates_no_pair(monkeypatch):
     curve = make_circular_arc(0.6)
     kset = KernelSet(curve, KAPPA)
     nodes, w = regular_rule(curve.length)
-    wbasis = w[:, None] * basis(nodes, curve.length, 20)
+    wbasis = w[:, None] * MONOMIALS.table(nodes, curve.length, 20)
     s0 = midpoint_grid(curve.length, 20)
     integrated(kset, s0, nodes, wbasis, list(kernels._KEYS[True]))
     assert calls == []
@@ -391,7 +391,7 @@ def test_integrated_rejects_a_divergent_series():
     # c converges
     curve = CURVES["arc0.9pi"]
     nodes, w = regular_rule(curve.length)
-    wbasis = w[:, None] * basis(nodes, curve.length, 4)
+    wbasis = w[:, None] * MONOMIALS.table(nodes, curve.length, 4)
     with pytest.raises(ValueError, match="pi"):
         integrated(KernelSet(curve, KAPPA), np.array([-0.2 * curve.length]),
                    nodes, wbasis, ["k1"])

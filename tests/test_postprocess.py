@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvecrack import (DensityCoefficients, FarFieldLoad, KernelSet, Material,
-                        collect_tip_samples, convergence_study,
-                        default_fit_window, fit_log_coefficient,
-                        fit_tip_coefficients, make_circular_arc,
-                        make_semicircle, make_straight, max_face_traction,
-                        opening_profile, parity_residuals, solve_problem,
-                        sweep_curvature, sweep_gamma, tip_log_coefficients)
+from curvecrack import (DensityCoefficients, Discretization, FarFieldLoad,
+                        KernelSet, Material, collect_tip_samples,
+                        convergence_study, default_fit_window, face_fields,
+                        fit_log_coefficient, fit_tip_coefficients,
+                        make_circular_arc, make_semicircle, make_straight,
+                        max_face_traction, opening_profile, parity_residuals,
+                        single_valued_integral, single_valued_residual, solve,
+                        solve_problem, sweep_curvature, sweep_gamma,
+                        tip_condition_residuals, tip_log_coefficients,
+                        traction_jump, traction_jump_parts)
 from curvecrack import solver
 from curvecrack.fields import _FieldEvaluator, _NodeSide, face_field_profile
 from curvecrack.postprocess import (ConvergenceRow, CurvatureSweepRow,
@@ -668,8 +671,46 @@ def test_max_face_traction_positive(solved_semicircle, semicircle, material,
     assert val > 0.0 and np.isfinite(val)
 
 
+# every public entry point that pairs a density with a curve, called as
+# (curve, material, load, density)
+_PAIRINGS = {
+    "opening_profile": lambda c, m, ld, d: opening_profile(d, c, m),
+    "max_face_traction": max_face_traction,
+    "tip_log_coefficients": lambda c, m, ld, d: tip_log_coefficients(c, m, d),
+    "fit_tip_coefficients": fit_tip_coefficients,
+    "collect_tip_samples": lambda c, m, ld, d:
+        collect_tip_samples(c, m, ld, d, "tau_n"),
+    "face_fields": lambda c, m, ld, d: face_fields(c, m, ld, d, "plus", 0.3),
+    "face_field_profile": lambda c, m, ld, d:
+        face_field_profile(c, m, ld, d, [0.3, 0.6]),
+    "traction_jump": lambda c, m, ld, d: traction_jump(c, m, d.gamma1, d, 0.3),
+    "traction_jump_parts": lambda c, m, ld, d:
+        traction_jump_parts(c, m, d.gamma1, d, 0.3),
+    "tip_condition_residuals": lambda c, m, ld, d:
+        tip_condition_residuals(d, c, m, d.gamma1),
+    "single_valued_residual": lambda c, m, ld, d: single_valued_residual(d, c),
+    "single_valued_integral": lambda c, m, ld, d: single_valued_integral(d, c),
+    "solve": lambda c, m, ld, d: solve(solver.assemble(
+        make_semicircle(), m, ld, d.gamma1,
+        Discretization(d.degree, d.length)), c),
+}
+
+
 class TestArgumentChecks:
     """Bad counts and points raise a ValueError that names the argument."""
+
+    @pytest.mark.parametrize("entry", _PAIRINGS)
+    def test_density_on_a_curve_of_another_length(self, semicircle, material,
+                                                  load_h, entry):
+        # a semicircle density on the kappa0 = 0.5 arc is refused, naming
+        # both lengths; on its own curve it is not
+        density = solve_problem(semicircle, material, load_h, 1.0, N=12)
+        arc = make_circular_arc(0.5)
+        with pytest.raises(ValueError) as info:
+            _PAIRINGS[entry](arc, material, load_h, density)
+        assert repr(semicircle.length) in str(info.value)
+        assert repr(arc.length) in str(info.value)
+        _PAIRINGS[entry](semicircle, material, load_h, density)
 
     def test_max_face_traction_needs_a_point(self, solved_semicircle,
                                              semicircle, material, load_h):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from curvecrack import Material, make_semicircle, solve_problem
-from curvecrack.fields import _FieldEvaluator
+from curvecrack.fields import _FieldEvaluator, _NodeSide
 from curvecrack.postprocess import write_face_fields_csv
 from curvecrack.quadrature import midpoint_grid
 
@@ -56,6 +56,17 @@ def test_face_profiles_match_solve_problem(tmp_path, monkeypatch):
     assert {p.name for p in (tmp_path / "out").iterdir()} == names
     assert len(names) == 9
 
+
+def test_face_profiles_build_one_node_side(tmp_path, monkeypatch, capsys):
+    # one face operator of the curve at N serves the collocation tables and
+    # the field evaluators of all three loads
+    module = _load(next(p for p in SCRIPTS if p.name == "face_profiles.py"))
+    monkeypatch.setattr(module, "OUT", tmp_path / "out")
+    built, init = [], _NodeSide.__init__
+    monkeypatch.setattr(_NodeSide, "__init__", lambda self, *args, **kwargs:
+                        built.append(args) or init(self, *args, **kwargs))
+    module.main()
+    assert len(built) == 1
 
 
 def test_snapshot_outputs_compare_between_directories(tmp_path, capsys):

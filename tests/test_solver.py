@@ -12,9 +12,9 @@ from curvecrack import (AssemblyError, CrackCurve, DensityCoefficients,
                         solve_problem, tip_condition_residuals, traction_jump,
                         traction_jump_parts)
 from curvecrack import densities, quadrature, solver
-from curvecrack.densities import (basis, cauchy_densities, poly_derivative,
-                                  poly_eval, pv_monomials, q_coefficients,
-                                  q_polynomial)
+from curvecrack.densities import (MONOMIALS, cauchy_densities,
+                                  poly_derivative, poly_eval, pv_monomials,
+                                  q_coefficients, q_polynomial)
 from curvecrack.fields import _NodeSide
 from curvecrack.quadrature import gauss_legendre
 from oracle import FaceOperator, times_derivative
@@ -143,7 +143,7 @@ class TestPolynomialEvaluation:
         s = rng.uniform(0.0, l, shape)
         x = s - 0.5 * l
         q_poly = traction_jump(semicircle, material, gamma1, coeffs, s)
-        cases = [(poly_eval(coeffs.g1, s, l), coeffs.g1),
+        cases = [(poly_eval(coeffs.g1, s, l, MONOMIALS), coeffs.g1),
                  (coeffs.gprime(s), coeffs.g1 + 1j * coeffs.g2),
                  (q_poly, q_polynomial(semicircle, material, gamma1, coeffs))]
         for got, c in cases:
@@ -332,12 +332,12 @@ def _tip_rows(curve, kappa, gamma1, gp, q_unit):
     Im g''.
     """
     degree = gp.shape[-1] - 1
-    tips = basis([0.0, curve.length], curve.length, degree).T
+    tips = MONOMIALS.table([0.0, curve.length], curve.length, degree).T
     sigma, omega = cauchy_densities(gp @ tips, gamma1 * (q_unit @ tips),
                                     kappa)
     rows = [-omega.imag, 0.5 * sigma.real]
     if curve.constant_curvature == 0.0:
-        gpp = poly_derivative(gp, curve.length) @ tips
+        gpp = poly_derivative(gp, curve.length, MONOMIALS) @ tips
         rows += [gpp.real, gpp.imag]
     return [row[..., tip] for tip in (0, 1) for row in rows]
 
@@ -354,7 +354,7 @@ def _operator_system(curve, material, gamma1, N):
     eye, zero = np.eye(N + 1), np.zeros((N + 1, N + 1))
     g1, g2 = np.vstack([eye, zero]), np.vstack([zero, eye])
     gp = g1 + 1j * g2
-    q_unit = q_coefficients(curve, material, 1.0, g1, g2)
+    q_unit = q_coefficients(curve, material, 1.0, g1, g2, MONOMIALS)
     disc = Discretization(N, curve.length)
     op = FaceOperator(_NodeSide(curve, material, N),
                       disc.collocation_points, N, derivatives=True)
@@ -364,7 +364,7 @@ def _operator_system(curve, material, gamma1, N):
     dk1 = -(k0 * omega1.real - omega2.imag) / (2.0 * mu)
     rows = (kappa + 1.0) * np.vstack([sigma.real - gamma1 * k0 * dk,
                                       sigma.imag - gamma1 * dk1])
-    ints = solver._single_valued_integrals(curve, N)
+    ints = solver._single_valued_integrals(curve, N, MONOMIALS)
     con_rows = [np.concatenate([ints.real, -ints.imag]),
                 np.concatenate([ints.imag, ints.real])]
     if gamma1 > 0.0:
@@ -418,7 +418,7 @@ def _table_blocks(curve, material, N):
     g_rows, q_rows = rows.reshape(2, 4 * N, 2 * N + 2)
     eye, zero = np.eye(N + 1), np.zeros((N + 1, N + 1))
     g1, g2 = np.vstack([eye, zero]), np.vstack([zero, eye])
-    q_unit = q_coefficients(curve, material, 1.0, g1, g2)
+    q_unit = q_coefficients(curve, material, 1.0, g1, g2, MONOMIALS)
     q_rows = q_rows @ np.concatenate([q_unit.real, q_unit.imag], axis=1).T
     blocks = (g_rows[: 2 * N], q_rows[: 2 * N] + g_rows[2 * N:],
               q_rows[2 * N:])
@@ -570,7 +570,8 @@ def test_parity_halves_solve_the_whole_system(material, case, N, gamma1):
     want, S, condition = _whole_system_solution(system)
     (got,), (error,) = solver._solutions(system)
     assert error is None
-    grid = basis(np.linspace(0.0, curve.length, 201), curve.length, N)
+    grid = MONOMIALS.table(np.linspace(0.0, curve.length, 201),
+                           curve.length, N)
     gp_want = grid @ (want[: N + 1] + 1j * want[N + 1:])
     gp_got = grid @ (got[: N + 1] + 1j * got[N + 1:])
     assert np.max(np.abs(gp_got - gp_want)) \
@@ -632,11 +633,11 @@ def _independent_row_residual(curve, material, load, gamma1, coeffs, points):
     q_poly = q_polynomial(curve, material, gamma1, coeffs)
 
     def pv_all(coef, s0):
-        d = poly_derivative(coef, l)
-        dd = poly_derivative(d, l)
+        d = poly_derivative(coef, l, MONOMIALS)
+        dd = poly_derivative(d, l, MONOMIALS)
         v = pv_polynomial(coef, l, s0)
-        p_l, p_0 = poly_eval(coef, l, l), poly_eval(coef, 0.0, l)
-        d_l, d_0 = poly_eval(d, l, l), poly_eval(d, 0.0, l)
+        p_l, p_0 = (poly_eval(coef, x, l, MONOMIALS) for x in (l, 0.0))
+        d_l, d_0 = (poly_eval(d, x, l, MONOMIALS) for x in (l, 0.0))
         v1 = pv_polynomial(d, l, s0) - p_l / (l - s0) - p_0 / s0
         v2 = (pv_polynomial(dd, l, s0) - d_l / (l - s0) - d_0 / s0
               - p_l / (l - s0) ** 2 + p_0 / s0 ** 2)
@@ -810,7 +811,7 @@ class TestSolve:
         import mpmath as mp
 
         degree = 60
-        got = solver._single_valued_integrals(curve, degree)
+        got = solver._single_valued_integrals(curve, degree, MONOMIALS)
         l, k0 = curve.length, curve.constant_curvature
         with mp.workdps(40):
             half = mp.mpf(l) / 2
@@ -839,12 +840,13 @@ class TestSolve:
         s = np.linspace(0.0, curve.length, 201)[:, None]
         x, w = gauss_legendre(16, s[:-1], s[1:])
         wt = (w * curve.tangent(x))[:, None, :]
-        cells = (wt @ basis(x, curve.length, N))[:, 0]
+        cells = (wt @ MONOMIALS.table(x, curve.length, N))[:, 0]
         want = np.concatenate([np.zeros((1, N + 1)),
                                np.cumsum(cells, axis=0)])
         # the single-valuedness integrals are the same closed form at s = l
-        got = np.vstack([solver._jump_table(curve, N),
-                         solver._single_valued_integrals(curve, N)])
+        got = np.vstack([
+            solver._jump_table(curve, N, MONOMIALS),
+            solver._single_valued_integrals(curve, N, MONOMIALS)])
         assert got.shape == (202, N + 1)
         assert np.all(np.abs(got - want[[*range(201), -1]]).max(axis=0)
                       <= 1e-14 * np.abs(want).max(axis=0))
@@ -907,7 +909,8 @@ class TestTipConditions:
         got = tip_condition_residuals(coeffs, curve, material, 0.7)
         want = np.array(_tip_rows(
             curve, material.kappa, 0.7, (g1 + 1j * g2)[None],
-            q_coefficients(curve, material, 1.0, g1, g2)[None]))[:, 0] \
+            q_coefficients(curve, material, 1.0, g1, g2,
+                           MONOMIALS)[None]))[:, 0] \
             / solver._sup_gprime(coeffs, curve)
         assert len(got) == len(want)
         assert np.max(np.abs(np.array(got) - want)) \

@@ -1,0 +1,139 @@
+"""The density basis reaches the program as a value only.
+
+`densities` alone names the primitives of the centered monomials; every
+other module of the package takes them from a `densities.Basis` value (a
+density's `basis` or a node side's).  And no test rebinds an attribute of
+`densities`: a second basis is passed in as a value, never patched into
+the module.  Both are read from the source, so a use that no test runs
+is found too.
+"""
+
+import ast
+from dataclasses import fields
+from pathlib import Path
+
+from curvecrack import densities
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "curvecrack"
+
+
+def _primitive_names():
+    """Every name in `densities` bound to a primitive of MONOMIALS."""
+    primitives = [getattr(densities.MONOMIALS, f.name)
+                  for f in fields(densities.Basis)]
+    return {name for name, value in vars(densities).items()
+            if any(value is p for p in primitives)}
+
+
+def _densities_aliases(tree):
+    """The names a module binds to the `densities` module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("curvecrack", None):
+                names.update(a.asname or a.name for a in node.names
+                             if a.name == "densities")
+        elif isinstance(node, ast.Import):
+            names.update(a.asname for a in node.names
+                         if a.name == "curvecrack.densities" and a.asname)
+    return names
+
+
+def _primitive_uses(tree, primitives):
+    """(line, text) of each import or use of a primitive by name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith(
+                "densities"):
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name in primitives]
+        elif isinstance(node, ast.Attribute) and node.attr in primitives:
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Name) and node.id in primitives:
+            found.append((node.lineno, node.id))
+    return found
+
+
+# the dict methods that write
+_WRITES = ("update", "setdefault", "pop", "popitem", "clear", "__setitem__",
+           "__delitem__")
+
+
+def _rebinds(tree, aliases):
+    """(line, text) of each statement that rebinds an attribute of the
+    densities module: an assignment or deletion of densities.x, a
+    setattr or delattr on it (monkeypatch's too, by object or by dotted
+    path) and a write to vars(densities) or densities.__dict__."""
+    def is_module(node):
+        return isinstance(node, ast.Name) and node.id in aliases
+
+    def is_namespace(node):
+        return (isinstance(node, ast.Call) and ast.unparse(node.func) == "vars"
+                and len(node.args) == 1 and is_module(node.args[0])
+                or isinstance(node, ast.Attribute) and node.attr == "__dict__"
+                and is_module(node.value))
+
+    found = []
+    for node in ast.walk(tree):
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        if any(isinstance(t, ast.Attribute) and is_module(t.value)
+               or isinstance(t, ast.Subscript) and is_namespace(t.value)
+               for t in targets):
+            found.append((node.lineno, ast.unparse(node)))
+        if not isinstance(node, ast.Call):
+            continue
+        func, first = node.func, node.args[0] if node.args else None
+        if ast.unparse(func).split(".")[-1] in ("setattr", "delattr") \
+                and first is not None and (
+                    is_module(first) or isinstance(first, ast.Constant)
+                    and str(first.value).startswith("curvecrack.densities.")):
+            found.append((node.lineno, ast.unparse(node)))
+        if isinstance(func, ast.Attribute) and func.attr in _WRITES \
+                and is_namespace(func.value):
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_only_densities_names_the_basis_primitives():
+    primitives = _primitive_names()
+    assert len(primitives) == len(fields(densities.Basis))
+    uses = {path.name: _primitive_uses(ast.parse(path.read_text()),
+                                       primitives)
+            for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "densities.py"}
+    assert uses and not any(uses.values()), uses
+
+
+def test_no_test_rebinds_an_attribute_of_densities():
+    found = {}
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = _densities_aliases(tree) | {"densities"}
+        found[path.name] = _rebinds(tree, aliases)
+    assert found and not any(found.values()), found
+
+
+def test_the_checks_see_what_they_forbid():
+    # each kind of use the two checks refuse, in a made-up module
+    primitives = _primitive_names()
+    for source in ("from .densities import pv_monomials",
+                   "from curvecrack.densities import _tangent_integrals",
+                   "x = densities._derivative_matrix(1.0, 3)",
+                   "y = _monomials(s, 1.0, 3)"):
+        assert _primitive_uses(ast.parse(source), primitives), source
+    for source in ("densities.MONOMIALS = None",
+                   "monkeypatch.setattr(densities, 'MONOMIALS', None)",
+                   "monkeypatch.setattr('curvecrack.densities.x', None)",
+                   "setattr(dens, 'x', 1)",
+                   "vars(densities).update(x=1)",
+                   "densities.__dict__['x'] = 1",
+                   "del densities.x"):
+        tree = ast.parse("from curvecrack import densities as dens\n"
+                         + source)
+        assert _rebinds(tree, _densities_aliases(tree) | {"densities"}), \
+            source
