@@ -1,20 +1,24 @@
 #!/usr/bin/env python3
 """Face stresses and displacement derivatives along the semicircular crack.
 
+    python scripts/face_profiles.py [OUT]
+
 One CSV per loading (horizontal, vertical, biaxial stretching) and per
-gamma1 in {0.5, 1.0, 2.0}, both faces, on a uniform interior grid.  The
-collocation tables depend on neither the load nor gamma1, so they are built
-once and applied to each of the nine solves, as `solve_problem` would.  One
-face operator (`fields._NodeSide`) of the curve at N serves the tables and
-the field evaluators of all three loads.
+gamma1 in {0.5, 1.0, 2.0}, both faces, on a uniform interior grid, written
+into OUT (default results/face_profiles).  The collocation tables depend on
+neither the load nor gamma1, so they are built once and applied to each of
+the nine solves, as `solve_problem` would.  One face operator
+(`fields._NodeSide`) of the curve, material and N serves the tables and the
+field evaluators of all three loads.
 """
 
+import sys
 from pathlib import Path
 
 from curvecrack import FarFieldLoad, Material, make_semicircle, solve
 from curvecrack.fields import _FieldEvaluator, _NodeSide
 from curvecrack.postprocess import write_face_fields_csv
-from curvecrack.quadrature import Discretization, midpoint_grid
+from curvecrack.quadrature import midpoint_grid
 from curvecrack.solver import _CollocationTables
 
 OUT = Path(__file__).resolve().parent.parent / "results" / "face_profiles"
@@ -28,23 +32,26 @@ GAMMAS = (0.5, 1.0, 2.0)
 N = 20
 
 
-def main():
-    OUT.mkdir(parents=True, exist_ok=True)
+def main(argv=()):
+    if len(argv) > 1:
+        print("usage: face_profiles.py [OUT]", file=sys.stderr)
+        return 2
+    out = Path(argv[0]) if argv else OUT
+    out.mkdir(parents=True, exist_ok=True)
     curve = make_semicircle()
-    material = Material(mu=60.0, kappa=2.5)
     grid = midpoint_grid(curve.length, 150)
-    node_side = _NodeSide(curve, material, N)
-    tables = _CollocationTables(curve, material,
-                                Discretization(N, curve.length), node_side)
+    node_side = _NodeSide(curve, Material(mu=60.0, kappa=2.5), N)
+    tables = _CollocationTables(node_side, N)
     for load_name, load in LOADS.items():
         # one field evaluator per load serves the solves of every gamma1
-        fields = _FieldEvaluator(curve, material, load, grid, N, node_side)
+        fields = _FieldEvaluator(node_side, load, grid, N)
         for gamma1 in GAMMAS:
-            coeffs = solve(tables.system(load, gamma1), curve)
-            path = OUT / f"face_fields_{load_name}_g{gamma1}.csv"
+            coeffs = solve(tables.system(load, gamma1))
+            path = out / f"face_fields_{load_name}_g{gamma1}.csv"
             write_face_fields_csv(path, grid, *fields.face_values(coeffs))
             print(f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

@@ -7,10 +7,11 @@ solve under one directory, so that two checkouts compare with `diff -r`.
 Each run writes into OUT/<name> through the relative out_dir <name>, so
 its config_echo.txt reads the same wherever OUT is.  The runs are every
 configs/*.cfg, named by its stem, and the README reference crack solved at
-N = 20 and N = 40 with --dump-system (reference_N20, reference_N40).  The
-run summaries go to stdout, each after a "== <name>" line.  The runs use
-the source of the checkout that holds this script, not an installed
-curvecrack.
+N = 20 and N = 40 with --dump-system (reference_N20, reference_N40).  Last,
+scripts/face_profiles.py writes its nine CSVs into OUT/face_profiles.  The
+run summaries go to stdout, each after a "== <name>" line, and the face
+profiles' list of files after "== face_profiles".  The runs use the source
+of the checkout that holds this script, not an installed curvecrack.
 """
 
 import os
@@ -18,8 +19,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
 
+import face_profiles  # noqa: E402
 from curvecrack.cli import parse_config, run  # noqa: E402
 
 # the README reference crack, solve mode
@@ -56,9 +58,10 @@ def main(argv=None):
             if code != 0:
                 print(f"{name}: exit code {code}", file=sys.stderr)
                 return code
+        print("== face_profiles", flush=True)
+        return face_profiles.main(["face_profiles"])
     finally:
         os.chdir(cwd)
-    return 0
 
 
 if __name__ == "__main__":

@@ -339,7 +339,7 @@ def _solve_outputs(config, curve, material, load, disc, dump_system):
     tables = post._SweepTables(curve, material, load, disc.N, n_face=100)
     system = tables.collocation.system(load, config.gamma1,
                                        config.row_scaling)
-    coeffs = solve(system, curve)
+    coeffs = solve(system)
 
     s_grid = np.linspace(0.0, curve.length, 401)
     gp = coeffs.gprime(s_grid)

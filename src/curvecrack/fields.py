@@ -13,27 +13,27 @@ discrete oracle mode, face_fields(..., cauchy="discrete").
 
 The density parts of the face fields are linear in the density, so they
 are split into a table and its application.  The operator is one object,
-`_NodeSide`, for one curve and material, which a run builds once at its
-largest degree and shares among all its reads.  It tabulates everything
-that depends neither on the density nor on the points s0: the rule's
-weighted basis and the kernels' node tables.  It is read one way only,
-through rows(s0, degree, derivatives): the kernels integrated against
-each function of the density basis at the points (`KernelSet.raw_tables`)
-and the closed-form principal values of the basis functions, with their
-s0-derivatives for the assembly (`densities._pv_tables`), times one real
-map composed from the small coefficient arrays of the kernels and the
-fields, give real combinations of the fields per unit real and imaginary
-part of each coefficient of g' and of q.  The assembly
-(`solver._CollocationTables`) reads the traction and the face-curvature
-change, which need the s0-derivatives, at the first ceil(N/2)
-collocation points (the mirror gives the rest).  The field evaluator
-reads the face-average traction and the face function omega at its
-points, applies those rows to the real and imaginary coefficient columns
-of the solved densities, one or a sweep's stack of them, and adds the
-+-jump terms and the far field.  A node side on a flat node rule is the
-discrete oracle: its principal values are node sums.  Each node side
-holds one density basis (`densities.Basis`), and this module reads the
-basis from node sides alone.
+`_NodeSide`, the one carrier of a run's curve, material, density basis
+(`densities.Basis`) and largest degree: a run builds it once, and the
+collocation tables and the field evaluators read all four from it.  It
+tabulates everything that depends neither on the density nor on the
+points s0: the rule's weighted basis and the kernels' node tables.  It
+is read one way only, through rows(s0, degree, derivatives): the kernels
+integrated against each function of the density basis at the points
+(`KernelSet.raw_tables`) and the closed-form principal values of the
+basis functions, with their s0-derivatives for the assembly
+(`densities._pv_tables`), times one real map composed from the small
+coefficient arrays of the kernels and the fields, give real combinations
+of the fields per unit real and imaginary part of each coefficient of g'
+and of q.  The assembly (`solver._CollocationTables`) reads the traction
+and the face-curvature change, which need the s0-derivatives, at the
+first ceil(N/2) collocation points (the mirror gives the rest).  The
+field evaluator reads the face-average traction and the face function
+omega at its points, applies those rows to the real and imaginary
+coefficient columns of the solved densities, one or a sweep's stack of
+them, and adds the +-jump terms and the far field, refusing a density in
+another basis.  A node side on a flat node rule is the discrete oracle:
+its principal values are node sums.
 """
 
 from __future__ import annotations
@@ -373,46 +373,47 @@ class _NodeSide:
 
 
 class _FieldEvaluator:
-    """Face fields at fixed points s0, for any density of degree <= degree.
+    """Face fields at fixed points s0, for any density of degree <= degree
+    in the basis of node_side, whose curve and material it reads.
 
-    Construction checks the points and reads the operator's rows at them
-    (`_NodeSide.rows`, without s0-derivatives) from node_side, or from a
-    monomial node side of its own on `regular_rule`, and tabulates its
-    basis and the far field at the points; apply() applies the rows to the
-    real and imaginary coefficient columns of any number of solved
-    densities in that basis and adds the +-jump terms and the far field,
-    so one evaluator serves every density of a sweep, and face_values is
-    its one-density case.  A node side on a flat node rule gives the
-    discrete oracle.
+    Construction checks the points, reads the operator's rows at them
+    (`_NodeSide.rows`, without s0-derivatives) and tabulates the basis and
+    the far field at the points; apply() applies the rows to the real and
+    imaginary coefficient columns of any number of solved densities in
+    that basis and adds the +-jump terms and the far field, so one
+    evaluator serves every density of a sweep, and face_values is its
+    one-density case.  A node side on a flat node rule gives the discrete
+    oracle.
     """
 
-    def __init__(self, curve, material, load, s0, degree, node_side=None):
-        self.curve = curve
-        self.material = material
+    def __init__(self, node_side, load, s0, degree):
+        self.node_side = side = node_side
+        length = side.curve.length
         self.s0 = np.asarray(s0, dtype=float)
         if not np.all(np.isfinite(self.s0) & (self.s0 > 0.0)
-                      & (self.s0 < curve.length)):
+                      & (self.s0 < length)):
             raise ValueError("the points s0 must be finite and lie strictly "
-                             f"inside (0, {curve.length}), got {s0}")
-        kappa = material.kappa
-        if node_side is None:
-            node_side = _NodeSide(curve, material, degree)
-        self._rows = node_side.rows(self.s0, degree)
-        self._table = node_side.basis.table(self.s0, curve.length, degree)
+                             f"inside (0, {length}), got {s0}")
+        self._rows = side.rows(self.s0, degree)
+        self._table = side.basis.table(self.s0, length, degree)
         phi, psi = load.phi_inf, load.psi_inf
-        self._t1 = t1 = curve.tangent(self.s0)
+        self._t1 = t1 = side.curve.tangent(self.s0)
         self._far = 2.0 * np.real(phi) + np.conj(psi) * np.conj(t1) ** 2
-        self._du_far = (kappa * phi - np.conj(phi)) * t1 \
+        self._du_far = (side.material.kappa * phi - np.conj(phi)) * t1 \
             - np.conj(psi) * np.conj(t1)
 
     def face_values(self, densities):
         """sigma_n + i tau_n and d(u1 + i u2)/ds on both faces at the points.
 
         Returns two complex arrays of shape (2, M), "+" face first: apply()
-        on the one density.
+        on the one density.  Raises ValueError unless the density is in the
+        node side's basis.
         """
+        side = self.node_side
+        if densities.basis != side.basis:
+            raise ValueError("the density's basis is not the node side's")
         gp = densities.g1 + 1j * densities.g2
-        q = q_polynomial(self.curve, self.material, densities.gamma1,
+        q = q_polynomial(side.curve, side.material, densities.gamma1,
                          densities)
         traction, du = self.apply(gp[None], q[None])
         return traction[..., 0], du[..., 0]
@@ -444,7 +445,7 @@ class _FieldEvaluator:
         # integral of g' t' by the jump table).
         omega = signs * 0.5j * (phi @ gp_poly.T) + (re_w + 1j * im_w)
         du = (self._t1[:, None] * omega + self._du_far[:, None]) \
-            / (2.0 * self.material.mu)
+            / (2.0 * self.node_side.material.mu)
         return traction, du
 
     def samples(self, densities):
@@ -462,9 +463,8 @@ class _FieldEvaluator:
 def _evaluator(curve, material, load, s0, coeffs, disc=None):
     """A field evaluator at s0 on a node side of the density's degree and
     basis, on `regular_rule` or the flat node rule of disc."""
-    return _FieldEvaluator(curve, material, load, s0, coeffs.degree,
-                           _NodeSide(curve, material, coeffs.degree, disc,
-                                     coeffs.basis))
+    return _FieldEvaluator(_NodeSide(curve, material, coeffs.degree, disc,
+                                     coeffs.basis), load, s0, coeffs.degree)
 
 
 def face_fields(curve: CrackCurve, material: Material, load: FarFieldLoad,

@@ -1,30 +1,32 @@
 """Derived results: opening profiles, tip log-singularity fits, parameter sweeps.
 
-The crack opening is the solver's jump table applied to the density's
-coefficients, and close to the tips the face fields inherit a logarithmic
-term whose coefficient is extracted by a least-squares fit of value ~
-A ln s + c over a window well inside the first quarter of the arc.
-Face-field profiles, tip fits and the maximal face traction each build one
-field evaluator at all their points s0 and apply it to the density; it
-returns both faces at once.
+The crack opening is the jump table (`densities._jump_table`) applied to
+the density's coefficients, and close to the tips the face fields inherit
+a logarithmic term whose coefficient is extracted by a least-squares fit
+of value ~ A ln s + c over a window well inside the first quarter of the
+arc.  Face-field profiles, tip fits and the maximal face traction each
+build one field evaluator at all their points s0 and apply it to the
+density; it returns both faces at once.
 
 Solve mode and the sweeps report one set of numbers, `SolveReport`, read
-and reduced through one path.  `_SweepTables` holds the collocation tables
-(`solver._CollocationTables`) of one curve and N, whose jump table gives
-the openings, and one field evaluator at a midpoint face grid (the sweeps'
-101 max-traction points, solve mode's 100 `face_fields.csv` points) plus
-the 32 default tip-window points at s = 0, on one node side of the
-operator (`fields._NodeSide`).  For a stack of P solutions its `evaluate`
-is one application of the evaluator to the densities as columns and one
-product with the jump table, and its `report` one fit of du1/ds and tau_n
-of every solution on the shared [ln s, 1] design and the extremes.  A
-gamma1 sweep builds the tables once and solves its points as two stacks
-(`_solve_and_report`), the gamma1 = 0 points and the positive ones with
-their tip rows; a curvature sweep builds them once per curve, and solve
-mode (`cli`) evaluates a stack of one and reports only for its summary.
-Errors stay per point: an invalid gamma1 never enters a stack, a point
-that fails a check of its own gets that error while the others go on, and
-an error of the whole stack goes on each of its rows.
+and reduced through one path.  `_SweepTables` builds one node side
+(`fields._NodeSide`, the carrier of the curve, material and basis) of one
+curve and N, from which the collocation tables
+(`solver._CollocationTables`) and one field evaluator read: at a midpoint
+face grid (the sweeps' 101 max-traction points, solve mode's 100
+`face_fields.csv` points) plus the 32 default tip-window points at
+s = 0.  It also holds the jump table of the openings, their one reader.
+For a stack of P solutions its `evaluate` is one application of the
+evaluator to the densities as columns and one product with the jump
+table, and its `report` one fit of du1/ds and tau_n of every solution on
+the shared [ln s, 1] design and the extremes.  A gamma1 sweep builds the
+tables once and solves its points as two stacks (`_solve_and_report`),
+the gamma1 = 0 points and the positive ones with their tip rows; a
+curvature sweep builds them once per curve, and solve mode (`cli`)
+evaluates a stack of one and reports only for its summary.  Errors stay
+per point: an invalid gamma1 never enters a stack, a point that fails a
+check of its own gets that error while the others go on, and an error of
+the whole stack goes on each of its rows.
 
 Every CSV goes through `write_csv`, which takes whole columns, formats each
 column once (floats by repr, integers by str, strings quoted where the csv
@@ -293,21 +295,21 @@ class _SweepTables:
     """Everything a solve on one curve and N reuses, with the one read
     (`evaluate`) and the one reduction (`report`) of a stack of solutions.
 
-    The collocation tables, and one field evaluator at a midpoint grid of
-    n_face points on both faces and, for the tip fits at s = 0 on the "+"
-    face, at fit_tip_coefficients' default window.
+    One node side serves the collocation tables and one field evaluator at
+    a midpoint grid of n_face points on both faces and, for the tip fits at
+    s = 0 on the "+" face, at fit_tip_coefficients' default window; the
+    jump table of the openings is built here too.
     """
 
     def __init__(self, curve, material, load, N, n_face=_TRACTION_POINTS):
         self.curve, self.material, self.load = curve, material, load
         node_side = _NodeSide(curve, material, N)
-        self.collocation = _CollocationTables(
-            curve, material, Discretization(N, curve.length), node_side)
+        self.collocation = _CollocationTables(node_side, N)
+        self.jump = _jump_table(curve, N, node_side.basis)
         self.face_s = midpoint_grid(curve.length, n_face)
         self.tip_dist, tip_s = _tip_points(curve, 0.0, None, _TIP_POINTS)
-        self.fields = _FieldEvaluator(curve, material, load,
-                                      np.concatenate([self.face_s, tip_s]), N,
-                                      node_side=node_side)
+        self.fields = _FieldEvaluator(
+            node_side, load, np.concatenate([self.face_s, tip_s]), N)
 
     def evaluate(self, x, gamma1):
         """The fields of P solutions x (P, 2N+2) at gamma1 (P,).
@@ -316,14 +318,12 @@ class _SweepTables:
         tip points, (2, M, P) each, and the jump and the opening delta on
         the jump table's grid, (n_samples, P) each.
         """
-        N = self.collocation.disc.N
-        g1, g2 = x[:, : N + 1], x[:, N + 1:]
+        g1, g2 = np.split(x, 2, axis=1)
         gp = g1 + 1j * g2
         q = q_coefficients(self.curve, self.material, gamma1[:, None], g1, g2,
-                           self.collocation.basis)
+                           self.collocation.node_side.basis)
         traction, du = self.fields.apply(gp, q)
-        _, jump, delta = _openings(gp.T, self.curve, self.material,
-                                   self.collocation.jump)
+        _, jump, delta = _openings(gp.T, self.curve, self.material, self.jump)
         return traction, du, jump, delta
 
     def report(self, traction, du, delta):
@@ -453,7 +453,7 @@ def convergence_study(curve, material, load, gamma1, n_list,
     node_side = _NodeSide(curve, material, n_list[-1])
     solved = [(n, solve(assemble(curve, material, load, gamma1,
                                  Discretization(n, curve.length),
-                                 node_side=node_side), curve))
+                                 node_side=node_side)))
               for n in n_list]
     table = node_side.basis.table(grid, curve.length, n_list[-1])
     samples = [table[:, : n + 1] @ (coeffs.g1 + 1j * coeffs.g2)

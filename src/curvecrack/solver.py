@@ -46,19 +46,16 @@ gamma1 enters the rows twice: q is linear in gamma1, and the
 face-curvature term multiplies by gamma1 once more.  So the collocation
 block is (kappa+1)(R0 + gamma1 R1 + gamma1^2 R2) with three real blocks,
 and the tip rows are T0 + gamma1 T1.  `_CollocationTables` holds this
-gamma1-independent part of the system of one curve, material and N: the
+gamma1-independent part of the system of one node side and N: the
 blocks, built once from the rows, the closed-form tip rows and the
 integrals I_n of the single-valuedness rows, int_0^l phi_n(x) t'(x) dx
-(`_single_valued_integrals`), the last two sliced from the run's node
-side (`fields._NodeSide`).  The jump table (`_jump_table`), the
-integrals of g' t' up to each point of the opening profile, is built only
-when an opening is asked for, so a convergence run builds none.  Both
-are the basis's tangent integrals, in closed form, so no quadrature rule
-is needed.  `_CollocationTables.systems` combines them for P gamma1
-values at once into a stack, arrays with a leading point axis, with no
-operator product; assemble() builds the tables of one N from the node
-side of its run and takes the one-point stack, a gamma1 sweep builds them
-once and stacks all its points.
+(`_single_valued_integrals`, the basis's tangent integrals in closed
+form), the last two sliced from the node side.
+`_CollocationTables.systems` combines them for P gamma1 values at once
+into a stack, arrays with a leading point axis, with no operator
+product; assemble() takes the one-point stack, a gamma1 sweep stacks all
+its points.  A system carries its tables, and solve() reads the curve,
+the basis and N from them.
 
 The constrained system is solved by least squares in the constraint null
 space with a light Tikhonov term (relative weight 1e-8) that suppresses
@@ -93,9 +90,9 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .densities import (Basis, DensityCoefficients, _jump_table, _mirror_signs,
-                        _parity_columns, _single_valued_integrals, _tip_blocks,
-                        check_gamma1, q_rows_to_unknowns)
+from .densities import (DensityCoefficients, _mirror_signs, _parity_columns,
+                        _single_valued_integrals, _tip_blocks, check_gamma1,
+                        q_rows_to_unknowns)
 from .fields import _NodeSide, boundary_forcing
 from .geometry import CrackCurve
 # gauss_legendre is not called here, but perfbench's tracer test rebinds it
@@ -130,9 +127,10 @@ class LinearSystem:
     whose singular values are those of both halves, with its smallest
     singular value clipped at the Tikhonov floor LAMBDA_REL * sigma_max,
     so it never exceeds 1/LAMBDA_REL = 1e8; it is inf only for a zero
-    reduced block.  single_valued_integrals are the unscaled integrals I_k
-    of the single-valuedness rows (`_single_valued_integrals`) in the
-    basis of the unknowns, which `solve` gives the density.
+    reduced block.  tables are the `_CollocationTables` the system was
+    built from: its node side's curve and basis, N and the unscaled
+    integrals I_k of the single-valuedness rows, which `solve` gives the
+    density.
 
     A stack of P systems that share N and the number of constraint rows
     (`_CollocationTables.systems`) carries a leading point axis on matrix,
@@ -145,10 +143,8 @@ class LinearSystem:
     rhs: np.ndarray
     n_constraints: int
     row_scale: np.ndarray
-    disc: Discretization
     gamma1: float
-    single_valued_integrals: np.ndarray
-    basis: Basis
+    tables: _CollocationTables
 
     @property
     def collocation_block(self):
@@ -176,7 +172,7 @@ class LinearSystem:
         row lies on half 0 and the imaginary one on half 1.  Each half
         takes the first tip's rows on its columns.
         """
-        N, n_con = self.disc.N, self.n_constraints
+        N, n_con = self.tables.disc.N, self.n_constraints
         M = (N + 1) // 2
         cols = _parity_columns(N)
         # sign[p, kind] of the mirrored row in half p: -1 for (0, Re) and
@@ -193,7 +189,7 @@ class LinearSystem:
         rhs = self.rhs[..., None, :]
         h = 0.5 * weight * (rhs[..., first] + sign * rhs[..., mirrored])
         C = self.constraint_block
-        I0 = self.single_valued_integrals[0]
+        I0 = self.tables.single_valued[0]
         sv = (np.conj(I0) / abs(I0)) * (C[..., 0, :] + 1j * C[..., 1, :])
         # the second tip's rows are +-(the first tip's rows) P
         tips = C[..., 2: 2 + (n_con - 2) // 2, :]
@@ -251,39 +247,34 @@ def _floats_text(values):
 class _CollocationTables:
     """The gamma1-independent part of the system of one node side and N.
 
-    The collocation rows are (kappa+1)(R0 + gamma1 R1 + gamma1^2 R2): q is
-    linear in gamma1, and the face-curvature term multiplies by gamma1 once
-    more.  R0 is the traction of the g' of the basis columns, R1 the
-    traction of their q at gamma1 = 1 plus the curvature term of their g',
-    and R2 the curvature term of their q.  The three real (2M, 2N+2)
-    blocks, the Re rows then the Im rows of the first M = ceil(N/2)
-    collocation points, come from one read of the operator
-    (`_NodeSide.rows` at those points, with s0-derivatives), and the q
-    rows become g1 and g2 columns through the closure
-    (`q_rows_to_unknowns`); the rows of the other points are their mirrors
-    (`systems`).  The tip rows are T0 + gamma1 T1, in closed form
-    (`_tip_blocks`).  The tables also hold the single-valuedness
-    integrals, both sliced from node_side or a node side of their own; the
-    jump table of the opening is built on first use.  systems() combines
-    them for a stack of gamma1 values and one load with no operator
+    The node side (`fields._NodeSide`) carries the curve, the material and
+    the basis; disc is the `Discretization` of N on its curve.  Of the
+    collocation rows (kappa+1)(R0 + gamma1 R1 + gamma1^2 R2), R0 is the
+    traction of the g' of the basis columns, R1 the traction of their q at
+    gamma1 = 1 plus the curvature term of their g', and R2 the curvature
+    term of their q.  The three real (2M, 2N+2) blocks, the Re rows then the
+    Im rows of the first M = ceil(N/2) collocation points, come from one
+    read of the node side (`_NodeSide.rows` at those points, with
+    s0-derivatives), and the q rows become g1 and g2 columns through the
+    closure (`q_rows_to_unknowns`); the rows of the other points are their
+    mirrors (`systems`).  The tip rows T0, T1 (`_tip_blocks`) and the
+    single-valuedness integrals are sliced from the node side.  systems()
+    combines them for a stack of gamma1 values and one load with no operator
     product, and system() for one gamma1, so a sweep over gamma1 tabulates
     the kernels and builds the blocks once.
     """
 
-    def __init__(self, curve: CrackCurve, material, disc: Discretization,
-                 node_side: _NodeSide | None = None):
-        N = disc.N
-        self.curve, self.material, self.disc = curve, material, disc
-        if node_side is None:
-            node_side = _NodeSide(curve, material, N)
-        self.basis = node_side.basis
+    def __init__(self, node_side: _NodeSide, N: int):
+        self.node_side = node_side
+        self.disc = disc = Discretization(N, node_side.curve.length)
         M = (N + 1) // 2
         # (g' or q, row kind, Re or Im, point, coefficient): Re Sigma,
         # Im Sigma, -kappa0 dk and -dk' per unit coefficient
         g, q = node_side.rows(disc.collocation_points[:M], N,
                               derivatives=True)
-        q = np.stack(q_rows_to_unknowns(q[:, 0], q[:, 1], curve, material,
-                                        self.basis), axis=1)
+        q = np.stack(q_rows_to_unknowns(q[:, 0], q[:, 1], node_side.curve,
+                                        node_side.material, node_side.basis),
+                     axis=1)
         # (row kind, point) by (Re or Im, coefficient)
         self.blocks = tuple(
             block.transpose(0, 2, 1, 3).reshape(2 * M, 2 * N + 2)
@@ -298,11 +289,6 @@ class _CollocationTables:
         self.single_valued_rows = np.array(
             [np.concatenate([ints.real, -ints.imag]),
              np.concatenate([ints.imag, ints.real])])
-
-    @cached_property
-    def jump(self):
-        """The (201, N+1) jump table of the opening, built on first use."""
-        return _jump_table(self.curve, self.disc.N, self.basis)
 
     def system(self, load, gamma1: float,
                row_scaling: bool = True) -> LinearSystem:
@@ -336,8 +322,8 @@ class _CollocationTables:
         if tip_rows and not positive.all():
             raise ValueError("a stack holds gamma1 = 0 or gamma1 > 0, "
                              "not both")
-        curve, material, disc = self.curve, self.material, self.disc
-        kappa, N = material.kappa, disc.N
+        side, disc = self.node_side, self.disc
+        kappa, N = side.material.kappa, disc.N
         t0, t1 = self.tip_rows
         n_con = 2 + (len(t0) if tip_rows else 0)
         A = np.empty((g.size, 2 * N + n_con, 2 * N + 2))
@@ -354,7 +340,7 @@ class _CollocationTables:
                           ).reshape(g.size, 2, M, -1)
         mirrored = rows[:, :, : N // 2][:, :, ::-1]
         rows[:, :, M:] = self.mirror[:, None] * mirrored
-        f_c = boundary_forcing(curve, material, load, g[:, None],
+        f_c = boundary_forcing(side.curve, side.material, load, g[:, None],
                                disc.collocation_points)
         b[:, :N] = (kappa + 1.0) * f_c.real
         b[:, N: 2 * N] = (kappa + 1.0) * f_c.imag
@@ -376,9 +362,7 @@ class _CollocationTables:
         A /= scale[..., None]
         b /= scale
         return LinearSystem(matrix=A, rhs=b, n_constraints=n_con,
-                            row_scale=scale, disc=disc, gamma1=g,
-                            single_valued_integrals=self.single_valued,
-                            basis=self.basis), errors
+                            row_scale=scale, gamma1=g, tables=self), errors
 
 
 def _check_gamma1(gamma1):
@@ -391,34 +375,45 @@ def assemble(curve: CrackCurve, material, load, gamma1: float,
              node_side: _NodeSide | None = None) -> LinearSystem:
     """Assemble the constrained collocation system: tabulate, then apply.
 
-    node_side is the run's (`fields._NodeSide`), of degree disc.N or more.
+    node_side is the run's (`fields._NodeSide`), of degree disc.N or more;
+    by default a monomial one of degree disc.N is built.  Raises
+    ValueError, naming both values, when disc is on another length than
+    the curve or the node side on another curve or material (its mu and
+    kappa, which the tables read).
     """
-    tables = _CollocationTables(curve, material, disc, node_side)
+    if node_side is None:
+        node_side = _NodeSide(curve, material, disc.N)
+    given = node_side.material
+    for name, got, want in (
+            ("Discretization length", disc.length, curve.length),
+            ("node side curve", node_side.curve, curve),
+            ("node side mu", given.mu, material.mu),
+            ("node side kappa", given.kappa, material.kappa)):
+        if got != want:
+            raise ValueError(f"{name} {got!r} is not the run's {want!r}")
+    tables = _CollocationTables(node_side, disc.N)
     return tables.system(load, gamma1, row_scaling)
 
 
-def solve(system: LinearSystem, curve: CrackCurve | None = None) -> DensityCoefficients:
+def solve(system: LinearSystem) -> DensityCoefficients:
     """Constrained least-squares solve with light Tikhonov regularization.
 
     The one-point case of `_solutions`: raises its SolveError, if any, and
-    attaches the diagnostics to the density.  With a curve, the density's
-    single_valued_residual is computed from the system's integrals when it
-    is first read.
+    attaches the diagnostics to the density, with the length and the
+    basis of the system's tables.  Its single_valued_residual is computed
+    from the tables' curve and integrals when it is first read.
     """
     (x,), (error,) = _solutions(system)
     if error is not None:
         raise error
-    N = system.disc.N
+    tables = system.tables
     coeffs = DensityCoefficients(
-        g1=x[: N + 1], g2=x[N + 1:], length=system.disc.length,
-        gamma1=system.gamma1,
-        condition_estimate=system.condition_estimate, basis=system.basis,
-    )
-    if curve is not None:
-        coeffs.check_curve(curve)
-        coeffs.single_valued_residual = partial(
-            _normalized_residual, curve=curve,
-            ints=system.single_valued_integrals)
+        *np.split(x, 2), length=tables.disc.length, gamma1=system.gamma1,
+        condition_estimate=system.condition_estimate,
+        basis=tables.node_side.basis)
+    coeffs.single_valued_residual = partial(
+        _normalized_residual, curve=tables.node_side.curve,
+        ints=tables.single_valued)
     return coeffs
 
 
@@ -454,7 +449,8 @@ def _solutions(system: LinearSystem):
     y = Vt.swapaxes(-1, -2) @ (damped[..., None] * (U.swapaxes(-1, -2) @ h))
     half_x = (Z @ y)[..., 0]
     x = np.empty(half_x.shape[:-2] + (2 * half_x.shape[-1],))
-    x[..., _parity_columns(system.disc.N).ravel()] = half_x.reshape(x.shape)
+    cols = _parity_columns(system.tables.disc.N).ravel()
+    x[..., cols] = half_x.reshape(x.shape)
 
     # solver-level residual of the damped normal equations
     rhs_n = Gt @ h
@@ -488,7 +484,7 @@ def solve_problem(curve: CrackCurve, material, load, gamma1: float, N: int = 20,
     """Assemble and solve in one call."""
     disc = Discretization(N, curve.length)
     system = assemble(curve, material, load, gamma1, disc, row_scaling)
-    return solve(system, curve)
+    return solve(system)
 
 
 def single_valued_integral(coeffs: DensityCoefficients,

@@ -26,7 +26,7 @@ from curvecrack import (Discretization, FarFieldLoad, Material,
                         make_circular_arc, make_semicircle, make_straight,
                         max_face_traction, opening_profile, solver)
 from curvecrack.densities import MONOMIALS, Basis
-from curvecrack.fields import _NodeSide
+from curvecrack.fields import _FieldEvaluator, _NodeSide
 
 MATERIAL = Material(mu=60.0, kappa=2.5)
 LOAD = FarFieldLoad(sigma1=1.0, sigma2=0.5, alpha=0.3)
@@ -62,7 +62,7 @@ def _outputs(curve, gamma1, N, basis):
     node_side = _NodeSide(curve, MATERIAL, N, basis=basis)
     coeffs = solver.solve(solver.assemble(curve, MATERIAL, LOAD, gamma1,
                                           disc, row_scaling=False,
-                                          node_side=node_side), curve)
+                                          node_side=node_side))
     assert coeffs.basis is basis
     return (coeffs.g1, coeffs.gprime(np.linspace(0.0, curve.length, 201)),
             opening_profile(coeffs, curve, MATERIAL).jump,
@@ -83,6 +83,31 @@ def test_scaled_monomials_give_the_same_solve(monkeypatch, shape, N):
         for x, y in zip(got, parent):
             assert np.max(np.abs(x - y)) <= 1e-9 * np.max(np.abs(y)), \
                 gamma1
+
+
+def test_field_evaluator_refuses_a_density_in_another_basis():
+    """face_values raises a ValueError unless the density is in the basis
+    of the evaluator's node side.
+
+    Unchecked, the rows of one basis applied to the coefficients of another
+    gave finite, wrong fields: a scaled-monomial density on the semicircle
+    at N = 12 and gamma1 = 1 has sigma_n + i tau_n = -0.540 - 0.274i at
+    s = 0.5 on its own node side, and a monomial evaluator gave
+    -2357.7 + 2747.4i there.
+    """
+    curve, N = CURVES["semicircle"], 12
+    sides = {name: _NodeSide(curve, MATERIAL, N, basis=basis)
+             for name, basis in BASES.items()}
+    for name, side in sides.items():
+        coeffs = solver.solve(solver.assemble(
+            curve, MATERIAL, LOAD, 1.0, Discretization(N, curve.length),
+            node_side=side))
+        traction, du = _FieldEvaluator(side, LOAD, [0.5], N).face_values(
+            coeffs)
+        assert np.all(np.isfinite(traction)) and np.all(np.isfinite(du))
+        other, = (s for n, s in sides.items() if n != name)
+        with pytest.raises(ValueError, match="basis"):
+            _FieldEvaluator(other, LOAD, [0.5], N).face_values(coeffs)
 
 
 # ---------------------------------------------------------------------------

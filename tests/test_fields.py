@@ -294,15 +294,13 @@ class TestFaceFields:
         coeffs = DensityCoefficients(rng.normal(size=9), rng.normal(size=9),
                                      semicircle.length, gamma1=1.0)
         n_quad = 400
-        side = None
+        disc = None
         if cauchy == "discrete":
-            side = fields._NodeSide(semicircle, material, coeffs.degree,
-                                    Discretization(n_quad, semicircle.length))
+            disc = Discretization(n_quad, semicircle.length)
+        side = fields._NodeSide(semicircle, material, coeffs.degree, disc)
 
         def evaluator(points):
-            return fields._FieldEvaluator(semicircle, material, load_h,
-                                          points, coeffs.degree,
-                                          node_side=side)
+            return fields._FieldEvaluator(side, load_h, points, coeffs.degree)
 
         # cell midpoints of the discrete rule, which never hit its nodes
         j = np.sort(rng.choice(n_quad, size=37, replace=False))
@@ -465,8 +463,8 @@ class TestFaceFields:
         grid = np.sort(rng.uniform(0.005, 0.995, 21)) * curve.length
         side = fields._NodeSide(curve, material, 8)
         want = FaceOperator(side, grid, 8).apply(gp, q)
-        traction, du = fields._FieldEvaluator(
-            curve, material, load, grid, 8, node_side=side).apply(gp, q)
+        ev = fields._FieldEvaluator(side, load, grid, 8)
+        traction, du = ev.apply(gp, q)
         t1 = curve.tangent(grid)[:, None]
         phi, psi = load.phi_inf, load.psi_inf
         far = 2.0 * phi.real + np.conj(psi) * np.conj(t1) ** 2

@@ -16,7 +16,7 @@ from scipy.integrate import simpson
 from curvecrack import (FarFieldLoad, Material, make_circular_arc,
                         make_semicircle, make_straight, opening_profile,
                         solve_problem)
-from curvecrack.fields import _FieldEvaluator
+from curvecrack.fields import _FieldEvaluator, _NodeSide
 from curvecrack.quadrature import midpoint_grid
 
 MATERIAL = Material(mu=60.0, kappa=2.5)
@@ -48,7 +48,7 @@ def _outputs(curve, N, gamma1, load):
     """g' at 201 points, both faces' traction and du/ds at 41 points and
     the complex opening jump, for one load."""
     coeffs = solve_problem(curve, MATERIAL, load, gamma1, N=N)
-    ev = _FieldEvaluator(curve, MATERIAL, load,
+    ev = _FieldEvaluator(_NodeSide(curve, MATERIAL, N), load,
                          midpoint_grid(curve.length, 41), N)
     traction, du = ev.face_values(coeffs)
     return (coeffs.gprime(np.linspace(0.0, curve.length, 201)), traction,
@@ -77,7 +77,7 @@ def test_zero_load_gives_exactly_zero(problem):
     load = FarFieldLoad(0.0, 0.0, alpha)
     coeffs = solve_problem(curve, MATERIAL, load, gamma1, N=N)
     assert not np.any(coeffs.g1) and not np.any(coeffs.g2)
-    ev = _FieldEvaluator(curve, MATERIAL, load,
+    ev = _FieldEvaluator(_NodeSide(curve, MATERIAL, N), load,
                          midpoint_grid(curve.length, 41), N)
     traction, du = ev.face_values(coeffs)
     assert not np.any(traction) and not np.any(du)

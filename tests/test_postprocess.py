@@ -575,7 +575,8 @@ class TestCsvWriters:
         coeffs = DensityCoefficients(rng.normal(size=4), rng.normal(size=4),
                                      semicircle.length, 1.0)
         grid = [0.5, 1.0, 2.5]
-        fields = _FieldEvaluator(semicircle, material, load_h, grid, 3)
+        fields = _FieldEvaluator(_NodeSide(semicircle, material, 3), load_h,
+                                 grid, 3)
         path = tmp_path / "face_fields.csv"
         write_face_fields_csv(path, grid, *fields.face_values(coeffs))
         prof = face_field_profile(semicircle, material, load_h, coeffs, grid)
@@ -691,8 +692,7 @@ _PAIRINGS = {
     "single_valued_residual": lambda c, m, ld, d: single_valued_residual(d, c),
     "single_valued_integral": lambda c, m, ld, d: single_valued_integral(d, c),
     "solve": lambda c, m, ld, d: solve(solver.assemble(
-        make_semicircle(), m, ld, d.gamma1,
-        Discretization(d.degree, d.length)), c),
+        c, m, ld, d.gamma1, Discretization(d.degree, d.length))),
 }
 
 

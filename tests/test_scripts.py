@@ -34,19 +34,19 @@ def test_script_imports_and_defines_main(path):
     assert callable(_load(path).main)
 
 
-def test_face_profiles_match_solve_problem(tmp_path, monkeypatch):
+def test_face_profiles_match_solve_problem(tmp_path):
     # the script tabulates once; each file must be what a full
-    # solve_problem per load and gamma1 would write
+    # solve_problem per load and gamma1 would write, in the directory given
     module = _load(next(p for p in SCRIPTS if p.name == "face_profiles.py"))
-    monkeypatch.setattr(module, "OUT", tmp_path / "out")
-    module.main()
+    assert module.main([str(tmp_path / "out")]) == 0
     curve = make_semicircle()
     material = Material(mu=60.0, kappa=2.5)
     grid = midpoint_grid(curve.length, 150)
     want = tmp_path / "want.csv"
     names = set()
     for load_name, load in module.LOADS.items():
-        fields = _FieldEvaluator(curve, material, load, grid, module.N)
+        fields = _FieldEvaluator(_NodeSide(curve, material, module.N), load,
+                                 grid, module.N)
         for gamma1 in module.GAMMAS:
             coeffs = solve_problem(curve, material, load, gamma1, N=module.N)
             write_face_fields_csv(want, grid, *fields.face_values(coeffs))
@@ -65,13 +65,18 @@ def test_face_profiles_build_one_node_side(tmp_path, monkeypatch, capsys):
     built, init = [], _NodeSide.__init__
     monkeypatch.setattr(_NodeSide, "__init__", lambda self, *args, **kwargs:
                         built.append(args) or init(self, *args, **kwargs))
-    module.main()
+    assert module.main() == 0
     assert len(built) == 1
+    # without a directory the script writes into OUT
+    assert len(list((tmp_path / "out").glob("face_fields_*.csv"))) == 9
+    assert module.main(["a", "b"]) == 2
+    assert not (Path.cwd() / "a").exists()
 
 
 def test_snapshot_outputs_compare_between_directories(tmp_path, capsys):
     # each run writes under OUT/<name> through the relative out_dir <name>,
-    # so two snapshots in different places are byte for byte alike
+    # and the face profiles under OUT/face_profiles, so two snapshots in
+    # different places are byte for byte alike
     module = _load(next(p for p in SCRIPTS
                         if p.name == "snapshot_outputs.py"))
     names = [name for name, _, _ in module.runs()]
@@ -86,7 +91,14 @@ def test_snapshot_outputs_compare_between_directories(tmp_path, capsys):
     files = [{p.relative_to(out): p.read_bytes() for p in out.rglob("*")
               if p.is_file()} for out in snapshots]
     assert files[0] == files[1]
-    assert sorted(p.name for p in snapshots[0].iterdir()) == sorted(names)
+    assert sorted(p.name for p in snapshots[0].iterdir()) \
+        == sorted(names + ["face_profiles"])
+    profiles = _load(next(p for p in SCRIPTS if p.name == "face_profiles.py"))
+    assert profiles.main([str(tmp_path / "profiles")]) == 0
+    want = {p.name: p.read_bytes() for p in (tmp_path / "profiles").iterdir()}
+    assert len(want) == 9
+    assert {p.name: p.read_bytes()
+            for p in (snapshots[0] / "face_profiles").iterdir()} == want
     for name in names:
         echo = (snapshots[0] / name / "config_echo.txt").read_text()
         assert f"\nout_dir = {name}\n" in echo
@@ -94,5 +106,5 @@ def test_snapshot_outputs_compare_between_directories(tmp_path, capsys):
         assert (snapshots[0] / name / "system_dump.txt").stat().st_size > 0
     printed = capsys.readouterr().out.splitlines()
     assert [line for line in printed if line.startswith("== ")] \
-        == [f"== {name}" for name in names] * 2
+        == [f"== {name}" for name in names + ["face_profiles"]] * 2
     assert module.main([]) == 2

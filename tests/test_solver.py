@@ -12,6 +12,7 @@ from curvecrack import (AssemblyError, CrackCurve, DensityCoefficients,
                         solve_problem, tip_condition_residuals, traction_jump,
                         traction_jump_parts)
 from curvecrack import densities, quadrature, solver
+from curvecrack import postprocess as post
 from curvecrack.densities import (MONOMIALS, cauchy_densities,
                                   poly_derivative, poly_eval, pv_monomials,
                                   q_coefficients, q_polynomial)
@@ -284,9 +285,8 @@ class TestAssembly:
         system = assemble(semicircle, material, load_h, 1.0, disc,
                           row_scaling=False)
         assert np.all(system.row_scale == 1.0)
-        co = solve(system, semicircle)
-        co_scaled = solve(assemble(semicircle, material, load_h, 1.0, disc),
-                          semicircle)
+        co = solve(system)
+        co_scaled = solve(assemble(semicircle, material, load_h, 1.0, disc))
         # scaling changes the least-squares weighting, so the two solutions
         # agree only at the interior resolution level of the scheme
         mid = semicircle.length / 2.0
@@ -450,7 +450,7 @@ def test_quadratic_assembly_matches_operator(material, load_h, curve, N):
     # the blocks, tabulated at the first ceil(N/2) collocation points, and
     # the tip rows against the column-for-column route, to rounding of each
     # row's largest entry
-    tables = solver._CollocationTables(curve, material, disc)
+    tables = solver._CollocationTables(_NodeSide(curve, material, N), N)
     M = (N + 1) // 2
     r0, r1, r2, t0, t1 = _table_blocks(curve, material, N)
     first = np.r_[: M, N: N + M]
@@ -471,9 +471,8 @@ def test_shared_node_side_matches_standalone_tables(material, curve):
     # the first N+1 columns of a node side of degree 60 serve every N
     node_side = _NodeSide(curve, material, 60)
     for N in (16, 20, 30, 40, 60):
-        disc = Discretization(N, curve.length)
-        shared = solver._CollocationTables(curve, material, disc, node_side)
-        alone = solver._CollocationTables(curve, material, disc)
+        shared = solver._CollocationTables(node_side, N)
+        alone = solver._CollocationTables(_NodeSide(curve, material, N), N)
         for got, want in zip(shared.blocks + shared.tip_rows
                              + (shared.single_valued,),
                              alone.blocks + alone.tip_rows
@@ -486,9 +485,58 @@ def test_shared_node_side_matches_standalone_tables(material, curve):
 def test_node_side_refuses_a_higher_degree(material, semicircle):
     node_side = _NodeSide(semicircle, material, 16)
     with pytest.raises(ValueError, match="degree 20"):
-        solver._CollocationTables(semicircle, material,
-                                  Discretization(20, semicircle.length),
-                                  node_side)
+        solver._CollocationTables(node_side, 20)
+
+
+# the kappa0 = 0.5 arc of the semicircle's length
+_ARC_PI = CrackCurve(length=np.pi, shape="arc", constant_curvature=0.5)
+# (disc, node side, the values the error names) of each mismatch on the
+# README crack at N = 20
+_MISMATCHES = {
+    "length": lambda curve, material: (
+        Discretization(20, 3.0), None, (3.0, np.pi)),
+    "curve": lambda curve, material: (
+        Discretization(20, curve.length),
+        _NodeSide(_ARC_PI, material, 20), (_ARC_PI, curve)),
+    "material": lambda curve, material: (
+        Discretization(20, curve.length),
+        _NodeSide(curve, Material(mu=30.0, kappa=2.0), 20),
+        (30.0, 60.0)),
+}
+
+
+@pytest.mark.parametrize("case", _MISMATCHES)
+def test_assemble_refuses_inputs_that_do_not_belong_together(
+        material, semicircle, load_h, case):
+    """assemble raises a ValueError naming both values when its
+    Discretization is on another length or its node side on another curve
+    or material.
+
+    Unchecked, each of these solved without error and gave a wrong
+    density (README crack, N = 20, gamma1 = 1): a node side of mu = 30,
+    kappa = 2 put g' off by 59 % of its sup, one on a kappa0 = 0.5 arc of
+    the same length pi by 21 %, and Discretization(20, 3.0) gave a density
+    of length 3.0 (condition estimate 3.4e6).
+    """
+    disc, node_side, named = _MISMATCHES[case](semicircle, material)
+    with pytest.raises(ValueError) as info:
+        assemble(semicircle, material, load_h, 1.0, disc,
+                 node_side=node_side)
+    for value in named:
+        assert repr(value) in str(info.value)
+
+
+def test_assemble_reads_mu_and_kappa_of_the_material(material, semicircle,
+                                                     load_h):
+    # a twin of the material from its Poisson ratio builds the same tables
+    twin = Material.from_poisson(60.0, 0.125)
+    assert twin != material and twin.kappa == material.kappa
+    disc = Discretization(20, semicircle.length)
+    got = assemble(semicircle, material, load_h, 1.0, disc,
+                   node_side=_NodeSide(semicircle, twin, 20))
+    want = assemble(semicircle, material, load_h, 1.0, disc)
+    assert np.array_equal(got.matrix, want.matrix)
+    assert np.array_equal(got.rhs, want.rhs)
 
 
 _MIRROR_CURVES = [make_semicircle(), make_circular_arc(0.5),
@@ -606,7 +654,7 @@ def test_no_free_unknown_is_a_solve_error(material, straight2, load_v):
                       Discretization(4, straight2.length))
     assert system.n_constraints == system.matrix.shape[1] == 10
     with pytest.raises(SolveError, match="no free unknown"):
-        solve(system, straight2)
+        solve(system)
     with pytest.raises(SolveError, match="no free unknown"):
         system.condition_estimate
     # one unknown more per half is enough
@@ -704,10 +752,10 @@ class TestSolve:
         system = assemble(semicircle, material, load_h, 1.0, disc)
         system.condition_estimate = 1e15
         with pytest.raises(SolveError):
-            solve(system, semicircle)
+            solve(system)
         system.condition_estimate = float("nan")
         with pytest.raises(SolveError):
-            solve(system, semicircle)
+            solve(system)
 
     def test_one_factorization_per_system(self, material, semicircle, load_h,
                                           monkeypatch):
@@ -727,7 +775,7 @@ class TestSolve:
             monkeypatch.setattr(np.linalg, name, counting(name))
         disc = Discretization(20, semicircle.length)
         system = assemble(semicircle, material, load_h, 1.0, disc)
-        coeffs = solve(system, semicircle)
+        coeffs = solve(system)
         text = system.dump_text()
         assert calls == {"svd": 2, "lstsq": 0}
         line, = [ln for ln in text.splitlines()
@@ -737,8 +785,8 @@ class TestSolve:
     def test_stack_gates_each_point(self, material, semicircle, load_h):
         # a zero reduced block fails the condition gate of its own point;
         # the other point of the stack solves as it does alone
-        disc = Discretization(12, semicircle.length)
-        tables = solver._CollocationTables(semicircle, material, disc)
+        tables = solver._CollocationTables(
+            _NodeSide(semicircle, material, 12), 12)
         stack, errors = tables.systems(load_h, [0.5, 1.0])
         assert errors == [None, None]
         stack.matrix[0, : -stack.n_constraints] = 0.0
@@ -762,7 +810,7 @@ class TestSolve:
         disc = Discretization(20, curve.length)
         system = assemble(curve, material, load, gamma1, disc, row_scaling)
         assert np.all(system.rhs[-system.n_constraints:] == 0.0)
-        coeffs = solve(system, curve)
+        coeffs = solve(system)
         x = np.concatenate([coeffs.g1, coeffs.g2])
         T = system.constraint_block
         assert np.max(np.abs(x)) > 0.0
@@ -776,16 +824,29 @@ class TestSolve:
 
     def test_solve_reuses_single_valued_integrals(self, material, semicircle,
                                                   load_h, monkeypatch):
+        # solve(system) reads the curve and the integrals from the system's
+        # tables, whether assemble or the tables themselves built it: no
+        # curve is passed, no jump table is built, and the residual is the
+        # finite one single_valued_residual computes from the curve
         disc = Discretization(12, semicircle.length)
-        system = assemble(semicircle, material, load_h, 1.0, disc)
-        calls = []
-        rebuild = solver._jump_table
-        monkeypatch.setattr(solver, "_jump_table",
+        tables = solver._CollocationTables(
+            _NodeSide(semicircle, material, 12), 12)
+        systems = [assemble(semicircle, material, load_h, 1.0, disc),
+                   tables.system(load_h, 1.0)]
+        calls, ints = [], []
+        rebuild = post._jump_table
+        monkeypatch.setattr(post, "_jump_table",
                             lambda *a: calls.append(a) or rebuild(*a))
-        coeffs = solve(system, semicircle)
-        assert calls == []
-        assert coeffs.single_valued_residual \
-            == single_valued_residual(coeffs, semicircle)
+        integrals = solver._single_valued_integrals
+        monkeypatch.setattr(solver, "_single_valued_integrals",
+                            lambda *a: ints.append(a) or integrals(*a))
+        for system in systems:
+            coeffs = solve(system)
+            residual = coeffs.single_valued_residual
+            assert calls == [] and ints == []
+            assert np.isfinite(residual)
+            assert residual == single_valued_residual(coeffs, semicircle)
+            ints.clear()
         assert calls == []
 
     def test_single_valued_residual_stays_a_field(self):
@@ -845,7 +906,7 @@ class TestSolve:
                                np.cumsum(cells, axis=0)])
         # the single-valuedness integrals are the same closed form at s = l
         got = np.vstack([
-            solver._jump_table(curve, N, MONOMIALS),
+            densities._jump_table(curve, N, MONOMIALS),
             solver._single_valued_integrals(curve, N, MONOMIALS)])
         assert got.shape == (202, N + 1)
         assert np.all(np.abs(got - want[[*range(201), -1]]).max(axis=0)
