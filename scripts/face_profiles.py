@@ -6,20 +6,20 @@
 One CSV per loading (horizontal, vertical, biaxial stretching) and per
 gamma1 in {0.5, 1.0, 2.0}, both faces, on a uniform interior grid, written
 into OUT (default results/face_profiles).  The collocation tables depend on
-neither the load nor gamma1, so they are built once and applied to each of
-the nine solves, as `solve_problem` would.  One face operator
-(`fields._NodeSide`) of the curve, material and N serves the tables and the
-field evaluators of all three loads.
+neither the load nor gamma1, so the first `solve_problem` builds them and
+the other eight read them from the process's cache; one field evaluator on
+the cached face operator (`fields._node_side`) of the curve, material and
+N serves all nine solves, taking the load per call.
 """
 
 import sys
 from pathlib import Path
 
-from curvecrack import FarFieldLoad, Material, make_semicircle, solve
-from curvecrack.fields import _FieldEvaluator, _NodeSide
+from curvecrack import FarFieldLoad, Material, make_semicircle, solve_problem
+from curvecrack.densities import MONOMIALS
+from curvecrack.fields import _FieldEvaluator, _node_side
 from curvecrack.postprocess import write_face_fields_csv
 from curvecrack.quadrature import midpoint_grid
-from curvecrack.solver import _CollocationTables
 
 OUT = Path(__file__).resolve().parent.parent / "results" / "face_profiles"
 
@@ -39,16 +39,16 @@ def main(argv=()):
     out = Path(argv[0]) if argv else OUT
     out.mkdir(parents=True, exist_ok=True)
     curve = make_semicircle()
+    material = Material(mu=60.0, kappa=2.5)
     grid = midpoint_grid(curve.length, 150)
-    node_side = _NodeSide(curve, Material(mu=60.0, kappa=2.5), N)
-    tables = _CollocationTables(node_side, N)
+    fields = _FieldEvaluator(_node_side(curve, material, N, MONOMIALS), grid,
+                             N)
     for load_name, load in LOADS.items():
-        # one field evaluator per load serves the solves of every gamma1
-        fields = _FieldEvaluator(node_side, load, grid, N)
         for gamma1 in GAMMAS:
-            coeffs = solve(tables.system(load, gamma1))
+            coeffs = solve_problem(curve, material, load, gamma1, N=N)
             path = out / f"face_fields_{load_name}_g{gamma1}.csv"
-            write_face_fields_csv(path, grid, *fields.face_values(coeffs))
+            write_face_fields_csv(path, grid,
+                                  *fields.face_values(coeffs, load))
             print(f"wrote {path}")
     return 0
 

@@ -12,10 +12,20 @@ scripts/face_profiles.py writes its nine CSVs into OUT/face_profiles.  The
 run summaries go to stdout, each after a "== <name>" line, and the face
 profiles' list of files after "== face_profiles".  The runs use the source
 of the checkout that holds this script, not an installed curvecrack.
+
+Every run is made twice in this one process: cold, with every table cache
+of the program emptied first, into OUT, then warm, reading the tables the
+cold run left cached, into a temporary directory.  The script exits with
+status 1, naming the run, when the warm run's files or summary differ from
+the cold run's by a byte, so the comparison of two checkouts covers the
+cached path as well.
 """
 
+import contextlib
+import io
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,6 +33,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
 
 import face_profiles  # noqa: E402
 from curvecrack.cli import parse_config, run  # noqa: E402
+from curvecrack.postprocess import _TABLE_CACHES  # noqa: E402
 
 # the README reference crack, solve mode
 REFERENCE = """shape = semicircle
@@ -41,6 +52,43 @@ def runs():
         yield f"reference_N{n}", REFERENCE + f"N = {n}\n", True
 
 
+def _files(directory):
+    """The bytes of every file under the directory, by relative path."""
+    return {p.relative_to(directory): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def _call_in(where, name, write):
+    """(exit code, stdout, files under where/name) of write(name) with
+    where as the working directory."""
+    cwd = os.getcwd()
+    os.chdir(where)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            code = write(name)
+    finally:
+        os.chdir(cwd)
+    return code, text.getvalue(), _files(where / name)
+
+
+def _cold_then_warm(name, write, warm_root):
+    """write(name) in the working directory with every table cache empty,
+    then again in warm_root; prints the cold call's stdout and returns its
+    exit code, or 1 when the warm call differs from it."""
+    for cache in _TABLE_CACHES:
+        cache.cache_clear()
+    cold = _call_in(Path.cwd(), name, write)
+    print(cold[1], end="", flush=True)
+    if cold[0] != 0:
+        print(f"{name}: exit code {cold[0]}", file=sys.stderr)
+        return cold[0]
+    if _call_in(warm_root, name, write) != cold:
+        print(f"{name}: the warm run differs from the cold run",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
@@ -49,17 +97,20 @@ def main(argv=None):
     out = Path(args[0])
     out.mkdir(parents=True, exist_ok=True)
     configs = [(name, parse_config(text), dump) for name, text, dump in runs()]
+    writers = [(name, lambda name, config=config, dump=dump:
+                run(config, out_dir=name, dump_system=dump))
+               for name, config, dump in configs]
+    writers.append(("face_profiles", lambda name: face_profiles.main([name])))
     cwd = os.getcwd()
     os.chdir(out)
     try:
-        for name, config, dump in configs:
-            print(f"== {name}", flush=True)
-            code = run(config, out_dir=name, dump_system=dump)
-            if code != 0:
-                print(f"{name}: exit code {code}", file=sys.stderr)
-                return code
-        print("== face_profiles", flush=True)
-        return face_profiles.main(["face_profiles"])
+        with tempfile.TemporaryDirectory() as warm:
+            for name, write in writers:
+                print(f"== {name}", flush=True)
+                code = _cold_then_warm(name, write, Path(warm))
+                if code != 0:
+                    return code
+        return 0
     finally:
         os.chdir(cwd)
 

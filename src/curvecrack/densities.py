@@ -31,6 +31,7 @@ the opening's jump table) and the tip rows (`_tip_blocks`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -232,11 +233,12 @@ class DensityCoefficients:
 
     g1 and g2 hold the real and imaginary coefficient vectors (degree N each)
     over basis, the one it was solved in.  gamma1 is carried along because
-    the closure to the traction-jump density q depends on it.  Diagnostics
-    are attached by the solver.  It sets
-    single_valued_residual to the function that computes it from the
-    density, which runs on first read, so a run that never reads the
-    residual never pays for it.
+    the closure to the traction-jump density q depends on it.  curve is the
+    curve it was solved on, or None for a density built by hand, which
+    carries its length alone.  Diagnostics and the curve are attached by
+    the solver.  It sets single_valued_residual to the function that
+    computes it from the density, which runs on first read, so a run that
+    never reads the residual never pays for it.
     """
 
     g1: np.ndarray
@@ -246,6 +248,7 @@ class DensityCoefficients:
     condition_estimate: float = float("nan")
     single_valued_residual: float = _OnFirstRead()
     basis: Basis = MONOMIALS
+    curve: CrackCurve | None = None
 
     def __post_init__(self):
         self.g1 = np.asarray(self.g1, dtype=float)
@@ -254,6 +257,8 @@ class DensityCoefficients:
             raise ValueError("g1 and g2 must be equal-length 1-D coefficient vectors")
         if not np.isfinite(self.length) or self.length <= 0:
             raise ValueError(f"length must be positive, got {self.length}")
+        if self.curve is not None:
+            self.check_curve(self.curve)
         check_gamma1(self.gamma1)
 
     @property
@@ -270,7 +275,11 @@ class DensityCoefficients:
         return poly_eval(self.g1 + 1j * self.g2, s, self.length, self.basis)
 
     def check_curve(self, curve: CrackCurve):
-        """Raise ValueError unless the curve has the density's arc length."""
+        """Raise ValueError unless the curve is the density's own or, for a
+        density without one, has its arc length."""
+        if self.curve is not None and curve != self.curve:
+            raise ValueError(f"a density solved on {self.curve!r} paired "
+                             f"with {curve!r}")
         if curve.length != self.length:
             raise ValueError(f"a density on an arc of length {self.length!r} "
                              f"paired with a curve of length {curve.length!r}")
@@ -356,14 +365,23 @@ def _single_valued_integrals(curve: CrackCurve, degree: int, basis):
     return basis.tangent_integrals(curve, degree, [curve.length])[0]
 
 
-def _jump_table(curve: CrackCurve, degree: int, basis, n_samples: int = 201):
+@lru_cache(maxsize=8)
+def _jump_table(curve: CrackCurve, degree: int, basis, n_samples: int):
     """M[k, n] = int_0^{s_k} phi_n(x) t'(x) dx on equispaced s_k in [0, l].
 
     The basis's tangent integrals at the points of the opening profile,
-    which is this table applied to the density.
+    which is this table applied to the density.  Built once per key while
+    it is among the 8 most recent, and read-only.
     """
-    return basis.tangent_integrals(
-        curve, degree, np.linspace(0.0, curve.length, n_samples))
+    return _read_only(basis.tangent_integrals(
+        curve, degree, np.linspace(0.0, curve.length, n_samples)))
+
+
+def _read_only(array):
+    """The array, marked read-only: a table kept between runs raises on an
+    in-place write instead of changing the runs after it."""
+    array.setflags(write=False)
+    return array
 
 
 def _tip_blocks(curve: CrackCurve, material, degree: int, basis):

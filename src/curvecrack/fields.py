@@ -14,14 +14,17 @@ discrete oracle mode, face_fields(..., cauchy="discrete").
 The density parts of the face fields are linear in the density, so they
 are split into a table and its application.  The operator is one object,
 `_NodeSide`, the one carrier of a run's curve, material, density basis
-(`densities.Basis`) and largest degree: a run builds it once, and the
-collocation tables and the field evaluators read all four from it.  It
-tabulates everything that depends neither on the density nor on the
-points s0: the rule's weighted basis and the kernels' node tables.  It
-is read one way only, through rows(s0, degree, derivatives): the kernels
-integrated against each function of the density basis at the points
-(`KernelSet.raw_tables`) and the closed-form principal values of the
-basis functions, with their s0-derivatives for the assembly
+(`densities.Basis`) and largest degree: a process builds it once per
+curve, material, degree and basis while the key is among the 8 most
+recent (`_node_side`), and the collocation tables and the field
+evaluators read all four from it.  The field evaluator does not depend
+on the load, which it takes per call, so it is shared between runs too.
+The node side tabulates everything that depends neither on the density
+nor on the points s0: the rule's weighted basis and the kernels' node
+tables.  It is read one way only, through rows(s0, degree, derivatives):
+the kernels integrated against each function of the density basis at the
+points (`KernelSet.raw_tables`) and the closed-form principal values of
+the basis functions, with their s0-derivatives for the assembly
 (`densities._pv_tables`), times one real map composed from the small
 coefficient arrays of the kernels and the fields, give real combinations
 of the fields per unit real and imaginary part of each coefficient of g'
@@ -32,19 +35,19 @@ field evaluator reads the face-average traction and the face function
 omega at its points, applies those rows to the real and imaginary
 coefficient columns of the solved densities, one or a sweep's stack of
 them, and adds the +-jump terms and the far field, refusing a density in
-another basis.  A node side on a flat node rule is the discrete oracle:
-its principal values are node sums.
+another basis or of a higher degree.  A node side on a flat node rule is
+the discrete oracle: its principal values are node sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .densities import (MONOMIALS, DensityCoefficients, _pv_tables,
-                        _single_valued_integrals, _tip_blocks,
+                        _read_only, _single_valued_integrals, _tip_blocks,
                         cauchy_densities, check_gamma1, q_polynomial)
 from .geometry import CrackCurve
 from .kernels import KernelSet
@@ -257,8 +260,12 @@ class _NodeSide:
     node rule, whose principal values are then the `pv_cauchy_sum` node
     sums of the discrete oracle (without s0-derivatives).  A column of
     each table depends only on its own basis function and lower ones, so
-    degree N reads the first N+1.
+    degree N reads the first N+1.  Every table it keeps is read-only.
+    cached is True only for the node sides of `_node_side`, which the
+    collocation tables of `solver.assemble` are cached with.
     """
+
+    cached = False
 
     def __init__(self, curve, material, degree, disc=None, basis=MONOMIALS):
         self.curve, self.material, self.degree = curve, material, degree
@@ -268,13 +275,12 @@ class _NodeSide:
                           else (disc.nodes, disc.weight))
         wbasis = np.reshape(weights, (-1, 1)) * basis.table(
             nodes, curve.length, degree)
-        self._kernel = self.kset.node_tables(nodes, wbasis)
+        self._kernel = tuple(map(_read_only,
+                                 self.kset.node_tables(nodes, wbasis)))
 
     def columns(self, degree):
         """The kernels' node tables of the basis functions up to degree."""
-        if degree > self.degree:
-            raise ValueError(f"degree {degree} exceeds the {self.degree} "
-                             "the node side was built for")
+        _check_degree(degree, self.degree, "the node side")
         return tuple(table[..., : degree + 1] for table in self._kernel)
 
     def rows(self, s0, degree, derivatives=False):
@@ -307,12 +313,14 @@ class _NodeSide:
     @cached_property
     def tip_rows(self):
         """T0 and T1 of `_tip_blocks`, g1 columns then g2 columns."""
-        return _tip_blocks(self.curve, self.material, self.degree, self.basis)
+        return tuple(map(_read_only, _tip_blocks(
+            self.curve, self.material, self.degree, self.basis)))
 
     @cached_property
     def single_valued(self):
         """I_n = int_0^l phi_n(x) t'(x) dx, n = 0..degree."""
-        return _single_valued_integrals(self.curve, self.degree, self.basis)
+        return _read_only(_single_valued_integrals(self.curve, self.degree,
+                                                   self.basis))
 
     @cached_property
     def rows_maps(self):
@@ -366,48 +374,69 @@ class _NodeSide:
                                   (False, [0, 3, 6, 7, 8])):
             t, k = (combine[derivatives] @ x.reshape(2, 4, -1)
                     for x in (T, K))
-            maps[derivatives] = np.stack(
+            maps[derivatives] = _read_only(np.stack(
                 [t.real + k.real, k.imag - t.imag],
-                axis=2).reshape(-1, T.shape[1])[:, cols]
+                axis=2).reshape(-1, T.shape[1])[:, cols])
         return maps
+
+
+def _check_degree(degree, built, what):
+    """Raise ValueError, naming both degrees, when degree exceeds the one
+    what was built for."""
+    if degree > built:
+        raise ValueError(f"degree {degree} exceeds the {built} {what} was "
+                         "built for")
+
+
+@lru_cache(maxsize=8)
+def _node_side(curve, material, degree, basis):
+    """The node side of the curve, material, degree and basis on
+    `regular_rule`, built once per process while the key is among the 8
+    most recent.
+
+    The key is frozen values alone, and the node side's tables are
+    read-only, so every run on the key shares them; its cached is True.
+    """
+    side = _NodeSide(curve, material, degree, basis=basis)
+    side.cached = True
+    return side
 
 
 class _FieldEvaluator:
     """Face fields at fixed points s0, for any density of degree <= degree
-    in the basis of node_side, whose curve and material it reads.
+    in the basis of node_side, whose curve and material it reads, under
+    any load.
 
     Construction checks the points, reads the operator's rows at them
     (`_NodeSide.rows`, without s0-derivatives) and tabulates the basis and
-    the far field at the points; apply() applies the rows to the real and
-    imaginary coefficient columns of any number of solved densities in
-    that basis and adds the +-jump terms and the far field, so one
-    evaluator serves every density of a sweep, and face_values is its
-    one-density case.  A node side on a flat node rule gives the discrete
-    oracle.
+    the tangent at the points, all read-only; none of it depends on the
+    load, so one evaluator serves every load.  apply() applies the rows to
+    the real and imaginary coefficient columns of any number of solved
+    densities in that basis and adds the +-jump terms and the far field of
+    the load, O(M) per call, so one evaluator serves every density of a
+    sweep, and face_values is its one-density case.  A node side on a flat
+    node rule gives the discrete oracle.
     """
 
-    def __init__(self, node_side, load, s0, degree):
+    def __init__(self, node_side, s0, degree):
         self.node_side = side = node_side
+        self.degree = degree
         length = side.curve.length
-        self.s0 = np.asarray(s0, dtype=float)
+        self.s0 = _read_only(np.array(s0, dtype=float))
         if not np.all(np.isfinite(self.s0) & (self.s0 > 0.0)
                       & (self.s0 < length)):
             raise ValueError("the points s0 must be finite and lie strictly "
                              f"inside (0, {length}), got {s0}")
-        self._rows = side.rows(self.s0, degree)
-        self._table = side.basis.table(self.s0, length, degree)
-        phi, psi = load.phi_inf, load.psi_inf
-        self._t1 = t1 = side.curve.tangent(self.s0)
-        self._far = 2.0 * np.real(phi) + np.conj(psi) * np.conj(t1) ** 2
-        self._du_far = (side.material.kappa * phi - np.conj(phi)) * t1 \
-            - np.conj(psi) * np.conj(t1)
+        self._rows = _read_only(side.rows(self.s0, degree))
+        self._table = _read_only(side.basis.table(self.s0, length, degree))
+        self._t1 = _read_only(side.curve.tangent(self.s0))
 
-    def face_values(self, densities):
+    def face_values(self, densities, load):
         """sigma_n + i tau_n and d(u1 + i u2)/ds on both faces at the points.
 
         Returns two complex arrays of shape (2, M), "+" face first: apply()
         on the one density.  Raises ValueError unless the density is in the
-        node side's basis.
+        node side's basis, of its curve and of degree <= degree.
         """
         side = self.node_side
         if densities.basis != side.basis:
@@ -415,16 +444,18 @@ class _FieldEvaluator:
         gp = densities.g1 + 1j * densities.g2
         q = q_polynomial(side.curve, side.material, densities.gamma1,
                          densities)
-        traction, du = self.apply(gp[None], q[None])
+        traction, du = self.apply(gp[None], q[None], load)
         return traction[..., 0], du[..., 0]
 
-    def apply(self, gp_poly, q_poly):
-        """face_values of C densities, (2, M, C) each.
+    def apply(self, gp_poly, q_poly, load):
+        """face_values of C densities under the load, (2, M, C) each.
 
         gp_poly and q_poly are (C, n) complex coefficient matrices of g' and
         q, n <= degree + 1; column c of the results belongs to row c.
+        Raises ValueError, naming both degrees, for a larger n.
         """
         n = gp_poly.shape[-1]
+        _check_degree(n - 1, self.degree, "the field evaluator")
         # (g' or q, 1, Re or Im, coefficient, density) against the rows'
         # (g' or q, kind, Re or Im, point, coefficient)
         parts = np.array([[gp_poly.real.T, gp_poly.imag.T],
@@ -433,8 +464,9 @@ class _FieldEvaluator:
             axis=(0, 2))
         phi = self._table[:, :n]
         signs = _SIGNS[..., None]
+        far, du_far = self._far_field(load)
         traction = signs * (phi @ q_poly.T) + (re_s + 1j * im_s) \
-            + self._far[:, None]
+            + far[:, None]
 
         # omega is the face function whose jump is i g'(s0).  Its jump
         # coefficient is i/2, not i(kappa+1)/2: the face limits of the
@@ -444,13 +476,22 @@ class _FieldEvaluator:
         # test_jump_derivative_consistency (the slope of the opening, the
         # integral of g' t' by the jump table).
         omega = signs * 0.5j * (phi @ gp_poly.T) + (re_w + 1j * im_w)
-        du = (self._t1[:, None] * omega + self._du_far[:, None]) \
+        du = (self._t1[:, None] * omega + du_far[:, None]) \
             / (2.0 * self.node_side.material.mu)
         return traction, du
 
-    def samples(self, densities):
+    def _far_field(self, load):
+        """The load's uniform-field traction and du/ds at the points."""
+        phi, psi = load.phi_inf, load.psi_inf
+        t1 = self._t1
+        far = 2.0 * np.real(phi) + np.conj(psi) * np.conj(t1) ** 2
+        du_far = (self.node_side.material.kappa * phi - np.conj(phi)) * t1 \
+            - np.conj(psi) * np.conj(t1)
+        return far, du_far
+
+    def samples(self, densities, load):
         """FaceFieldSample lists at the points: ("+" face, "-" face)."""
-        traction, du = self.face_values(densities)
+        traction, du = self.face_values(densities, load)
         return tuple([FaceFieldSample(s=float(s), side=side,
                                       sigma_n=float(np.real(traction[i, k])),
                                       tau_n=float(np.imag(traction[i, k])),
@@ -460,11 +501,14 @@ class _FieldEvaluator:
                      for i, side in enumerate(_SIDES))
 
 
-def _evaluator(curve, material, load, s0, coeffs, disc=None):
+def _evaluator(curve, material, s0, coeffs, disc=None):
     """A field evaluator at s0 on a node side of the density's degree and
-    basis, on `regular_rule` or the flat node rule of disc."""
-    return _FieldEvaluator(_NodeSide(curve, material, coeffs.degree, disc,
-                                     coeffs.basis), load, s0, coeffs.degree)
+    basis: the cached one on `regular_rule` (`_node_side`), or, with disc,
+    a new one on its flat node rule."""
+    side = (_node_side(curve, material, coeffs.degree, coeffs.basis)
+            if disc is None else
+            _NodeSide(curve, material, coeffs.degree, disc, coeffs.basis))
+    return _FieldEvaluator(side, s0, coeffs.degree)
 
 
 def face_fields(curve: CrackCurve, material: Material, load: FarFieldLoad,
@@ -482,8 +526,8 @@ def face_fields(curve: CrackCurve, material: Material, load: FarFieldLoad,
     if cauchy not in ("exact", "discrete"):
         raise ValueError(f"unknown cauchy mode {cauchy!r}")
     disc = None if cauchy == "exact" else Discretization(n_quad, curve.length)
-    ev = _evaluator(curve, material, load, [s0], densities, disc)
-    return ev.samples(densities)[_SIDES.index(side)][0]
+    ev = _evaluator(curve, material, [s0], densities, disc)
+    return ev.samples(densities, load)[_SIDES.index(side)][0]
 
 
 def face_field_profile(curve, material, load, densities, s_values,
@@ -492,6 +536,6 @@ def face_field_profile(curve, material, load, densities, s_values,
 
     Returns a list of FaceFieldSample.
     """
-    ev = _evaluator(curve, material, load, s_values, densities)
-    faces = ev.samples(densities)
+    ev = _evaluator(curve, material, s_values, densities)
+    faces = ev.samples(densities, load)
     return [sample for side in sides for sample in faces[_SIDES.index(side)]]

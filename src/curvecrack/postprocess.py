@@ -9,7 +9,7 @@ build one field evaluator at all their points s0 and apply it to the
 density; it returns both faces at once.
 
 Solve mode and the sweeps report one set of numbers, `SolveReport`, read
-and reduced through one path.  `_SweepTables` builds one node side
+and reduced through one path.  `_SweepTables` reads one node side
 (`fields._NodeSide`, the carrier of the curve, material and basis) of one
 curve and N, from which the collocation tables
 (`solver._CollocationTables`) and one field evaluator read: at a midpoint
@@ -19,10 +19,13 @@ s = 0.  It also holds the jump table of the openings, their one reader.
 For a stack of P solutions its `evaluate` is one application of the
 evaluator to the densities as columns and one product with the jump
 table, and its `report` one fit of du1/ds and tau_n of every solution on
-the shared [ln s, 1] design and the extremes.  A gamma1 sweep builds the
-tables once and solves its points as two stacks (`_solve_and_report`),
-the gamma1 = 0 points and the positive ones with their tip rows; a
-curvature sweep builds them once per curve, and solve mode (`cli`)
+the shared [ln s, 1] design and the extremes.  None of it depends on the
+load or gamma1, so a process builds it once per curve, material, N and
+face grid (`_sweep_tables`, an lru_cache of 8 keys), and every run on
+them reads the same read-only tables.  A gamma1 sweep reads the tables
+once and solves its points as two stacks (`_solve_and_report`), the
+gamma1 = 0 points and the positive ones with their tip rows; a
+curvature sweep reads them once per curve, and solve mode (`cli`)
 evaluates a stack of one and reports only for its summary.  Errors stay
 per point: an invalid gamma1 never enters a stack, a point that fails a
 check of its own gets that error while the others go on, and an error of
@@ -39,16 +42,18 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
-from .densities import (DensityCoefficients, _jump_table, cauchy_densities,
-                        q_coefficients, traction_jump)
-from .fields import _SIDES, _FieldEvaluator, _NodeSide, _evaluator
+from .densities import (MONOMIALS, DensityCoefficients, _jump_table,
+                        _read_only, cauchy_densities, q_coefficients,
+                        traction_jump)
+from .fields import _SIDES, _evaluator, _FieldEvaluator, _node_side
 from .geometry import CrackCurve, make_circular_arc
 from .quadrature import Discretization, midpoint_grid
-from .solver import (AssemblyError, SolveError, _check_gamma1,
-                     _CollocationTables, _solutions, assemble, solve)
+from .solver import (AssemblyError, SolveError, _cached_tables, _check_gamma1,
+                     _collocation_tables, _solutions, assemble, solve)
 
 FIELD_NAMES = ("sigma_n", "tau_n", "du1_ds", "du2_ds")
 
@@ -64,8 +69,12 @@ class OpeningProfile:
     min_opening: float
 
 
+# the points of an opening profile
+_OPENING_POINTS = 201
+
+
 def opening_profile(coeffs: DensityCoefficients, curve: CrackCurve, material,
-                    n_samples: int = 201) -> OpeningProfile:
+                    n_samples: int = _OPENING_POINTS) -> OpeningProfile:
     """Integrate the density into the crack-opening profile.
 
     jump(s) = (i / 2 mu) * int_0^s g'(x) t'(x) dx, which vanishes at s = 0 by
@@ -180,8 +189,9 @@ def _tip_points(curve, tip, window, n):
 def _tip_fields(curve, material, load, coeffs, tip, side, window, n):
     """Distances from the tip and the four face fields there, one evaluator."""
     dist, s_vals = _tip_points(curve, tip, window, n)
-    ev = _evaluator(curve, material, load, s_vals, coeffs)
-    traction, du = (v[_SIDES.index(side)] for v in ev.face_values(coeffs))
+    ev = _evaluator(curve, material, s_vals, coeffs)
+    traction, du = (v[_SIDES.index(side)]
+                    for v in ev.face_values(coeffs, load))
     return dist, {"sigma_n": traction.real, "tau_n": traction.imag,
                   "du1_ds": du.real, "du2_ds": du.imag}
 
@@ -247,9 +257,9 @@ def max_face_traction(curve, material, load, coeffs,
                       n_points: int = _TRACTION_POINTS) -> float:
     """sup over both faces of |sigma_n + i tau_n| on a midpoint grid."""
     _check_count("n_points", n_points, 1)
-    ev = _evaluator(curve, material, load,
-                    midpoint_grid(curve.length, n_points), coeffs)
-    return float(np.max(np.abs(ev.face_values(coeffs)[0])))
+    ev = _evaluator(curve, material, midpoint_grid(curve.length, n_points),
+                    coeffs)
+    return float(np.max(np.abs(ev.face_values(coeffs, load)[0])))
 
 
 @dataclass(kw_only=True)
@@ -298,21 +308,25 @@ class _SweepTables:
     One node side serves the collocation tables and one field evaluator at
     a midpoint grid of n_face points on both faces and, for the tip fits at
     s = 0 on the "+" face, at fit_tip_coefficients' default window; the
-    jump table of the openings is built here too.
+    jump table of the openings is read here too.  None of it depends on
+    the load or gamma1, which evaluate() takes, and its arrays are
+    read-only, so `_sweep_tables` keeps one per curve, material, N and
+    n_face for every run on them.
     """
 
-    def __init__(self, curve, material, load, N, n_face=_TRACTION_POINTS):
-        self.curve, self.material, self.load = curve, material, load
-        node_side = _NodeSide(curve, material, N)
-        self.collocation = _CollocationTables(node_side, N)
-        self.jump = _jump_table(curve, N, node_side.basis)
-        self.face_s = midpoint_grid(curve.length, n_face)
-        self.tip_dist, tip_s = _tip_points(curve, 0.0, None, _TIP_POINTS)
+    def __init__(self, curve, material, N, n_face):
+        self.curve, self.material = curve, material
+        node_side = _node_side(curve, material, N, MONOMIALS)
+        self.collocation = _collocation_tables(node_side, N)
+        self.jump = _jump_table(curve, N, node_side.basis, _OPENING_POINTS)
+        self.face_s = _read_only(midpoint_grid(curve.length, n_face))
+        tip_dist, tip_s = _tip_points(curve, 0.0, None, _TIP_POINTS)
+        self.tip_dist = _read_only(tip_dist)
         self.fields = _FieldEvaluator(
-            node_side, load, np.concatenate([self.face_s, tip_s]), N)
+            node_side, np.concatenate([self.face_s, tip_s]), N)
 
-    def evaluate(self, x, gamma1):
-        """The fields of P solutions x (P, 2N+2) at gamma1 (P,).
+    def evaluate(self, x, gamma1, load):
+        """The fields of P solutions x (P, 2N+2) at gamma1 (P,) under load.
 
         sigma_n + i tau_n and du/ds on both faces at face_s and then the
         tip points, (2, M, P) each, and the jump and the opening delta on
@@ -322,7 +336,7 @@ class _SweepTables:
         gp = g1 + 1j * g2
         q = q_coefficients(self.curve, self.material, gamma1[:, None], g1, g2,
                            self.collocation.node_side.basis)
-        traction, du = self.fields.apply(gp, q)
+        traction, du = self.fields.apply(gp, q, load)
         _, jump, delta = _openings(gp.T, self.curve, self.material, self.jump)
         return traction, du, jump, delta
 
@@ -337,12 +351,23 @@ class _SweepTables:
                                 np.max(np.abs(traction[:, :n]), axis=(0, 1))])
 
 
+@lru_cache(maxsize=8)
+def _sweep_tables(curve, material, N, n_face):
+    """The `_SweepTables` of the curve, material, N and n_face, built once
+    per process while the key is among the 8 most recent."""
+    return _SweepTables(curve, material, N, n_face)
+
+
+# every table cache of the program: cache_clear() on each empties them
+_TABLE_CACHES = (_node_side, _cached_tables, _jump_table, _sweep_tables)
+
 # numpy's LinAlgError is a ValueError
 _SWEEP_ERRORS = (AssemblyError, SolveError, ValueError)
 
 
-def _solve_and_report(tables, rows, gamma1):
-    """Fill rows from their gamma1 values, solved as one stack.
+def _solve_and_report(tables, load, rows, gamma1):
+    """Fill rows from their gamma1 values under the load, solved as one
+    stack.
 
     gamma1 holds valid values, all zero or all positive (one stack of
     `_CollocationTables.systems`).  A point whose own system fails a check
@@ -351,14 +376,14 @@ def _solve_and_report(tables, rows, gamma1):
     in it.
     """
     try:
-        system, errors = tables.collocation.systems(tables.load, gamma1)
+        system, errors = tables.collocation.systems(load, gamma1)
         rows, gamma1 = _keep(rows, gamma1, errors)
         if not rows:
             return
         x, errors = _solutions(system)
         x = x[[e is None for e in errors]]
         rows, gamma1 = _keep(rows, gamma1, errors)
-        traction, du, _, delta = tables.evaluate(x, gamma1)
+        traction, du, _, delta = tables.evaluate(x, gamma1, load)
         for row, values in zip(rows, tables.report(traction, du,
                                                    delta).tolist()):
             for number, value in zip(_NUMBERS, values, strict=True):
@@ -377,8 +402,9 @@ def _keep(rows, gamma1, errors):
     return [row for row, keep in zip(rows, ok) if keep], gamma1[ok]
 
 
-def _fill(rows, gamma1, make_tables):
-    """Fill each row from the solve at its gamma1, or record its error.
+def _fill(rows, gamma1, load, make_tables):
+    """Fill each row from the solve at its gamma1 under the load, or record
+    its error.
 
     make_tables() builds the rows' `_SweepTables`; its error goes on every
     row.  An invalid gamma1 never enters a stack; the zero and the positive
@@ -401,7 +427,8 @@ def _fill(rows, gamma1, make_tables):
     for kind in (gamma1 == 0.0, gamma1 > 0.0):
         kind &= valid
         if kind.any():
-            _solve_and_report(tables, [r for r, k in zip(rows, kind) if k],
+            _solve_and_report(tables, load,
+                              [r for r, k in zip(rows, kind) if k],
                               gamma1[kind])
 
 
@@ -409,12 +436,14 @@ def sweep_gamma(curve, material, load, gamma_grid, N: int = 20):
     """One solve per gamma1 value, in order; failed rows carry the error.
 
     The kernels and the field evaluator are tabulated once for the whole
-    sweep, and the points are solved as stacks (`_solve_and_report`): one
-    for the gamma1 = 0 points and one for the positive ones.
+    sweep, and for any later run on the curve, material and N
+    (`_sweep_tables`), and the points are solved as stacks
+    (`_solve_and_report`): one for the gamma1 = 0 points and one for the
+    positive ones.
     """
     rows = [GammaSweepRow(gamma1=float(g1)) for g1 in gamma_grid]
-    _fill(rows, [row.gamma1 for row in rows],
-          lambda: _SweepTables(curve, material, load, N))
+    _fill(rows, [row.gamma1 for row in rows], load,
+          lambda: _sweep_tables(curve, material, N, _TRACTION_POINTS))
     return rows
 
 
@@ -422,8 +451,8 @@ def sweep_curvature(material, load, gamma1, kappa0_grid, N: int = 20):
     """One solve per arc curvature in (0, 1], in order; arcs end at +1, -1."""
     rows = [CurvatureSweepRow(kappa0=float(k0)) for k0 in kappa0_grid]
     for row in rows:
-        _fill([row], [gamma1], lambda: _SweepTables(
-            make_circular_arc(row.kappa0), material, load, N))
+        _fill([row], [gamma1], load, lambda: _sweep_tables(
+            make_circular_arc(row.kappa0), material, N, _TRACTION_POINTS))
     return rows
 
 
@@ -443,6 +472,9 @@ def convergence_study(curve, material, load, gamma1, n_list,
 
     The grid is n_grid equispaced points of [0, l]; each row carries its
     g' there, from the first N+1 columns of one basis table of the grid.
+    Every N reads the cached node side of the largest N
+    (`fields._node_side`) and the cached collocation tables of N on it,
+    so a study repeated on the curve and material builds no table.
     """
     _check_count("n_grid", n_grid, 2)
     n_list = list(n_list)
@@ -450,7 +482,7 @@ def convergence_study(curve, material, load, gamma1, n_list,
         raise ValueError("n_list must be strictly ascending with at least "
                          "two entries")
     grid = np.linspace(0.0, curve.length, n_grid)
-    node_side = _NodeSide(curve, material, n_list[-1])
+    node_side = _node_side(curve, material, n_list[-1], MONOMIALS)
     solved = [(n, solve(assemble(curve, material, load, gamma1,
                                  Discretization(n, curve.length),
                                  node_side=node_side)))

@@ -46,8 +46,8 @@ gamma1 enters the rows twice: q is linear in gamma1, and the
 face-curvature term multiplies by gamma1 once more.  So the collocation
 block is (kappa+1)(R0 + gamma1 R1 + gamma1^2 R2) with three real blocks,
 and the tip rows are T0 + gamma1 T1.  `_CollocationTables` holds this
-gamma1-independent part of the system of one node side and N: the
-blocks, built once from the rows, the closed-form tip rows and the
+gamma1- and load-independent part of the system of one node side and N:
+the blocks, built once from the rows, the closed-form tip rows and the
 integrals I_n of the single-valuedness rows, int_0^l phi_n(x) t'(x) dx
 (`_single_valued_integrals`, the basis's tangent integrals in closed
 form), the last two sliced from the node side.
@@ -55,7 +55,10 @@ form), the last two sliced from the node side.
 into a stack, arrays with a leading point axis, with no operator
 product; assemble() takes the one-point stack, a gamma1 sweep stacks all
 its points.  A system carries its tables, and solve() reads the curve,
-the basis and N from them.
+the basis and N from them.  The tables of a cached node side
+(`fields._node_side`) are cached with it, once per process and key
+(`_collocation_tables`), read-only; the forcing, the systems, their
+checks and the solves are formed on every call.
 
 The constrained system is solved by least squares in the constraint null
 space with a light Tikhonov term (relative weight 1e-8) that suppresses
@@ -86,14 +89,14 @@ solve and a sweep share one solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .densities import (DensityCoefficients, _mirror_signs, _parity_columns,
-                        _single_valued_integrals, _tip_blocks, check_gamma1,
-                        q_rows_to_unknowns)
-from .fields import _NodeSide, boundary_forcing
+from .densities import (MONOMIALS, DensityCoefficients, _mirror_signs,
+                        _parity_columns, _read_only, _single_valued_integrals,
+                        _tip_blocks, check_gamma1, q_rows_to_unknowns)
+from .fields import _node_side, _NodeSide, boundary_forcing
 from .geometry import CrackCurve
 # gauss_legendre is not called here, but perfbench's tracer test rebinds it
 # by name in this module, so the name stays bound here
@@ -261,7 +264,9 @@ class _CollocationTables:
     single-valuedness integrals are sliced from the node side.  systems()
     combines them for a stack of gamma1 values and one load with no operator
     product, and system() for one gamma1, so a sweep over gamma1 tabulates
-    the kernels and builds the blocks once.
+    the kernels and builds the blocks once, and so does every later run
+    of the process on cached tables (`_collocation_tables`).  Its arrays
+    are read-only.
     """
 
     def __init__(self, node_side: _NodeSide, N: int):
@@ -277,18 +282,19 @@ class _CollocationTables:
                      axis=1)
         # (row kind, point) by (Re or Im, coefficient)
         self.blocks = tuple(
-            block.transpose(0, 2, 1, 3).reshape(2 * M, 2 * N + 2)
+            _read_only(block.transpose(0, 2, 1, 3).reshape(2 * M, 2 * N + 2))
             for block in (g[:2], q[:2] + g[2:], q[2:]))
         # the mirror s -> l - s takes the Re row at s_j to minus the Re row
         # at s_{N+1-j} times P, and the Im row to plus it times P
-        self.mirror = np.array([[-1.0], [1.0]]) * _mirror_signs(N)
+        self.mirror = _read_only(np.array([[-1.0], [1.0]]) * _mirror_signs(N))
         top = node_side.degree + 1
         cols = np.r_[: N + 1, top: top + N + 1]
-        self.tip_rows = tuple(t[:, cols] for t in node_side.tip_rows)
+        self.tip_rows = tuple(_read_only(t[:, cols])
+                              for t in node_side.tip_rows)
         self.single_valued = ints = node_side.single_valued[: N + 1]
-        self.single_valued_rows = np.array(
+        self.single_valued_rows = _read_only(np.array(
             [np.concatenate([ints.real, -ints.imag]),
-             np.concatenate([ints.imag, ints.real])])
+             np.concatenate([ints.imag, ints.real])]))
 
     def system(self, load, gamma1: float,
                row_scaling: bool = True) -> LinearSystem:
@@ -370,19 +376,42 @@ def _check_gamma1(gamma1):
     check_gamma1(gamma1, AssemblyError)
 
 
+def _collocation_tables(node_side: _NodeSide, N: int) -> _CollocationTables:
+    """The collocation tables of N on the node side.
+
+    For a node side of the cache (`fields._node_side`) they come from a
+    cache of their own, keyed by its curve, material, basis and degree and
+    by N, and are built once per process while the key is among the 8
+    most recent; any other node side, the discrete oracle's or one built
+    by hand, gets tables built afresh.
+    """
+    if not node_side.cached:
+        return _CollocationTables(node_side, N)
+    return _cached_tables(node_side.curve, node_side.material,
+                          node_side.basis, node_side.degree, N)
+
+
+@lru_cache(maxsize=8)
+def _cached_tables(curve, material, basis, degree, N):
+    """The `_CollocationTables` of N on the cached node side of the key."""
+    return _CollocationTables(_node_side(curve, material, degree, basis), N)
+
+
 def assemble(curve: CrackCurve, material, load, gamma1: float,
              disc: Discretization, row_scaling: bool = True,
              node_side: _NodeSide | None = None) -> LinearSystem:
     """Assemble the constrained collocation system: tabulate, then apply.
 
     node_side is the run's (`fields._NodeSide`), of degree disc.N or more;
-    by default a monomial one of degree disc.N is built.  Raises
-    ValueError, naming both values, when disc is on another length than
-    the curve or the node side on another curve or material (its mu and
-    kappa, which the tables read).
+    by default the cached monomial one of degree disc.N
+    (`fields._node_side`).  The tables come from `_collocation_tables`,
+    cached for a cached node side; the system, its load and gamma1 are
+    formed per call.  Raises ValueError, naming both values, when disc is
+    on another length than the curve or the node side on another curve or
+    material (its mu and kappa, which the tables read).
     """
     if node_side is None:
-        node_side = _NodeSide(curve, material, disc.N)
+        node_side = _node_side(curve, material, disc.N, MONOMIALS)
     given = node_side.material
     for name, got, want in (
             ("Discretization length", disc.length, curve.length),
@@ -391,17 +420,17 @@ def assemble(curve: CrackCurve, material, load, gamma1: float,
             ("node side kappa", given.kappa, material.kappa)):
         if got != want:
             raise ValueError(f"{name} {got!r} is not the run's {want!r}")
-    tables = _CollocationTables(node_side, disc.N)
-    return tables.system(load, gamma1, row_scaling)
+    return _collocation_tables(node_side, disc.N).system(load, gamma1,
+                                                         row_scaling)
 
 
 def solve(system: LinearSystem) -> DensityCoefficients:
     """Constrained least-squares solve with light Tikhonov regularization.
 
     The one-point case of `_solutions`: raises its SolveError, if any, and
-    attaches the diagnostics to the density, with the length and the
-    basis of the system's tables.  Its single_valued_residual is computed
-    from the tables' curve and integrals when it is first read.
+    attaches the diagnostics to the density, with the curve, the length
+    and the basis of the system's tables.  Its single_valued_residual is
+    computed from the tables' curve and integrals when it is first read.
     """
     (x,), (error,) = _solutions(system)
     if error is not None:
@@ -410,7 +439,7 @@ def solve(system: LinearSystem) -> DensityCoefficients:
     coeffs = DensityCoefficients(
         *np.split(x, 2), length=tables.disc.length, gamma1=system.gamma1,
         condition_estimate=system.condition_estimate,
-        basis=tables.node_side.basis)
+        basis=tables.node_side.basis, curve=tables.node_side.curve)
     coeffs.single_valued_residual = partial(
         _normalized_residual, curve=tables.node_side.curve,
         ints=tables.single_valued)

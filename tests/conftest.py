@@ -3,6 +3,19 @@ import pytest
 
 from curvecrack import (FarFieldLoad, Material, make_circular_arc,
                         make_semicircle, make_straight, solve_problem)
+from curvecrack.postprocess import _TABLE_CACHES
+
+
+@pytest.fixture
+def cold_tables():
+    """Empty every table cache, so the test's first run builds all its
+    tables, as the first run of a process does; the fixture's value
+    empties them again."""
+    def clear():
+        for cache in _TABLE_CACHES:
+            cache.cache_clear()
+    clear()
+    return clear
 
 
 @pytest.fixture(scope="session")

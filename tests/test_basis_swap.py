@@ -102,12 +102,12 @@ def test_field_evaluator_refuses_a_density_in_another_basis():
         coeffs = solver.solve(solver.assemble(
             curve, MATERIAL, LOAD, 1.0, Discretization(N, curve.length),
             node_side=side))
-        traction, du = _FieldEvaluator(side, LOAD, [0.5], N).face_values(
-            coeffs)
+        traction, du = _FieldEvaluator(side, [0.5], N).face_values(
+            coeffs, LOAD)
         assert np.all(np.isfinite(traction)) and np.all(np.isfinite(du))
         other, = (s for n, s in sides.items() if n != name)
         with pytest.raises(ValueError, match="basis"):
-            _FieldEvaluator(other, LOAD, [0.5], N).face_values(coeffs)
+            _FieldEvaluator(other, [0.5], N).face_values(coeffs, LOAD)
 
 
 # ---------------------------------------------------------------------------

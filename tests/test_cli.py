@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from test_postprocess import _csv_text
 
+import curvecrack.cli as cli
 import curvecrack.fields as fields
 import curvecrack.postprocess as post
 import curvecrack.solver as solver
@@ -491,12 +492,13 @@ def test_csv_bytes_keep_the_cell_rule(case, tmp_path):
 
 
 # run mode: (config lines, node sides, face operators, jump tables, tip
-# blocks) of one run.  Solve mode and each point of a sweep build one node
-# side, one operator for the system and one for the face fields and tip
-# fits, and the jump table of the opening once per curve; a convergence run
-# builds one node side at its largest N, one operator per N and no jump
-# table.  The tip blocks come once per node side: solve mode reads its tip
-# residuals from the collocation tables.
+# blocks) of one run in a process whose table caches are empty.  Solve
+# mode and each point of a sweep build one node side, one operator for the
+# system and one for the face fields and tip fits, and the jump table of
+# the opening once per curve; a convergence run builds one node side at its
+# largest N, one operator per N and no jump table.  The tip blocks come once
+# per node side: solve mode reads its tip residuals from the collocation
+# tables.
 TABULATIONS = {
     "solve": ("N = 20\n", 1, 2, 1, 1),
     "sweep-gamma": ("N = 12\nrun_mode = sweep-gamma\ngrid = 0.5 1.0 2.0\n",
@@ -506,9 +508,38 @@ TABULATIONS = {
     "convergence": ("run_mode = convergence\ngrid = 8 10 12\n", 1, 3, 0, 1),
 }
 
+# the changes of a config that keep its tables: another load and gamma1
+# (a gamma1 sweep's grid)
+SAME_TABLES = (("sigma1_inf = 1.0", "sigma1_inf = 0.7\nalpha = 0.4"),
+               ("sigma2_inf = 0.0", "sigma2_inf = 0.3"),
+               ("gamma1 = 1.0", "gamma1 = 0.5"),
+               ("grid = 0.5 1.0 2.0", "grid = 0.7 3.0"))
+_OTHER_MATERIAL = ("mu = 60", "mu = 30")
+_OTHER_CURVE = ("shape = semicircle", "shape = arc\ncurvature = 0.5")
+# per run mode, the changes that give it other tables: another material,
+# curve (a curvature sweep's grid) and N (a convergence run's largest)
+OTHER_TABLES = {
+    "solve": (_OTHER_MATERIAL, _OTHER_CURVE, ("N = 20", "N = 16")),
+    "sweep-gamma": (_OTHER_MATERIAL, _OTHER_CURVE, ("N = 12", "N = 10")),
+    "sweep-curvature": (_OTHER_MATERIAL,
+                        ("grid = 0.5 0.75 1.0", "grid = 0.4 0.6 0.8"),
+                        ("N = 12", "N = 10")),
+    "convergence": (_OTHER_MATERIAL, _OTHER_CURVE,
+                    ("grid = 8 10 12", "grid = 8 10 14")),
+}
+
+
+def _replaced(text, changes):
+    for old, new in changes:
+        text = text.replace(old, new)
+    return text
+
 
 @pytest.mark.parametrize("mode", TABULATIONS)
-def test_tabulations_per_run_mode(mode, tmp_path, monkeypatch):
+def test_tabulations_per_run_mode(mode, tmp_path, monkeypatch, cold_tables):
+    # the first run builds its tables; a run on the same curve, material
+    # and N under another load and gamma1 builds none, and a run on
+    # another curve, material or N builds all of its own
     lines, *want = TABULATIONS[mode]
     calls = {name: [] for name in ("nodes", "operators", "jump", "tips")}
 
@@ -527,11 +558,75 @@ def test_tabulations_per_run_mode(mode, tmp_path, monkeypatch):
     for module in (fields, solver):
         monkeypatch.setattr(module, "_tip_blocks",
                             counted("tips", solver._tip_blocks))
-    config = parse_config(BASE + lines + f"out_dir = {tmp_path}\n")
-    assert run(config, dump_system=mode == "solve", quiet=True) == 0
-    assert [len(c) for c in calls.values()] == want
+
+    def builds(text):
+        for c in calls.values():
+            c.clear()
+        config = parse_config(text + f"out_dir = {tmp_path}\n")
+        assert run(config, dump_system=mode == "solve", quiet=True) == 0
+        return [len(c) for c in calls.values()]
+
+    text = BASE + lines
+    assert builds(text) == want
+    other_load = _replaced(text, SAME_TABLES)
+    assert other_load != text
+    assert builds(other_load) == [0, 0, 0, 0]
+    for old, new in OTHER_TABLES[mode]:
+        assert old in text
+        assert builds(text.replace(old, new)) == want, new
 
 
+@pytest.mark.parametrize("mode", TABULATIONS)
+def test_warm_runs_write_the_cold_files(mode, tmp_path, monkeypatch,
+                                        cold_tables):
+    # a run on tables that an earlier run of the process built writes the
+    # bytes of a run that built them: the first config again after a run
+    # under another load and gamma1, and that run itself
+    def files(text, name):
+        # the relative out_dir makes the config echoes alike
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert run(parse_config(text), out_dir="out",
+                   dump_system=mode == "solve", quiet=True) == 0
+        return {p.name: p.read_bytes()
+                for p in (tmp_path / name / "out").iterdir()}
+
+    text = BASE + TABULATIONS[mode][0]
+    other_text = _replaced(text, SAME_TABLES)
+    cold = files(text, "cold")
+    other = files(other_text, "other")
+    warm = files(text, "warm")
+    cold_tables()
+    other_cold = files(other_text, "other_cold")
+    assert cold.keys() == other.keys() and len(cold) > 1
+    assert all(other[name] != cold[name] for name in cold
+               if name.endswith(".csv"))
+    assert warm == cold
+    assert other == other_cold
+
+
+def test_cached_tables_are_read_only(cold_tables):
+    # every array that a solve-mode run keeps for the runs after it raises
+    # on an in-place write
+    config = parse_config(BASE + "N = 12\nout_dir = unused\n")
+    _, curve, material, load, disc = config.build()
+    res = cli._solve_outputs(config, curve, material, load, disc, False)
+    tables = res["tables"]
+    assert tables is post._sweep_tables(curve, material, 12, 100)
+    collocation, evaluator = tables.collocation, tables.fields
+    side = collocation.node_side
+    assert side is fields._node_side(curve, material, 12, side.basis)
+    assert collocation is solver._collocation_tables(side, 12)
+    arrays = [tables.jump, tables.face_s, tables.tip_dist, evaluator.s0,
+              evaluator._rows, evaluator._table, evaluator._t1,
+              *collocation.blocks, collocation.mirror, *collocation.tip_rows,
+              collocation.single_valued, collocation.single_valued_rows,
+              *side._kernel, *side.rows_maps.values(), *side.tip_rows,
+              side.single_valued]
+    for array in arrays:
+        index = (0,) * array.ndim
+        with pytest.raises(ValueError, match="read-only"):
+            array[index] = array[index]
 class TestMain:
     def test_full_cli(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"

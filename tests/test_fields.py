@@ -287,6 +287,20 @@ class TestFaceFields:
         got, ref = np.array(got), np.array(ref)
         assert np.max(np.abs(got - ref)) < 1e-9 * np.max(np.abs(ref))
 
+    def test_evaluator_names_both_degrees(self, material, semicircle,
+                                          load_h):
+        # an N = 16 density on a degree-12 evaluator: numpy's matmul error
+        # ("size 17 is different from 13") named neither degree
+        coeffs = solve_problem(semicircle, material, load_h, 1.0, N=16)
+        ev = fields._FieldEvaluator(fields._NodeSide(semicircle, material, 12),
+                                    [0.5, 1.5], 12)
+        gp = (coeffs.g1 + 1j * coeffs.g2)[None]
+        for call in (lambda: ev.face_values(coeffs, load_h),
+                     lambda: ev.apply(gp, gp, load_h)):
+            with pytest.raises(ValueError, match="degree 16 exceeds the 12 "
+                               "the field evaluator was built for"):
+                call()
+
     @pytest.mark.parametrize("cauchy", ["exact", "discrete"])
     def test_batched_face_values_match_pointwise(self, material, semicircle,
                                                  load_h, cauchy):
@@ -300,15 +314,15 @@ class TestFaceFields:
         side = fields._NodeSide(semicircle, material, coeffs.degree, disc)
 
         def evaluator(points):
-            return fields._FieldEvaluator(side, load_h, points, coeffs.degree)
+            return fields._FieldEvaluator(side, points, coeffs.degree)
 
         # cell midpoints of the discrete rule, which never hit its nodes
         j = np.sort(rng.choice(n_quad, size=37, replace=False))
         grid = (2 * j + 1) * semicircle.length / (2 * n_quad)
-        traction, du = evaluator(grid).face_values(coeffs)
+        traction, du = evaluator(grid).face_values(coeffs, load_h)
         assert traction.shape == du.shape == (2, len(grid))
         for k, s0 in enumerate(grid):
-            one_t, one_du = evaluator([s0]).face_values(coeffs)
+            one_t, one_du = evaluator([s0]).face_values(coeffs, load_h)
             for got, want in ((traction[:, k], one_t[:, 0]),
                               (du[:, k], one_du[:, 0])):
                 assert np.all(np.abs(got - want)
@@ -463,8 +477,8 @@ class TestFaceFields:
         grid = np.sort(rng.uniform(0.005, 0.995, 21)) * curve.length
         side = fields._NodeSide(curve, material, 8)
         want = FaceOperator(side, grid, 8).apply(gp, q)
-        ev = fields._FieldEvaluator(side, load, grid, 8)
-        traction, du = ev.apply(gp, q)
+        ev = fields._FieldEvaluator(side, grid, 8)
+        traction, du = ev.apply(gp, q, load)
         t1 = curve.tangent(grid)[:, None]
         phi, psi = load.phi_inf, load.psi_inf
         far = 2.0 * phi.real + np.conj(psi) * np.conj(t1) ** 2

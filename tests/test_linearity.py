@@ -48,9 +48,9 @@ def _outputs(curve, N, gamma1, load):
     """g' at 201 points, both faces' traction and du/ds at 41 points and
     the complex opening jump, for one load."""
     coeffs = solve_problem(curve, MATERIAL, load, gamma1, N=N)
-    ev = _FieldEvaluator(_NodeSide(curve, MATERIAL, N), load,
+    ev = _FieldEvaluator(_NodeSide(curve, MATERIAL, N),
                          midpoint_grid(curve.length, 41), N)
-    traction, du = ev.face_values(coeffs)
+    traction, du = ev.face_values(coeffs, load)
     return (coeffs.gprime(np.linspace(0.0, curve.length, 201)), traction,
             du, opening_profile(coeffs, curve, MATERIAL).jump)
 
@@ -77,9 +77,9 @@ def test_zero_load_gives_exactly_zero(problem):
     load = FarFieldLoad(0.0, 0.0, alpha)
     coeffs = solve_problem(curve, MATERIAL, load, gamma1, N=N)
     assert not np.any(coeffs.g1) and not np.any(coeffs.g2)
-    ev = _FieldEvaluator(_NodeSide(curve, MATERIAL, N), load,
+    ev = _FieldEvaluator(_NodeSide(curve, MATERIAL, N),
                          midpoint_grid(curve.length, 41), N)
-    traction, du = ev.face_values(coeffs)
+    traction, du = ev.face_values(coeffs, load)
     assert not np.any(traction) and not np.any(du)
 
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvecrack import (DensityCoefficients, Discretization, FarFieldLoad,
-                        KernelSet, Material, collect_tip_samples,
+from curvecrack import (CrackCurve, DensityCoefficients, Discretization,
+                        FarFieldLoad, KernelSet, Material, collect_tip_samples,
                         convergence_study, default_fit_window, face_fields,
                         fit_log_coefficient, fit_tip_coefficients,
                         make_circular_arc, make_semicircle, make_straight,
@@ -291,6 +291,19 @@ def _sweep_columns(rows):
                       r.max_traction) for r in rows])
 
 
+def _eight_point_sweeps(semicircle, arc, material, load):
+    """The arguments of eight-point gamma1 sweeps after a one-point sweep
+    on the semicircle, the material and N = 20, each with whether it
+    builds its tables: not under another load on the same curve, material
+    and N, which the first sweep left cached; afresh on another curve,
+    material or N, where it builds what the one-point sweep did."""
+    grid = [0.5 * 4.0 ** (i / 7) for i in range(8)]
+    return [((semicircle, material, load, grid, 20), False),
+            ((arc, material, load, grid, 20), True),
+            ((semicircle, Material(mu=30.0, kappa=2.0), load, grid, 20), True),
+            ((semicircle, material, load, grid, 16), True)]
+
+
 class TestSweepTables:
     """Sweeps tabulate once and apply per point; the rows must not move."""
 
@@ -314,7 +327,8 @@ class TestSweepTables:
                       <= 1e-9 * np.max(np.abs(want), axis=0))
 
     def test_kernel_blocks_do_not_grow_with_gamma_points(
-            self, semicircle, material, load_h, monkeypatch):
+            self, semicircle, arc_half, material, load_h, load_v,
+            monkeypatch, cold_tables):
         # neither the node side of the kernel tables nor their point sides
         calls = []
 
@@ -330,15 +344,16 @@ class TestSweepTables:
             monkeypatch.setattr(KernelSet, name, counted(name))
         sweep_gamma(semicircle, material, load_h, [1.0], N=20)
         one = sorted(calls)
-        calls.clear()
-        sweep_gamma(semicircle, material, load_h,
-                    [0.5 * 4.0 ** (i / 7) for i in range(8)], N=20)
         assert {"node_tables", "raw_tables"} <= set(one)
-        assert sorted(calls) == one
+        for args, want in _eight_point_sweeps(semicircle, arc_half, material,
+                                              load_v):
+            calls.clear()
+            sweep_gamma(*args)
+            assert sorted(calls) == (one if want else [])
 
     @pytest.mark.parametrize("study", ["convergence", "sweep"])
     def test_one_node_side_per_run(self, semicircle, material, load_h,
-                                   monkeypatch, study):
+                                   monkeypatch, study, cold_tables):
         # a five-N study and an eight-point sweep each tabulate the node
         # side of the operator once
         calls = []
@@ -376,7 +391,8 @@ class TestSweepTables:
         assert one > 0 and len(calls) == one
 
     def test_basis_columns_do_not_grow_with_gamma_points(
-            self, semicircle, material, load_h, monkeypatch):
+            self, semicircle, arc_half, material, load_h, load_v,
+            monkeypatch, cold_tables):
         # operator products over the basis columns: rows() is the one read
         # of the operator, for the collocation blocks and the field
         # evaluator alike
@@ -390,10 +406,12 @@ class TestSweepTables:
         monkeypatch.setattr(_NodeSide, "rows", counted_rows)
         sweep_gamma(semicircle, material, load_h, [1.0], N=20)
         one = len(calls)
-        calls.clear()
-        sweep_gamma(semicircle, material, load_h,
-                    [0.5 * 4.0 ** (i / 7) for i in range(8)], N=20)
-        assert one > 0 and len(calls) == one
+        assert one > 0
+        for args, want in _eight_point_sweeps(semicircle, arc_half, material,
+                                              load_v):
+            calls.clear()
+            sweep_gamma(*args)
+            assert len(calls) == (one if want else 0)
 
 
 class TestSweepStacks:
@@ -575,10 +593,9 @@ class TestCsvWriters:
         coeffs = DensityCoefficients(rng.normal(size=4), rng.normal(size=4),
                                      semicircle.length, 1.0)
         grid = [0.5, 1.0, 2.5]
-        fields = _FieldEvaluator(_NodeSide(semicircle, material, 3), load_h,
-                                 grid, 3)
+        fields = _FieldEvaluator(_NodeSide(semicircle, material, 3), grid, 3)
         path = tmp_path / "face_fields.csv"
-        write_face_fields_csv(path, grid, *fields.face_values(coeffs))
+        write_face_fields_csv(path, grid, *fields.face_values(coeffs, load_h))
         prof = face_field_profile(semicircle, material, load_h, coeffs, grid)
         header = ["s", "side", "sigma_n", "tau_n", "du1_ds", "du2_ds"]
         assert path.read_text() == _csv_text(
@@ -711,6 +728,31 @@ class TestArgumentChecks:
         assert repr(semicircle.length) in str(info.value)
         assert repr(arc.length) in str(info.value)
         _PAIRINGS[entry](semicircle, material, load_h, density)
+
+    @pytest.mark.parametrize("entry", [e for e in _PAIRINGS if e != "solve"])
+    def test_density_on_another_curve_of_its_length(self, semicircle,
+                                                    material, load_h, entry):
+        # the README density on the kappa0 = 0.5 arc of length pi is
+        # refused, naming both curves.  Unchecked, max_face_traction read
+        # 33.817 there against 35.463 on the semicircle, and the
+        # max_opening of opening_profile 0.031326 against 0.029872
+        density = solve_problem(semicircle, material, load_h, 1.0, N=20)
+        assert density.curve == semicircle
+        arc = CrackCurve(length=np.pi, shape="arc", constant_curvature=0.5)
+        with pytest.raises(ValueError) as info:
+            _PAIRINGS[entry](arc, material, load_h, density)
+        assert repr(semicircle) in str(info.value)
+        assert repr(arc) in str(info.value)
+        # a density built from its coefficients has no curve, and only its
+        # length is checked
+        bare = DensityCoefficients(density.g1, density.g2, density.length,
+                                   density.gamma1)
+        _PAIRINGS[entry](arc, material, load_h, bare)
+
+    def test_density_curve_of_another_length(self, semicircle):
+        with pytest.raises(ValueError, match="length"):
+            DensityCoefficients(np.ones(3), np.ones(3), 2.0, 1.0,
+                                curve=semicircle)
 
     def test_max_face_traction_needs_a_point(self, solved_semicircle,
                                              semicircle, material, load_h):

@@ -45,11 +45,12 @@ def test_face_profiles_match_solve_problem(tmp_path):
     want = tmp_path / "want.csv"
     names = set()
     for load_name, load in module.LOADS.items():
-        fields = _FieldEvaluator(_NodeSide(curve, material, module.N), load,
-                                 grid, module.N)
+        fields = _FieldEvaluator(_NodeSide(curve, material, module.N), grid,
+                                 module.N)
         for gamma1 in module.GAMMAS:
             coeffs = solve_problem(curve, material, load, gamma1, N=module.N)
-            write_face_fields_csv(want, grid, *fields.face_values(coeffs))
+            write_face_fields_csv(want, grid,
+                                  *fields.face_values(coeffs, load))
             name = f"face_fields_{load_name}_g{gamma1}.csv"
             names.add(name)
             assert (tmp_path / "out" / name).read_bytes() == want.read_bytes()
@@ -57,9 +58,10 @@ def test_face_profiles_match_solve_problem(tmp_path):
     assert len(names) == 9
 
 
-def test_face_profiles_build_one_node_side(tmp_path, monkeypatch, capsys):
+def test_face_profiles_build_one_node_side(tmp_path, monkeypatch, capsys,
+                                           cold_tables):
     # one face operator of the curve at N serves the collocation tables and
-    # the field evaluators of all three loads
+    # the field evaluator of all nine solves
     module = _load(next(p for p in SCRIPTS if p.name == "face_profiles.py"))
     monkeypatch.setattr(module, "OUT", tmp_path / "out")
     built, init = [], _NodeSide.__init__
@@ -108,3 +110,26 @@ def test_snapshot_outputs_compare_between_directories(tmp_path, capsys):
     assert [line for line in printed if line.startswith("== ")] \
         == [f"== {name}" for name in names + ["face_profiles"]] * 2
     assert module.main([]) == 2
+
+
+def test_snapshot_outputs_refuse_a_warm_run_that_differs(tmp_path,
+                                                          monkeypatch, capsys):
+    # each run is made cold, then warm in a scratch directory; a warm run
+    # whose files differ from the cold run's by a byte fails the snapshot
+    module = _load(next(p for p in SCRIPTS
+                        if p.name == "snapshot_outputs.py"))
+    calls = []
+
+    def run(config, out_dir, dump_system):
+        calls.append(out_dir)
+        Path(out_dir).mkdir()
+        (Path(out_dir) / "out.txt").write_text(str(len(calls)))
+        return 0
+
+    monkeypatch.setattr(module, "run", run)
+    assert module.main([str(tmp_path / "out")]) == 1
+    first = next(module.runs())[0]
+    assert calls == [first, first]
+    assert (tmp_path / "out" / first / "out.txt").read_text() == "1"
+    assert f"{first}: the warm run differs from the cold run" \
+        in capsys.readouterr().err

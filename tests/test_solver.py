@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 from curvecrack import (AssemblyError, CrackCurve, DensityCoefficients,
                         Discretization, FarFieldLoad, KernelSet, LinearSystem,
                         Material, SolveError, SurfaceParams, assemble,
-                        boundary_forcing, make_circular_arc, make_semicircle,
-                        make_straight, pv_cauchy_sum, pv_polynomial,
-                        single_valued_integral, single_valued_residual, solve,
-                        solve_problem, tip_condition_residuals, traction_jump,
+                        boundary_forcing, face_fields, make_circular_arc,
+                        make_semicircle, make_straight, pv_cauchy_sum,
+                        pv_polynomial, single_valued_integral,
+                        single_valued_residual, solve, solve_problem,
+                        tip_condition_residuals, traction_jump,
                         traction_jump_parts)
-from curvecrack import densities, quadrature, solver
+from curvecrack import densities, fields, quadrature, solver
 from curvecrack import postprocess as post
 from curvecrack.densities import (MONOMIALS, cauchy_densities,
                                   poly_derivative, poly_eval, pv_monomials,
@@ -539,6 +540,37 @@ def test_assemble_reads_mu_and_kappa_of_the_material(material, semicircle,
     assert np.array_equal(got.rhs, want.rhs)
 
 
+def test_oracle_and_explicit_node_sides_bypass_the_cache(
+        material, semicircle, load_h, monkeypatch, cold_tables):
+    # assemble's default node side and its collocation tables are the
+    # cache's, one per key; a node side passed in, and the flat-rule
+    # oracle's, get theirs built afresh on every call
+    disc = Discretization(12, semicircle.length)
+    side = fields._node_side(semicircle, material, 12, MONOMIALS)
+    assert side.cached and side is fields._node_side(semicircle, material,
+                                                     12, MONOMIALS)
+    tables = solver._collocation_tables(side, 12)
+    assert tables is solver._collocation_tables(side, 12)
+    assert assemble(semicircle, material, load_h, 1.0, disc).tables is tables
+    explicit = _NodeSide(semicircle, material, 12)
+    assert not explicit.cached
+    got = [assemble(semicircle, material, load_h, 1.0, disc,
+                    node_side=explicit).tables for _ in range(2)]
+    assert got[0] is not got[1] and tables not in got
+    assert np.array_equal(got[0].blocks, tables.blocks)
+
+    built = []
+    init = _NodeSide.__init__
+    monkeypatch.setattr(_NodeSide, "__init__", lambda self, *args, **kw:
+                        built.append(args) or init(self, *args, **kw))
+    coeffs = solve(assemble(semicircle, material, load_h, 1.0, disc))
+    for cauchy in ("exact", "discrete") * 2:
+        face_fields(semicircle, material, load_h, coeffs, "plus", 0.3,
+                    cauchy=cauchy)
+    # the two of the oracle, each on its Discretization
+    assert [type(args[3]) for args in built] == [Discretization] * 2
+
+
 _MIRROR_CURVES = [make_semicircle(), make_circular_arc(0.5),
                   make_straight(2.0)]
 _MIRROR_IDS = ["semicircle", "arc", "straight"]
@@ -906,7 +938,7 @@ class TestSolve:
                                np.cumsum(cells, axis=0)])
         # the single-valuedness integrals are the same closed form at s = l
         got = np.vstack([
-            densities._jump_table(curve, N, MONOMIALS),
+            densities._jump_table(curve, N, MONOMIALS, 201),
             solver._single_valued_integrals(curve, N, MONOMIALS)])
         assert got.shape == (202, N + 1)
         assert np.all(np.abs(got - want[[*range(201), -1]]).max(axis=0)
