@@ -13,8 +13,9 @@ run summaries go to stdout, each after a "== <name>" line, and the face
 profiles' list of files after "== face_profiles".  The runs use the source
 of the checkout that holds this script, not an installed curvecrack.
 
-Every run is made twice in this one process: cold, with every table cache
-of the program emptied first, into OUT, then warm, reading the tables the
+Every run is made twice in this one process: cold, with the table cache of
+the program (the node sides of `fields._node_side` and every table they
+keep) emptied first, into OUT, then warm, reading the tables the
 cold run left cached, into a temporary directory.  The script exits with
 status 1, naming the run, when the warm run's files or summary differ from
 the cold run's by a byte, so the comparison of two checkouts covers the
@@ -33,7 +34,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
 
 import face_profiles  # noqa: E402
 from curvecrack.cli import parse_config, run  # noqa: E402
-from curvecrack.postprocess import _TABLE_CACHES  # noqa: E402
+from curvecrack.fields import _node_side  # noqa: E402
 
 # the README reference crack, solve mode
 REFERENCE = """shape = semicircle
@@ -72,11 +73,10 @@ def _call_in(where, name, write):
 
 
 def _cold_then_warm(name, write, warm_root):
-    """write(name) in the working directory with every table cache empty,
+    """write(name) in the working directory with the table cache empty,
     then again in warm_root; prints the cold call's stdout and returns its
     exit code, or 1 when the warm call differs from it."""
-    for cache in _TABLE_CACHES:
-        cache.cache_clear()
+    _node_side.cache_clear()
     cold = _call_in(Path.cwd(), name, write)
     print(cold[1], end="", flush=True)
     if cold[0] != 0:

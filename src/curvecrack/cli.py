@@ -9,10 +9,10 @@ and several pairs may share a line separated by commas.  Exit codes:
 `RunConfig.build` every other rule, for parsed and code-built configs.
 
 Solve mode reads and reports through the sweeps' path: one
-`postprocess._SweepTables`, cached for the process by curve, material and
-N (`postprocess._sweep_tables`), gives the system, its `evaluate` the face
-fields, tip samples and opening of the solution, and its `report`, only
-for a printed summary, the numbers of `postprocess.SolveReport`.  A
+`postprocess._SweepTables`, kept by the cached node side of the curve,
+material and N (`postprocess._sweep_tables`), gives the system, its
+`evaluate` the face fields, tip samples and opening of the solution, and
+its `report`, only for a printed summary, the numbers of `postprocess.SolveReport`.  A
 convergence run writes g_prime.csv from the samples the study compared.
 Every mode writes its CSVs through `postprocess.write_csv`, from whole
 columns; solve mode formats its g' grid once and writes opening.csv's s
@@ -331,8 +331,8 @@ def parse_config(text: str) -> RunConfig:
 def _solve_outputs(config, curve, material, load, disc, dump_system):
     """Compute everything solve mode writes, before touching the filesystem.
 
-    One table set (`postprocess._SweepTables`, the cached one of the
-    curve, material and N) serves the whole run: its
+    One table set (`postprocess._SweepTables`, the one the cached node
+    side of the curve, material and N keeps) serves the whole run: its
     collocation tables give the system, and its `evaluate`, on a stack of
     one, both faces on face_fields.csv's 100 points, the tip samples and
     the opening.  The report and the tip residuals are left to

@@ -25,13 +25,13 @@ polynomials, written once in coefficient form (`q_coefficients`).
 principal-value densities and tip log terms.  The constraint rows of the
 solver are closed forms over the basis alone: the single-valuedness
 integrals (the tangent integrals at s = l; at the opening points they are
-the opening's jump table) and the tip rows (`_tip_blocks`).
+the opening's jump table, `_jump_table`, built per call) and the tip
+rows (`_tip_blocks`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -365,13 +365,11 @@ def _single_valued_integrals(curve: CrackCurve, degree: int, basis):
     return basis.tangent_integrals(curve, degree, [curve.length])[0]
 
 
-@lru_cache(maxsize=8)
 def _jump_table(curve: CrackCurve, degree: int, basis, n_samples: int):
     """M[k, n] = int_0^{s_k} phi_n(x) t'(x) dx on equispaced s_k in [0, l].
 
     The basis's tangent integrals at the points of the opening profile,
-    which is this table applied to the density.  Built once per key while
-    it is among the 8 most recent, and read-only.
+    which is this table applied to the density; read-only.
     """
     return _read_only(basis.tangent_integrals(
         curve, degree, np.linspace(0.0, curve.length, n_samples)))

@@ -16,9 +16,11 @@ are split into a table and its application.  The operator is one object,
 `_NodeSide`, the one carrier of a run's curve, material, density basis
 (`densities.Basis`) and largest degree: a process builds it once per
 curve, material, degree and basis while the key is among the 8 most
-recent (`_node_side`), and the collocation tables and the field
-evaluators read all four from it.  The field evaluator does not depend
-on the load, which it takes per call, so it is shared between runs too.
+recent (`_node_side`, the one table cache: a node side keeps every table
+built from it, `_NodeSide.derived`), and the collocation tables and the
+field evaluators read all four from it.  The field evaluator does not
+depend on the load, which it takes per call, so it is shared between
+runs too.
 The node side tabulates everything that depends neither on the density
 nor on the points s0: the rule's weighted basis and the kernels' node
 tables.  It is read one way only, through rows(s0, degree, derivatives):
@@ -248,6 +250,13 @@ _SIGNS = np.array([1.0, -1.0])[:, None]
 _KERNELS = ("k1", "k3", "k4", "d1", "d4", "dd1", "dd4")
 
 
+def _side_index(side):
+    """The index of the face side in _SIDES; ValueError naming any other."""
+    if side not in _SIDES:
+        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    return _SIDES.index(side)
+
+
 class _NodeSide:
     """The face operator of one curve and material in one density basis
     (by default the centered monomials), for degrees up to `degree`.
@@ -260,15 +269,13 @@ class _NodeSide:
     node rule, whose principal values are then the `pv_cauchy_sum` node
     sums of the discrete oracle (without s0-derivatives).  A column of
     each table depends only on its own basis function and lower ones, so
-    degree N reads the first N+1.  Every table it keeps is read-only.
-    cached is True only for the node sides of `_node_side`, which the
-    collocation tables of `solver.assemble` are cached with.
+    degree N reads the first N+1.  Every table it keeps is read-only, and
+    so is every table built from it that it keeps (`derived`).
     """
-
-    cached = False
 
     def __init__(self, curve, material, degree, disc=None, basis=MONOMIALS):
         self.curve, self.material, self.degree = curve, material, degree
+        self._derived = {}
         self.kset = KernelSet(curve, material.kappa)
         self.disc, self.basis = disc, basis
         nodes, weights = (regular_rule(curve.length) if disc is None
@@ -277,6 +284,14 @@ class _NodeSide:
             nodes, curve.length, degree)
         self._kernel = tuple(map(_read_only,
                                  self.kset.node_tables(nodes, wbasis)))
+
+    def derived(self, build, *key):
+        """build(self, *key), built once per node side and key and kept:
+        the one memo of the tables built from the node side."""
+        memo = self._derived
+        if (build, key) not in memo:
+            memo[build, key] = build(self, *key)
+        return memo[build, key]
 
     def columns(self, degree):
         """The kernels' node tables of the basis functions up to degree."""
@@ -392,14 +407,13 @@ def _check_degree(degree, built, what):
 def _node_side(curve, material, degree, basis):
     """The node side of the curve, material, degree and basis on
     `regular_rule`, built once per process while the key is among the 8
-    most recent.
+    most recent: the one table cache of the program.
 
-    The key is frozen values alone, and the node side's tables are
-    read-only, so every run on the key shares them; its cached is True.
+    The key is frozen values alone, and the node side's tables, with those
+    it keeps (`_NodeSide.derived`), are read-only, so every run on the key
+    shares them; cache_clear() empties them all.
     """
-    side = _NodeSide(curve, material, degree, basis=basis)
-    side.cached = True
-    return side
+    return _NodeSide(curve, material, degree, basis=basis)
 
 
 class _FieldEvaluator:
@@ -521,13 +535,12 @@ def face_fields(curve: CrackCurve, material: Material, load: FarFieldLoad,
     n_quad + 1 nodes, where s0 must not coincide with a node.  The exact
     mode ignores n_quad.
     """
-    if side not in _SIDES:
-        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    face = _side_index(side)
     if cauchy not in ("exact", "discrete"):
         raise ValueError(f"unknown cauchy mode {cauchy!r}")
     disc = None if cauchy == "exact" else Discretization(n_quad, curve.length)
     ev = _evaluator(curve, material, [s0], densities, disc)
-    return ev.samples(densities, load)[_SIDES.index(side)][0]
+    return ev.samples(densities, load)[face][0]
 
 
 def face_field_profile(curve, material, load, densities, s_values,
@@ -536,6 +549,7 @@ def face_field_profile(curve, material, load, densities, s_values,
 
     Returns a list of FaceFieldSample.
     """
+    order = [_side_index(side) for side in sides]
     ev = _evaluator(curve, material, s_values, densities)
     faces = ev.samples(densities, load)
-    return [sample for side in sides for sample in faces[_SIDES.index(side)]]
+    return [sample for face in order for sample in faces[face]]

@@ -1,27 +1,29 @@
 """Derived results: opening profiles, tip log-singularity fits, parameter sweeps.
 
 The crack opening is the jump table (`densities._jump_table`) applied to
-the density's coefficients, and close to the tips the face fields inherit
-a logarithmic term whose coefficient is extracted by a least-squares fit
-of value ~ A ln s + c over a window well inside the first quarter of the
-arc.  Face-field profiles, tip fits and the maximal face traction each
-build one field evaluator at all their points s0 and apply it to the
-density; it returns both faces at once.
+the density's coefficients (`opening_profile` builds it on each call),
+and close to the tips the face fields inherit a logarithmic term whose
+coefficient is extracted by a least-squares fit of value ~ A ln s + c
+over a window well inside the first quarter of the arc.  Face-field
+profiles, tip fits and the maximal face traction each build one field
+evaluator at all their points s0 and apply it to the density; it returns
+both faces at once.
 
 Solve mode and the sweeps report one set of numbers, `SolveReport`, read
 and reduced through one path.  `_SweepTables` reads one node side
-(`fields._NodeSide`, the carrier of the curve, material and basis) of one
-curve and N, from which the collocation tables
-(`solver._CollocationTables`) and one field evaluator read: at a midpoint
-face grid (the sweeps' 101 max-traction points, solve mode's 100
-`face_fields.csv` points) plus the 32 default tip-window points at
-s = 0.  It also holds the jump table of the openings, their one reader.
+(`fields._NodeSide`, the carrier of the curve, material, basis and N),
+from which the collocation tables (`solver._CollocationTables`) and one
+field evaluator read: at a midpoint face grid (the sweeps' 101
+max-traction points, solve mode's 100 `face_fields.csv` points) plus the
+32 default tip-window points at s = 0.  It also holds the jump table of
+the openings, built once as part of it.
 For a stack of P solutions its `evaluate` is one application of the
 evaluator to the densities as columns and one product with the jump
 table, and its `report` one fit of du1/ds and tau_n of every solution on
 the shared [ln s, 1] design and the extremes.  None of it depends on the
-load or gamma1, so a process builds it once per curve, material, N and
-face grid (`_sweep_tables`, an lru_cache of 8 keys), and every run on
+load or gamma1, so the cached node side of the curve, material and N
+(`fields._node_side`, the one table cache of the program) keeps it, one
+per face grid (`_sweep_tables`, `_NodeSide.derived`), and every run on
 them reads the same read-only tables.  A gamma1 sweep reads the tables
 once and solves its points as two stacks (`_solve_and_report`), the
 gamma1 = 0 points and the positive ones with their tip rows; a
@@ -42,18 +44,18 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 
 import numpy as np
 
 from .densities import (MONOMIALS, DensityCoefficients, _jump_table,
                         _read_only, cauchy_densities, q_coefficients,
                         traction_jump)
-from .fields import _SIDES, _evaluator, _FieldEvaluator, _node_side
+from .fields import (_SIDES, _evaluator, _FieldEvaluator, _node_side,
+                     _side_index)
 from .geometry import CrackCurve, make_circular_arc
 from .quadrature import Discretization, midpoint_grid
-from .solver import (AssemblyError, SolveError, _cached_tables, _check_gamma1,
-                     _collocation_tables, _solutions, assemble, solve)
+from .solver import (AssemblyError, SolveError, _check_gamma1,
+                     _CollocationTables, _solutions, assemble, solve)
 
 FIELD_NAMES = ("sigma_n", "tau_n", "du1_ds", "du2_ds")
 
@@ -80,7 +82,8 @@ def opening_profile(coeffs: DensityCoefficients, curve: CrackCurve, material,
     jump(s) = (i / 2 mu) * int_0^s g'(x) t'(x) dx, which vanishes at s = 0 by
     construction and at s = l up to the single-valuedness residual.  The
     opening delta is the projection of the jump on the unit normal i t'(s).
-    The integrals are the jump table (`densities._jump_table`) applied to g'.
+    The integrals are the jump table (`densities._jump_table`) applied to
+    g', built on each call.
     """
     _check_count("n_samples", n_samples, 2)
     coeffs.check_curve(curve)
@@ -188,10 +191,10 @@ def _tip_points(curve, tip, window, n):
 
 def _tip_fields(curve, material, load, coeffs, tip, side, window, n):
     """Distances from the tip and the four face fields there, one evaluator."""
+    face = _side_index(side)
     dist, s_vals = _tip_points(curve, tip, window, n)
     ev = _evaluator(curve, material, s_vals, coeffs)
-    traction, du = (v[_SIDES.index(side)]
-                    for v in ev.face_values(coeffs, load))
+    traction, du = (v[face] for v in ev.face_values(coeffs, load))
     return dist, {"sigma_n": traction.real, "tau_n": traction.imag,
                   "du1_ds": du.real, "du2_ds": du.imag}
 
@@ -308,16 +311,16 @@ class _SweepTables:
     One node side serves the collocation tables and one field evaluator at
     a midpoint grid of n_face points on both faces and, for the tip fits at
     s = 0 on the "+" face, at fit_tip_coefficients' default window; the
-    jump table of the openings is read here too.  None of it depends on
-    the load or gamma1, which evaluate() takes, and its arrays are
-    read-only, so `_sweep_tables` keeps one per curve, material, N and
-    n_face for every run on them.
+    jump table of the openings is built here, its one reader.  N is the
+    node side's degree.  None of it depends on the load or gamma1, which
+    evaluate() takes, and its arrays are read-only, so the node side keeps
+    one per n_face for every run on it (`_sweep_tables`).
     """
 
-    def __init__(self, curve, material, N, n_face):
-        self.curve, self.material = curve, material
-        node_side = _node_side(curve, material, N, MONOMIALS)
-        self.collocation = _collocation_tables(node_side, N)
+    def __init__(self, node_side, n_face):
+        curve, N = node_side.curve, node_side.degree
+        self.curve, self.material = curve, node_side.material
+        self.collocation = node_side.derived(_CollocationTables, N)
         self.jump = _jump_table(curve, N, node_side.basis, _OPENING_POINTS)
         self.face_s = _read_only(midpoint_grid(curve.length, n_face))
         tip_dist, tip_s = _tip_points(curve, 0.0, None, _TIP_POINTS)
@@ -351,15 +354,14 @@ class _SweepTables:
                                 np.max(np.abs(traction[:, :n]), axis=(0, 1))])
 
 
-@lru_cache(maxsize=8)
 def _sweep_tables(curve, material, N, n_face):
-    """The `_SweepTables` of the curve, material, N and n_face, built once
-    per process while the key is among the 8 most recent."""
-    return _SweepTables(curve, material, N, n_face)
+    """The `_SweepTables` of n_face on the cached node side of the curve,
+    material and N (`fields._node_side`), which keeps them.  N is checked
+    (`Discretization`) before the node side is built."""
+    Discretization(N, curve.length)
+    return _node_side(curve, material, N, MONOMIALS).derived(_SweepTables,
+                                                             n_face)
 
-
-# every table cache of the program: cache_clear() on each empties them
-_TABLE_CACHES = (_node_side, _cached_tables, _jump_table, _sweep_tables)
 
 # numpy's LinAlgError is a ValueError
 _SWEEP_ERRORS = (AssemblyError, SolveError, ValueError)
@@ -437,9 +439,9 @@ def sweep_gamma(curve, material, load, gamma_grid, N: int = 20):
 
     The kernels and the field evaluator are tabulated once for the whole
     sweep, and for any later run on the curve, material and N
-    (`_sweep_tables`), and the points are solved as stacks
-    (`_solve_and_report`): one for the gamma1 = 0 points and one for the
-    positive ones.
+    (`_sweep_tables`, kept by the cached node side), and the points are
+    solved as stacks (`_solve_and_report`): one for the gamma1 = 0 points
+    and one for the positive ones.
     """
     rows = [GammaSweepRow(gamma1=float(g1)) for g1 in gamma_grid]
     _fill(rows, [row.gamma1 for row in rows], load,
@@ -473,8 +475,9 @@ def convergence_study(curve, material, load, gamma1, n_list,
     The grid is n_grid equispaced points of [0, l]; each row carries its
     g' there, from the first N+1 columns of one basis table of the grid.
     Every N reads the cached node side of the largest N
-    (`fields._node_side`) and the cached collocation tables of N on it,
-    so a study repeated on the curve and material builds no table.
+    (`fields._node_side`) and the collocation tables of N it keeps
+    (`_NodeSide.derived`), so a study repeated on the curve and material
+    builds no table.
     """
     _check_count("n_grid", n_grid, 2)
     n_list = list(n_list)

@@ -55,10 +55,9 @@ form), the last two sliced from the node side.
 into a stack, arrays with a leading point axis, with no operator
 product; assemble() takes the one-point stack, a gamma1 sweep stacks all
 its points.  A system carries its tables, and solve() reads the curve,
-the basis and N from them.  The tables of a cached node side
-(`fields._node_side`) are cached with it, once per process and key
-(`_collocation_tables`), read-only; the forcing, the systems, their
-checks and the solves are formed on every call.
+the basis and N from them.  The tables of an N are kept, read-only, by
+the node side they were read from (`fields._NodeSide.derived`); the
+forcing, the systems, their checks and the solves are formed per call.
 
 The constrained system is solved by least squares in the constraint null
 space with a light Tikhonov term (relative weight 1e-8) that suppresses
@@ -89,7 +88,7 @@ solve and a sweep share one solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -265,8 +264,8 @@ class _CollocationTables:
     combines them for a stack of gamma1 values and one load with no operator
     product, and system() for one gamma1, so a sweep over gamma1 tabulates
     the kernels and builds the blocks once, and so does every later run
-    of the process on cached tables (`_collocation_tables`).  Its arrays
-    are read-only.
+    of the process on the node side, which keeps them
+    (`_NodeSide.derived`).  Its arrays are read-only.
     """
 
     def __init__(self, node_side: _NodeSide, N: int):
@@ -376,27 +375,6 @@ def _check_gamma1(gamma1):
     check_gamma1(gamma1, AssemblyError)
 
 
-def _collocation_tables(node_side: _NodeSide, N: int) -> _CollocationTables:
-    """The collocation tables of N on the node side.
-
-    For a node side of the cache (`fields._node_side`) they come from a
-    cache of their own, keyed by its curve, material, basis and degree and
-    by N, and are built once per process while the key is among the 8
-    most recent; any other node side, the discrete oracle's or one built
-    by hand, gets tables built afresh.
-    """
-    if not node_side.cached:
-        return _CollocationTables(node_side, N)
-    return _cached_tables(node_side.curve, node_side.material,
-                          node_side.basis, node_side.degree, N)
-
-
-@lru_cache(maxsize=8)
-def _cached_tables(curve, material, basis, degree, N):
-    """The `_CollocationTables` of N on the cached node side of the key."""
-    return _CollocationTables(_node_side(curve, material, degree, basis), N)
-
-
 def assemble(curve: CrackCurve, material, load, gamma1: float,
              disc: Discretization, row_scaling: bool = True,
              node_side: _NodeSide | None = None) -> LinearSystem:
@@ -404,11 +382,11 @@ def assemble(curve: CrackCurve, material, load, gamma1: float,
 
     node_side is the run's (`fields._NodeSide`), of degree disc.N or more;
     by default the cached monomial one of degree disc.N
-    (`fields._node_side`).  The tables come from `_collocation_tables`,
-    cached for a cached node side; the system, its load and gamma1 are
-    formed per call.  Raises ValueError, naming both values, when disc is
-    on another length than the curve or the node side on another curve or
-    material (its mu and kappa, which the tables read).
+    (`fields._node_side`).  The tables of disc.N are the node side's
+    (`_NodeSide.derived`); the system, its load and gamma1 are formed per
+    call.  Raises ValueError, naming both values, when disc is on another
+    length than the curve or the node side on another curve or material
+    (its mu and kappa, which the tables read).
     """
     if node_side is None:
         node_side = _node_side(curve, material, disc.N, MONOMIALS)
@@ -420,8 +398,8 @@ def assemble(curve: CrackCurve, material, load, gamma1: float,
             ("node side kappa", given.kappa, material.kappa)):
         if got != want:
             raise ValueError(f"{name} {got!r} is not the run's {want!r}")
-    return _collocation_tables(node_side, disc.N).system(load, gamma1,
-                                                         row_scaling)
+    return node_side.derived(_CollocationTables, disc.N).system(
+        load, gamma1, row_scaling)
 
 
 def solve(system: LinearSystem) -> DensityCoefficients:

@@ -3,19 +3,16 @@ import pytest
 
 from curvecrack import (FarFieldLoad, Material, make_circular_arc,
                         make_semicircle, make_straight, solve_problem)
-from curvecrack.postprocess import _TABLE_CACHES
+from curvecrack.fields import _node_side
 
 
 @pytest.fixture
 def cold_tables():
-    """Empty every table cache, so the test's first run builds all its
-    tables, as the first run of a process does; the fixture's value
-    empties them again."""
-    def clear():
-        for cache in _TABLE_CACHES:
-            cache.cache_clear()
-    clear()
-    return clear
+    """Empty the table cache, the node sides of `_node_side` with every
+    table they keep, so the test's first run builds all its tables, as the
+    first run of a process does; the fixture's value empties it again."""
+    _node_side.cache_clear()
+    return _node_side.cache_clear
 
 
 @pytest.fixture(scope="session")

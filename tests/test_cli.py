@@ -616,7 +616,7 @@ def test_cached_tables_are_read_only(cold_tables):
     collocation, evaluator = tables.collocation, tables.fields
     side = collocation.node_side
     assert side is fields._node_side(curve, material, 12, side.basis)
-    assert collocation is solver._collocation_tables(side, 12)
+    assert collocation is side.derived(solver._CollocationTables, 12)
     arrays = [tables.jump, tables.face_s, tables.tip_dist, evaluator.s0,
               evaluator._rows, evaluator._table, evaluator._t1,
               *collocation.blocks, collocation.mirror, *collocation.tip_rows,

@@ -1,4 +1,6 @@
 import csv
+import gc
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -16,8 +18,9 @@ from curvecrack import (CrackCurve, DensityCoefficients, Discretization,
                         solve_problem, sweep_curvature, sweep_gamma,
                         tip_condition_residuals, tip_log_coefficients,
                         traction_jump, traction_jump_parts)
-from curvecrack import solver
-from curvecrack.fields import _FieldEvaluator, _NodeSide, face_field_profile
+from curvecrack import postprocess, solver
+from curvecrack.fields import (_FieldEvaluator, _node_side, _NodeSide,
+                               face_field_profile)
 from curvecrack.postprocess import (ConvergenceRow, CurvatureSweepRow,
                                     GammaSweepRow, SolveReport, _cells,
                                     extremum_coincidence_report,
@@ -372,6 +375,25 @@ class TestSweepTables:
             sweep_gamma(semicircle, material, load_h,
                         [0.5 * 4.0 ** (i / 7) for i in range(8)], N=12)
             assert calls == [12]
+
+    def test_one_cache_frees_every_table(self, semicircle, material, load_h,
+                                         cold_tables):
+        # a sweep's tables, their collocation tables, field evaluator and
+        # node side live in the node side cache alone: emptying it frees
+        # them (the node side and the tables it keeps form cycles, which
+        # gc frees)
+        sweep_gamma(semicircle, material, load_h, [0.5, 1.0], N=12)
+        tables = postprocess._sweep_tables(semicircle, material, 12,
+                                           postprocess._TRACTION_POINTS)
+        refs = [weakref.ref(x) for x in (
+            tables, tables.collocation, tables.fields,
+            tables.collocation.node_side)]
+        del tables
+        gc.collect()
+        assert all(ref() is not None for ref in refs)
+        _node_side.cache_clear()
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
     def test_factorizations_do_not_grow_with_gamma_points(
             self, semicircle, material, load_h, monkeypatch):
@@ -789,6 +811,32 @@ class TestArgumentChecks:
             == default_fit_window(semicircle.length)
         d, v = collect_tip_samples(*args, "tau_n", n=1)
         assert d.shape == v.shape == (1,)
+
+    @pytest.mark.parametrize("call", [
+        lambda args, side: face_fields(*args, side, 0.3),
+        lambda args, side: face_field_profile(*args, [0.3, 0.6],
+                                              sides=("plus", side)),
+        lambda args, side: collect_tip_samples(*args, "tau_n", side=side),
+        lambda args, side: fit_tip_coefficients(*args, side=side)],
+        ids=["face_fields", "face_field_profile", "collect_tip_samples",
+             "fit_tip_coefficients"])
+    def test_unknown_side_is_named(self, solved_semicircle, semicircle,
+                                   material, load_h, call):
+        args = (semicircle, material, load_h, solved_semicircle)
+        with pytest.raises(ValueError, match="side must be 'plus' or "
+                                             "'minus', got 'up'"):
+            call(args, "up")
+
+    @pytest.mark.parametrize("N", [3, 2.5, "20"])
+    def test_sweeps_put_the_N_error_on_every_row(self, semicircle, material,
+                                                 load_h, N):
+        # checked before any table is built: a non-integer N once escaped
+        # as numpy's TypeError from the basis table of the node side
+        rows = (sweep_gamma(semicircle, material, load_h, [0.5, 1.0], N=N)
+                + sweep_curvature(material, load_h, 1.0, [0.5, 1.0], N=N))
+        assert [row.error for row in rows] == [
+            "polynomial degree N must be an integer of at least 4, "
+            f"got {N!r}"] * 4
 
     def test_convergence_study_needs_two_grid_points(self, semicircle,
                                                      material, load_h):

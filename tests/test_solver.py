@@ -540,24 +540,24 @@ def test_assemble_reads_mu_and_kappa_of_the_material(material, semicircle,
     assert np.array_equal(got.rhs, want.rhs)
 
 
-def test_oracle_and_explicit_node_sides_bypass_the_cache(
+def test_tables_belong_to_the_node_side_they_were_asked_of(
         material, semicircle, load_h, monkeypatch, cold_tables):
-    # assemble's default node side and its collocation tables are the
-    # cache's, one per key; a node side passed in, and the flat-rule
-    # oracle's, get theirs built afresh on every call
+    # assemble reads the collocation tables of the node side it is given,
+    # by default the cache's, which keeps them: each side gives the same
+    # tables on every call, and a side built by hand on the cache's key
+    # gets tables of its own, equal to the cache's; the flat-rule oracle
+    # builds a node side on every call
     disc = Discretization(12, semicircle.length)
-    side = fields._node_side(semicircle, material, 12, MONOMIALS)
-    assert side.cached and side is fields._node_side(semicircle, material,
-                                                     12, MONOMIALS)
-    tables = solver._collocation_tables(side, 12)
-    assert tables is solver._collocation_tables(side, 12)
-    assert assemble(semicircle, material, load_h, 1.0, disc).tables is tables
+    cached = fields._node_side(semicircle, material, 12, MONOMIALS)
     explicit = _NodeSide(semicircle, material, 12)
-    assert not explicit.cached
-    got = [assemble(semicircle, material, load_h, 1.0, disc,
-                    node_side=explicit).tables for _ in range(2)]
-    assert got[0] is not got[1] and tables not in got
-    assert np.array_equal(got[0].blocks, tables.blocks)
+    tables = {}
+    for side, given in ((cached, None), (explicit, explicit)):
+        first, second = (assemble(semicircle, material, load_h, 1.0, disc,
+                                  node_side=given).tables for _ in range(2))
+        assert first is second and first.node_side is side
+        tables[side] = first
+    assert tables[cached] is not tables[explicit]
+    assert np.array_equal(tables[cached].blocks, tables[explicit].blocks)
 
     built = []
     init = _NodeSide.__init__

@@ -1,11 +1,14 @@
-"""The density basis reaches the program as a value only.
+"""The density basis reaches the program as a value only, and the program
+keeps one table cache.
 
 `densities` alone names the primitives of the centered monomials; every
 other module of the package takes them from a `densities.Basis` value (a
 density's `basis` or a node side's).  And no test rebinds an attribute of
 `densities`: a second basis is passed in as a value, never patched into
-the module.  Both are read from the source, so a use that no test runs
-is found too.
+the module.  The one table cache is `fields._node_side`, whose node sides
+keep every table built from them; the only other functools caches hold
+constants keyed by an int.  All are read from the source, so a use that
+no test runs is found too.
 """
 
 import ast
@@ -99,6 +102,36 @@ def _rebinds(tree, aliases):
     return found
 
 
+# (module, function) of every functools cache of the package: the one
+# table cache, and two keyed by an int that hold constants
+_CACHED = {("fields", "_node_side"), ("kernels", "_separable"),
+           ("quadrature", "_unit_rule")}
+_CACHES = ("lru_cache", "cache", "functools.lru_cache", "functools.cache")
+
+
+def _is_cache(node):
+    """Whether node, a decorator, is a functools cache, called with its
+    options or not."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return ast.unparse(node) in _CACHES
+
+
+def _cached_functions(tree):
+    """The name of each function a functools cache decorates, and the text
+    of each other call of a cache (lru_cache(maxsize=8)(f), say)."""
+    found, decorators = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            caches = [d for d in node.decorator_list if _is_cache(d)]
+            found += [node.name] * len(caches)
+            decorators.update(map(id, caches))
+    found += [ast.unparse(node) for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and id(node) not in decorators
+              and ast.unparse(node.func) in _CACHES]
+    return found
+
+
 def test_only_densities_names_the_basis_primitives():
     primitives = _primitive_names()
     assert len(primitives) == len(fields(densities.Basis))
@@ -118,8 +151,14 @@ def test_no_test_rebinds_an_attribute_of_densities():
     assert found and not any(found.values()), found
 
 
+def test_one_table_cache():
+    found = {(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
+             for name in _cached_functions(ast.parse(path.read_text()))}
+    assert found == _CACHED
+
+
 def test_the_checks_see_what_they_forbid():
-    # each kind of use the two checks refuse, in a made-up module
+    # each kind of use the three checks refuse, in a made-up module
     primitives = _primitive_names()
     for source in ("from .densities import pv_monomials",
                    "from curvecrack.densities import _tangent_integrals",
@@ -137,3 +176,10 @@ def test_the_checks_see_what_they_forbid():
                          + source)
         assert _rebinds(tree, _densities_aliases(tree) | {"densities"}), \
             source
+    for source, want in (
+            ("@lru_cache(maxsize=8)\ndef f(x): pass", ["f"]),
+            ("@functools.cache\ndef g(x): pass", ["g"]),
+            ("@cache\n@property\ndef h(self): pass", ["h"]),
+            ("t = functools.lru_cache(maxsize=None)(len)",
+             ["functools.lru_cache(maxsize=None)"])):
+        assert _cached_functions(ast.parse(source)) == want, source
