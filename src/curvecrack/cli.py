@@ -12,11 +12,15 @@ Solve mode reads and reports through the sweeps' path: one
 `postprocess._SweepTables`, kept by the cached node side of the curve,
 material and N (`postprocess._sweep_tables`), gives the system, its
 `evaluate` the face fields, tip samples and opening of the solution, and
-its `report`, only for a printed summary, the numbers of `postprocess.SolveReport`.  A
-convergence run writes g_prime.csv from the samples the study compared.
-Every mode writes its CSVs through `postprocess.write_csv`, from whole
-columns; solve mode formats its g' grid once and writes opening.csv's s
-column from that text.
+its `report`, only for a printed summary, the numbers of
+`postprocess.SolveReport`.  A convergence run writes g_prime.csv from the
+samples the study compared, on the study's grid.  Every mode writes its
+CSVs through `postprocess.write_csv`, from whole columns.  The cli builds
+and formats no grid of its own: the s columns of solve mode (g_prime.csv,
+opening.csv every second cell, face_fields.csv with its side column) and
+of a convergence run are the text the node side keeps with the grids
+(`postprocess._OutputGrid`, `_SweepTables.face_text`), formatted once per
+process.
 """
 
 from __future__ import annotations
@@ -333,9 +337,10 @@ def _solve_outputs(config, curve, material, load, disc, dump_system):
 
     One table set (`postprocess._SweepTables`, the one the cached node
     side of the curve, material and N keeps) serves the whole run: its
-    collocation tables give the system, and its `evaluate`, on a stack of
-    one, both faces on face_fields.csv's 100 points, the tip samples and
-    the opening.  The report and the tip residuals are left to
+    collocation tables give the system, the basis table of its g' grid
+    g' there (the product `coeffs.gprime` forms), and its `evaluate`, on a
+    stack of one, both faces on face_fields.csv's 100 points, the tip
+    samples and the opening.  The report and the tip residuals are left to
     `_solve_summary`, which only a printed summary reads.
     """
     tables = post._sweep_tables(curve, material, disc.N, 100)
@@ -343,8 +348,7 @@ def _solve_outputs(config, curve, material, load, disc, dump_system):
                                        config.row_scaling)
     coeffs = solve(system)
 
-    s_grid = np.linspace(0.0, curve.length, 401)
-    gp = coeffs.gprime(s_grid)
+    gp = tables.grid.table @ (coeffs.g1 + 1j * coeffs.g2)
     g_cols = {"re_gprime": np.real(gp), "im_gprime": np.imag(gp)}
 
     traction, du, jump, delta = tables.evaluate(
@@ -353,8 +357,8 @@ def _solve_outputs(config, curve, material, load, disc, dump_system):
     n = tables.face_s.size
     dump = system.dump_text() if dump_system else None
     return {
-        "coeffs": coeffs, "s_grid": s_grid, "g_cols": g_cols,
-        "face": (tables.face_s, traction[:, :n, 0], du[:, :n, 0]),
+        "coeffs": coeffs, "g_cols": g_cols,
+        "face": (tables.face_text, traction[:, :n, 0], du[:, :n, 0]),
         "opening": (jump[:, 0], delta[:, 0]), "tables": tables,
         "fields": (traction, du, delta), "dump": dump,
     }
@@ -421,10 +425,11 @@ def run(config: RunConfig, out_dir: str | None = None,
                                  dump_system)
             # the opening's 201-point grid is every second point of the
             # 401-point g' grid, bit for bit, so its s column is that text
-            s_text = post._cells(res["s_grid"])
+            s_text = res["tables"].grid.text
             post.write_g_prime_csv(out / "g_prime.csv", s_text,
                                    res["g_cols"])
-            post.write_face_fields_csv(out / "face_fields.csv", *res["face"])
+            post._write_face_fields_csv(out / "face_fields.csv",
+                                        *res["face"])
             post._write_opening_csv(out / "opening.csv", s_text[::2],
                                     *res["opening"])
             if res["dump"] is not None:
@@ -435,12 +440,12 @@ def run(config: RunConfig, out_dir: str | None = None,
             rows = post.convergence_study(curve, material, load,
                                           config.gamma1, config.grid)
             post.write_convergence_csv(out / "convergence.csv", rows)
-            s_grid = np.linspace(0.0, curve.length, rows[0].gprime.size)
             cols = {}
             for r in rows:
                 cols[f"re_gprime_N{r.N}"] = np.real(r.gprime)
                 cols[f"im_gprime_N{r.N}"] = np.imag(r.gprime)
-            post.write_g_prime_csv(out / "g_prime.csv", s_grid, cols)
+            post.write_g_prime_csv(out / "g_prime.csv", rows[0].grid.text,
+                                   cols)
             for r in rows:
                 say(f"N={r.N} sup_diff={r.sup_diff!r}")
         else:

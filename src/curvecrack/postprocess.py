@@ -36,14 +36,18 @@ the whole stack goes on each of its rows.
 Every CSV goes through `write_csv`, which takes whole columns, formats each
 column once (floats by repr, integers by str, strings quoted where the csv
 module needs it) and writes the file in one call.  A column given as a
-list of strings is text already formatted (`_cells`), so a repeated column
-is formatted once.
+list or tuple of strings is text already formatted (`_cells`), so a
+repeated column is formatted once.  The output grids are load-free too:
+the node side keeps each g' grid with its basis table and text
+(`_OutputGrid`), and solve mode's tables the text of the face points, so
+a warm run formats only the values that change with the load and gamma1.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -71,8 +75,10 @@ class OpeningProfile:
     min_opening: float
 
 
-# the points of an opening profile
+# the points of an opening profile, and of the g' grid of solve mode and of
+# a convergence study, whose every second point is the opening's
 _OPENING_POINTS = 201
+_GRID_POINTS = 401
 
 
 def opening_profile(coeffs: DensityCoefficients, curve: CrackCurve, material,
@@ -304,6 +310,22 @@ def _sweep_header(row_type):
     return [key, *report]
 
 
+class _OutputGrid:
+    """n equispaced points s of [0, l], the node side's basis table there
+    at its degree, read-only both, and the points' CSV text, a tuple of
+    str: the g' grid of solve mode (`_SweepTables.grid`) and of a
+    convergence study.  The node side keeps one per n (`_NodeSide.derived`),
+    so a run on it formats no grid point that an earlier run formatted.
+    """
+
+    def __init__(self, node_side, n):
+        length = node_side.curve.length
+        self.s = _read_only(np.linspace(0.0, length, n))
+        self.table = _read_only(node_side.basis.table(self.s, length,
+                                                      node_side.degree))
+        self.text = tuple(_cells(self.s))
+
+
 class _SweepTables:
     """Everything a solve on one curve and N reuses, with the one read
     (`evaluate`) and the one reduction (`report`) of a stack of solutions.
@@ -312,8 +334,10 @@ class _SweepTables:
     a midpoint grid of n_face points on both faces and, for the tip fits at
     s = 0 on the "+" face, at fit_tip_coefficients' default window; the
     jump table of the openings is built here, its one reader.  N is the
-    node side's degree.  None of it depends on the load or gamma1, which
-    evaluate() takes, and its arrays are read-only, so the node side keeps
+    node side's degree.  On first use come what solve mode alone writes:
+    its g' grid (`grid`) and the text of the face points (`face_text`).
+    None of it depends on the load or gamma1, which evaluate() takes, and
+    its arrays are read-only and its text tuples, so the node side keeps
     one per n_face for every run on it (`_sweep_tables`).
     """
 
@@ -327,6 +351,18 @@ class _SweepTables:
         self.tip_dist = _read_only(tip_dist)
         self.fields = _FieldEvaluator(
             node_side, np.concatenate([self.face_s, tip_s]), N)
+
+    @cached_property
+    def grid(self):
+        """The `_OutputGrid` of _GRID_POINTS on the node side, which keeps
+        it: solve mode's g' grid, whose text is the s column of
+        g_prime.csv and, every second cell, of opening.csv."""
+        return self.collocation.node_side.derived(_OutputGrid, _GRID_POINTS)
+
+    @cached_property
+    def face_text(self):
+        """The s and side columns of face_fields.csv at face_s."""
+        return _face_columns(tuple(_cells(self.face_s)))
 
     def evaluate(self, x, gamma1, load):
         """The fields of P solutions x (P, 2N+2) at gamma1 (P,) under load.
@@ -460,40 +496,42 @@ def sweep_curvature(material, load, gamma1, kappa0_grid, N: int = 20):
 
 @dataclass
 class ConvergenceRow:
-    """One N of a convergence study; gprime holds g' on the study's grid."""
+    """One N of a convergence study; gprime holds g' at the points of
+    grid, the study's `_OutputGrid` (one object for every row)."""
 
     N: int
     sup_diff: float
     coeffs: DensityCoefficients = field(repr=False, default=None)
     gprime: np.ndarray = field(repr=False, default=None)
+    grid: _OutputGrid = field(repr=False, default=None)
 
 
 def convergence_study(curve, material, load, gamma1, n_list,
-                      n_grid: int = 401):
+                      n_grid: int = _GRID_POINTS):
     """Reconstructed g' for each N against the largest N on a common grid.
 
-    The grid is n_grid equispaced points of [0, l]; each row carries its
-    g' there, from the first N+1 columns of one basis table of the grid.
-    Every N reads the cached node side of the largest N
-    (`fields._node_side`) and the collocation tables of N it keeps
-    (`_NodeSide.derived`), so a study repeated on the curve and material
-    builds no table.
+    The grid is n_grid equispaced points of [0, l]; each row carries it
+    and its g' there, from the first N+1 columns of the grid's basis
+    table.  Every N reads the cached node side of the largest N
+    (`fields._node_side`), and the collocation tables of N and the grid,
+    with its table and text, that it keeps (`_NodeSide.derived`), so a
+    study repeated on the curve and material builds and formats no table
+    or grid.
     """
     _check_count("n_grid", n_grid, 2)
     n_list = list(n_list)
     if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly ascending with at least "
                          "two entries")
-    grid = np.linspace(0.0, curve.length, n_grid)
     node_side = _node_side(curve, material, n_list[-1], MONOMIALS)
     solved = [(n, solve(assemble(curve, material, load, gamma1,
                                  Discretization(n, curve.length),
                                  node_side=node_side)))
               for n in n_list]
-    table = node_side.basis.table(grid, curve.length, n_list[-1])
-    samples = [table[:, : n + 1] @ (coeffs.g1 + 1j * coeffs.g2)
+    grid = node_side.derived(_OutputGrid, n_grid)
+    samples = [grid.table[:, : n + 1] @ (coeffs.g1 + 1j * coeffs.g2)
                for n, coeffs in solved]
-    return [ConvergenceRow(N=n, coeffs=coeffs, gprime=gp,
+    return [ConvergenceRow(N=n, coeffs=coeffs, gprime=gp, grid=grid,
                            sup_diff=float(np.max(np.abs(gp - samples[-1]))))
             for (n, coeffs), gp in zip(solved, samples)]
 
@@ -542,9 +580,11 @@ def extremum_coincidence_report(rows):
 def _cells(column):
     """The text of one CSV column: floats by repr (the shortest text that
     reads back to the same double), integers by str, strings as given
-    (`_quoted`).  A list of strings is a text column as it stands, so a
-    column formatted once can be written again without a second repr."""
-    if isinstance(column, list) and all(isinstance(c, str) for c in column):
+    (`_quoted`).  A list or tuple of strings is a text column as it
+    stands, so a column formatted once, or kept formatted
+    (`_OutputGrid.text`), is written again without a second repr."""
+    if isinstance(column, (list, tuple)) and all(isinstance(c, str)
+                                                 for c in column):
         return _quoted(column)
     values = np.asarray(column)
     if values.dtype.kind == "f":
@@ -571,8 +611,11 @@ def _quoted(cells):
 def write_csv(path, header, columns):
     """Write a header row and the rows of equally long columns.
 
-    The whole file is one string, the rows joined in one pass, written in
-    one call; a column of unequal length raises before the file is opened.
+    Each column is formatted by `_cells`: a list or tuple of str, the
+    text a caller formatted once or keeps, is written as it stands but for
+    the quoting rule.  The whole file is one string, the rows joined in
+    one pass, written in one call; a column of unequal length raises
+    before the file is opened.
     """
     cells = [_cells(column) for column in columns]
     text = "\n".join([",".join(header),
@@ -592,12 +635,24 @@ def write_face_fields_csv(path, s, traction, du):
     with the "+" face first, as `fields._FieldEvaluator.face_values`
     returns them.  The points are formatted once, for both faces.
     """
+    _write_face_fields_csv(
+        path, _face_columns(_cells(np.asarray(s, dtype=float))), traction,
+        du)
+
+
+def _face_columns(s_text):
+    """The s and side columns of face_fields.csv from the text of its
+    points: every point on the "+" face, then on the "-" face."""
+    return s_text * len(_SIDES), tuple(side for side in _SIDES
+                                       for _ in s_text)
+
+
+def _write_face_fields_csv(path, columns, traction, du):
+    """write_face_fields_csv from the s and side columns as text
+    (`_face_columns`; solve mode's are kept, `_SweepTables.face_text`)."""
     header = ["s", "side", "sigma_n", "tau_n", "du1_ds", "du2_ds"]
-    s_text = _cells(np.asarray(s, dtype=float))
     write_csv(path, header,
-              [s_text * len(_SIDES),
-               [side for side in _SIDES for _ in s_text],
-               traction.real.ravel(), traction.imag.ravel(),
+              [*columns, traction.real.ravel(), traction.imag.ravel(),
                du.real.ravel(), du.imag.ravel()])
 
 
@@ -607,7 +662,8 @@ def write_opening_csv(path, profile: OpeningProfile):
 
 def _write_opening_csv(path, s, jump, delta):
     """write_opening_csv from the columns, the s column as floats or as the
-    text of the grid (solve mode reuses the text of its g' grid)."""
+    text of the grid (solve mode's is every second cell of its g' grid's
+    kept text, `_OutputGrid.text`)."""
     header = ["s", "du1_jump", "du2_jump", "delta"]
     write_csv(path, header, [s, jump.real, jump.imag, delta])
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from curvecrack import (DensityCoefficients, Material, face_field_profile,
                         solve_problem)
 from curvecrack.cli import ConfigError, RunConfig, main, parse_config, run
 from curvecrack.quadrature import midpoint_grid
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE = """
 shape = semicircle
@@ -576,6 +579,73 @@ def test_tabulations_per_run_mode(mode, tmp_path, monkeypatch, cold_tables):
         assert builds(text.replace(old, new)) == want, new
 
 
+# run mode: the floats `_cells` formats in the first run of its TABULATIONS
+# config, and in the run under another load and gamma1 (SAME_TABLES) on
+# the tables it left.  A solve run writes g' (2 x 401), the face fields
+# (4 x 200) and the opening (3 x 201); the run that builds its tables
+# formats the 401 points of the g' grid and the 100 face points too.  A
+# convergence run writes its 3 sup_diff values and g' of its 3 N, and
+# formats its grid's 401 points on the cold run alone.  A sweep writes the
+# numbers of its rows (the other gamma1 sweep has 2) and no grid.
+FORMATTED = {
+    "solve": (2205 + 401 + 100, 2205),
+    "sweep-gamma": (3 * 6, 2 * 6),
+    "sweep-curvature": (3 * 6, 3 * 6),
+    "convergence": (3 + 3 * 2 * 401 + 401, 3 + 3 * 2 * 401),
+}
+
+
+@pytest.mark.parametrize("mode", TABULATIONS)
+def test_formatted_floats_per_run_mode(mode, tmp_path, monkeypatch,
+                                       cold_tables):
+    # the text of an output grid is kept with the tables: a run on another
+    # curve, material or N formats it again, one under another load and
+    # gamma1 does not
+    counts = []
+    cells = post._cells
+
+    def counted(column):
+        text = cells(column)
+        if np.asarray(column).dtype.kind == "f":
+            counts.append(len(text))
+        return text
+
+    monkeypatch.setattr(post, "_cells", counted)
+
+    def formatted(text):
+        counts.clear()
+        config = parse_config(text + f"out_dir = {tmp_path}\n")
+        assert run(config, quiet=True) == 0
+        return sum(counts)
+
+    text = BASE + TABULATIONS[mode][0]
+    cold, warm = FORMATTED[mode]
+    assert formatted(text) == cold
+    assert formatted(_replaced(text, SAME_TABLES)) == warm
+    for old, new in OTHER_TABLES[mode]:
+        assert formatted(text.replace(old, new)) == cold, new
+
+
+def test_convergence_writes_the_points_it_sampled(tmp_path):
+    # g_prime.csv's s column is the text of the study's own grid, where
+    # each N's g' was sampled
+    config = parse_config((ROOT / "configs" / "convergence_semicircle.cfg")
+                          .read_text(encoding="utf-8"))
+    assert run(config, out_dir=str(tmp_path), quiet=True) == 0
+    config, curve, material, load, _ = config.build()
+    rows = post.convergence_study(curve, material, load, config.gamma1,
+                                  config.grid)
+    grid = rows[0].grid
+    assert all(r.grid is grid for r in rows)
+    columns = _csv_columns(tmp_path / "g_prime.csv")
+    assert list(columns["s"]) == [repr(s) for s in grid.s.tolist()]
+    for r in rows:
+        assert list(columns[f"re_gprime_N{r.N}"]) == list(map(
+            repr, r.gprime.real.tolist()))
+        want = r.coeffs.gprime(grid.s)
+        assert np.max(np.abs(r.gprime - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("mode", TABULATIONS)
 def test_warm_runs_write_the_cold_files(mode, tmp_path, monkeypatch,
                                         cold_tables):
@@ -613,12 +683,17 @@ def test_cached_tables_are_read_only(cold_tables):
     res = cli._solve_outputs(config, curve, material, load, disc, False)
     tables = res["tables"]
     assert tables is post._sweep_tables(curve, material, 12, 100)
-    collocation, evaluator = tables.collocation, tables.fields
+    collocation, evaluator, grid = (tables.collocation, tables.fields,
+                                    tables.grid)
     side = collocation.node_side
     assert side is fields._node_side(curve, material, 12, side.basis)
     assert collocation is side.derived(solver._CollocationTables, 12)
-    arrays = [tables.jump, tables.face_s, tables.tip_dist, evaluator.s0,
-              evaluator._rows, evaluator._table, evaluator._t1,
+    assert grid is side.derived(post._OutputGrid, 401)
+    # the text it keeps is tuples of str
+    for text in (grid.text, *tables.face_text):
+        assert type(text) is tuple and all(type(c) is str for c in text)
+    arrays = [tables.jump, tables.face_s, tables.tip_dist, grid.s, grid.table,
+              evaluator.s0, evaluator._rows, evaluator._table, evaluator._t1,
               *collocation.blocks, collocation.mirror, *collocation.tip_rows,
               collocation.single_valued, collocation.single_valued_rows,
               *side._kernel, *side.rows_maps.values(), *side.tip_rows,

@@ -19,6 +19,7 @@ from curvecrack import (CrackCurve, DensityCoefficients, Discretization,
                         tip_condition_residuals, tip_log_coefficients,
                         traction_jump, traction_jump_parts)
 from curvecrack import postprocess, solver
+from curvecrack.densities import MONOMIALS
 from curvecrack.fields import (_FieldEvaluator, _node_side, _NodeSide,
                                face_field_profile)
 from curvecrack.postprocess import (ConvergenceRow, CurvatureSweepRow,
@@ -387,8 +388,26 @@ class TestSweepTables:
                                            postprocess._TRACTION_POINTS)
         refs = [weakref.ref(x) for x in (
             tables, tables.collocation, tables.fields,
-            tables.collocation.node_side)]
+            tables.collocation.node_side, tables.grid, tables.grid.table)]
         del tables
+        gc.collect()
+        assert all(ref() is not None for ref in refs)
+        _node_side.cache_clear()
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_one_cache_frees_the_convergence_grid(self, semicircle, material,
+                                                  load_h, cold_tables):
+        # a study's grid, its basis table and text live in the node side
+        # of its largest N alone, which keeps them for the next study
+        rows = convergence_study(semicircle, material, load_h, 1.0, [8, 10])
+        grid = rows[0].grid
+        side = _node_side(semicircle, material, 10, MONOMIALS)
+        assert grid is side.derived(postprocess._OutputGrid, 401)
+        assert convergence_study(semicircle, material, load_h, 0.5,
+                                 [8, 10])[1].grid is grid
+        refs = [weakref.ref(x) for x in (grid, grid.s, grid.table, side)]
+        del rows, grid, side
         gc.collect()
         assert all(ref() is not None for ref in refs)
         _node_side.cache_clear()
@@ -594,6 +613,12 @@ class TestCsvWriters:
         # a column formatted once is a list of str and writes as before
         write_csv(path, header, [_cells(floats), _cells(singles),
                                  _cells(ints), strings, texts])
+        assert path.read_text() == want
+        # and so is a tuple of str, text kept formatted, quoted by the
+        # same rule (texts holds commas and quotes)
+        write_csv(path, header, [tuple(_cells(floats)),
+                                 tuple(_cells(singles)), tuple(_cells(ints)),
+                                 tuple(strings), tuple(texts)])
         assert path.read_text() == want
         with pytest.raises(ValueError):
             write_csv(path, ["a", "b"], [[1.0], [1.0, 2.0]])

@@ -7,8 +7,9 @@ density's `basis` or a node side's).  And no test rebinds an attribute of
 `densities`: a second basis is passed in as a value, never patched into
 the module.  The one table cache is `fields._node_side`, whose node sides
 keep every table built from them; the only other functools caches hold
-constants keyed by an int.  All are read from the source, so a use that
-no test runs is found too.
+constants keyed by an int.  And `cli` builds no grid of points of its
+own: it writes the grids the node side keeps.  All are read from the
+source, so a use that no test runs is found too.
 """
 
 import ast
@@ -43,19 +44,24 @@ def _densities_aliases(tree):
     return names
 
 
-def _primitive_uses(tree, primitives):
-    """(line, text) of each import or use of a primitive by name."""
+def _name_uses(tree, names, module=""):
+    """(line, text) of each use of one of the names, and of each import of
+    one from a module whose name ends in module."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").endswith(
-                "densities"):
+                module):
             found += [(node.lineno, a.name) for a in node.names
-                      if a.name in primitives]
-        elif isinstance(node, ast.Attribute) and node.attr in primitives:
+                      if a.name in names]
+        elif isinstance(node, ast.Attribute) and node.attr in names:
             found.append((node.lineno, ast.unparse(node)))
-        elif isinstance(node, ast.Name) and node.id in primitives:
+        elif isinstance(node, ast.Name) and node.id in names:
             found.append((node.lineno, node.id))
     return found
+
+
+# the functions that build a grid of points
+_GRID_BUILDERS = ("linspace", "geomspace", "arange", "midpoint_grid")
 
 
 # the dict methods that write
@@ -135,8 +141,8 @@ def _cached_functions(tree):
 def test_only_densities_names_the_basis_primitives():
     primitives = _primitive_names()
     assert len(primitives) == len(fields(densities.Basis))
-    uses = {path.name: _primitive_uses(ast.parse(path.read_text()),
-                                       primitives)
+    uses = {path.name: _name_uses(ast.parse(path.read_text()), primitives,
+                                  "densities")
             for path in sorted(PACKAGE.glob("*.py"))
             if path.name != "densities.py"}
     assert uses and not any(uses.values()), uses
@@ -157,14 +163,24 @@ def test_one_table_cache():
     assert found == _CACHED
 
 
+def test_cli_builds_no_grid():
+    source = (PACKAGE / "cli.py").read_text()
+    assert _name_uses(ast.parse(source), _GRID_BUILDERS) == []
+
+
 def test_the_checks_see_what_they_forbid():
-    # each kind of use the three checks refuse, in a made-up module
+    # each kind of use the four checks refuse, in a made-up module
     primitives = _primitive_names()
     for source in ("from .densities import pv_monomials",
                    "from curvecrack.densities import _tangent_integrals",
                    "x = densities._derivative_matrix(1.0, 3)",
                    "y = _monomials(s, 1.0, 3)"):
-        assert _primitive_uses(ast.parse(source), primitives), source
+        assert _name_uses(ast.parse(source), primitives, "densities"), source
+    for source in ("s = np.linspace(0.0, curve.length, 401)",
+                   "from numpy import linspace as grid",
+                   "s = numpy.arange(5) / 4",
+                   "s = midpoint_grid(curve.length, 100)"):
+        assert _name_uses(ast.parse(source), _GRID_BUILDERS), source
     for source in ("densities.MONOMIALS = None",
                    "monkeypatch.setattr(densities, 'MONOMIALS', None)",
                    "monkeypatch.setattr('curvecrack.densities.x', None)",
