@@ -9,14 +9,15 @@ and several pairs may share a line separated by commas.  Exit codes:
 `RunConfig.build` every other rule, for parsed and code-built configs.
 
 Solve mode reads and reports through the sweeps' path: one
-`postprocess._SweepTables`, kept by the cached node side of the curve,
-material and N (`postprocess._sweep_tables`), gives the system, its
-`evaluate` the face fields, tip samples and opening of the solution, and
-its `report`, only for a printed summary, the numbers of
-`postprocess.SolveReport`.  A convergence run writes g_prime.csv from the
-samples the study compared, on the study's grid.  Every mode writes its
-CSVs through `postprocess.write_csv`, from whole columns.  The cli builds
-and formats no grid of its own: the s columns of solve mode (g_prime.csv,
+`postprocess._SolveTables` (the sweeps' tables with du/ds at the face
+points too), kept by the cached node side of the curve, material and N
+(`postprocess._solve_tables`), gives the system, its `values` the face
+fields, tip samples and opening of the solution, and its `report`, only
+for a printed summary, the numbers of `postprocess.SolveReport`.  A
+convergence run writes g_prime.csv from the samples the study compared,
+on the study's grid.  Every mode writes its CSVs through
+`postprocess.write_csv`, from whole columns.  The cli builds and formats
+no grid of its own: the s columns of solve mode (g_prime.csv,
 opening.csv every second cell, face_fields.csv with its side column) and
 of a convergence run are the text the node side keeps with the grids
 (`postprocess._OutputGrid`, `_SweepTables.face_text`), formatted once per
@@ -335,15 +336,15 @@ def parse_config(text: str) -> RunConfig:
 def _solve_outputs(config, curve, material, load, disc, dump_system):
     """Compute everything solve mode writes, before touching the filesystem.
 
-    One table set (`postprocess._SweepTables`, the one the cached node
+    One table set (`postprocess._SolveTables`, the one the cached node
     side of the curve, material and N keeps) serves the whole run: its
     collocation tables give the system, the basis table of its g' grid
-    g' there (the product `coeffs.gprime` forms), and its `evaluate`, on a
-    stack of one, both faces on face_fields.csv's 100 points, the tip
-    samples and the opening.  The report and the tip residuals are left to
-    `_solve_summary`, which only a printed summary reads.
+    g' there (the product `coeffs.gprime` forms), and its rows on the
+    unknowns, applied to a stack of one, the face fields, the opening and
+    what the report reads (`values`).  The report and the tip residuals
+    are left to `_solve_summary`, which only a printed summary reads.
     """
-    tables = post._sweep_tables(curve, material, disc.N, 100)
+    tables = post._solve_tables(curve, material, disc.N)
     system = tables.collocation.system(load, config.gamma1,
                                        config.row_scaling)
     coeffs = solve(system)
@@ -351,16 +352,15 @@ def _solve_outputs(config, curve, material, load, disc, dump_system):
     gp = tables.grid.table @ (coeffs.g1 + 1j * coeffs.g2)
     g_cols = {"re_gprime": np.real(gp), "im_gprime": np.imag(gp)}
 
-    traction, du, jump, delta = tables.evaluate(
-        np.concatenate([coeffs.g1, coeffs.g2])[None],
-        np.array([coeffs.gamma1]), load)
-    n = tables.face_s.size
+    x = np.concatenate([coeffs.g1, coeffs.g2])[None]
+    traction, du, jump, report = tables.values(x, np.array([coeffs.gamma1]),
+                                               load)
     dump = system.dump_text() if dump_system else None
     return {
         "coeffs": coeffs, "g_cols": g_cols,
-        "face": (tables.face_text, traction[:, :n, 0], du[:, :n, 0]),
-        "opening": (jump[:, 0], delta[:, 0]), "tables": tables,
-        "fields": (traction, du, delta), "dump": dump,
+        "face": (tables.face_text, traction[..., 0], du[..., 0]),
+        "opening": (jump[:, 0], report[-1][:, 0]), "tables": tables,
+        "report": report, "dump": dump,
     }
 
 
@@ -369,7 +369,7 @@ def _solve_summary(res, curve):
     report (by label where a number has one), the tip residuals and the
     single-valuedness residual are computed here, for the summary alone."""
     coeffs, tables = res["coeffs"], res["tables"]
-    report = tables.report(*res["fields"])[0].tolist()
+    report = tables.report(*res["report"])[0].tolist()
     residuals = _tip_residuals(coeffs, curve, tables.collocation.tip_rows)
     return [f"condition_estimate = {coeffs.condition_estimate:.6e}",
             "tip_condition_residuals ="

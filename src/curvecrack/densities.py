@@ -311,6 +311,8 @@ def q_rows_to_unknowns(re_rows, im_rows, curve: CrackCurve, material, basis):
     (kappa0 P + i P')/4mu with P = D g1 + kappa0 g2 for the derivative
     matrix D, so rows (a, b) on (Re q, Im q) are W P with W = (kappa0 a +
     b D)/4mu: W D on g1 and kappa0 W on g2.  D acts on the last axis.
+    The collocation tables and the face-field rows take their q rows to
+    the unknowns this way, once, so no run forms q per density.
     """
     k0 = curve.constant_curvature
     D = basis.derivative_matrix(curve.length, re_rows.shape[-1] - 1)

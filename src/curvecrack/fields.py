@@ -34,23 +34,28 @@ and of q.  The assembly (`solver._CollocationTables`) reads the traction
 and the face-curvature change, which need the s0-derivatives, at the
 first ceil(N/2) collocation points (the mirror gives the rest).  The
 field evaluator reads the face-average traction and the face function
-omega at its points, applies those rows to the real and imaginary
-coefficient columns of the solved densities, one or a sweep's stack of
-them, and adds the +-jump terms and the far field, refusing a density in
-another basis or of a higher degree.  A node side on a flat node rule is
-the discrete oracle: its principal values are node sums.
+omega at its points and builds from them, once, the rows of sigma_n,
+tau_n, du1/ds and du2/ds on both faces on the unknowns x = [g1; g2]
+(`_face_rows`, a `_FieldRows`): the +-jump terms and t'/2mu folded in,
+and the q rows taken through the closure at gamma1 = 1, as the
+collocation tables take theirs.  The fields of a density are then
+F0 x + gamma1 F1 x plus the far field, rows on the load's potential
+constants: one product for one density or a sweep's stack of them, with
+no q coefficients formed per call.  It refuses a density in another basis
+or of a higher degree.  A node side on a flat node rule is the discrete
+oracle: its principal values are node sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from .densities import (MONOMIALS, DensityCoefficients, _pv_tables,
                         _read_only, _single_valued_integrals, _tip_blocks,
-                        cauchy_densities, check_gamma1, q_polynomial)
+                        cauchy_densities, check_gamma1, q_rows_to_unknowns)
 from .geometry import CrackCurve
 from .kernels import KernelSet
 from .quadrature import Discretization, pv_cauchy_sum, regular_rule
@@ -245,7 +250,6 @@ class FaceFieldSample:
 
 
 _SIDES = ("plus", "minus")
-_SIGNS = np.array([1.0, -1.0])[:, None]
 # the kernels of the face fields, in the columns of `_NodeSide.rows_maps`
 _KERNELS = ("k1", "k3", "k4", "d1", "d4", "dd1", "dd4")
 
@@ -416,19 +420,119 @@ def _node_side(curve, material, degree, basis):
     return _NodeSide(curve, material, degree, basis=basis)
 
 
+def _far_fields(t1, material, phi, psi):
+    """sigma_n, tau_n, du1/ds and du2/ds of the uniform far field of the
+    potential constants phi, psi on a face of tangent t1, (4, M)."""
+    traction = 2.0 * np.real(phi) + np.conj(psi) * np.conj(t1) ** 2
+    du = ((material.kappa * phi - np.conj(phi)) * t1
+          - np.conj(psi) * np.conj(t1)) / (2.0 * material.mu)
+    return np.array([traction.real, traction.imag, du.real, du.imag])
+
+
+# the unit potential constants of the far-field rows, phi = 1, i and
+# psi = 1, i: (phi, psi) per column
+_UNIT_LOADS = ((1.0, 1j, 0.0, 0.0), (0.0, 0.0, 1.0, 1j))
+
+
+class _FieldRows:
+    """Real fields on the unknowns x = [g1; g2] of densities, affine in
+    gamma1 and in the load: rows (2, ..., K) and far (..., 4) give the
+    fields rows[0] x + gamma1 rows[1] x + far v, v = (Re phi, Im phi,
+    Re psi, Im psi) of the load's potential constants.
+
+    rows[0] holds the rows of g', rows[1] those of q at gamma1 = 1 through
+    the closure (`q_rows_to_unknowns`), as the collocation tables do; the
+    axes between (`shape`) are the fields' own.  Both are read-only;
+    pick() reads some of the fields as a view of them, and copy() holds
+    them apart.
+    """
+
+    def __init__(self, rows, far):
+        self.rows, self.far = _read_only(rows), _read_only(far)
+        self.shape = far.shape[:-1]
+
+    def pick(self, *index):
+        """The _FieldRows of the fields at the basic index, views."""
+        return _FieldRows(self.rows[(slice(None),) + index], self.far[index])
+
+    def copy(self):
+        """The _FieldRows of copies of the rows, which hold no other."""
+        return _FieldRows(self.rows.copy(), self.far.copy())
+
+    def apply(self, x, gamma1, load):
+        """The fields of P densities x (P, K) at gamma1 ((P,) or a scalar)
+        under the load, shape + (P,)."""
+        # one matrix per part, a view for the rows the tables keep
+        K = self.rows.shape[-1]
+        g, q = (self.rows.reshape(2, -1, K) @ np.ascontiguousarray(x.T)
+                ).reshape((2,) + self.shape + (-1,))
+        v = np.array([load.phi_inf, load.psi_inf], dtype=complex).view(float)
+        q *= gamma1
+        q += g
+        q += (self.far @ v)[..., None]
+        return q
+
+
+def _face_rows(side, s0, rows):
+    """The `_FieldRows` of sigma_n, tau_n, du1/ds and du2/ds on both faces
+    at the points s0, of shape (field, face, point), "+" face first.
+
+    rows are the node side's there (`_NodeSide.rows` without
+    s0-derivatives), (g' or q, kind, Re or Im, point, coefficient) of the
+    face averages Re Sigma, Im Sigma, Re omega and Im omega, which it
+    overwrites: du/ds = c omega, c = t'/2mu, takes the omega rows to
+    du1/ds and du2/ds.  Per face come the +-jumps per unit coefficient, q
+    in sigma_n and tau_n (Re q, Im q) and (i/2) g' in omega, so z g' in
+    du/ds; the q rows go to the unknowns through the closure.  The
+    far-field rows are those of the unit potential constants.
+    """
+    curve, material = side.curve, side.material
+    n = rows.shape[-1]
+    t1 = curve.tangent(s0)
+    c = (t1 / (2.0 * material.mu))[:, None]
+    re_w, im_w = rows[:, 2], rows[:, 3]
+    rows[:, 2], rows[:, 3] = (c.real * re_w - c.imag * im_w,
+                              c.imag * re_w + c.real * im_w)
+    fold = partial(q_rows_to_unknowns, curve=curve, material=material,
+                   basis=side.basis)
+    out = np.empty((2, 4, 2, len(s0), 2 * n))
+    for part, (re, im) in enumerate((rows[0].swapaxes(0, 1),
+                                     fold(rows[1, :, 0], rows[1, :, 1]))):
+        out[part] = np.concatenate([re, im], axis=-1)[:, None]
+    # omega is the face function whose jump is i g'(s0).  Its jump
+    # coefficient is i/2, not i(kappa+1)/2: the face limits of the
+    # potentials fix it so that the displacement-jump derivative equals
+    # i g' t'/(2 mu), consistent with the density definition.  Checked by
+    # test_displacement_jump_identity (the face values' jump) and
+    # test_jump_derivative_consistency (the slope of the opening, the
+    # integral of g' t' by the jump table).
+    table = side.basis.table(s0, curve.length, n - 1)
+    z, zero = 0.5j * c * table, np.zeros(table.shape)
+    for part, kinds, (re, im) in (
+            (1, slice(2), fold(np.stack([table, zero]),
+                               np.stack([zero, table]))),
+            (0, slice(2, 4), (np.stack([z.real, z.imag]),
+                              np.stack([-z.imag, z.real])))):
+        jump = np.concatenate([re, im], axis=-1)
+        out[part, kinds, 0] += jump
+        out[part, kinds, 1] -= jump
+    unit = np.array(_UNIT_LOADS)[:, :, None]
+    far = np.moveaxis(_far_fields(t1, material, *unit), 1, -1)
+    return _FieldRows(out, np.broadcast_to(far[:, None],
+                                           (4, 2) + far.shape[1:]))
+
+
 class _FieldEvaluator:
     """Face fields at fixed points s0, for any density of degree <= degree
     in the basis of node_side, whose curve and material it reads, under
     any load.
 
-    Construction checks the points, reads the operator's rows at them
-    (`_NodeSide.rows`, without s0-derivatives) and tabulates the basis and
-    the tangent at the points, all read-only; none of it depends on the
-    load, so one evaluator serves every load.  apply() applies the rows to
-    the real and imaginary coefficient columns of any number of solved
-    densities in that basis and adds the +-jump terms and the far field of
-    the load, O(M) per call, so one evaluator serves every density of a
-    sweep, and face_values is its one-density case.  A node side on a flat
+    Construction checks the points and builds the fields' rows on the
+    unknowns from one read of the operator at the points (`rows`,
+    `_face_rows`).  None of it depends on the density, gamma1 or the load,
+    so one evaluator serves every solution of a sweep under every load:
+    apply() is one product with the unknowns plus the far field, O(M) per
+    load, and face_values its one-density case.  A node side on a flat
     node rule gives the discrete oracle.
     """
 
@@ -441,9 +545,7 @@ class _FieldEvaluator:
                       & (self.s0 < length)):
             raise ValueError("the points s0 must be finite and lie strictly "
                              f"inside (0, {length}), got {s0}")
-        self._rows = _read_only(side.rows(self.s0, degree))
-        self._table = _read_only(side.basis.table(self.s0, length, degree))
-        self._t1 = _read_only(side.curve.tangent(self.s0))
+        self.rows = _face_rows(side, self.s0, side.rows(self.s0, degree))
 
     def face_values(self, densities, load):
         """sigma_n + i tau_n and d(u1 + i u2)/ds on both faces at the points.
@@ -452,56 +554,32 @@ class _FieldEvaluator:
         on the one density.  Raises ValueError unless the density is in the
         node side's basis, of its curve and of degree <= degree.
         """
-        side = self.node_side
-        if densities.basis != side.basis:
+        if densities.basis != self.node_side.basis:
             raise ValueError("the density's basis is not the node side's")
-        gp = densities.g1 + 1j * densities.g2
-        q = q_polynomial(side.curve, side.material, densities.gamma1,
-                         densities)
-        traction, du = self.apply(gp[None], q[None], load)
+        densities.check_curve(self.node_side.curve)
+        traction, du = self.apply(
+            np.concatenate([densities.g1, densities.g2])[None],
+            densities.gamma1, load)
         return traction[..., 0], du[..., 0]
 
-    def apply(self, gp_poly, q_poly, load):
-        """face_values of C densities under the load, (2, M, C) each.
+    def apply(self, x, gamma1, load):
+        """face_values of P densities under the load, (2, M, P) each.
 
-        gp_poly and q_poly are (C, n) complex coefficient matrices of g' and
-        q, n <= degree + 1; column c of the results belongs to row c.
-        Raises ValueError, naming both degrees, for a larger n.
+        x holds the unknowns [g1; g2] of each density as a row, (P, 2n)
+        with n <= degree + 1, and gamma1 is (P,) or one value for all;
+        column p of the results belongs to row p.  Raises ValueError,
+        naming both degrees, for a larger n.
         """
-        n = gp_poly.shape[-1]
+        n = x.shape[-1] // 2
         _check_degree(n - 1, self.degree, "the field evaluator")
-        # (g' or q, 1, Re or Im, coefficient, density) against the rows'
-        # (g' or q, kind, Re or Im, point, coefficient)
-        parts = np.array([[gp_poly.real.T, gp_poly.imag.T],
-                          [q_poly.real.T, q_poly.imag.T]])[:, None]
-        re_s, im_s, re_w, im_w = (self._rows[..., :n] @ parts).sum(
-            axis=(0, 2))
-        phi = self._table[:, :n]
-        signs = _SIGNS[..., None]
-        far, du_far = self._far_field(load)
-        traction = signs * (phi @ q_poly.T) + (re_s + 1j * im_s) \
-            + far[:, None]
-
-        # omega is the face function whose jump is i g'(s0).  Its jump
-        # coefficient is i/2, not i(kappa+1)/2: the face limits of the
-        # potentials fix it so that the displacement-jump derivative equals
-        # i g' t'/(2 mu), consistent with the density definition.  Checked
-        # by test_displacement_jump_identity (the face values' jump) and
-        # test_jump_derivative_consistency (the slope of the opening, the
-        # integral of g' t' by the jump table).
-        omega = signs * 0.5j * (phi @ gp_poly.T) + (re_w + 1j * im_w)
-        du = (self._t1[:, None] * omega + du_far[:, None]) \
-            / (2.0 * self.node_side.material.mu)
-        return traction, du
-
-    def _far_field(self, load):
-        """The load's uniform-field traction and du/ds at the points."""
-        phi, psi = load.phi_inf, load.psi_inf
-        t1 = self._t1
-        far = 2.0 * np.real(phi) + np.conj(psi) * np.conj(t1) ** 2
-        du_far = (self.node_side.material.kappa * phi - np.conj(phi)) * t1 \
-            - np.conj(psi) * np.conj(t1)
-        return far, du_far
+        top = self.degree + 1
+        if n < top:
+            # a lower degree reads the first n g1 and g2 columns
+            x = np.concatenate([x[:, :n], np.zeros((len(x), top - n)),
+                                x[:, n:], np.zeros((len(x), top - n))],
+                               axis=1)
+        sigma, tau, du1, du2 = self.rows.apply(x, gamma1, load)
+        return sigma + 1j * tau, du1 + 1j * du2
 
     def samples(self, densities, load):
         """FaceFieldSample lists at the points: ("+" face, "-" face)."""

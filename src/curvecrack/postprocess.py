@@ -12,19 +12,25 @@ both faces at once.
 Solve mode and the sweeps report one set of numbers, `SolveReport`, read
 and reduced through one path.  `_SweepTables` reads one node side
 (`fields._NodeSide`, the carrier of the curve, material, basis and N),
-from which the collocation tables (`solver._CollocationTables`) and one
-field evaluator read: at a midpoint face grid (the sweeps' 101
+from which the collocation tables (`solver._CollocationTables`) and the
+face-field rows on the unknowns x = [g1; g2] read (`fields._face_rows`,
+affine in gamma1): at a midpoint face grid (the sweeps' 101
 max-traction points, solve mode's 100 `face_fields.csv` points) plus the
 32 default tip-window points at s = 0.  It also holds the jump table of
-the openings, built once as part of it.
-For a stack of P solutions its `evaluate` is one application of the
-evaluator to the densities as columns and one product with the jump
-table, and its `report` one fit of du1/ds and tau_n of every solution on
-the shared [ln s, 1] design and the extremes.  None of it depends on the
-load or gamma1, so the cached node side of the curve, material and N
-(`fields._node_side`, the one table cache of the program) keeps it, one
-per face grid (`_sweep_tables`, `_NodeSide.derived`), and every run on
-them reads the same read-only tables.  A gamma1 sweep reads the tables
+the openings, built once as part of it, and the slope weights of the
+tip window's least-squares line, so a fit is a dot product.
+For a stack of P solutions its `evaluate` applies only the rows the
+report reads (sigma_n and tau_n at the face points, du1/ds and tau_n at
+the tip points) to the solutions as columns, with one product with the
+jump table, and its `report` takes the slopes of the tip values by the
+kept weights and the extremes.  A sweep's tables keep no other face
+rows; solve mode's (`_SolveTables`) keep du1/ds and du2/ds there too,
+apply every face row (`values`) and reduce the same way.  None of it
+depends on the load or gamma1, so the cached node side of the curve,
+material and N (`fields._node_side`, the one table cache of the program)
+keeps it, one per face grid (`_sweep_tables`, `_solve_tables`,
+`_NodeSide.derived`), and every run on them reads the same read-only
+tables.  A gamma1 sweep reads the tables
 once and solves its points as two stacks (`_solve_and_report`), the
 gamma1 = 0 points and the positive ones with their tip rows; a
 curvature sweep reads them once per curve, and solve mode (`cli`)
@@ -41,6 +47,8 @@ repeated column is formatted once.  The output grids are load-free too:
 the node side keeps each g' grid with its basis table and text
 (`_OutputGrid`), and solve mode's tables the text of the face points, so
 a warm run formats only the values that change with the load and gamma1.
+Kept text is kept written (`_Written`: checked and quoted once), so a
+write passes it through with one type check.
 """
 
 from __future__ import annotations
@@ -52,9 +60,8 @@ from functools import cached_property
 import numpy as np
 
 from .densities import (MONOMIALS, DensityCoefficients, _jump_table,
-                        _read_only, cauchy_densities, q_coefficients,
-                        traction_jump)
-from .fields import (_SIDES, _evaluator, _FieldEvaluator, _node_side,
+                        _read_only, cauchy_densities, traction_jump)
+from .fields import (_SIDES, _evaluator, _face_rows, _node_side,
                      _side_index)
 from .geometry import CrackCurve, make_circular_arc
 from .quadrature import Discretization, midpoint_grid
@@ -76,9 +83,11 @@ class OpeningProfile:
 
 
 # the points of an opening profile, and of the g' grid of solve mode and of
-# a convergence study, whose every second point is the opening's
+# a convergence study, whose every second point is the opening's; the
+# midpoints of solve mode's face_fields.csv
 _OPENING_POINTS = 201
 _GRID_POINTS = 401
+_FACE_POINTS = 100
 
 
 def opening_profile(coeffs: DensityCoefficients, curve: CrackCurve, material,
@@ -93,9 +102,11 @@ def opening_profile(coeffs: DensityCoefficients, curve: CrackCurve, material,
     """
     _check_count("n_samples", n_samples, 2)
     coeffs.check_curve(curve)
-    s_grid, jump, delta = _openings(
-        (coeffs.g1 + 1j * coeffs.g2)[:, None], curve, material,
-        _jump_table(curve, coeffs.degree, coeffs.basis, n_samples))
+    s_grid = np.linspace(0.0, curve.length, n_samples)
+    jump, delta = _openings(
+        (coeffs.g1 + 1j * coeffs.g2)[:, None],
+        _jump_table(curve, coeffs.degree, coeffs.basis, n_samples),
+        np.conj(curve.tangent(s_grid))[:, None], material.mu)
     delta = delta[:, 0]
     return OpeningProfile(s=s_grid, jump=jump[:, 0], delta=delta,
                           max_opening=float(np.max(delta)),
@@ -109,16 +120,15 @@ def _check_count(name, value, least):
                          f"got {value!r}")
 
 
-def _openings(gp, curve, material, table):
-    """The grid of a jump table, and the jump and opening of densities there.
+def _openings(gp, table, tangent, mu):
+    """The jump and the opening of densities on the grid of a jump table.
 
-    gp holds the coefficients of g' of P densities as columns, (N+1, P);
-    the jump and the opening delta are (n_samples, P), from one product.
+    gp holds the coefficients of g' of P densities as columns, (N+1, P),
+    and tangent the conjugate of t' at the grid points as a column; the
+    jump and the opening delta are (n_samples, P), from one product.
     """
-    s_grid = np.linspace(0.0, curve.length, len(table))
-    jump = 0.5j * (table @ gp) / material.mu
-    delta = np.imag(np.conj(curve.tangent(s_grid))[:, None] * jump)
-    return s_grid, jump, delta
+    jump = 0.5j * (table @ gp) / mu
+    return jump, np.imag(tangent * jump)
 
 
 @dataclass
@@ -312,8 +322,8 @@ def _sweep_header(row_type):
 
 class _OutputGrid:
     """n equispaced points s of [0, l], the node side's basis table there
-    at its degree, read-only both, and the points' CSV text, a tuple of
-    str: the g' grid of solve mode (`_SweepTables.grid`) and of a
+    at its degree, read-only both, and the points' CSV text, written
+    (`_Written`): the g' grid of solve mode (`_SweepTables.grid`) and of a
     convergence study.  The node side keeps one per n (`_NodeSide.derived`),
     so a run on it formats no grid point that an earlier run formatted.
     """
@@ -323,34 +333,50 @@ class _OutputGrid:
         self.s = _read_only(np.linspace(0.0, length, n))
         self.table = _read_only(node_side.basis.table(self.s, length,
                                                       node_side.degree))
-        self.text = tuple(_cells(self.s))
+        self.text = _Written(_cells(self.s))
 
 
 class _SweepTables:
     """Everything a solve on one curve and N reuses, with the one read
     (`evaluate`) and the one reduction (`report`) of a stack of solutions.
 
-    One node side serves the collocation tables and one field evaluator at
-    a midpoint grid of n_face points on both faces and, for the tip fits at
-    s = 0 on the "+" face, at fit_tip_coefficients' default window; the
-    jump table of the openings is built here, its one reader.  N is the
-    node side's degree.  On first use come what solve mode alone writes:
-    its g' grid (`grid`) and the text of the face points (`face_text`).
-    None of it depends on the load or gamma1, which evaluate() takes, and
-    its arrays are read-only and its text tuples, so the node side keeps
-    one per n_face for every run on it (`_sweep_tables`).
+    One node side serves the collocation tables and one read of the
+    operator (`_NodeSide.rows`) at a midpoint grid of n_face points and,
+    for the tip fits at s = 0 on the "+" face, at fit_tip_coefficients'
+    default window (`tip_dist`).  From it come the field rows on the
+    unknowns (`fields._face_rows`, as the field evaluator builds them): at
+    the face points sigma_n and tau_n on both faces (`traction_rows`,
+    `_keep`), and at the tip points tau_n and du1/ds on the "+" face
+    (`tip_rows`), with the slope weights of the tip window's least-squares
+    line (`slope`, the fit of `_fit_lines`).  The jump table of the
+    openings is built here, its one reader.  N is the node side's degree.
+    On first use come what solve mode alone writes: its g' grid (`grid`)
+    and the text of the face points (`face_text`).  None of it depends on
+    the load or gamma1, which evaluate() takes, and its arrays are
+    read-only and its text written, so the node side keeps one per n_face
+    for every run on it (`_sweep_tables`).
     """
 
     def __init__(self, node_side, n_face):
         curve, N = node_side.curve, node_side.degree
-        self.curve, self.material = curve, node_side.material
+        self.material = node_side.material
         self.collocation = node_side.derived(_CollocationTables, N)
         self.jump = _jump_table(curve, N, node_side.basis, _OPENING_POINTS)
+        self.jump_tangent = _read_only(np.conj(curve.tangent(np.linspace(
+            0.0, curve.length, _OPENING_POINTS)))[:, None])
         self.face_s = _read_only(midpoint_grid(curve.length, n_face))
         tip_dist, tip_s = _tip_points(curve, 0.0, None, _TIP_POINTS)
         self.tip_dist = _read_only(tip_dist)
-        self.fields = _FieldEvaluator(
-            node_side, np.concatenate([self.face_s, tip_s]), N)
+        self.slope = _read_only(_slope_weights(tip_dist))
+        rows = node_side.rows(np.concatenate([self.face_s, tip_s]), N)
+        self._keep(_face_rows(node_side, self.face_s, rows[..., :n_face, :]))
+        self.tip_rows = _face_rows(node_side, tip_s, rows[..., n_face:, :]
+                                   ).pick(slice(1, 3), 0).copy()
+
+    def _keep(self, face):
+        """Keep a copy of the sigma_n and tau_n rows of the face points,
+        all a sweep's report reads of them, so the du/ds rows are freed."""
+        self.traction_rows = face.pick(slice(2)).copy()
 
     @cached_property
     def grid(self):
@@ -361,33 +387,62 @@ class _SweepTables:
 
     @cached_property
     def face_text(self):
-        """The s and side columns of face_fields.csv at face_s."""
-        return _face_columns(tuple(_cells(self.face_s)))
+        """The s and side columns of face_fields.csv at face_s, written."""
+        s, side = _face_columns(_cells(self.face_s))
+        return _Written(s), _Written(_quoted(side))
+
+    def openings(self, x):
+        """The jump and the opening delta of P solutions x (P, 2N+2) on the
+        jump table's grid, (n_samples, P) each."""
+        n = x.shape[1] // 2
+        return _openings((x[:, :n] + 1j * x[:, n:]).T, self.jump,
+                         self.jump_tangent, self.material.mu)
 
     def evaluate(self, x, gamma1, load):
-        """The fields of P solutions x (P, 2N+2) at gamma1 (P,) under load.
+        """What the report reads of P solutions x (P, 2N+2) at gamma1 (P,)
+        under load, from its rows alone: sigma_n and tau_n on both faces at
+        face_s, (2, 2, n_face, P), tau_n and du1/ds at the tip points,
+        (2, n_tip, P), and the opening delta, (n_samples, P)."""
+        return (self.traction_rows.apply(x, gamma1, load),
+                self.tip_rows.apply(x, gamma1, load), self.openings(x)[1])
 
-        sigma_n + i tau_n and du/ds on both faces at face_s and then the
-        tip points, (2, M, P) each, and the jump and the opening delta on
-        the jump table's grid, (n_samples, P) each.
-        """
-        g1, g2 = np.split(x, 2, axis=1)
-        gp = g1 + 1j * g2
-        q = q_coefficients(self.curve, self.material, gamma1[:, None], g1, g2,
-                           self.collocation.node_side.basis)
-        traction, du = self.fields.apply(gp, q, load)
-        _, jump, delta = _openings(gp.T, self.curve, self.material, self.jump)
-        return traction, du, jump, delta
-
-    def report(self, traction, du, delta):
+    def report(self, traction, tip, delta):
         """The numbers of SolveReport of P solutions, (P, 5), from their
-        evaluate() values: one fit call for both tip fields of all."""
-        n, P = self.face_s.size, delta.shape[1]
-        A = _fit_lines(self.tip_dist, np.concatenate(
-            [du[0, n:].real, traction[0, n:].imag], axis=1))[0]
-        return np.column_stack([A[:P], A[P:], np.max(delta, axis=0),
-                                np.min(delta, axis=0),
-                                np.max(np.abs(traction[:, :n]), axis=(0, 1))])
+        evaluate() values: the slopes of the tip values and the
+        extremes."""
+        sigma, tau = traction
+        a2, a1 = self.slope @ tip
+        # the extremes of each solution over a contiguous row of its own
+        delta = np.ascontiguousarray(delta.T)
+        return np.column_stack([a1, a2, delta.max(axis=1), delta.min(axis=1),
+                                np.abs(sigma + 1j * tau).max(axis=(0, 1))])
+
+
+class _SolveTables(_SweepTables):
+    """The `_SweepTables` of solve mode, which also keep du1/ds and du2/ds
+    at the face points for face_fields.csv (`face_rows`, all four fields,
+    of which `traction_rows` is a view), and `values`, which applies them
+    all.  The node side keeps one (`_solve_tables`)."""
+
+    def _keep(self, face):
+        self.face_rows, self.traction_rows = face, face.pick(slice(2))
+
+    def values(self, x, gamma1, load):
+        """The face fields of P solutions x at gamma1 under load, sigma_n +
+        i tau_n and du1/ds + i du2/ds on both faces at face_s, (2, n_face,
+        P) each, the jump, (n_samples, P), and their evaluate() values."""
+        sigma, tau, du1, du2 = self.face_rows.apply(x, gamma1, load)
+        jump, delta = self.openings(x)
+        return (sigma + 1j * tau, du1 + 1j * du2, jump,
+                ((sigma, tau), self.tip_rows.apply(x, gamma1, load), delta))
+
+
+def _slope_weights(dist):
+    """The weights w of the slope A = w @ values of the least-squares line
+    values ~ A ln s + c at the distances dist: the centered ln s over its
+    sum of squares."""
+    centered = np.log(dist) - np.mean(np.log(dist))
+    return centered / (centered @ centered)
 
 
 def _sweep_tables(curve, material, N, n_face):
@@ -397,6 +452,13 @@ def _sweep_tables(curve, material, N, n_face):
     Discretization(N, curve.length)
     return _node_side(curve, material, N, MONOMIALS).derived(_SweepTables,
                                                              n_face)
+
+
+def _solve_tables(curve, material, N):
+    """The `_SolveTables` of face_fields.csv's _FACE_POINTS on the cached
+    node side of the curve, material and N, which keeps them."""
+    return _node_side(curve, material, N, MONOMIALS).derived(_SolveTables,
+                                                             _FACE_POINTS)
 
 
 # numpy's LinAlgError is a ValueError
@@ -421,9 +483,8 @@ def _solve_and_report(tables, load, rows, gamma1):
         x, errors = _solutions(system)
         x = x[[e is None for e in errors]]
         rows, gamma1 = _keep(rows, gamma1, errors)
-        traction, du, _, delta = tables.evaluate(x, gamma1, load)
-        for row, values in zip(rows, tables.report(traction, du,
-                                                   delta).tolist()):
+        for row, values in zip(rows, tables.report(*tables.evaluate(
+                x, gamma1, load)).tolist()):
             for number, value in zip(_NUMBERS, values, strict=True):
                 setattr(row, number.name, value)
     except _SWEEP_ERRORS as exc:
@@ -516,10 +577,13 @@ def convergence_study(curve, material, load, gamma1, n_list,
     (`fields._node_side`), and the collocation tables of N and the grid,
     with its table and text, that it keeps (`_NodeSide.derived`), so a
     study repeated on the curve and material builds and formats no table
-    or grid.
+    or grid.  Every N is checked (`Discretization`) before anything is
+    built.
     """
     _check_count("n_grid", n_grid, 2)
     n_list = list(n_list)
+    for n in n_list:
+        Discretization(n, curve.length)
     if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly ascending with at least "
                          "two entries")
@@ -577,12 +641,26 @@ def extremum_coincidence_report(rows):
 # ---------------------------------------------------------------------------
 # CSV persistence (header row mandatory, full-precision floats)
 
+class _Written(tuple):
+    """A CSV column in its written form: text cells, quoted where the csv
+    module needs it (`_quoted`), which `_cells` takes as it stands, and so
+    a slice of it.  The text kept with the tables (`_OutputGrid.text`,
+    `_SweepTables.face_text`) is checked and quoted once, when it is
+    formatted."""
+
+    def __getitem__(self, index):
+        cells = tuple.__getitem__(self, index)
+        return _Written(cells) if isinstance(index, slice) else cells
+
+
 def _cells(column):
     """The text of one CSV column: floats by repr (the shortest text that
     reads back to the same double), integers by str, strings as given
     (`_quoted`).  A list or tuple of strings is a text column as it
-    stands, so a column formatted once, or kept formatted
-    (`_OutputGrid.text`), is written again without a second repr."""
+    stands, so a column formatted once is written again without a second
+    repr, and a `_Written` column is its own text."""
+    if isinstance(column, _Written):
+        return column
     if isinstance(column, (list, tuple)) and all(isinstance(c, str)
                                                  for c in column):
         return _quoted(column)
@@ -612,10 +690,11 @@ def write_csv(path, header, columns):
     """Write a header row and the rows of equally long columns.
 
     Each column is formatted by `_cells`: a list or tuple of str, the
-    text a caller formatted once or keeps, is written as it stands but for
-    the quoting rule.  The whole file is one string, the rows joined in
-    one pass, written in one call; a column of unequal length raises
-    before the file is opened.
+    text a caller formatted once, is written as it stands but for the
+    quoting rule, and the text kept written (`_Written`) as it stands.
+    The whole file is one string, the rows joined in one pass, written in
+    one call; a column of unequal length raises before the file is
+    opened.
     """
     cells = [_cells(column) for column in columns]
     text = "\n".join([",".join(header),

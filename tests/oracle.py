@@ -15,7 +15,11 @@ coefficient columns of g' and q:
   differentiating omega's coefficients with `times_derivative`, the
   column shift of the centered monomials, not with the derivative matrix
   of `densities`.  It shares no code with the program's read beyond the
-  raw and principal-value tables.
+  raw and principal-value tables;
+- `coefficient_face_values` gives both faces' fields from the node side's
+  rows (`_NodeSide.rows`) applied to the coefficients of g' and q, with
+  the jump terms and the far field added per call: the evaluation that
+  `fields._FieldEvaluator` replaced with rows on the unknowns [g1; g2].
 """
 
 from functools import cached_property
@@ -112,3 +116,32 @@ class FaceOperator:
                        - vl * a * a + v0 * b * b
                        + (reg["dd4"] @ gp + kappa * (reg["dd1"] @ wq)))
         return np.stack(out) / (2.0 * np.pi * (kappa + 1.0))
+
+
+def coefficient_face_values(side, s0, degree, gp_poly, q_poly, load):
+    """sigma_n + i tau_n and du/ds on both faces at s0, (2, M, C) each, "+"
+    face first, of the C densities whose g' and q have the (C, n)
+    coefficient rows gp_poly and q_poly, n <= degree + 1.
+
+    The node side's rows of Re Sigma, Im Sigma, Re omega and Im omega per
+    unit real and imaginary part of each coefficient of g' and of q, times
+    those parts, plus the jumps (+-q in the traction, +-(i/2) g' in omega)
+    and the uniform far field of the load; du/ds = t' omega / 2mu.
+    """
+    s0 = np.asarray(s0, dtype=float)
+    n = gp_poly.shape[-1]
+    length, material = side.curve.length, side.material
+    rows = side.rows(s0, degree)[..., :n]
+    parts = np.array([[gp_poly.real.T, gp_poly.imag.T],
+                      [q_poly.real.T, q_poly.imag.T]])[:, None]
+    re_s, im_s, re_w, im_w = (rows @ parts).sum(axis=(0, 2))
+    phi = side.basis.table(s0, length, degree)[:, :n]
+    signs = np.array([1.0, -1.0])[:, None, None]
+    t1 = side.curve.tangent(s0)[:, None]
+    p_inf, s_inf = load.phi_inf, load.psi_inf
+    far = 2.0 * np.real(p_inf) + np.conj(s_inf) * np.conj(t1) ** 2
+    du_far = (material.kappa * p_inf - np.conj(p_inf)) * t1 \
+        - np.conj(s_inf) * np.conj(t1)
+    traction = signs * (phi @ q_poly.T) + (re_s + 1j * im_s) + far
+    omega = signs * 0.5j * (phi @ gp_poly.T) + (re_w + 1j * im_w)
+    return traction, (t1 * omega + du_far) / (2.0 * material.mu)

@@ -13,8 +13,14 @@ measured, not a property of the model:
     296.9, 108.3 and 69.4 for N = 16, 20, 24 and 30;
   - they are not set by the Tikhonov floor: at N = 20 no direction is
     damped, and a relative weight of 1e-12 moves 296.92 only to 296.97;
-  - there is no resonance: the reduced condition number at gamma1 = 0.25
-    (3.6e6) is no larger than at 0.5 (3.9e6) or at 0.1 (4.4e6);
+  - they sit next to a discrete resonance: at N = 20 the semicircle's
+    maximum grows 25-50-fold in a narrow band around gamma1* ~ 0.27
+    (0.268-0.276), where the tip boundary layer sqrt(gamma1 (kappa - 1)
+    / 4 mu) is about a quarter of the collocation spacing l / N (beta ~
+    0.26).  gamma1* moves like N^-2 (0.45, 0.27, 0.18 and 0.115 for N =
+    16, 20, 24 and 30), so the gamma1 = 0.25 maximum follows its
+    distance to gamma1*.  The reduced condition number hardly moves
+    across the band (3.6e6 to 7.8e6), so it does not show the resonance;
   - the density does not solve the boundary equation between collocation
     points: at N = 20 the residual at the nodes l k / N is 0.34
     (gamma1 = 1) and 2.9 (gamma1 = 0.25) of the largest forcing, against

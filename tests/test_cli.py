@@ -682,18 +682,21 @@ def test_cached_tables_are_read_only(cold_tables):
     _, curve, material, load, disc = config.build()
     res = cli._solve_outputs(config, curve, material, load, disc, False)
     tables = res["tables"]
-    assert tables is post._sweep_tables(curve, material, 12, 100)
-    collocation, evaluator, grid = (tables.collocation, tables.fields,
-                                    tables.grid)
+    assert tables is post._solve_tables(curve, material, 12)
+    collocation, grid = tables.collocation, tables.grid
     side = collocation.node_side
     assert side is fields._node_side(curve, material, 12, side.basis)
     assert collocation is side.derived(solver._CollocationTables, 12)
     assert grid is side.derived(post._OutputGrid, 401)
-    # the text it keeps is tuples of str
+    # the text it keeps is written str cells
     for text in (grid.text, *tables.face_text):
-        assert type(text) is tuple and all(type(c) is str for c in text)
-    arrays = [tables.jump, tables.face_s, tables.tip_dist, grid.s, grid.table,
-              evaluator.s0, evaluator._rows, evaluator._table, evaluator._t1,
+        assert type(text) is post._Written
+        assert all(type(c) is str for c in text)
+    arrays = [tables.jump, tables.face_s, tables.tip_dist, tables.slope,
+              grid.s, grid.table,
+              *(getattr(rows, name) for rows in (
+                  tables.face_rows, tables.traction_rows, tables.tip_rows)
+                for name in ("rows", "far")),
               *collocation.blocks, collocation.mirror, *collocation.tip_rows,
               collocation.single_valued, collocation.single_valued_rows,
               *side._kernel, *side.rows_maps.values(), *side.tip_rows,

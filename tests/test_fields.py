@@ -15,7 +15,7 @@ from curvecrack.densities import (MONOMIALS, poly_derivative, poly_eval,
                                   q_coefficients, q_polynomial)
 from curvecrack.quadrature import (Discretization, gauss_legendre,
                                    pv_cauchy_sum, regular_rule)
-from oracle import FaceOperator
+from oracle import FaceOperator, coefficient_face_values
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -294,9 +294,9 @@ class TestFaceFields:
         coeffs = solve_problem(semicircle, material, load_h, 1.0, N=16)
         ev = fields._FieldEvaluator(fields._NodeSide(semicircle, material, 12),
                                     [0.5, 1.5], 12)
-        gp = (coeffs.g1 + 1j * coeffs.g2)[None]
+        x = np.concatenate([coeffs.g1, coeffs.g2])[None]
         for call in (lambda: ev.face_values(coeffs, load_h),
-                     lambda: ev.apply(gp, gp, load_h)):
+                     lambda: ev.apply(x, 1.0, load_h)):
             with pytest.raises(ValueError, match="degree 16 exceeds the 12 "
                                "the field evaluator was built for"):
                 call()
@@ -478,7 +478,7 @@ class TestFaceFields:
         side = fields._NodeSide(curve, material, 8)
         want = FaceOperator(side, grid, 8).apply(gp, q)
         ev = fields._FieldEvaluator(side, grid, 8)
-        traction, du = ev.apply(gp, q, load)
+        traction, du = ev.apply(np.concatenate([g1, g2], axis=1), 1.0, load)
         t1 = curve.tangent(grid)[:, None]
         phi, psi = load.phi_inf, load.psi_inf
         far = 2.0 * phi.real + np.conj(psi) * np.conj(t1) ** 2
@@ -488,6 +488,47 @@ class TestFaceFields:
                (2.0 * material.mu * du.mean(axis=0) - du_far) / t1]
         for x, y in zip(got, want):
             assert np.max(np.abs(x - y)) <= 1e-13 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("N", [8, 20])
+    @pytest.mark.parametrize("curve", [make_semicircle(),
+                                       make_circular_arc(0.5),
+                                       make_straight(2.0)],
+                             ids=["semicircle", "arc", "straight"])
+    def test_evaluator_on_unknowns_matches_coefficient_oracle(
+            self, material, curve, N):
+        # the rows on the unknowns [g1; g2], affine in gamma1, give the
+        # fields of the evaluation on the coefficients of g' and q that
+        # they replaced: for a stack at each gamma1, for one gamma1 per
+        # density, and for densities of a lower degree
+        rng = np.random.default_rng(31)
+        g1, g2 = rng.normal(size=(2, 4, N + 1))
+        load = FarFieldLoad(sigma1=1.0, sigma2=0.4, alpha=0.3)
+        grid = np.sort(rng.uniform(0.005, 0.995, 23)) * curve.length
+        side = fields._NodeSide(curve, material, N)
+        ev = fields._FieldEvaluator(side, grid, N)
+        gammas = [0.0, 0.3, 1.0, 2.0]
+
+        def check(got, want):
+            for g, w in zip(got, want):
+                for part in (np.real, np.imag):
+                    assert np.max(np.abs(part(g) - part(w))) \
+                        <= 1e-12 * np.max(np.abs(part(w)))
+
+        def oracle(gamma1, n):
+            q = q_coefficients(curve, material, gamma1, g1[:, :n], g2[:, :n],
+                               MONOMIALS)
+            return coefficient_face_values(side, grid, N,
+                                           g1[:, :n] + 1j * g2[:, :n], q,
+                                           load)
+
+        for n in (N + 1, N - 2):
+            x = np.concatenate([g1[:, :n], g2[:, :n]], axis=1)
+            for gamma1 in gammas:
+                check(ev.apply(x, gamma1, load), oracle(gamma1, n))
+            got = ev.apply(x, np.array(gammas), load)
+            for p, gamma1 in enumerate(gammas):
+                check([v[..., p] for v in got],
+                      [v[..., p] for v in oracle(gamma1, n)])
 
     def test_validation_errors(self, material, semicircle, load_h):
         zero = _zero_coeffs(semicircle)

@@ -1,5 +1,6 @@
 import csv
 import gc
+import re
 import weakref
 from dataclasses import fields
 
@@ -18,7 +19,7 @@ from curvecrack import (CrackCurve, DensityCoefficients, Discretization,
                         solve_problem, sweep_curvature, sweep_gamma,
                         tip_condition_residuals, tip_log_coefficients,
                         traction_jump, traction_jump_parts)
-from curvecrack import postprocess, solver
+from curvecrack import densities, postprocess, solver
 from curvecrack.densities import MONOMIALS
 from curvecrack.fields import (_FieldEvaluator, _node_side, _NodeSide,
                                face_field_profile)
@@ -379,22 +380,84 @@ class TestSweepTables:
 
     def test_one_cache_frees_every_table(self, semicircle, material, load_h,
                                          cold_tables):
-        # a sweep's tables, their collocation tables, field evaluator and
-        # node side live in the node side cache alone: emptying it frees
-        # them (the node side and the tables it keeps form cycles, which
-        # gc frees)
+        # a sweep's tables, their collocation tables, field rows and node
+        # side live in the node side cache alone: emptying it frees them
+        # (the node side and the tables it keeps form cycles, which gc
+        # frees)
         sweep_gamma(semicircle, material, load_h, [0.5, 1.0], N=12)
         tables = postprocess._sweep_tables(semicircle, material, 12,
                                            postprocess._TRACTION_POINTS)
+        rows = (tables.traction_rows, tables.tip_rows)
+        arrays = [tables.slope, *(getattr(r, name) for r in rows
+                                  for name in ("rows", "far"))]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0.0
         refs = [weakref.ref(x) for x in (
-            tables, tables.collocation, tables.fields,
+            tables, tables.collocation, *rows, *arrays,
             tables.collocation.node_side, tables.grid, tables.grid.table)]
-        del tables
+        del tables, rows, arrays, array
         gc.collect()
         assert all(ref() is not None for ref in refs)
         _node_side.cache_clear()
         gc.collect()
         assert all(ref() is None for ref in refs)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_kept_fit_weights_give_the_fit_slope(self, semicircle, material,
+                                                 load_h, seed):
+        # the report's slope weights are the least-squares line of
+        # _fit_lines on the tip window: random values, and the tip values
+        # of a solve
+        tables = postprocess._sweep_tables(semicircle, material, 12,
+                                           postprocess._TRACTION_POINTS)
+        dist = tables.tip_dist
+        rng = np.random.default_rng(seed)
+        values = np.column_stack([
+            rng.normal(size=(dist.size, 3)),
+            5.0 + 0.3 * np.log(dist) + 1e-3 * rng.normal(size=dist.size)])
+        coeffs = solve_problem(semicircle, material, load_h, 0.5 + seed, 12)
+        for name in ("du1_ds", "tau_n"):
+            values = np.column_stack([values, collect_tip_samples(
+                semicircle, material, load_h, coeffs, name)[1]])
+        want = postprocess._fit_lines(dist, values)[0]
+        got = tables.slope @ values
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_warm_sweep_fits_and_builds_nothing(self, semicircle, material,
+                                                load_h, load_v, monkeypatch,
+                                                cold_tables):
+        # a sweep on tables a sweep left, under another load and gamma1,
+        # fits by the kept weights, finds q through the rows and builds no
+        # table
+        sweep_gamma(semicircle, material, load_h, [1.0], N=20)
+        calls = []
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner, name in (
+                (np, "polyfit"), (np.linalg, "lstsq"),
+                (densities, "q_coefficients"), (_NodeSide, "__init__"),
+                (_NodeSide, "rows"), (postprocess, "_face_rows"),
+                (postprocess._SweepTables, "__init__"),
+                (solver._CollocationTables, "__init__"),
+                (postprocess, "_jump_table"), (postprocess, "_slope_weights")):
+            counted(owner, name)
+        rows = sweep_gamma(semicircle, material, load_v,
+                           [0.5 * 4.0 ** (i / 7) for i in range(8)], N=20)
+        assert not any(row.error for row in rows)
+        assert calls == []
+        # the counters see what they count
+        postprocess._fit_lines(np.arange(1.0, 9.0), np.ones((8, 1)))
+        sweep_gamma(semicircle, material, load_v, [1.0], N=16)
+        assert {"polyfit", "__init__", "rows", "_face_rows", "_jump_table",
+                "_slope_weights"} <= set(calls)
 
     def test_one_cache_frees_the_convergence_grid(self, semicircle, material,
                                                   load_h, cold_tables):
@@ -552,6 +615,16 @@ class TestConvergenceStudy:
             convergence_study(semicircle, material, load_h, 1.0, [16])
         with pytest.raises(ValueError):
             convergence_study(semicircle, material, load_h, 1.0, [16, 12])
+
+    @pytest.mark.parametrize("n_list", [[16, 20.0], [16, 20.5], [16, "20"]])
+    def test_non_integer_N_is_named(self, material, semicircle, load_h,
+                                    n_list, cold_tables):
+        # every N is checked before the node side of the largest is built
+        # or the list's order compared: numpy's TypeError named no value
+        # (cold, since 20.0 is the cache key 20)
+        with pytest.raises(ValueError, match="must be an integer of at least "
+                           f"4, got {re.escape(repr(n_list[-1]))}"):
+            convergence_study(semicircle, material, load_h, 1.0, n_list)
 
     def test_residual_is_not_normalized(self, material, semicircle, load_h,
                                         monkeypatch):

@@ -5,6 +5,8 @@ inside main(), so the import has no side effects.
 """
 
 import importlib.util
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,6 +75,24 @@ def test_face_profiles_build_one_node_side(tmp_path, monkeypatch, capsys,
     assert len(list((tmp_path / "out").glob("face_fields_*.csv"))) == 9
     assert module.main(["a", "b"]) == 2
     assert not (Path.cwd() / "a").exists()
+
+
+def test_ab_timing_compares_a_tree_with_itself(capsys, monkeypatch):
+    # both roots the same tree: two imports of one curvecrack side by side,
+    # warm runs in turn, a median per checkout and their ratio
+    module = _load(next(p for p in SCRIPTS if p.name == "ab_timing.py"))
+    monkeypatch.setattr(module, "ITERATIONS", 4)
+    root = str(Path(__file__).resolve().parent.parent)
+    assert module.main([root, root, "--workload", "gamma-sweep",
+                        "--seeds", "3"]) == 0
+    seed, median = capsys.readouterr().out.splitlines()
+    match = re.fullmatch(r"seed 3: A ([\d.]+) ms  B ([\d.]+) ms  "
+                         r"B/A ([\d.]+)", seed)
+    assert match and all(float(v) > 0.0 for v in match.groups())
+    assert median == f"median B/A {match.group(3)} over 1 seeds"
+    cli_a, cli_b = (sys.modules[f"curvecrack_ab_{k}.cli"] for k in "ab")
+    assert cli_a is not cli_b
+    assert cli_a.__file__ == cli_b.__file__
 
 
 def test_snapshot_outputs_compare_between_directories(tmp_path, capsys):
