@@ -12,7 +12,7 @@ Solve mode reads and reports through the sweeps' path: one
 `postprocess._SolveTables` (the sweeps' tables with du/ds at the face
 points too), kept by the cached node side of the curve, material and N
 (`postprocess._solve_tables`), gives the system, its `values` the face
-fields, tip samples and opening of the solution, and its `report`, only
+fields, tip coefficients and opening of the solution, and its `report`, only
 for a printed summary, the numbers of `postprocess.SolveReport`.  A
 convergence run writes g_prime.csv from the samples the study compared,
 on the study's grid.  Every mode writes its CSVs through

@@ -22,11 +22,11 @@ so Re q = (gamma1/4mu) kappa0 P and Im q = (gamma1/4mu) P'.  Every curve
 has constant curvature (`geometry.CrackCurve`), so P and q are
 polynomials, written once in coefficient form (`q_coefficients`).
 `cauchy_densities` is the one definition of the face fields'
-principal-value densities and tip log terms.  The constraint rows of the
-solver are closed forms over the basis alone: the single-valuedness
-integrals (the tangent integrals at s = l; at the opening points they are
-the opening's jump table, `_jump_table`, built per call) and the tip
-rows (`_tip_blocks`).
+principal-value densities and tip log terms, whose rows on [g1; g2] the
+solver's tip rows (`_tip_blocks`) and the reported log coefficients
+(`_tip_log_rows`) share.  The single-valuedness integrals are closed
+forms over the basis too (the tangent integrals at s = l; at the opening
+points the opening's jump table, `_jump_table`, built per call).
 """
 
 from __future__ import annotations
@@ -390,28 +390,45 @@ def _tip_blocks(curve: CrackCurve, material, degree: int, basis):
     constraint order, the rows of the first tip first.
 
     Per tip: -Im omega and Re sigma / 2 of `cauchy_densities`, which zero
-    the log terms of the normal component of du/ds and of sigma_n.  Both
-    are Re(z g' + z_q q) with the densities' coefficients z and z_q, and
-    Re(z x) = Re z Re x - Im z Im x; g' at a tip is the basis b there on
-    g1 and i b on g2, and q (gamma1 T1) comes from the closure
-    (`q_rows_to_unknowns`).  On a straight crack these degenerate (the
-    first reduces to Im g' = 0) and leave the boundary-layer modes
+    the log terms of the normal component of du/ds and of sigma_n
+    (`_density_rows`).  On a straight crack these degenerate (the first
+    reduces to Im g' = 0) and leave the boundary-layer modes
     exp(+-s/sqrt(gamma1(kappa-1)/4mu)) unpinned; the rows Re g'' and
     Im g'' at each tip, b' on g1 and on g2, pin them.
     """
     b = basis.table([0.0, curve.length], curve.length, degree)
-    (sg, og), (sq, oq) = (cauchy_densities(1.0, 0.0, material.kappa),
-                          cauchy_densities(0.0, 1.0, material.kappa))
-    t0, t1 = [], []
     # -Im omega = Re(i omega), then Re sigma / 2
-    for z, zq in ((1j * og, 1j * oq), (0.5 * sg, 0.5 * sq)):
-        t0.append(np.hstack([z.real * b, -z.imag * b]))
-        t1.append(np.hstack(q_rows_to_unknowns(zq.real * b, -zq.imag * b,
-                                               curve, material, basis)))
+    t0, t1 = zip(*(_density_rows(w, p, b, curve, material, basis)
+                   for w, p in ((1j, 1), (0.5, 0))))
     if curve.constant_curvature == 0.0:
         b1 = b @ basis.derivative_matrix(curve.length, degree)
         zero = np.zeros(b.shape)
-        t0 += [np.hstack([b1, zero]), np.hstack([zero, b1])]
-        t1 += [np.zeros(t0[0].shape)] * 2
+        t0 += (np.hstack([b1, zero]), np.hstack([zero, b1]))
+        t1 += (np.zeros(t0[0].shape),) * 2
     return tuple(np.stack(t, axis=1).reshape(-1, 2 * degree + 2)
                  for t in (t0, t1))
+
+
+def _tip_log_rows(curve: CrackCurve, material, degree: int, basis):
+    """T0 and T1 of the log coefficients A = -p(0) / (2 pi (kappa+1)) at
+    s = 0 of sigma_n, tau_n (p = sigma), du1/ds and du2/ds (p = t'(0)
+    omega / 2mu), (4, 2 degree + 2), as `_tip_blocks` of the tip rows."""
+    b = basis.table([0.0], curve.length, degree)
+    scale = -1.0 / (2.0 * np.pi * (material.kappa + 1.0))
+    du = scale * complex(curve.tangent(0.0)) / (2.0 * material.mu)
+    # Re(w p), then Im(w p) = Re(-i w p)
+    rows = [_density_rows(w, p, b, curve, material, basis)
+            for p, c in enumerate((scale, du)) for w in (c, -1j * c)]
+    return tuple(np.concatenate(t) for t in zip(*rows))
+
+
+def _density_rows(w, p, b, curve: CrackCurve, material, basis):
+    """T0 and T1 of Re(w sigma) (p = 0) or Re(w omega) (p = 1) of
+    `cauchy_densities`, Re(z g' + z_q q), on [g1; g2] at the points of the
+    basis table b: Re(z x) = Re z Re x - Im z Im x, g' is b on g1 and i b
+    on g2, and q comes from the closure at gamma1 = 1."""
+    z, zq = (w * cauchy_densities(g, q, material.kappa)[p]
+             for g, q in ((1.0, 0.0), (0.0, 1.0)))
+    return (np.hstack([z.real * b, -z.imag * b]),
+            np.hstack(q_rows_to_unknowns(zq.real * b, -zq.imag * b,
+                                         curve, material, basis)))

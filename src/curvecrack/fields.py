@@ -18,9 +18,9 @@ are split into a table and its application.  The operator is one object,
 curve, material, degree and basis while the key is among the 8 most
 recent (`_node_side`, the one table cache: a node side keeps every table
 built from it, `_NodeSide.derived`), and the collocation tables and the
-field evaluators read all four from it.  The field evaluator does not
-depend on the load, which it takes per call, so it is shared between
-runs too.
+field evaluators read all four from it.  Only the node side is cached:
+each public call builds a new field evaluator on it at its own points,
+which takes the load per call.
 The node side tabulates everything that depends neither on the density
 nor on the points s0: the rule's weighted basis and the kernels' node
 tables.  It is read one way only, through rows(s0, degree, derivatives):

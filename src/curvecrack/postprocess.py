@@ -1,43 +1,36 @@
-"""Derived results: opening profiles, tip log-singularity fits, parameter sweeps.
+"""Derived results: opening profiles, tip log-singularity coefficients, sweeps.
 
 The crack opening is the jump table (`densities._jump_table`) applied to
 the density's coefficients (`opening_profile` builds it on each call),
-and close to the tips the face fields inherit a logarithmic term whose
-coefficient is extracted by a least-squares fit of value ~ A ln s + c
-over a window well inside the first quarter of the arc.  Face-field
-profiles, tip fits and the maximal face traction each build one field
-evaluator at all their points s0 and apply it to the density; it returns
-both faces at once.
+and close to the tips the face fields inherit a logarithmic term A ln s
+whose coefficient has a closed form in the densities at the tip
+(`tip_log_coefficients`): the A every report prints.  A least-squares
+fit of value ~ A ln s + c near a tip (`fit_tip_coefficients`) agrees
+with it only in windows well inside the tip's boundary layer, not in
+the default one.  Face-field profiles, tip fits and the maximal face
+traction each build one field evaluator at all their points s0 and
+apply it to the density; it returns both faces at once.
 
 Solve mode and the sweeps report one set of numbers, `SolveReport`, read
 and reduced through one path.  `_SweepTables` reads one node side
-(`fields._NodeSide`, the carrier of the curve, material, basis and N),
-from which the collocation tables (`solver._CollocationTables`) and the
-face-field rows on the unknowns x = [g1; g2] read (`fields._face_rows`,
-affine in gamma1): at a midpoint face grid (the sweeps' 101
-max-traction points, solve mode's 100 `face_fields.csv` points) plus the
-32 default tip-window points at s = 0.  It also holds the jump table of
-the openings, built once as part of it, and the slope weights of the
-tip window's least-squares line, so a fit is a dot product.
-For a stack of P solutions its `evaluate` applies only the rows the
-report reads (sigma_n and tau_n at the face points, du1/ds and tau_n at
-the tip points) to the solutions as columns, with one product with the
-jump table, and its `report` takes the slopes of the tip values by the
-kept weights and the extremes.  A sweep's tables keep no other face
-rows; solve mode's (`_SolveTables`) keep du1/ds and du2/ds there too,
-apply every face row (`values`) and reduce the same way.  None of it
-depends on the load or gamma1, so the cached node side of the curve,
-material and N (`fields._node_side`, the one table cache of the program)
-keeps it, one per face grid (`_sweep_tables`, `_solve_tables`,
-`_NodeSide.derived`), and every run on them reads the same read-only
-tables.  A gamma1 sweep reads the tables
-once and solves its points as two stacks (`_solve_and_report`), the
-gamma1 = 0 points and the positive ones with their tip rows; a
-curvature sweep reads them once per curve, and solve mode (`cli`)
-evaluates a stack of one and reports only for its summary.  Errors stay
-per point: an invalid gamma1 never enters a stack, a point that fails a
-check of its own gets that error while the others go on, and an error of
-the whole stack goes on each of its rows.
+(`fields._NodeSide`, the carrier of the curve, material, basis and N)
+for the collocation tables (`solver._CollocationTables`) and the rows on
+the unknowns x = [g1; g2], affine in gamma1, of what the report reads:
+sigma_n and tau_n on both faces at a midpoint grid (`fields._face_rows`;
+the sweeps' 101 max-traction points, solve mode's 100 `face_fields.csv`
+points, where its `_SolveTables` keep du1/ds and du2/ds too) and the tip
+log coefficients A1 and A2, with the jump table of the openings.  None
+of it depends on the load or gamma1, so the cached node side of the
+curve, material and N (`fields._node_side`, the one table cache of the
+program) keeps it, one per face grid (`_sweep_tables`, `_solve_tables`,
+`_NodeSide.derived`).  A gamma1 sweep reads the tables once and solves
+its points as two stacks (`_solve_and_report`), the gamma1 = 0 points
+and the positive ones with their tip rows; a curvature sweep reads them
+once per curve, and solve mode (`cli`) evaluates a stack of one and
+reports only for its summary.  Errors stay per point: an invalid gamma1
+never enters a stack, a point that fails a check of its own gets that
+error while the others go on, and an error of the whole stack goes on
+each of its rows.
 
 Every CSV goes through `write_csv`, which takes whole columns, formats each
 column once (floats by repr, integers by str, strings quoted where the csv
@@ -60,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .densities import (MONOMIALS, DensityCoefficients, _jump_table,
-                        _read_only, cauchy_densities, traction_jump)
+                        _read_only, _tip_log_rows)
 from .fields import (_SIDES, _evaluator, _face_rows, _node_side,
                      _side_index)
 from .geometry import CrackCurve, make_circular_arc
@@ -186,8 +179,7 @@ def default_fit_window(length: float) -> tuple:
     return (length / 200.0, length / 20.0)
 
 
-# default point counts of max_face_traction and the tip fits; the sweep
-# reports use them too
+# default point counts of max_face_traction (the sweeps' too) and tip fits
 _TRACTION_POINTS = 101
 _TIP_POINTS = 32
 
@@ -258,18 +250,21 @@ def tip_log_coefficients(curve, material, coeffs):
     behaves like A ln s + O(1) with A = -p(0) / (2 pi (kappa+1)), where p
     is its principal-value density (`densities.cauchy_densities`, the
     definition the solver's tip rows use): sigma for sigma_n + i tau_n and
-    t'(0) omega / 2mu for du1/ds + i du2/ds.  Used as an independent
-    cross-check of the fitted coefficients.
+    t'(0) omega / 2mu for du1/ds + i du2/ds.  It applies their rows on the
+    unknowns (`densities._tip_log_rows`), as the sweeps' tables do.
     """
-    kappa = material.kappa
-    gp0 = complex(coeffs.gprime(0.0))
-    q0 = complex(traction_jump(curve, material, coeffs.gamma1, coeffs, 0.0))
-    sigma, omega = cauchy_densities(gp0, q0, kappa)
-    scale = -1.0 / (2.0 * np.pi * (kappa + 1.0))
-    a_tr = scale * sigma
-    a_du = scale * complex(curve.tangent(0.0)) * omega / (2.0 * material.mu)
-    return {"sigma_n": a_tr.real, "tau_n": a_tr.imag,
-            "du1_ds": a_du.real, "du2_ds": a_du.imag}
+    coeffs.check_curve(curve)
+    values = _tip_values(
+        _tip_log_rows(curve, material, coeffs.degree, coeffs.basis),
+        np.concatenate([coeffs.g1, coeffs.g2])[None], coeffs.gamma1)
+    return dict(zip(FIELD_NAMES, values[:, 0].tolist()))
+
+
+def _tip_values(rows, x, gamma1):
+    """(T0 + gamma1 T1) x of rows (T0, T1) for densities x (P, 2N+2) at
+    gamma1, (rows, P): sums of each density's own products, stack or not."""
+    t0, t1 = (t[:, None] * x for t in rows)
+    return t0.sum(axis=-1) + gamma1 * t1.sum(axis=-1)
 
 
 def max_face_traction(curve, material, load, coeffs,
@@ -285,10 +280,10 @@ def max_face_traction(curve, material, load, coeffs,
 class SolveReport:
     """The numbers reported for one solve, in `_SweepTables.report` order.
 
-    A1, A2: fitted log coefficients of du1/ds and tau_n at the s = 0 tip
-    on the "+" face; the extremes of the opening delta; the sup of
-    |sigma_n + i tau_n| over both faces at the face points.  error is the
-    message of a failed solve, whose numbers stay nan.
+    A1, A2: the closed-form log coefficients of du1/ds and tau_n at the
+    s = 0 tip (`tip_log_coefficients`); the extremes of the opening delta;
+    the sup of |sigma_n + i tau_n| over both faces at the face points.
+    error is the message of a failed solve, whose numbers stay nan.
     """
 
     A1: float = field(default=float("nan"), metadata={"label": "A1 (du1/ds)"})
@@ -341,15 +336,11 @@ class _SweepTables:
     (`evaluate`) and the one reduction (`report`) of a stack of solutions.
 
     One node side serves the collocation tables and one read of the
-    operator (`_NodeSide.rows`) at a midpoint grid of n_face points and,
-    for the tip fits at s = 0 on the "+" face, at fit_tip_coefficients'
-    default window (`tip_dist`).  From it come the field rows on the
-    unknowns (`fields._face_rows`, as the field evaluator builds them): at
-    the face points sigma_n and tau_n on both faces (`traction_rows`,
-    `_keep`), and at the tip points tau_n and du1/ds on the "+" face
-    (`tip_rows`), with the slope weights of the tip window's least-squares
-    line (`slope`, the fit of `_fit_lines`).  The jump table of the
-    openings is built here, its one reader.  N is the node side's degree.
+    operator (`_NodeSide.rows`) at a midpoint grid of n_face points, from
+    which come sigma_n and tau_n on both faces on the unknowns
+    (`fields._face_rows`; `traction_rows`, `_keep`).  The rows of A1 and A2
+    (`tip_log_rows`) and the jump table of the openings are built here,
+    their one reader.  N is the node side's degree.
     On first use come what solve mode alone writes: its g' grid (`grid`)
     and the text of the face points (`face_text`).  None of it depends on
     the load or gamma1, which evaluate() takes, and its arrays are
@@ -365,13 +356,12 @@ class _SweepTables:
         self.jump_tangent = _read_only(np.conj(curve.tangent(np.linspace(
             0.0, curve.length, _OPENING_POINTS)))[:, None])
         self.face_s = _read_only(midpoint_grid(curve.length, n_face))
-        tip_dist, tip_s = _tip_points(curve, 0.0, None, _TIP_POINTS)
-        self.tip_dist = _read_only(tip_dist)
-        self.slope = _read_only(_slope_weights(tip_dist))
-        rows = node_side.rows(np.concatenate([self.face_s, tip_s]), N)
-        self._keep(_face_rows(node_side, self.face_s, rows[..., :n_face, :]))
-        self.tip_rows = _face_rows(node_side, tip_s, rows[..., n_face:, :]
-                                   ).pick(slice(1, 3), 0).copy()
+        self._keep(_face_rows(node_side, self.face_s,
+                              node_side.rows(self.face_s, N)))
+        # A1 (du1/ds), then A2 (tau_n)
+        self.tip_log_rows = tuple(
+            _read_only(t[[2, 1]])
+            for t in _tip_log_rows(curve, self.material, N, node_side.basis))
 
     def _keep(self, face):
         """Keep a copy of the sigma_n and tau_n rows of the face points,
@@ -401,17 +391,16 @@ class _SweepTables:
     def evaluate(self, x, gamma1, load):
         """What the report reads of P solutions x (P, 2N+2) at gamma1 (P,)
         under load, from its rows alone: sigma_n and tau_n on both faces at
-        face_s, (2, 2, n_face, P), tau_n and du1/ds at the tip points,
-        (2, n_tip, P), and the opening delta, (n_samples, P)."""
+        face_s, (2, 2, n_face, P), A1 and A2, (2, P), and the opening
+        delta, (n_samples, P)."""
         return (self.traction_rows.apply(x, gamma1, load),
-                self.tip_rows.apply(x, gamma1, load), self.openings(x)[1])
+                _tip_values(self.tip_log_rows, x, gamma1), self.openings(x)[1])
 
     def report(self, traction, tip, delta):
         """The numbers of SolveReport of P solutions, (P, 5), from their
-        evaluate() values: the slopes of the tip values and the
-        extremes."""
+        evaluate() values: A1, A2 and the extremes."""
         sigma, tau = traction
-        a2, a1 = self.slope @ tip
+        a1, a2 = tip
         # the extremes of each solution over a contiguous row of its own
         delta = np.ascontiguousarray(delta.T)
         return np.column_stack([a1, a2, delta.max(axis=1), delta.min(axis=1),
@@ -434,15 +423,8 @@ class _SolveTables(_SweepTables):
         sigma, tau, du1, du2 = self.face_rows.apply(x, gamma1, load)
         jump, delta = self.openings(x)
         return (sigma + 1j * tau, du1 + 1j * du2, jump,
-                ((sigma, tau), self.tip_rows.apply(x, gamma1, load), delta))
-
-
-def _slope_weights(dist):
-    """The weights w of the slope A = w @ values of the least-squares line
-    values ~ A ln s + c at the distances dist: the centered ln s over its
-    sum of squares."""
-    centered = np.log(dist) - np.mean(np.log(dist))
-    return centered / (centered @ centered)
+                ((sigma, tau), _tip_values(self.tip_log_rows, x, gamma1),
+                 delta))
 
 
 def _sweep_tables(curve, material, N, n_face):

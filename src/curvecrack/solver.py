@@ -12,18 +12,19 @@ equation at the midpoints s_j, rows N+1..2N the imaginary parts.  All
 density-dependent terms sit in the matrix; only the load forcing
 (kappa+1) f(s_j) enters the right-hand side.  Appended to the block are
 equality constraints: the single-valuedness condition
-int_0^l g'(s) t'(s) ds = 0, and (for gamma1 > 0) four tip rows, two per
-tip (`_tip_blocks`).  They zero the log coefficients of sigma_n and of the
-normal component of du/ds, the component along the normal i t' (at s = 0
-on the semicircle -du1/ds, not du2/ds): tip values of the densities of
-`densities.cauchy_densities`.  Times +-gamma1/(4 pi mu), the
-normal-component row is also the coefficient of the (s0 - tip)^-2 term of
-the imaginary collocation rows.
+int_0^l g'(s) t'(s) ds = 0, and (for gamma1 > 0) the tip rows, two per
+tip and four on a straight crack (`_tip_blocks`).  Two of each tip zero
+the log coefficients of sigma_n and of the normal component of du/ds, the
+component along the normal i t' (at s = 0 on the semicircle -du1/ds, not
+du2/ds): tip values of the densities of `densities.cauchy_densities`.
+Times +-gamma1/(4 pi mu), the normal-component row is also the
+coefficient of the (s0 - tip)^-2 term of the imaginary collocation rows.
 
-With 2N collocation rows and 6 constraint rows for 2N + 2 unknowns the
-constrained system has no exact solution: the least-squares density meets
-the boundary equation at the collocation midpoints but not between them,
-least of all near the tips (see the tests/test_acceptance.py docstring).
+With 2N collocation rows and 6 constraint rows (10 on a straight crack) for
+2N + 2 unknowns the constrained system has no exact solution: the
+least-squares density meets the boundary equation at the collocation
+midpoints but not between them, least of all near the tips (see the
+tests/test_acceptance.py docstring).
 
 Integral evaluation: the collocation rows come from the face-field
 operator (`fields._NodeSide.rows`, the one read of the operator, which
@@ -176,7 +177,7 @@ class LinearSystem:
         """
         N, n_con = self.tables.disc.N, self.n_constraints
         M = (N + 1) // 2
-        cols = _parity_columns(N)
+        cols = self.tables.parity
         # sign[p, kind] of the mirrored row in half p: -1 for (0, Re) and
         # (1, Im); weight of a row of the first M points in each half
         sign = (1.0 - 2.0 * np.eye(2))[..., None]
@@ -286,6 +287,7 @@ class _CollocationTables:
         # the mirror s -> l - s takes the Re row at s_j to minus the Re row
         # at s_{N+1-j} times P, and the Im row to plus it times P
         self.mirror = _read_only(np.array([[-1.0], [1.0]]) * _mirror_signs(N))
+        self.parity = _read_only(_parity_columns(N))  # of `halves`
         top = node_side.degree + 1
         cols = np.r_[: N + 1, top: top + N + 1]
         self.tip_rows = tuple(_read_only(t[:, cols])
@@ -456,8 +458,7 @@ def _solutions(system: LinearSystem):
     y = Vt.swapaxes(-1, -2) @ (damped[..., None] * (U.swapaxes(-1, -2) @ h))
     half_x = (Z @ y)[..., 0]
     x = np.empty(half_x.shape[:-2] + (2 * half_x.shape[-1],))
-    cols = _parity_columns(system.tables.disc.N).ravel()
-    x[..., cols] = half_x.reshape(x.shape)
+    x[..., system.tables.parity.ravel()] = half_x.reshape(x.shape)
 
     # solver-level residual of the damped normal equations
     rhs_n = Gt @ h

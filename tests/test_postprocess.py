@@ -33,6 +33,12 @@ from curvecrack.postprocess import (ConvergenceRow, CurvatureSweepRow,
                                     write_sweep_gamma_csv)
 from curvecrack.solver import AssemblyError
 
+# a load under which every crack of _CURVES opens: the straight crack
+# under load_h does not
+LOAD = FarFieldLoad(sigma1=1.0, sigma2=0.5, alpha=0.3)
+_CURVES = {"semicircle": make_semicircle(), "arc0.5": make_circular_arc(0.5),
+           "straight": make_straight(2.0)}
+
 
 class TestOpeningProfile:
     def test_zero_coefficients(self, material, semicircle):
@@ -131,6 +137,22 @@ class TestTipCoefficients:
                                        name, window=window, n=16)
             fit = fit_log_coefficient(np.column_stack([d, v]), window=window)
             assert fit.A == pytest.approx(closed[name], abs=5e-3)
+
+    @pytest.mark.parametrize("gamma1", [0.25, 1.0])
+    @pytest.mark.parametrize("curve", _CURVES.values(), ids=_CURVES)
+    def test_closed_form_matches_deep_window_fit_of_solves(self, material,
+                                                           curve, gamma1):
+        # a window far inside the tip boundary layer sees the log term of
+        # each of the four fields of a solved density: the fit there is
+        # the closed form the reports print
+        coeffs = solve_problem(curve, material, LOAD, gamma1, N=20)
+        closed = tip_log_coefficients(curve, material, coeffs)
+        window = (1e-8 * curve.length, 1e-7 * curve.length)
+        fits = fit_tip_coefficients(curve, material, LOAD, coeffs,
+                                    window=window)
+        scale = max(1.0, *map(abs, closed.values()))
+        for name, fit in fits.items():
+            assert abs(fit.A - closed[name]) <= 2e-4 * scale, name
 
     @pytest.mark.parametrize("gamma1", [1.0, 0.25])
     @pytest.mark.parametrize("curvature", [1.0, 0.5])
@@ -238,10 +260,12 @@ class TestSweeps:
             self, material, semicircle, load_h):
         rows = sweep_curvature(material, load_h, 1.0, [1.0], N=12)
         co = solve_problem(semicircle, material, load_h, 1.0, N=12)
-        fits = fit_tip_coefficients(semicircle, material, load_h, co)
+        closed = tip_log_coefficients(semicircle, material, co)
         assert rows[0].error == ""
-        assert rows[0].A1 == pytest.approx(fits["du1_ds"].A, rel=1e-9)
-        assert rows[0].A2 == pytest.approx(fits["tau_n"].A, rel=1e-9)
+        # the tip rows make A1 zero to rounding on the semicircle
+        assert rows[0].A1 == pytest.approx(closed["du1_ds"], rel=1e-9,
+                                           abs=_zero_to_rounding(co))
+        assert rows[0].A2 == pytest.approx(closed["tau_n"], rel=1e-9)
 
     def test_curvature_sweep_rows(self, material, load_h):
         load = FarFieldLoad(sigma1=1.0, sigma2=1.0)
@@ -281,19 +305,38 @@ class TestSweeps:
         assert rows[1].error == "" and np.isfinite(rows[1].A1)
 
 
+def _zero_to_rounding(coeffs):
+    """1e-12 sup|g'| of a density: the size of a log coefficient that its
+    tip rows zero (A1 on the semicircle), as rounding leaves it."""
+    return 1e-12 * solver._sup_gprime(coeffs, coeffs.curve)
+
+
 def _per_point_row(curve, material, load, gamma1, N):
-    """A sweep row's columns from the public per-point functions."""
+    """A sweep row's columns from the public per-point functions, and the
+    density's `_zero_to_rounding`."""
     co = solve_problem(curve, material, load, gamma1, N=N)
-    fits = fit_tip_coefficients(curve, material, load, co)
+    closed = tip_log_coefficients(curve, material, co)
     prof = opening_profile(co, curve, material)
-    return (fits["du1_ds"].A, fits["tau_n"].A, prof.max_opening,
-            prof.min_opening, max_face_traction(curve, material, load, co))
+    return (closed["du1_ds"], closed["tau_n"], prof.max_opening,
+            prof.min_opening, max_face_traction(curve, material, load, co),
+            _zero_to_rounding(co))
 
 
 def _sweep_columns(rows):
     assert all(r.error == "" for r in rows)
     return np.array([(r.A1, r.A2, r.max_opening, r.min_opening,
                       r.max_traction) for r in rows])
+
+
+def _assert_matches_per_point(rows, per_point):
+    """The sweep rows' columns are the `_per_point_row` ones to 1e-9 of
+    each column's largest value; A1 and A2 also to the density's
+    `_zero_to_rounding`, since a column of them may be zero to rounding."""
+    got, want = _sweep_columns(rows), np.array(per_point)
+    want, zero = want[:, :5], want[:, 5:]
+    tol = np.tile(1e-9 * np.max(np.abs(want), axis=0), (len(want), 1))
+    tol[:, :2] = np.maximum(tol[:, :2], zero)
+    assert np.all(np.abs(got - want) <= tol)
 
 
 def _eight_point_sweeps(semicircle, arc, material, load):
@@ -315,21 +358,38 @@ class TestSweepTables:
     def test_gamma_sweep_matches_per_point(self, semicircle, material,
                                            load_h):
         grid = [0.25, 0.5, 1.0, 2.0, 4.0]
-        got = _sweep_columns(sweep_gamma(semicircle, material, load_h, grid,
-                                         N=20))
-        want = np.array([_per_point_row(semicircle, material, load_h, g, 20)
-                         for g in grid])
-        assert np.all(np.abs(got - want)
-                      <= 1e-9 * np.max(np.abs(want), axis=0))
+        _assert_matches_per_point(
+            sweep_gamma(semicircle, material, load_h, grid, N=20),
+            [_per_point_row(semicircle, material, load_h, g, 20)
+             for g in grid])
 
     def test_curvature_sweep_matches_per_point(self, material, load_h):
         grid = [0.25, 0.5, 1.0]
-        got = _sweep_columns(sweep_curvature(material, load_h, 1.0, grid,
-                                             N=20))
-        want = np.array([_per_point_row(make_circular_arc(k0), material,
-                                        load_h, 1.0, 20) for k0 in grid])
-        assert np.all(np.abs(got - want)
-                      <= 1e-9 * np.max(np.abs(want), axis=0))
+        _assert_matches_per_point(
+            sweep_curvature(material, load_h, 1.0, grid, N=20),
+            [_per_point_row(make_circular_arc(k0), material, load_h, 1.0, 20)
+             for k0 in grid])
+
+    @pytest.mark.parametrize("name", _CURVES)
+    def test_reported_A_is_the_closed_form(self, material, name):
+        # every row of a gamma1 sweep on the curve, and of a curvature
+        # sweep at its kappa0, reports as A1 and A2 the tip_log_coefficients
+        # of the per-point density: du1/ds and tau_n at s = 0
+        curve, grid = _CURVES[name], [0.0, 0.5, 1.0]
+        reported = [(curve, g, row) for g, row in zip(
+            grid, sweep_gamma(curve, material, LOAD, grid, N=20))]
+        if curve.constant_curvature > 0.0:
+            k0 = curve.constant_curvature
+            reported += [(make_circular_arc(k0), g, sweep_curvature(
+                material, LOAD, g, [k0], N=20)[0]) for g in grid]
+        for crack, gamma1, row in reported:
+            co = solve_problem(crack, material, LOAD, gamma1, N=20)
+            closed = tip_log_coefficients(crack, material, co)
+            assert row.error == ""
+            for got, want in ((row.A1, closed["du1_ds"]),
+                              (row.A2, closed["tau_n"])):
+                assert got == pytest.approx(want, rel=1e-12,
+                                            abs=_zero_to_rounding(co))
 
     def test_kernel_blocks_do_not_grow_with_gamma_points(
             self, semicircle, arc_half, material, load_h, load_v,
@@ -387,9 +447,9 @@ class TestSweepTables:
         sweep_gamma(semicircle, material, load_h, [0.5, 1.0], N=12)
         tables = postprocess._sweep_tables(semicircle, material, 12,
                                            postprocess._TRACTION_POINTS)
-        rows = (tables.traction_rows, tables.tip_rows)
-        arrays = [tables.slope, *(getattr(r, name) for r in rows
-                                  for name in ("rows", "far"))]
+        rows = (tables.traction_rows,)
+        arrays = [*tables.tip_log_rows, *(getattr(r, name) for r in rows
+                                          for name in ("rows", "far"))]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 0.0
@@ -403,33 +463,12 @@ class TestSweepTables:
         gc.collect()
         assert all(ref() is None for ref in refs)
 
-    @pytest.mark.parametrize("seed", [3, 4])
-    def test_kept_fit_weights_give_the_fit_slope(self, semicircle, material,
-                                                 load_h, seed):
-        # the report's slope weights are the least-squares line of
-        # _fit_lines on the tip window: random values, and the tip values
-        # of a solve
-        tables = postprocess._sweep_tables(semicircle, material, 12,
-                                           postprocess._TRACTION_POINTS)
-        dist = tables.tip_dist
-        rng = np.random.default_rng(seed)
-        values = np.column_stack([
-            rng.normal(size=(dist.size, 3)),
-            5.0 + 0.3 * np.log(dist) + 1e-3 * rng.normal(size=dist.size)])
-        coeffs = solve_problem(semicircle, material, load_h, 0.5 + seed, 12)
-        for name in ("du1_ds", "tau_n"):
-            values = np.column_stack([values, collect_tip_samples(
-                semicircle, material, load_h, coeffs, name)[1]])
-        want = postprocess._fit_lines(dist, values)[0]
-        got = tables.slope @ values
-        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
-
     def test_warm_sweep_fits_and_builds_nothing(self, semicircle, material,
                                                 load_h, load_v, monkeypatch,
                                                 cold_tables):
         # a sweep on tables a sweep left, under another load and gamma1,
-        # fits by the kept weights, finds q through the rows and builds no
-        # table
+        # fits no line, finds q and the tip coefficients through the rows
+        # and builds no table
         sweep_gamma(semicircle, material, load_h, [1.0], N=20)
         calls = []
 
@@ -447,7 +486,7 @@ class TestSweepTables:
                 (_NodeSide, "rows"), (postprocess, "_face_rows"),
                 (postprocess._SweepTables, "__init__"),
                 (solver._CollocationTables, "__init__"),
-                (postprocess, "_jump_table"), (postprocess, "_slope_weights")):
+                (postprocess, "_jump_table")):
             counted(owner, name)
         rows = sweep_gamma(semicircle, material, load_v,
                            [0.5 * 4.0 ** (i / 7) for i in range(8)], N=20)
@@ -456,8 +495,8 @@ class TestSweepTables:
         # the counters see what they count
         postprocess._fit_lines(np.arange(1.0, 9.0), np.ones((8, 1)))
         sweep_gamma(semicircle, material, load_v, [1.0], N=16)
-        assert {"polyfit", "__init__", "rows", "_face_rows", "_jump_table",
-                "_slope_weights"} <= set(calls)
+        assert {"polyfit", "__init__", "rows", "_face_rows",
+                "_jump_table"} <= set(calls)
 
     def test_one_cache_frees_the_convergence_grid(self, semicircle, material,
                                                   load_h, cold_tables):
@@ -527,12 +566,10 @@ class TestSweepStacks:
                                                       material, load_h):
         # gamma1 = 0 points have 2 constraint rows, not 6: their own stack
         grid = [0.0, 0.5, 1.0, 0.0, 2.0]
-        got = _sweep_columns(sweep_gamma(semicircle, material, load_h, grid,
-                                         N=20))
-        want = np.array([_per_point_row(semicircle, material, load_h, g, 20)
-                         for g in grid])
-        assert np.all(np.abs(got - want)
-                      <= 1e-9 * np.max(np.abs(want), axis=0))
+        _assert_matches_per_point(
+            sweep_gamma(semicircle, material, load_h, grid, N=20),
+            [_per_point_row(semicircle, material, load_h, g, 20)
+             for g in grid])
 
     def test_invalid_gamma1_never_enters_a_stack(self, semicircle, material,
                                                  load_h):

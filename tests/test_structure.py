@@ -8,8 +8,10 @@ density's `basis` or a node side's).  And no test rebinds an attribute of
 the module.  The one table cache is `fields._node_side`, whose node sides
 keep every table built from them; the only other functools caches hold
 constants keyed by an int.  And `cli` builds no grid of points of its
-own: it writes the grids the node side keeps.  All are read from the
-source, so a use that no test runs is found too.
+own: it writes the grids the node side keeps.  The tables of the sweeps
+and solve mode report the closed-form tip log coefficients and name no
+part of the tip window fit.  All are read from the source, so a use that
+no test runs is found too.
 """
 
 import ast
@@ -62,6 +64,19 @@ def _name_uses(tree, names, module=""):
 
 # the functions that build a grid of points
 _GRID_BUILDERS = ("linspace", "geomspace", "arange", "midpoint_grid")
+
+
+# the tables that report A1 and A2, and the names of the tip window fit
+_REPORT_TABLES = ("_SweepTables", "_SolveTables")
+_TIP_FIT = ("_tip_points", "_TIP_POINTS", "_fit_lines", "polyfit")
+
+
+def _tip_fit_uses(tree):
+    """(line, text) of each use of a name of the tip window fit inside a
+    class of _REPORT_TABLES."""
+    return [use for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and node.name in _REPORT_TABLES
+            for use in _name_uses(node, _TIP_FIT)]
 
 
 # the dict methods that write
@@ -168,6 +183,14 @@ def test_cli_builds_no_grid():
     assert _name_uses(ast.parse(source), _GRID_BUILDERS) == []
 
 
+def test_report_tables_fit_no_tip_window():
+    tree = ast.parse((PACKAGE / "postprocess.py").read_text())
+    classes = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    assert set(_REPORT_TABLES) <= classes
+    assert _tip_fit_uses(tree) == []
+
+
 def test_the_checks_see_what_they_forbid():
     # each kind of use the four checks refuse, in a made-up module
     primitives = _primitive_names()
@@ -192,6 +215,13 @@ def test_the_checks_see_what_they_forbid():
                          + source)
         assert _rebinds(tree, _densities_aliases(tree) | {"densities"}), \
             source
+    for source in ("dist, s = _tip_points(curve, 0.0, None, _TIP_POINTS)",
+                   "a = np.polyfit(np.log(dist), values, 1)[0]",
+                   "a = postprocess._fit_lines(dist, values)[0]"):
+        for table in _REPORT_TABLES:
+            tree = ast.parse(f"class {table}:\n    def report(self):\n"
+                             f"        {source}\n")
+            assert _tip_fit_uses(tree), (table, source)
     for source, want in (
             ("@lru_cache(maxsize=8)\ndef f(x): pass", ["f"]),
             ("@functools.cache\ndef g(x): pass", ["g"]),
