@@ -7,17 +7,17 @@ One CSV per loading (horizontal, vertical, biaxial stretching) and per
 gamma1 in {0.5, 1.0, 2.0}, both faces, on a uniform interior grid, written
 into OUT (default results/face_profiles).  The collocation tables depend on
 neither the load nor gamma1, so the first `solve_problem` builds them and
-the other eight read them from the process's cache; one field evaluator on
-the cached face operator (`fields._node_side`) of the curve, material and
-N serves all nine solves, taking the load per call.
+the other eight read them from the process's cache.  Each file holds the
+face fields of its solve at the grid points (`fields._face_values`, the
+public functions' path), read from the cached face operator
+(`fields._node_side`) of the curve, material and N.
 """
 
 import sys
 from pathlib import Path
 
 from curvecrack import FarFieldLoad, Material, make_semicircle, solve_problem
-from curvecrack.densities import MONOMIALS
-from curvecrack.fields import _FieldEvaluator, _node_side
+from curvecrack.fields import _face_values
 from curvecrack.postprocess import write_face_fields_csv
 from curvecrack.quadrature import midpoint_grid
 
@@ -41,14 +41,12 @@ def main(argv=()):
     curve = make_semicircle()
     material = Material(mu=60.0, kappa=2.5)
     grid = midpoint_grid(curve.length, 150)
-    fields = _FieldEvaluator(_node_side(curve, material, N, MONOMIALS), grid,
-                             N)
     for load_name, load in LOADS.items():
         for gamma1 in GAMMAS:
             coeffs = solve_problem(curve, material, load, gamma1, N=N)
             path = out / f"face_fields_{load_name}_g{gamma1}.csv"
-            write_face_fields_csv(path, grid,
-                                  *fields.face_values(coeffs, load))
+            write_face_fields_csv(path, grid, *_face_values(
+                curve, material, load, coeffs, grid))
             print(f"wrote {path}")
     return 0
 

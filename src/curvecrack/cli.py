@@ -9,11 +9,12 @@ and several pairs may share a line separated by commas.  Exit codes:
 `RunConfig.build` every other rule, for parsed and code-built configs.
 
 Solve mode reads and reports through the sweeps' path: one
-`postprocess._SolveTables` (the sweeps' tables with du/ds at the face
-points too), kept by the cached node side of the curve, material and N
-(`postprocess._solve_tables`), gives the system, its `values` the face
-fields, tip coefficients and opening of the solution, and its `report`, only
-for a printed summary, the numbers of `postprocess.SolveReport`.  A
+`postprocess._SweepTables`, of all four face fields at its face points
+where a sweep's keep the tractions alone, kept by the cached node side
+of the curve, material and N (`postprocess._sweep_tables`), gives the
+system, its `values` the face fields, tip coefficients and opening of the
+solution, and its `report`, only for a printed summary, the numbers of
+`postprocess.SolveReport`.  A
 convergence run writes g_prime.csv from the samples the study compared,
 on the study's grid.  Every mode writes its CSVs through
 `postprocess.write_csv`, from whole columns.  The cli builds and formats
@@ -336,15 +337,17 @@ def parse_config(text: str) -> RunConfig:
 def _solve_outputs(config, curve, material, load, disc, dump_system):
     """Compute everything solve mode writes, before touching the filesystem.
 
-    One table set (`postprocess._SolveTables`, the one the cached node
-    side of the curve, material and N keeps) serves the whole run: its
-    collocation tables give the system, the basis table of its g' grid
-    g' there (the product `coeffs.gprime` forms), and its rows on the
-    unknowns, applied to a stack of one, the face fields, the opening and
-    what the report reads (`values`).  The report and the tip residuals
-    are left to `_solve_summary`, which only a printed summary reads.
+    One table set (`postprocess._SweepTables` of all four face fields,
+    the one the cached node side of the curve, material and N keeps)
+    serves the whole run: its collocation tables give the system, the
+    basis table of its g' grid g' there (the product `coeffs.gprime`
+    forms), and its rows on the unknowns, applied to a stack of one, the
+    face fields, the opening and what the report reads (`values`).  The
+    report and the tip residuals are left to `_solve_summary`, which only
+    a printed summary reads.
     """
-    tables = post._solve_tables(curve, material, disc.N)
+    tables = post._sweep_tables(curve, material, disc.N, post._FACE_POINTS,
+                                4)
     system = tables.collocation.system(load, config.gamma1,
                                        config.row_scaling)
     coeffs = solve(system)

@@ -231,14 +231,14 @@ class _OnFirstRead:
 class DensityCoefficients:
     """The displacement-jump density g' by its coefficients in a basis.
 
-    g1 and g2 hold the real and imaginary coefficient vectors (degree N each)
-    over basis, the one it was solved in.  gamma1 is carried along because
-    the closure to the traction-jump density q depends on it.  curve is the
-    curve it was solved on, or None for a density built by hand, which
-    carries its length alone.  Diagnostics and the curve are attached by
-    the solver.  It sets single_valued_residual to the function that
-    computes it from the density, which runs on first read, so a run that
-    never reads the residual never pays for it.
+    g1 and g2 hold the real and imaginary coefficient vectors (degree N
+    each, finite) over basis, the one it was solved in.  gamma1 is carried
+    along because the closure to the traction-jump density q depends on
+    it.  curve is the curve it was solved on, or None for a density built
+    by hand, which carries its length alone.  Diagnostics and the curve
+    are attached by the solver.  It sets single_valued_residual to the
+    function that computes it from the density, which runs on first read,
+    so a run that never reads the residual never pays for it.
     """
 
     g1: np.ndarray
@@ -255,6 +255,10 @@ class DensityCoefficients:
         self.g2 = np.asarray(self.g2, dtype=float)
         if self.g1.shape != self.g2.shape or self.g1.ndim != 1:
             raise ValueError("g1 and g2 must be equal-length 1-D coefficient vectors")
+        for name, part in (("g1", self.g1), ("g2", self.g2)):
+            if not np.isfinite(part).all():
+                raise ValueError(f"{name} must hold finite coefficients, got "
+                                 f"{part}")
         if not np.isfinite(self.length) or self.length <= 0:
             raise ValueError(f"length must be positive, got {self.length}")
         if self.curve is not None:

@@ -18,9 +18,7 @@ are split into a table and its application.  The operator is one object,
 curve, material, degree and basis while the key is among the 8 most
 recent (`_node_side`, the one table cache: a node side keeps every table
 built from it, `_NodeSide.derived`), and the collocation tables and the
-field evaluators read all four from it.  Only the node side is cached:
-each public call builds a new field evaluator on it at its own points,
-which takes the load per call.
+face-field rows read all four from it.
 The node side tabulates everything that depends neither on the density
 nor on the points s0: the rule's weighted basis and the kernels' node
 tables.  It is read one way only, through rows(s0, degree, derivatives):
@@ -32,18 +30,22 @@ coefficient arrays of the kernels and the fields, give real combinations
 of the fields per unit real and imaginary part of each coefficient of g'
 and of q.  The assembly (`solver._CollocationTables`) reads the traction
 and the face-curvature change, which need the s0-derivatives, at the
-first ceil(N/2) collocation points (the mirror gives the rest).  The
-field evaluator reads the face-average traction and the face function
-omega at its points and builds from them, once, the rows of sigma_n,
-tau_n, du1/ds and du2/ds on both faces on the unknowns x = [g1; g2]
-(`_face_rows`, a `_FieldRows`): the +-jump terms and t'/2mu folded in,
-and the q rows taken through the closure at gamma1 = 1, as the
-collocation tables take theirs.  The fields of a density are then
+first ceil(N/2) collocation points (the mirror gives the rest).  The face
+fields have one path, `_face_rows`: it checks the points, reads the
+face-average traction and the face function omega there, and builds
+from them, once, the rows of sigma_n and tau_n, and of du1/ds and du2/ds
+unless a sweep asks for the tractions alone, on both faces on the
+unknowns x = [g1; g2] (a `_FieldRows`): the +-jump terms and t'/2mu
+folded in, and the q rows taken through the closure at gamma1 = 1, as
+the collocation tables take theirs.  The fields of a density are then
 F0 x + gamma1 F1 x plus the far field, rows on the load's potential
 constants: one product for one density or a sweep's stack of them, with
-no q coefficients formed per call.  It refuses a density in another basis
-or of a higher degree.  A node side on a flat node rule is the discrete
-oracle: its principal values are node sums.
+no q coefficients formed per call.  The public functions build the rows
+on each call at their own points (`_face_values`), on the node side of
+the density's own degree and basis, and take the load per call; the
+sweeps and solve mode keep theirs (`postprocess._SweepTables`).  A node
+side on a flat node rule is the discrete oracle: its principal values
+are node sums.
 """
 
 from __future__ import annotations
@@ -442,27 +444,17 @@ class _FieldRows:
 
     rows[0] holds the rows of g', rows[1] those of q at gamma1 = 1 through
     the closure (`q_rows_to_unknowns`), as the collocation tables do; the
-    axes between (`shape`) are the fields' own.  Both are read-only;
-    pick() reads some of the fields as a view of them, and copy() holds
-    them apart.
+    axes between (`shape`) are the fields' own.  Both are read-only.
     """
 
     def __init__(self, rows, far):
         self.rows, self.far = _read_only(rows), _read_only(far)
         self.shape = far.shape[:-1]
 
-    def pick(self, *index):
-        """The _FieldRows of the fields at the basic index, views."""
-        return _FieldRows(self.rows[(slice(None),) + index], self.far[index])
-
-    def copy(self):
-        """The _FieldRows of copies of the rows, which hold no other."""
-        return _FieldRows(self.rows.copy(), self.far.copy())
-
     def apply(self, x, gamma1, load):
         """The fields of P densities x (P, K) at gamma1 ((P,) or a scalar)
         under the load, shape + (P,)."""
-        # one matrix per part, a view for the rows the tables keep
+        # one matrix per part, a view of the contiguous rows
         K = self.rows.shape[-1]
         g, q = (self.rows.reshape(2, -1, K) @ np.ascontiguousarray(x.T)
                 ).reshape((2,) + self.shape + (-1,))
@@ -473,29 +465,42 @@ class _FieldRows:
         return q
 
 
-def _face_rows(side, s0, rows):
-    """The `_FieldRows` of sigma_n, tau_n, du1/ds and du2/ds on both faces
-    at the points s0, of shape (field, face, point), "+" face first.
+def _face_rows(side, s0, fields):
+    """The `_FieldRows` of the first `fields` of sigma_n, tau_n, du1/ds and
+    du2/ds on both faces at the points s0, of shape (field, face, point),
+    "+" face first: the one builder of face-field rows, for any density of
+    the node side's degree and basis, whose curve and material it reads.
+    fields is 2 (the tractions, all a sweep reads) or 4.
 
-    rows are the node side's there (`_NodeSide.rows` without
+    Raises ValueError, naming s0, unless the points form a non-empty 1-D
+    array of finite values strictly inside (0, l).  It reads the node
+    side's rows there at its degree (`_NodeSide.rows` without
     s0-derivatives), (g' or q, kind, Re or Im, point, coefficient) of the
-    face averages Re Sigma, Im Sigma, Re omega and Im omega, which it
-    overwrites: du/ds = c omega, c = t'/2mu, takes the omega rows to
-    du1/ds and du2/ds.  Per face come the +-jumps per unit coefficient, q
-    in sigma_n and tau_n (Re q, Im q) and (i/2) g' in omega, so z g' in
-    du/ds; the q rows go to the unknowns through the closure.  The
-    far-field rows are those of the unit potential constants.
+    face averages Re Sigma, Im Sigma, Re omega and Im omega: du/ds =
+    c omega, c = t'/2mu, takes the omega rows to du1/ds and du2/ds.  Per
+    face come the +-jumps per unit coefficient, q in sigma_n and tau_n
+    (Re q, Im q) and (i/2) g' in omega, so z g' in du/ds; the q rows go
+    to the unknowns through the closure.  The far-field rows are those of
+    the unit potential constants.  A node side on a flat node rule gives
+    the discrete oracle.
     """
     curve, material = side.curve, side.material
+    s0 = np.asarray(s0, dtype=float)
+    if not (s0.ndim == 1 and s0.size and np.all(
+            np.isfinite(s0) & (s0 > 0.0) & (s0 < curve.length))):
+        raise ValueError("s0 must be a non-empty 1-D array of finite points "
+                         f"strictly inside (0, {curve.length}), got {s0}")
+    rows = side.rows(s0, side.degree)[:, :fields]
     n = rows.shape[-1]
     t1 = curve.tangent(s0)
     c = (t1 / (2.0 * material.mu))[:, None]
-    re_w, im_w = rows[:, 2], rows[:, 3]
-    rows[:, 2], rows[:, 3] = (c.real * re_w - c.imag * im_w,
-                              c.imag * re_w + c.real * im_w)
+    if fields == 4:
+        re_w, im_w = rows[:, 2], rows[:, 3]
+        rows[:, 2], rows[:, 3] = (c.real * re_w - c.imag * im_w,
+                                  c.imag * re_w + c.real * im_w)
     fold = partial(q_rows_to_unknowns, curve=curve, material=material,
                    basis=side.basis)
-    out = np.empty((2, 4, 2, len(s0), 2 * n))
+    out = np.empty((2, fields, 2, len(s0), 2 * n))
     for part, (re, im) in enumerate((rows[0].swapaxes(0, 1),
                                      fold(rows[1, :, 0], rows[1, :, 1]))):
         out[part] = np.concatenate([re, im], axis=-1)[:, None]
@@ -508,99 +513,49 @@ def _face_rows(side, s0, rows):
     # integral of g' t' by the jump table).
     table = side.basis.table(s0, curve.length, n - 1)
     z, zero = 0.5j * c * table, np.zeros(table.shape)
-    for part, kinds, (re, im) in (
-            (1, slice(2), fold(np.stack([table, zero]),
-                               np.stack([zero, table]))),
-            (0, slice(2, 4), (np.stack([z.real, z.imag]),
-                              np.stack([-z.imag, z.real])))):
+    jumps = [(1, slice(2), fold(np.stack([table, zero]),
+                                np.stack([zero, table]))),
+             (0, slice(2, 4), (np.stack([z.real, z.imag]),
+                               np.stack([-z.imag, z.real])))]
+    for part, kinds, (re, im) in jumps[: fields // 2]:
         jump = np.concatenate([re, im], axis=-1)
         out[part, kinds, 0] += jump
         out[part, kinds, 1] -= jump
     unit = np.array(_UNIT_LOADS)[:, :, None]
-    far = np.moveaxis(_far_fields(t1, material, *unit), 1, -1)
+    far = np.moveaxis(_far_fields(t1, material, *unit), 1, -1)[:fields]
     return _FieldRows(out, np.broadcast_to(far[:, None],
-                                           (4, 2) + far.shape[1:]))
+                                           (fields, 2) + far.shape[1:]))
 
 
-class _FieldEvaluator:
-    """Face fields at fixed points s0, for any density of degree <= degree
-    in the basis of node_side, whose curve and material it reads, under
-    any load.
+def _face_values(curve, material, load, densities, s0, disc=None):
+    """sigma_n + i tau_n and d(u1 + i u2)/ds of one density under the load
+    on both faces at the points s0, (2, M) each, "+" face first.
 
-    Construction checks the points and builds the fields' rows on the
-    unknowns from one read of the operator at the points (`rows`,
-    `_face_rows`).  None of it depends on the density, gamma1 or the load,
-    so one evaluator serves every solution of a sweep under every load:
-    apply() is one product with the unknowns plus the far field, O(M) per
-    load, and face_values its one-density case.  A node side on a flat
-    node rule gives the discrete oracle.
+    The face-field rows (`_face_rows`) on a node side of the density's own
+    degree and basis, the cached one on `regular_rule` (`_node_side`) or,
+    with disc, a new one on its flat node rule, applied to its unknowns.
+    Raises ValueError unless the curve is the density's.
     """
-
-    def __init__(self, node_side, s0, degree):
-        self.node_side = side = node_side
-        self.degree = degree
-        length = side.curve.length
-        self.s0 = _read_only(np.array(s0, dtype=float))
-        if not np.all(np.isfinite(self.s0) & (self.s0 > 0.0)
-                      & (self.s0 < length)):
-            raise ValueError("the points s0 must be finite and lie strictly "
-                             f"inside (0, {length}), got {s0}")
-        self.rows = _face_rows(side, self.s0, side.rows(self.s0, degree))
-
-    def face_values(self, densities, load):
-        """sigma_n + i tau_n and d(u1 + i u2)/ds on both faces at the points.
-
-        Returns two complex arrays of shape (2, M), "+" face first: apply()
-        on the one density.  Raises ValueError unless the density is in the
-        node side's basis, of its curve and of degree <= degree.
-        """
-        if densities.basis != self.node_side.basis:
-            raise ValueError("the density's basis is not the node side's")
-        densities.check_curve(self.node_side.curve)
-        traction, du = self.apply(
-            np.concatenate([densities.g1, densities.g2])[None],
-            densities.gamma1, load)
-        return traction[..., 0], du[..., 0]
-
-    def apply(self, x, gamma1, load):
-        """face_values of P densities under the load, (2, M, P) each.
-
-        x holds the unknowns [g1; g2] of each density as a row, (P, 2n)
-        with n <= degree + 1, and gamma1 is (P,) or one value for all;
-        column p of the results belongs to row p.  Raises ValueError,
-        naming both degrees, for a larger n.
-        """
-        n = x.shape[-1] // 2
-        _check_degree(n - 1, self.degree, "the field evaluator")
-        top = self.degree + 1
-        if n < top:
-            # a lower degree reads the first n g1 and g2 columns
-            x = np.concatenate([x[:, :n], np.zeros((len(x), top - n)),
-                                x[:, n:], np.zeros((len(x), top - n))],
-                               axis=1)
-        sigma, tau, du1, du2 = self.rows.apply(x, gamma1, load)
-        return sigma + 1j * tau, du1 + 1j * du2
-
-    def samples(self, densities, load):
-        """FaceFieldSample lists at the points: ("+" face, "-" face)."""
-        traction, du = self.face_values(densities, load)
-        return tuple([FaceFieldSample(s=float(s), side=side,
-                                      sigma_n=float(np.real(traction[i, k])),
-                                      tau_n=float(np.imag(traction[i, k])),
-                                      du1_ds=float(np.real(du[i, k])),
-                                      du2_ds=float(np.imag(du[i, k])))
-                      for k, s in enumerate(self.s0)]
-                     for i, side in enumerate(_SIDES))
+    densities.check_curve(curve)
+    degree, basis = densities.degree, densities.basis
+    side = (_node_side(curve, material, degree, basis) if disc is None
+            else _NodeSide(curve, material, degree, disc, basis))
+    sigma, tau, du1, du2 = _face_rows(side, s0, 4).apply(
+        np.concatenate([densities.g1, densities.g2])[None],
+        densities.gamma1, load)
+    return (sigma + 1j * tau)[..., 0], (du1 + 1j * du2)[..., 0]
 
 
-def _evaluator(curve, material, s0, coeffs, disc=None):
-    """A field evaluator at s0 on a node side of the density's degree and
-    basis: the cached one on `regular_rule` (`_node_side`), or, with disc,
-    a new one on its flat node rule."""
-    side = (_node_side(curve, material, coeffs.degree, coeffs.basis)
-            if disc is None else
-            _NodeSide(curve, material, coeffs.degree, disc, coeffs.basis))
-    return _FieldEvaluator(side, s0, coeffs.degree)
+def _samples(s0, traction, du):
+    """FaceFieldSample lists of the face values at the points s0: ("+"
+    face, "-" face)."""
+    return tuple([FaceFieldSample(s=float(s), side=side,
+                                  sigma_n=float(np.real(traction[i, k])),
+                                  tau_n=float(np.imag(traction[i, k])),
+                                  du1_ds=float(np.real(du[i, k])),
+                                  du2_ds=float(np.imag(du[i, k])))
+                  for k, s in enumerate(np.asarray(s0, dtype=float))]
+                 for i, side in enumerate(_SIDES))
 
 
 def face_fields(curve: CrackCurve, material: Material, load: FarFieldLoad,
@@ -617,8 +572,8 @@ def face_fields(curve: CrackCurve, material: Material, load: FarFieldLoad,
     if cauchy not in ("exact", "discrete"):
         raise ValueError(f"unknown cauchy mode {cauchy!r}")
     disc = None if cauchy == "exact" else Discretization(n_quad, curve.length)
-    ev = _evaluator(curve, material, [s0], densities, disc)
-    return ev.samples(densities, load)[face][0]
+    values = _face_values(curve, material, load, densities, [s0], disc)
+    return _samples([s0], *values)[face][0]
 
 
 def face_field_profile(curve, material, load, densities, s_values,
@@ -628,6 +583,6 @@ def face_field_profile(curve, material, load, densities, s_values,
     Returns a list of FaceFieldSample.
     """
     order = [_side_index(side) for side in sides]
-    ev = _evaluator(curve, material, s_values, densities)
-    faces = ev.samples(densities, load)
+    faces = _samples(s_values, *_face_values(curve, material, load,
+                                             densities, s_values))
     return [sample for face in order for sample in faces[face]]

@@ -8,29 +8,30 @@ whose coefficient has a closed form in the densities at the tip
 fit of value ~ A ln s + c near a tip (`fit_tip_coefficients`) agrees
 with it only in windows well inside the tip's boundary layer, not in
 the default one.  Face-field profiles, tip fits and the maximal face
-traction each build one field evaluator at all their points s0 and
-apply it to the density; it returns both faces at once.
+traction each read the face fields of the density at all their points
+s0, both faces at once, through `fields._face_values`, which builds the
+face-field rows there (`fields._face_rows`, the one builder of them).
 
 Solve mode and the sweeps report one set of numbers, `SolveReport`, read
 and reduced through one path.  `_SweepTables` reads one node side
 (`fields._NodeSide`, the carrier of the curve, material, basis and N)
 for the collocation tables (`solver._CollocationTables`) and the rows on
 the unknowns x = [g1; g2], affine in gamma1, of what the report reads:
-sigma_n and tau_n on both faces at a midpoint grid (`fields._face_rows`;
-the sweeps' 101 max-traction points, solve mode's 100 `face_fields.csv`
-points, where its `_SolveTables` keep du1/ds and du2/ds too) and the tip
-log coefficients A1 and A2, with the jump table of the openings.  None
-of it depends on the load or gamma1, so the cached node side of the
-curve, material and N (`fields._node_side`, the one table cache of the
-program) keeps it, one per face grid (`_sweep_tables`, `_solve_tables`,
+the face fields on both faces at a midpoint grid (`fields._face_rows`;
+sigma_n and tau_n at the sweeps' 101 max-traction points, all four at
+solve mode's 100 `face_fields.csv` points) and the tip log coefficients
+A1 and A2, with the jump table of the openings.  None of it depends on
+the load or gamma1, so the cached node side of the curve, material and
+N (`fields._node_side`, the one table cache of the program) keeps it,
+one per face grid and field count (`_sweep_tables`,
 `_NodeSide.derived`).  A gamma1 sweep reads the tables once and solves
 its points as two stacks (`_solve_and_report`), the gamma1 = 0 points
 and the positive ones with their tip rows; a curvature sweep reads them
-once per curve, and solve mode (`cli`) evaluates a stack of one and
-reports only for its summary.  Errors stay per point: an invalid gamma1
-never enters a stack, a point that fails a check of its own gets that
-error while the others go on, and an error of the whole stack goes on
-each of its rows.
+once per curve, and solve mode (`cli`) evaluates a stack of one
+(`_SweepTables.values`) and reports only for its summary.  Errors stay
+per point: an invalid gamma1 never enters a stack, a point that fails a
+check of its own gets that error while the others go on, and an error
+of the whole stack goes on each of its rows.
 
 Every CSV goes through `write_csv`, which takes whole columns, formats each
 column once (floats by repr, integers by str, strings quoted where the csv
@@ -54,7 +55,7 @@ import numpy as np
 
 from .densities import (MONOMIALS, DensityCoefficients, _jump_table,
                         _read_only, _tip_log_rows)
-from .fields import (_SIDES, _evaluator, _face_rows, _node_side,
+from .fields import (_SIDES, _face_rows, _face_values, _node_side,
                      _side_index)
 from .geometry import CrackCurve, make_circular_arc
 from .quadrature import Discretization, midpoint_grid
@@ -107,8 +108,10 @@ def opening_profile(coeffs: DensityCoefficients, curve: CrackCurve, material,
 
 
 def _check_count(name, value, least):
-    """Reject a non-integer value or one below least, naming the argument."""
-    if not isinstance(value, numbers.Integral) or value < least:
+    """Reject a non-integer value, a bool or one below least, naming the
+    argument."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+            or value < least:
         raise ValueError(f"{name} must be an integer of at least {least}, "
                          f"got {value!r}")
 
@@ -198,11 +201,12 @@ def _tip_points(curve, tip, window, n):
 
 
 def _tip_fields(curve, material, load, coeffs, tip, side, window, n):
-    """Distances from the tip and the four face fields there, one evaluator."""
+    """Distances from the tip and the four face fields there
+    (`fields._face_values`)."""
     face = _side_index(side)
     dist, s_vals = _tip_points(curve, tip, window, n)
-    ev = _evaluator(curve, material, s_vals, coeffs)
-    traction, du = (v[face] for v in ev.face_values(coeffs, load))
+    traction, du = (v[face] for v in _face_values(curve, material, load,
+                                                  coeffs, s_vals))
     return dist, {"sigma_n": traction.real, "tau_n": traction.imag,
                   "du1_ds": du.real, "du2_ds": du.imag}
 
@@ -271,9 +275,9 @@ def max_face_traction(curve, material, load, coeffs,
                       n_points: int = _TRACTION_POINTS) -> float:
     """sup over both faces of |sigma_n + i tau_n| on a midpoint grid."""
     _check_count("n_points", n_points, 1)
-    ev = _evaluator(curve, material, midpoint_grid(curve.length, n_points),
-                    coeffs)
-    return float(np.max(np.abs(ev.face_values(coeffs, load)[0])))
+    traction, _ = _face_values(curve, material, load, coeffs,
+                               midpoint_grid(curve.length, n_points))
+    return float(np.max(np.abs(traction)))
 
 
 @dataclass(kw_only=True)
@@ -332,23 +336,24 @@ class _OutputGrid:
 
 
 class _SweepTables:
-    """Everything a solve on one curve and N reuses, with the one read
-    (`evaluate`) and the one reduction (`report`) of a stack of solutions.
+    """Everything a solve on one curve and N reuses, with the reads
+    (`evaluate`, `values`) and the one reduction (`report`) of a stack of
+    solutions.
 
-    One node side serves the collocation tables and one read of the
-    operator (`_NodeSide.rows`) at a midpoint grid of n_face points, from
-    which come sigma_n and tau_n on both faces on the unknowns
-    (`fields._face_rows`; `traction_rows`, `_keep`).  The rows of A1 and A2
-    (`tip_log_rows`) and the jump table of the openings are built here,
-    their one reader.  N is the node side's degree.
-    On first use come what solve mode alone writes: its g' grid (`grid`)
-    and the text of the face points (`face_text`).  None of it depends on
-    the load or gamma1, which evaluate() takes, and its arrays are
-    read-only and its text written, so the node side keeps one per n_face
-    for every run on it (`_sweep_tables`).
+    One node side serves the collocation tables and the face-field rows
+    at a midpoint grid of n_face points (`fields._face_rows`, `face_rows`)
+    of the first `fields` face fields on both faces: sigma_n and tau_n,
+    all a sweep's report reads, or all four for solve mode's
+    face_fields.csv.  The rows of A1 and A2 (`tip_log_rows`) and the jump
+    table of the openings are built here, their one reader.  N is the node
+    side's degree.  On first use come what solve mode alone writes: its g'
+    grid (`grid`) and the text of the face points (`face_text`).  None of
+    it depends on the load or gamma1, which evaluate() takes, and its
+    arrays are read-only and its text written, so the node side keeps one
+    per n_face and fields for every run on it (`_sweep_tables`).
     """
 
-    def __init__(self, node_side, n_face):
+    def __init__(self, node_side, n_face, fields):
         curve, N = node_side.curve, node_side.degree
         self.material = node_side.material
         self.collocation = node_side.derived(_CollocationTables, N)
@@ -356,17 +361,11 @@ class _SweepTables:
         self.jump_tangent = _read_only(np.conj(curve.tangent(np.linspace(
             0.0, curve.length, _OPENING_POINTS)))[:, None])
         self.face_s = _read_only(midpoint_grid(curve.length, n_face))
-        self._keep(_face_rows(node_side, self.face_s,
-                              node_side.rows(self.face_s, N)))
+        self.face_rows = _face_rows(node_side, self.face_s, fields)
         # A1 (du1/ds), then A2 (tau_n)
         self.tip_log_rows = tuple(
             _read_only(t[[2, 1]])
             for t in _tip_log_rows(curve, self.material, N, node_side.basis))
-
-    def _keep(self, face):
-        """Keep a copy of the sigma_n and tau_n rows of the face points,
-        all a sweep's report reads of them, so the du/ds rows are freed."""
-        self.traction_rows = face.pick(slice(2)).copy()
 
     @cached_property
     def grid(self):
@@ -393,8 +392,19 @@ class _SweepTables:
         under load, from its rows alone: sigma_n and tau_n on both faces at
         face_s, (2, 2, n_face, P), A1 and A2, (2, P), and the opening
         delta, (n_samples, P)."""
-        return (self.traction_rows.apply(x, gamma1, load),
+        return (self.face_rows.apply(x, gamma1, load)[:2],
                 _tip_values(self.tip_log_rows, x, gamma1), self.openings(x)[1])
+
+    def values(self, x, gamma1, load):
+        """The face fields of P solutions x at gamma1 under load, on tables
+        of all four: sigma_n + i tau_n and du1/ds + i du2/ds on both faces
+        at face_s, (2, n_face, P) each, the jump, (n_samples, P), and their
+        evaluate() values."""
+        sigma, tau, du1, du2 = self.face_rows.apply(x, gamma1, load)
+        jump, delta = self.openings(x)
+        return (sigma + 1j * tau, du1 + 1j * du2, jump,
+                ((sigma, tau), _tip_values(self.tip_log_rows, x, gamma1),
+                 delta))
 
     def report(self, traction, tip, delta):
         """The numbers of SolveReport of P solutions, (P, 5), from their
@@ -407,40 +417,14 @@ class _SweepTables:
                                 np.abs(sigma + 1j * tau).max(axis=(0, 1))])
 
 
-class _SolveTables(_SweepTables):
-    """The `_SweepTables` of solve mode, which also keep du1/ds and du2/ds
-    at the face points for face_fields.csv (`face_rows`, all four fields,
-    of which `traction_rows` is a view), and `values`, which applies them
-    all.  The node side keeps one (`_solve_tables`)."""
-
-    def _keep(self, face):
-        self.face_rows, self.traction_rows = face, face.pick(slice(2))
-
-    def values(self, x, gamma1, load):
-        """The face fields of P solutions x at gamma1 under load, sigma_n +
-        i tau_n and du1/ds + i du2/ds on both faces at face_s, (2, n_face,
-        P) each, the jump, (n_samples, P), and their evaluate() values."""
-        sigma, tau, du1, du2 = self.face_rows.apply(x, gamma1, load)
-        jump, delta = self.openings(x)
-        return (sigma + 1j * tau, du1 + 1j * du2, jump,
-                ((sigma, tau), _tip_values(self.tip_log_rows, x, gamma1),
-                 delta))
-
-
-def _sweep_tables(curve, material, N, n_face):
-    """The `_SweepTables` of n_face on the cached node side of the curve,
-    material and N (`fields._node_side`), which keeps them.  N is checked
+def _sweep_tables(curve, material, N, n_face, fields):
+    """The `_SweepTables` of n_face points and the first `fields` face
+    fields on the cached node side of the curve, material and N
+    (`fields._node_side`), which keeps them.  N is checked
     (`Discretization`) before the node side is built."""
     Discretization(N, curve.length)
-    return _node_side(curve, material, N, MONOMIALS).derived(_SweepTables,
-                                                             n_face)
-
-
-def _solve_tables(curve, material, N):
-    """The `_SolveTables` of face_fields.csv's _FACE_POINTS on the cached
-    node side of the curve, material and N, which keeps them."""
-    return _node_side(curve, material, N, MONOMIALS).derived(_SolveTables,
-                                                             _FACE_POINTS)
+    return _node_side(curve, material, N, MONOMIALS).derived(
+        _SweepTables, n_face, fields)
 
 
 # numpy's LinAlgError is a ValueError
@@ -516,7 +500,7 @@ def _fill(rows, gamma1, load, make_tables):
 def sweep_gamma(curve, material, load, gamma_grid, N: int = 20):
     """One solve per gamma1 value, in order; failed rows carry the error.
 
-    The kernels and the field evaluator are tabulated once for the whole
+    The kernels and the face-field rows are tabulated once for the whole
     sweep, and for any later run on the curve, material and N
     (`_sweep_tables`, kept by the cached node side), and the points are
     solved as stacks (`_solve_and_report`): one for the gamma1 = 0 points
@@ -524,7 +508,7 @@ def sweep_gamma(curve, material, load, gamma_grid, N: int = 20):
     """
     rows = [GammaSweepRow(gamma1=float(g1)) for g1 in gamma_grid]
     _fill(rows, [row.gamma1 for row in rows], load,
-          lambda: _sweep_tables(curve, material, N, _TRACTION_POINTS))
+          lambda: _sweep_tables(curve, material, N, _TRACTION_POINTS, 2))
     return rows
 
 
@@ -533,7 +517,7 @@ def sweep_curvature(material, load, gamma1, kappa0_grid, N: int = 20):
     rows = [CurvatureSweepRow(kappa0=float(k0)) for k0 in kappa0_grid]
     for row in rows:
         _fill([row], [gamma1], load, lambda: _sweep_tables(
-            make_circular_arc(row.kappa0), material, N, _TRACTION_POINTS))
+            make_circular_arc(row.kappa0), material, N, _TRACTION_POINTS, 2))
     return rows
 
 
@@ -693,8 +677,8 @@ def write_face_fields_csv(path, s, traction, du):
     """Face fields of both faces at the points s, all "+" rows first.
 
     traction is sigma_n + i tau_n and du is d(u1 + i u2)/ds, each (2, M)
-    with the "+" face first, as `fields._FieldEvaluator.face_values`
-    returns them.  The points are formatted once, for both faces.
+    with the "+" face first, as `fields._face_values` returns them.  The
+    points are formatted once, for both faces.
     """
     _write_face_fields_csv(
         path, _face_columns(_cells(np.asarray(s, dtype=float))), traction,

@@ -19,7 +19,8 @@ coefficient columns of g' and q:
 - `coefficient_face_values` gives both faces' fields from the node side's
   rows (`_NodeSide.rows`) applied to the coefficients of g' and q, with
   the jump terms and the far field added per call: the evaluation that
-  `fields._FieldEvaluator` replaced with rows on the unknowns [g1; g2].
+  the face-field rows on the unknowns [g1; g2] (`fields._face_rows`)
+  replaced.
 """
 
 from functools import cached_property

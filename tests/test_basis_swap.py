@@ -26,7 +26,7 @@ from curvecrack import (Discretization, FarFieldLoad, Material,
                         make_circular_arc, make_semicircle, make_straight,
                         max_face_traction, opening_profile, solver)
 from curvecrack.densities import MONOMIALS, Basis
-from curvecrack.fields import _FieldEvaluator, _NodeSide
+from curvecrack.fields import _face_rows, _face_values, _NodeSide
 
 MATERIAL = Material(mu=60.0, kappa=2.5)
 LOAD = FarFieldLoad(sigma1=1.0, sigma2=0.5, alpha=0.3)
@@ -85,29 +85,32 @@ def test_scaled_monomials_give_the_same_solve(monkeypatch, shape, N):
                 gamma1
 
 
-def test_field_evaluator_refuses_a_density_in_another_basis():
-    """face_values raises a ValueError unless the density is in the basis
-    of the evaluator's node side.
+def test_face_values_read_the_density_basis(monkeypatch):
+    """The face fields of a density come from the rows of its own basis,
+    so the unscaled solves of the two bases give one field.
 
-    Unchecked, the rows of one basis applied to the coefficients of another
-    gave finite, wrong fields: a scaled-monomial density on the semicircle
-    at N = 12 and gamma1 = 1 has sigma_n + i tau_n = -0.540 - 0.274i at
-    s = 0.5 on its own node side, and a monomial evaluator gave
-    -2357.7 + 2747.4i there.
+    The rows of one basis applied to the coefficients of another gave
+    finite, wrong fields: a scaled-monomial density on the semicircle at
+    N = 12 and gamma1 = 1 has sigma_n + i tau_n = -0.540 - 0.274i at
+    s = 0.5 on its own node side, and the monomial rows gave
+    -2357.7 + 2747.4i there.  `fields._face_values` builds the node side
+    from the density's basis, so no density meets the rows of another.
     """
-    curve, N = CURVES["semicircle"], 12
-    sides = {name: _NodeSide(curve, MATERIAL, N, basis=basis)
-             for name, basis in BASES.items()}
-    for name, side in sides.items():
+    monkeypatch.setattr(solver, "LAMBDA_REL", 1e-15)
+    curve, N, s0 = CURVES["semicircle"], 12, [0.5]
+    got = {}
+    for name, basis in BASES.items():
+        side = _NodeSide(curve, MATERIAL, N, basis=basis)
         coeffs = solver.solve(solver.assemble(
             curve, MATERIAL, LOAD, 1.0, Discretization(N, curve.length),
-            node_side=side))
-        traction, du = _FieldEvaluator(side, [0.5], N).face_values(
-            coeffs, LOAD)
-        assert np.all(np.isfinite(traction)) and np.all(np.isfinite(du))
-        other, = (s for n, s in sides.items() if n != name)
-        with pytest.raises(ValueError, match="basis"):
-            _FieldEvaluator(other, [0.5], N).face_values(coeffs, LOAD)
+            row_scaling=False, node_side=side))
+        got[name] = _face_values(curve, MATERIAL, LOAD, coeffs, s0)
+        sigma, tau, du1, du2 = _face_rows(side, s0, 4).apply(
+            np.concatenate([coeffs.g1, coeffs.g2])[None], 1.0, LOAD)[..., 0]
+        for x, y in zip(got[name], (sigma + 1j * tau, du1 + 1j * du2)):
+            assert np.max(np.abs(x - y)) <= 1e-13 * np.max(np.abs(y))
+    for x, y in zip(*got.values()):
+        assert np.max(np.abs(x - y)) <= 1e-9 * np.max(np.abs(y))
 
 
 # ---------------------------------------------------------------------------

@@ -685,7 +685,10 @@ def test_cached_tables_are_read_only(cold_tables):
     _, curve, material, load, disc = config.build()
     res = cli._solve_outputs(config, curve, material, load, disc, False)
     tables = res["tables"]
-    assert tables is post._solve_tables(curve, material, 12)
+    assert tables is post._sweep_tables(curve, material, 12,
+                                        post._FACE_POINTS, 4)
+    # all four face fields at the face points
+    assert tables.face_rows.shape == (4, 2, post._FACE_POINTS)
     collocation, grid = tables.collocation, tables.grid
     side = collocation.node_side
     assert side is fields._node_side(curve, material, 12, side.basis)
@@ -697,9 +700,7 @@ def test_cached_tables_are_read_only(cold_tables):
         assert all(type(c) is str for c in text)
     arrays = [tables.jump, tables.face_s, *tables.tip_log_rows,
               grid.s, grid.table,
-              *(getattr(rows, name) for rows in (
-                  tables.face_rows, tables.traction_rows)
-                for name in ("rows", "far")),
+              tables.face_rows.rows, tables.face_rows.far,
               *collocation.blocks, collocation.mirror, collocation.parity,
               *collocation.tip_rows,
               collocation.single_valued, collocation.single_valued_rows,

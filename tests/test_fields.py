@@ -287,20 +287,6 @@ class TestFaceFields:
         got, ref = np.array(got), np.array(ref)
         assert np.max(np.abs(got - ref)) < 1e-9 * np.max(np.abs(ref))
 
-    def test_evaluator_names_both_degrees(self, material, semicircle,
-                                          load_h):
-        # an N = 16 density on a degree-12 evaluator: numpy's matmul error
-        # ("size 17 is different from 13") named neither degree
-        coeffs = solve_problem(semicircle, material, load_h, 1.0, N=16)
-        ev = fields._FieldEvaluator(fields._NodeSide(semicircle, material, 12),
-                                    [0.5, 1.5], 12)
-        x = np.concatenate([coeffs.g1, coeffs.g2])[None]
-        for call in (lambda: ev.face_values(coeffs, load_h),
-                     lambda: ev.apply(x, 1.0, load_h)):
-            with pytest.raises(ValueError, match="degree 16 exceeds the 12 "
-                               "the field evaluator was built for"):
-                call()
-
     @pytest.mark.parametrize("cauchy", ["exact", "discrete"])
     def test_batched_face_values_match_pointwise(self, material, semicircle,
                                                  load_h, cauchy):
@@ -312,17 +298,20 @@ class TestFaceFields:
         if cauchy == "discrete":
             disc = Discretization(n_quad, semicircle.length)
         side = fields._NodeSide(semicircle, material, coeffs.degree, disc)
+        x = np.concatenate([coeffs.g1, coeffs.g2])[None]
 
-        def evaluator(points):
-            return fields._FieldEvaluator(side, points, coeffs.degree)
+        def face_values(points):
+            sigma, tau, du1, du2 = fields._face_rows(side, points, 4).apply(
+                x, coeffs.gamma1, load_h)[..., 0]
+            return sigma + 1j * tau, du1 + 1j * du2
 
         # cell midpoints of the discrete rule, which never hit its nodes
         j = np.sort(rng.choice(n_quad, size=37, replace=False))
         grid = (2 * j + 1) * semicircle.length / (2 * n_quad)
-        traction, du = evaluator(grid).face_values(coeffs, load_h)
+        traction, du = face_values(grid)
         assert traction.shape == du.shape == (2, len(grid))
         for k, s0 in enumerate(grid):
-            one_t, one_du = evaluator([s0]).face_values(coeffs, load_h)
+            one_t, one_du = face_values([s0])
             for got, want in ((traction[:, k], one_t[:, 0]),
                               (du[:, k], one_du[:, 0])):
                 assert np.all(np.abs(got - want)
@@ -466,7 +455,7 @@ class TestFaceFields:
                                        make_straight(2.0)],
                              ids=["semicircle", "arc", "straight"])
     def test_evaluator_rows_match_complex_products(self, material, curve):
-        # the evaluator applies the operator's real rows; the oracle's
+        # the face-field rows apply the operator's real rows; the oracle's
         # complex products give the same face-average traction and face
         # function, which the mean of the two faces recovers
         rng = np.random.default_rng(29)
@@ -477,8 +466,9 @@ class TestFaceFields:
         grid = np.sort(rng.uniform(0.005, 0.995, 21)) * curve.length
         side = fields._NodeSide(curve, material, 8)
         want = FaceOperator(side, grid, 8).apply(gp, q)
-        ev = fields._FieldEvaluator(side, grid, 8)
-        traction, du = ev.apply(np.concatenate([g1, g2], axis=1), 1.0, load)
+        sigma, tau, du1, du2 = fields._face_rows(side, grid, 4).apply(
+            np.concatenate([g1, g2], axis=1), 1.0, load)
+        traction, du = sigma + 1j * tau, du1 + 1j * du2
         t1 = curve.tangent(grid)[:, None]
         phi, psi = load.phi_inf, load.psi_inf
         far = 2.0 * phi.real + np.conj(psi) * np.conj(t1) ** 2
@@ -498,14 +488,19 @@ class TestFaceFields:
             self, material, curve, N):
         # the rows on the unknowns [g1; g2], affine in gamma1, give the
         # fields of the evaluation on the coefficients of g' and q that
-        # they replaced: for a stack at each gamma1, for one gamma1 per
-        # density, and for densities of a lower degree
+        # they replaced: for a stack at each gamma1 and for one gamma1 per
+        # density
         rng = np.random.default_rng(31)
         g1, g2 = rng.normal(size=(2, 4, N + 1))
         load = FarFieldLoad(sigma1=1.0, sigma2=0.4, alpha=0.3)
         grid = np.sort(rng.uniform(0.005, 0.995, 23)) * curve.length
         side = fields._NodeSide(curve, material, N)
-        ev = fields._FieldEvaluator(side, grid, N)
+        rows = fields._face_rows(side, grid, 4)
+
+        def apply(x, gamma1):
+            sigma, tau, du1, du2 = rows.apply(x, gamma1, load)
+            return sigma + 1j * tau, du1 + 1j * du2
+
         gammas = [0.0, 0.3, 1.0, 2.0]
 
         def check(got, want):
@@ -514,21 +509,18 @@ class TestFaceFields:
                     assert np.max(np.abs(part(g) - part(w))) \
                         <= 1e-12 * np.max(np.abs(part(w)))
 
-        def oracle(gamma1, n):
-            q = q_coefficients(curve, material, gamma1, g1[:, :n], g2[:, :n],
-                               MONOMIALS)
-            return coefficient_face_values(side, grid, N,
-                                           g1[:, :n] + 1j * g2[:, :n], q,
+        def oracle(gamma1):
+            q = q_coefficients(curve, material, gamma1, g1, g2, MONOMIALS)
+            return coefficient_face_values(side, grid, N, g1 + 1j * g2, q,
                                            load)
 
-        for n in (N + 1, N - 2):
-            x = np.concatenate([g1[:, :n], g2[:, :n]], axis=1)
-            for gamma1 in gammas:
-                check(ev.apply(x, gamma1, load), oracle(gamma1, n))
-            got = ev.apply(x, np.array(gammas), load)
-            for p, gamma1 in enumerate(gammas):
-                check([v[..., p] for v in got],
-                      [v[..., p] for v in oracle(gamma1, n)])
+        x = np.concatenate([g1, g2], axis=1)
+        for gamma1 in gammas:
+            check(apply(x, gamma1), oracle(gamma1))
+        got = apply(x, np.array(gammas))
+        for p, gamma1 in enumerate(gammas):
+            check([v[..., p] for v in got],
+                  [v[..., p] for v in oracle(gamma1)])
 
     def test_validation_errors(self, material, semicircle, load_h):
         zero = _zero_coeffs(semicircle)
@@ -540,6 +532,23 @@ class TestFaceFields:
         with pytest.raises(ValueError):
             face_fields(semicircle, material, load_h, zero, "plus",
                         float(disc_node), n_quad=10, cauchy="discrete")
+
+    @pytest.mark.parametrize("grid", [[[0.5, 1.0]], 1.0, []],
+                             ids=["2-D", "scalar", "empty"])
+    def test_profile_names_s0_unless_the_points_are_1d(
+            self, material, semicircle, load_h, grid):
+        # numpy's errors ("x must be a one-dimensional array or sequence",
+        # "cannot reshape array of size 0") named no argument
+        zero = _zero_coeffs(semicircle)
+        with pytest.raises(ValueError, match="s0 must be a non-empty 1-D"):
+            face_field_profile(semicircle, material, load_h, zero, grid)
+
+    def test_face_fields_names_s0_for_an_array_point(self, material,
+                                                     semicircle, load_h):
+        zero = _zero_coeffs(semicircle)
+        with pytest.raises(ValueError, match="s0 must be a non-empty 1-D"):
+            face_fields(semicircle, material, load_h, zero, "plus",
+                        np.array([0.5, 1.0]))
 
     def test_profile_shape(self, material, semicircle, load_h):
         zero = _zero_coeffs(semicircle)

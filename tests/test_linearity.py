@@ -16,7 +16,7 @@ from scipy.integrate import simpson
 from curvecrack import (FarFieldLoad, Material, make_circular_arc,
                         make_semicircle, make_straight, opening_profile,
                         solve_problem)
-from curvecrack.fields import _FieldEvaluator, _NodeSide
+from curvecrack.fields import _face_values
 from curvecrack.quadrature import midpoint_grid
 
 MATERIAL = Material(mu=60.0, kappa=2.5)
@@ -48,9 +48,8 @@ def _outputs(curve, N, gamma1, load):
     """g' at 201 points, both faces' traction and du/ds at 41 points and
     the complex opening jump, for one load."""
     coeffs = solve_problem(curve, MATERIAL, load, gamma1, N=N)
-    ev = _FieldEvaluator(_NodeSide(curve, MATERIAL, N),
-                         midpoint_grid(curve.length, 41), N)
-    traction, du = ev.face_values(coeffs, load)
+    traction, du = _face_values(curve, MATERIAL, load, coeffs,
+                                midpoint_grid(curve.length, 41))
     return (coeffs.gprime(np.linspace(0.0, curve.length, 201)), traction,
             du, opening_profile(coeffs, curve, MATERIAL).jump)
 
@@ -77,9 +76,8 @@ def test_zero_load_gives_exactly_zero(problem):
     load = FarFieldLoad(0.0, 0.0, alpha)
     coeffs = solve_problem(curve, MATERIAL, load, gamma1, N=N)
     assert not np.any(coeffs.g1) and not np.any(coeffs.g2)
-    ev = _FieldEvaluator(_NodeSide(curve, MATERIAL, N),
-                         midpoint_grid(curve.length, 41), N)
-    traction, du = ev.face_values(coeffs, load)
+    traction, du = _face_values(curve, MATERIAL, load, coeffs,
+                                midpoint_grid(curve.length, 41))
     assert not np.any(traction) and not np.any(du)
 
 

@@ -21,7 +21,7 @@ from curvecrack import (CrackCurve, DensityCoefficients, Discretization,
                         traction_jump, traction_jump_parts)
 from curvecrack import densities, postprocess, solver
 from curvecrack.densities import MONOMIALS
-from curvecrack.fields import (_FieldEvaluator, _node_side, _NodeSide,
+from curvecrack.fields import (_face_values, _node_side, _NodeSide,
                                face_field_profile)
 from curvecrack.postprocess import (ConvergenceRow, CurvatureSweepRow,
                                     GammaSweepRow, SolveReport, _cells,
@@ -446,8 +446,11 @@ class TestSweepTables:
         # frees)
         sweep_gamma(semicircle, material, load_h, [0.5, 1.0], N=12)
         tables = postprocess._sweep_tables(semicircle, material, 12,
-                                           postprocess._TRACTION_POINTS)
-        rows = (tables.traction_rows,)
+                                           postprocess._TRACTION_POINTS, 2)
+        # a sweep keeps the rows of sigma_n and tau_n alone
+        assert tables.face_rows.shape == (2, 2, postprocess._TRACTION_POINTS)
+        assert tables.face_rows.rows.shape[:2] == (2, 2)
+        rows = (tables.face_rows,)
         arrays = [*tables.tip_log_rows, *(getattr(r, name) for r in rows
                                           for name in ("rows", "far"))]
         for array in arrays:
@@ -750,9 +753,9 @@ class TestCsvWriters:
         coeffs = DensityCoefficients(rng.normal(size=4), rng.normal(size=4),
                                      semicircle.length, 1.0)
         grid = [0.5, 1.0, 2.5]
-        fields = _FieldEvaluator(_NodeSide(semicircle, material, 3), grid, 3)
         path = tmp_path / "face_fields.csv"
-        write_face_fields_csv(path, grid, *fields.face_values(coeffs, load_h))
+        write_face_fields_csv(path, grid, *_face_values(
+            semicircle, material, load_h, coeffs, grid))
         prof = face_field_profile(semicircle, material, load_h, coeffs, grid)
         header = ["s", "side", "sigma_n", "tau_n", "du1_ds", "du2_ds"]
         assert path.read_text() == _csv_text(
@@ -911,9 +914,20 @@ class TestArgumentChecks:
             DensityCoefficients(np.ones(3), np.ones(3), 2.0, 1.0,
                                 curve=semicircle)
 
+    @pytest.mark.parametrize("name", ["g1", "g2"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_density_refuses_non_finite_coefficients(self, name, bad):
+        # accepted, such a density gave nan from max_face_traction,
+        # opening_profile and tip_log_coefficients without an error
+        parts = {"g1": np.ones(3), "g2": np.ones(3)}
+        parts[name][1] = bad
+        with pytest.raises(ValueError, match=f"{name} must hold finite"):
+            DensityCoefficients(parts["g1"], parts["g2"], 2.0, 1.0)
+
     def test_max_face_traction_needs_a_point(self, solved_semicircle,
                                              semicircle, material, load_h):
-        for n in (0, -3, 2.5):
+        # True is an Integral equal to 1
+        for n in (0, -3, 2.5, True):
             with pytest.raises(ValueError, match="n_points"):
                 max_face_traction(semicircle, material, load_h,
                                   solved_semicircle, n_points=n)
@@ -938,7 +952,7 @@ class TestArgumentChecks:
             with pytest.raises(ValueError, match="n must be an integer of "
                                                  "at least 8"):
                 fit_tip_coefficients(*args, n=n)
-        for n in (0, 2.5, -1):
+        for n in (0, 2.5, -1, True):
             with pytest.raises(ValueError, match="n must be an integer of "
                                                  "at least 1"):
                 collect_tip_samples(*args, "tau_n", n=n)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from curvecrack import Material, make_semicircle, solve_problem
-from curvecrack.fields import _FieldEvaluator, _NodeSide
+from curvecrack.fields import _face_values, _NodeSide
 from curvecrack.postprocess import write_face_fields_csv
 from curvecrack.quadrature import midpoint_grid
 
@@ -47,12 +47,10 @@ def test_face_profiles_match_solve_problem(tmp_path):
     want = tmp_path / "want.csv"
     names = set()
     for load_name, load in module.LOADS.items():
-        fields = _FieldEvaluator(_NodeSide(curve, material, module.N), grid,
-                                 module.N)
         for gamma1 in module.GAMMAS:
             coeffs = solve_problem(curve, material, load, gamma1, N=module.N)
-            write_face_fields_csv(want, grid,
-                                  *fields.face_values(coeffs, load))
+            write_face_fields_csv(want, grid, *_face_values(
+                curve, material, load, coeffs, grid))
             name = f"face_fields_{load_name}_g{gamma1}.csv"
             names.add(name)
             assert (tmp_path / "out" / name).read_bytes() == want.read_bytes()
@@ -63,7 +61,7 @@ def test_face_profiles_match_solve_problem(tmp_path):
 def test_face_profiles_build_one_node_side(tmp_path, monkeypatch, capsys,
                                            cold_tables):
     # one face operator of the curve at N serves the collocation tables and
-    # the field evaluator of all nine solves
+    # the face-field rows of all nine solves
     module = _load(next(p for p in SCRIPTS if p.name == "face_profiles.py"))
     monkeypatch.setattr(module, "OUT", tmp_path / "out")
     built, init = [], _NodeSide.__init__

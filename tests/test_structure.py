@@ -10,8 +10,11 @@ keep every table built from them; the only other functools caches hold
 constants keyed by an int.  And `cli` builds no grid of points of its
 own: it writes the grids the node side keeps.  The tables of the sweeps
 and solve mode report the closed-form tip log coefficients and name no
-part of the tip window fit.  All are read from the source, so a use that
-no test runs is found too.
+part of the tip window fit.  The face fields have one path: the node
+side's rows without s0-derivatives are read by `fields._face_rows` alone,
+which alone builds the rows on the unknowns (`fields._FieldRows`), and
+those with them by the collocation tables alone.  All are read from the
+source, so a use that no test runs is found too.
 """
 
 import ast
@@ -67,7 +70,7 @@ _GRID_BUILDERS = ("linspace", "geomspace", "arange", "midpoint_grid")
 
 
 # the tables that report A1 and A2, and the names of the tip window fit
-_REPORT_TABLES = ("_SweepTables", "_SolveTables")
+_REPORT_TABLES = ("_SweepTables",)
 _TIP_FIT = ("_tip_points", "_TIP_POINTS", "_fit_lines", "polyfit")
 
 
@@ -77,6 +80,52 @@ def _tip_fit_uses(tree):
     return [use for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
             and node.name in _REPORT_TABLES
             for use in _name_uses(node, _TIP_FIT)]
+
+
+def _callers(tree, match, scope=""):
+    """The qualified name (Class.method, a function's, or the class or ""
+    at the top level) of the function around each call that match
+    accepts, once per call; a nested function counts as its outer one."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            found += _callers(node, match, f"{scope}{node.name}.")
+            continue
+        name = scope.rstrip(".")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = scope + node.name
+        found += [name for call in ast.walk(node)
+                  if isinstance(call, ast.Call) and match(call)]
+    return found
+
+
+def _reads_rows(derivatives):
+    """A match of _callers: a call of a method rows() with s0-derivatives
+    (a third argument or a derivatives keyword, not a literal False), or
+    without."""
+    def match(call):
+        if not (isinstance(call.func, ast.Attribute)
+                and call.func.attr == "rows"):
+            return False
+        given = call.args[2:] + [k.value for k in call.keywords
+                                 if k.arg == "derivatives"]
+        return derivatives == any(not (isinstance(v, ast.Constant)
+                                       and v.value is False) for v in given)
+    return match
+
+
+def _builds_field_rows(call):
+    """A match of _callers: a call of _FieldRows, by name or attribute."""
+    func = call.func
+    return (isinstance(func, ast.Name) and func.id == "_FieldRows"
+            or isinstance(func, ast.Attribute) and func.attr == "_FieldRows")
+
+
+def _package_callers(match):
+    """(module, qualified name) of each call in the package that match
+    accepts (`_callers`)."""
+    return sorted((path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
+                  for name in _callers(ast.parse(path.read_text()), match))
 
 
 # the dict methods that write
@@ -191,8 +240,15 @@ def test_report_tables_fit_no_tip_window():
     assert _tip_fit_uses(tree) == []
 
 
+def test_one_face_field_path():
+    assert _package_callers(_reads_rows(False)) == [("fields", "_face_rows")]
+    assert _package_callers(_reads_rows(True)) == [
+        ("solver", "_CollocationTables.__init__")]
+    assert _package_callers(_builds_field_rows) == [("fields", "_face_rows")]
+
+
 def test_the_checks_see_what_they_forbid():
-    # each kind of use the four checks refuse, in a made-up module
+    # each kind of use the checks refuse, in a made-up module
     primitives = _primitive_names()
     for source in ("from .densities import pv_monomials",
                    "from curvecrack.densities import _tangent_integrals",
@@ -229,3 +285,18 @@ def test_the_checks_see_what_they_forbid():
             ("t = functools.lru_cache(maxsize=None)(len)",
              ["functools.lru_cache(maxsize=None)"])):
         assert _cached_functions(ast.parse(source)) == want, source
+    tree = ast.parse(
+        "class T:\n"
+        "    def __init__(self, side, s):\n"
+        "        self.a = side.rows(s, 4)\n"
+        "        self.b = side.rows(s, 4, derivatives=True)\n"
+        "        self.c = side.rows(s, 4, True)\n"
+        "        self.d = side.rows(s, 4, derivatives=False)\n"
+        "def f(side, s):\n"
+        "    def g():\n"
+        "        return fields._FieldRows(side.rows(s, 2), None)\n"
+        "    return _FieldRows(g(), None)\n")
+    assert _callers(tree, _reads_rows(False)) == ["T.__init__", "T.__init__",
+                                                  "f"]
+    assert _callers(tree, _reads_rows(True)) == ["T.__init__", "T.__init__"]
+    assert _callers(tree, _builds_field_rows) == ["f", "f"]
