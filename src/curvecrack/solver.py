@@ -93,9 +93,9 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .densities import (MONOMIALS, DensityCoefficients, _mirror_signs,
-                        _parity_columns, _read_only, _single_valued_integrals,
-                        _tip_blocks, check_gamma1, q_rows_to_unknowns)
+from .densities import (MONOMIALS, DensityCoefficients, _parity_columns,
+                        _read_only, _single_valued_integrals, _tip_blocks,
+                        check_gamma1, q_rows_to_unknowns)
 from .fields import _node_side, _NodeSide, boundary_forcing
 from .geometry import CrackCurve
 # gauss_legendre is not called here, but perfbench's tracer test rebinds it
@@ -122,32 +122,61 @@ class LinearSystem:
     n_constraints rows hold the single-valuedness condition and, for
     gamma1 > 0, the tip rows.  The constraints are homogeneous (their
     right-hand side is zero), so the solve needs no particular solution.
-    The system splits into two parity halves (`halves`), and `reduction`
-    is, for each half, the null basis Z of its constraint rows and the
-    thin SVD of its collocation rows times Z, computed once and shared by
-    the condition gate, `solve` and `dump_text`.  condition_estimate is
-    the 2-norm condition number of the reduced block of the whole system,
-    whose singular values are those of both halves, with its smallest
-    singular value clipped at the Tikhonov floor LAMBDA_REL * sigma_max,
-    so it never exceeds 1/LAMBDA_REL = 1e8; it is inf only for a zero
-    reduced block.  tables are the `_CollocationTables` the system was
-    built from: its node side's curve and basis, N and the unscaled
-    integrals I_k of the single-valuedness rows, which `solve` gives the
-    density.
+    The system is held in the layout the solve reads: rows are the scaled
+    collocation rows of the first M = ceil(N/2) points by (parity, row
+    kind, point, column), the layout of the parity halves
+    (`_CollocationTables`), and constraints the scaled constraint rows on
+    all 2N + 2 unknowns; rhs and row_scale are those of all 2N +
+    n_constraints rows.  The whole matrix (`matrix`, `collocation_block`,
+    `constraint_block`) is laid out from them, with the rows of the other
+    points by the mirror, only when read, which `dump_text` and the tests
+    do.  The system splits into two parity halves (`halves`), and
+    `reduction` is, for each half, the null basis Z of its constraint rows
+    and the thin SVD of its collocation rows times Z, computed once and
+    shared by the condition gate, `solve` and `dump_text`.
+    condition_estimate is the 2-norm condition number of the reduced block
+    of the whole system, whose singular values are those of both halves,
+    with its smallest singular value clipped at the Tikhonov floor
+    LAMBDA_REL * sigma_max, so it never exceeds 1/LAMBDA_REL = 1e8; it is
+    inf only for a zero reduced block.  tables are the
+    `_CollocationTables` the system was built from: its node side's curve
+    and basis, N, the constants of the halves and the unscaled integrals
+    I_k of the single-valuedness rows, which `solve` gives the density.
 
     A stack of P systems that share N and the number of constraint rows
-    (`_CollocationTables.systems`) carries a leading point axis on matrix,
-    rhs and row_scale, and gamma1 and condition_estimate are (P,) arrays;
-    the reduction factorizes the whole stack, both halves of every point,
-    in one call per SVD.  A single system has no point axis.
+    (`_CollocationTables.systems`) carries a leading point axis on every
+    array, and gamma1 and condition_estimate are (P,) arrays; the
+    reduction factorizes the whole stack, both halves of every point, in
+    one call per SVD.  A single system has no point axis.
     """
 
-    matrix: np.ndarray
+    rows: np.ndarray
+    constraints: np.ndarray
     rhs: np.ndarray
-    n_constraints: int
     row_scale: np.ndarray
     gamma1: float
     tables: _CollocationTables
+
+    @property
+    def n_constraints(self):
+        return self.constraints.shape[-2]
+
+    @cached_property
+    def matrix(self):
+        """The whole row-scaled system, (..., 2N + n_constraints, 2N + 2):
+        the rows of the points past the first M are the mirrors of theirs,
+        sign times theirs in the layout of the halves."""
+        tables, rows = self.tables, self.rows
+        N = tables.disc.N
+        rows = np.concatenate([rows, tables.sign[..., None]
+                               * rows[..., : N // 2, :][..., ::-1, :]],
+                              axis=-2)
+        lead = rows.shape[:-4]
+        A = np.empty(lead + (2 * N + self.n_constraints, 2 * N + 2))
+        A[..., : 2 * N, tables.parity] = np.moveaxis(rows, -4, -2).reshape(
+            lead + (2 * N, 2, N + 1))
+        A[..., 2 * N:, :] = self.constraints
+        return A
 
     @property
     def collocation_block(self):
@@ -173,33 +202,25 @@ class LinearSystem:
         single-valuedness rows are the real and imaginary parts of [I,
         iI]; times conj t'(l/2), which I_0, the chord, lies along, the real
         row lies on half 0 and the imaginary one on half 1.  Each half
-        takes the first tip's rows on its columns.
+        takes the first tip's rows on its columns.  The weights, the
+        mirror's signs and the row indices are the tables' constants.
         """
-        N, n_con = self.tables.disc.N, self.n_constraints
-        M = (N + 1) // 2
-        cols = self.tables.parity
-        # sign[p, kind] of the mirrored row in half p: -1 for (0, Re) and
-        # (1, Im); weight of a row of the first M points in each half
-        sign = (1.0 - 2.0 * np.eye(2))[..., None]
-        weight = np.full((2, 2, M), np.sqrt(2.0))
-        if N % 2:
-            weight[..., -1] = 0.5 * (1.0 + sign[..., 0])
-        # the Re and Im rows of the first M points, and of their mirrors
-        first = N * np.arange(2)[:, None] + np.arange(M)
-        mirrored = N * np.arange(2)[:, None] + (N - 1 - np.arange(M))
-        A = np.moveaxis(self.matrix[..., first, :][..., cols], -2, -4)
-        A = (weight[..., None] * A).reshape(A.shape[:-4] + (2, 2 * M, N + 1))
+        tables, n_con = self.tables, self.n_constraints
+        cols = tables.parity
+        A = tables.weight[..., None] * self.rows
+        A = A.reshape(A.shape[:-4] + (2, 2 * A.shape[-2], A.shape[-1]))
         rhs = self.rhs[..., None, :]
-        h = 0.5 * weight * (rhs[..., first] + sign * rhs[..., mirrored])
-        C = self.constraint_block
-        I0 = self.tables.single_valued[0]
+        h = 0.5 * tables.weight * (rhs[..., tables.first]
+                                   + tables.sign * rhs[..., tables.mirrored])
+        C = self.constraints
+        I0 = tables.single_valued[0]
         sv = (np.conj(I0) / abs(I0)) * (C[..., 0, :] + 1j * C[..., 1, :])
         # the second tip's rows are +-(the first tip's rows) P
         tips = C[..., 2: 2 + (n_con - 2) // 2, :]
         even = np.concatenate([sv.real[..., None, :], tips], axis=-2)
         odd = np.concatenate([sv.imag[..., None, :], tips], axis=-2)
         C = np.stack([even[..., cols[0]], odd[..., cols[1]]], axis=-3)
-        return A, C, h.reshape(h.shape[:-2] + (2 * M,))
+        return A, C, h.reshape(h.shape[:-2] + (A.shape[-2],))
 
     @cached_property
     def reduction(self):
@@ -212,7 +233,7 @@ class LinearSystem:
         if C.shape[-2] >= C.shape[-1]:
             raise SolveError("the constraints leave no free unknown: "
                              f"{self.n_constraints} constraint rows for "
-                             f"{self.matrix.shape[-1]} unknowns")
+                             f"{self.constraints.shape[-1]} unknowns")
         _, _, Vt = np.linalg.svd(C)
         Z = Vt[..., C.shape[-2]:, :].swapaxes(-1, -2)
         G = A @ Z
@@ -255,17 +276,20 @@ class _CollocationTables:
     collocation rows (kappa+1)(R0 + gamma1 R1 + gamma1^2 R2), R0 is the
     traction of the g' of the basis columns, R1 the traction of their q at
     gamma1 = 1 plus the curvature term of their g', and R2 the curvature
-    term of their q.  The three real (2M, 2N+2) blocks, the Re rows then the
-    Im rows of the first M = ceil(N/2) collocation points, come from one
-    read of the node side (`_NodeSide.rows` at those points, with
-    s0-derivatives), and the q rows become g1 and g2 columns through the
-    closure (`q_rows_to_unknowns`); the rows of the other points are their
-    mirrors (`systems`).  The tip rows T0, T1 (`_tip_blocks`) and the
+    term of their q.  The three real blocks hold the rows of the first M =
+    ceil(N/2) collocation points, in the layout of the parity halves
+    (`LinearSystem.halves`): (parity, row kind, point, column), the Re
+    rows before the Im rows, on the N+1 columns of each half (`parity`).
+    They come from one read of the node side (`_NodeSide.rows` at those
+    points, with s0-derivatives), and the q rows become g1 and g2 columns
+    through the closure (`q_rows_to_unknowns`); the rows of the other
+    points are their mirrors.  sign, weight, first and mirrored are the
+    constants of the halves.  The tip rows T0, T1 (`_tip_blocks`) and the
     single-valuedness integrals are sliced from the node side.  systems()
-    combines them for a stack of gamma1 values and one load with no operator
-    product, and system() for one gamma1, so a sweep over gamma1 tabulates
-    the kernels and builds the blocks once, and so does every later run
-    of the process on the node side, which keeps them
+    combines them for a stack of gamma1 values and one load with no
+    operator product, and system() for one gamma1, so a sweep over gamma1
+    tabulates the kernels and builds the blocks once, and so does every
+    later run of the process on the node side, which keeps them
     (`_NodeSide.derived`).  Its arrays are read-only.
     """
 
@@ -280,14 +304,24 @@ class _CollocationTables:
         q = np.stack(q_rows_to_unknowns(q[:, 0], q[:, 1], node_side.curve,
                                         node_side.material, node_side.basis),
                      axis=1)
-        # (row kind, point) by (Re or Im, coefficient)
-        self.blocks = tuple(
-            _read_only(block.transpose(0, 2, 1, 3).reshape(2 * M, 2 * N + 2))
-            for block in (g[:2], q[:2] + g[2:], q[2:]))
+        # the columns of each half: those P keeps, then those it negates
+        self.parity = cols = _read_only(_parity_columns(N))
+        self.blocks = tuple(_read_only(np.ascontiguousarray(np.moveaxis(
+            block.transpose(0, 2, 1, 3).reshape(2, M, 2 * N + 2)[..., cols],
+            -2, 0))) for block in (g[:2], q[:2] + g[2:], q[2:]))
         # the mirror s -> l - s takes the Re row at s_j to minus the Re row
-        # at s_{N+1-j} times P, and the Im row to plus it times P
-        self.mirror = _read_only(np.array([[-1.0], [1.0]]) * _mirror_signs(N))
-        self.parity = _read_only(_parity_columns(N))  # of `halves`
+        # at s_{N+1-j} times P, and the Im row to plus it times P: sign[p,
+        # kind] on the columns of half p, -1 for (0, Re) and (1, Im)
+        self.sign = _read_only((1.0 - 2.0 * np.eye(2))[..., None])
+        # the weight of a row of the first M points in each half, and the
+        # rows of those points and of their mirrors
+        weight = np.full((2, 2, M), np.sqrt(2.0))
+        if N % 2:
+            weight[..., -1] = 0.5 * (1.0 + self.sign[..., 0])
+        self.weight = _read_only(weight)
+        self.first = _read_only(N * np.arange(2)[:, None] + np.arange(M))
+        self.mirrored = _read_only(N * np.arange(2)[:, None]
+                                   + (N - 1 - np.arange(M)))
         top = node_side.degree + 1
         cols = np.r_[: N + 1, top: top + N + 1]
         self.tip_rows = tuple(_read_only(t[:, cols])
@@ -307,7 +341,8 @@ class _CollocationTables:
         stack, (error,) = self.systems(load, [gamma1], row_scaling)
         if error is not None:
             raise error
-        return replace(stack, matrix=stack.matrix[0], rhs=stack.rhs[0],
+        return replace(stack, rows=stack.rows[0],
+                       constraints=stack.constraints[0], rhs=stack.rhs[0],
                        row_scale=stack.row_scale[0], gamma1=gamma1)
 
     def systems(self, load, gamma1, row_scaling: bool = True):
@@ -316,12 +351,12 @@ class _CollocationTables:
         gamma1 holds valid values (`_check_gamma1`), all zero or all
         positive: the tip rows exist only for gamma1 > 0, so the two kinds
         differ in their number of rows.  Every array is formed for all
-        points at once, with the point axis first.  The rows of the points
-        past the first M are the mirrors of theirs (`mirror`), so a row
-        and its mirror share their scale exactly.  Returns the stack of
-        the points whose system is finite and, with row_scaling, has no
-        zero row, and the AssemblyError of each point (None where it has
-        none), in the order of gamma1.
+        points at once, with the point axis first, and the collocation rows
+        only at the first M points, in the layout of the halves: a row's
+        mirror has exactly its entries, up to sign, so it shares its scale.
+        Returns the stack of the points whose system is finite and, with
+        row_scaling, has no zero row, and the AssemblyError of each point
+        (None where it has none), in the order of gamma1.
         """
         g = np.asarray(gamma1, dtype=float)
         positive = g > 0.0
@@ -332,43 +367,47 @@ class _CollocationTables:
         side, disc = self.node_side, self.disc
         kappa, N = side.material.kappa, disc.N
         t0, t1 = self.tip_rows
-        n_con = 2 + (len(t0) if tip_rows else 0)
-        A = np.empty((g.size, 2 * N + n_con, 2 * N + 2))
-        b = np.zeros(A.shape[:2])
         gcol = g[:, None, None]
-
+        C = np.empty((g.size, 2 + (len(t0) if tip_rows else 0), 2 * N + 2))
+        C[:, :2] = self.single_valued_rows
         # the boundary equation (kappa+1)[Sigma - gamma1 (kappa0 dk + i dk')]
-        # = (kappa+1) f, real rows first
+        # = (kappa+1) f, (point, parity, row kind, point, column).  A huge
+        # finite gamma1 overflows; the finite check below refuses its point
         r0, r1, r2 = self.blocks
-        # (point, Re or Im, collocation point, coefficient), a view of A
-        rows = A[:, : 2 * N].reshape(g.size, 2, N, 2 * N + 2)
-        M = (N + 1) // 2
-        rows[:, :, :M] = ((kappa + 1.0) * (r0 + gcol * (r1 + gcol * r2))
-                          ).reshape(g.size, 2, M, -1)
-        mirrored = rows[:, :, : N // 2][:, :, ::-1]
-        rows[:, :, M:] = self.mirror[:, None] * mirrored
+        gb = gcol[..., None, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = (kappa + 1.0) * (r0 + gb * (r1 + gb * r2))
+            if tip_rows:
+                C[:, 2:] = t0 + gcol * t1
         f_c = boundary_forcing(side.curve, side.material, load, g[:, None],
                                disc.collocation_points)
-        b[:, :N] = (kappa + 1.0) * f_c.real
-        b[:, N: 2 * N] = (kappa + 1.0) * f_c.imag
-        A[:, 2 * N: 2 * N + 2] = self.single_valued_rows
-        if tip_rows:
-            A[:, 2 * N + 2:] = t0 + gcol * t1
+        b = (kappa + 1.0) * np.stack([f_c.real, f_c.imag], axis=1)
 
-        # a row's largest |entry| is finite only if all its entries are
-        peak = abs(A).max(axis=2)
-        finite = np.isfinite(peak).all(axis=1) & np.isfinite(b).all(axis=1)
-        scale = peak if row_scaling else np.ones(peak.shape)
+        # a row's largest |entry| is finite only if all its entries are;
+        # the scale of each row, the mirrored points after the first M
+        peak = abs(rows).max(axis=(1, 4))
+        scale = np.concatenate([peak, peak[..., : N // 2][..., ::-1]],
+                               axis=2).reshape(g.size, 2 * N)
+        scale = np.concatenate([scale, abs(C).max(axis=2)], axis=1)
+        finite = np.isfinite(scale).all(axis=1) & np.isfinite(b).all(
+            axis=(1, 2))
+        if not row_scaling:
+            scale = np.ones(scale.shape)
         keep = finite & (scale != 0.0).all(axis=1)
         errors = [None if ok else AssemblyError(
             "zero row encountered during scaling" if fin
             else "non-finite entries in the collocation system")
             for ok, fin in zip(keep, finite)]
         if not keep.all():
-            A, b, scale, g = A[keep], b[keep], scale[keep], g[keep]
-        A /= scale[..., None]
-        b /= scale
-        return LinearSystem(matrix=A, rhs=b, n_constraints=n_con,
+            rows, C, b = rows[keep], C[keep], b[keep]
+            scale, g = scale[keep], g[keep]
+        rhs = np.zeros(scale.shape)
+        rhs[:, : 2 * N] = b.reshape(g.size, 2 * N)
+        rhs /= scale
+        M = rows.shape[-2]
+        rows /= scale[:, : 2 * N].reshape(g.size, 2, N)[:, None, :, :M, None]
+        C /= scale[:, 2 * N:, None]
+        return LinearSystem(rows=rows, constraints=C, rhs=rhs,
                             row_scale=scale, gamma1=g, tables=self), errors
 
 
@@ -446,11 +485,12 @@ def _solutions(system: LinearSystem):
     but nonzero block is damped, not rejected.  The same array code serves
     both: a single system has no point axis.
     """
-    if not np.isfinite(system.matrix).all():
+    A, C, h = system.halves
+    if not (np.isfinite(A).all() and np.isfinite(C).all()):
         raise SolveError("system matrix contains non-finite entries")
     Z, G, U, S, Vt = system.reduction
     Gt = G.swapaxes(-1, -2)
-    h = system.halves[2][..., None]
+    h = h[..., None]
     lam2 = (LAMBDA_REL * S[..., :1].max(axis=-2, keepdims=True)) ** 2
     # 0/0 only for a zero reduced block, which the condition gate rejects
     with np.errstate(invalid="ignore"):

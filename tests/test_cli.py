@@ -701,7 +701,8 @@ def test_cached_tables_are_read_only(cold_tables):
     arrays = [tables.jump, tables.face_s, *tables.tip_log_rows,
               grid.s, grid.table,
               tables.face_rows.rows, tables.face_rows.far,
-              *collocation.blocks, collocation.mirror, collocation.parity,
+              *collocation.blocks, collocation.parity, collocation.sign,
+              collocation.weight, collocation.first, collocation.mirrored,
               *collocation.tip_rows,
               collocation.single_valued, collocation.single_valued_rows,
               *side._kernel, *side.rows_maps.values(), *side.tip_rows,

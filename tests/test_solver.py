@@ -448,15 +448,22 @@ def test_quadratic_assembly_matches_operator(material, load_h, curve, N):
             got = system.matrix * system.row_scale[:, None]
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= tol)
-    # the blocks, tabulated at the first ceil(N/2) collocation points, and
-    # the tip rows against the column-for-column route, to rounding of each
-    # row's largest entry
+    # the blocks, tabulated at the first ceil(N/2) collocation points in
+    # the layout of the halves, and the tip rows against the
+    # column-for-column route, to rounding of each row's largest entry
     tables = solver._CollocationTables(_NodeSide(curve, material, N), N)
     M = (N + 1) // 2
     r0, r1, r2, t0, t1 = _table_blocks(curve, material, N)
-    first = np.r_[: M, N: N + M]
-    for got, want in zip(tables.blocks + tables.tip_rows,
-                         (r0[first], r1[first], r2[first], t0, t1)):
+    cols = densities._parity_columns(N)
+    # (parity, row kind, point, column) of the Re and Im rows of the first
+    # M points; a row's entries lie along the parity and column axes
+    half = [np.moveaxis(r.reshape(2, N, 2 * N + 2)[:, :M][..., cols], -2, 0)
+            for r in (r0, r1, r2)]
+    for got, want in zip(tables.blocks, half):
+        assert got.shape == want.shape == (2, 2, M, N + 1)
+        tol = 1e-14 * np.max(np.abs(want), axis=(0, 3), keepdims=True)
+        assert np.all(np.abs(got - want) <= tol)
+    for got, want in zip(tables.tip_rows, (t0, t1)):
         assert got.shape == want.shape
         tol = 1e-14 * np.max(np.abs(want), axis=1, keepdims=True)
         assert np.all(np.abs(got - want) <= tol)
@@ -821,7 +828,7 @@ class TestSolve:
             _NodeSide(semicircle, material, 12), 12)
         stack, errors = tables.systems(load_h, [0.5, 1.0])
         assert errors == [None, None]
-        stack.matrix[0, : -stack.n_constraints] = 0.0
+        stack.rows[0] = 0.0
         x, errors = solver._solutions(stack)
         assert isinstance(errors[0], SolveError)
         assert "condition estimate inf" in str(errors[0])
