@@ -9,8 +9,9 @@ those of the benchmark workload W for each seed, from
 ROOT_A/perfbench/workloads.py, read and not changed.  Per seed, each
 checkout first runs every config once (cold, building its tables), then
 the two take turns, A then B, then B then A, each turn one warm
-`cli.run` call on the next config of the cycle, quiet and into a scratch
-directory, ITERATIONS turns each.  The script prints per seed the median
+`cli.run(cli.parse_config(text))` call on the next config of the cycle,
+quiet and into a scratch directory, ITERATIONS turns each: the call the
+benchmark times, the parse of the config included.  The script prints per seed the median
 warm run of each checkout and their ratio B/A, and last the median of the
 ratios.
 
@@ -62,10 +63,11 @@ def _seeds(text):
     return range(int(first), int(last or first) + 1)
 
 
-def _timed(cli, config, out_dir):
-    """Seconds of one quiet cli.run of the config into out_dir."""
+def _timed(cli, text, out_dir):
+    """Seconds of one quiet cli.run of the config text, parsed in the
+    turn, into out_dir."""
     start = time.perf_counter()
-    code = cli.run(config, out_dir=out_dir, quiet=True)
+    code = cli.run(cli.parse_config(text), out_dir=out_dir, quiet=True)
     elapsed = time.perf_counter() - start
     if code != 0:
         raise RuntimeError(f"cli.run exited with {code}")
@@ -74,17 +76,15 @@ def _timed(cli, config, out_dir):
 
 def compare(clis, texts, iterations, scratch):
     """Median warm seconds of each checkout over alternating turns."""
-    configs = [[cli.parse_config(text) for text in texts] for cli in clis]
     dirs = [os.path.join(scratch, name) for name in ("a", "b")]
-    for cli, cases, out in zip(clis, configs, dirs):
-        for config in cases:
-            _timed(cli, config, out)
+    for cli, out in zip(clis, dirs):
+        for text in texts:
+            _timed(cli, text, out)
     times = [[], []]
     for i in range(iterations):
         order = (0, 1) if i % 2 == 0 else (1, 0)
         for k in order:
-            config = configs[k][i % len(texts)]
-            times[k].append(_timed(clis[k], config, dirs[k]))
+            times[k].append(_timed(clis[k], texts[i % len(texts)], dirs[k]))
     return [statistics.median(t) for t in times]
 
 

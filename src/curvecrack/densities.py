@@ -232,7 +232,7 @@ class DensityCoefficients:
     """The displacement-jump density g' by its coefficients in a basis.
 
     g1 and g2 hold the real and imaginary coefficient vectors (degree N
-    each, finite) over basis, the one it was solved in.  gamma1 is carried
+    each, finite), read-only views, over basis, the one it was solved in.  gamma1 is carried
     along because the closure to the traction-jump density q depends on
     it.  curve is the curve it was solved on, or None for a density built
     by hand, which carries its length alone.  Diagnostics and the curve
@@ -259,6 +259,10 @@ class DensityCoefficients:
             if not np.isfinite(part).all():
                 raise ValueError(f"{name} must hold finite coefficients, got "
                                  f"{part}")
+        # read-only views: the checks hold for the density's life, and the
+        # caller's arrays keep their flags
+        self.g1 = _read_only(self.g1.view())
+        self.g2 = _read_only(self.g2.view())
         if not np.isfinite(self.length) or self.length <= 0:
             raise ValueError(f"length must be positive, got {self.length}")
         if self.curve is not None:

@@ -185,13 +185,30 @@ def boundary_forcing(curve: CrackCurve, material: Material, load: FarFieldLoad,
     Young-Laplace form of the condition, sigma_n + i tau_n =
     gamma1 (kappa0 dk + i dk'), evaluated on the uniform far field.
     """
-    s0 = np.asarray(s0, dtype=float)
+    return _forcing(curve, material, load.phi_inf, load.psi_inf, gamma1,
+                    np.asarray(s0, dtype=float))
+
+
+def _forcing_table(curve, material, s0):
+    """The forcing of `boundary_forcing` at the M points s0, (2, M, 4): at
+    gamma1 = 0 and its gamma1 slope, per unit (Re phi, Im phi, Re psi,
+    Im psi) of the load's potential constants (`_UNIT_LOADS`), so that
+    the forcing of a load v at gamma1 is (table[0] + gamma1 table[1]) v.
+    Read-only."""
+    phi, psi = np.array(_UNIT_LOADS)
+    gamma1 = np.array([0.0, 1.0])[:, None, None]
+    f = _forcing(curve, material, phi, psi, gamma1,
+                 np.asarray(s0, dtype=float)[:, None])
+    return _read_only(np.stack([f[0], f[1] - f[0]]))
+
+
+def _forcing(curve, material, phi, psi, gamma1, s0):
+    """The one forcing formula: boundary_forcing of the potential constants
+    phi, psi, broadcast against gamma1 and the points s0."""
     derivatives = curve.derivatives(s0)
     _, t1, t2, t3, _ = derivatives
     m1, m2, m3, m4 = _surface_tension_terms(curve, gamma1, s0, derivatives)
     kappa = material.kappa
-    phi = load.phi_inf
-    psi = load.psi_inf
     c1 = kappa * phi - np.conj(phi)
     c2 = kappa * np.conj(phi) - phi
     psic = np.conj(psi)

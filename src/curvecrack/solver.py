@@ -96,7 +96,7 @@ import numpy as np
 from .densities import (MONOMIALS, DensityCoefficients, _parity_columns,
                         _read_only, _single_valued_integrals, _tip_blocks,
                         check_gamma1, q_rows_to_unknowns)
-from .fields import _node_side, _NodeSide, boundary_forcing
+from .fields import _forcing_table, _node_side, _NodeSide
 from .geometry import CrackCurve
 # gauss_legendre is not called here, but perfbench's tracer test rebinds it
 # by name in this module, so the name stays bound here
@@ -322,6 +322,8 @@ class _CollocationTables:
         self.first = _read_only(N * np.arange(2)[:, None] + np.arange(M))
         self.mirrored = _read_only(N * np.arange(2)[:, None]
                                    + (N - 1 - np.arange(M)))
+        self.forcing = _forcing_table(node_side.curve, node_side.material,
+                                      disc.collocation_points)
         top = node_side.degree + 1
         cols = np.r_[: N + 1, top: top + N + 1]
         self.tip_rows = tuple(_read_only(t[:, cols])
@@ -364,23 +366,25 @@ class _CollocationTables:
         if tip_rows and not positive.all():
             raise ValueError("a stack holds gamma1 = 0 or gamma1 > 0, "
                              "not both")
-        side, disc = self.node_side, self.disc
-        kappa, N = side.material.kappa, disc.N
+        kappa, N = self.node_side.material.kappa, self.disc.N
         t0, t1 = self.tip_rows
         gcol = g[:, None, None]
         C = np.empty((g.size, 2 + (len(t0) if tip_rows else 0), 2 * N + 2))
         C[:, :2] = self.single_valued_rows
         # the boundary equation (kappa+1)[Sigma - gamma1 (kappa0 dk + i dk')]
-        # = (kappa+1) f, (point, parity, row kind, point, column).  A huge
-        # finite gamma1 overflows; the finite check below refuses its point
+        # = (kappa+1) f, (point, parity, row kind, point, column), with f
+        # from the forcing table and the load's v as `fields._FieldRows`
+        # forms it.  A huge finite gamma1 overflows; the finite check below
+        # refuses its point
         r0, r1, r2 = self.blocks
         gb = gcol[..., None, None]
+        v = np.array([load.phi_inf, load.psi_inf], dtype=complex).view(float)
         with np.errstate(over="ignore", invalid="ignore"):
             rows = (kappa + 1.0) * (r0 + gb * (r1 + gb * r2))
             if tip_rows:
                 C[:, 2:] = t0 + gcol * t1
-        f_c = boundary_forcing(side.curve, side.material, load, g[:, None],
-                               disc.collocation_points)
+            f0, f1 = self.forcing @ v
+            f_c = f0 + g[:, None] * f1
         b = (kappa + 1.0) * np.stack([f_c.real, f_c.imag], axis=1)
 
         # a row's largest |entry| is finite only if all its entries are;

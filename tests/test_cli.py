@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -353,6 +354,20 @@ class TestRun:
             assert line.split(",")[1] == "nan"
             assert "no free unknown" in line.split(",")[-1]
 
+    def test_huge_gamma1_exits_3_without_a_warning(self, tmp_path):
+        # the rows of gamma1 = 1e300 overflow to inf; the assembly's finite
+        # check refuses them, and no overflow warning escapes before it
+        text = BASE.replace("gamma1 = 1.0", "gamma1 = 1e300")
+        cfg = parse_config(text + f"N = 8\nout_dir = {tmp_path / 'huge'}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(cfg, quiet=True) == 3
+        out = tmp_path / "huge"
+        assert sorted(p.name for p in out.iterdir()) \
+            == ["config_echo.txt", "error.log"]
+        assert "non-finite entries in the collocation system" \
+            in (out / "error.log").read_text()
+
 
 SOLVE_CASES = {
     "readme": BASE + "N = 20\n",
@@ -678,6 +693,29 @@ def test_warm_runs_write_the_cold_files(mode, tmp_path, monkeypatch,
     assert other == other_cold
 
 
+@pytest.mark.parametrize("mode", ["solve", "sweep-gamma", "convergence"])
+def test_runs_solve_on_the_halves_alone(mode, tmp_path, monkeypatch):
+    # every system a run solves is read through its halves; none lays out
+    # its whole matrix, which only dump_text reads
+    solved = []
+
+    def recorded(solutions):
+        def wrapper(system):
+            solved.append(system)
+            return solutions(system)
+        return wrapper
+
+    for module in (solver, post):
+        monkeypatch.setattr(module, "_solutions",
+                            recorded(module._solutions))
+    config = parse_config(ECHO_CASES[mode].replace("out_dir = o\n", "")
+                          + f"out_dir = {tmp_path}\n")
+    assert run(config, quiet=True) == 0
+    assert solved
+    for system in solved:
+        assert "halves" in vars(system) and "matrix" not in vars(system)
+
+
 def test_cached_tables_are_read_only(cold_tables):
     # every array that a solve-mode run keeps for the runs after it raises
     # on an in-place write
@@ -703,6 +741,7 @@ def test_cached_tables_are_read_only(cold_tables):
               tables.face_rows.rows, tables.face_rows.far,
               *collocation.blocks, collocation.parity, collocation.sign,
               collocation.weight, collocation.first, collocation.mirrored,
+              collocation.forcing,
               *collocation.tip_rows,
               collocation.single_valued, collocation.single_valued_rows,
               *side._kernel, *side.rows_maps.values(), *side.tip_rows,

@@ -586,26 +586,24 @@ class TestSweepStacks:
         assert [rows[0], rows[4]] == clean
 
     def test_non_finite_point_fails_alone(self, semicircle, material,
-                                          load_h, monkeypatch):
-        clean = sweep_gamma(semicircle, material, load_h, self.GRID, N=12)
-        bad = self.GRID[1]
-        forcing = solver.boundary_forcing
-
-        def nan_at_bad(curve, material, load, gamma1, s0):
-            f = forcing(curve, material, load, gamma1, s0)
-            return np.where(np.asarray(gamma1) == bad, np.nan, f)
-
-        monkeypatch.setattr(solver, "boundary_forcing", nan_at_bad)
-        rows = sweep_gamma(semicircle, material, load_h, self.GRID, N=12)
+                                          load_h):
+        # the rows of gamma1 = 1e300 overflow to inf: the assembly's finite
+        # check refuses that point alone, with no RuntimeWarning first
+        grid = [0.5, 1e300, 1.0]
+        clean = sweep_gamma(semicircle, material, load_h, grid[::2], N=12)
+        bad = grid[1]
+        rows = sweep_gamma(semicircle, material, load_h, grid, N=12)
         with pytest.raises(AssemblyError) as per_point:
             solve_problem(semicircle, material, load_h, bad, N=12)
+        assert str(per_point.value) == ("non-finite entries in the "
+                                        "collocation system")
         assert rows[1].error == str(per_point.value)
         assert np.isnan(rows[1].A1)
-        # the other rows are the clean sweep's, up to the rounding of BLAS
-        # products over 3 density columns instead of 4
-        assert [r.gamma1 for r in rows] == self.GRID
+        # the other rows are the clean sweep's
+        assert [r.gamma1 for r in rows] == grid
+        assert rows[::2] == clean
         got = _sweep_columns(rows[:1] + rows[2:])
-        want = _sweep_columns(clean[:1] + clean[2:])
+        want = _sweep_columns(clean)
         assert np.all(np.abs(got - want)
                       <= 1e-12 * np.max(np.abs(want), axis=0))
 
@@ -923,6 +921,22 @@ class TestArgumentChecks:
         parts[name][1] = bad
         with pytest.raises(ValueError, match=f"{name} must hold finite"):
             DensityCoefficients(parts["g1"], parts["g2"], 2.0, 1.0)
+
+    def test_density_coefficients_stay_as_checked(self, semicircle, material,
+                                                  load_h):
+        # writable, g1[3] = nan after the solve passed every later check
+        # and max_face_traction returned nan
+        coeffs = solve_problem(semicircle, material, load_h, 1.0, N=12)
+        for part in (coeffs.g1, coeffs.g2):
+            with pytest.raises(ValueError, match="read-only"):
+                part[3] = np.nan
+        assert np.isfinite(max_face_traction(semicircle, material, load_h,
+                                             coeffs))
+        # the density holds views: the caller's arrays stay writeable
+        g1, g2 = np.ones(3), np.zeros(3)
+        DensityCoefficients(g1, g2, 2.0, 1.0)
+        g1[1] = g2[1] = 2.0
+        assert g1.flags.writeable and g2.flags.writeable
 
     def test_max_face_traction_needs_a_point(self, solved_semicircle,
                                              semicircle, material, load_h):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from curvecrack import (AssemblyError, CrackCurve, DensityCoefficients,
                         single_valued_residual, solve, solve_problem,
                         tip_condition_residuals, traction_jump,
                         traction_jump_parts)
-from curvecrack import densities, fields, quadrature, solver
+from curvecrack import cli, densities, fields, quadrature, solver
 from curvecrack import postprocess as post
 from curvecrack.densities import (MONOMIALS, cauchy_densities,
                                   poly_derivative, poly_eval, pv_monomials,
@@ -684,6 +686,61 @@ def test_halves_have_one_shape(material, semicircle, straight2, load_h):
             assert h.shape == (2, 2 * M)
             zero = np.flatnonzero(~np.abs(A).any(axis=-1))
             assert list(zero) == ([M - 1, 4 * M - 1] if N % 2 else [])
+
+
+@pytest.mark.parametrize("gamma1", [0.0, 1.0])
+@pytest.mark.parametrize("N", [20, 21])
+@pytest.mark.parametrize("curve", _MIRROR_CURVES, ids=_MIRROR_IDS)
+def test_whole_system_is_the_full_layout(material, load_h, curve, N, gamma1):
+    # the whole system as the full layout forms it: the rows of the first
+    # M points on all 2N + 2 columns, those of the others by the mirror
+    # (-+ P on the Re and Im rows), the constraint rows after them, each
+    # row divided by its largest |entry|; bit for bit
+    tables = solver._CollocationTables(_NodeSide(curve, material, N), N)
+    system = tables.system(load_h, gamma1)
+    M, kappa = (N + 1) // 2, material.kappa
+    r0, r1, r2 = (np.empty((2, M, 2 * N + 2)) for _ in range(3))
+    for full, half in zip((r0, r1, r2), tables.blocks):
+        full[..., tables.parity] = np.moveaxis(half, 0, -2)
+    first = (kappa + 1.0) * (r0 + gamma1 * (r1 + gamma1 * r2))
+    mirror = np.array([[-1.0], [1.0]]) * densities._mirror_signs(N)
+    mirrored = mirror[:, None] * first[:, : N // 2][:, ::-1]
+    rows = np.concatenate([first, mirrored], axis=1).reshape(2 * N, -1)
+    t0, t1 = tables.tip_rows
+    A = np.concatenate([rows, tables.single_valued_rows]
+                       + ([t0 + gamma1 * t1] if gamma1 else []))
+    scale = np.max(np.abs(A), axis=1)
+    assert np.array_equal(system.row_scale, scale)
+    assert np.array_equal(system.matrix, A / scale[:, None])
+    # the right-hand side, the forcing times kappa+1 from the kept table
+    f = (kappa + 1.0) * boundary_forcing(curve, material, load_h, gamma1,
+                                         tables.disc.collocation_points)
+    b = np.concatenate([f.real, f.imag, np.zeros(len(A) - 2 * N)])
+    assert np.max(np.abs(system.rhs * scale - b)) <= 1e-14 * np.max(np.abs(b))
+
+
+# the N of the shipped convergence config
+_CONVERGENCE_NS = cli.parse_config((
+    Path(__file__).resolve().parent.parent / "configs"
+    / "convergence_semicircle.cfg").read_text()).grid
+
+
+@pytest.mark.parametrize("N", _CONVERGENCE_NS)
+@pytest.mark.parametrize("curve", _MIRROR_CURVES, ids=_MIRROR_IDS)
+def test_forcing_table_reproduces_boundary_forcing(material, load_h, curve,
+                                                   N):
+    # (table[0] + gamma1 table[1]) v at the collocation points, v = (Re phi,
+    # Im phi, Re psi, Im psi) of the load, to rounding of the largest value
+    tables = solver._CollocationTables(_NodeSide(curve, material, N), N)
+    s0 = tables.disc.collocation_points
+    assert tables.forcing.shape == (2, N, 4)
+    for load in (load_h, FarFieldLoad(sigma1=1.0, sigma2=0.3, alpha=0.4)):
+        v = np.array([load.phi_inf, load.psi_inf], dtype=complex).view(float)
+        for gamma1 in (0.0, 0.25, 1.0, 4.0):
+            want = boundary_forcing(curve, material, load, gamma1, s0)
+            got = (tables.forcing[0] + gamma1 * tables.forcing[1]) @ v
+            assert np.max(np.abs(got - want)) \
+                <= 1e-14 * np.max(np.abs(want)), (load, gamma1)
 
 
 def test_no_free_unknown_is_a_solve_error(material, straight2, load_v):

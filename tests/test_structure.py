@@ -13,8 +13,10 @@ and solve mode report the closed-form tip log coefficients and name no
 part of the tip window fit.  The face fields have one path: the node
 side's rows without s0-derivatives are read by `fields._face_rows` alone,
 which alone builds the rows on the unknowns (`fields._FieldRows`), and
-those with them by the collocation tables alone.  All are read from the
-source, so a use that no test runs is found too.
+those with them by the collocation tables alone.  `solver` names the
+load forcing formula only to build the collocation tables' forcing
+table.  All are read from the source, so a use that no test runs is found
+too.
 """
 
 import ast
@@ -119,6 +121,16 @@ def _builds_field_rows(call):
     func = call.func
     return (isinstance(func, ast.Name) and func.id == "_FieldRows"
             or isinstance(func, ast.Attribute) and func.attr == "_FieldRows")
+
+
+# the names of the load forcing formula in `fields`
+_FORCING = ("boundary_forcing", "_forcing", "_forcing_table")
+
+
+def _calls_forcing(call):
+    """A match of _callers: a call of a name of _FORCING, by name or
+    attribute."""
+    return ast.unparse(call.func).split(".")[-1] in _FORCING
 
 
 def _package_callers(match):
@@ -247,6 +259,15 @@ def test_one_face_field_path():
     assert _package_callers(_builds_field_rows) == [("fields", "_face_rows")]
 
 
+def test_solver_reads_the_forcing_from_its_table():
+    # solver names the forcing formula only to build the kept table, once
+    # per node side and N; a system reads the table
+    tree = ast.parse((PACKAGE / "solver.py").read_text())
+    assert _callers(tree, _calls_forcing) == ["_CollocationTables.__init__"]
+    assert {text for _, text in _name_uses(tree, _FORCING)} \
+        == {"_forcing_table"}
+
+
 def test_the_checks_see_what_they_forbid():
     # each kind of use the checks refuse, in a made-up module
     primitives = _primitive_names()
@@ -300,3 +321,15 @@ def test_the_checks_see_what_they_forbid():
                                                   "f"]
     assert _callers(tree, _reads_rows(True)) == ["T.__init__", "T.__init__"]
     assert _callers(tree, _builds_field_rows) == ["f", "f"]
+    tree = ast.parse(
+        "from .fields import boundary_forcing\n"
+        "class T:\n"
+        "    def __init__(self, curve, material, s):\n"
+        "        self.forcing = _forcing_table(curve, material, s)\n"
+        "    def systems(self, load, gamma1):\n"
+        "        return fields._forcing(*self.args, gamma1, self.s)\n"
+        "def f(curve, material, load):\n"
+        "    return boundary_forcing(curve, material, load, 1.0, 0.5)\n")
+    assert _callers(tree, _calls_forcing) == ["T.__init__", "T.systems", "f"]
+    assert {text for _, text in _name_uses(tree, _FORCING)} == {
+        "boundary_forcing", "_forcing_table", "fields._forcing"}
