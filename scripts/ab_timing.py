@@ -10,10 +10,9 @@ ROOT_A/perfbench/workloads.py, read and not changed.  Per seed, each
 checkout first runs every config once (cold, building its tables), then
 the two take turns, A then B, then B then A, each turn one warm
 `cli.run(cli.parse_config(text))` call on the next config of the cycle,
-quiet and into a scratch directory, ITERATIONS turns each: the call the
-benchmark times, the parse of the config included.  The script prints per seed the median
-warm run of each checkout and their ratio B/A, and last the median of the
-ratios.
+the call the benchmark times, quiet and into a scratch directory,
+ITERATIONS turns each.  The script prints per seed the median warm run
+of each checkout and their ratio B/A, and last the median of the ratios.
 
 Both checkouts share the host, the interpreter, the numpy build and the
 moment, so the ratio separates a change of a few percent from the drift of

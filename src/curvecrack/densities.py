@@ -232,13 +232,13 @@ class DensityCoefficients:
     """The displacement-jump density g' by its coefficients in a basis.
 
     g1 and g2 hold the real and imaginary coefficient vectors (degree N
-    each, finite), read-only views, over basis, the one it was solved in.  gamma1 is carried
-    along because the closure to the traction-jump density q depends on
-    it.  curve is the curve it was solved on, or None for a density built
-    by hand, which carries its length alone.  Diagnostics and the curve
-    are attached by the solver.  It sets single_valued_residual to the
-    function that computes it from the density, which runs on first read,
-    so a run that never reads the residual never pays for it.
+    each, finite, read-only) over basis, the one it was solved in.  gamma1
+    is carried along because the closure to the traction-jump density q
+    depends on it.  curve is the curve it was solved on, or None for a
+    density built by hand, which carries its length alone.  Diagnostics and
+    the curve are attached by the solver.  It sets single_valued_residual to
+    the function that computes it from the density, which runs on first
+    read, so a run that never reads the residual never pays for it.
     """
 
     g1: np.ndarray
@@ -259,10 +259,8 @@ class DensityCoefficients:
             if not np.isfinite(part).all():
                 raise ValueError(f"{name} must hold finite coefficients, got "
                                  f"{part}")
-        # read-only views: the checks hold for the density's life, and the
-        # caller's arrays keep their flags
-        self.g1 = _read_only(self.g1.view())
-        self.g2 = _read_only(self.g2.view())
+        # views, so the checks hold and the caller's arrays keep their flags
+        self.g1, self.g2 = (_read_only(p.view()) for p in (self.g1, self.g2))
         if not np.isfinite(self.length) or self.length <= 0:
             raise ValueError(f"length must be positive, got {self.length}")
         if self.curve is not None:

@@ -190,21 +190,16 @@ def boundary_forcing(curve: CrackCurve, material: Material, load: FarFieldLoad,
 
 
 def _forcing_table(curve, material, s0):
-    """The forcing of `boundary_forcing` at the M points s0, (2, M, 4): at
-    gamma1 = 0 and its gamma1 slope, per unit (Re phi, Im phi, Re psi,
-    Im psi) of the load's potential constants (`_UNIT_LOADS`), so that
-    the forcing of a load v at gamma1 is (table[0] + gamma1 table[1]) v.
-    Read-only."""
-    phi, psi = np.array(_UNIT_LOADS)
-    gamma1 = np.array([0.0, 1.0])[:, None, None]
-    f = _forcing(curve, material, phi, psi, gamma1,
-                 np.asarray(s0, dtype=float)[:, None])
+    """The read-only (2, M, 4) forcing at gamma1 = 0 and its gamma1 slope at
+    the M points s0, per unit v = (Re phi, Im phi, Re psi, Im psi) of the
+    load (`_UNIT_LOADS`): the forcing is (table[0] + gamma1 table[1]) v."""
+    f = _forcing(curve, material, *np.array(_UNIT_LOADS),
+                 np.array([0.0, 1.0])[:, None, None], np.asarray(s0)[:, None])
     return _read_only(np.stack([f[0], f[1] - f[0]]))
 
 
 def _forcing(curve, material, phi, psi, gamma1, s0):
-    """The one forcing formula: boundary_forcing of the potential constants
-    phi, psi, broadcast against gamma1 and the points s0."""
+    """boundary_forcing of the potential constants phi, psi, broadcast."""
     derivatives = curve.derivatives(s0)
     _, t1, t2, t3, _ = derivatives
     m1, m2, m3, m4 = _surface_tension_terms(curve, gamma1, s0, derivatives)

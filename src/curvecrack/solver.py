@@ -46,10 +46,12 @@ amplifying system destroys convergence.
 gamma1 enters the rows twice: q is linear in gamma1, and the
 face-curvature term multiplies by gamma1 once more.  So the collocation
 block is (kappa+1)(R0 + gamma1 R1 + gamma1^2 R2) with three real blocks,
-and the tip rows are T0 + gamma1 T1.  `_CollocationTables` holds this
-gamma1- and load-independent part of the system of one node side and N:
-the blocks, built once from the rows, the closed-form tip rows and the
-integrals I_n of the single-valuedness rows, int_0^l phi_n(x) t'(x) dx
+the tip rows are T0 + gamma1 T1 and the forcing F0 + gamma1 F1, linear
+in the load.  `_CollocationTables` holds this gamma1- and
+load-independent part of the system of one node side and N: the blocks,
+built once in the layout of the parity halves (below), the forcing
+table, the closed-form tip rows and the integrals I_n of the
+single-valuedness rows, int_0^l phi_n(x) t'(x) dx
 (`_single_valued_integrals`, the basis's tangent integrals in closed
 form), the last two sliced from the node side.
 `_CollocationTables.systems` combines them for P gamma1 values at once
@@ -58,7 +60,7 @@ product; assemble() takes the one-point stack, a gamma1 sweep stacks all
 its points.  A system carries its tables, and solve() reads the curve,
 the basis and N from them.  The tables of an N are kept, read-only, by
 the node side they were read from (`fields._NodeSide.derived`); the
-forcing, the systems, their checks and the solves are formed per call.
+systems, their checks and the solves are formed per call.
 
 The constrained system is solved by least squares in the constraint null
 space with a light Tikhonov term (relative weight 1e-8) that suppresses
@@ -76,9 +78,10 @@ Re and Im row of the first ceil(N/2) points on its own columns, a
 mirrored pair weighted sqrt 2 against the middle point of odd N, with
 right-hand sides (b_j -+ b_j')/sqrt 2 from the forcing at all N points
 (the load is not symmetric), and as constraints one single-valuedness row
-and the first tip's rows.  The damping lambda is 1e-8 times the largest
-singular value of both halves, so the solution is that of the whole
-system.  The constraints are homogeneous, so each stack is reduced once
+and the first tip's rows, the layout in which a system is assembled.
+The damping lambda is 1e-8 times the largest singular value of both
+halves, so the solution is that of the whole system.  The constraints
+are homogeneous, so each stack is reduced once
 (`LinearSystem.reduction`: the null bases and the SVDs of the reduced
 blocks of both halves of every point, one batched call per SVD) for its
 condition estimates, solutions and dump.  `_solutions` solves a stack and
@@ -122,23 +125,18 @@ class LinearSystem:
     n_constraints rows hold the single-valuedness condition and, for
     gamma1 > 0, the tip rows.  The constraints are homogeneous (their
     right-hand side is zero), so the solve needs no particular solution.
-    The system is held in the layout the solve reads: rows are the scaled
-    collocation rows of the first M = ceil(N/2) points by (parity, row
-    kind, point, column), the layout of the parity halves
-    (`_CollocationTables`), and constraints the scaled constraint rows on
-    all 2N + 2 unknowns; rhs and row_scale are those of all 2N +
-    n_constraints rows.  The whole matrix (`matrix`, `collocation_block`,
-    `constraint_block`) is laid out from them, with the rows of the other
-    points by the mirror, only when read, which `dump_text` and the tests
-    do.  The system splits into two parity halves (`halves`), and
-    `reduction` is, for each half, the null basis Z of its constraint rows
-    and the thin SVD of its collocation rows times Z, computed once and
-    shared by the condition gate, `solve` and `dump_text`.
-    condition_estimate is the 2-norm condition number of the reduced block
-    of the whole system, whose singular values are those of both halves,
-    with its smallest singular value clipped at the Tikhonov floor
-    LAMBDA_REL * sigma_max, so it never exceeds 1/LAMBDA_REL = 1e8; it is
-    inf only for a zero reduced block.  tables are the
+    rows holds the scaled collocation rows of the first M = ceil(N/2)
+    points in the layout of the halves (parity, row kind, point, column)
+    and constraints the scaled constraint rows; `matrix`, the whole
+    system, is laid out from them only when read (`dump_text`, tests).
+    `reduction` is, for each parity half (`halves`), the null basis Z of
+    its constraint rows and the thin SVD of its collocation rows times Z,
+    computed once and shared by the condition gate, `solve` and
+    `dump_text`.  condition_estimate is the 2-norm condition number of the
+    reduced block of the whole system, whose singular values are those of
+    both halves, with its smallest singular value clipped at the Tikhonov
+    floor LAMBDA_REL * sigma_max, so it never exceeds 1/LAMBDA_REL = 1e8;
+    it is inf only for a zero reduced block.  tables are the
     `_CollocationTables` the system was built from: its node side's curve
     and basis, N, the constants of the halves and the unscaled integrals
     I_k of the single-valuedness rows, which `solve` gives the density.
@@ -164,17 +162,14 @@ class LinearSystem:
     @cached_property
     def matrix(self):
         """The whole row-scaled system, (..., 2N + n_constraints, 2N + 2):
-        the rows of the points past the first M are the mirrors of theirs,
-        sign times theirs in the layout of the halves."""
-        tables, rows = self.tables, self.rows
-        N = tables.disc.N
-        rows = np.concatenate([rows, tables.sign[..., None]
-                               * rows[..., : N // 2, :][..., ::-1, :]],
-                              axis=-2)
-        lead = rows.shape[:-4]
-        A = np.empty(lead + (2 * N + self.n_constraints, 2 * N + 2))
-        A[..., : 2 * N, tables.parity] = np.moveaxis(rows, -4, -2).reshape(
-            lead + (2 * N, 2, N + 1))
+        the rows of the points past the first M are their mirrors'."""
+        tables, rows, N = self.tables, self.rows, self.tables.disc.N
+        mirrored = rows[..., : N // 2, :][..., ::-1, :]
+        rows = np.moveaxis(np.concatenate(
+            [rows, tables.sign[..., None] * mirrored], axis=-2), -4, -2)
+        A = np.empty(rows.shape[:-4] + (2 * N + self.n_constraints, 2 * N + 2))
+        A[..., : 2 * N, tables.parity] = rows.reshape(A.shape[:-2]
+                                                      + (2 * N, 2, N + 1))
         A[..., 2 * N:, :] = self.constraints
         return A
 
@@ -194,7 +189,7 @@ class LinearSystem:
 
         Half 0 holds the columns that P keeps, half 1 those it negates
         (module docstring).  Only the rows of the first M = ceil(N/2)
-        points are read: after the orthogonal map (r_j -+ r_j')/sqrt 2 of
+        points are held: after the orthogonal map (r_j -+ r_j')/sqrt 2 of
         a mirrored pair of rows, each half has sqrt 2 times the row at s_j
         on its columns, against (b_j -+ b_j')/sqrt 2.  The middle point of
         odd N is its own mirror: its Im row lies on half 0 and its Re row
@@ -202,8 +197,7 @@ class LinearSystem:
         single-valuedness rows are the real and imaginary parts of [I,
         iI]; times conj t'(l/2), which I_0, the chord, lies along, the real
         row lies on half 0 and the imaginary one on half 1.  Each half
-        takes the first tip's rows on its columns.  The weights, the
-        mirror's signs and the row indices are the tables' constants.
+        takes the first tip's rows on its columns.
         """
         tables, n_con = self.tables, self.n_constraints
         cols = tables.parity
@@ -276,21 +270,20 @@ class _CollocationTables:
     collocation rows (kappa+1)(R0 + gamma1 R1 + gamma1^2 R2), R0 is the
     traction of the g' of the basis columns, R1 the traction of their q at
     gamma1 = 1 plus the curvature term of their g', and R2 the curvature
-    term of their q.  The three real blocks hold the rows of the first M =
-    ceil(N/2) collocation points, in the layout of the parity halves
-    (`LinearSystem.halves`): (parity, row kind, point, column), the Re
-    rows before the Im rows, on the N+1 columns of each half (`parity`).
-    They come from one read of the node side (`_NodeSide.rows` at those
-    points, with s0-derivatives), and the q rows become g1 and g2 columns
-    through the closure (`q_rows_to_unknowns`); the rows of the other
-    points are their mirrors.  sign, weight, first and mirrored are the
-    constants of the halves.  The tip rows T0, T1 (`_tip_blocks`) and the
-    single-valuedness integrals are sliced from the node side.  systems()
-    combines them for a stack of gamma1 values and one load with no
-    operator product, and system() for one gamma1, so a sweep over gamma1
-    tabulates the kernels and builds the blocks once, and so does every
-    later run of the process on the node side, which keeps them
-    (`_NodeSide.derived`).  Its arrays are read-only.
+    term of their q.  The three real blocks, in the layout of
+    `LinearSystem.halves`, hold the rows of the first M = ceil(N/2)
+    collocation points, read once from the node side (`_NodeSide.rows`
+    with s0-derivatives) with the q rows taken to g1 and g2 columns by the
+    closure (`q_rows_to_unknowns`); the other points' rows are their
+    mirrors.  sign, weight, first and mirrored are the constants of the
+    halves, forcing the load forcing (`fields._forcing_table`), and the
+    tip rows T0, T1 (`_tip_blocks`) and the single-valuedness integrals
+    are sliced from the node side.  systems() combines them for a stack of
+    gamma1 values and one load with no operator product, and system() for
+    one gamma1, so a sweep over gamma1 tabulates the kernels and builds
+    the blocks once, and so does every later run of the process on the
+    node side, which keeps them (`_NodeSide.derived`).  Its arrays are
+    read-only.
     """
 
     def __init__(self, node_side: _NodeSide, N: int):
@@ -304,24 +297,20 @@ class _CollocationTables:
         q = np.stack(q_rows_to_unknowns(q[:, 0], q[:, 1], node_side.curve,
                                         node_side.material, node_side.basis),
                      axis=1)
-        # the columns of each half: those P keeps, then those it negates
         self.parity = cols = _read_only(_parity_columns(N))
         self.blocks = tuple(_read_only(np.ascontiguousarray(np.moveaxis(
             block.transpose(0, 2, 1, 3).reshape(2, M, 2 * N + 2)[..., cols],
             -2, 0))) for block in (g[:2], q[:2] + g[2:], q[2:]))
-        # the mirror s -> l - s takes the Re row at s_j to minus the Re row
-        # at s_{N+1-j} times P, and the Im row to plus it times P: sign[p,
-        # kind] on the columns of half p, -1 for (0, Re) and (1, Im)
+        # the mirror's sign[p, kind] on half p, the weight of a row in each
+        # half, and the rows of the first M points and of their mirrors
         self.sign = _read_only((1.0 - 2.0 * np.eye(2))[..., None])
-        # the weight of a row of the first M points in each half, and the
-        # rows of those points and of their mirrors
         weight = np.full((2, 2, M), np.sqrt(2.0))
         if N % 2:
             weight[..., -1] = 0.5 * (1.0 + self.sign[..., 0])
         self.weight = _read_only(weight)
-        self.first = _read_only(N * np.arange(2)[:, None] + np.arange(M))
-        self.mirrored = _read_only(N * np.arange(2)[:, None]
-                                   + (N - 1 - np.arange(M)))
+        self.first, self.mirrored = (
+            _read_only(N * np.arange(2)[:, None] + j)
+            for j in (np.arange(M), N - 1 - np.arange(M)))
         self.forcing = _forcing_table(node_side.curve, node_side.material,
                                       disc.collocation_points)
         top = node_side.degree + 1
@@ -353,9 +342,8 @@ class _CollocationTables:
         gamma1 holds valid values (`_check_gamma1`), all zero or all
         positive: the tip rows exist only for gamma1 > 0, so the two kinds
         differ in their number of rows.  Every array is formed for all
-        points at once, with the point axis first, and the collocation rows
-        only at the first M points, in the layout of the halves: a row's
-        mirror has exactly its entries, up to sign, so it shares its scale.
+        points at once, with the point axis first; a collocation row's
+        mirror, not formed, has its entries up to sign, and its scale.
         Returns the stack of the points whose system is finite and, with
         row_scaling, has no zero row, and the AssemblyError of each point
         (None where it has none), in the order of gamma1.
@@ -367,34 +355,30 @@ class _CollocationTables:
             raise ValueError("a stack holds gamma1 = 0 or gamma1 > 0, "
                              "not both")
         kappa, N = self.node_side.material.kappa, self.disc.N
+        r0, r1, r2 = self.blocks
         t0, t1 = self.tip_rows
-        gcol = g[:, None, None]
+        gb = g[:, None, None, None, None]
+        v = np.array([load.phi_inf, load.psi_inf], dtype=complex).view(float)
         C = np.empty((g.size, 2 + (len(t0) if tip_rows else 0), 2 * N + 2))
         C[:, :2] = self.single_valued_rows
         # the boundary equation (kappa+1)[Sigma - gamma1 (kappa0 dk + i dk')]
-        # = (kappa+1) f, (point, parity, row kind, point, column), with f
-        # from the forcing table and the load's v as `fields._FieldRows`
-        # forms it.  A huge finite gamma1 overflows; the finite check below
-        # refuses its point
-        r0, r1, r2 = self.blocks
-        gb = gcol[..., None, None]
-        v = np.array([load.phi_inf, load.psi_inf], dtype=complex).view(float)
+        # = (kappa+1) f, rows (point, parity, row kind, point, column).  A
+        # huge finite gamma1 overflows; the finite check below refuses it
         with np.errstate(over="ignore", invalid="ignore"):
             rows = (kappa + 1.0) * (r0 + gb * (r1 + gb * r2))
             if tip_rows:
-                C[:, 2:] = t0 + gcol * t1
+                C[:, 2:] = t0 + g[:, None, None] * t1
             f0, f1 = self.forcing @ v
-            f_c = f0 + g[:, None] * f1
-        b = (kappa + 1.0) * np.stack([f_c.real, f_c.imag], axis=1)
+            f = f0 + g[:, None] * f1
+        rhs = (kappa + 1.0) * np.concatenate(
+            [f.real, f.imag, np.zeros(C.shape[:2])], axis=1)
 
-        # a row's largest |entry| is finite only if all its entries are;
-        # the scale of each row, the mirrored points after the first M
+        # a row's largest |entry| is finite only if all its entries are
         peak = abs(rows).max(axis=(1, 4))
-        scale = np.concatenate([peak, peak[..., : N // 2][..., ::-1]],
-                               axis=2).reshape(g.size, 2 * N)
-        scale = np.concatenate([scale, abs(C).max(axis=2)], axis=1)
-        finite = np.isfinite(scale).all(axis=1) & np.isfinite(b).all(
-            axis=(1, 2))
+        scale = np.concatenate([peak, peak[..., : N // 2][..., ::-1]], axis=2)
+        scale = np.concatenate([scale.reshape(g.size, 2 * N),
+                                abs(C).max(axis=2)], axis=1)
+        finite = np.isfinite(scale).all(axis=1) & np.isfinite(rhs).all(axis=1)
         if not row_scaling:
             scale = np.ones(scale.shape)
         keep = finite & (scale != 0.0).all(axis=1)
@@ -403,13 +387,11 @@ class _CollocationTables:
             else "non-finite entries in the collocation system")
             for ok, fin in zip(keep, finite)]
         if not keep.all():
-            rows, C, b = rows[keep], C[keep], b[keep]
-            scale, g = scale[keep], g[keep]
-        rhs = np.zeros(scale.shape)
-        rhs[:, : 2 * N] = b.reshape(g.size, 2 * N)
+            rows, C, rhs, scale, g = (
+                a[keep] for a in (rows, C, rhs, scale, g))
         rhs /= scale
         M = rows.shape[-2]
-        rows /= scale[:, : 2 * N].reshape(g.size, 2, N)[:, None, :, :M, None]
+        rows /= scale[:, : 2 * N].reshape(-1, 2, N)[:, None, :, :M, None]
         C /= scale[:, 2 * N:, None]
         return LinearSystem(rows=rows, constraints=C, rhs=rhs,
                             row_scale=scale, gamma1=g, tables=self), errors

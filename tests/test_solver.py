@@ -712,6 +712,11 @@ def test_whole_system_is_the_full_layout(material, load_h, curve, N, gamma1):
     scale = np.max(np.abs(A), axis=1)
     assert np.array_equal(system.row_scale, scale)
     assert np.array_equal(system.matrix, A / scale[:, None])
+    # the dump writes the full layout's rows and scales, byte for byte
+    want = (["row_scale " + solver._floats_text(scale)]
+            + [f"row {i} " + solver._floats_text(row)
+               for i, row in enumerate(A / scale[:, None])])
+    assert system.dump_text().splitlines()[3: 4 + len(A)] == want
     # the right-hand side, the forcing times kappa+1 from the kept table
     f = (kappa + 1.0) * boundary_forcing(curve, material, load_h, gamma1,
                                          tables.disc.collocation_points)
