@@ -1,5 +1,11 @@
 """Elastic constants, far-field loading, boundary forcing, and face fields.
 
+The load side of the boundary condition sigma_n + i tau_n = gamma1
+(kappa0 dk + i dk') is one formula: `_far_field` states the uniform far
+field once, its traction, du/ds and face-curvature change, and the
+forcing (`boundary_forcing`, the collocation tables' `_forcing_table`),
+`far_field_curvature_change` and the face fields' far-field rows read it.
+
 Tractions are reported in the local frame of the crack: sigma_n is the
 tensile and tau_n the shear component of the stress vector acting on the
 tangent line, seen from the positive-normal side (the normal is i*t', which
@@ -149,105 +155,107 @@ class SurfaceParams:
         check_gamma1(self.gamma1)
 
 
-def surface_tension_coefficients(curve: CrackCurve, gamma1: float, s):
-    """Complex coefficients (m1, m2, m3, m4) of the traction boundary condition.
-
-    They multiply the first and second arc-length derivatives of
-    (u1 + i u2) and (u1 - i u2) in the linearized curvature-dependent
-    surface-tension condition; all four scale with gamma1 and vanish on a
-    straight crack.
-    """
+def _on_crack(curve, s):
+    """The points s as floats; ValueError, naming them, unless every one is
+    finite and on the crack, in [0, l] (tips included)."""
     s = np.asarray(s, dtype=float)
-    return _surface_tension_terms(curve, gamma1, s, curve.derivatives(s))
+    if not np.all(np.isfinite(s) & (s >= 0.0) & (s <= curve.length)):
+        raise ValueError("points must be finite and lie in "
+                         f"[0, {curve.length}], got {s}")
+    return s
 
 
-def _surface_tension_terms(curve, gamma1, s, derivatives):
-    """surface_tension_coefficients from the curve's derivatives at s."""
-    _, t1, t2, t3, _ = derivatives
-    k0 = curve.kappa0(s)
-    k0p = curve.kappa0_prime(s)
+def surface_tension_coefficients(curve: CrackCurve, gamma1: float, s):
+    """Complex coefficients (m1, m2, m3, m4) of the expanded surface-tension
+    term at the points s of [0, l], a reference: the program evaluates the
+    compact form (`boundary_forcing`).
+
+    For a displacement u = u1 + i u2, gamma1 (kappa0 dk + i dk') = m1 u' +
+    m2 conj(u') + m3 u'' + m4 conj(u'') + i gamma1 Im(conj(t') u'''): the
+    m-coefficients carry the first and second arc-length derivatives, and
+    the third enters outside them.  All four scale with gamma1 and vanish
+    on a straight crack.  Raises ValueError unless gamma1 is finite and
+    nonnegative and the points are finite points of [0, l].
+    """
+    check_gamma1(gamma1)
+    _, t1, t2, t3, _ = curve.derivatives(_on_crack(curve, s))
+    k0 = curve.constant_curvature
     t1c, t2c, t3c = np.conj(t1), np.conj(t2), np.conj(t3)
-    m1 = -0.5 * gamma1 * (t3c + 2j * t2c * k0 + 3j * t1c * k0p + 3.0 * t1c * k0**2)
-    m2 = 0.5 * gamma1 * (t3 - 4j * t2 * k0 - 3j * t1 * k0p - 3.0 * t1 * k0**2)
-    m3 = -2j * gamma1 * t1c * k0
-    m4 = -1j * gamma1 * t1 * k0
+    m1 = -0.5 * gamma1 * (t3c + 2j * k0 * t2c + 3.0 * k0**2 * t1c)
+    m2 = 0.5 * gamma1 * (t3 - 4j * k0 * t2 - 3.0 * k0**2 * t1)
+    m3 = -2j * gamma1 * k0 * t1c
+    m4 = -1j * gamma1 * k0 * t1
     return m1, m2, m3, m4
+
+
+# the unit potential constants of the forcing table and the far-field
+# rows, phi = 1, i and psi = 1, i: (phi, psi) per column
+_UNIT_LOADS = ((1.0, 1j, 0.0, 0.0), (0.0, 0.0, 1.0, 1j))
+
+
+def _far_field(curve, material, phi, psi, s):
+    """The one statement of the uniform far field of the potential
+    constants phi, psi, at the points s, broadcast: its traction sigma_n +
+    i tau_n on the tangent line, du/ds and the face-curvature change dk
+    and dk'.  The displacement is 2mu u = c t - conj(psi) conj(t), with
+    c = kappa phi - conj(phi), so u_k = (c t_k - conj(psi) conj(t_k))/2mu
+    for the k-th arc-length derivatives, and dk = Im(conj(t') u'' -
+    conj(t'') u') - 3 kappa0 Re(conj(t') u'), with dk' its derivative at
+    constant kappa0.
+    """
+    _, t1, t2, t3, _ = curve.derivatives(s)
+    c, psic = material.kappa * phi - np.conj(phi), np.conj(psi)
+    u1, u2, u3 = ((c * t - psic * np.conj(t)) / (2.0 * material.mu)
+                  for t in (t1, t2, t3))
+    k0, (t1c, t2c, t3c) = curve.constant_curvature, np.conj([t1, t2, t3])
+    dk = np.imag(t1c * u2 - t2c * u1) - 3.0 * k0 * np.real(t1c * u1)
+    dkp = (np.imag(t1c * u3 - t3c * u1)
+           - 3.0 * k0 * np.real(t2c * u1 + t1c * u2))
+    return 2.0 * np.real(phi) + psic * t1c**2, u1, dk, dkp
 
 
 def boundary_forcing(curve: CrackCurve, material: Material, load: FarFieldLoad,
                      gamma1: float, s0):
-    """Load-dependent forcing f(s0) of the boundary condition.
+    """Load-dependent forcing f(s0) of the boundary condition at the points
+    s0 of [0, l]: the condition sigma_n + i tau_n = gamma1 (kappa0 dk +
+    i dk') on the uniform far field (`far_field_curvature_change`), less
+    its traction, f = gamma1 (kappa0 dk + i dk') - (2 Re phi + conj(psi)
+    conj(t')^2).
 
-    Collects the action of the surface-tension terms on the uniform far
-    field plus the remote traction constants; every surface term scales
-    with gamma1 (carried inside the m-coefficients), so for gamma1 = 0 only
-    the far-field tail survives.  The 1/(2 mu) prefactor is fixed by the
-    Young-Laplace form of the condition, sigma_n + i tau_n =
-    gamma1 (kappa0 dk + i dk'), evaluated on the uniform far field.
+    Raises ValueError unless gamma1 is finite and nonnegative and the
+    points are finite points of [0, l].
     """
-    return _forcing(curve, material, load.phi_inf, load.psi_inf, gamma1,
-                    np.asarray(s0, dtype=float))
+    check_gamma1(gamma1)
+    traction, _, dk, dkp = _far_field(curve, material, load.phi_inf,
+                                      load.psi_inf, _on_crack(curve, s0))
+    return gamma1 * (curve.constant_curvature * dk + 1j * dkp) - traction
 
 
 def _forcing_table(curve, material, s0):
-    """The read-only (2, M, 4) forcing at gamma1 = 0 and its gamma1 slope at
-    the M points s0, per unit v = (Re phi, Im phi, Re psi, Im psi) of the
-    load (`_UNIT_LOADS`): the forcing is (table[0] + gamma1 table[1]) v."""
-    f = _forcing(curve, material, *np.array(_UNIT_LOADS),
-                 np.array([0.0, 1.0])[:, None, None], np.asarray(s0)[:, None])
-    return _read_only(np.stack([f[0], f[1] - f[0]]))
-
-
-def _forcing(curve, material, phi, psi, gamma1, s0):
-    """boundary_forcing of the potential constants phi, psi, broadcast."""
-    derivatives = curve.derivatives(s0)
-    _, t1, t2, t3, _ = derivatives
-    m1, m2, m3, m4 = _surface_tension_terms(curve, gamma1, s0, derivatives)
-    kappa = material.kappa
-    c1 = kappa * phi - np.conj(phi)
-    c2 = kappa * np.conj(phi) - phi
-    psic = np.conj(psi)
-
-    m_terms = (
-        m1 * (c1 * t1 - psic * np.conj(t1))
-        + m2 * (c2 * np.conj(t1) - psi * t1)
-        + m3 * (c1 * t2 - psic * np.conj(t2))
-        + m4 * (c2 * np.conj(t2) - psi * t2)
-    )
-    third = 2j * np.imag(np.conj(t1) * (c1 * t3 - psic * np.conj(t3)))
-    return m_terms / (2.0 * material.mu) \
-        + gamma1 * third / (4.0 * material.mu) \
-        - 2.0 * np.real(phi) - psic * np.conj(t1) ** 2
+    """The read-only (2, M, 4) forcing of `boundary_forcing` at the M
+    points s0, unchecked, per unit v = (Re phi, Im phi, Re psi, Im psi) of
+    the load (`_UNIT_LOADS`): minus the far-field traction, then kappa0 dk
+    + i dk', so that the forcing is (table[0] + gamma1 table[1]) v."""
+    traction, _, dk, dkp = _far_field(curve, material, *np.array(_UNIT_LOADS),
+                                      np.asarray(s0)[:, None])
+    return _read_only(np.stack(
+        [-traction, curve.constant_curvature * dk + 1j * dkp]))
 
 
 def far_field_curvature_change(curve: CrackCurve, material: Material,
                                load: FarFieldLoad, s):
     """Linearized face-curvature change induced by the uniform far field.
 
-    Returns (dk, dk') where dk(s) is the curvature perturbation produced by
-    the displacement field of the uncracked plate under the remote load:
+    Returns (dk, dk') at the points s of [0, l], where dk(s) is the
+    curvature perturbation produced by the displacement field u of the
+    uncracked plate under the remote load:
     dk = -Im(conj(t'') u') - 3 kappa0 Re(conj(t') u') + Im(conj(t') u'').
-    The boundary forcing equals gamma1 (kappa0 dk + i dk') minus the
-    far-field traction tail, and the surface tension carried by each face is
-    gamma1 times the total curvature change.
+    The surface tension carried by each face is gamma1 times the total
+    curvature change.  Raises ValueError unless the points are finite
+    points of [0, l].
     """
-    s = np.asarray(s, dtype=float)
-    _, t1, t2, t3, _ = curve.derivatives(s)
-    k0 = curve.kappa0(s)
-    k0p = curve.kappa0_prime(s)
-    c1 = material.kappa * load.phi_inf - np.conj(load.phi_inf)
-    psic = np.conj(load.psi_inf)
-    two_mu = 2.0 * material.mu
-    up = (c1 * t1 - psic * np.conj(t1)) / two_mu
-    upp = (c1 * t2 - psic * np.conj(t2)) / two_mu
-    uppp = (c1 * t3 - psic * np.conj(t3)) / two_mu
-    t1c, t2c, t3c = np.conj(t1), np.conj(t2), np.conj(t3)
-    dk = (-np.imag(t2c * up) - 3.0 * k0 * np.real(t1c * up)
-          + np.imag(t1c * upp))
-    dkp = (-np.imag(t3c * up + t2c * upp)
-           - 3.0 * k0p * np.real(t1c * up)
-           - 3.0 * k0 * np.real(t2c * up + t1c * upp)
-           + np.imag(t2c * upp + t1c * uppp))
+    _, _, dk, dkp = _far_field(curve, material, load.phi_inf, load.psi_inf,
+                               _on_crack(curve, s))
     return dk, dkp
 
 
@@ -434,20 +442,6 @@ def _node_side(curve, material, degree, basis):
     return _NodeSide(curve, material, degree, basis=basis)
 
 
-def _far_fields(t1, material, phi, psi):
-    """sigma_n, tau_n, du1/ds and du2/ds of the uniform far field of the
-    potential constants phi, psi on a face of tangent t1, (4, M)."""
-    traction = 2.0 * np.real(phi) + np.conj(psi) * np.conj(t1) ** 2
-    du = ((material.kappa * phi - np.conj(phi)) * t1
-          - np.conj(psi) * np.conj(t1)) / (2.0 * material.mu)
-    return np.array([traction.real, traction.imag, du.real, du.imag])
-
-
-# the unit potential constants of the far-field rows, phi = 1, i and
-# psi = 1, i: (phi, psi) per column
-_UNIT_LOADS = ((1.0, 1j, 0.0, 0.0), (0.0, 0.0, 1.0, 1j))
-
-
 class _FieldRows:
     """Real fields on the unknowns x = [g1; g2] of densities, affine in
     gamma1 and in the load: rows (2, ..., K) and far (..., 4) give the
@@ -493,8 +487,8 @@ def _face_rows(side, s0, fields):
     face come the +-jumps per unit coefficient, q in sigma_n and tau_n
     (Re q, Im q) and (i/2) g' in omega, so z g' in du/ds; the q rows go
     to the unknowns through the closure.  The far-field rows are those of
-    the unit potential constants.  A node side on a flat node rule gives
-    the discrete oracle.
+    `_far_field` at the unit potential constants.  A node side on a flat
+    node rule gives the discrete oracle.
     """
     curve, material = side.curve, side.material
     s0 = np.asarray(s0, dtype=float)
@@ -533,8 +527,9 @@ def _face_rows(side, s0, fields):
         jump = np.concatenate([re, im], axis=-1)
         out[part, kinds, 0] += jump
         out[part, kinds, 1] -= jump
-    unit = np.array(_UNIT_LOADS)[:, :, None]
-    far = np.moveaxis(_far_fields(t1, material, *unit), 1, -1)[:fields]
+    traction, du, _, _ = _far_field(curve, material, *np.array(_UNIT_LOADS),
+                                    s0[:, None])
+    far = np.stack([traction.real, traction.imag, du.real, du.imag])[:fields]
     return _FieldRows(out, np.broadcast_to(far[:, None],
                                            (fields, 2) + far.shape[1:]))
 

@@ -71,8 +71,10 @@ def pv_cauchy_sum(values, nodes, weight, s0, on_node: str = "raise"):
     s0 may be an array; the result then has its shape.  When s0 coincides
     exactly with a node, on_node selects the behavior: "drop" omits that
     node (the symmetric-limit principal value), "raise" rejects the
-    evaluation point.
+    evaluation point; any other mode is refused.
     """
+    if on_node not in ("raise", "drop"):
+        raise ValueError(f"on_node must be 'raise' or 'drop', got {on_node!r}")
     nodes = np.asarray(nodes, dtype=float)
     values = np.asarray(values)
     s0 = np.asarray(s0, dtype=float)

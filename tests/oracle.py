@@ -21,12 +21,19 @@ coefficient columns of g' and q:
   the jump terms and the far field added per call: the evaluation that
   the face-field rows on the unknowns [g1; g2] (`fields._face_rows`)
   replaced.
+
+It also keeps the expanded form of the load forcing that the program's
+one far-field formula (`fields._far_field`) replaced: `expanded_forcing`,
+the surface-tension coefficients m1..m4 of the public
+`surface_tension_coefficients` on the first and second derivatives of the
+far-field displacement, plus its third-derivative term.
 """
 
 from functools import cached_property
 
 import numpy as np
 
+from curvecrack import surface_tension_coefficients
 from curvecrack.densities import _pv_tables, cauchy_densities
 
 # the kernel tables apply() reads, without and with s0-derivatives
@@ -146,3 +153,20 @@ def coefficient_face_values(side, s0, degree, gp_poly, q_poly, load):
     traction = signs * (phi @ q_poly.T) + (re_s + 1j * im_s) + far
     omega = signs * 0.5j * (phi @ gp_poly.T) + (re_w + 1j * im_w)
     return traction, (t1 * omega + du_far) / (2.0 * material.mu)
+
+
+def expanded_forcing(curve, material, load, gamma1, s0):
+    """boundary_forcing in the expanded form: m1 u' + m2 conj(u') + m3 u''
+    + m4 conj(u'') + i gamma1 Im(conj(t') u''') - (2 Re phi + conj(psi)
+    conj(t')^2), with u_k = (c t_k - conj(psi) conj(t_k))/2mu, c = kappa
+    phi - conj(phi), the derivatives of the uniform far field's
+    displacement and m from `surface_tension_coefficients`."""
+    _, t1, t2, t3, _ = curve.derivatives(np.asarray(s0, dtype=float))
+    phi, psic = load.phi_inf, np.conj(load.psi_inf)
+    c = material.kappa * phi - np.conj(phi)
+    u1, u2, u3 = ((c * t - psic * np.conj(t)) / (2.0 * material.mu)
+                  for t in (t1, t2, t3))
+    m1, m2, m3, m4 = surface_tension_coefficients(curve, gamma1, s0)
+    return (m1 * u1 + m2 * np.conj(u1) + m3 * u2 + m4 * np.conj(u2)
+            + 1j * gamma1 * np.imag(np.conj(t1) * u3)
+            - 2.0 * np.real(phi) - psic * np.conj(t1) ** 2)

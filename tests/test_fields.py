@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from curvecrack.densities import (MONOMIALS, poly_derivative, poly_eval,
                                   q_coefficients, q_polynomial)
 from curvecrack.quadrature import (Discretization, gauss_legendre,
                                    pv_cauchy_sum, regular_rule)
-from oracle import FaceOperator, coefficient_face_values
+from oracle import FaceOperator, coefficient_face_values, expanded_forcing
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -150,6 +152,51 @@ class TestBoundaryForcing:
                         - np.conj(load.psi_inf) * np.conj(t1) ** 2)
             got = boundary_forcing(curve, material, load, gamma1, s0)
             assert np.allclose(got, expected, atol=1e-13)
+
+    @pytest.mark.parametrize("curve", [
+        make_semicircle(), make_circular_arc(0.5), make_circular_arc(0.3),
+        make_straight(2.0)], ids=["semicircle", "arc0.5", "arc0.3",
+                                  "straight"])
+    def test_matches_the_expanded_form(self, material, curve):
+        # the m1..m4 expansion of the surface-tension term plus its u'''
+        # term (tests/oracle.py) states the forcing apart from the one
+        # far-field formula; the function and the collocation tables'
+        # forcing table both match it, from tip to tip
+        s0 = np.linspace(0.0, curve.length, 9)
+        table = fields._forcing_table(curve, material, s0)
+        for load in (FarFieldLoad(sigma1=1.0, sigma2=0.0),
+                     FarFieldLoad(sigma1=0.0, sigma2=1.0),
+                     FarFieldLoad(sigma1=1.0, sigma2=-0.3, alpha=0.4)):
+            v = np.array([load.phi_inf, load.psi_inf], dtype=complex).view(
+                float)
+            for gamma1 in (0.0, 0.25, 1.0, 4.0):
+                want = expanded_forcing(curve, material, load, gamma1, s0)
+                bound = 1e-13 * np.max(np.abs(want))
+                got = boundary_forcing(curve, material, load, gamma1, s0)
+                assert np.max(np.abs(got - want)) <= bound, (load, gamma1)
+                got = (table[0] + gamma1 * table[1]) @ v
+                assert np.max(np.abs(got - want)) <= bound, (load, gamma1)
+
+    @pytest.mark.parametrize("gamma1", [np.nan, -1.0, np.inf, -np.inf])
+    def test_bad_gamma1_is_refused(self, material, semicircle, load_h,
+                                   gamma1):
+        # refused by name, not returned as nan or a number, nor warned of
+        with pytest.raises(ValueError, match="gamma1"):
+            boundary_forcing(semicircle, material, load_h, gamma1, 0.5)
+        with pytest.raises(ValueError, match="gamma1"):
+            surface_tension_coefficients(semicircle, gamma1, 0.5)
+
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -1.0, 10.0, np.pi + 1e-9,
+                                   [0.5, np.nan], [0.5, -1e-9]])
+    def test_points_off_the_crack_are_refused(self, material, semicircle,
+                                              load_h, s):
+        for call in (partial(boundary_forcing, semicircle, material, load_h,
+                             1.0),
+                     partial(far_field_curvature_change, semicircle,
+                             material, load_h),
+                     partial(surface_tension_coefficients, semicircle, 1.0)):
+            with pytest.raises(ValueError, match="points"):
+                call(s)
 
     def test_curvature_change_derivative(self, material, semicircle):
         load = FarFieldLoad(sigma1=1.0, sigma2=0.0)

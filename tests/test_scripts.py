@@ -151,3 +151,52 @@ def test_snapshot_outputs_refuse_a_warm_run_that_differs(tmp_path,
     assert (tmp_path / "out" / first / "out.txt").read_text() == "1"
     assert f"{first}: the warm run differs from the cold run" \
         in capsys.readouterr().err
+
+
+def _tree(root, files):
+    """Write the files {relative path: text} under root; return root."""
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+def test_compare_snapshots_reports_moves_dumps_and_missing_files(tmp_path,
+                                                                 capsys):
+    # per CSV the largest move of each numeric column over its largest
+    # magnitude, the first token of each dump line that differs, and the
+    # files on one side only; a file on one side only fails
+    module = _load(next(p for p in SCRIPTS
+                        if p.name == "compare_snapshots.py"))
+    csv_a = "s,side,v,error\n0.0,plus,2.0,\n1.0,minus,-4.0,\n"
+    csv_b = "s,side,v,error\n0.0,plus,2.0,\n1.0,minus,-4.000004,\n"
+    dump_a = "n_rows 2\nrow_scale 1.0 2.0\nrhs 0.5 0.25\n"
+    dump_b = "n_rows 2\nrow_scale 1.0 2.0\nrhs 0.5 0.2500001\n"
+    a = _tree(tmp_path / "a", {"run/out.csv": csv_a,
+                               "run/system_dump.txt": dump_a,
+                               "run/only_a.txt": "x\n"})
+    b = _tree(tmp_path / "b", {"run/out.csv": csv_b,
+                               "run/system_dump.txt": dump_b})
+    assert module.main([str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["only in A: run/only_a.txt",
+                     "run/out.csv s: 0.0e+00 of 1",
+                     "run/out.csv v: 1.0e-06 of 4",
+                     "run/system_dump.txt: lines differ: rhs"]
+    (a / "run" / "only_a.txt").unlink()
+    assert module.main([str(a), str(b)]) == 0
+    assert module.main([str(a), str(b), "--bound", "1e-5"]) == 0
+    assert module.main([str(a), str(b), "--bound", "1e-7"]) == 1
+    capsys.readouterr()
+    # a text cell that differs moves by inf; a header, row count or line
+    # count that differs fails with no bound
+    for name, text in (("run/out.csv", csv_a.replace("minus", "plus")),
+                       ("run/out.csv", csv_a.replace(",v,", ",w,")),
+                       ("run/out.csv", csv_a + "2.0,plus,1.0,\n"),
+                       ("run/system_dump.txt", dump_a + "rhs 1.0\n")):
+        c = _tree(tmp_path / "c", {"run/out.csv": csv_a,
+                                   "run/system_dump.txt": dump_a, name: text})
+        code = module.main([str(a), str(c), "--bound", "1"])
+        assert code == 1, (name, text)
+    assert "run/out.csv side: inf of nan" in capsys.readouterr().out
+    assert module.main([str(a), str(a)]) == 0

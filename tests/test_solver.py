@@ -64,6 +64,14 @@ class TestQuadratureRule:
         with pytest.raises(ValueError):
             pv_cauchy_sum(np.ones(9), d.nodes, d.weight, 0.5)
 
+    @pytest.mark.parametrize("mode", ["Drop", "skip", "", None])
+    def test_pv_unknown_node_mode_is_named(self, mode):
+        # refused up front, off a node too, not at the first node hit
+        d = Discretization(8, 1.0)
+        for s0 in (0.5, 0.3):
+            with pytest.raises(ValueError, match="on_node"):
+                pv_cauchy_sum(np.ones(9), d.nodes, d.weight, s0, on_node=mode)
+
     def test_pv_polynomial_against_adaptive(self):
         from scipy.integrate import quad
         rng = np.random.default_rng(0)

@@ -15,8 +15,10 @@ side's rows without s0-derivatives are read by `fields._face_rows` alone,
 which alone builds the rows on the unknowns (`fields._FieldRows`), and
 those with them by the collocation tables alone.  `solver` names the
 load forcing formula only to build the collocation tables' forcing
-table.  All are read from the source, so a use that no test runs is found
-too.
+table, and the load side of the boundary condition is one formula: no
+module evaluates the expanded surface-tension coefficients, and only the
+flat-rule oracle reads the curvature as a function of s.  All are read
+from the source, so a use that no test runs is found too.
 """
 
 import ast
@@ -123,14 +125,20 @@ def _builds_field_rows(call):
             or isinstance(func, ast.Attribute) and func.attr == "_FieldRows")
 
 
+def _calls(names):
+    """A match of _callers: a call of one of the names, by name or
+    attribute."""
+    return lambda call: ast.unparse(call.func).split(".")[-1] in names
+
+
 # the names of the load forcing formula in `fields`
 _FORCING = ("boundary_forcing", "_forcing", "_forcing_table")
 
 
-def _calls_forcing(call):
-    """A match of _callers: a call of a name of _FORCING, by name or
-    attribute."""
-    return ast.unparse(call.func).split(".")[-1] in _FORCING
+# the expanded surface-tension coefficients, a reference, and the
+# curvature functions of `CrackCurve`, constant on every curve
+_EXPANSION = ("surface_tension_coefficients",)
+_CURVATURE = ("kappa0", "kappa0_prime")
 
 
 def _package_callers(match):
@@ -263,9 +271,18 @@ def test_solver_reads_the_forcing_from_its_table():
     # solver names the forcing formula only to build the kept table, once
     # per node side and N; a system reads the table
     tree = ast.parse((PACKAGE / "solver.py").read_text())
-    assert _callers(tree, _calls_forcing) == ["_CollocationTables.__init__"]
+    assert _callers(tree, _calls(_FORCING)) == ["_CollocationTables.__init__"]
     assert {text for _, text in _name_uses(tree, _FORCING)} \
         == {"_forcing_table"}
+
+
+def test_the_load_side_is_one_formula():
+    # no module evaluates the expanded form of the forcing, and only the
+    # flat-rule oracle reads kappa0 as a function: every curve is of
+    # constant curvature, kappa0' = 0
+    assert _package_callers(_calls(_EXPANSION)) == []
+    assert _package_callers(_calls(_CURVATURE)) == [
+        ("kernels", "fredholm_operator")] * 2
 
 
 def test_the_checks_see_what_they_forbid():
@@ -330,6 +347,16 @@ def test_the_checks_see_what_they_forbid():
         "        return fields._forcing(*self.args, gamma1, self.s)\n"
         "def f(curve, material, load):\n"
         "    return boundary_forcing(curve, material, load, 1.0, 0.5)\n")
-    assert _callers(tree, _calls_forcing) == ["T.__init__", "T.systems", "f"]
+    assert _callers(tree, _calls(_FORCING)) == ["T.__init__", "T.systems", "f"]
     assert {text for _, text in _name_uses(tree, _FORCING)} == {
         "boundary_forcing", "_forcing_table", "fields._forcing"}
+    tree = ast.parse(
+        "def f(curve, s):\n"
+        "    return fields.surface_tension_coefficients(curve, 1.0, s)\n"
+        "class T:\n"
+        "    def g(self, s):\n"
+        "        return self.curve.kappa0(s) + kappa0_prime(s)\n"
+        "    def h(self):\n"
+        "        return self.curve.constant_curvature\n")
+    assert _callers(tree, _calls(_EXPANSION)) == ["f"]
+    assert _callers(tree, _calls(_CURVATURE)) == ["T.g", "T.g"]
