@@ -13,13 +13,16 @@ run summaries go to stdout, each after a "== <name>" line, and the face
 profiles' list of files after "== face_profiles".  The runs use the source
 of the checkout that holds this script, not an installed curvecrack.
 
-Every run is made twice in this one process: cold, with the table cache of
-the program (the node sides of `fields._node_side` and every table they
-keep) emptied first, into OUT, then warm, reading the tables the
-cold run left cached, into a temporary directory.  The script exits with
-status 1, naming the run, when the warm run's files or summary differ from
-the cold run's by a byte, so the comparison of two checkouts covers the
-cached path as well.
+Every run is made three times in this one process.  First cold, with the
+table cache of the program (the node sides of `fields._node_side` and
+every table they keep, the kept factorizations too) emptied first, into
+OUT, then at once warm, reading the tables the cold run left cached, into
+a temporary directory.  Last, once every run has been made so, every run
+again in reverse order, into another temporary directory, with the cache
+not emptied, so each run reads what the runs after it left.  The script
+exits with status 1, naming the run, when a warm run's files or summary
+differ from the cold run's by a byte, so the comparison of two checkouts
+covers the cached path as well.
 """
 
 import contextlib
@@ -75,18 +78,19 @@ def _call_in(where, name, write):
 def _cold_then_warm(name, write, warm_root):
     """write(name) in the working directory with the table cache empty,
     then again in warm_root; prints the cold call's stdout and returns its
-    exit code, or 1 when the warm call differs from it."""
+    exit code, or 1 when the warm call differs from it, and the cold
+    call's result."""
     _node_side.cache_clear()
     cold = _call_in(Path.cwd(), name, write)
     print(cold[1], end="", flush=True)
     if cold[0] != 0:
         print(f"{name}: exit code {cold[0]}", file=sys.stderr)
-        return cold[0]
+        return cold[0], cold
     if _call_in(warm_root, name, write) != cold:
         print(f"{name}: the warm run differs from the cold run",
               file=sys.stderr)
-        return 1
-    return 0
+        return 1, cold
+    return 0, cold
 
 
 def main(argv=None):
@@ -104,12 +108,21 @@ def main(argv=None):
     cwd = os.getcwd()
     os.chdir(out)
     try:
-        with tempfile.TemporaryDirectory() as warm:
+        with tempfile.TemporaryDirectory() as scratch:
+            warm, last = Path(scratch) / "warm", Path(scratch) / "reverse"
+            warm.mkdir()
+            last.mkdir()
+            cold = {}
             for name, write in writers:
                 print(f"== {name}", flush=True)
-                code = _cold_then_warm(name, write, Path(warm))
+                code, cold[name] = _cold_then_warm(name, write, warm)
                 if code != 0:
                     return code
+            for name, write in reversed(writers):
+                if _call_in(last, name, write) != cold[name]:
+                    print(f"{name}: the warm run in reverse order differs "
+                          "from the cold run", file=sys.stderr)
+                    return 1
         return 0
     finally:
         os.chdir(cwd)

@@ -209,18 +209,22 @@ def _pv_tables(length: float, s0, degree: int, basis,
 
 
 class _OnFirstRead:
-    """A float field that may be set to a function of the object instead:
-    the function runs on the first read, and its value is kept."""
+    """A field that may be set to a function of the object instead: the
+    function runs on the first read, and its value, made a float (or by
+    convert), is kept.  default is the dataclass default."""
+
+    def __init__(self, default=float("nan"), convert=float):
+        self._default, self._convert = default, convert
 
     def __set_name__(self, owner, name):
         self._name = "_" + name
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            return float("nan")  # the dataclass default
+            return self._default
         value = obj.__dict__[self._name]
         if callable(value):
-            value = obj.__dict__[self._name] = float(value(obj))
+            value = obj.__dict__[self._name] = self._convert(value(obj))
         return value
 
     def __set__(self, obj, value):
@@ -238,7 +242,13 @@ class DensityCoefficients:
     density built by hand, which carries its length alone.  Diagnostics and
     the curve are attached by the solver.  It sets single_valued_residual to
     the function that computes it from the density, which runs on first
-    read, so a run that never reads the residual never pays for it.
+    read, so a run that never reads the residual never pays for it, and so
+    the trust fields, read from the solve's singular values: per parity
+    half (`solver.LinearSystem.halves`), reduced_conditions, the condition
+    number of its reduced block, not clipped at the damping floor as
+    condition_estimate is, and damped_directions, the count of its
+    singular values below the damping lambda the halves share.  Both are
+    None on a density built by hand.
     """
 
     g1: np.ndarray
@@ -249,6 +259,8 @@ class DensityCoefficients:
     single_valued_residual: float = _OnFirstRead()
     basis: Basis = MONOMIALS
     curve: CrackCurve | None = None
+    reduced_conditions: tuple | None = _OnFirstRead(None, tuple)
+    damped_directions: tuple | None = _OnFirstRead(None, tuple)
 
     def __post_init__(self):
         self.g1 = np.asarray(self.g1, dtype=float)

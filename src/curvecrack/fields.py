@@ -437,7 +437,9 @@ def _node_side(curve, material, degree, basis):
 
     The key is frozen values alone, and the node side's tables, with those
     it keeps (`_NodeSide.derived`), are read-only, so every run on the key
-    shares them; cache_clear() empties them all.
+    shares them.  Its collocation tables keep the factorizations of their
+    last 16 gamma1 values (`solver._CollocationTables`), which every load
+    shares.  cache_clear() empties them all, factorizations included.
     """
     return _NodeSide(curve, material, degree, basis=basis)
 

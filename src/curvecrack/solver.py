@@ -60,7 +60,8 @@ product; assemble() takes the one-point stack, a gamma1 sweep stacks all
 its points.  A system carries its tables, and solve() reads the curve,
 the basis and N from them.  The tables of an N are kept, read-only, by
 the node side they were read from (`fields._NodeSide.derived`); the
-systems, their checks and the solves are formed per call.
+systems, their checks and the solves are formed per call, and so is
+every factorization that the tables do not keep (below).
 
 The constrained system is solved by least squares in the constraint null
 space with a light Tikhonov term (relative weight 1e-8) that suppresses
@@ -87,11 +88,22 @@ blocks of both halves of every point, one batched call per SVD) for its
 condition estimates, solutions and dump.  `_solutions` solves a stack and
 checks each point on its own; solve() is its one-point case, so a single
 solve and a sweep share one solver.
+
+The reduction depends on the curve, the material, N, gamma1 and the row
+scaling, not on the load, which enters the right-hand side alone.  So the
+tables keep it: for each of the last KEPT_REDUCTIONS = 16 gamma1 values
+they factored, per row scaling, the halves' C, Z, G and the SVD of G
+(`_CollocationTables._kept_parts`), and every system they build for
+those points reads it instead of factoring again.  Only the right-hand
+side, the solution, the normal-equation check and each point's errors
+are formed per call.  A point's factorization is the same bits alone or in a
+stack, so a kept reduction gives the bytes a fresh one would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 
 import numpy as np
@@ -107,6 +119,9 @@ from .quadrature import Discretization, gauss_legendre  # noqa: F401
 
 CONDITION_LIMIT = 1e14
 LAMBDA_REL = 1e-8
+# gamma1 values whose reduction one `_CollocationTables` keeps per row
+# scaling: the 16 points of the shipped gamma1 sweeps
+KEPT_REDUCTIONS = 16
 
 
 class AssemblyError(RuntimeError):
@@ -131,12 +146,16 @@ class LinearSystem:
     system, is laid out from them only when read (`dump_text`, tests).
     `reduction` is, for each parity half (`halves`), the null basis Z of
     its constraint rows and the thin SVD of its collocation rows times Z,
-    computed once and shared by the condition gate, `solve` and
-    `dump_text`.  condition_estimate is the 2-norm condition number of the
-    reduced block of the whole system, whose singular values are those of
-    both halves, with its smallest singular value clipped at the Tikhonov
-    floor LAMBDA_REL * sigma_max, so it never exceeds 1/LAMBDA_REL = 1e8;
-    it is inf only for a zero reduced block.  tables are the
+    read once and shared by the condition gate, `solve` and `dump_text`:
+    the one the tables keep for the system's points (`kept`, seeded by
+    `_CollocationTables.systems`) while it is of these very arrays, else
+    computed, as for a system built by hand or changed with
+    `dataclasses.replace`, which carries none.  condition_estimate is
+    the 2-norm condition number of the reduced block of the whole system,
+    whose singular values are those of both halves, with its smallest
+    singular value clipped at the Tikhonov floor LAMBDA_REL * sigma_max,
+    so it never exceeds 1/LAMBDA_REL = 1e8; it is inf only for a zero
+    reduced block.  tables are the
     `_CollocationTables` the system was built from: its node side's curve
     and basis, N, the constants of the halves and the unscaled integrals
     I_k of the single-valuedness rows, which `solve` gives the density.
@@ -144,8 +163,9 @@ class LinearSystem:
     A stack of P systems that share N and the number of constraint rows
     (`_CollocationTables.systems`) carries a leading point axis on every
     array, and gamma1 and condition_estimate are (P,) arrays; the
-    reduction factorizes the whole stack, both halves of every point, in
-    one call per SVD.  A single system has no point axis.
+    reduction factorizes the whole stack, or the points the tables keep
+    none for, both halves of every point, in one call per SVD.  A single
+    system has no point axis.
     """
 
     rows: np.ndarray
@@ -154,6 +174,8 @@ class LinearSystem:
     row_scale: np.ndarray
     gamma1: float
     tables: _CollocationTables
+    # (C, Z^T, G, U, S, Vt) the tables keep for these points, or None
+    kept: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def n_constraints(self):
@@ -199,21 +221,11 @@ class LinearSystem:
         row lies on half 0 and the imaginary one on half 1.  Each half
         takes the first tip's rows on its columns.
         """
-        tables, n_con = self.tables, self.n_constraints
-        cols = tables.parity
-        A = tables.weight[..., None] * self.rows
-        A = A.reshape(A.shape[:-4] + (2, 2 * A.shape[-2], A.shape[-1]))
+        tables = self.tables
         rhs = self.rhs[..., None, :]
         h = 0.5 * tables.weight * (rhs[..., tables.first]
                                    + tables.sign * rhs[..., tables.mirrored])
-        C = self.constraints
-        I0 = tables.single_valued[0]
-        sv = (np.conj(I0) / abs(I0)) * (C[..., 0, :] + 1j * C[..., 1, :])
-        # the second tip's rows are +-(the first tip's rows) P
-        tips = C[..., 2: 2 + (n_con - 2) // 2, :]
-        even = np.concatenate([sv.real[..., None, :], tips], axis=-2)
-        odd = np.concatenate([sv.imag[..., None, :], tips], axis=-2)
-        C = np.stack([even[..., cols[0]], odd[..., cols[1]]], axis=-3)
+        A, C = _half_blocks(tables, self.rows, self.constraints)
         return A, C, h.reshape(h.shape[:-2] + (A.shape[-2],))
 
     @cached_property
@@ -221,17 +233,23 @@ class LinearSystem:
         """(Z, G, U, S, Vt) of both halves: null basis Z, G = A Z and G = U
         diag(S) Vt, each with the parity axis of `halves`.
 
-        Raises SolveError when the constraints leave no free unknown.
+        The tables' kept reduction (`kept`) while its C and G are the
+        halves' C and A Z bit for bit, the case in which computing it
+        gives it again; else computed here, so an array edited in place
+        is factored afresh.  Raises SolveError when the constraints leave
+        no free unknown.
         """
         A, C, _ = self.halves
         if C.shape[-2] >= C.shape[-1]:
             raise SolveError("the constraints leave no free unknown: "
                              f"{self.n_constraints} constraint rows for "
                              f"{self.constraints.shape[-1]} unknowns")
-        _, _, Vt = np.linalg.svd(C)
-        Z = Vt[..., C.shape[-2]:, :].swapaxes(-1, -2)
-        G = A @ Z
-        return (Z, G) + tuple(np.linalg.svd(G, full_matrices=False))
+        kept = self.kept
+        if kept is not None and np.array_equal(kept[0], C):
+            Z = kept[1].swapaxes(-1, -2)
+            if np.array_equal(A @ Z, kept[2]):
+                return (Z,) + kept[2:]
+        return _factor(A, C)
 
     @cached_property
     def condition_estimate(self):
@@ -254,6 +272,31 @@ class LinearSystem:
         lines.append("rhs " + _floats_text(self.rhs))
         lines.append(f"condition_estimate {self.condition_estimate!r}")
         return "\n".join(lines) + "\n"
+
+
+def _half_blocks(tables, rows, constraints):
+    """(A, C) of `LinearSystem.halves` from the scaled rows and constraint
+    rows of a system or stack."""
+    n_con, cols = constraints.shape[-2], tables.parity
+    A = tables.weight[..., None] * rows
+    A = A.reshape(A.shape[:-4] + (2, 2 * A.shape[-2], A.shape[-1]))
+    I0 = tables.single_valued[0]
+    sv = (np.conj(I0) / abs(I0)) * (constraints[..., 0, :]
+                                    + 1j * constraints[..., 1, :])
+    # the second tip's rows are +-(the first tip's rows) P
+    tips = constraints[..., 2: 2 + (n_con - 2) // 2, :]
+    even = np.concatenate([sv.real[..., None, :], tips], axis=-2)
+    odd = np.concatenate([sv.imag[..., None, :], tips], axis=-2)
+    return A, np.stack([even[..., cols[0]], odd[..., cols[1]]], axis=-3)
+
+
+def _factor(A, C):
+    """(Z, G, U, S, Vt) of the halves' blocks A and C (`reduction`), one
+    call per SVD for every half of every point."""
+    _, _, Vt = np.linalg.svd(C)
+    Z = Vt[..., C.shape[-2]:, :].swapaxes(-1, -2)
+    G = A @ Z
+    return (Z, G) + tuple(np.linalg.svd(G, full_matrices=False))
 
 
 def _floats_text(values):
@@ -284,6 +327,15 @@ class _CollocationTables:
     the blocks once, and so does every later run of the process on the
     node side, which keeps them (`_NodeSide.derived`).  Its arrays are
     read-only.
+
+    It keeps the gamma1-dependent part of the solve too: the reduction of
+    the last KEPT_REDUCTIONS = 16 gamma1 values it factored, per row
+    scaling (`_kept_parts`), least recently read evicted first, so every
+    load at those gamma1 solves on one factorization.  A failed
+    factorization is not kept.  An entry holds about 7 (N+1)^2 doubles,
+    24 kB at N = 20 and 226 kB at N = 60, so a table set keeps at most
+    0.4 MB at N = 20 and 3.6 MB at N = 60, and a node side keeps one
+    table set per N it was asked for.
     """
 
     def __init__(self, node_side: _NodeSide, N: int):
@@ -321,6 +373,8 @@ class _CollocationTables:
         self.single_valued_rows = _read_only(np.array(
             [np.concatenate([ints.real, -ints.imag]),
              np.concatenate([ints.imag, ints.real])]))
+        # (gamma1 bits, row_scaling) -> (C, Z^T, G, U, S, Vt) of a point
+        self._reductions = OrderedDict()
 
     def system(self, load, gamma1: float,
                row_scaling: bool = True) -> LinearSystem:
@@ -332,9 +386,12 @@ class _CollocationTables:
         stack, (error,) = self.systems(load, [gamma1], row_scaling)
         if error is not None:
             raise error
-        return replace(stack, rows=stack.rows[0],
-                       constraints=stack.constraints[0], rhs=stack.rhs[0],
-                       row_scale=stack.row_scale[0], gamma1=gamma1)
+        system = replace(stack, rows=stack.rows[0],
+                         constraints=stack.constraints[0], rhs=stack.rhs[0],
+                         row_scale=stack.row_scale[0], gamma1=gamma1)
+        if stack.kept is not None:
+            system.kept = tuple(part[0] for part in stack.kept)
+        return system
 
     def systems(self, load, gamma1, row_scaling: bool = True):
         """The row-scaled constrained systems at P gamma1 values, one stack.
@@ -393,8 +450,49 @@ class _CollocationTables:
         M = rows.shape[-2]
         rows /= scale[:, : 2 * N].reshape(-1, 2, N)[:, None, :, :M, None]
         C /= scale[:, 2 * N:, None]
-        return LinearSystem(rows=rows, constraints=C, rhs=rhs,
-                            row_scale=scale, gamma1=g, tables=self), errors
+        stack = LinearSystem(rows=rows, constraints=C, rhs=rhs,
+                             row_scale=scale, gamma1=g, tables=self)
+        stack.kept = self._kept_parts(g, row_scaling, rows, C)
+        return stack, errors
+
+    def _kept_parts(self, gamma1, row_scaling, rows, constraints):
+        """The kept (C, Z^T, G, U, S, Vt) of the points of a stack, with
+        their point axis, or None.
+
+        The points without one are factored as one stack (`_factor`) and
+        kept; None when that fails or the constraints leave no free
+        unknown, so the stack's own reduction raises the error, and for an
+        empty stack.  The tables keep the last KEPT_REDUCTIONS points read,
+        per gamma1 (bit for bit) and row scaling.
+        """
+        kept = self._reductions
+        keys = [(bits, row_scaling)
+                for bits in gamma1.view(np.int64).tolist()]
+        parts = [kept.get(key) for key in keys]
+        new = [i for i, part in enumerate(parts) if part is None]
+        if new:
+            A, C = _half_blocks(self, rows[new], constraints[new])
+            if C.shape[-2] >= C.shape[-1]:
+                return None
+            try:
+                Z, *rest = _factor(A, C)
+            except np.linalg.LinAlgError:
+                return None
+            # Z as the rows of Vt it views: the product Z y then sees the
+            # layout of a Z computed afresh, and gives the same bits
+            factored = tuple(map(_read_only, (C, Z.swapaxes(-1, -2), *rest)))
+            # an entry holds its own point alone: one of several is copied
+            for j, i in enumerate(new):
+                parts[i] = kept[keys[i]] = tuple(
+                    part[j] if len(new) == 1 else _read_only(part[j].copy())
+                    for part in factored)
+        for key in keys:
+            kept.move_to_end(key)
+        while len(kept) > KEPT_REDUCTIONS:
+            kept.popitem(last=False)
+        if len(new) == len(keys):
+            return factored if new else None
+        return tuple(map(np.array, zip(*parts)))
 
 
 def _check_gamma1(gamma1):
@@ -435,7 +533,8 @@ def solve(system: LinearSystem) -> DensityCoefficients:
     The one-point case of `_solutions`: raises its SolveError, if any, and
     attaches the diagnostics to the density, with the curve, the length
     and the basis of the system's tables.  Its single_valued_residual is
-    computed from the tables' curve and integrals when it is first read.
+    computed from the tables' curve and integrals when it is first read,
+    and its trust fields from the singular values of the reduction.
     """
     (x,), (error,) = _solutions(system)
     if error is not None:
@@ -448,7 +547,22 @@ def solve(system: LinearSystem) -> DensityCoefficients:
     coeffs.single_valued_residual = partial(
         _normalized_residual, curve=tables.node_side.curve,
         ints=tables.single_valued)
+    S = system.reduction[3]
+    coeffs.reduced_conditions = partial(_reduced_conditions, S=S)
+    coeffs.damped_directions = partial(_damped_directions, S=S)
     return coeffs
+
+
+def _reduced_conditions(_, S):
+    """sigma_max / sigma_min of each parity half's singular values S,
+    inf where sigma_min is 0."""
+    return tuple(s[0] / s[-1] if s[-1] else float("inf") for s in S.tolist())
+
+
+def _damped_directions(_, S):
+    """The count of each parity half's singular values S below the
+    damping lambda = LAMBDA_REL * sigma_max of both halves."""
+    return tuple((S < LAMBDA_REL * S[:, 0].max()).sum(axis=1).tolist())
 
 
 def _solutions(system: LinearSystem):

@@ -520,7 +520,7 @@ class TestSweepTables:
         assert all(ref() is None for ref in refs)
 
     def test_factorizations_do_not_grow_with_gamma_points(
-            self, semicircle, material, load_h, monkeypatch):
+            self, semicircle, material, load_h, monkeypatch, cold_tables):
         calls = []
         svd = np.linalg.svd
 
@@ -610,7 +610,8 @@ class TestSweepStacks:
     def test_factorization_error_fails_its_stack(self, semicircle, material,
                                                  load_h, monkeypatch):
         # the gamma1 = 0 point in the middle is a stack of its own, the one
-        # whose constraint block has one row per parity half
+        # whose constraint block has one row per parity half.  Each patched
+        # sweep starts on an empty cache, so its operators are factored
         grid = [0.5, 0.0, 1.0, 2.0]
         clean = sweep_gamma(semicircle, material, load_h, grid, N=12)
         svd = np.linalg.svd
@@ -620,6 +621,7 @@ class TestSweepStacks:
                 raise np.linalg.LinAlgError("SVD did not converge")
             return svd(a, *args, **kwargs)
 
+        _node_side.cache_clear()
         monkeypatch.setattr(np.linalg, "svd", failing)
         rows = sweep_gamma(semicircle, material, load_h, grid, N=12)
         assert rows[1].error == "SVD did not converge"
@@ -629,9 +631,13 @@ class TestSweepStacks:
         def always(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
+        _node_side.cache_clear()
         monkeypatch.setattr(np.linalg, "svd", always)
         rows = sweep_gamma(semicircle, material, load_h, grid, N=12)
         assert all(r.error == "SVD did not converge" for r in rows)
+        # no failed factorization was kept
+        monkeypatch.undo()
+        assert sweep_gamma(semicircle, material, load_h, grid, N=12) == clean
 
 
 class TestConvergenceStudy:

@@ -9,15 +9,17 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from curvecrack import Material, make_semicircle, solve_problem
+from curvecrack import Material, make_semicircle, solve_problem, solver
+from curvecrack.cli import parse_config, run
 from curvecrack.fields import _face_values, _NodeSide
 from curvecrack.postprocess import write_face_fields_csv
 from curvecrack.quadrature import midpoint_grid
 
-SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts")
-                 .glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def _load(path):
@@ -73,6 +75,47 @@ def test_face_profiles_build_one_node_side(tmp_path, monkeypatch, capsys,
     assert len(list((tmp_path / "out").glob("face_fields_*.csv"))) == 9
     assert module.main(["a", "b"]) == 2
     assert not (Path.cwd() / "a").exists()
+
+
+def test_operators_are_factored_once_per_gamma1(tmp_path, monkeypatch,
+                                                cold_tables):
+    # the loads share each operator: face_profiles' three loads at three
+    # gamma1 factor three operators, a repeated sweep none, and the
+    # vertical shipped gamma1 sweep none after the horizontal one; the
+    # table cache's cache_clear() empties the kept factorizations too
+    points = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == solver.__name__:
+            points.append(a.size // (a.shape[-1] * a.shape[-2]) // 2)
+        return svd(a, *args, **kwargs)
+
+    def factored():
+        # two SVDs per factorization, over both halves of each point
+        count = sum(points) / 2
+        points.clear()
+        return count
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    profiles = _load(next(p for p in SCRIPTS if p.name == "face_profiles.py"))
+    assert profiles.main([str(tmp_path / "profiles")]) == 0
+    assert len(profiles.LOADS) * len(profiles.GAMMAS) == 9
+    assert factored() == len(profiles.GAMMAS) == 3
+    configs = ROOT / "configs"
+    horizontal, vertical = (
+        parse_config((configs / f"gamma_sweep_{name}.cfg").read_text())
+        for name in ("horizontal", "vertical"))
+    assert len(horizontal.grid) == 16 and vertical.grid == horizontal.grid
+
+    def sweep(config):
+        assert run(config, out_dir=str(tmp_path / "sweep"), quiet=True) == 0
+        return factored()
+
+    assert [sweep(horizontal), sweep(horizontal), sweep(vertical)] \
+        == [16, 0, 0]
+    cold_tables()
+    assert sweep(vertical) == 16
 
 
 def test_ab_timing_compares_a_tree_with_itself(capsys, monkeypatch):
@@ -151,6 +194,33 @@ def test_snapshot_outputs_refuse_a_warm_run_that_differs(tmp_path,
     assert (tmp_path / "out" / first / "out.txt").read_text() == "1"
     assert f"{first}: the warm run differs from the cold run" \
         in capsys.readouterr().err
+
+
+def test_snapshot_outputs_refuse_a_reverse_run_that_differs(
+        tmp_path, monkeypatch, capsys):
+    # after every run is made cold and warm, each is made once more in
+    # reverse order on the cache the others left; one that differs from
+    # its cold run by a byte, here the first, fails the snapshot
+    module = _load(next(p for p in SCRIPTS
+                        if p.name == "snapshot_outputs.py"))
+    names = [name for name, _, _ in module.runs()] + ["face_profiles"]
+    calls = []
+
+    def run(config, out_dir, dump_system=False):
+        calls.append(out_dir)
+        Path(out_dir).mkdir()
+        late = out_dir == names[0] and calls.count(out_dir) > 2
+        (Path(out_dir) / "out.txt").write_text("late" if late else "early")
+        return 0
+
+    monkeypatch.setattr(module, "run", run)
+    monkeypatch.setattr(module.face_profiles, "main",
+                        lambda argv: run(None, argv[0]))
+    assert module.main([str(tmp_path / "out")]) == 1
+    assert calls == [name for name in names for _ in range(2)] + names[::-1]
+    assert (tmp_path / "out" / names[0] / "out.txt").read_text() == "early"
+    assert f"{names[0]}: the warm run in reverse order differs from the " \
+        "cold run" in capsys.readouterr().err
 
 
 def _tree(root, files):

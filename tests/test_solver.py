@@ -1,3 +1,6 @@
+import itertools
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -867,9 +870,10 @@ class TestSolve:
             solve(system)
 
     def test_one_factorization_per_system(self, material, semicircle, load_h,
-                                          monkeypatch):
+                                          monkeypatch, cold_tables):
         # the gate, solve and the dump share one null-space reduction: one
-        # SVD of the constraint block, one of the reduced block, no lstsq
+        # SVD of the constraint block, one of the reduced block, no lstsq,
+        # on an operator no earlier test left factored
         calls = {"svd": 0, "lstsq": 0}
 
         def counting(name):
@@ -1114,3 +1118,137 @@ def test_dump_text_roundtrip(material, semicircle, load_h):
     assert "condition_estimate" in text
     assert len([ln for ln in text.splitlines() if ln.startswith("row ")]) \
         == system.matrix.shape[0]
+
+
+@pytest.mark.parametrize("N,gamma1", [(16, 1.0), (20, 0.0), (30, 1.0)])
+def test_trust_fields_match_a_direct_svd(material, semicircle, load_h, N,
+                                         gamma1):
+    # each half's unclipped condition and its count of singular values
+    # under the shared lambda, against the singular values of its reduced
+    # block on a null basis of scipy's; N = 20 and 30 damp some directions
+    from scipy.linalg import null_space
+    system = assemble(semicircle, material, load_h, gamma1,
+                      Discretization(N, semicircle.length))
+    coeffs = solve(system)
+    A, C, _ = system.halves
+    S = [np.linalg.svd(A[p] @ null_space(C[p]), compute_uv=False)
+         for p in range(2)]
+    lam = solver.LAMBDA_REL * max(s[0] for s in S)
+    assert coeffs.reduced_conditions \
+        == pytest.approx([s[0] / s[-1] for s in S], rel=1e-6)
+    assert coeffs.damped_directions == tuple(int((s < lam).sum())
+                                             for s in S)
+    assert (N > 16) == any(coeffs.damped_directions)
+    bare = DensityCoefficients(coeffs.g1, coeffs.g2, coeffs.length, gamma1)
+    assert bare.reduced_conditions is None
+    assert bare.damped_directions is None
+
+
+class TestKeptReductions:
+    """A table set keeps the reduction of each gamma1 it factored, and a
+    point's solution is the same bytes whichever kept reduction it reads:
+    cold or warm, alone or in a stack in any order, after another load at
+    its gamma1, and after its entry was evicted."""
+
+    GRID = (0.25, 0.5, 1.0, 2.0)
+
+    @pytest.fixture
+    def node_side(self, material, semicircle):
+        return _NodeSide(semicircle, material, 16)
+
+    @staticmethod
+    def _solved(tables, load, gamma1, row_scaling=True):
+        coeffs = solve(tables.system(load, gamma1, row_scaling))
+        return np.concatenate([coeffs.g1, coeffs.g2]).tobytes()
+
+    @staticmethod
+    def _stacked(tables, load, grid):
+        stack, errors = tables.systems(load, np.array(grid))
+        x, solved = solver._solutions(stack)
+        assert errors == solved == [None] * len(grid)
+        return [row.tobytes() for row in x]
+
+    @staticmethod
+    def _factorizations(monkeypatch):
+        """The list that each np.linalg.svd call from solver appends to."""
+        calls, svd = [], np.linalg.svd
+
+        def counted(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == solver.__name__:
+                calls.append(1)
+            return svd(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return calls
+
+    def _cold(self, node_side, load, gamma1, row_scaling=True):
+        return self._solved(solver._CollocationTables(node_side, 16), load,
+                            gamma1, row_scaling)
+
+    def test_cold_warm_alone_and_stacked(self, node_side, load_h):
+        want = {g: self._cold(node_side, load_h, g) for g in self.GRID}
+        tables = solver._CollocationTables(node_side, 16)
+        for _ in range(2):
+            assert [self._solved(tables, load_h, g) for g in self.GRID] \
+                == [want[g] for g in self.GRID]
+        for order in itertools.permutations(self.GRID[:3]):
+            tables = solver._CollocationTables(node_side, 16)
+            for grid in (order, order[::-1]):
+                assert self._stacked(tables, load_h, grid) \
+                    == [want[g] for g in grid]
+        # a stack of kept and new points
+        tables = solver._CollocationTables(node_side, 16)
+        assert self._solved(tables, load_h, 0.5) == want[0.5]
+        assert self._stacked(tables, load_h, self.GRID[::-1]) \
+            == [want[g] for g in self.GRID[::-1]]
+
+    def test_another_load_at_the_same_gamma1(self, node_side, load_h, load_v,
+                                             monkeypatch):
+        want = {load: self._cold(node_side, load, 1.0)
+                for load in (load_h, load_v)}
+        tables = solver._CollocationTables(node_side, 16)
+        calls = self._factorizations(monkeypatch)
+        assert self._solved(tables, load_v, 1.0) == want[load_v]
+        assert self._solved(tables, load_h, 1.0) == want[load_h]
+        assert len(calls) == 2
+
+    def test_evicted_entry_and_the_bound(self, node_side, load_h,
+                                         monkeypatch):
+        want = self._cold(node_side, load_h, 1.0)
+        tables = solver._CollocationTables(node_side, 16)
+        assert self._solved(tables, load_h, 1.0) == want
+        for g in np.geomspace(0.3, 3.0, solver.KEPT_REDUCTIONS + 2):
+            self._solved(tables, load_h, g)
+            assert len(tables._reductions) <= solver.KEPT_REDUCTIONS
+        tables.systems(load_h, np.geomspace(0.2, 0.4, 20))
+        assert len(tables._reductions) == solver.KEPT_REDUCTIONS
+        calls = self._factorizations(monkeypatch)
+        assert self._solved(tables, load_h, 1.0) == want
+        assert len(calls) == 2
+
+    def test_row_scaling_keys_apart(self, node_side, load_h, monkeypatch):
+        want = {scaled: self._cold(node_side, load_h, 1.0, scaled)
+                for scaled in (True, False)}
+        tables = solver._CollocationTables(node_side, 16)
+        calls = self._factorizations(monkeypatch)
+        for scaled in (True, False, True, False):
+            assert self._solved(tables, load_h, 1.0, scaled) == want[scaled]
+        assert len(calls) == 4 and len(tables._reductions) == 2
+
+    def test_replaced_or_edited_systems_factor_their_own(self, node_side,
+                                                         load_h, monkeypatch):
+        # the kept reduction is read only for the arrays it was made from
+        tables = solver._CollocationTables(node_side, 16)
+        system = tables.system(load_h, 1.0)
+        calls = self._factorizations(monkeypatch)
+        system.reduction
+        assert calls == []
+        rows = system.rows.copy()
+        rows[0, 0, 0] *= 2.0
+        changed = replace(system, rows=rows)
+        assert changed.kept is None
+        changed.reduction
+        assert len(calls) == 2
+        system = tables.system(load_h, 1.0)
+        system.rows[0, 0, 0] *= 2.0
+        assert np.array_equal(system.reduction[3], changed.reduction[3])
+        assert len(calls) == 4
