@@ -231,7 +231,7 @@ class _OnFirstRead:
         obj.__dict__[self._name] = value
 
 
-@dataclass
+@dataclass(eq=False)
 class DensityCoefficients:
     """The displacement-jump density g' by its coefficients in a basis.
 
@@ -248,7 +248,8 @@ class DensityCoefficients:
     number of its reduced block, not clipped at the damping floor as
     condition_estimate is, and damped_directions, the count of its
     singular values below the damping lambda the halves share.  Both are
-    None on a density built by hand.
+    None on a density built by hand.  Densities compare by identity: `==`
+    of two densities is `is`.
     """
 
     g1: np.ndarray

@@ -135,7 +135,14 @@ class FarFieldLoad:
         if not np.all(np.isfinite([self.sigma1, self.sigma2, self.alpha])):
             raise ValueError("remote stresses and angle must be finite, got "
                              f"{self.sigma1}, {self.sigma2}, {self.alpha}")
-        phi, psi = far_field_potentials(self.sigma1, self.sigma2, self.alpha)
+        # finite stresses near the largest double overflow the constants
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi, psi = far_field_potentials(self.sigma1, self.sigma2,
+                                            self.alpha)
+        if not (np.isfinite(phi) and np.isfinite(psi)):
+            raise ValueError(
+                f"remote stresses {self.sigma1}, {self.sigma2} overflow the "
+                f"potential constants: phi_inf = {phi}, psi_inf = {psi}")
         if self.phi_inf is None:
             object.__setattr__(self, "phi_inf", phi)
         if self.psi_inf is None:
@@ -437,9 +444,10 @@ def _node_side(curve, material, degree, basis):
 
     The key is frozen values alone, and the node side's tables, with those
     it keeps (`_NodeSide.derived`), are read-only, so every run on the key
-    shares them.  Its collocation tables keep the factorizations of their
-    last 16 gamma1 values (`solver._CollocationTables`), which every load
-    shares.  cache_clear() empties them all, factorizations included.
+    shares them.  Its collocation tables keep the scaled systems and
+    factorizations of their last 16 gamma1 values
+    (`solver._CollocationTables`), which every load shares.
+    cache_clear() empties them all, kept systems included.
     """
     return _NodeSide(curve, material, degree, basis=basis)
 

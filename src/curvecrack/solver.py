@@ -60,8 +60,8 @@ product; assemble() takes the one-point stack, a gamma1 sweep stacks all
 its points.  A system carries its tables, and solve() reads the curve,
 the basis and N from them.  The tables of an N are kept, read-only, by
 the node side they were read from (`fields._NodeSide.derived`); the
-systems, their checks and the solves are formed per call, and so is
-every factorization that the tables do not keep (below).
+right-hand sides, their checks and the solves are formed per call, and
+so is every system part that the tables do not keep (below).
 
 The constrained system is solved by least squares in the constraint null
 space with a light Tikhonov term (relative weight 1e-8) that suppresses
@@ -89,22 +89,28 @@ condition estimates, solutions and dump.  `_solutions` solves a stack and
 checks each point on its own; solve() is its one-point case, so a single
 solve and a sweep share one solver.
 
-The reduction depends on the curve, the material, N, gamma1 and the row
+The scaled rows and constraint rows, the row scales, the halves' C and
+the reduction depend on the curve, the material, N, gamma1 and the row
 scaling, not on the load, which enters the right-hand side alone.  So the
-tables keep it: for each of the last KEPT_REDUCTIONS = 16 gamma1 values
-they factored, per row scaling, the halves' C, Z, G and the SVD of G
-(`_CollocationTables._kept_parts`), and every system they build for
-those points reads it instead of factoring again.  Only the right-hand
-side, the solution, the normal-equation check and each point's errors
-are formed per call.  A point's factorization is the same bits alone or in a
-stack, so a kept reduction gives the bytes a fresh one would.
+tables keep them: for each of the last KEPT_REDUCTIONS = 16 gamma1 values
+they factored, per row scaling, one `_Kept` entry
+(`_CollocationTables._points`), and every system they build for those
+points copies its rows and constraint rows from it and reads its C and
+reduction instead of forming and factoring them again.  Per call a kept
+point forms only its load's part, the forcing (F0 + gamma1 F1) v of the
+load's potential constants v times kappa+1, its finite check and its
+division by the kept row scales, then the halves' A (one multiply of the
+rows), the solution, the normal-equation check and its errors.  A
+point's system and factorization are the same bits alone or in a stack,
+so a kept entry gives the bytes a fresh one would.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,7 +138,31 @@ class SolveError(RuntimeError):
     """Singular or unacceptably ill-conditioned collocation system."""
 
 
-@dataclass
+class _Kept(NamedTuple):
+    """What the tables keep of one gamma1 and row scaling: the scaled
+    system but its right-hand side, and the system's reduction.
+
+    rows, constraints and row_scale are those of `LinearSystem`, C the
+    constraint rows of the halves, and Zt, G, U, S and Vt the reduction,
+    Z kept as the rows of Vt it views (Z^T): the product Z y then sees the
+    layout of a Z computed afresh, and gives the same bits.  The reduction
+    fields are None for points whose factorization failed, which are not
+    kept.  A stack's `LinearSystem.kept` holds the same fields with a
+    leading point axis.
+    """
+
+    rows: np.ndarray
+    constraints: np.ndarray
+    row_scale: np.ndarray
+    C: np.ndarray | None = None
+    Zt: np.ndarray | None = None
+    G: np.ndarray | None = None
+    U: np.ndarray | None = None
+    S: np.ndarray | None = None
+    Vt: np.ndarray | None = None
+
+
+@dataclass(eq=False)
 class LinearSystem:
     """Row-scaled collocation block stacked over the equality constraints.
 
@@ -146,11 +176,15 @@ class LinearSystem:
     system, is laid out from them only when read (`dump_text`, tests).
     `reduction` is, for each parity half (`halves`), the null basis Z of
     its constraint rows and the thin SVD of its collocation rows times Z,
-    read once and shared by the condition gate, `solve` and `dump_text`:
-    the one the tables keep for the system's points (`kept`, seeded by
-    `_CollocationTables.systems`) while it is of these very arrays, else
-    computed, as for a system built by hand or changed with
-    `dataclasses.replace`, which carries none.  condition_estimate is
+    read once and shared by the condition gate, `solve` and `dump_text`.
+    kept is the `_Kept` the tables seeded for the system's points
+    (`_CollocationTables.systems`), or None: while rows and constraints
+    are kept's bit for bit, `halves` reads its C and `reduction` its
+    reduction, and only the halves' A, one multiply of the rows, is
+    formed; else both are computed, as for a system built by hand,
+    changed with `dataclasses.replace` (which carries no kept) or edited
+    in place.  The system owns its rows and constraints, copies of the
+    kept ones.  condition_estimate is
     the 2-norm condition number of the reduced block of the whole system,
     whose singular values are those of both halves, with its smallest
     singular value clipped at the Tikhonov floor LAMBDA_REL * sigma_max,
@@ -159,13 +193,13 @@ class LinearSystem:
     `_CollocationTables` the system was built from: its node side's curve
     and basis, N, the constants of the halves and the unscaled integrals
     I_k of the single-valuedness rows, which `solve` gives the density.
+    Systems compare by identity: `==` of two systems is `is`.
 
     A stack of P systems that share N and the number of constraint rows
     (`_CollocationTables.systems`) carries a leading point axis on every
-    array, and gamma1 and condition_estimate are (P,) arrays; the
-    reduction factorizes the whole stack, or the points the tables keep
-    none for, both halves of every point, in one call per SVD.  A single
-    system has no point axis.
+    array, and gamma1 and condition_estimate are (P,) arrays; a reduction
+    not kept factorizes the whole stack, both halves of every point, in
+    one call per SVD.  A single system has no point axis.
     """
 
     rows: np.ndarray
@@ -174,8 +208,7 @@ class LinearSystem:
     row_scale: np.ndarray
     gamma1: float
     tables: _CollocationTables
-    # (C, Z^T, G, U, S, Vt) the tables keep for these points, or None
-    kept: tuple | None = field(default=None, init=False, repr=False)
+    kept: _Kept | None = field(default=None, init=False, repr=False)
 
     @property
     def n_constraints(self):
@@ -204,6 +237,16 @@ class LinearSystem:
         return self.matrix[..., -self.n_constraints:, :]
 
     @cached_property
+    def _kept_own(self):
+        """kept while rows and constraints are its own bit for bit, the
+        case in which computing its parts gives them again; else None."""
+        kept = self.kept
+        if (kept is not None and np.array_equal(kept.rows, self.rows)
+                and np.array_equal(kept.constraints, self.constraints)):
+            return kept
+        return None
+
+    @cached_property
     def halves(self):
         """(A, C, h) of the two parity halves, a parity axis before the
         matrix axes: collocation rows (..., 2, 2M, N+1), constraint rows
@@ -219,13 +262,17 @@ class LinearSystem:
         single-valuedness rows are the real and imaginary parts of [I,
         iI]; times conj t'(l/2), which I_0, the chord, lies along, the real
         row lies on half 0 and the imaginary one on half 1.  Each half
-        takes the first tip's rows on its columns.
+        takes the first tip's rows on its columns.  C is kept's
+        (`_kept_own`) or formed here.
         """
         tables = self.tables
         rhs = self.rhs[..., None, :]
         h = 0.5 * tables.weight * (rhs[..., tables.first]
                                    + tables.sign * rhs[..., tables.mirrored])
-        A, C = _half_blocks(tables, self.rows, self.constraints)
+        A = _half_rows(tables, self.rows)
+        kept = self._kept_own
+        C = (kept.C if kept is not None
+             else _half_constraints(tables, self.constraints))
         return A, C, h.reshape(h.shape[:-2] + (A.shape[-2],))
 
     @cached_property
@@ -233,22 +280,18 @@ class LinearSystem:
         """(Z, G, U, S, Vt) of both halves: null basis Z, G = A Z and G = U
         diag(S) Vt, each with the parity axis of `halves`.
 
-        The tables' kept reduction (`kept`) while its C and G are the
-        halves' C and A Z bit for bit, the case in which computing it
-        gives it again; else computed here, so an array edited in place
-        is factored afresh.  Raises SolveError when the constraints leave
-        no free unknown.
+        kept's reduction (`_kept_own`), else computed here, so an array
+        edited in place is factored afresh.  Raises SolveError when the
+        constraints leave no free unknown.
         """
         A, C, _ = self.halves
         if C.shape[-2] >= C.shape[-1]:
             raise SolveError("the constraints leave no free unknown: "
                              f"{self.n_constraints} constraint rows for "
                              f"{self.constraints.shape[-1]} unknowns")
-        kept = self.kept
-        if kept is not None and np.array_equal(kept[0], C):
-            Z = kept[1].swapaxes(-1, -2)
-            if np.array_equal(A @ Z, kept[2]):
-                return (Z,) + kept[2:]
+        kept = self._kept_own
+        if kept is not None:
+            return (kept.Zt.swapaxes(-1, -2),) + kept[-4:]
         return _factor(A, C)
 
     @cached_property
@@ -274,12 +317,17 @@ class LinearSystem:
         return "\n".join(lines) + "\n"
 
 
-def _half_blocks(tables, rows, constraints):
-    """(A, C) of `LinearSystem.halves` from the scaled rows and constraint
-    rows of a system or stack."""
-    n_con, cols = constraints.shape[-2], tables.parity
+def _half_rows(tables, rows):
+    """The halves' A (`LinearSystem.halves`) of the scaled rows of a
+    system or stack."""
     A = tables.weight[..., None] * rows
-    A = A.reshape(A.shape[:-4] + (2, 2 * A.shape[-2], A.shape[-1]))
+    return A.reshape(A.shape[:-4] + (2, 2 * A.shape[-2], A.shape[-1]))
+
+
+def _half_constraints(tables, constraints):
+    """The halves' C (`LinearSystem.halves`) of the scaled constraint rows
+    of a system or stack."""
+    n_con, cols = constraints.shape[-2], tables.parity
     I0 = tables.single_valued[0]
     sv = (np.conj(I0) / abs(I0)) * (constraints[..., 0, :]
                                     + 1j * constraints[..., 1, :])
@@ -287,7 +335,7 @@ def _half_blocks(tables, rows, constraints):
     tips = constraints[..., 2: 2 + (n_con - 2) // 2, :]
     even = np.concatenate([sv.real[..., None, :], tips], axis=-2)
     odd = np.concatenate([sv.imag[..., None, :], tips], axis=-2)
-    return A, np.stack([even[..., cols[0]], odd[..., cols[1]]], axis=-3)
+    return np.stack([even[..., cols[0]], odd[..., cols[1]]], axis=-3)
 
 
 def _factor(A, C):
@@ -328,14 +376,17 @@ class _CollocationTables:
     node side, which keeps them (`_NodeSide.derived`).  Its arrays are
     read-only.
 
-    It keeps the gamma1-dependent part of the solve too: the reduction of
-    the last KEPT_REDUCTIONS = 16 gamma1 values it factored, per row
-    scaling (`_kept_parts`), least recently read evicted first, so every
-    load at those gamma1 solves on one factorization.  A failed
-    factorization is not kept.  An entry holds about 7 (N+1)^2 doubles,
-    24 kB at N = 20 and 226 kB at N = 60, so a table set keeps at most
-    0.4 MB at N = 20 and 3.6 MB at N = 60, and a node side keeps one
-    table set per N it was asked for.
+    It keeps the gamma1-dependent, load-independent part of the system
+    too: for the last KEPT_REDUCTIONS = 16 gamma1 values it factored, per
+    row scaling, the point's `_Kept` (the scaled rows, constraint rows and
+    row scales, the halves' C and the reduction), least recently read
+    evicted first, so every load at those gamma1 forms only its
+    right-hand side and solves on one factorization.  A failed
+    factorization is not kept.  An entry holds about 9.5 (N+1)^2 doubles,
+    33 kB at N = 20 and 291 kB at N = 60 (24 and 226 kB of them the
+    reduction), so a table set keeps at most 0.53 MB at N = 20 and 4.7 MB
+    at N = 60, and a node side keeps one table set per N it was asked
+    for.
     """
 
     def __init__(self, node_side: _NodeSide, N: int):
@@ -373,24 +424,27 @@ class _CollocationTables:
         self.single_valued_rows = _read_only(np.array(
             [np.concatenate([ints.real, -ints.imag]),
              np.concatenate([ints.imag, ints.real])]))
-        # (gamma1 bits, row_scaling) -> (C, Z^T, G, U, S, Vt) of a point
-        self._reductions = OrderedDict()
+        # (gamma1 bits, row_scaling) -> the _Kept of a point
+        self._kept = OrderedDict()
 
     def system(self, load, gamma1: float,
                row_scaling: bool = True) -> LinearSystem:
         """The row-scaled constrained system at one gamma1 and load.
 
-        The one-point stack of `systems`, without its point axis.
+        The one-point case of `systems`, without its point axis; its kept
+        parts are the entry's own arrays, not a stacked copy.
         """
         _check_gamma1(gamma1)
-        stack, (error,) = self.systems(load, [gamma1], row_scaling)
+        rhs, (part,), (error,) = self._points(
+            load, np.array([gamma1], dtype=float), row_scaling)
         if error is not None:
             raise error
-        system = replace(stack, rows=stack.rows[0],
-                         constraints=stack.constraints[0], rhs=stack.rhs[0],
-                         row_scale=stack.row_scale[0], gamma1=gamma1)
-        if stack.kept is not None:
-            system.kept = tuple(part[0] for part in stack.kept)
+        system = LinearSystem(
+            rows=part.rows.copy(), constraints=part.constraints.copy(),
+            rhs=rhs[0] / part.row_scale, row_scale=part.row_scale.copy(),
+            gamma1=gamma1, tables=self)
+        if part.Zt is not None:
+            system.kept = part
         return system
 
     def systems(self, load, gamma1, row_scaling: bool = True):
@@ -401,98 +455,144 @@ class _CollocationTables:
         differ in their number of rows.  Every array is formed for all
         points at once, with the point axis first; a collocation row's
         mirror, not formed, has its entries up to sign, and its scale.
-        Returns the stack of the points whose system is finite and, with
-        row_scaling, has no zero row, and the AssemblyError of each point
-        (None where it has none), in the order of gamma1.
+        The points the tables keep are read (`_points`), so a warm point
+        forms only its right-hand side.  Returns the stack of the points
+        whose system is finite and, with row_scaling, has no zero row, and
+        the AssemblyError of each point (None where it has none), in the
+        order of gamma1.
         """
         g = np.asarray(gamma1, dtype=float)
+        rhs, parts, errors = self._points(load, g, row_scaling)
+        keep = np.array([error is None for error in errors], dtype=bool)
+        parts = [part for part in parts if part is not None]
+        N, width = self.disc.N, rhs.shape[1]
+        # shaped, so that a stack of no point has its axes
+        shapes = (self.blocks[0].shape, (width - 2 * N, 2 * N + 2), (width,))
+        rows, C, scale = (np.array([part[k] for part in parts]).reshape(
+            (len(parts),) + shape) for k, shape in enumerate(shapes))
+        kept = None
+        if parts and all(part.Zt is not None for part in parts):
+            kept = _Kept(rows, C, scale, *(
+                np.array(a) for a in list(zip(*parts))[3:]))
+            rows, C = rows.copy(), C.copy()
+        stack = LinearSystem(rows=rows, constraints=C, rhs=rhs[keep] / scale,
+                             row_scale=scale, gamma1=g[keep], tables=self)
+        stack.kept = kept
+        return stack, errors
+
+    def _points(self, load, g, row_scaling):
+        """The unscaled right-hand sides (P, 2N + constraints) of the
+        points g under the load, the `_Kept` of each point (None where it
+        has an error), and the AssemblyError of each (None where it has
+        none).
+
+        A point has an error unless its rows, constraint rows and
+        right-hand side are finite and, with row_scaling, it has no zero
+        row.  The right-hand side is formed and checked for every point;
+        the parts of the points the tables keep are read, and the others
+        formed as one stack (`_operators`), checked, factored as one
+        (`_reduce`) and kept.  When that factorization fails or the
+        constraints leave no free unknown, those points carry no
+        reduction and are not kept, and the stack's own reduction raises
+        the error.  The tables keep the last KEPT_REDUCTIONS points read,
+        per gamma1 (bit for bit) and row scaling.
+        """
         positive = g > 0.0
         tip_rows = positive.any()
         if tip_rows and not positive.all():
             raise ValueError("a stack holds gamma1 = 0 or gamma1 > 0, "
                              "not both")
         kappa, N = self.node_side.material.kappa, self.disc.N
+        n_con = 2 + (len(self.tip_rows[0]) if tip_rows else 0)
+        v = np.array([load.phi_inf, load.psi_inf], dtype=complex).view(float)
+        # the forcing of a huge load or gamma1 overflows; the finite check
+        # below refuses it
+        with np.errstate(over="ignore", invalid="ignore"):
+            f0, f1 = self.forcing @ v
+            f = f0 + g[:, None] * f1
+            rhs = (kappa + 1.0) * np.concatenate(
+                [f.real, f.imag, np.zeros((g.size, n_con))], axis=1)
+        finite = np.isfinite(rhs).all(axis=1)
+        nonzero = np.ones(g.size, dtype=bool)
+
+        kept = self._kept
+        keys = [(bits, row_scaling) for bits in g.view(np.int64).tolist()]
+        parts = [kept.get(key) for key in keys]
+        new = [i for i, part in enumerate(parts) if part is None]
+        if new:
+            rows, C, scale = self._operators(g[new], tip_rows)
+            finite[new] &= np.isfinite(scale).all(axis=1)
+            if row_scaling:
+                nonzero[new] = (scale != 0.0).all(axis=1)
+            else:
+                scale = np.ones(scale.shape)
+            ok = finite[new] & nonzero[new]
+            if not ok.all():
+                rows, C, scale = rows[ok], C[ok], scale[ok]
+            M = rows.shape[-2]
+            rows /= scale[:, : 2 * N].reshape(-1, 2, N)[:, None, :, :M, None]
+            C /= scale[:, 2 * N:, None]
+            reduction = _reduce(self, rows, C) if ok.any() else None
+            formed = [i for i, fresh in zip(new, ok) if fresh]
+            for j, i in enumerate(formed):
+                part = (rows[j], C[j], scale[j])
+                if reduction is not None:
+                    part += tuple(a[j] for a in reduction)
+                # an entry holds its own point alone: one of several is
+                # copied
+                parts[i] = _Kept(*(_read_only(a if len(formed) == 1
+                                              else a.copy()) for a in part))
+                if reduction is not None:
+                    kept[keys[i]] = parts[i]
+
+        errors = [None if fin and nz else AssemblyError(
+            "zero row encountered during scaling" if fin
+            else "non-finite entries in the collocation system")
+            for fin, nz in zip(finite.tolist(), nonzero.tolist())]
+        for i, error in enumerate(errors):
+            if error is not None:
+                parts[i] = None
+            elif keys[i] in kept:
+                kept.move_to_end(keys[i])
+        while len(kept) > KEPT_REDUCTIONS:
+            kept.popitem(last=False)
+        return rhs, parts, errors
+
+    def _operators(self, g, tip_rows):
+        """The unscaled collocation rows (kappa+1)(R0 + gamma1 R1 +
+        gamma1^2 R2) of the points g, (P, parity, row kind, point,
+        column), their constraint rows and the scale of each row, its
+        largest |entry|, finite only if all its entries are."""
+        kappa, N = self.node_side.material.kappa, self.disc.N
         r0, r1, r2 = self.blocks
         t0, t1 = self.tip_rows
         gb = g[:, None, None, None, None]
-        v = np.array([load.phi_inf, load.psi_inf], dtype=complex).view(float)
         C = np.empty((g.size, 2 + (len(t0) if tip_rows else 0), 2 * N + 2))
         C[:, :2] = self.single_valued_rows
-        # the boundary equation (kappa+1)[Sigma - gamma1 (kappa0 dk + i dk')]
-        # = (kappa+1) f, rows (point, parity, row kind, point, column).  A
-        # huge finite gamma1 overflows; the finite check below refuses it
+        # A huge finite gamma1 overflows; the finite check refuses it
         with np.errstate(over="ignore", invalid="ignore"):
             rows = (kappa + 1.0) * (r0 + gb * (r1 + gb * r2))
             if tip_rows:
                 C[:, 2:] = t0 + g[:, None, None] * t1
-            f0, f1 = self.forcing @ v
-            f = f0 + g[:, None] * f1
-        rhs = (kappa + 1.0) * np.concatenate(
-            [f.real, f.imag, np.zeros(C.shape[:2])], axis=1)
-
-        # a row's largest |entry| is finite only if all its entries are
         peak = abs(rows).max(axis=(1, 4))
         scale = np.concatenate([peak, peak[..., : N // 2][..., ::-1]], axis=2)
         scale = np.concatenate([scale.reshape(g.size, 2 * N),
                                 abs(C).max(axis=2)], axis=1)
-        finite = np.isfinite(scale).all(axis=1) & np.isfinite(rhs).all(axis=1)
-        if not row_scaling:
-            scale = np.ones(scale.shape)
-        keep = finite & (scale != 0.0).all(axis=1)
-        errors = [None if ok else AssemblyError(
-            "zero row encountered during scaling" if fin
-            else "non-finite entries in the collocation system")
-            for ok, fin in zip(keep, finite)]
-        if not keep.all():
-            rows, C, rhs, scale, g = (
-                a[keep] for a in (rows, C, rhs, scale, g))
-        rhs /= scale
-        M = rows.shape[-2]
-        rows /= scale[:, : 2 * N].reshape(-1, 2, N)[:, None, :, :M, None]
-        C /= scale[:, 2 * N:, None]
-        stack = LinearSystem(rows=rows, constraints=C, rhs=rhs,
-                             row_scale=scale, gamma1=g, tables=self)
-        stack.kept = self._kept_parts(g, row_scaling, rows, C)
-        return stack, errors
+        return rows, C, scale
 
-    def _kept_parts(self, gamma1, row_scaling, rows, constraints):
-        """The kept (C, Z^T, G, U, S, Vt) of the points of a stack, with
-        their point axis, or None.
 
-        The points without one are factored as one stack (`_factor`) and
-        kept; None when that fails or the constraints leave no free
-        unknown, so the stack's own reduction raises the error, and for an
-        empty stack.  The tables keep the last KEPT_REDUCTIONS points read,
-        per gamma1 (bit for bit) and row scaling.
-        """
-        kept = self._reductions
-        keys = [(bits, row_scaling)
-                for bits in gamma1.view(np.int64).tolist()]
-        parts = [kept.get(key) for key in keys]
-        new = [i for i, part in enumerate(parts) if part is None]
-        if new:
-            A, C = _half_blocks(self, rows[new], constraints[new])
-            if C.shape[-2] >= C.shape[-1]:
-                return None
-            try:
-                Z, *rest = _factor(A, C)
-            except np.linalg.LinAlgError:
-                return None
-            # Z as the rows of Vt it views: the product Z y then sees the
-            # layout of a Z computed afresh, and gives the same bits
-            factored = tuple(map(_read_only, (C, Z.swapaxes(-1, -2), *rest)))
-            # an entry holds its own point alone: one of several is copied
-            for j, i in enumerate(new):
-                parts[i] = kept[keys[i]] = tuple(
-                    part[j] if len(new) == 1 else _read_only(part[j].copy())
-                    for part in factored)
-        for key in keys:
-            kept.move_to_end(key)
-        while len(kept) > KEPT_REDUCTIONS:
-            kept.popitem(last=False)
-        if len(new) == len(keys):
-            return factored if new else None
-        return tuple(map(np.array, zip(*parts)))
+def _reduce(tables, rows, constraints):
+    """(C, Z^T, G, U, S, Vt) of the scaled rows and constraint rows of a
+    stack (`_Kept`), or None when the factorization fails or the
+    constraints leave no free unknown."""
+    C = _half_constraints(tables, constraints)
+    if C.shape[-2] >= C.shape[-1]:
+        return None
+    try:
+        Z, *rest = _factor(_half_rows(tables, rows), C)
+    except np.linalg.LinAlgError:
+        return None
+    return (C, Z.swapaxes(-1, -2), *rest)
 
 
 def _check_gamma1(gamma1):

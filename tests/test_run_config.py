@@ -2,6 +2,7 @@
 
 import csv
 import shutil
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -131,6 +132,21 @@ def test_solve_without_shape_exits_2(tmp_path, capsys):
     assert "shape" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
+
+def test_load_whose_potential_constants_overflow_exits_2(tmp_path, capsys):
+    # finite remote stresses whose phi_inf = (sigma1 + sigma2)/4 overflows
+    # are refused by name, before any arithmetic on the infinite constant
+    # can warn
+    path = tmp_path / "huge.cfg"
+    path.write_text(_text(dict(GOOD, sigma1_inf="1.5e308",
+                               sigma2_inf="1.5e308")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "overflow" in err and "inconsistent" not in err
+    assert not (tmp_path / "out").exists()
 
 # a config built in code meets the missing-key rule of a parsed one: each
 # key the run mode reads set to None, or neither nu nor kappa given

@@ -80,28 +80,36 @@ def test_face_profiles_build_one_node_side(tmp_path, monkeypatch, capsys,
 def test_operators_are_factored_once_per_gamma1(tmp_path, monkeypatch,
                                                 cold_tables):
     # the loads share each operator: face_profiles' three loads at three
-    # gamma1 factor three operators, a repeated sweep none, and the
-    # vertical shipped gamma1 sweep none after the horizontal one; the
-    # table cache's cache_clear() empties the kept factorizations too
-    points = []
+    # gamma1 form and factor three operators, a repeated sweep none, and
+    # the vertical shipped gamma1 sweep none after the horizontal one; the
+    # table cache's cache_clear() empties the kept systems too
+    points, formed = [], []
     svd = np.linalg.svd
+    operators = solver._CollocationTables._operators
 
     def counted(a, *args, **kwargs):
         if sys._getframe(1).f_globals["__name__"] == solver.__name__:
             points.append(a.size // (a.shape[-1] * a.shape[-2]) // 2)
         return svd(a, *args, **kwargs)
 
+    def forming(tables, gamma1, tip_rows):
+        formed.append(gamma1.size)
+        return operators(tables, gamma1, tip_rows)
+
     def factored():
-        # two SVDs per factorization, over both halves of each point
-        count = sum(points) / 2
+        # the points whose collocation rows were formed, and those
+        # factored: two SVDs per factorization, over both halves of each
+        counts = sum(formed), sum(points) / 2
         points.clear()
-        return count
+        formed.clear()
+        return counts
 
     monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(solver._CollocationTables, "_operators", forming)
     profiles = _load(next(p for p in SCRIPTS if p.name == "face_profiles.py"))
     assert profiles.main([str(tmp_path / "profiles")]) == 0
     assert len(profiles.LOADS) * len(profiles.GAMMAS) == 9
-    assert factored() == len(profiles.GAMMAS) == 3
+    assert factored() == (3, 3) and len(profiles.GAMMAS) == 3
     configs = ROOT / "configs"
     horizontal, vertical = (
         parse_config((configs / f"gamma_sweep_{name}.cfg").read_text())
@@ -113,9 +121,9 @@ def test_operators_are_factored_once_per_gamma1(tmp_path, monkeypatch,
         return factored()
 
     assert [sweep(horizontal), sweep(horizontal), sweep(vertical)] \
-        == [16, 0, 0]
+        == [(16, 16), (0, 0), (0, 0)]
     cold_tables()
-    assert sweep(vertical) == 16
+    assert sweep(vertical) == (16, 16)
 
 
 def test_ab_timing_compares_a_tree_with_itself(capsys, monkeypatch):

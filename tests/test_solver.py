@@ -1144,11 +1144,23 @@ def test_trust_fields_match_a_direct_svd(material, semicircle, load_h, N,
     assert bare.damped_directions is None
 
 
+def test_densities_and_systems_compare_by_identity(material, semicircle,
+                                                   load_h):
+    # their numpy fields would make a field-wise == ambiguous
+    a, b = (DensityCoefficients(np.ones(3), np.ones(3), 1.0, 1.0)
+            for _ in range(2))
+    assert a == a and a != b
+    system = assemble(semicircle, material, load_h, 1.0,
+                      Discretization(8, semicircle.length))
+    assert system == system and system != replace(system)
+
+
 class TestKeptReductions:
-    """A table set keeps the reduction of each gamma1 it factored, and a
-    point's solution is the same bytes whichever kept reduction it reads:
-    cold or warm, alone or in a stack in any order, after another load at
-    its gamma1, and after its entry was evicted."""
+    """A table set keeps the scaled system and the reduction of each gamma1
+    it factored, and a point's system and solution are the same bytes
+    whichever kept entry it reads: cold or warm, alone or in a stack in
+    any order, after another load at its gamma1, and after its entry was
+    evicted.  A warm point forms its right-hand side alone."""
 
     GRID = (0.25, 0.5, 1.0, 2.0)
 
@@ -1179,6 +1191,34 @@ class TestKeptReductions:
             return svd(*args, **kwargs)
         monkeypatch.setattr(np.linalg, "svd", counted)
         return calls
+
+    @staticmethod
+    def _formations(monkeypatch):
+        """The counts of the calls that form a system's load-independent
+        part: its rows (`_CollocationTables._operators`), the halves' C,
+        a factorization and an SVD from solver."""
+        calls = dict.fromkeys(("_operators", "_half_constraints", "_factor"),
+                              0)
+
+        def counting(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+        counting(solver._CollocationTables, "_operators")
+        counting(solver, "_half_constraints")
+        counting(solver, "_factor")
+        svds = TestKeptReductions._factorizations(monkeypatch)
+        return calls, svds
+
+    @staticmethod
+    def _system_bytes(system, point=...):
+        """The bytes of a system's rows, constraints, row scales and
+        right-hand side, or of one point's of a stack."""
+        return [a[point].tobytes() for a in (system.rows, system.constraints,
+                                             system.row_scale, system.rhs)]
 
     def _cold(self, node_side, load, gamma1, row_scaling=True):
         return self._solved(solver._CollocationTables(node_side, 16), load,
@@ -1218,9 +1258,9 @@ class TestKeptReductions:
         assert self._solved(tables, load_h, 1.0) == want
         for g in np.geomspace(0.3, 3.0, solver.KEPT_REDUCTIONS + 2):
             self._solved(tables, load_h, g)
-            assert len(tables._reductions) <= solver.KEPT_REDUCTIONS
+            assert len(tables._kept) <= solver.KEPT_REDUCTIONS
         tables.systems(load_h, np.geomspace(0.2, 0.4, 20))
-        assert len(tables._reductions) == solver.KEPT_REDUCTIONS
+        assert len(tables._kept) == solver.KEPT_REDUCTIONS
         calls = self._factorizations(monkeypatch)
         assert self._solved(tables, load_h, 1.0) == want
         assert len(calls) == 2
@@ -1232,7 +1272,7 @@ class TestKeptReductions:
         calls = self._factorizations(monkeypatch)
         for scaled in (True, False, True, False):
             assert self._solved(tables, load_h, 1.0, scaled) == want[scaled]
-        assert len(calls) == 4 and len(tables._reductions) == 2
+        assert len(calls) == 4 and len(tables._kept) == 2
 
     def test_replaced_or_edited_systems_factor_their_own(self, node_side,
                                                          load_h, monkeypatch):
@@ -1252,3 +1292,64 @@ class TestKeptReductions:
         system.rows[0, 0, 0] *= 2.0
         assert np.array_equal(system.reduction[3], changed.reduction[3])
         assert len(calls) == 4
+
+    def test_warm_solves_form_only_the_load(self, node_side, load_h, load_v,
+                                            monkeypatch):
+        # a kept gamma1 forms its right-hand side and solves: no rows, no
+        # halves' C, no factorization and no SVD, alone or in a stack
+        tables = solver._CollocationTables(node_side, 16)
+        grid = np.geomspace(0.5, 4.0, 8)
+        self._stacked(tables, load_h, grid)
+        calls, svds = self._formations(monkeypatch)
+        for load in (load_h, load_v):
+            self._solved(tables, load, grid[3])
+            self._stacked(tables, load, grid)
+            self._stacked(tables, load, grid[::-1])
+        assert calls == dict.fromkeys(calls, 0) and svds == []
+        # the counts see a cold point
+        self._solved(tables, load_h, 3.0)
+        assert calls == dict.fromkeys(calls, 1) and len(svds) == 2
+
+    @pytest.mark.parametrize("row_scaling", [True, False])
+    def test_warm_systems_are_the_cold_bytes(self, node_side, load_h, load_v,
+                                             row_scaling):
+        loads = {"h": load_h, "v": load_v}
+        grid = self.GRID[:3]
+        want = {(name, g): self._system_bytes(solver._CollocationTables(
+            node_side, 16).system(load, g, row_scaling))
+            for name, load in loads.items() for g in grid}
+
+        def stacked(tables, name, order):
+            stack, errors = tables.systems(loads[name], np.array(order),
+                                           row_scaling)
+            assert errors == [None] * len(order)
+            return [self._system_bytes(stack, p) for p in range(len(order))]
+
+        for order in itertools.permutations(grid):
+            # a cold stack, a stack of kept and new points, then warm ones
+            tables = solver._CollocationTables(node_side, 16)
+            assert stacked(tables, "h", order[:2]) \
+                == [want["h", g] for g in order[:2]]
+            assert stacked(tables, "v", order) \
+                == [want["v", g] for g in order]
+            for name in loads:
+                assert stacked(tables, name, order) \
+                    == [want[name, g] for g in order]
+                assert [self._system_bytes(tables.system(
+                    loads[name], g, row_scaling)) for g in order] \
+                    == [want[name, g] for g in order]
+
+    def test_right_hand_side_is_checked_per_call(self, node_side, load_h):
+        # a load whose forcing overflows fails at a kept gamma1 as it does
+        # cold: the right-hand side's finite check is not kept
+        huge = FarFieldLoad(sigma1=1e308, sigma2=0.0)
+        tables = solver._CollocationTables(node_side, 16)
+        message = "non-finite entries in the collocation system"
+        for kept in (False, True):
+            assert (len(tables._kept) == 1) == kept
+            with pytest.raises(AssemblyError, match=message):
+                tables.system(huge, 1.0)
+            stack, errors = tables.systems(huge, [1.0])
+            assert stack.rows.shape[0] == 0
+            assert [str(error) for error in errors] == [message]
+            tables.system(load_h, 1.0)
