@@ -178,7 +178,10 @@ def _fit_lines(dist, values, window=None):
 
 def default_fit_window(length: float) -> tuple:
     """Default tip window [l/200, l/20]: ln s spans ln 10 while the bounded
-    part stays nearly flat."""
+    part stays nearly flat.  Raises ValueError unless length is finite and
+    positive."""
+    if not (np.isfinite(length) and length > 0.0):
+        raise ValueError(f"length must be finite and positive, got {length!r}")
     return (length / 200.0, length / 20.0)
 
 
@@ -571,9 +574,14 @@ def parity_residuals(values):
 
     A field sampled at points mirrored pairwise about l/2 is even when
     reversing the array changes nothing; residuals are normalized by the
-    sup-norm of the field.
+    sup-norm of the field.  Raises ValueError unless values is a nonempty
+    array of finite samples.
     """
     v = np.asarray(values, dtype=float)
+    if v.ndim == 0 or v.size == 0:
+        raise ValueError(f"values must be a nonempty array, got {values!r}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"values must be finite, got {values!r}")
     sup = float(np.max(np.abs(v)))
     if sup == 0.0:
         return 0.0, 0.0

@@ -92,17 +92,18 @@ solve and a sweep share one solver.
 The scaled rows and constraint rows, the row scales, the halves' C and
 the reduction depend on the curve, the material, N, gamma1 and the row
 scaling, not on the load, which enters the right-hand side alone.  So the
-tables keep them: for each of the last KEPT_REDUCTIONS = 16 gamma1 values
-they factored, per row scaling, one `_Kept` entry
-(`_CollocationTables._points`), and every system they build for those
-points copies its rows and constraint rows from it and reads its C and
-reduction instead of forming and factoring them again.  Per call a kept
-point forms only its load's part, the forcing (F0 + gamma1 F1) v of the
-load's potential constants v times kappa+1, its finite check and its
-division by the kept row scales, then the halves' A (one multiply of the
-rows), the solution, the normal-equation check and its errors.  A
-point's system and factorization are the same bits alone or in a stack,
-so a kept entry gives the bytes a fresh one would.
+tables keep them, read-only: for each of the last KEPT_REDUCTIONS = 16
+gamma1 values they factored, per row scaling, one `_Kept` entry
+(`_CollocationTables._points`).  A system of a kept point views the
+entry's rows, constraint rows and row scales (a stack stacks them once)
+and reads its C and reduction.  Per call it forms only its load's part,
+the forcing (F0 + gamma1 F1) v of the load's potential constants v times
+kappa+1, its finite check and its division by the row scales, then the
+halves' A (one multiply of the rows), the solution, the normal-equation
+check and its errors.  A system's arrays are read-only too, so the
+factorization it reads stays that of its rows.  A point's system and
+factorization are the same bits alone or in a stack, so an entry gives
+the bytes a fresh one would.
 """
 
 from __future__ import annotations
@@ -140,26 +141,18 @@ class SolveError(RuntimeError):
 
 class _Kept(NamedTuple):
     """What the tables keep of one gamma1 and row scaling: the scaled
-    system but its right-hand side, and the system's reduction.
+    system but its right-hand side, and its factorization, all read-only.
 
-    rows, constraints and row_scale are those of `LinearSystem`, C the
-    constraint rows of the halves, and Zt, G, U, S and Vt the reduction,
-    Z kept as the rows of Vt it views (Z^T): the product Z y then sees the
-    layout of a Z computed afresh, and gives the same bits.  The reduction
-    fields are None for points whose factorization failed, which are not
-    kept.  A stack's `LinearSystem.kept` holds the same fields with a
-    leading point axis.
+    rows, constraints and row_scale are those of `LinearSystem`, and
+    factored the (C, Z^T, G, U, S, Vt) of `_reduce`, which a system built
+    from the entry reads as its `LinearSystem.kept`.  factored is None for
+    a point whose factorization failed, which is not kept.
     """
 
     rows: np.ndarray
     constraints: np.ndarray
     row_scale: np.ndarray
-    C: np.ndarray | None = None
-    Zt: np.ndarray | None = None
-    G: np.ndarray | None = None
-    U: np.ndarray | None = None
-    S: np.ndarray | None = None
-    Vt: np.ndarray | None = None
+    factored: tuple | None
 
 
 @dataclass(eq=False)
@@ -177,14 +170,15 @@ class LinearSystem:
     `reduction` is, for each parity half (`halves`), the null basis Z of
     its constraint rows and the thin SVD of its collocation rows times Z,
     read once and shared by the condition gate, `solve` and `dump_text`.
-    kept is the `_Kept` the tables seeded for the system's points
-    (`_CollocationTables.systems`), or None: while rows and constraints
-    are kept's bit for bit, `halves` reads its C and `reduction` its
-    reduction, and only the halves' A, one multiply of the rows, is
-    formed; else both are computed, as for a system built by hand,
-    changed with `dataclasses.replace` (which carries no kept) or edited
-    in place.  The system owns its rows and constraints, copies of the
-    kept ones.  condition_estimate is
+    kept is the factorization the tables keep for the system's points
+    (`_Kept.factored`), or None: `halves` reads its C and `reduction` its
+    reduction, and only the halves' A is formed; a system built by hand,
+    by `dataclasses.replace` (which carries no kept) or whose
+    factorization failed factors its own.  rows, constraints, rhs and
+    row_scale are read-only views, so a write into them raises ValueError
+    instead of going unseen by the parts read once; rebinding an
+    attribute is not refused, and `replace` leaves the arrays given to it
+    writable.  condition_estimate is
     the 2-norm condition number of the reduced block of the whole system,
     whose singular values are those of both halves, with its smallest
     singular value clipped at the Tikhonov floor LAMBDA_REL * sigma_max,
@@ -208,7 +202,13 @@ class LinearSystem:
     row_scale: np.ndarray
     gamma1: float
     tables: _CollocationTables
-    kept: _Kept | None = field(default=None, init=False, repr=False)
+    kept: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        # views, so the caller's arrays keep their flags
+        self.rows, self.constraints, self.rhs, self.row_scale = (
+            _read_only(np.asarray(a).view()) for a in
+            (self.rows, self.constraints, self.rhs, self.row_scale))
 
     @property
     def n_constraints(self):
@@ -237,16 +237,6 @@ class LinearSystem:
         return self.matrix[..., -self.n_constraints:, :]
 
     @cached_property
-    def _kept_own(self):
-        """kept while rows and constraints are its own bit for bit, the
-        case in which computing its parts gives them again; else None."""
-        kept = self.kept
-        if (kept is not None and np.array_equal(kept.rows, self.rows)
-                and np.array_equal(kept.constraints, self.constraints)):
-            return kept
-        return None
-
-    @cached_property
     def halves(self):
         """(A, C, h) of the two parity halves, a parity axis before the
         matrix axes: collocation rows (..., 2, 2M, N+1), constraint rows
@@ -262,16 +252,15 @@ class LinearSystem:
         single-valuedness rows are the real and imaginary parts of [I,
         iI]; times conj t'(l/2), which I_0, the chord, lies along, the real
         row lies on half 0 and the imaginary one on half 1.  Each half
-        takes the first tip's rows on its columns.  C is kept's
-        (`_kept_own`) or formed here.
+        takes the first tip's rows on its columns.  C is kept's or formed
+        here.
         """
         tables = self.tables
         rhs = self.rhs[..., None, :]
         h = 0.5 * tables.weight * (rhs[..., tables.first]
                                    + tables.sign * rhs[..., tables.mirrored])
         A = _half_rows(tables, self.rows)
-        kept = self._kept_own
-        C = (kept.C if kept is not None
+        C = (self.kept[0] if self.kept is not None
              else _half_constraints(tables, self.constraints))
         return A, C, h.reshape(h.shape[:-2] + (A.shape[-2],))
 
@@ -280,8 +269,7 @@ class LinearSystem:
         """(Z, G, U, S, Vt) of both halves: null basis Z, G = A Z and G = U
         diag(S) Vt, each with the parity axis of `halves`.
 
-        kept's reduction (`_kept_own`), else computed here, so an array
-        edited in place is factored afresh.  Raises SolveError when the
+        kept's reduction, else computed here.  Raises SolveError when the
         constraints leave no free unknown.
         """
         A, C, _ = self.halves
@@ -289,9 +277,9 @@ class LinearSystem:
             raise SolveError("the constraints leave no free unknown: "
                              f"{self.n_constraints} constraint rows for "
                              f"{self.constraints.shape[-1]} unknowns")
-        kept = self._kept_own
-        if kept is not None:
-            return (kept.Zt.swapaxes(-1, -2),) + kept[-4:]
+        if self.kept is not None:
+            _, Zt, *rest = self.kept
+            return (Zt.swapaxes(-1, -2), *rest)
         return _factor(A, C)
 
     @cached_property
@@ -378,11 +366,10 @@ class _CollocationTables:
 
     It keeps the gamma1-dependent, load-independent part of the system
     too: for the last KEPT_REDUCTIONS = 16 gamma1 values it factored, per
-    row scaling, the point's `_Kept` (the scaled rows, constraint rows and
-    row scales, the halves' C and the reduction), least recently read
-    evicted first, so every load at those gamma1 forms only its
-    right-hand side and solves on one factorization.  A failed
-    factorization is not kept.  An entry holds about 9.5 (N+1)^2 doubles,
+    row scaling, the point's read-only `_Kept`, least recently read
+    evicted first, which the systems of every load at that gamma1 view,
+    so they form only their right-hand sides.  A failed factorization is
+    not kept.  An entry holds about 9.5 (N+1)^2 doubles,
     33 kB at N = 20 and 291 kB at N = 60 (24 and 226 kB of them the
     reduction), so a table set keeps at most 0.53 MB at N = 20 and 4.7 MB
     at N = 60, and a node side keeps one table set per N it was asked
@@ -431,8 +418,9 @@ class _CollocationTables:
                row_scaling: bool = True) -> LinearSystem:
         """The row-scaled constrained system at one gamma1 and load.
 
-        The one-point case of `systems`, without its point axis; its kept
-        parts are the entry's own arrays, not a stacked copy.
+        The one-point case of `systems`, without its point axis; its
+        arrays but the right-hand side view the point's `_Kept`, not a
+        stacked copy.
         """
         _check_gamma1(gamma1)
         rhs, (part,), (error,) = self._points(
@@ -440,11 +428,10 @@ class _CollocationTables:
         if error is not None:
             raise error
         system = LinearSystem(
-            rows=part.rows.copy(), constraints=part.constraints.copy(),
-            rhs=rhs[0] / part.row_scale, row_scale=part.row_scale.copy(),
+            rows=part.rows, constraints=part.constraints,
+            rhs=rhs[0] / part.row_scale, row_scale=part.row_scale,
             gamma1=gamma1, tables=self)
-        if part.Zt is not None:
-            system.kept = part
+        system.kept = part.factored
         return system
 
     def systems(self, load, gamma1, row_scaling: bool = True):
@@ -471,10 +458,9 @@ class _CollocationTables:
         rows, C, scale = (np.array([part[k] for part in parts]).reshape(
             (len(parts),) + shape) for k, shape in enumerate(shapes))
         kept = None
-        if parts and all(part.Zt is not None for part in parts):
-            kept = _Kept(rows, C, scale, *(
-                np.array(a) for a in list(zip(*parts))[3:]))
-            rows, C = rows.copy(), C.copy()
+        if parts and all(part.factored is not None for part in parts):
+            kept = tuple(np.array(a) for a in zip(*(part.factored
+                                                     for part in parts)))
         stack = LinearSystem(rows=rows, constraints=C, rhs=rhs[keep] / scale,
                              row_scale=scale, gamma1=g[keep], tables=self)
         stack.kept = kept
@@ -535,13 +521,11 @@ class _CollocationTables:
             reduction = _reduce(self, rows, C) if ok.any() else None
             formed = [i for i, fresh in zip(new, ok) if fresh]
             for j, i in enumerate(formed):
-                part = (rows[j], C[j], scale[j])
-                if reduction is not None:
-                    part += tuple(a[j] for a in reduction)
                 # an entry holds its own point alone: one of several is
                 # copied
-                parts[i] = _Kept(*(_read_only(a if len(formed) == 1
-                                              else a.copy()) for a in part))
+                part = [_read_only(a[j] if len(formed) == 1 else a[j].copy())
+                        for a in (rows, C, scale, *(reduction or ()))]
+                parts[i] = _Kept(*part[:3], tuple(part[3:]) or None)
                 if reduction is not None:
                     kept[keys[i]] = parts[i]
 
@@ -583,8 +567,10 @@ class _CollocationTables:
 
 def _reduce(tables, rows, constraints):
     """(C, Z^T, G, U, S, Vt) of the scaled rows and constraint rows of a
-    stack (`_Kept`), or None when the factorization fails or the
-    constraints leave no free unknown."""
+    stack (`_Kept.factored`), or None when the factorization fails or the
+    constraints leave no free unknown.  Z is kept as the rows of Vt it
+    views (Z^T): the product Z y then sees the layout of a Z computed
+    afresh, and gives the same bits."""
     C = _half_constraints(tables, constraints)
     if C.shape[-2] >= C.shape[-1]:
         return None

@@ -188,6 +188,12 @@ class TestTipCoefficients:
             alone = fit_log_coefficient(np.column_stack([d, v]))
             assert fit.A == pytest.approx(alone.A, rel=1e-12)
 
+    @pytest.mark.parametrize("length", [-1.0, 0.0, np.nan, np.inf])
+    def test_default_fit_window_refuses_a_bad_length(self, length):
+        with pytest.raises(ValueError, match="length must be finite and "
+                                             "positive"):
+            default_fit_window(length)
+
     def test_tip_must_be_an_end_of_the_arc(self, solved_semicircle,
                                            semicircle, material, load_h):
         for bad in (1.0, 2.0 * semicircle.length):
@@ -219,6 +225,13 @@ class TestParity:
 
     def test_zero_field(self):
         assert parity_residuals(np.zeros(8)) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("values,match", [
+        ([], "nonempty"), (3.0, "nonempty"),
+        ([np.nan, 1.0], "finite"), ([np.inf, 1.0], "finite")])
+    def test_refuses_empty_scalar_and_nonfinite_values(self, values, match):
+        with pytest.raises(ValueError, match=match):
+            parity_residuals(values)
 
     def test_solved_fields_have_definite_parity(self, solved_semicircle,
                                                 semicircle, material, load_h):

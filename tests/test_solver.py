@@ -902,8 +902,9 @@ class TestSolve:
             _NodeSide(semicircle, material, 12), 12)
         stack, errors = tables.systems(load_h, [0.5, 1.0])
         assert errors == [None, None]
-        stack.rows[0] = 0.0
-        x, errors = solver._solutions(stack)
+        zeroed = stack.rows.copy()
+        zeroed[0] = 0.0
+        x, errors = solver._solutions(replace(stack, rows=zeroed))
         assert isinstance(errors[0], SolveError)
         assert "condition estimate inf" in str(errors[0])
         assert errors[1] is None
@@ -1155,6 +1156,24 @@ def test_densities_and_systems_compare_by_identity(material, semicircle,
     assert system == system and system != replace(system)
 
 
+def test_system_arrays_are_read_only(material, semicircle, load_h):
+    # a write into a system read before would go unseen by the parts it
+    # read once (matrix, halves, reduction), so every write raises;
+    # replace makes a changed system and leaves the caller's arrays
+    # writable
+    system = assemble(semicircle, material, load_h, 1.0,
+                      Discretization(12, semicircle.length))
+    stack, errors = system.tables.systems(load_h, [0.5, 1.0])
+    assert errors == [None, None]
+    rows = system.rows.copy()
+    changed = replace(system, rows=rows)
+    for built in (system, stack, changed):
+        for name in ("rows", "constraints", "rhs", "row_scale"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(built, name)[...] *= 2.0
+    assert rows.flags.writeable
+
+
 class TestKeptReductions:
     """A table set keeps the scaled system and the reduction of each gamma1
     it factored, and a point's system and solution are the same bytes
@@ -1274,9 +1293,10 @@ class TestKeptReductions:
             assert self._solved(tables, load_h, 1.0, scaled) == want[scaled]
         assert len(calls) == 4 and len(tables._kept) == 2
 
-    def test_replaced_or_edited_systems_factor_their_own(self, node_side,
-                                                         load_h, monkeypatch):
-        # the kept reduction is read only for the arrays it was made from
+    def test_replaced_systems_factor_their_own_and_writes_raise(
+            self, node_side, load_h, monkeypatch):
+        # the kept reduction is read only by the systems the tables built,
+        # whose arrays refuse a write
         tables = solver._CollocationTables(node_side, 16)
         system = tables.system(load_h, 1.0)
         calls = self._factorizations(monkeypatch)
@@ -1289,9 +1309,9 @@ class TestKeptReductions:
         changed.reduction
         assert len(calls) == 2
         system = tables.system(load_h, 1.0)
-        system.rows[0, 0, 0] *= 2.0
-        assert np.array_equal(system.reduction[3], changed.reduction[3])
-        assert len(calls) == 4
+        with pytest.raises(ValueError, match="read-only"):
+            system.rows[0, 0, 0] *= 2.0
+        assert len(calls) == 2
 
     def test_warm_solves_form_only_the_load(self, node_side, load_h, load_v,
                                             monkeypatch):
@@ -1306,6 +1326,12 @@ class TestKeptReductions:
             self._stacked(tables, load, grid)
             self._stacked(tables, load, grid[::-1])
         assert calls == dict.fromkeys(calls, 0) and svds == []
+        # a warm system views its entry's arrays
+        system = tables.system(load_h, grid[3])
+        entry = tables._kept[grid[3:4].view(np.int64).item(), True]
+        for name in ("rows", "constraints", "row_scale"):
+            assert np.shares_memory(getattr(system, name),
+                                    getattr(entry, name))
         # the counts see a cold point
         self._solved(tables, load_h, 3.0)
         assert calls == dict.fromkeys(calls, 1) and len(svds) == 2
