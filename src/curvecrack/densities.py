@@ -236,7 +236,8 @@ class DensityCoefficients:
     """The displacement-jump density g' by its coefficients in a basis.
 
     g1 and g2 hold the real and imaginary coefficient vectors (degree N
-    each, finite, read-only) over basis, the one it was solved in.  gamma1
+    each, finite, read-only: a copy of a writable array given, a view of a
+    read-only one) over basis, the one it was solved in.  gamma1
     is carried along because the closure to the traction-jump density q
     depends on it.  curve is the curve it was solved on, or None for a
     density built by hand, which carries its length alone.  Diagnostics and
@@ -264,16 +265,13 @@ class DensityCoefficients:
     damped_directions: tuple | None = _OnFirstRead(None, tuple)
 
     def __post_init__(self):
-        self.g1 = np.asarray(self.g1, dtype=float)
-        self.g2 = np.asarray(self.g2, dtype=float)
+        self.g1, self.g2 = (_held(p, float) for p in (self.g1, self.g2))
         if self.g1.shape != self.g2.shape or self.g1.ndim != 1:
             raise ValueError("g1 and g2 must be equal-length 1-D coefficient vectors")
         for name, part in (("g1", self.g1), ("g2", self.g2)):
             if not np.isfinite(part).all():
                 raise ValueError(f"{name} must hold finite coefficients, got "
                                  f"{part}")
-        # views, so the checks hold and the caller's arrays keep their flags
-        self.g1, self.g2 = (_read_only(p.view()) for p in (self.g1, self.g2))
         if not np.isfinite(self.length) or self.length <= 0:
             raise ValueError(f"length must be positive, got {self.length}")
         if self.curve is not None:
@@ -401,6 +399,14 @@ def _read_only(array):
     in-place write instead of changing the runs after it."""
     array.setflags(write=False)
     return array
+
+
+def _held(array, dtype=None):
+    """A read-only view of the array, of a copy if it is writable: what an
+    object checked or read once stays what it holds, and the caller's
+    array keeps its flags."""
+    array = np.asarray(array, dtype=dtype)
+    return _read_only(array.copy() if array.flags.writeable else array.view())
 
 
 def _tip_blocks(curve: CrackCurve, material, degree: int, basis):

@@ -430,7 +430,8 @@ def _sweep_tables(curve, material, N, n_face, fields):
         _SweepTables, n_face, fields)
 
 
-# numpy's LinAlgError is a ValueError
+# a failed solve (a failed SVD among them), and the ValueError of a bad N
+# (`Discretization`) or curve (`GeometryError`)
 _SWEEP_ERRORS = (AssemblyError, SolveError, ValueError)
 
 
@@ -440,9 +441,9 @@ def _solve_and_report(tables, load, rows, gamma1):
 
     gamma1 holds valid values, all zero or all positive (one stack of
     `_CollocationTables.systems`).  A point whose own system fails a check
-    gets that check's error; an error raised for the whole stack, a
-    LinAlgError of a stacked factorization say, goes on every row still
-    in it.
+    gets that check's error; an error raised for the whole stack, the
+    SolveError of a failed stacked factorization say, goes on every row
+    still in it.
     """
     try:
         system, errors = tables.collocation.systems(load, gamma1)

@@ -92,18 +92,18 @@ solve and a sweep share one solver.
 The scaled rows and constraint rows, the row scales, the halves' C and
 the reduction depend on the curve, the material, N, gamma1 and the row
 scaling, not on the load, which enters the right-hand side alone.  So the
-tables keep them, read-only: for each of the last KEPT_REDUCTIONS = 16
-gamma1 values they factored, per row scaling, one `_Kept` entry
-(`_CollocationTables._points`).  A system of a kept point views the
-entry's rows, constraint rows and row scales (a stack stacks them once)
-and reads its C and reduction.  Per call it forms only its load's part,
-the forcing (F0 + gamma1 F1) v of the load's potential constants v times
-kappa+1, its finite check and its division by the row scales, then the
-halves' A (one multiply of the rows), the solution, the normal-equation
-check and its errors.  A system's arrays are read-only too, so the
-factorization it reads stays that of its rows.  A point's system and
-factorization are the same bits alone or in a stack, so an entry gives
-the bytes a fresh one would.
+tables keep them, read-only, per stack: one `_Kept` entry for each stack
+of gamma1 values (bit for bit) and row scaling they factored, up to
+KEPT_REDUCTIONS = 16 points in all (`_CollocationTables._stack`), and no
+stack reads a point of another.  A system of a kept stack views the
+entry's rows, constraint rows, row scales, C and reduction.  Per call it
+forms only its load's part, the forcing (F0 + gamma1 F1) v of the load's
+potential constants v times kappa+1, its finite check and its division
+by the row scales, then the halves' A (one multiply of the rows), the
+solution, the normal-equation check and its errors.  A system is frozen
+and its arrays read-only, so the factorization it reads stays that of
+its rows.  A point's system and factorization are the same bits alone or
+in a stack, so an entry gives the bytes a fresh one would.
 """
 
 from __future__ import annotations
@@ -115,9 +115,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .densities import (MONOMIALS, DensityCoefficients, _parity_columns,
-                        _read_only, _single_valued_integrals, _tip_blocks,
-                        check_gamma1, q_rows_to_unknowns)
+from .densities import (MONOMIALS, DensityCoefficients, _held,
+                        _parity_columns, _read_only, _single_valued_integrals,
+                        _tip_blocks, check_gamma1, q_rows_to_unknowns)
 from .fields import _forcing_table, _node_side, _NodeSide
 from .geometry import CrackCurve
 # gauss_legendre is not called here, but perfbench's tracer test rebinds it
@@ -126,8 +126,8 @@ from .quadrature import Discretization, gauss_legendre  # noqa: F401
 
 CONDITION_LIMIT = 1e14
 LAMBDA_REL = 1e-8
-# gamma1 values whose reduction one `_CollocationTables` keeps per row
-# scaling: the 16 points of the shipped gamma1 sweeps
+# points whose reduction one `_CollocationTables` keeps, summed over its
+# kept stacks: the 16 points of a shipped gamma1 sweep's stack
 KEPT_REDUCTIONS = 16
 
 
@@ -140,22 +140,24 @@ class SolveError(RuntimeError):
 
 
 class _Kept(NamedTuple):
-    """What the tables keep of one gamma1 and row scaling: the scaled
-    system but its right-hand side, and its factorization, all read-only.
-
-    rows, constraints and row_scale are those of `LinearSystem`, and
-    factored the (C, Z^T, G, U, S, Vt) of `_reduce`, which a system built
-    from the entry reads as its `LinearSystem.kept`.  factored is None for
-    a point whose factorization failed, which is not kept.
+    """What the tables keep of one stack of gamma1 values and row scaling,
+    all read-only: finite and nonzero, (P,), flag each point whose rows
+    and constraint rows are finite and (with row scaling) none zero;
+    rows, constraints and row_scale are those of the `LinearSystem` stack
+    of the points with both flags, and factored the (C, Z^T, G, U, S, Vt)
+    of `_reduce` of that stack, which a system built from the entry reads
+    as its `LinearSystem.kept`, or None, and then the stack is not kept.
     """
 
+    finite: np.ndarray
+    nonzero: np.ndarray
     rows: np.ndarray
     constraints: np.ndarray
     row_scale: np.ndarray
     factored: tuple | None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class LinearSystem:
     """Row-scaled collocation block stacked over the equality constraints.
 
@@ -170,24 +172,23 @@ class LinearSystem:
     `reduction` is, for each parity half (`halves`), the null basis Z of
     its constraint rows and the thin SVD of its collocation rows times Z,
     read once and shared by the condition gate, `solve` and `dump_text`.
-    kept is the factorization the tables keep for the system's points
-    (`_Kept.factored`), or None: `halves` reads its C and `reduction` its
-    reduction, and only the halves' A is formed; a system built by hand,
-    by `dataclasses.replace` (which carries no kept) or whose
-    factorization failed factors its own.  rows, constraints, rhs and
-    row_scale are read-only views, so a write into them raises ValueError
-    instead of going unseen by the parts read once; rebinding an
-    attribute is not refused, and `replace` leaves the arrays given to it
-    writable.  condition_estimate is
-    the 2-norm condition number of the reduced block of the whole system,
-    whose singular values are those of both halves, with its smallest
-    singular value clipped at the Tikhonov floor LAMBDA_REL * sigma_max,
-    so it never exceeds 1/LAMBDA_REL = 1e8; it is inf only for a zero
-    reduced block.  tables are the
-    `_CollocationTables` the system was built from: its node side's curve
-    and basis, N, the constants of the halves and the unscaled integrals
-    I_k of the single-valuedness rows, which `solve` gives the density.
-    Systems compare by identity: `==` of two systems is `is`.
+    kept is the factorization the tables keep for the system's stack
+    (`_Kept.factored`, or the point's part of it), or None: `halves` reads
+    its C and `reduction` its reduction, and only the halves' A is formed;
+    a system built by hand, by `dataclasses.replace` (which carries no
+    kept) or whose factorization failed factors its own.  The system is
+    frozen and rows, constraints, rhs and row_scale are read-only, views
+    of the arrays given that are read-only and copies of those a caller
+    can still write to, so neither a write nor a rebinding goes unseen by
+    the parts read once.  condition_estimate is the 2-norm condition
+    number of the reduced block of the whole system, whose singular values
+    are those of both halves, with its smallest singular value clipped at
+    the Tikhonov floor LAMBDA_REL * sigma_max, so it never exceeds
+    1/LAMBDA_REL = 1e8; it is inf only for a zero reduced block.  tables
+    are the `_CollocationTables` the system was built from: its node
+    side's curve and basis, N, the constants of the halves and the
+    unscaled integrals I_k of the single-valuedness rows, which `solve`
+    gives the density.  Systems compare by identity: `==` is `is`.
 
     A stack of P systems that share N and the number of constraint rows
     (`_CollocationTables.systems`) carries a leading point axis on every
@@ -205,10 +206,8 @@ class LinearSystem:
     kept: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        # views, so the caller's arrays keep their flags
-        self.rows, self.constraints, self.rhs, self.row_scale = (
-            _read_only(np.asarray(a).view()) for a in
-            (self.rows, self.constraints, self.rhs, self.row_scale))
+        for name in ("rows", "constraints", "rhs", "row_scale"):
+            object.__setattr__(self, name, _held(getattr(self, name)))
 
     @property
     def n_constraints(self):
@@ -270,7 +269,8 @@ class LinearSystem:
         diag(S) Vt, each with the parity axis of `halves`.
 
         kept's reduction, else computed here.  Raises SolveError when the
-        constraints leave no free unknown.
+        constraints leave no free unknown or an SVD fails (numpy's
+        LinAlgError, whose text it carries).
         """
         A, C, _ = self.halves
         if C.shape[-2] >= C.shape[-1]:
@@ -280,7 +280,10 @@ class LinearSystem:
         if self.kept is not None:
             _, Zt, *rest = self.kept
             return (Zt.swapaxes(-1, -2), *rest)
-        return _factor(A, C)
+        try:
+            return _factor(A, C)
+        except np.linalg.LinAlgError as exc:
+            raise SolveError(str(exc)) from exc
 
     @cached_property
     def condition_estimate(self):
@@ -365,11 +368,13 @@ class _CollocationTables:
     read-only.
 
     It keeps the gamma1-dependent, load-independent part of the system
-    too: for the last KEPT_REDUCTIONS = 16 gamma1 values it factored, per
-    row scaling, the point's read-only `_Kept`, least recently read
-    evicted first, which the systems of every load at that gamma1 view,
-    so they form only their right-hand sides.  A failed factorization is
-    not kept.  An entry holds about 9.5 (N+1)^2 doubles,
+    too, per stack: the read-only `_Kept` of each stack of gamma1 values
+    and row scaling it factored, which the systems of every load at that
+    stack view, so they form only their right-hand sides.  It holds at
+    most KEPT_REDUCTIONS = 16 points over all its stacks, evicting the
+    least recently read stack first; a stack of more points, or whose
+    factorization failed, is not kept.  A stack reads no point of
+    another.  An entry holds about 9.5 (N+1)^2 doubles per point,
     33 kB at N = 20 and 291 kB at N = 60 (24 and 226 kB of them the
     reduction), so a table set keeps at most 0.53 MB at N = 20 and 4.7 MB
     at N = 60, and a node side keeps one table set per N it was asked
@@ -411,28 +416,21 @@ class _CollocationTables:
         self.single_valued_rows = _read_only(np.array(
             [np.concatenate([ints.real, -ints.imag]),
              np.concatenate([ints.imag, ints.real])]))
-        # (gamma1 bits, row_scaling) -> the _Kept of a point
+        # (gamma1 bytes, row_scaling) -> the _Kept of a stack
         self._kept = OrderedDict()
 
     def system(self, load, gamma1: float,
                row_scaling: bool = True) -> LinearSystem:
-        """The row-scaled constrained system at one gamma1 and load.
-
-        The one-point case of `systems`, without its point axis; its
-        arrays but the right-hand side view the point's `_Kept`, not a
-        stacked copy.
-        """
+        """The row-scaled constrained system at one gamma1 and load: the
+        one-point case of `systems`, which views point 0 of its arrays and
+        factorization, without its point axis."""
         _check_gamma1(gamma1)
-        rhs, (part,), (error,) = self._points(
+        parts, factored, (error,) = self._stack(
             load, np.array([gamma1], dtype=float), row_scaling)
         if error is not None:
             raise error
-        system = LinearSystem(
-            rows=part.rows, constraints=part.constraints,
-            rhs=rhs[0] / part.row_scale, row_scale=part.row_scale,
-            gamma1=gamma1, tables=self)
-        system.kept = part.factored
-        return system
+        return self._built([a[0] for a in parts], gamma1,
+                           factored and [a[0] for a in factored])
 
     def systems(self, load, gamma1, row_scaling: bool = True):
         """The row-scaled constrained systems at P gamma1 values, one stack.
@@ -441,47 +439,36 @@ class _CollocationTables:
         positive: the tip rows exist only for gamma1 > 0, so the two kinds
         differ in their number of rows.  Every array is formed for all
         points at once, with the point axis first; a collocation row's
-        mirror, not formed, has its entries up to sign, and its scale.
-        The points the tables keep are read (`_points`), so a warm point
-        forms only its right-hand side.  Returns the stack of the points
-        whose system is finite and, with row_scaling, has no zero row, and
-        the AssemblyError of each point (None where it has none), in the
-        order of gamma1.
+        mirror, not formed, has its entries up to sign, and its scale.  A
+        warm stack views its `_Kept` and forms only its right-hand sides.
+        Returns the stack of the points whose system is finite and, with
+        row_scaling, has no zero row, and the AssemblyError of each point
+        (None where it has none), in the order of gamma1.
         """
         g = np.asarray(gamma1, dtype=float)
-        rhs, parts, errors = self._points(load, g, row_scaling)
-        keep = np.array([error is None for error in errors], dtype=bool)
-        parts = [part for part in parts if part is not None]
-        N, width = self.disc.N, rhs.shape[1]
-        # shaped, so that a stack of no point has its axes
-        shapes = (self.blocks[0].shape, (width - 2 * N, 2 * N + 2), (width,))
-        rows, C, scale = (np.array([part[k] for part in parts]).reshape(
-            (len(parts),) + shape) for k, shape in enumerate(shapes))
-        kept = None
-        if parts and all(part.factored is not None for part in parts):
-            kept = tuple(np.array(a) for a in zip(*(part.factored
-                                                     for part in parts)))
-        stack = LinearSystem(rows=rows, constraints=C, rhs=rhs[keep] / scale,
-                             row_scale=scale, gamma1=g[keep], tables=self)
-        stack.kept = kept
-        return stack, errors
+        parts, factored, errors = self._stack(load, g, row_scaling)
+        return self._built(parts, g[[e is None for e in errors]],
+                           factored), errors
 
-    def _points(self, load, g, row_scaling):
-        """The unscaled right-hand sides (P, 2N + constraints) of the
-        points g under the load, the `_Kept` of each point (None where it
-        has an error), and the AssemblyError of each (None where it has
-        none).
+    def _built(self, parts, gamma1, factored):
+        """The system or stack of parts that reads factored, or None."""
+        system = LinearSystem(*parts, gamma1=gamma1, tables=self)
+        object.__setattr__(system, "kept", factored and tuple(factored))
+        return system
+
+    def _stack(self, load, g, row_scaling):
+        """The read-only rows, constraints, rhs and row_scale of the stack
+        of the points g under the load without an error, their
+        factorization (`_Kept.factored`, or None), and the AssemblyError of
+        each point (None where it has none), in the order of g.
 
         A point has an error unless its rows, constraint rows and
         right-hand side are finite and, with row_scaling, it has no zero
-        row.  The right-hand side is formed and checked for every point;
-        the parts of the points the tables keep are read, and the others
-        formed as one stack (`_operators`), checked, factored as one
-        (`_reduce`) and kept.  When that factorization fails or the
-        constraints leave no free unknown, those points carry no
-        reduction and are not kept, and the stack's own reduction raises
-        the error.  The tables keep the last KEPT_REDUCTIONS points read,
-        per gamma1 (bit for bit) and row scaling.
+        row.  The right-hand sides are formed and checked on every call,
+        the rest read from the stack's `_Kept` or formed (`_operators`),
+        checked, factored as one (`_reduce`) and kept.  A stack whose
+        factorization fails carries none, and its own reduction raises
+        the error.
         """
         positive = g > 0.0
         tip_rows = positive.any()
@@ -498,49 +485,43 @@ class _CollocationTables:
             f = f0 + g[:, None] * f1
             rhs = (kappa + 1.0) * np.concatenate(
                 [f.real, f.imag, np.zeros((g.size, n_con))], axis=1)
-        finite = np.isfinite(rhs).all(axis=1)
-        nonzero = np.ones(g.size, dtype=bool)
+        loaded = np.isfinite(rhs).all(axis=1)
 
-        kept = self._kept
-        keys = [(bits, row_scaling) for bits in g.view(np.int64).tolist()]
-        parts = [kept.get(key) for key in keys]
-        new = [i for i, part in enumerate(parts) if part is None]
-        if new:
-            rows, C, scale = self._operators(g[new], tip_rows)
-            finite[new] &= np.isfinite(scale).all(axis=1)
-            if row_scaling:
-                nonzero[new] = (scale != 0.0).all(axis=1)
-            else:
+        kept, key = self._kept, (g.tobytes(), row_scaling)
+        entry = kept.get(key)
+        if entry is not None:
+            kept.move_to_end(key)
+        else:
+            rows, C, scale = self._operators(g, tip_rows)
+            finite = np.isfinite(scale).all(axis=1)
+            if not row_scaling:
                 scale = np.ones(scale.shape)
-            ok = finite[new] & nonzero[new]
-            if not ok.all():
-                rows, C, scale = rows[ok], C[ok], scale[ok]
+            nonzero = (scale != 0.0).all(axis=1)
+            valid = finite & nonzero
+            rows, C, scale = rows[valid], C[valid], scale[valid]
             M = rows.shape[-2]
             rows /= scale[:, : 2 * N].reshape(-1, 2, N)[:, None, :, :M, None]
             C /= scale[:, 2 * N:, None]
-            reduction = _reduce(self, rows, C) if ok.any() else None
-            formed = [i for i, fresh in zip(new, ok) if fresh]
-            for j, i in enumerate(formed):
-                # an entry holds its own point alone: one of several is
-                # copied
-                part = [_read_only(a[j] if len(formed) == 1 else a[j].copy())
-                        for a in (rows, C, scale, *(reduction or ()))]
-                parts[i] = _Kept(*part[:3], tuple(part[3:]) or None)
-                if reduction is not None:
-                    kept[keys[i]] = parts[i]
+            entry = _Kept(finite, nonzero, *map(_read_only, (rows, C, scale)),
+                          _reduce(self, rows, C) if valid.any() else None)
+            if entry.factored is not None and g.size <= KEPT_REDUCTIONS:
+                kept[key] = entry
+                while sum(e.finite.size for e in kept.values()) \
+                        > KEPT_REDUCTIONS:
+                    kept.popitem(last=False)
 
+        finite, nonzero, rows, C, scale, factored = entry
         errors = [None if fin and nz else AssemblyError(
             "zero row encountered during scaling" if fin
             else "non-finite entries in the collocation system")
-            for fin, nz in zip(finite.tolist(), nonzero.tolist())]
-        for i, error in enumerate(errors):
-            if error is not None:
-                parts[i] = None
-            elif keys[i] in kept:
-                kept.move_to_end(keys[i])
-        while len(kept) > KEPT_REDUCTIONS:
-            kept.popitem(last=False)
-        return rhs, parts, errors
+            for fin, nz in zip((finite & loaded).tolist(), nonzero.tolist())]
+        if any(errors):  # an error is true, None false
+            valid = finite & nonzero
+            held = loaded[valid]  # of the entry's points
+            rhs = rhs[valid & loaded]
+            rows, C, scale = (_read_only(a[held]) for a in (rows, C, scale))
+            factored = factored and tuple(a[held] for a in factored)
+        return (rows, C, _read_only(rhs / scale), scale), factored, errors
 
     def _operators(self, g, tip_rows):
         """The unscaled collocation rows (kappa+1)(R0 + gamma1 R1 +
@@ -578,7 +559,7 @@ def _reduce(tables, rows, constraints):
         Z, *rest = _factor(_half_rows(tables, rows), C)
     except np.linalg.LinAlgError:
         return None
-    return (C, Z.swapaxes(-1, -2), *rest)
+    return tuple(map(_read_only, (C, Z.swapaxes(-1, -2), *rest)))
 
 
 def _check_gamma1(gamma1):
@@ -626,8 +607,10 @@ def solve(system: LinearSystem) -> DensityCoefficients:
     if error is not None:
         raise error
     tables = system.tables
+    # read-only, so the density views x rather than copying it
     coeffs = DensityCoefficients(
-        *np.split(x, 2), length=tables.disc.length, gamma1=system.gamma1,
+        *np.split(_read_only(x), 2), length=tables.disc.length,
+        gamma1=system.gamma1,
         condition_estimate=system.condition_estimate,
         basis=tables.node_side.basis, curve=tables.node_side.curve)
     coeffs.single_valued_residual = partial(

@@ -354,6 +354,21 @@ class TestRun:
             assert line.split(",")[1] == "nan"
             assert "no free unknown" in line.split(",")[-1]
 
+    @pytest.mark.parametrize("mode", ["solve", "convergence"])
+    def test_failed_svd_exits_4(self, tmp_path, monkeypatch, cold_tables,
+                                mode):
+        # numpy's LinAlgError escaped run() with no error.log; cold tables,
+        # so no kept factorization is read
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        out = tmp_path / mode
+        assert run(self._cfg(out, "grid = 8 10\n"), mode_override=mode,
+                   quiet=True) == 4
+        assert (out / "error.log").read_text() \
+            == "SolveError: SVD did not converge\n"
+
     def test_huge_gamma1_exits_3_without_a_warning(self, tmp_path):
         # the rows of gamma1 = 1e300 overflow to inf; the assembly's finite
         # check refuses them, and no overflow warning escapes before it

@@ -951,11 +951,16 @@ class TestArgumentChecks:
                 part[3] = np.nan
         assert np.isfinite(max_face_traction(semicircle, material, load_h,
                                              coeffs))
-        # the density holds views: the caller's arrays stay writeable
+        # the density holds copies of writable arrays, which stay
+        # writable: g1[0] = nan went past the finite check into a view
         g1, g2 = np.ones(3), np.zeros(3)
-        DensityCoefficients(g1, g2, 2.0, 1.0)
-        g1[1] = g2[1] = 2.0
+        density = DensityCoefficients(g1, g2, 2.0, 1.0)
+        g1[0] = g2[1] = np.nan
         assert g1.flags.writeable and g2.flags.writeable
+        assert np.isfinite(density.g1).all() and np.isfinite(density.g2).all()
+        # and views of read-only ones
+        assert np.shares_memory(DensityCoefficients(
+            coeffs.g1, coeffs.g2, 2.0, 1.0).g1, coeffs.g1)
 
     def test_max_face_traction_needs_a_point(self, solved_semicircle,
                                              semicircle, material, load_h):

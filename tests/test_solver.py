@@ -1,6 +1,6 @@
 import itertools
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -862,12 +862,32 @@ class TestSolve:
     def test_condition_gate(self, material, semicircle, load_h):
         disc = Discretization(8, semicircle.length)
         system = assemble(semicircle, material, load_h, 1.0, disc)
-        system.condition_estimate = 1e15
+        # a system is frozen: the estimate is set where cached_property
+        # keeps it
+        vars(system)["condition_estimate"] = 1e15
         with pytest.raises(SolveError):
             solve(system)
-        system.condition_estimate = float("nan")
+        vars(system)["condition_estimate"] = float("nan")
         with pytest.raises(SolveError):
             solve(system)
+
+    def test_failed_svd_is_a_solve_error(self, material, semicircle, load_h,
+                                         monkeypatch, cold_tables):
+        # numpy's LinAlgError escaped solve(); cold tables, so no kept
+        # factorization is read
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        system = assemble(semicircle, material, load_h, 1.0,
+                          Discretization(8, semicircle.length))
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        failed = assemble(semicircle, material, load_h, 0.5,
+                          Discretization(8, semicircle.length))
+        assert failed.kept is None
+        with pytest.raises(SolveError, match="SVD did not converge"):
+            solve(failed)
+        # a kept factorization needs no SVD
+        solve(system)
 
     def test_one_factorization_per_system(self, material, semicircle, load_h,
                                           monkeypatch, cold_tables):
@@ -1174,12 +1194,40 @@ def test_system_arrays_are_read_only(material, semicircle, load_h):
     assert rows.flags.writeable
 
 
+def test_systems_are_frozen_and_hold_their_arrays(material, semicircle,
+                                                  load_h):
+    # after a solve, a rebound field and a write into an array given to
+    # replace went unseen: a second solve gave the first bytes
+    system = assemble(semicircle, material, load_h, 1.0,
+                      Discretization(12, semicircle.length))
+    solve(system)
+    with pytest.raises(FrozenInstanceError):
+        system.rows = system.rows * 2.0
+    rows = system.rows * 2.0
+    changed = replace(system, rows=rows)
+    before = _solved_bytes(changed)
+    rows *= 3.0
+    assert not np.shares_memory(changed.rows, rows)
+    assert np.array_equal(changed.rows, system.rows * 2.0)
+    assert _solved_bytes(replace(changed)) == before
+    assert _solved_bytes(replace(system, rows=rows)) != before
+    # a read-only array is viewed, not copied
+    assert np.shares_memory(replace(system, rows=system.rows).rows,
+                            system.rows)
+
+
+def _solved_bytes(system):
+    coeffs = solve(system)
+    return np.concatenate([coeffs.g1, coeffs.g2]).tobytes()
+
+
 class TestKeptReductions:
-    """A table set keeps the scaled system and the reduction of each gamma1
-    it factored, and a point's system and solution are the same bytes
-    whichever kept entry it reads: cold or warm, alone or in a stack in
-    any order, after another load at its gamma1, and after its entry was
-    evicted.  A warm point forms its right-hand side alone."""
+    """A table set keeps the scaled system and the reduction of each stack
+    of gamma1 values it factored, and a point's system and solution are
+    the same bytes whichever kept entry it reads: cold or warm, alone or
+    in a stack in any order, after another load at its stack, and after
+    its entry was evicted.  A warm stack forms its right-hand sides
+    alone."""
 
     GRID = (0.25, 0.5, 1.0, 2.0)
 
@@ -1254,7 +1302,7 @@ class TestKeptReductions:
             for grid in (order, order[::-1]):
                 assert self._stacked(tables, load_h, grid) \
                     == [want[g] for g in grid]
-        # a stack of kept and new points
+        # a stack over a kept point forms its own
         tables = solver._CollocationTables(node_side, 16)
         assert self._solved(tables, load_h, 0.5) == want[0.5]
         assert self._stacked(tables, load_h, self.GRID[::-1]) \
@@ -1270,19 +1318,33 @@ class TestKeptReductions:
         assert self._solved(tables, load_h, 1.0) == want[load_h]
         assert len(calls) == 2
 
+    @staticmethod
+    def _held(tables):
+        """The points of each kept stack, least recently read first."""
+        return [entry.finite.size for entry in tables._kept.values()]
+
     def test_evicted_entry_and_the_bound(self, node_side, load_h,
                                          monkeypatch):
+        # the bound counts points over the kept stacks and evicts the
+        # least recently read stack first; a stack of more points is not
+        # kept
+        bound = solver.KEPT_REDUCTIONS
         want = self._cold(node_side, load_h, 1.0)
         tables = solver._CollocationTables(node_side, 16)
         assert self._solved(tables, load_h, 1.0) == want
-        for g in np.geomspace(0.3, 3.0, solver.KEPT_REDUCTIONS + 2):
+        for g in np.geomspace(0.3, 3.0, bound + 2):
             self._solved(tables, load_h, g)
-            assert len(tables._kept) <= solver.KEPT_REDUCTIONS
-        tables.systems(load_h, np.geomspace(0.2, 0.4, 20))
-        assert len(tables._kept) == solver.KEPT_REDUCTIONS
+            assert sum(self._held(tables)) <= bound
+        assert self._held(tables) == [1] * bound
+        tables.systems(load_h, np.geomspace(0.2, 0.4, bound + 1))
+        assert self._held(tables) == [1] * bound
+        tables.systems(load_h, np.geomspace(0.2, 0.4, bound - 2))
+        assert self._held(tables) == [1, 1, bound - 2]
+        self._stacked(tables, load_h, [0.25, 0.3])
+        assert self._held(tables) == [bound - 2, 2]
         calls = self._factorizations(monkeypatch)
         assert self._solved(tables, load_h, 1.0) == want
-        assert len(calls) == 2
+        assert len(calls) == 2 and self._held(tables) == [2, 1]
 
     def test_row_scaling_keys_apart(self, node_side, load_h, monkeypatch):
         want = {scaled: self._cold(node_side, load_h, 1.0, scaled)
@@ -1315,23 +1377,30 @@ class TestKeptReductions:
 
     def test_warm_solves_form_only_the_load(self, node_side, load_h, load_v,
                                             monkeypatch):
-        # a kept gamma1 forms its right-hand side and solves: no rows, no
-        # halves' C, no factorization and no SVD, alone or in a stack
+        # a kept stack forms its right-hand sides and solves: no rows, no
+        # halves' C, no factorization and no SVD, alone or in a stack; the
+        # three stacks hold 15 points, within the bound
         tables = solver._CollocationTables(node_side, 16)
-        grid = np.geomspace(0.5, 4.0, 8)
+        grid = np.geomspace(0.5, 4.0, 7)
         self._stacked(tables, load_h, grid)
+        self._stacked(tables, load_h, grid[::-1])
+        self._solved(tables, load_h, grid[3])
+        assert sum(self._held(tables)) == 15 <= solver.KEPT_REDUCTIONS
         calls, svds = self._formations(monkeypatch)
-        for load in (load_h, load_v):
+        for load in (load_h, load_v, load_h):
             self._solved(tables, load, grid[3])
             self._stacked(tables, load, grid)
             self._stacked(tables, load, grid[::-1])
         assert calls == dict.fromkeys(calls, 0) and svds == []
-        # a warm system views its entry's arrays
+        # a warm stack and a warm system view their entry's arrays
+        stack, _ = tables.systems(load_h, grid)
         system = tables.system(load_h, grid[3])
-        entry = tables._kept[grid[3:4].view(np.int64).item(), True]
-        for name in ("rows", "constraints", "row_scale"):
-            assert np.shares_memory(getattr(system, name),
-                                    getattr(entry, name))
+        for built, g in ((stack, grid), (system, grid[3:4])):
+            entry = tables._kept[g.tobytes(), True]
+            for name in ("rows", "constraints", "row_scale"):
+                assert np.shares_memory(getattr(built, name),
+                                        getattr(entry, name))
+            assert all(map(np.shares_memory, built.kept, entry.factored))
         # the counts see a cold point
         self._solved(tables, load_h, 3.0)
         assert calls == dict.fromkeys(calls, 1) and len(svds) == 2
@@ -1352,7 +1421,7 @@ class TestKeptReductions:
             return [self._system_bytes(stack, p) for p in range(len(order))]
 
         for order in itertools.permutations(grid):
-            # a cold stack, a stack of kept and new points, then warm ones
+            # a cold stack, a stack over its points, then warm ones
             tables = solver._CollocationTables(node_side, 16)
             assert stacked(tables, "h", order[:2]) \
                 == [want["h", g] for g in order[:2]]
@@ -1379,3 +1448,13 @@ class TestKeptReductions:
             assert stack.rows.shape[0] == 0
             assert [str(error) for error in errors] == [message]
             tables.system(load_h, 1.0)
+        # a load that overflows at one point of a stack, cold and warm:
+        # the other point is the bytes it is alone
+        large = FarFieldLoad(sigma1=3e307, sigma2=0.0)
+        alone = tables.system(large, 0.25)
+        for _ in range(2):
+            stack, errors = tables.systems(large, [0.25, 100.0])
+            assert errors[0] is None and str(errors[1]) == message
+            assert self._system_bytes(stack, 0) == self._system_bytes(alone)
+            assert [a[0].tobytes() for a in stack.kept] \
+                == [a.tobytes() for a in alone.kept]
