@@ -15,7 +15,7 @@ of the checkout that holds this script, not an installed curvecrack.
 
 Every run is made three times in this one process.  First cold, with the
 table cache of the program (the node sides of `fields._node_side` and
-every table they keep, the kept factorizations too) emptied first, into
+every table they keep, the kept systems too) emptied first, into
 OUT, then at once warm, reading the tables the cold run left cached, into
 a temporary directory.  Last, once every run has been made so, every run
 again in reverse order, into another temporary directory, with the cache

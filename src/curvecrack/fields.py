@@ -444,9 +444,9 @@ def _node_side(curve, material, degree, basis):
 
     The key is frozen values alone, and the node side's tables, with those
     it keeps (`_NodeSide.derived`), are read-only, so every run on the key
-    shares them.  Its collocation tables keep the scaled systems and
-    factorizations of their last 16 gamma1 values
-    (`solver._CollocationTables`), which every load shares.
+    shares them.  Its collocation tables keep the systems they formed and
+    factored, up to 16 gamma1 values (`solver._CollocationTables`), which
+    the system of every load at those values shares.
     cache_clear() empties them all, kept systems included.
     """
     return _NodeSide(curve, material, degree, basis=basis)

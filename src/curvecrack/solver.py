@@ -89,29 +89,31 @@ condition estimates, solutions and dump.  `_solutions` solves a stack and
 checks each point on its own; solve() is its one-point case, so a single
 solve and a sweep share one solver.
 
-The scaled rows and constraint rows, the row scales, the halves' C and
-the reduction depend on the curve, the material, N, gamma1 and the row
-scaling, not on the load, which enters the right-hand side alone.  So the
-tables keep them, read-only, per stack: one `_Kept` entry for each stack
-of gamma1 values (bit for bit) and row scaling they factored, up to
-KEPT_REDUCTIONS = 16 points in all (`_CollocationTables._stack`), and no
-stack reads a point of another.  A system of a kept stack views the
-entry's rows, constraint rows, row scales, C and reduction.  Per call it
+The scaled rows and constraint rows, the row scales, the halves' A and
+C, the reduction and the condition estimate depend on the curve, the
+material, N, gamma1 and the row scaling, not on the load, which enters
+the right-hand side alone.  So the tables keep systems: the system they
+formed and factored for each stack of the gamma1 values (bit for bit)
+whose right-hand side is finite, row scaling, and stack or system alone,
+up to KEPT_REDUCTIONS = 16 points in all (`_CollocationTables._stack`),
+and no stack reads a point of another.  The system of every load there
+is the kept one under the load's right-hand side
+(`LinearSystem._under`), sharing its arrays and those parts.  Per call it
 forms only its load's part, the forcing (F0 + gamma1 F1) v of the load's
 potential constants v times kappa+1, its finite check and its division
-by the row scales, then the halves' A (one multiply of the rows), the
-solution, the normal-equation check and its errors.  A system is frozen
-and its arrays read-only, so the factorization it reads stays that of
-its rows.  A point's system and factorization are the same bits alone or
-in a stack, so an entry gives the bytes a fresh one would.
+by the row scales, then the halves' right-hand sides, the solution, the
+normal-equation check and its errors.  A system is frozen and its
+arrays, the halves' A and C and the reduction read-only, so the
+factorization it shares stays that of its rows.  A point's system and
+factorization are the same bits alone or in a stack, so a kept system
+gives the bytes a fresh one would.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -126,8 +128,8 @@ from .quadrature import Discretization, gauss_legendre  # noqa: F401
 
 CONDITION_LIMIT = 1e14
 LAMBDA_REL = 1e-8
-# points whose reduction one `_CollocationTables` keeps, summed over its
-# kept stacks: the 16 points of a shipped gamma1 sweep's stack
+# points of the systems one `_CollocationTables` keeps, summed over them:
+# the 16 points of a shipped gamma1 sweep's stack
 KEPT_REDUCTIONS = 16
 
 
@@ -137,24 +139,6 @@ class AssemblyError(RuntimeError):
 
 class SolveError(RuntimeError):
     """Singular or unacceptably ill-conditioned collocation system."""
-
-
-class _Kept(NamedTuple):
-    """What the tables keep of one stack of gamma1 values and row scaling,
-    all read-only: finite and nonzero, (P,), flag each point whose rows
-    and constraint rows are finite and (with row scaling) none zero;
-    rows, constraints and row_scale are those of the `LinearSystem` stack
-    of the points with both flags, and factored the (C, Z^T, G, U, S, Vt)
-    of `_reduce` of that stack, which a system built from the entry reads
-    as its `LinearSystem.kept`, or None, and then the stack is not kept.
-    """
-
-    finite: np.ndarray
-    nonzero: np.ndarray
-    rows: np.ndarray
-    constraints: np.ndarray
-    row_scale: np.ndarray
-    factored: tuple | None
 
 
 @dataclass(eq=False, frozen=True)
@@ -172,28 +156,27 @@ class LinearSystem:
     `reduction` is, for each parity half (`halves`), the null basis Z of
     its constraint rows and the thin SVD of its collocation rows times Z,
     read once and shared by the condition gate, `solve` and `dump_text`.
-    kept is the factorization the tables keep for the system's stack
-    (`_Kept.factored`, or the point's part of it), or None: `halves` reads
-    its C and `reduction` its reduction, and only the halves' A is formed;
-    a system built by hand, by `dataclasses.replace` (which carries no
-    kept) or whose factorization failed factors its own.  The system is
-    frozen and rows, constraints, rhs and row_scale are read-only, views
-    of the arrays given that are read-only and copies of those a caller
-    can still write to, so neither a write nor a rebinding goes unseen by
-    the parts read once.  condition_estimate is the 2-norm condition
-    number of the reduced block of the whole system, whose singular values
-    are those of both halves, with its smallest singular value clipped at
-    the Tikhonov floor LAMBDA_REL * sigma_max, so it never exceeds
-    1/LAMBDA_REL = 1e8; it is inf only for a zero reduced block.  tables
-    are the `_CollocationTables` the system was built from: its node
-    side's curve and basis, N, the constants of the halves and the
+    Every system is factored there, however it was built, and a system
+    under another load (`_under`) shares the halves' A and C, the
+    reduction, or the SolveError it raised, and the condition estimate
+    read so far, all read-only; `dataclasses.replace` shares none of them.
+    The system is frozen and rows, constraints, rhs and row_scale are
+    read-only, views of the arrays given that are read-only and copies of
+    those a caller can still write to, so neither a write nor a rebinding
+    goes unseen by the parts read once.  condition_estimate is the 2-norm
+    condition number of the reduced block of the whole system, whose
+    singular values are those of both halves, with its smallest singular
+    value clipped at the Tikhonov floor LAMBDA_REL * sigma_max, so it never
+    exceeds 1/LAMBDA_REL = 1e8; it is inf only for a zero reduced block.
+    tables are the `_CollocationTables` the system was built from: its
+    node side's curve and basis, N, the constants of the halves and the
     unscaled integrals I_k of the single-valuedness rows, which `solve`
     gives the density.  Systems compare by identity: `==` is `is`.
 
     A stack of P systems that share N and the number of constraint rows
     (`_CollocationTables.systems`) carries a leading point axis on every
-    array, and gamma1 and condition_estimate are (P,) arrays; a reduction
-    not kept factorizes the whole stack, both halves of every point, in
+    array, and gamma1 and condition_estimate are (P,) arrays; its
+    reduction factorizes the whole stack, both halves of every point, in
     one call per SVD.  A single system has no point axis.
     """
 
@@ -203,7 +186,6 @@ class LinearSystem:
     row_scale: np.ndarray
     gamma1: float
     tables: _CollocationTables
-    kept: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("rows", "constraints", "rhs", "row_scale"):
@@ -251,39 +233,48 @@ class LinearSystem:
         single-valuedness rows are the real and imaginary parts of [I,
         iI]; times conj t'(l/2), which I_0, the chord, lies along, the real
         row lies on half 0 and the imaginary one on half 1.  Each half
-        takes the first tip's rows on its columns.  C is kept's or formed
-        here.
+        takes the first tip's rows on its columns.  A and C are read-only.
         """
         tables = self.tables
         rhs = self.rhs[..., None, :]
         h = 0.5 * tables.weight * (rhs[..., tables.first]
                                    + tables.sign * rhs[..., tables.mirrored])
-        A = _half_rows(tables, self.rows)
-        C = (self.kept[0] if self.kept is not None
-             else _half_constraints(tables, self.constraints))
+        A, C = self._blocks
         return A, C, h.reshape(h.shape[:-2] + (A.shape[-2],))
 
     @cached_property
+    def _blocks(self):
+        """The halves' A and C, which depend on no load."""
+        A = self.tables.weight[..., None] * self.rows
+        A = A.reshape(A.shape[:-4] + (2, 2 * A.shape[-2], A.shape[-1]))
+        return _read_only(A), _half_constraints(self.tables, self.constraints)
+
+    @property
     def reduction(self):
         """(Z, G, U, S, Vt) of both halves: null basis Z, G = A Z and G = U
-        diag(S) Vt, each with the parity axis of `halves`.
+        diag(S) Vt, each with the parity axis of `halves`, read-only.
 
-        kept's reduction, else computed here.  Raises SolveError when the
-        constraints leave no free unknown or an SVD fails (numpy's
-        LinAlgError, whose text it carries).
+        Raises SolveError when the constraints leave no free unknown or an
+        SVD fails (numpy's LinAlgError, whose text it carries), and raises
+        it again on a later read, with no new SVD.
         """
-        A, C, _ = self.halves
+        reduced = self._reduced
+        if isinstance(reduced, SolveError):
+            raise reduced.with_traceback(None)
+        return reduced
+
+    @cached_property
+    def _reduced(self):
+        """`reduction`, or the SolveError it raises."""
+        A, C = self._blocks
         if C.shape[-2] >= C.shape[-1]:
-            raise SolveError("the constraints leave no free unknown: "
-                             f"{self.n_constraints} constraint rows for "
-                             f"{self.constraints.shape[-1]} unknowns")
-        if self.kept is not None:
-            _, Zt, *rest = self.kept
-            return (Zt.swapaxes(-1, -2), *rest)
+            return SolveError("the constraints leave no free unknown: "
+                              f"{self.n_constraints} constraint rows for "
+                              f"{self.constraints.shape[-1]} unknowns")
         try:
             return _factor(A, C)
         except np.linalg.LinAlgError as exc:
-            raise SolveError(str(exc)) from exc
+            return SolveError(str(exc))
 
     @cached_property
     def condition_estimate(self):
@@ -293,7 +284,7 @@ class LinearSystem:
                                  np.ravel(S[..., -1].min(axis=-1)).tolist()):
             smallest = max(last, LAMBDA_REL * largest)
             estimates.append(largest / smallest if smallest else float("inf"))
-        return np.array(estimates) if S.ndim > 2 else estimates[0]
+        return _read_only(np.array(estimates)) if S.ndim > 2 else estimates[0]
 
     def dump_text(self) -> str:
         """Plain-text dump of the matrix and right-hand side of one system."""
@@ -307,12 +298,15 @@ class LinearSystem:
         lines.append(f"condition_estimate {self.condition_estimate!r}")
         return "\n".join(lines) + "\n"
 
-
-def _half_rows(tables, rows):
-    """The halves' A (`LinearSystem.halves`) of the scaled rows of a
-    system or stack."""
-    A = tables.weight[..., None] * rows
-    return A.reshape(A.shape[:-4] + (2, 2 * A.shape[-2], A.shape[-1]))
+    def _under(self, rhs, gamma1):
+        """The system of the same rows at gamma1 under another load's
+        scaled right-hand side rhs, read-only, sharing the arrays and every
+        load-independent part read so far."""
+        system = replace(self, rhs=rhs, gamma1=gamma1)
+        for name in vars(self).keys() & {"_blocks", "_reduced",
+                                         "condition_estimate"}:
+            vars(system)[name] = vars(self)[name]
+        return system
 
 
 def _half_constraints(tables, constraints):
@@ -326,16 +320,18 @@ def _half_constraints(tables, constraints):
     tips = constraints[..., 2: 2 + (n_con - 2) // 2, :]
     even = np.concatenate([sv.real[..., None, :], tips], axis=-2)
     odd = np.concatenate([sv.imag[..., None, :], tips], axis=-2)
-    return np.stack([even[..., cols[0]], odd[..., cols[1]]], axis=-3)
+    return _read_only(np.stack([even[..., cols[0]], odd[..., cols[1]]],
+                               axis=-3))
 
 
 def _factor(A, C):
     """(Z, G, U, S, Vt) of the halves' blocks A and C (`reduction`), one
-    call per SVD for every half of every point."""
+    call per SVD for every half of every point, read-only."""
     _, _, Vt = np.linalg.svd(C)
     Z = Vt[..., C.shape[-2]:, :].swapaxes(-1, -2)
     G = A @ Z
-    return (Z, G) + tuple(np.linalg.svd(G, full_matrices=False))
+    return tuple(map(_read_only, (Z, G, *np.linalg.svd(G,
+                                                      full_matrices=False))))
 
 
 def _floats_text(values):
@@ -367,16 +363,17 @@ class _CollocationTables:
     node side, which keeps them (`_NodeSide.derived`).  Its arrays are
     read-only.
 
-    It keeps the gamma1-dependent, load-independent part of the system
-    too, per stack: the read-only `_Kept` of each stack of gamma1 values
-    and row scaling it factored, which the systems of every load at that
-    stack view, so they form only their right-hand sides.  It holds at
-    most KEPT_REDUCTIONS = 16 points over all its stacks, evicting the
-    least recently read stack first; a stack of more points, or whose
-    factorization failed, is not kept.  A stack reads no point of
-    another.  An entry holds about 9.5 (N+1)^2 doubles per point,
-    33 kB at N = 20 and 291 kB at N = 60 (24 and 226 kB of them the
-    reduction), so a table set keeps at most 0.53 MB at N = 20 and 4.7 MB
+    It keeps systems too, which hold the gamma1-dependent,
+    load-independent part: the `LinearSystem` it formed and factored for
+    each stack of the gamma1 values whose right-hand side is finite, row
+    scaling, and stack or system alone (`system`), which the system of
+    every load there shares, so it forms only its right-hand sides.  It
+    holds at most KEPT_REDUCTIONS = 16 points over all its systems,
+    evicting the least recently read first; a stack of more points, or
+    whose factorization failed, is not kept.  A stack reads no point of
+    another.  A kept system holds about 12 (N+1)^2 doubles per point,
+    41 kB at N = 20 and 354 kB at N = 60 (24 and 226 kB of them the
+    reduction), so a table set keeps at most 0.66 MB at N = 20 and 5.7 MB
     at N = 60, and a node side keeps one table set per N it was asked
     for.
     """
@@ -416,21 +413,23 @@ class _CollocationTables:
         self.single_valued_rows = _read_only(np.array(
             [np.concatenate([ints.real, -ints.imag]),
              np.concatenate([ints.imag, ints.real])]))
-        # (gamma1 bytes, row_scaling) -> the _Kept of a stack
+        # (the gamma1 bytes of the points whose right-hand side is finite,
+        # row_scaling, whether a stack) -> (whether the rows and constraint
+        # rows of each of those points are finite and have no zero row,
+        # the system of the points with both)
         self._kept = OrderedDict()
 
     def system(self, load, gamma1: float,
                row_scaling: bool = True) -> LinearSystem:
         """The row-scaled constrained system at one gamma1 and load: the
-        one-point case of `systems`, which views point 0 of its arrays and
-        factorization, without its point axis."""
+        one-point case of `systems`, without its point axis, kept apart
+        from the one-point stack."""
         _check_gamma1(gamma1)
-        parts, factored, (error,) = self._stack(
-            load, np.array([gamma1], dtype=float), row_scaling)
+        system, (error,) = self._stack(load, np.array([gamma1], dtype=float),
+                                       row_scaling, gamma1)
         if error is not None:
             raise error
-        return self._built([a[0] for a in parts], gamma1,
-                           factored and [a[0] for a in factored])
+        return system
 
     def systems(self, load, gamma1, row_scaling: bool = True):
         """The row-scaled constrained systems at P gamma1 values, one stack.
@@ -440,42 +439,34 @@ class _CollocationTables:
         differ in their number of rows.  Every array is formed for all
         points at once, with the point axis first; a collocation row's
         mirror, not formed, has its entries up to sign, and its scale.  A
-        warm stack views its `_Kept` and forms only its right-hand sides.
-        Returns the stack of the points whose system is finite and, with
-        row_scaling, has no zero row, and the AssemblyError of each point
-        (None where it has none), in the order of gamma1.
+        warm stack is its kept system under the load, and forms only its
+        right-hand sides.  Returns the stack of the points whose system is
+        finite and, with row_scaling, has no zero row, and the
+        AssemblyError of each point (None where it has none), in the order
+        of gamma1.
         """
-        g = np.asarray(gamma1, dtype=float)
-        parts, factored, errors = self._stack(load, g, row_scaling)
-        return self._built(parts, g[[e is None for e in errors]],
-                           factored), errors
+        return self._stack(load, np.asarray(gamma1, dtype=float),
+                           row_scaling)
 
-    def _built(self, parts, gamma1, factored):
-        """The system or stack of parts that reads factored, or None."""
-        system = LinearSystem(*parts, gamma1=gamma1, tables=self)
-        object.__setattr__(system, "kept", factored and tuple(factored))
-        return system
+    def _stack(self, load, g, row_scaling, alone=None):
+        """The system of the points g under the load without an error, and
+        the AssemblyError of each point (None where it has none), in the
+        order of g; with alone, the gamma1 of the one point g, its system
+        without a point axis (an empty stack where the point has an error).
 
-    def _stack(self, load, g, row_scaling):
-        """The read-only rows, constraints, rhs and row_scale of the stack
-        of the points g under the load without an error, their
-        factorization (`_Kept.factored`, or None), and the AssemblyError of
-        each point (None where it has none), in the order of g.
-
-        A point has an error unless its rows, constraint rows and
-        right-hand side are finite and, with row_scaling, it has no zero
-        row.  The right-hand sides are formed and checked on every call,
-        the rest read from the stack's `_Kept` or formed (`_operators`),
-        checked, factored as one (`_reduce`) and kept.  A stack whose
-        factorization fails carries none, and its own reduction raises
-        the error.
+        A point has an error unless its right-hand side, rows and
+        constraint rows are finite and, with row_scaling, it has no zero
+        row.  The right-hand sides are formed and checked on every call.
+        The system of the points whose right-hand side is finite is kept
+        or formed (`_formed`), and the one returned is it under the call's
+        right-hand sides (`LinearSystem._under`).
         """
         positive = g > 0.0
         tip_rows = positive.any()
         if tip_rows and not positive.all():
             raise ValueError("a stack holds gamma1 = 0 or gamma1 > 0, "
                              "not both")
-        kappa, N = self.node_side.material.kappa, self.disc.N
+        kappa = self.node_side.material.kappa
         n_con = 2 + (len(self.tip_rows[0]) if tip_rows else 0)
         v = np.array([load.phi_inf, load.psi_inf], dtype=complex).view(float)
         # the forcing of a huge load or gamma1 overflows; the finite check
@@ -487,41 +478,61 @@ class _CollocationTables:
                 [f.real, f.imag, np.zeros((g.size, n_con))], axis=1)
         loaded = np.isfinite(rhs).all(axis=1)
 
-        kept, key = self._kept, (g.tobytes(), row_scaling)
-        entry = kept.get(key)
-        if entry is not None:
-            kept.move_to_end(key)
+        key = (g[loaded].tobytes(), row_scaling, alone is None)
+        if key in self._kept:
+            self._kept.move_to_end(key)
+            flags, system = self._kept[key]
         else:
-            rows, C, scale = self._operators(g, tip_rows)
-            finite = np.isfinite(scale).all(axis=1)
-            if not row_scaling:
-                scale = np.ones(scale.shape)
-            nonzero = (scale != 0.0).all(axis=1)
-            valid = finite & nonzero
-            rows, C, scale = rows[valid], C[valid], scale[valid]
-            M = rows.shape[-2]
-            rows /= scale[:, : 2 * N].reshape(-1, 2, N)[:, None, :, :M, None]
-            C /= scale[:, 2 * N:, None]
-            entry = _Kept(finite, nonzero, *map(_read_only, (rows, C, scale)),
-                          _reduce(self, rows, C) if valid.any() else None)
-            if entry.factored is not None and g.size <= KEPT_REDUCTIONS:
-                kept[key] = entry
-                while sum(e.finite.size for e in kept.values()) \
-                        > KEPT_REDUCTIONS:
-                    kept.popitem(last=False)
-
-        finite, nonzero, rows, C, scale, factored = entry
+            flags, system = self._formed(key, g[loaded], rhs[loaded],
+                                         tip_rows, row_scaling, alone)
+        # a point whose right-hand side is not finite fails as one whose rows
+        # are not
+        flags = iter(flags)
         errors = [None if fin and nz else AssemblyError(
             "zero row encountered during scaling" if fin
             else "non-finite entries in the collocation system")
-            for fin, nz in zip((finite & loaded).tolist(), nonzero.tolist())]
-        if any(errors):  # an error is true, None false
-            valid = finite & nonzero
-            held = loaded[valid]  # of the entry's points
-            rhs = rhs[valid & loaded]
-            rows, C, scale = (_read_only(a[held]) for a in (rows, C, scale))
-            factored = factored and tuple(a[held] for a in factored)
-        return (rows, C, _read_only(rhs / scale), scale), factored, errors
+            for fin, nz in (next(flags) if ok else (False, True)
+                            for ok in loaded.tolist())]
+        valid = [error is None for error in errors]
+        return system._under(_read_only((rhs[valid] / system.row_scale)
+                                        .reshape(system.rhs.shape)),
+                             g[valid] if alone is None else alone), errors
+
+    def _formed(self, key, g, rhs, tip_rows, row_scaling, alone):
+        """The (finite, no zero row) flags of each point of g, and the
+        system of the points with both under their right-hand sides rhs,
+        formed (`_operators`), checked and factored; with alone, the one
+        point's system without a point axis if it has both flags.  The
+        system is kept under key unless it has no point or more than
+        KEPT_REDUCTIONS or its factorization failed, evicting the least
+        recently read first."""
+        N = self.disc.N
+        rows, C, scale = self._operators(g, tip_rows)
+        finite = np.isfinite(scale).all(axis=1)
+        if not row_scaling:
+            scale = np.ones(scale.shape)
+        nonzero = (scale != 0.0).all(axis=1)
+        flags = list(zip(finite.tolist(), nonzero.tolist()))
+        valid = finite & nonzero
+        rows, C, scale = rows[valid], C[valid], scale[valid]
+        M = rows.shape[-2]
+        rows /= scale[:, : 2 * N].reshape(-1, 2, N)[:, None, :, :M, None]
+        C /= scale[:, 2 * N:, None]
+        parts, gamma1 = (rows, C, rhs[valid] / scale, scale), g[valid]
+        if alone is not None and valid.any():
+            parts, gamma1 = [a[0] for a in parts], alone
+        system = LinearSystem(*map(_read_only, parts), gamma1=gamma1,
+                              tables=self)
+        try:
+            system.condition_estimate  # factors the system
+        except SolveError:
+            return flags, system
+        if valid.any() and g.size <= KEPT_REDUCTIONS:
+            self._kept[key] = flags, system
+            while sum(len(f) for f, _ in self._kept.values()) \
+                    > KEPT_REDUCTIONS:
+                self._kept.popitem(last=False)
+        return flags, system
 
     def _operators(self, g, tip_rows):
         """The unscaled collocation rows (kappa+1)(R0 + gamma1 R1 +
@@ -544,22 +555,6 @@ class _CollocationTables:
         scale = np.concatenate([scale.reshape(g.size, 2 * N),
                                 abs(C).max(axis=2)], axis=1)
         return rows, C, scale
-
-
-def _reduce(tables, rows, constraints):
-    """(C, Z^T, G, U, S, Vt) of the scaled rows and constraint rows of a
-    stack (`_Kept.factored`), or None when the factorization fails or the
-    constraints leave no free unknown.  Z is kept as the rows of Vt it
-    views (Z^T): the product Z y then sees the layout of a Z computed
-    afresh, and gives the same bits."""
-    C = _half_constraints(tables, constraints)
-    if C.shape[-2] >= C.shape[-1]:
-        return None
-    try:
-        Z, *rest = _factor(_half_rows(tables, rows), C)
-    except np.linalg.LinAlgError:
-        return None
-    return tuple(map(_read_only, (C, Z.swapaxes(-1, -2), *rest)))
 
 
 def _check_gamma1(gamma1):

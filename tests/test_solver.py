@@ -873,9 +873,13 @@ class TestSolve:
 
     def test_failed_svd_is_a_solve_error(self, material, semicircle, load_h,
                                          monkeypatch, cold_tables):
-        # numpy's LinAlgError escaped solve(); cold tables, so no kept
-        # factorization is read
+        # numpy's LinAlgError escaped solve(); cold tables, so the tables
+        # keep no system at gamma1 = 0.5.  The failed factorization is
+        # tried once: its SolveError is raised again with no new SVD
+        calls = []
+
         def failing(*args, **kwargs):
+            calls.append(1)
             raise np.linalg.LinAlgError("SVD did not converge")
 
         system = assemble(semicircle, material, load_h, 1.0,
@@ -883,11 +887,15 @@ class TestSolve:
         monkeypatch.setattr(np.linalg, "svd", failing)
         failed = assemble(semicircle, material, load_h, 0.5,
                           Discretization(8, semicircle.length))
-        assert failed.kept is None
-        with pytest.raises(SolveError, match="SVD did not converge"):
-            solve(failed)
+        assert (np.array([0.5]).tobytes(), True, False) \
+            not in failed.tables._kept
+        for _ in range(2):
+            with pytest.raises(SolveError, match="SVD did not converge"):
+                solve(failed)
+        assert len(calls) == 1
         # a kept factorization needs no SVD
         solve(system)
+        assert len(calls) == 1
 
     def test_one_factorization_per_system(self, material, semicircle, load_h,
                                           monkeypatch, cold_tables):
@@ -1176,21 +1184,27 @@ def test_densities_and_systems_compare_by_identity(material, semicircle,
     assert system == system and system != replace(system)
 
 
-def test_system_arrays_are_read_only(material, semicircle, load_h):
+def test_system_arrays_are_read_only(material, semicircle, load_h, load_v,
+                                     cold_tables):
     # a write into a system read before would go unseen by the parts it
-    # read once (matrix, halves, reduction), so every write raises;
-    # replace makes a changed system and leaves the caller's arrays
-    # writable
-    system = assemble(semicircle, material, load_h, 1.0,
-                      Discretization(12, semicircle.length))
+    # read once (matrix, halves, reduction), and one into the halves' A
+    # and C or the reduction, which every load's system at a gamma1
+    # shares, would change the solves of the other loads, so every write
+    # raises, cold, warm, stacked or replaced; replace makes a changed
+    # system and leaves the caller's arrays writable
+    disc = Discretization(12, semicircle.length)
+    system = assemble(semicircle, material, load_h, 1.0, disc)
+    warm = assemble(semicircle, material, load_v, 1.0, disc)
     stack, errors = system.tables.systems(load_h, [0.5, 1.0])
     assert errors == [None, None]
     rows = system.rows.copy()
     changed = replace(system, rows=rows)
-    for built in (system, stack, changed):
-        for name in ("rows", "constraints", "rhs", "row_scale"):
+    for built in (system, warm, stack, changed):
+        A, C, _ = built.halves
+        for array in (built.rows, built.constraints, built.rhs,
+                      built.row_scale, A, C, *built.reduction):
             with pytest.raises(ValueError, match="read-only"):
-                getattr(built, name)[...] *= 2.0
+                array[...] *= 2.0
     assert rows.flags.writeable
 
 
@@ -1321,7 +1335,7 @@ class TestKeptReductions:
     @staticmethod
     def _held(tables):
         """The points of each kept stack, least recently read first."""
-        return [entry.finite.size for entry in tables._kept.values()]
+        return [len(flags) for flags, _ in tables._kept.values()]
 
     def test_evicted_entry_and_the_bound(self, node_side, load_h,
                                          monkeypatch):
@@ -1367,8 +1381,8 @@ class TestKeptReductions:
         rows = system.rows.copy()
         rows[0, 0, 0] *= 2.0
         changed = replace(system, rows=rows)
-        assert changed.kept is None
-        changed.reduction
+        assert not any(map(np.shares_memory, changed.reduction,
+                           system.reduction))
         assert len(calls) == 2
         system = tables.system(load_h, 1.0)
         with pytest.raises(ValueError, match="read-only"):
@@ -1395,12 +1409,15 @@ class TestKeptReductions:
         # a warm stack and a warm system view their entry's arrays
         stack, _ = tables.systems(load_h, grid)
         system = tables.system(load_h, grid[3])
-        for built, g in ((stack, grid), (system, grid[3:4])):
-            entry = tables._kept[g.tobytes(), True]
+        for built, g, stacked in ((stack, grid, True),
+                                  (system, grid[3:4], False)):
+            _, kept = tables._kept[g.tobytes(), True, stacked]
             for name in ("rows", "constraints", "row_scale"):
                 assert np.shares_memory(getattr(built, name),
-                                        getattr(entry, name))
-            assert all(map(np.shares_memory, built.kept, entry.factored))
+                                        getattr(kept, name))
+            assert all(map(np.shares_memory,
+                           built.halves[:2] + built.reduction,
+                           kept.halves[:2] + kept.reduction))
         # the counts see a cold point
         self._solved(tables, load_h, 3.0)
         assert calls == dict.fromkeys(calls, 1) and len(svds) == 2
@@ -1434,14 +1451,15 @@ class TestKeptReductions:
                     loads[name], g, row_scaling)) for g in order] \
                     == [want[name, g] for g in order]
 
-    def test_right_hand_side_is_checked_per_call(self, node_side, load_h):
+    def test_right_hand_side_is_checked_per_call(self, node_side, load_h,
+                                                 monkeypatch):
         # a load whose forcing overflows fails at a kept gamma1 as it does
         # cold: the right-hand side's finite check is not kept
         huge = FarFieldLoad(sigma1=1e308, sigma2=0.0)
         tables = solver._CollocationTables(node_side, 16)
         message = "non-finite entries in the collocation system"
-        for kept in (False, True):
-            assert (len(tables._kept) == 1) == kept
+        for warm in (False, True):
+            assert (len(tables._kept) == 1) == warm
             with pytest.raises(AssemblyError, match=message):
                 tables.system(huge, 1.0)
             stack, errors = tables.systems(huge, [1.0])
@@ -1456,5 +1474,16 @@ class TestKeptReductions:
             stack, errors = tables.systems(large, [0.25, 100.0])
             assert errors[0] is None and str(errors[1]) == message
             assert self._system_bytes(stack, 0) == self._system_bytes(alone)
-            assert [a[0].tobytes() for a in stack.kept] \
-                == [a.tobytes() for a in alone.kept]
+            assert [a[0].tobytes() for a in stack.reduction] \
+                == [a.tobytes() for a in alone.reduction]
+        # at a kept stack of both points, the load that overflows at one
+        # reads the kept system of the other: no rows, no SVD
+        tables.systems(load_h, [0.25, 100.0])
+        calls, svds = self._formations(monkeypatch)
+        stack, errors = tables.systems(large, [0.25, 100.0])
+        assert errors[0] is None and str(errors[1]) == message
+        assert calls == dict.fromkeys(calls, 0) and svds == []
+        _, kept = tables._kept[np.array([0.25]).tobytes(), True, True]
+        assert all(map(np.shares_memory, stack.halves[:2] + stack.reduction,
+                       kept.halves[:2] + kept.reduction))
+        assert self._system_bytes(stack, 0) == self._system_bytes(alone)

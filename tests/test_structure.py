@@ -17,7 +17,10 @@ those with them by the collocation tables alone.  `solver` names the
 load forcing formula only to build the collocation tables' forcing
 table, and the load side of the boundary condition is one formula: no
 module evaluates the expanded surface-tension coefficients, and only the
-flat-rule oracle reads the curvature as a function of s.  All are read
+flat-rule oracle reads the curvature as a function of s.  Every system,
+kept, stacked, alone or built by hand, is factored on one path:
+`solver._factor` is called only by the cached part of
+`LinearSystem.reduction`, and only `_factor` calls an SVD.  All are read
 from the source, so a use that no test runs is found too.
 """
 
@@ -139,6 +142,11 @@ _FORCING = ("boundary_forcing", "_forcing", "_forcing_table")
 # curvature functions of `CrackCurve`, constant on every curve
 _EXPANSION = ("surface_tension_coefficients",)
 _CURVATURE = ("kappa0", "kappa0_prime")
+
+
+# the factorization of a system, and the SVD that only it calls
+_FACTOR = ("_factor",)
+_SVD = ("svd",)
 
 
 def _package_callers(match):
@@ -285,6 +293,14 @@ def test_the_load_side_is_one_formula():
         ("kernels", "fredholm_operator")] * 2
 
 
+def test_one_factorization_path():
+    # `reduction` reads the factorization, or its SolveError, from
+    # `_reduced`, which a system under another load shares
+    assert _package_callers(_calls(_FACTOR)) == [
+        ("solver", "LinearSystem._reduced")]
+    assert _package_callers(_calls(_SVD)) == [("solver", "_factor")] * 2
+
+
 def test_the_checks_see_what_they_forbid():
     # each kind of use the checks refuse, in a made-up module
     primitives = _primitive_names()
@@ -360,3 +376,13 @@ def test_the_checks_see_what_they_forbid():
         "        return self.curve.constant_curvature\n")
     assert _callers(tree, _calls(_EXPANSION)) == ["f"]
     assert _callers(tree, _calls(_CURVATURE)) == ["T.g", "T.g"]
+    tree = ast.parse(
+        "class S:\n"
+        "    def _reduced(self):\n"
+        "        return _factor(*self.halves[:2])\n"
+        "def _reduce(tables, rows, constraints):\n"
+        "    return solver._factor(rows, constraints)\n"
+        "def _factor(A, C):\n"
+        "    return np.linalg.svd(C), linalg.svd(A), svd(A)\n")
+    assert _callers(tree, _calls(_FACTOR)) == ["S._reduced", "_reduce"]
+    assert _callers(tree, _calls(_SVD)) == ["_factor"] * 3
